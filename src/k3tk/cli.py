@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 from fractions import Fraction
 
@@ -233,6 +234,24 @@ def _cmd_verify(args) -> int:
                   "examples": [list(t) for t in bad[:10]]})
 
 
+_LIST_OPTIONS = ("--N", "--alpha", "--x")
+
+
+def _join_negative_lists(argv: list[str]) -> list[str]:
+    """Rewrite `--N -1,1` as `--N=-1,1`.
+
+    argparse reads a separate value such as -1,1 as an unknown option,
+    because only plain negative numbers are exempt.
+    """
+    out: list[str] = []
+    for tok in argv:
+        if out and out[-1] in _LIST_OPTIONS and re.match(r"-[\d.]", tok):
+            out[-1] += "=" + tok
+        else:
+            out.append(tok)
+    return out
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="k3tk",
@@ -329,7 +348,7 @@ def main(argv=None) -> int:
             print(json.dumps({"error": "K3TK_THREADS must be a positive integer"}))
             return 2
     parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_join_negative_lists(sys.argv[1:] if argv is None else argv))
     try:
         return args.fn(args)
     except InputError as exc:

@@ -18,14 +18,41 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd
+from operator import add, mul, neg
 
 from .errors import InputError
 
 
 def _as_int(x) -> int:
-    if isinstance(x, bool) or int(x) != x:
-        raise InputError(f"expected an integer, got {x!r}")
-    return int(x)
+    """Strict integer coercion at an input boundary: rejects bools and non-integers."""
+    if type(x) is int:
+        return x
+    try:
+        if not isinstance(x, bool) and int(x) == x:
+            return int(x)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise InputError(f"expected an integer, got {x!r}")
+
+
+_INT = frozenset((int,))
+
+
+def _as_ints(xs) -> tuple[int, ...]:
+    """_as_int over a sequence: a lattice vector or one row of a matrix."""
+    try:
+        xs = tuple(xs)
+    except TypeError as exc:
+        raise InputError(f"expected a list of integers, got {xs!r}") from exc
+    return xs if _INT.issuperset(map(type, xs)) else tuple(map(_as_int, xs))
+
+
+def _as_matrix(rows) -> tuple[tuple[int, ...], ...]:
+    """_as_ints over the rows of an integer matrix."""
+    try:
+        return tuple(map(_as_ints, rows))
+    except TypeError as exc:
+        raise InputError(f"expected a matrix of integers, got {rows!r}") from exc
 
 
 @dataclass(frozen=True)
@@ -35,7 +62,7 @@ class EvenLattice:
     gram: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        rows = tuple(tuple(_as_int(x) for x in row) for row in self.gram)
+        rows = _as_matrix(self.gram)
         object.__setattr__(self, "gram", rows)
         n = len(rows)
         if any(len(row) != n for row in rows):
@@ -55,15 +82,18 @@ class EvenLattice:
         """x^T G y for integer coordinate vectors."""
         self.check_vector(x)
         self.check_vector(y)
-        return sum(x[i] * self.gram[i][j] * y[j]
-                   for i in range(self.rank) for j in range(self.rank))
+        return self._bilinear(x, y)
+
+    def _bilinear(self, x, y) -> int:
+        """bilinear for vectors already known to have the lattice's rank."""
+        return sum(map(mul, x, [sum(map(mul, row, y)) for row in self.gram]))
 
     def quad(self, x) -> int:
         """Self-intersection (x^2) = x^T G x; always even."""
         return self.bilinear(x, x)
 
     def check_vector(self, x) -> None:
-        if len(x) != self.rank:
+        if len(x) != len(self.gram):
             raise InputError(
                 f"vector of length {len(x)} does not match lattice rank {self.rank}")
 
@@ -76,7 +106,7 @@ class EvenLattice:
             gram = doc["gram"]
         except (TypeError, KeyError) as exc:
             raise InputError("lattice JSON must contain a 'gram' matrix") from exc
-        lat = cls(tuple(tuple(row) for row in gram))
+        lat = cls(gram)
         if "rank" in doc and _as_int(doc["rank"]) != lat.rank:
             raise InputError("declared rank does not match gram matrix size")
         return lat
@@ -84,7 +114,12 @@ class EvenLattice:
 
 @dataclass(frozen=True)
 class MukaiVector:
-    """Integral triple (r, c1, a) in H^0 + H^2 + H^4."""
+    """Integral triple (r, c1, a) in H^0 + H^2 + H^4.
+
+    The constructor coerces every component strictly to int.  Arithmetic on
+    vectors builds its results with the trusted constructor _mukai instead,
+    since sums and multiples of integers need no second check.
+    """
 
     r: int
     c1: tuple[int, ...]
@@ -92,25 +127,24 @@ class MukaiVector:
 
     def __post_init__(self):
         object.__setattr__(self, "r", _as_int(self.r))
-        object.__setattr__(self, "c1", tuple(_as_int(x) for x in self.c1))
+        object.__setattr__(self, "c1", _as_ints(self.c1))
         object.__setattr__(self, "a", _as_int(self.a))
 
     def __add__(self, other: "MukaiVector") -> "MukaiVector":
         if len(self.c1) != len(other.c1):
             raise InputError("cannot add Mukai vectors of different c1 length")
-        return MukaiVector(self.r + other.r,
-                           tuple(x + y for x, y in zip(self.c1, other.c1)),
-                           self.a + other.a)
+        return _mukai(self.r + other.r, tuple(map(add, self.c1, other.c1)),
+                      self.a + other.a)
 
     def __sub__(self, other: "MukaiVector") -> "MukaiVector":
         return self + (-other)
 
     def __neg__(self) -> "MukaiVector":
-        return MukaiVector(-self.r, tuple(-x for x in self.c1), -self.a)
+        return _mukai(-self.r, tuple(map(neg, self.c1)), -self.a)
 
     def __rmul__(self, n: int) -> "MukaiVector":
         n = _as_int(n)
-        return MukaiVector(n * self.r, tuple(n * x for x in self.c1), n * self.a)
+        return _mukai(n * self.r, tuple([n * x for x in self.c1]), n * self.a)
 
     __mul__ = __rmul__
 
@@ -119,7 +153,7 @@ class MukaiVector:
         n = _as_int(n)
         if n == 0 or self.r % n or self.a % n or any(x % n for x in self.c1):
             raise InputError(f"{n} does not divide every component")
-        return MukaiVector(self.r // n, tuple(x // n for x in self.c1), self.a // n)
+        return _mukai(self.r // n, tuple([x // n for x in self.c1]), self.a // n)
 
     def to_json(self) -> dict:
         return {"r": self.r, "c1": list(self.c1), "a": self.a}
@@ -127,7 +161,7 @@ class MukaiVector:
     @classmethod
     def from_json(cls, doc: dict) -> "MukaiVector":
         try:
-            return cls(doc["r"], tuple(doc["c1"]), doc["a"])
+            return cls(doc["r"], doc["c1"], doc["a"])
         except (TypeError, KeyError) as exc:
             raise InputError("Mukai vector JSON must contain 'r', 'c1', 'a'") from exc
 
@@ -137,21 +171,37 @@ class MukaiVector:
         return cls(0, (0,) * rank, 1)
 
 
+_new = object.__new__
+_set = object.__setattr__
+
+
+def _mukai(r: int, c1: tuple[int, ...], a: int) -> MukaiVector:
+    """Trusted constructor: the components are already exact ints, so skip coercion."""
+    v = _new(MukaiVector)
+    _set(v, "r", r)
+    _set(v, "c1", c1)
+    _set(v, "a", a)
+    return v
+
+
 def mukai_pairing(x: MukaiVector, y: MukaiVector, lat: EvenLattice) -> int:
     """<x, y> = (c1(x).c1(y)) - r(x) a(y) - a(x) r(y)."""
-    return lat.bilinear(x.c1, y.c1) - x.r * y.a - x.a * y.r
+    n = len(lat.gram)
+    if len(x.c1) != n or len(y.c1) != n:
+        raise InputError(f"Mukai vectors do not match lattice rank {n}")
+    return lat._bilinear(x.c1, y.c1) - x.r * y.a - x.a * y.r
 
 
 def mukai_from_chern(r: int, c1, ch2: int, lat: EvenLattice) -> MukaiVector:
     """Mukai vector of Chern data (r, c1, ch2): the H^4 part is r + ch2."""
-    v = MukaiVector(r, tuple(c1), _as_int(r) + _as_int(ch2))
+    v = MukaiVector(r, c1, _as_int(r) + _as_int(ch2))
     lat.check_vector(v.c1)
     return v
 
 
 def dual(v: MukaiVector) -> MukaiVector:
     """(r, c1, a) -> (r, -c1, a); an involution preserving the pairing."""
-    return MukaiVector(v.r, tuple(-x for x in v.c1), v.a)
+    return _mukai(v.r, tuple(map(neg, v.c1)), v.a)
 
 
 def ell(v: MukaiVector, lat: EvenLattice | None = None) -> int:
@@ -162,12 +212,12 @@ def ell(v: MukaiVector, lat: EvenLattice | None = None) -> int:
     """
     if lat is not None:
         lat.check_vector(v.c1)
-    return gcd(abs(v.r), *(abs(x) for x in v.c1)) if v.c1 else abs(v.r)
+    return gcd(v.r, *v.c1)
 
 
 def content(v: MukaiVector) -> int:
     """gcd of all components of v."""
-    return gcd(abs(v.r), abs(v.a), *(abs(x) for x in v.c1))
+    return gcd(v.r, v.a, *v.c1)
 
 
 def primitive(v: MukaiVector, lat: EvenLattice | None = None) -> bool:

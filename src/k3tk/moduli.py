@@ -22,8 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import InputError
-from .lattice import (EvenLattice, MukaiVector, content, ell, primitive,
-                      square)
+from .lattice import EvenLattice, MukaiVector, _mukai, content, ell, square
 from .qseries import hilb_euler
 
 RANK_ONE = "rank_one"
@@ -37,35 +36,43 @@ def _require_positive_rank(v: MukaiVector) -> None:
         raise InputError("rank must be positive (rank-0 theory is out of scope)")
 
 
-def _require_primitive(v: MukaiVector, lat: EvenLattice) -> None:
-    if not primitive(v, lat):
+def _primitive_square(v: MukaiVector, lat: EvenLattice) -> int:
+    """Validate a positive-rank primitive v once and return <v^2>."""
+    _require_positive_rank(v)
+    sq = square(v, lat)
+    if content(v) != 1:
         raise InputError("Mukai vector must be primitive")
+    return sq
+
+
+def _nonempty_square(v: MukaiVector, lat: EvenLattice) -> int:
+    """<v^2> of a valid primitive v whose stable moduli space is non-empty."""
+    sq = _primitive_square(v, lat)
+    if sq < -2:
+        raise InputError("moduli space is empty: <v^2> < -2")
+    return sq
 
 
 def exists_stable_primitive(v: MukaiVector, lat: EvenLattice) -> bool:
     """Non-emptiness of the stable moduli space: <v^2> >= -2."""
-    _require_positive_rank(v)
-    _require_primitive(v, lat)
-    return square(v, lat) >= -2
+    return _primitive_square(v, lat) >= -2
 
 
 def exists_semistable(v: MukaiVector, lat: EvenLattice) -> bool:
     """Non-emptiness of the semistable moduli space for arbitrary v.
 
     True iff v = n w for some integer n >= 1 with <w^2> >= -2; implemented
-    as a divisor scan over the content of v.
+    as a divisor scan over the content of v, with <w^2> = <v^2>/n^2.
     """
     _require_positive_rank(v)
+    sq = square(v, lat)
     c = content(v)
-    return any(square(v.divided(n), lat) >= -2
-               for n in range(1, c + 1) if c % n == 0)
+    return any(sq // (n * n) >= -2 for n in range(1, c + 1) if c % n == 0)
 
 
 def moduli_dim(v: MukaiVector, lat: EvenLattice) -> int:
     """dim M(v) = <v^2> + 2 for primitive v with <v^2> >= -2."""
-    if not exists_stable_primitive(v, lat):
-        raise InputError("moduli space is empty: <v^2> < -2")
-    return square(v, lat) + 2
+    return _nonempty_square(v, lat) + 2
 
 
 @dataclass(frozen=True)
@@ -74,38 +81,41 @@ class CaseInfo:
     v0: MukaiVector | None         # the (-2)-witness r + xi + b omega, case B only
 
 
-def _primitive_top(v: MukaiVector) -> tuple[int, int, tuple[int, ...]]:
-    """(l, r, xi) with v = l(r + xi) + a omega and r + xi primitive."""
+def _case(v: MukaiVector, lat: EvenLattice) -> tuple[int, CaseInfo]:
+    """(l, case) for a positive-rank v already checked against lat.
+
+    l = gcd(rank, c1) and v = l(r + xi) + a omega with r + xi primitive.
+    """
     l = ell(v)
-    return l, v.r // l, tuple(x // l for x in v.c1)
+    r = v.r // l
+    xi = tuple([x // l for x in v.c1])
+    xi_sq = lat._bilinear(xi, xi)
+    if (xi_sq + 2) % (2 * r) == 0:
+        return l, CaseInfo("B", _mukai(r, xi, (xi_sq + 2) // (2 * r)))
+    return l, CaseInfo("A", None)
 
 
 def classify_case(v: MukaiVector, lat: EvenLattice) -> CaseInfo:
     _require_positive_rank(v)
     lat.check_vector(v.c1)
-    l, r, xi = _primitive_top(v)
-    xi_sq = lat.quad(xi)
-    if (xi_sq + 2) % (2 * r) == 0:
-        b = (xi_sq + 2) // (2 * r)
-        return CaseInfo("B", MukaiVector(r, xi, b))
-    return CaseInfo("A", None)
+    return _case(v, lat)[1]
 
 
 def exists_mu_stable(v: MukaiVector, lat: EvenLattice) -> bool:
     """Existence of mu-stable members: <v^2> >= 0 (case A) or >= 2 l^2 (case B)."""
-    if not exists_stable_primitive(v, lat):
-        raise InputError("moduli space is empty: <v^2> < -2")
-    sq = square(v, lat)
-    if classify_case(v, lat).case == "A":
+    sq = _nonempty_square(v, lat)
+    l, info = _case(v, lat)
+    if info.case == "A":
         return sq >= 0
-    return sq >= 2 * ell(v) ** 2
+    return sq >= 2 * l ** 2
 
 
 def mu_stable_boundary_flag(v: MukaiVector, lat: EvenLattice) -> bool:
     """Flags the case-B corner l = 1, <v^2> = -2 (rigid bundles on the boundary)."""
     _require_positive_rank(v)
-    return (classify_case(v, lat).case == "B" and ell(v) == 1
-            and square(v, lat) == -2)
+    sq = square(v, lat)
+    l, info = _case(v, lat)
+    return info.case == "B" and l == 1 and sq == -2
 
 
 @dataclass(frozen=True)
@@ -122,14 +132,12 @@ def classify_non_locally_free(v: MukaiVector, lat: EvenLattice) -> NonLocallyFre
     and v = l v0 - (l+1) omega, moduli the Hilbert scheme of l+1 points.
     Everything else contains locally free members.
     """
-    if not exists_stable_primitive(v, lat):
-        raise InputError("moduli space is empty: <v^2> < -2")
+    sq = _nonempty_square(v, lat)
     if v.r == 1:
-        return NonLocallyFree(RANK_ONE, f"Hilb^{hilb_index(v, lat)}")
-    info = classify_case(v, lat)
+        return NonLocallyFree(RANK_ONE, f"Hilb^{sq // 2 + 1}")
+    l, info = _case(v, lat)
     if info.case == "B":
         v0 = info.v0
-        l = ell(v)
         if l == v0.r and v.a == v0.r * v0.a - 1:
             return NonLocallyFree(REFL_POINT, "X")
         if v0.r == 1 and v.a == l * v0.a - (l + 1):
@@ -139,9 +147,7 @@ def classify_non_locally_free(v: MukaiVector, lat: EvenLattice) -> NonLocallyFre
 
 def hilb_index(v: MukaiVector, lat: EvenLattice) -> int:
     """<v^2>/2 + 1, the number of points of the reference Hilbert scheme."""
-    if not exists_stable_primitive(v, lat):
-        raise InputError("moduli space is empty: <v^2> < -2")
-    return square(v, lat) // 2 + 1
+    return _nonempty_square(v, lat) // 2 + 1
 
 
 def euler_characteristic(v: MukaiVector, lat: EvenLattice) -> int:

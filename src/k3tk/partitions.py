@@ -53,7 +53,7 @@ from fractions import Fraction
 import mpmath
 
 from .errors import ConsistencyError, InputError
-from .lattice import EvenLattice, MukaiVector, content, square
+from .lattice import EvenLattice, MukaiVector, _as_int, _as_ints, content, square
 from .qseries import QSeries, hilb_euler
 
 LITERAL_TOL = 1e-9
@@ -63,22 +63,24 @@ def chi_virtual(v: MukaiVector, lat: EvenLattice) -> Fraction:
     """Divisor-sum virtual Euler characteristic; denominator divides content^2."""
     if v.r <= 0:
         raise InputError("rank must be positive")
+    sq = square(v, lat)
     c = content(v)
     total = Fraction(0)
     for a in range(1, c + 1):
         if c % a:
             continue
-        idx = square(v.divided(a), lat) // 2 + 1
+        idx = sq // (2 * a * a) + 1          # <(v/a)^2>/2 + 1
         total += Fraction(hilb_euler(idx), a * a)
     return total
 
 
-def _check_rank_alpha(r: int, alpha, lat: EvenLattice) -> tuple[int, ...]:
+def _check_rank_alpha(r: int, alpha, lat: EvenLattice) -> tuple[int, tuple[int, ...]]:
+    r = _as_int(r)
     if r < 1:
         raise InputError("rank must be a positive integer")
-    alpha = tuple(int(x) for x in alpha)
+    alpha = _as_ints(alpha)
     lat.check_vector(alpha)
-    return alpha
+    return r, alpha
 
 
 def z_psu_direct(r: int, alpha, order, lat: EvenLattice) -> QSeries:
@@ -88,7 +90,7 @@ def z_psu_direct(r: int, alpha, order, lat: EvenLattice) -> QSeries:
     floor since <v^2> >= -2 content(v)^2 >= -2 r^2 whenever chi_virtual is
     nonzero.
     """
-    alpha = _check_rank_alpha(r, alpha, lat)
+    r, alpha = _check_rank_alpha(r, alpha, lat)
     order = Fraction(order)
     s_alpha = lat.quad(alpha)
     a_max = math.floor(Fraction(s_alpha + 2 * r * r, 2 * r))
@@ -124,7 +126,7 @@ def _n_top(a: int, d: int, order: Fraction) -> int:
 
 def z_psu_hecke(r: int, alpha, order, lat: EvenLattice) -> QSeries:
     """Hecke-transform path with the b-sum projection applied analytically."""
-    alpha = _check_rank_alpha(r, alpha, lat)
+    r, alpha = _check_rank_alpha(r, alpha, lat)
     order = Fraction(order)
     terms: dict[Fraction, Fraction] = {}
     for a, d, xi in _hecke_factorizations(r, alpha):
@@ -166,7 +168,7 @@ def z_psu_hecke_literal(r: int, alpha, order, lat: EvenLattice) -> NumericSeries
     """
     if r > 12:
         raise InputError("literal Hecke path is limited to rank <= 12")
-    alpha = _check_rank_alpha(r, alpha, lat)
+    r, alpha = _check_rank_alpha(r, alpha, lat)
     order = Fraction(order)
     exact = z_psu_hecke(r, alpha, order, lat)
 

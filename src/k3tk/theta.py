@@ -44,7 +44,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import ConsistencyError, InputError
-from .lattice import EvenLattice, MukaiVector
+from .lattice import EvenLattice, MukaiVector, _as_int, _as_ints
 from .partitions import chi_virtual, z_psu_direct
 from .qseries import hilb_euler, qs_evaluate
 
@@ -187,9 +187,10 @@ def theta_siegel_narain(lat: EvenLattice, alpha, r: int, tau: complex,
         raise InputError("tau must lie in the upper half plane")
     if radius < 0:
         raise InputError("radius must be nonnegative")
+    r = _as_int(r)
     if r < 1:
         raise InputError("coset step r must be a positive integer")
-    alpha = tuple(int(v) for v in alpha)
+    alpha = _as_ints(alpha)
     lat.check_vector(alpha)
     q, ql, qr, mj, lam_min = _forms(lat, split)
     xv = _check_x(x, lat.rank)

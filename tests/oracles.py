@@ -7,6 +7,7 @@ Pick's theorem instead of point enumeration.
 """
 
 from fractions import Fraction
+from itertools import permutations
 from math import gcd
 
 
@@ -63,4 +64,17 @@ def chi_virtual_brute(v, gram, euler) -> Fraction:
         idx = pairing_brute(w, w, gram) // 2 + 1
         if idx >= 0:
             total += Fraction(euler(idx), m * m)
+    return total
+
+
+def det_brute(m) -> int:
+    """Leibniz expansion over all permutations, sign by inversion count."""
+    n = len(m)
+    total = 0
+    for perm in permutations(range(n)):
+        inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        term = -1 if inversions % 2 else 1
+        for i in range(n):
+            term *= m[i][perm[i]]
+        total += term
     return total

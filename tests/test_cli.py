@@ -3,7 +3,7 @@ import json
 import pytest
 
 from k3tk import (EvenLattice, IsometryWord, MukaiVector, apply_reflect,
-                  build_auxiliary)
+                  apply_translate, build_auxiliary)
 from k3tk.cli import main
 
 
@@ -59,6 +59,30 @@ def test_dualize_translate_reflect_word(tmp_path, capsys):
     word.write_text(json.dumps([{"type": "negate"}, {"type": "negate"}]))
     doc = run_json(capsys, "word", "--word", str(word), "--v", v)
     assert doc["vector"] == {"r": 1, "c1": [3], "a": 2}
+
+
+def test_translate_negative_first_coordinate(tmp_path, capsys):
+    surf = tmp_path / "s.json"
+    surf.write_text(json.dumps({"gram": [[2, 1], [1, -2]]}))
+    v = write_vec(tmp_path, "v.json", 2, (1, 0), -1)
+    lat = EvenLattice(((2, 1), (1, -2)))
+    want = apply_translate((-1, 3), MukaiVector(2, (1, 0), -1), lat).to_json()
+    for argv in (["--N", "-1,3"], ["--N=-1,3"]):
+        doc = run_json(capsys, "translate", "--surface", str(surf), *argv, "--v", v)
+        assert doc["vector"] == want
+
+
+def test_bad_word_elements_exit_2(tmp_path, capsys):
+    v = write_vec(tmp_path, "v.json", 1, (0,), 1)
+    for name, doc in (("frac.json", [{"type": "translate", "N": [1.5]}]),
+                      ("missing.json", [{"type": "translate"}])):
+        word = tmp_path / name
+        word.write_text(json.dumps(doc))
+        code = main(["word", "--word", str(word), "--v", v])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "error" in json.loads(captured.out)
+        assert captured.err == ""
 
 
 def test_word_json_fixpoint(tmp_path, capsys):

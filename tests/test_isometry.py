@@ -1,12 +1,16 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from k3tk import (Dual, InputError, IsometryWord, MukaiVector, Negate,
-                  apply_reflect, apply_translate, apply_word, dual,
+from k3tk import (Dual, EvenLattice, InputError, IsometryWord, MukaiVector,
+                  Negate, NSAuto, Reflect, Translate, apply_reflect,
+                  apply_translate, apply_word, classify_case, dual,
                   mukai_pairing, ns_auto, reflect, reflection_target, square,
                   translate)
+from k3tk.isometry import _det
 
 from .conftest import random_lattice, random_vector
-from .oracles import translate_brute
+from .oracles import det_brute, translate_brute
 
 
 def rand_minus_two(rng, lat):
@@ -166,3 +170,134 @@ def test_reflection_target_preserves_square(rng):
         w_plain, w_dual = reflection_target(v, v1, lat)
         assert square(w_plain, lat) == square(v, lat)
         assert square(w_dual, lat) == square(v, lat)
+
+
+def test_ns_auto_requires_determinant_one():
+    with pytest.raises(InputError):
+        ns_auto([[0]], EvenLattice(((0,),)))          # M^T G M = G, but singular
+    with pytest.raises(InputError):
+        ns_auto([[3, 0], [0, 1]], EvenLattice(((0, 0), (0, 2))))
+    assert ns_auto([[-1]], EvenLattice(((0,),))).matrix == ((-1,),)
+    assert ns_auto([[1, 0], [5, 1]], EvenLattice(((2, 0), (0, 0)))).matrix == \
+        ((1, 0), (5, 1))
+
+
+def test_det_matches_leibniz_oracle(rng):
+    for _ in range(300):
+        n = rng.randint(0, 4)
+        m = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
+        if rng.random() < 0.3 and n > 1:
+            m[1] = list(m[0])                           # force a singular matrix
+        assert _det(m) == det_brute(m)
+
+
+def test_strict_integer_coercion(gram2):
+    v = MukaiVector(1, (0,), 0)
+    for bad in ((1.5,), (True,), ("1",), (None,), 3):
+        with pytest.raises(InputError):
+            translate(bad)
+        with pytest.raises(InputError):
+            apply_translate(bad, v, gram2)
+    with pytest.raises(InputError):
+        ns_auto([[1.5]], gram2)
+    with pytest.raises(InputError):
+        NSAuto(((False,),))
+    assert translate((2.0,)).shift == (2,) and type(translate((2.0,)).shift[0]) is int
+
+
+def test_from_json_rejects_bad_elements(gram2):
+    bad_words = [
+        [{"type": "translate", "N": [1.5]}],
+        [{"type": "translate"}],
+        [{"type": "reflect"}],
+        [{"type": "nsauto"}],
+        [{"type": "reflect", "u": {"r": 1, "c1": [0]}}],
+        [{"type": "nsauto", "M": [[2]]}],
+        [{"type": "translate", "N": [1, 0]}],
+        [{"N": [1]}],
+        ["negate"],
+        {"type": "negate"},
+    ]
+    for doc in bad_words:
+        with pytest.raises(InputError):
+            IsometryWord.from_json(doc, gram2)
+
+
+def test_direct_elements_are_checked_on_application():
+    skew = EvenLattice(((2, 1), (1, 2)))
+    flip = NSAuto(((-1, 0), (0, 1)))                    # not an isometry of skew
+    v = MukaiVector(1, (1, 0), 0)
+    with pytest.raises(InputError):
+        flip.apply(v, skew)
+    with pytest.raises(InputError):
+        apply_word(IsometryWord((flip,)), v, skew)
+    diag = EvenLattice(((2, 0), (0, 2)))
+    assert flip.apply(v, diag) == MukaiVector(1, (-1, 0), 0)
+    with pytest.raises(InputError):
+        Reflect(MukaiVector(1, (0, 0), 0)).apply(v, skew)   # square 0, not -2
+    with pytest.raises(InputError):
+        Translate((1, 2, 3)).apply(v, skew)
+    with pytest.raises(InputError):
+        Negate().apply(MukaiVector(1, (0,), 0), skew)      # vector of the wrong rank
+
+
+def test_bound_elements_are_checked_on_another_lattice(gram2):
+    gram4 = EvenLattice(((4,),))
+    u = MukaiVector(1, (1,), 2)                             # -2 on Gram [2], 0 on Gram [4]
+    v = MukaiVector(2, (1,), 0)
+    elem = reflect(u, gram2)
+    assert elem.apply(v, EvenLattice(((2,),))) == apply_reflect(u, v, gram2)
+    with pytest.raises(InputError):
+        elem.apply(v, gram4)
+    word = IsometryWord.from_json([{"type": "reflect", "u": u.to_json()}], gram2)
+    assert word.apply(v, EvenLattice(((2,),))) == apply_reflect(u, v, gram2)
+    with pytest.raises(InputError):
+        word.apply(v, gram4)
+    with pytest.raises(InputError):
+        word.apply(MukaiVector(1, (0, 0), 0), gram2)       # vector of the wrong rank
+    # a word that does preserve the other lattice is accepted there
+    neg = IsometryWord.from_json([{"type": "nsauto", "M": [[-1]]}], gram2)
+    assert neg.apply(v, gram4) == MukaiVector(2, (-1,), 0)
+
+
+_small = st.integers(-4, 4)
+
+
+@st.composite
+def _lattice_vectors_word(draw):
+    n = draw(st.integers(1, 4))
+    g = [[0] * n for _ in range(n)]
+    for i in range(n):
+        g[i][i] = 2 * draw(_small)
+        for j in range(i):
+            g[i][j] = g[j][i] = draw(_small)
+    lat = EvenLattice(g)
+    vec = st.builds(MukaiVector, _small, st.tuples(*[_small] * n), _small)
+    root = apply_translate(draw(st.tuples(*[st.integers(-2, 2)] * n)),
+                           MukaiVector(1, (0,) * n, 1), lat)
+    sign = draw(st.sampled_from((1, -1)))
+    elems = [translate(draw(st.tuples(*[_small] * n))), reflect(root, lat),
+             ns_auto([[sign * (i == j) for j in range(n)] for i in range(n)], lat),
+             Negate(), Dual()]
+    picks = draw(st.lists(st.sampled_from(range(5)), max_size=6))
+    return lat, draw(vec), draw(vec), root, IsometryWord(tuple(elems[k] for k in picks))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_lattice_vectors_word(), st.integers(-5, 5))
+def test_trusted_results_equal_public_construction(case, n):
+    lat, x, y, root, word = case
+    results = [x + y, x - y, -x, n * x, x * n, dual(x), (3 * x).divided(3),
+               word.apply(x, lat),
+               IsometryWord.from_json(word.to_json(), lat).apply(x, lat),
+               apply_translate(y.c1, x, lat), apply_reflect(root, x, lat),
+               *reflection_target(x, root, lat)]
+    if x.r > 0:
+        info = classify_case(x, lat)
+        if info.v0 is not None:
+            results.append(info.v0)
+    for got in results:
+        again = MukaiVector(got.r, list(got.c1), got.a)
+        assert got == again and hash(got) == hash(again)
+        assert type(got.c1) is tuple
+        assert all(type(c) is int for c in (got.r, got.a, *got.c1))

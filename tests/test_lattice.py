@@ -115,3 +115,19 @@ def test_json_roundtrip(gram2):
         EvenLattice.from_json({"rank": 2, "gram": [[2]]})
     with pytest.raises(InputError):
         MukaiVector.from_json({"r": 1})
+
+
+def test_constructors_coerce_strictly():
+    for r, c1, a in ((1.5, (0,), 1), (True, (0,), 1), (1, (0.5,), 1), (1, (0,), "1"),
+                     (1, 5, 1), (None, (0,), 1)):
+        with pytest.raises(InputError):
+            MukaiVector(r, c1, a)
+    v = MukaiVector(2.0, [3], 1)
+    assert v == MukaiVector(2, (3,), 1) and type(v.r) is int and type(v.c1) is tuple
+    for gram in (((None,),), 5, ((2.5,),), ((True,),)):
+        with pytest.raises(InputError):
+            EvenLattice(gram)
+    with pytest.raises(InputError):
+        EvenLattice.from_json({"gram": [[2, "x"], [1, 2]]})
+    with pytest.raises(InputError):
+        3.5 * MukaiVector(1, (0,), 1)

@@ -146,6 +146,14 @@ def test_literal_matches_exact(gram2):
     assert abs(lit.coeff(0) - 30) < 1e-9
 
 
+def test_rank_and_alpha_must_be_integral(gram2):
+    for path in (z_psu_direct, z_psu_hecke, z_psu_hecke_literal):
+        with pytest.raises(InputError):
+            path(2, (1.5,), 4, gram2)
+        with pytest.raises(InputError):
+            path(1.5, (0,), 4, gram2)
+
+
 def test_literal_rank_guard(gram2):
     with pytest.raises(InputError):
         z_psu_hecke_literal(13, (0,), 4, gram2)

@@ -106,6 +106,10 @@ def test_theta_input_errors(neg2, split1):
         theta_siegel_narain(neg2, (0,), 1, 1j, split1, None, -1.0)
     with pytest.raises(InputError):
         theta_siegel_narain(neg2, (0, 0), 1, 1j, split1)
+    with pytest.raises(InputError):
+        theta_siegel_narain(neg2, (0.5,), 1, 1j, split1)     # alpha is not truncated
+    with pytest.raises(InputError):
+        theta_siegel_narain(neg2, (0,), 1.5, 1j, split1)      # nor is the coset step
 
 
 def test_z_full_single_term(neg2, split1):
