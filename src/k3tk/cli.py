@@ -1,26 +1,27 @@
 """Command-line front end: every operation behind JSON-emitting subcommands.
 
-Exit codes: 0 on success (one JSON document on stdout), 2 on input errors
-(a machine-readable {"error": ...} document), 1 on internal invariant
+Exit codes: 0 on success (one JSON document on stdout), 2 on input errors,
+usage errors and non-finite numbers included (a machine-readable {"error":
+...} document; NaN and Infinity are never written), 1 on internal invariant
 failures.  Rationals are serialized as {"num": ..., "den": ...}, never as
 floats on exact paths; complex values as [re, im] pairs.  Output is
 deterministic for identical inputs.
 
 When no surface file is given, the rank-1 lattice with Gram [2] is used.
-K3TK_THREADS caps internal parallelism; the current implementation is
-sequential, so any positive value is accepted and trivially honored.
+theta and partitions are imported by the subcommands that use them, so the
+integer subcommands start without numpy or mpmath.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
+import math
 import re
 import sys
 from fractions import Fraction
 
-from . import constructions, isometry, moduli, partitions, theta
+from . import constructions, isometry, moduli
 from .errors import ConsistencyError, InputError
 from .lattice import (EvenLattice, MukaiVector, dual, ell, mukai_pairing,
                       primitive, square)
@@ -59,6 +60,29 @@ def _ints(text: str) -> tuple[int, ...]:
         raise InputError(f"expected comma-separated integers, got {text!r}") from exc
 
 
+def _finite_float(text: str) -> float:
+    """argparse type: a float that is neither NaN nor infinite."""
+    try:
+        x = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a number, got {text!r}") from None
+    if not math.isfinite(x):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return x
+
+
+def _finite_floats(text: str) -> list[float]:
+    """argparse type: comma-separated finite floats (empty text: none)."""
+    return [_finite_float(part) for part in text.split(",")] if text.strip() else []
+
+
+def _rational(text: str) -> Fraction:
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise InputError(f"expected a rational number, got {text!r}") from exc
+
+
 def _frac_json(x: Fraction) -> dict:
     x = Fraction(x)
     return {"num": x.numerator, "den": x.denominator}
@@ -74,7 +98,11 @@ def _series_json(series) -> list:
 
 
 def _emit(doc) -> int:
-    print(json.dumps(doc, sort_keys=True))
+    try:
+        text = json.dumps(doc, sort_keys=True, allow_nan=False)
+    except ValueError as exc:
+        raise InputError("the result is not finite at this input") from exc
+    print(text)
     return 0
 
 
@@ -152,14 +180,18 @@ def _cmd_gottsche(args) -> int:
 
 
 def _cmd_chivirtual(args) -> int:
+    from . import partitions
+
     lat = _surface(args)
     return _emit({"chi_virtual": _frac_json(partitions.chi_virtual(_vector(args.v), lat))})
 
 
 def _cmd_zseries(args) -> int:
+    from . import partitions
+
     lat = _surface(args)
     alpha = _ints(args.alpha) if args.alpha else (0,) * lat.rank
-    order = Fraction(args.order)
+    order = _rational(args.order)
     if args.method == "direct":
         series = partitions.z_psu_direct(args.rank, alpha, order, lat)
         return _emit({"method": "direct", "terms": _series_json(series)})
@@ -172,7 +204,9 @@ def _cmd_zseries(args) -> int:
     return _emit({"method": "literal", "terms": terms})
 
 
-def _split(args, lat: EvenLattice) -> theta.Splitting:
+def _split(args, lat: EvenLattice):
+    from . import theta
+
     if args.splitting == "identity":
         return theta.Splitting.identity_positive(lat)
     return theta.Splitting.spectral(lat)
@@ -181,13 +215,15 @@ def _split(args, lat: EvenLattice) -> theta.Splitting:
 def _x_vector(args, lat: EvenLattice):
     if not args.x:
         return None
-    parts = [float(p) for p in args.x.split(",")]
+    parts = args.x
     if len(parts) != 2 * lat.rank:
         raise InputError("x must interleave re,im once per lattice coordinate")
     return [complex(parts[2 * i], parts[2 * i + 1]) for i in range(lat.rank)]
 
 
 def _cmd_theta(args) -> int:
+    from . import theta
+
     lat = _surface(args)
     alpha = _ints(args.alpha) if args.alpha else (0,) * lat.rank
     tau = complex(args.tau[0], args.tau[1])
@@ -199,6 +235,8 @@ def _cmd_theta(args) -> int:
 
 
 def _cmd_zfull(args) -> int:
+    from . import theta
+
     lat = _surface(args)
     tau = complex(args.tau[0], args.tau[1])
     split = _split(args, lat)
@@ -252,8 +290,16 @@ def _join_negative_lists(argv: list[str]) -> list[str]:
     return out
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse that reports a usage error as an {"error"} document on stdout."""
+
+    def error(self, message):
+        print(json.dumps({"error": f"{self.prog}: {message}"}))
+        self.exit(2)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="k3tk",
         description="Exact computations with Mukai vectors on a K3 surface")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -304,23 +350,23 @@ def _build_parser() -> argparse.ArgumentParser:
     p = add("theta", _cmd_theta, help="truncated Siegel-Narain theta sum")
     p.add_argument("--rank", type=int, default=1, help="coset step r")
     p.add_argument("--alpha", help="comma-separated coset representative")
-    p.add_argument("--tau", type=float, nargs=2, required=True, metavar=("RE", "IM"))
-    p.add_argument("--x", help="interleaved re,im complex coordinates")
-    p.add_argument("--radius", type=float, default=5.0)
+    p.add_argument("--tau", type=_finite_float, nargs=2, required=True, metavar=("RE", "IM"))
+    p.add_argument("--x", type=_finite_floats, help="interleaved re,im complex coordinates")
+    p.add_argument("--radius", type=_finite_float, default=5.0)
     p.add_argument("--splitting", choices=["spectral", "identity"],
                    default="spectral")
 
     p = add("zfull", _cmd_zfull, help="full rank-r partition function value")
     p.add_argument("--rank", type=int, required=True)
-    p.add_argument("--tau", type=float, nargs=2, required=True, metavar=("RE", "IM"))
-    p.add_argument("--x", help="interleaved re,im complex coordinates")
+    p.add_argument("--tau", type=_finite_float, nargs=2, required=True, metavar=("RE", "IM"))
+    p.add_argument("--x", type=_finite_floats, help="interleaved re,im complex coordinates")
     p.add_argument("--method", choices=["direct", "factorized", "both"],
                    default="both")
-    p.add_argument("--cutoff", type=float, default=8.0,
+    p.add_argument("--cutoff", type=_finite_float, default=8.0,
                    help="holomorphic exponent cutoff (direct path)")
     p.add_argument("--order", type=int, default=12,
                    help="series truncation order (factorized path)")
-    p.add_argument("--radius", type=float, default=5.0)
+    p.add_argument("--radius", type=_finite_float, default=5.0)
     p.add_argument("--splitting", choices=["spectral", "identity"],
                    default="spectral")
 
@@ -339,14 +385,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    threads = os.environ.get("K3TK_THREADS")
-    if threads is not None:
-        try:
-            if int(threads) < 1:
-                raise ValueError
-        except ValueError:
-            print(json.dumps({"error": "K3TK_THREADS must be a positive integer"}))
-            return 2
     parser = _build_parser()
     args = parser.parse_args(_join_negative_lists(sys.argv[1:] if argv is None else argv))
     try:

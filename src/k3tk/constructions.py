@@ -21,10 +21,12 @@ Exact invariants certified before returning: <v1^2> = -2, <v1, v'> = -1,
 w = -dual(v' + <v', v1> v1) = (r1 - lr, [-(d1 - l d')], a1 - a') then has
 coprime rank and degree (its top gcd is 1).
 
-triangle_interior_count checks, by exact bounding-box enumeration with
-barycentric sign tests, that the triangle (0,0), (r1 - lr, d1 - ld),
-(r1, d1) with d r1 - r d1 = 1 and lr < r1 has no interior lattice point;
-Pick's theorem serves as the second oracle in the tests.  farey_gap_holds
+triangle_interior_count checks, by an exact column scan, that the triangle
+(0,0), (r1 - lr, d1 - ld), (r1, d1) with d r1 - r d1 = 1 and lr < r1 has no
+interior lattice point: for each integer x strictly inside the triangle's
+x-range, the three edges bound y by integer floor/ceil divisions, and the
+integers strictly between those bounds are counted.  A brute-force box count
+and Pick's theorem serve as oracles in the tests.  farey_gap_holds
 checks the mediant-style gap x2 >= x1 + x3 for slopes y1/x1 > y2/x2 > y3/x3
 with y1 x3 - x1 y3 = 1.
 
@@ -35,13 +37,12 @@ sheaf-level content and out of scope; only the lattice data is built.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
-
-import numpy as np
+from math import gcd, inf
 
 from .errors import ConsistencyError, InputError
 from .isometry import apply_reflect
-from .lattice import EvenLattice, MukaiVector, dual, ell, mukai_pairing, square
+from .lattice import (EvenLattice, MukaiVector, _as_int, dual, ell, mukai_pairing,
+                      square)
 
 
 @dataclass(frozen=True)
@@ -80,6 +81,7 @@ def build_auxiliary(l: int, r: int, s: int, a: int,
     2l(ls - ra) >= 0 (nonnegative square).  The smallest admissible r1 is
     taken, so the output is deterministic.
     """
+    l, r, s, a, search_bound = map(_as_int, (l, r, s, a, search_bound))
     if l < 1 or r < 1:
         raise InputError("l and r must be positive")
     if gcd(l, a) != 1:
@@ -161,22 +163,36 @@ def triangle_interior_count(r1: int, d1: int, r: int, d: int, l: int) -> int:
     if d * r1 - r * d1 != 1:
         raise InputError("determinant d r1 - r d1 must equal 1")
 
-    ax, ay = 0, 0
-    bx, by = r1 - l * r, d1 - l * d
-    cx, cy = r1, d1
-    xs = np.arange(min(ax, bx, cx) + 1, max(ax, bx, cx))
-    ys = np.arange(min(ay, by, cy) + 1, max(ay, by, cy))
-    if xs.size == 0 or ys.size == 0:
+    return _interior_points((0, 0), (r1 - l * r, d1 - l * d), (r1, d1))
+
+
+def _interior_points(p1, p2, p3) -> int:
+    """Lattice points strictly inside an integer triangle; 0 when it is degenerate.
+
+    A point is inside when it lies strictly on the inner side of all three
+    edges.  In column x, edge P -> Q asks a y > b with a = sgn (Qx - Px) and
+    b = sgn ((Qx - Px) Py + (Qy - Py)(x - Px)); this bounds y from below when
+    a > 0 and from above when a < 0.  A vertical edge (a = 0) sits at the
+    smallest or largest x, outside the columns scanned, so it bounds nothing.
+    """
+    (x1, y1), (x2, y2), (x3, y3) = p1, p2, p3
+    orient = (x2 - x1) * (y3 - y1) - (y2 - y1) * (x3 - x1)
+    if orient == 0:
         return 0
-    px, py = np.meshgrid(xs, ys, indexing="ij")
-    # orientation of the triangle; nonzero since its doubled area is l
-    orient = (bx - ax) * (cy - ay) - (by - ay) * (cx - ax)
     sgn = 1 if orient > 0 else -1
-    s1 = sgn * ((bx - ax) * (py - ay) - (by - ay) * (px - ax))
-    s2 = sgn * ((cx - bx) * (py - by) - (cy - by) * (px - bx))
-    s3 = sgn * ((ax - cx) * (py - cy) - (ay - cy) * (px - cx))
-    inside = (s1 > 0) & (s2 > 0) & (s3 > 0)
-    return int(np.count_nonzero(inside))
+    edges = [(sgn * (qx - px), px, py, sgn * (qy - py))
+             for (px, py), (qx, qy) in ((p1, p2), (p2, p3), (p3, p1)) if qx != px]
+    count = 0
+    for x in range(min(x1, x2, x3) + 1, max(x1, x2, x3)):
+        lo, hi = -inf, inf
+        for a, px, py, dy in edges:
+            b = a * py + dy * (x - px)
+            if a > 0:
+                lo = max(lo, b // a + 1)        # least y with a y > b
+            else:
+                hi = min(hi, -(b // -a) - 1)    # greatest y with a y > b
+        count += max(0, hi - lo + 1)
+    return count
 
 
 @dataclass(frozen=True)
@@ -211,6 +227,7 @@ def sweep_triangles(max_r1: int) -> tuple[int, list]:
 
     Returns (number of tuples checked, list of counterexample tuples).
     """
+    max_r1 = _as_int(max_r1)
     checked = 0
     bad = []
     for r1 in range(2, max_r1 + 1):    # r1 = 1 admits no l with l r < r1
@@ -236,6 +253,7 @@ def sweep_farey(max_x: int) -> tuple[int, list]:
     normalized to [0, x3); every valid tuple is a shear of an enumerated one.
     Returns (number of tuples checked, list of counterexamples).
     """
+    max_x = _as_int(max_x)
     checked = 0
     bad = []
     for x3 in range(1, max_x + 1):

@@ -31,7 +31,8 @@ validation path (z_psu_hecke_literal).  The literal path must reproduce the
 exact coefficients to 1e-9 and have imaginary parts below 1e-9; it runs in
 mpmath with working precision scaled to the largest coefficient, because the
 Hilbert-scheme Euler numbers involved overflow double-precision accuracy at
-the orders the exact paths reach.
+the orders the exact paths reach.  mpmath is imported only by that path, so
+the exact paths load no floating-point library.
 
 For the record (not verified numerically here): on an actual K3 surface the
 rank-r series is expected to satisfy
@@ -49,8 +50,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-
-import mpmath
+from functools import cached_property
 
 from .errors import ConsistencyError, InputError
 from .lattice import EvenLattice, MukaiVector, _as_int, _as_ints, content, square
@@ -149,6 +149,8 @@ class NumericSeries:
         return [(Fraction(k, self.denom), c) for k, c in self.coeffs]
 
     def coeff(self, e):
+        import mpmath
+
         e = Fraction(e)
         if e >= self.trunc:
             raise InputError(
@@ -156,7 +158,12 @@ class NumericSeries:
         k = e * self.denom
         if k.denominator != 1:
             return mpmath.mpc(0)
-        return dict(self.coeffs).get(int(k), mpmath.mpc(0))
+        return self._index.get(int(k), mpmath.mpc(0))
+
+    @cached_property
+    def _index(self) -> dict:
+        """coeffs as a dict, built on the first lookup; the series is immutable."""
+        return dict(self.coeffs)
 
 
 def z_psu_hecke_literal(r: int, alpha, order, lat: EvenLattice) -> NumericSeries:
@@ -166,6 +173,8 @@ def z_psu_hecke_literal(r: int, alpha, order, lat: EvenLattice) -> NumericSeries
     deviations of real parts from the exact rationals beyond 1e-9 raise
     ConsistencyError (they would signal a formula bug, not noise).
     """
+    import mpmath
+
     if r > 12:
         raise InputError("literal Hecke path is limited to rank <= 12")
     r, alpha = _check_rank_alpha(r, alpha, lat)

@@ -15,8 +15,12 @@ The Goettsche series of a K3 surface,
 
     sum_n chi(Hilb^n) q^n = prod_{m>=1} (1 - q^m)^(-24),
 
-is computed from the product (binomial expansion of each factor); the test
-suite checks it against an independent 24-colored-partition dynamic program.
+is computed from its logarithmic derivative: q d/dq log of the product is
+24 sum_k sigma(k) q^k, with sigma the divisor sum, so the coefficients c(n)
+obey n c(n) = 24 sum_{k=1}^n sigma(k) c(n - k).  Each c(n) is an exact
+integer from the ones before it, so the cached table grows one index at a
+time.  The test suite checks it against an independent 24-colored-partition
+dynamic program.
 chi(Hilb^n) = 0 for n < 0 by convention; the virtual Euler characteristic
 formula relies on this.
 """
@@ -27,10 +31,13 @@ import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, gcd, lcm
+from functools import cached_property
+from math import gcd, isqrt, lcm
+from operator import mul
 from typing import NamedTuple
 
 from .errors import InputError
+from .lattice import _as_int
 
 
 @dataclass(frozen=True)
@@ -96,7 +103,12 @@ class QSeries:
         k = e * self.denom
         if k.denominator != 1:
             return Fraction(0)
-        return dict(self.coeffs).get(int(k), Fraction(0))
+        return self._index.get(int(k), Fraction(0))
+
+    @cached_property
+    def _index(self) -> dict:
+        """coeffs as a dict, built on the first lookup; the series is immutable."""
+        return dict(self.coeffs)
 
     def __add__(self, other):
         return qs_add(self, other)
@@ -183,6 +195,14 @@ def qs_evaluate(s: QSeries, tau: complex) -> QSeriesValue:
 
 
 _hilb_euler: list[int] = [1]
+_divisor_sums: list[int] = [0]
+
+
+def _divisor_sum(k: int) -> int:
+    """sigma(k): the sum of the positive divisors of k >= 1."""
+    root = isqrt(k)
+    total = sum(d + k // d for d in range(1, root + 1) if k % d == 0)
+    return total - root if root * root == k else total
 
 
 def hilb_euler(n: int) -> int:
@@ -190,28 +210,23 @@ def hilb_euler(n: int) -> int:
 
     Coefficient of q^n in prod_{m>=1} (1 - q^m)^(-24); 0 for n < 0.
     """
+    n = _as_int(n)
     if n < 0:
         return 0
-    if n >= len(_hilb_euler):
-        n_new = max(n, 2 * len(_hilb_euler))    # grow geometrically, amortized
-        coeffs = [0] * (n_new + 1)
-        coeffs[0] = 1
-        for m in range(1, n_new + 1):
-            # multiply by (1 - q^m)^(-24) = sum_k C(k+23, 23) q^(mk)
-            new = [0] * (n_new + 1)
-            for k in range(0, n_new // m + 1):
-                b = comb(k + 23, 23)
-                shift = m * k
-                for j in range(shift, n_new + 1):
-                    new[j] += b * coeffs[j - shift]
-            coeffs = new
-        _hilb_euler.clear()
-        _hilb_euler.extend(coeffs)
-    return _hilb_euler[n]
+    c = _hilb_euler
+    if n >= len(c):
+        sigma = _divisor_sums
+        while len(sigma) <= n:
+            sigma.append(_divisor_sum(len(sigma)))
+        for m in range(len(c), n + 1):
+            # m c(m) = 24 sum_{k=1}^m sigma(k) c(m-k); reversed(c) runs c(m-1), ..., c(0)
+            c.append(24 * sum(map(mul, sigma[1:m + 1], reversed(c))) // m)
+    return c[n]
 
 
 def gottsche_series(order: int) -> QSeries:
     """sum_{n=0}^{order-1} chi(Hilb^n) q^n, truncated below q^order."""
+    order = _as_int(order)
     if order < 1:
         raise InputError("order must be at least 1")
     return QSeries.from_terms({n: hilb_euler(n) for n in range(order)}, order)
@@ -219,6 +234,7 @@ def gottsche_series(order: int) -> QSeries:
 
 def z1_zero(order: int) -> QSeries:
     """q^(-1) * Goettsche series: sum_{n>=0} chi(Hilb^n) q^(n-1), complete below q^order."""
+    order = _as_int(order)
     if order < 0:
         raise InputError("order must be nonnegative")
     return QSeries.from_terms(

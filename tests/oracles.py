@@ -1,9 +1,10 @@
 """Independent oracles the tests check the library against.
 
 Each oracle deliberately uses a different algorithm than the production
-code: the partition counter is a plain dynamic program (no binomials), the
-pairing is a hand-expanded double loop, and the triangle count comes from
-Pick's theorem instead of point enumeration.
+code: the partition counter is a plain dynamic program (no divisor sums),
+the pairing is a hand-expanded double loop, and the triangle count comes from
+Pick's theorem or from testing every point of the bounding box, instead of
+the column scan.
 """
 
 from fractions import Fraction
@@ -50,6 +51,23 @@ def pick_interior(p1, p2, p3) -> Fraction:
                 + gcd(abs(x3 - x2), abs(y3 - y2))
                 + gcd(abs(x1 - x3), abs(y1 - y3)))
     return Fraction(area2, 2) - Fraction(boundary, 2) + 1
+
+
+def box_interior(p1, p2, p3) -> int:
+    """Interior lattice points of a triangle by testing every point of its box.
+
+    A point is interior when the three edge cross products are nonzero and of
+    one sign; a degenerate triangle has none.
+    """
+    pts = (p1, p2, p3)
+    count = 0
+    for x in range(min(p[0] for p in pts), max(p[0] for p in pts) + 1):
+        for y in range(min(p[1] for p in pts), max(p[1] for p in pts) + 1):
+            sides = [(qx - px) * (y - py) - (qy - py) * (x - px)
+                     for (px, py), (qx, qy) in ((p1, p2), (p2, p3), (p3, p1))]
+            if all(t > 0 for t in sides) or all(t < 0 for t in sides):
+                count += 1
+    return count
 
 
 def chi_virtual_brute(v, gram, euler) -> Fraction:

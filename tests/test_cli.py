@@ -1,6 +1,11 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
+
+import k3tk
 
 from k3tk import (EvenLattice, IsometryWord, MukaiVector, apply_reflect,
                   apply_translate, build_auxiliary)
@@ -206,10 +211,55 @@ def test_unknown_subcommand_exits_2(capsys):
     assert exc.value.code == 2
 
 
-def test_threads_env_var(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("K3TK_THREADS", "4")
-    doc = run_json(capsys, "gottsche", "--order", "2")
-    assert doc == {"coeffs": [1, 24]}
-    monkeypatch.setenv("K3TK_THREADS", "zero")
-    code, _ = run(capsys, "gottsche", "--order", "2")
+
+@pytest.mark.parametrize("argv", [
+    ["theta", "--tau", "nan", "1"],
+    ["theta", "--tau", "0", "1", "--radius", "nan"],
+    ["theta", "--tau", "0", "1", "--radius", "inf"],
+    ["zfull", "--rank", "2", "--tau", "0", "1", "--cutoff", "inf"],
+    ["theta", "--tau", "0", "1", "--x", "abc"],
+    ["zseries", "--rank", "2", "--order", "abc"],
+    ["zseries", "--rank", "2", "--order", "1/0"],
+    ["theta", "--tau", "0", "0.001"],           # finite input, unbounded tail
+], ids=["tau-nan", "radius-nan", "radius-inf", "cutoff-inf", "x-abc", "order-abc",
+        "order-1/0", "tail-inf"])
+def test_bad_numbers_exit_2_with_error_document(capsys, argv):
+    try:
+        code = main(argv)
+    except SystemExit as exc:               # argparse usage errors exit this way
+        code = exc.code
+    captured = capsys.readouterr()
     assert code == 2
+    assert set(json.loads(captured.out)) == {"error"}
+    assert captured.err == ""
+
+
+_IMPORT_PROBE = """
+import json, runpy, sys
+sys.argv = ["k3tk", *json.loads(sys.argv[1])]
+try:
+    runpy.run_module("k3tk", run_name="__main__")
+except SystemExit as exc:
+    assert exc.code == 0, exc.code
+print(json.dumps(sorted({"numpy", "mpmath"} & set(sys.modules))))
+"""
+
+
+@pytest.mark.parametrize("command", ["pair", "translate", "word", "construct",
+                                     "invariants", "gottsche", "verify"])
+def test_integer_subcommands_load_no_float_libraries(tmp_path, command):
+    v = write_vec(tmp_path, "v.json", 2, (1,), -1)
+    word = tmp_path / "w.json"
+    word.write_text(json.dumps([{"type": "translate", "N": [1]}, {"type": "dual"}]))
+    argv = {"pair": ["pair", "--x", v, "--y", v],
+            "translate": ["translate", "--N", "-1", "--v", v],
+            "word": ["word", "--word", str(word), "--v", v],
+            "construct": ["construct", "--l", "2", "--r", "3", "--s", "2", "--a", "1"],
+            "invariants": ["invariants", "--v", v],
+            "gottsche": ["gottsche", "--order", "40"],
+            "verify": ["verify", "triangle", "--bound", "8"]}[command]
+    src = os.path.dirname(os.path.dirname(os.path.abspath(k3tk.__file__)))
+    out = subprocess.run([sys.executable, "-c", _IMPORT_PROBE, json.dumps(argv)],
+                         env=dict(os.environ, PYTHONPATH=src), capture_output=True,
+                         text=True, timeout=60, check=True).stdout
+    assert json.loads(out.splitlines()[-1]) == []

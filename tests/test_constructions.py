@@ -5,8 +5,9 @@ import pytest
 from k3tk import (InputError, build_auxiliary, ell,
                   farey_gap_holds, reflected_target, square, sweep_farey,
                   sweep_triangles, triangle_interior_count)
+from k3tk.constructions import _interior_points
 
-from .oracles import pairing_brute, pick_interior
+from .oracles import box_interior, pairing_brute, pick_interior
 
 
 def check_aux_with_oracle(aux):
@@ -107,6 +108,38 @@ def test_triangle_matches_pick(rng):
         pick = pick_interior((0, 0), (r1 - l * r, d1 - l * d), (r1, d1))
         assert count == pick == 0
         cases += 1
+
+
+def test_column_scan_matches_box_count_and_pick(rng):
+    # arbitrary integer triangles, either orientation, a share of them collinear
+    collinear = 0
+    for _ in range(400):
+        p1 = (rng.randint(-12, 12), rng.randint(-12, 12))
+        p2 = (rng.randint(-12, 12), rng.randint(-12, 12))
+        if rng.random() < 0.25:
+            t = rng.randint(-3, 3)
+            p3 = (p1[0] + t * (p2[0] - p1[0]), p1[1] + t * (p2[1] - p1[1]))
+        else:
+            p3 = (rng.randint(-12, 12), rng.randint(-12, 12))
+        count = _interior_points(p1, p2, p3)
+        assert count == box_interior(p1, p2, p3)
+        area2 = (p2[0] - p1[0]) * (p3[1] - p1[1]) - (p2[1] - p1[1]) * (p3[0] - p1[0])
+        if area2:
+            assert count == pick_interior(p1, p2, p3)
+        else:
+            collinear += 1
+            assert count == 0
+    assert collinear > 50
+
+
+@pytest.mark.parametrize("bad", [1.5, True, "3"])
+def test_integer_arguments_are_strict(bad):
+    for call in (lambda: build_auxiliary(bad, 3, 2, 1),
+                 lambda: build_auxiliary(2, 3, 2, 1, bad),
+                 lambda: sweep_triangles(bad),
+                 lambda: sweep_farey(bad)):
+        with pytest.raises(InputError):
+            call()
 
 
 def test_farey_examples():

@@ -4,7 +4,8 @@ from fractions import Fraction
 import pytest
 
 from k3tk import (InputError, QSeries, gottsche_series, hilb_euler, qs_add,
-                  qs_evaluate, qs_mul, qs_scale, qs_substitute_power, z1_zero)
+                  qs_evaluate, qs_mul, qs_scale, qs_substitute_power, qseries,
+                  z1_zero)
 
 from .oracles import colored_partition_counts
 
@@ -71,6 +72,7 @@ def test_denominator_reduction():
 def test_gottsche_first_coefficients():
     g = gottsche_series(4)
     assert [g.coeff(n) for n in range(4)] == [1, 24, 324, 3200]
+    assert g == gottsche_series(4) and hash(g) == hash(gottsche_series(4))
     with pytest.raises(InputError):
         gottsche_series(0)
 
@@ -79,6 +81,22 @@ def test_gottsche_matches_partition_dp_oracle():
     oracle = colored_partition_counts(25)
     g = gottsche_series(25)
     assert [int(g.coeff(n)) for n in range(25)] == oracle
+
+
+def test_hilb_euler_grows_in_uneven_steps(monkeypatch):
+    oracle = colored_partition_counts(701)
+    monkeypatch.setattr(qseries, "_hilb_euler", [1])
+    monkeypatch.setattr(qseries, "_divisor_sums", [0])
+    for top in (10, 11, 700):
+        assert hilb_euler(top) == oracle[top]
+        assert qseries._hilb_euler == oracle[:top + 1]
+
+
+@pytest.mark.parametrize("bad", [1.5, True, "3"])
+def test_integer_arguments_are_strict(bad):
+    for fn in (hilb_euler, gottsche_series, z1_zero):
+        with pytest.raises(InputError):
+            fn(bad)
 
 
 def test_hilb_euler_conventions():
