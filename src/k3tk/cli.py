@@ -3,9 +3,10 @@
 Exit codes: 0 on success (one JSON document on stdout), 2 on input errors,
 usage errors and non-finite numbers included (a machine-readable {"error":
 ...} document; NaN and Infinity are never written), 1 on internal invariant
-failures.  Rationals are serialized as {"num": ..., "den": ...}, never as
-floats on exact paths; complex values as [re, im] pairs.  Output is
-deterministic for identical inputs.
+failures and any other exception ({"error": ..., "internal": true}).
+Rationals are serialized as {"num": ..., "den": ...}, never as floats on
+exact paths; complex values as [re, im] pairs.  Output is deterministic for
+identical inputs.
 
 When no surface file is given, the rank-1 lattice with Gram [2] is used.
 theta and partitions are imported by the subcommands that use them, so the
@@ -22,7 +23,7 @@ import sys
 from fractions import Fraction
 
 from . import constructions, isometry, moduli
-from .errors import ConsistencyError, InputError
+from .errors import InputError
 from .lattice import (EvenLattice, MukaiVector, dual, ell, mukai_pairing,
                       primitive, square)
 from .qseries import gottsche_series
@@ -392,8 +393,8 @@ def main(argv=None) -> int:
     except InputError as exc:
         print(json.dumps({"error": str(exc)}))
         return 2
-    except ConsistencyError as exc:
-        print(json.dumps({"error": str(exc), "internal": True}))
+    except Exception as exc:        # ConsistencyError or a fault: still one JSON document
+        print(json.dumps({"error": f"{type(exc).__name__}: {exc}", "internal": True}))
         return 1
 
 

@@ -7,7 +7,9 @@ The virtual Euler characteristic of a Mukai vector v is the divisor sum
 with chi(Hilb^m) = 0 for m < 0.  For primitive v it reduces to the honest
 Euler characteristic of the moduli space; for non-primitive v the formula is
 implemented as stated with no claim that it equals a geometric Euler
-characteristic of any compactification.
+characteristic of any compactification.  It depends on v only through the
+integers <v^2> and content(v), and every path reads it from one integer
+helper keyed by that pair.
 
 The fixed-determinant partition function for rank r and c1 = alpha is
 
@@ -26,13 +28,15 @@ root-of-unity phases over b projects onto one congruence class:
 
 with m = (n - 1) - (xi^2)/2 for the coefficient of q^{a(n-1)/d}.  Applying
 the projection analytically gives the exact rational path (z_psu_hecke);
-keeping the literal triple sum with floating-point phases gives the numeric
-validation path (z_psu_hecke_literal).  The literal path must reproduce the
-exact coefficients to 1e-9 and have imaginary parts below 1e-9; it runs in
-mpmath with working precision scaled to the largest coefficient, because the
-Hilbert-scheme Euler numbers involved overflow double-precision accuracy at
-the orders the exact paths reach.  mpmath is imported only by that path, so
-the exact paths load no floating-point library.
+keeping the literal triple sum with floating-point phases e(b m / d), the d
+roots e(j / d) and the d sums over b computed once per factorization, gives
+the numeric validation path (z_psu_hecke_literal).  Each path counts its
+terms first and refuses more than errors.MAX_WORK.  The literal path must
+reproduce the exact coefficients to 1e-9 and have imaginary parts below 1e-9;
+it runs in mpmath with working precision scaled to the largest coefficient,
+because the Hilbert-scheme Euler numbers involved overflow double-precision
+accuracy at the orders the exact paths reach.  mpmath is imported only by
+that path, so the exact paths load no floating-point library.
 
 For the record (not verified numerically here): on an actual K3 surface the
 rank-r series is expected to satisfy
@@ -52,26 +56,27 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-from .errors import ConsistencyError, InputError
+from .errors import ConsistencyError, InputError, check_work
 from .lattice import EvenLattice, MukaiVector, _as_int, _as_ints, content, square
 from .qseries import QSeries, hilb_euler
 
 LITERAL_TOL = 1e-9
 
 
+def _chi_scaled(sq: int, c: int) -> int:
+    """c^2 chi_virtual(v), an exact integer, from <v^2> = sq and c = content(v)."""
+    if c == 1:
+        return hilb_euler(sq // 2 + 1)
+    return sum(hilb_euler(sq // (2 * a * a) + 1) * (c // a) ** 2
+               for a in range(1, c + 1) if c % a == 0)
+
+
 def chi_virtual(v: MukaiVector, lat: EvenLattice) -> Fraction:
     """Divisor-sum virtual Euler characteristic; denominator divides content^2."""
     if v.r <= 0:
         raise InputError("rank must be positive")
-    sq = square(v, lat)
     c = content(v)
-    total = Fraction(0)
-    for a in range(1, c + 1):
-        if c % a:
-            continue
-        idx = sq // (2 * a * a) + 1          # <(v/a)^2>/2 + 1
-        total += Fraction(hilb_euler(idx), a * a)
-    return total
+    return Fraction(_chi_scaled(square(v, lat), c), c * c)
 
 
 def _check_rank_alpha(r: int, alpha, lat: EvenLattice) -> tuple[int, tuple[int, ...]]:
@@ -93,13 +98,15 @@ def z_psu_direct(r: int, alpha, order, lat: EvenLattice) -> QSeries:
     r, alpha = _check_rank_alpha(r, alpha, lat)
     order = Fraction(order)
     s_alpha = lat.quad(alpha)
-    a_max = math.floor(Fraction(s_alpha + 2 * r * r, 2 * r))
+    a_max = (s_alpha + 2 * r * r) // (2 * r)
     a_min = math.floor((Fraction(s_alpha) - 2 * r * order) / (2 * r)) + 1
+    check_work(a_max - a_min + 1, "z_psu_direct")
+    g = math.gcd(r, *alpha)
     terms: dict[Fraction, Fraction] = {}
     for a in range(a_min, a_max + 1):
-        coeff = chi_virtual(MukaiVector(r, alpha, a), lat)
-        if coeff:
-            terms[Fraction(s_alpha - 2 * r * a, 2 * r)] = coeff
+        c = math.gcd(g, a)
+        if coeff := _chi_scaled(s_alpha - 2 * r * a, c):
+            terms[Fraction(s_alpha - 2 * r * a, 2 * r)] = Fraction(coeff, c * c)
     return QSeries.from_terms(terms, order)
 
 
@@ -128,8 +135,10 @@ def z_psu_hecke(r: int, alpha, order, lat: EvenLattice) -> QSeries:
     """Hecke-transform path with the b-sum projection applied analytically."""
     r, alpha = _check_rank_alpha(r, alpha, lat)
     order = Fraction(order)
+    factorizations = _hecke_factorizations(r, alpha)
+    check_work(sum(_n_top(a, d, order) + 1 for a, d, _ in factorizations), "z_psu_hecke")
     terms: dict[Fraction, Fraction] = {}
-    for a, d, xi in _hecke_factorizations(r, alpha):
+    for a, d, xi in factorizations:
         m0 = (lat.quad(xi) // 2 + 1) % d    # n must be congruent to this mod d
         for n in range(m0, _n_top(a, d, order) + 1, d):
             e = Fraction(a * (n - 1), d)
@@ -179,34 +188,26 @@ def z_psu_hecke_literal(r: int, alpha, order, lat: EvenLattice) -> NumericSeries
         raise InputError("literal Hecke path is limited to rank <= 12")
     r, alpha = _check_rank_alpha(r, alpha, lat)
     order = Fraction(order)
+    factorizations = [(a, d, xi, _n_top(a, d, order))
+                      for a, d, xi in _hecke_factorizations(r, alpha)]
+    check_work(sum(d * (top + 1) for _, d, _, top in factorizations), "z_psu_hecke_literal")
     exact = z_psu_hecke(r, alpha, order, lat)
-
-    factorizations = _hecke_factorizations(r, alpha)
-    max_chi = 1
-    for a, d, _ in factorizations:
-        top = _n_top(a, d, order)
-        if top >= 0:
-            max_chi = max(max_chi, hilb_euler(top))
+    max_chi = max([1] + [hilb_euler(top) for *_, top in factorizations])
     dps = 40 + len(str(max_chi))
 
     with mpmath.workdps(dps):
-        acc: dict[Fraction, mpmath.mpc] = {}
-        for a, d, xi in factorizations:
+        acc: dict[int, mpmath.mpc] = {}     # keyed by r e = a^2 (n - 1) for e = a (n - 1) / d
+        for a, d, xi, top in factorizations:
             s_xi = lat.quad(xi)
-            for n in range(0, _n_top(a, d, order) + 1):
-                chi = hilb_euler(n)
-                phase_sum = mpmath.mpc(0)
-                for b in range(d):
-                    # angle in full turns: b(n-1)/d - b (xi^2)/(2d), reduced mod 1
-                    turns = Fraction(b * (2 * (n - 1) - s_xi), 2 * d)
-                    turns = Fraction(turns.numerator % turns.denominator,
-                                     turns.denominator)
-                    phase_sum += mpmath.expjpi(
-                        2 * mpmath.mpf(turns.numerator) / turns.denominator)
-                e = Fraction(a * (n - 1), d)
-                acc[e] = acc.get(e, mpmath.mpc(0)) + d * chi * phase_sum
+            roots = [mpmath.expjpi(mpmath.mpf(2 * j) / d) for j in range(d)]
+            phase = [sum((roots[b * m % d] for b in range(d)), mpmath.mpc(0))
+                     for m in range(d)]
+            for n in range(top + 1):
+                key = a * a * (n - 1)
+                acc[key] = acc.get(key, mpmath.mpc(0)) \
+                    + d * hilb_euler(n) * phase[(n - 1 - s_xi // 2) % d]
         rr = mpmath.mpf(r * r)
-        acc = {e: c / rr for e, c in acc.items()}
+        acc = {Fraction(k, r): c / rr for k, c in acc.items()}
 
         for e in sorted(set(acc) | {e for e, _ in exact.items()}):
             lit = acc.get(e, mpmath.mpc(0))

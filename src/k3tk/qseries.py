@@ -170,12 +170,13 @@ def qs_evaluate(s: QSeries, tau: complex) -> QSeriesValue:
     if tau.imag <= 0:
         raise InputError("tau must lie in the upper half plane")
     q = cmath.exp(2j * cmath.pi * tau)
-    value = complex(
-        math.fsum((c * q ** float(e)).real for e, c in s.items()),
-        math.fsum((c * q ** float(e)).imag for e, c in s.items()),
-    )
-    qa = abs(q)
     entries = s.items()
+    try:
+        terms = [c * q ** float(e) for e, c in entries]
+    except (OverflowError, ZeroDivisionError):     # q under- or overflows at this tau
+        raise InputError("q-series terms are not representable at this tau") from None
+    value = complex(math.fsum(t.real for t in terms), math.fsum(t.imag for t in terms))
+    qa = abs(q)
     if not entries:
         return QSeriesValue(value, 0.0)
     # Growth per unit exponent, read off the top half of the expansion.

@@ -22,11 +22,18 @@ Tail reporting: each truncated sum also evaluates a few guard shells (in the
 majorant radius) and extension bins (in the holomorphic exponent) beyond its
 cutoff, then extrapolates geometrically with the observed decay ratio,
 falling back to an analytic Gaussian-times-count bound when the guard region
-is empty.  ConsistencyError is raised when the geometric regime cannot be
-certified (ratio not < 1), rather than reporting an unsound bound.  For
-complex x the phase growth |e(Q(c, x))| <= exp(2 pi |c| |Im x|) in the
-majorant norm (Cauchy-Schwarz on each definite part) is folded into the
-analytic bound.
+is empty.  InputError is raised when the geometric regime cannot be
+certified at the given tau (ratio not < 1), rather than reporting an unsound
+bound.  For complex x the phase growth |e(Q(c, x))| <= exp(2 pi |c| |Im x|)
+in the majorant norm (Cauchy-Schwarz on each definite part) is folded into
+the analytic bound.
+
+Kernels: lattice points are tuples of ints and the forms are tuples of float
+columns built once per call, so numpy serves only Splitting and the least
+majorant eigenvalue.  Each enumeration counts its candidates first and is
+refused above errors.MAX_WORK.  The direct partition sum keeps <v^2> as an
+exact integer and reads chi_virtual(v) q^{<v^2>/2r} from a table built once
+per call; a term that overflows double precision is an InputError.
 
 Modular transformation laws of the theta sum are not implemented: the
 familiar constants are specific to the rank-22 K3 lattice and no
@@ -40,12 +47,13 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
 import numpy as np
 
-from .errors import ConsistencyError, InputError
-from .lattice import EvenLattice, MukaiVector, _as_int, _as_ints
-from .partitions import chi_virtual, z_psu_direct
+from .errors import InputError, check_work
+from .lattice import EvenLattice, _as_int, _as_ints
+from .partitions import _chi_scaled, z_psu_direct
 from .qseries import hilb_euler, qs_evaluate
 
 GUARD_SHELLS = 3
@@ -117,8 +125,10 @@ class ZFullSum:
     terms: int
 
 
-def _forms(lat: EvenLattice, split: Splitting):
-    """(Q, QL, QR, MJ, lam_min) as float matrices; MJ is the majorant."""
+def _forms(lat: EvenLattice, split: Splitting, x):
+    """((QL, QR, MJ, Qx), lam_min, xnorm): the forms as tuples of float columns
+    (MJ the majorant), Qx = Q x (None for x = None), MJ's least eigenvalue
+    and the majorant norm of Im x."""
     split.validate(lat)
     q = -np.array(lat.gram, dtype=float)
     ql = split.pl.T @ q @ split.pl
@@ -127,35 +137,51 @@ def _forms(lat: EvenLattice, split: Splitting):
     lam_min = float(np.min(np.linalg.eigvalsh(mj)))
     if lam_min <= 1e-10:
         raise InputError("majorant form is not positive definite; invalid splitting")
-    return q, ql, qr, mj, lam_min
-
-
-def _check_x(x, rank: int) -> np.ndarray:
+    ql, qr, mj = (tuple(map(tuple, m.T.tolist())) for m in (ql, qr, mj))
     if x is None:
-        return np.zeros(rank, dtype=complex)
-    xv = np.array(list(x), dtype=complex)
-    if xv.shape != (rank,):
+        return (ql, qr, mj, None), lam_min, 0.0
+    xv = tuple(map(complex, x))
+    if len(xv) != lat.rank:
         raise InputError("x must have one complex coordinate per lattice rank")
-    return xv
+    qx = tuple(-sum(map(mul, row, xv)) for row in lat.gram)
+    return (ql, qr, mj, qx), lam_min, math.sqrt(max(_quad(mj, [v.imag for v in xv]), 0.0))
 
 
-def _coset_points(alpha, r: int, rank: int, bound: float):
-    """Integer vectors alpha + r m within the Euclidean box |c_i| <= bound."""
-    ranges = []
-    for i in range(rank):
-        lo = math.ceil((-bound - alpha[i]) / r)
-        hi = math.floor((bound - alpha[i]) / r)
-        ranges.append(range(lo, hi + 1))
-    for m in itertools.product(*ranges):
-        yield np.array([alpha[i] + r * m[i] for i in range(rank)], dtype=float)
+def _quad(cols, c) -> float:
+    """c^T M c for a form M stored as its columns, evaluated as (c^T M) c."""
+    return sum(map(mul, [sum(map(mul, c, col)) for col in cols], c))
 
 
-def _weight(c, tau: complex, r: int, ql, qr, q, xv, extra_h: float = 0.0) -> complex:
-    hol = float(c @ ql @ c) / (2 * r) + extra_h
-    ahol = -float(c @ qr @ c) / (2 * r)
-    phase = complex(c @ q @ xv)
-    return cmath.exp(2j * cmath.pi * (tau * hol - tau.conjugate() * ahol)) \
-        * cmath.exp(2j * cmath.pi * phase)
+def _e(t: complex, coeff=1) -> complex:
+    """coeff e(t) = coeff exp(2 pi i t); InputError where it overflows double precision."""
+    try:
+        return coeff * cmath.exp(2j * cmath.pi * t)
+    except OverflowError:
+        raise InputError("a term overflows double precision at this input") from None
+
+
+def _ball(alpha, step: int, r: int, tau: complex, forms, lam_min: float,
+          radius: float, per_point: int, what: str):
+    """(c, j, e(tau Q(c_L^2)/2r - taubar Q(c_R^2)/2r + Q(c, x))) over c in alpha + step Z^n
+    of majorant norm <= radius + GUARD_SHELLS; j = 0 inside radius, else the guard shell.
+    The enclosing box, times per_point work per point, is checked on the call."""
+    ql, qr, mj, qx = forms
+    outer = radius + GUARD_SHELLS
+    bound = outer / math.sqrt(lam_min) + 1e-9
+    check_work(math.prod([2 * bound / step + 1] * len(alpha)) * per_point, what)
+    axes = [range(step * math.ceil((-bound - a) / step) + a,
+                  step * math.floor((bound - a) / step) + a + 1, step) for a in alpha]
+
+    def points():
+        for c in itertools.product(*axes):
+            maj = _quad(mj, c)
+            if maj > outer * outer:
+                continue
+            j = 0 if maj <= radius * radius else \
+                max(1, min(math.ceil(math.sqrt(maj) - radius), GUARD_SHELLS))
+            hol = tau * (_quad(ql, c) / (2 * r)) - tau.conjugate() * (-_quad(qr, c) / (2 * r))
+            yield c, j, _e(hol if qx is None else hol + sum(map(mul, c, qx)))
+    return points()
 
 
 def _count_bound(t: float, r: int, rank: int, lam_min: float) -> float:
@@ -192,29 +218,16 @@ def theta_siegel_narain(lat: EvenLattice, alpha, r: int, tau: complex,
         raise InputError("coset step r must be a positive integer")
     alpha = _as_ints(alpha)
     lat.check_vector(alpha)
-    q, ql, qr, mj, lam_min = _forms(lat, split)
-    xv = _check_x(x, lat.rank)
-    xim = np.imag(xv)
-    xnorm = math.sqrt(max(float(xim @ mj @ xim), 0.0))
-
-    outer = radius + GUARD_SHELLS
-    box = outer / math.sqrt(lam_min) + 1e-9
-    main_re, main_im = [], []
+    forms, lam_min, xnorm = _forms(lat, split, x)
+    main = []
     shells = [0.0] * GUARD_SHELLS
-    points = 0
-    for c in _coset_points(alpha, r, lat.rank, box):
-        maj = float(c @ mj @ c)
-        if maj > outer * outer:
-            continue
-        term = _weight(c, tau, r, ql, qr, q, xv)
-        if maj <= radius * radius:
-            main_re.append(term.real)
-            main_im.append(term.imag)
-            points += 1
-        else:
-            j = min(int(math.ceil(math.sqrt(maj) - radius)), GUARD_SHELLS)
+    for _, j, term in _ball(alpha, r, r, tau, forms, lam_min, radius, 1,
+                            "theta_siegel_narain"):
+        if j:
             shells[j - 1] += abs(term)
-    value = complex(math.fsum(main_re), math.fsum(main_im))
+        else:
+            main.append(term)
+    value = complex(math.fsum(t.real for t in main), math.fsum(t.imag for t in main))
 
     t0 = radius + GUARD_SHELLS
     decay = 2.0 * math.pi * tau.imag / (2 * r)
@@ -223,7 +236,7 @@ def theta_siegel_narain(lat: EvenLattice, alpha, r: int, tau: complex,
     first_analytic = _count_bound(t0, r, lat.rank, lam_min) \
         * math.exp(-decay * t0 * t0 + 2 * math.pi * xnorm * t0)
     tail = _geom_tail(shells, first_analytic, rho_analytic)
-    return ThetaSum(value, tail, points)
+    return ThetaSum(value, tail, len(main))
 
 
 def _toy_guard(lat: EvenLattice, r: int) -> None:
@@ -247,7 +260,7 @@ def _a_sum_bound(r: int, qabs: float) -> float:
         if prev is not None and n > 4:
             rho = term / prev
             if rho >= 1.0:
-                raise ConsistencyError("cannot bound the a-sum: |q| too large")
+                raise InputError("cannot bound the a-sum: |q| too large")
             if term < 1e-300 or term / (1.0 - rho) < 1e-16 * total:
                 total += term * rho / (1.0 - rho)
                 break
@@ -269,53 +282,49 @@ def z_full_direct(lat: EvenLattice, r: int, tau: complex, split: Splitting,
     tau = complex(tau)
     if tau.imag <= 0:
         raise InputError("tau must lie in the upper half plane")
-    q, ql, qr, mj, lam_min = _forms(lat, split)
-    xv = _check_x(x, lat.rank)
-    xim = np.imag(xv)
-    xnorm = math.sqrt(max(float(xim @ mj @ xim), 0.0))
+    forms, lam_min, xnorm = _forms(lat, split, x)
 
-    outer = radius + GUARD_SHELLS
-    box = outer / math.sqrt(lam_min) + 1e-9
+    # v = (r, xi, a): <v^2> = n = (xi^2) - 2ra, exponent n / 2r; the main sum keeps
+    # n <= n_cut, bin j holds n_cut + 2r(j - 1) < n <= n_cut + 2rj; chi = 0 below -2r^2
+    two_r = 2 * r
     cutoff = Fraction(exponent_cutoff)
-    main_re, main_im = [], []
+    n_cut = math.floor(two_r * cutoff)
+    n_top = n_cut + two_r * EXP_BINS
+    ball = _ball((0,) * lat.rank, 1, r, tau, forms, lam_min, radius,
+                 max(1, r + EXP_BINS + 2 + math.ceil(cutoff)), "z_full_direct")
+    weights = {(n, c): _e(tau * n / two_r, Fraction(chi, c * c))     # chi_virtual q^{n/2r}
+               for c in range(1, r + 1) if r % c == 0
+               for n in range(-2 * r * r, n_top + 1, 2) if (chi := _chi_scaled(n, c))}
+
+    main = []
     hbins = [0.0] * EXP_BINS          # xi in the main ball, exponent beyond cutoff
     xshells = [0.0] * GUARD_SHELLS    # xi beyond the main ball, any exponent
-    terms = 0
-    for c in _coset_points((0,) * lat.rank, 1, lat.rank, box):
-        maj = float(c @ mj @ c)
-        if maj > outer * outer:
-            continue
-        xi = tuple(int(round(v)) for v in c)
-        s_xi = lat.quad(xi)
-        a_hi = math.floor(Fraction(s_xi, 2 * r) + r)
-        a_lo = math.ceil(Fraction(s_xi, 2 * r) - cutoff - EXP_BINS)
-        in_ball = maj <= radius * radius
-        for a in range(a_lo, a_hi + 1):
-            chi = chi_virtual(MukaiVector(r, xi, a), lat)
-            if not chi:
+    for xi, j, base in ball:
+        s_xi = lat._bilinear(xi, xi)
+        g = math.gcd(r, *xi)
+        for a in range(-((n_top - s_xi) // two_r), s_xi // two_r + r + 1):
+            n = s_xi - two_r * a
+            w = weights.get((n, math.gcd(g, a)))
+            if w is None:                       # chi_virtual(v) = 0
                 continue
-            h = Fraction(s_xi - 2 * r * a, 2 * r)
-            term = float(chi) * _weight(c, tau, r, ql, qr, q, xv, float(h))
-            if in_ball and h <= cutoff:
-                main_re.append(term.real)
-                main_im.append(term.imag)
-                terms += 1
-            elif in_ball:
-                j = min(int(math.ceil(h - cutoff)), EXP_BINS)
-                hbins[j - 1] += abs(term)
-            else:
-                j = min(int(math.ceil(math.sqrt(maj) - radius)), GUARD_SHELLS)
+            term = w * base
+            if j:
                 xshells[j - 1] += abs(term)
-    value = complex(math.fsum(main_re), math.fsum(main_im))
+            elif n <= n_cut:
+                main.append(term)
+            else:
+                hbins[min(-((n_cut - n) // two_r), EXP_BINS) - 1] += abs(term)
+    value = complex(math.fsum(t.real for t in main), math.fsum(t.imag for t in main))
 
     # exponent direction: coefficient growth is subexponential, so the bin
     # sums must already decay; refuse to certify otherwise.
+    qabs = abs(cmath.exp(2j * cmath.pi * tau))
     if hbins[-1] > 0 and hbins[-2] > 0:
         rho_h = hbins[-1] / hbins[-2]
     else:
-        rho_h = abs(cmath.exp(2j * cmath.pi * tau)) * 25.0
+        rho_h = qabs * 25.0
     if rho_h >= 1.0:
-        raise ConsistencyError("cannot certify the exponent-direction tail")
+        raise InputError("cannot certify the exponent-direction tail at this tau")
     tail_h = math.fsum(hbins) + hbins[-1] * rho_h / (1.0 - rho_h)
     h_factor = 1.0 + rho_h / (1.0 - rho_h)
 
@@ -324,13 +333,11 @@ def z_full_direct(lat: EvenLattice, r: int, tau: complex, split: Splitting,
     rho_x = (2.0 ** lat.rank) * math.exp(-decay * (2 * t0 + 1) + 2 * math.pi * xnorm)
     # a distant xi contributes at most its full a-sum (xi-independent bound)
     # times the Gaussian shell weight
-    qabs = abs(cmath.exp(2j * cmath.pi * tau))
     first_analytic = _count_bound(t0, r, lat.rank, lam_min) \
         * math.exp(-decay * t0 * t0 + 2 * math.pi * xnorm * t0) \
         * _a_sum_bound(r, qabs)
     tail_x = _geom_tail(xshells, first_analytic, rho_x) * h_factor
-    tail = tail_h + tail_x
-    return ZFullSum(value, tail, terms)
+    return ZFullSum(value, tail_h + tail_x, len(main))
 
 
 def z_full_factorized(lat: EvenLattice, r: int, tau: complex, split: Splitting,

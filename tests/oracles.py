@@ -2,13 +2,17 @@
 
 Each oracle deliberately uses a different algorithm than the production
 code: the partition counter is a plain dynamic program (no divisor sums),
-the pairing is a hand-expanded double loop, and the triangle count comes from
+the pairing is a hand-expanded double loop, the triangle count comes from
 Pick's theorem or from testing every point of the bounding box, instead of
-the column scan.
+the column scan, and the partition and theta sums visit every candidate with
+one exponential per term, instead of tables of weights and Hecke roots.
+None of them imports k3tk.
 """
 
+import cmath
+import math
 from fractions import Fraction
-from itertools import permutations
+from itertools import permutations, product
 from math import gcd
 
 
@@ -96,3 +100,86 @@ def det_brute(m) -> int:
             term *= m[i][perm[i]]
         total += term
     return total
+
+
+def z_full_brute(gram, r, tau, cutoff, radius, euler):
+    """(value, terms) of the direct rank-r partition sum, Q = -G >= identity.
+
+    Visits every xi with |xi_i| <= radius and Q(xi) <= radius^2 (this box
+    holds them all when Q(xi) >= sum xi_i^2) and every a with Mukai exponent
+    <v^2>/2r <= cutoff, up to where <v^2> < -2r^2 makes chi vanish.  Each
+    term is chi_virtual_brute(v) exp(2 pi i tau (Q(xi) + <v^2>) / 2r), the
+    splitting being P_L = id, x = 0; euler is a table of chi(Hilb^n).
+    """
+    cutoff = Fraction(cutoff)
+    bound = math.ceil(radius)
+    value, terms = 0j, 0
+    for xi in product(range(-bound, bound + 1), repeat=len(gram)):
+        q_xi = -pairing_brute((0, xi, 0), (0, xi, 0), gram)
+        if q_xi > radius * radius:
+            continue
+        a = math.ceil(Fraction(-q_xi, 2 * r) - cutoff)
+        while True:
+            v = (r, xi, a)
+            sq = pairing_brute(v, v, gram)
+            if sq < -2 * r * r:
+                break
+            chi = chi_virtual_brute(v, gram, euler.__getitem__)
+            if chi:
+                value += float(chi) * cmath.exp(2j * cmath.pi * tau * (q_xi + sq) / (2 * r))
+                terms += 1
+            a += 1
+    return value, terms
+
+
+def skew_theta_brute(diag, skew, alpha, r, tau, radius):
+    """(value, points) of the coset theta sum of Q = diag(2 d_0, 2 d_1) written
+    in the basis b = [[1, skew], [0, 1]], counted in the diagonal coordinates.
+
+    c lies in alpha + r Z^2 exactly when y = b c lies in b alpha + r Z^2, and
+    Q(c) = 2 d_0 y_0^2 + 2 d_1 y_1^2, so the points are the y of that coset
+    with 2 d_0 y_0^2 + 2 d_1 y_1^2 <= radius^2; each weighs exp(2 pi i tau Q / 2r).
+    """
+    beta = (alpha[0] + skew * alpha[1], alpha[1])
+    bound = math.ceil(radius)
+    value, points = 0j, 0
+    for y in product(range(-bound, bound + 1), repeat=2):
+        if any((yi - bi) % r for yi, bi in zip(y, beta)):
+            continue
+        q = 2 * diag[0] * y[0] ** 2 + 2 * diag[1] * y[1] ** 2
+        if q <= radius * radius:
+            value += cmath.exp(2j * cmath.pi * tau * q / (2 * r))
+            points += 1
+    return value, points
+
+
+def hecke_literal_reference(r, alpha, gram, order, euler):
+    """{exponent: mpc} of the literal (a, b, d) Hecke triple sum for Z_r^alpha.
+
+    Every phase angle b(n - 1)/d - b(xi^2)/2d is reduced mod 1 as a Fraction
+    and gets its own mpmath.expjpi, summed over b in order, at the working
+    precision the library documents: 40 digits plus those of the largest
+    Euler number used.
+    """
+    import mpmath
+
+    order = Fraction(order)
+    facts = []
+    for a in range(1, r + 1):
+        if r % a == 0 and all(x % a == 0 for x in alpha):
+            d = r // a
+            top = math.ceil(1 + Fraction(d, a) * order) - 1     # a (n - 1) / d < order
+            facts.append((a, d, tuple(x // a for x in alpha), top))
+    dps = 40 + len(str(max([1] + [euler[top] for *_, top in facts if top >= 0])))
+    acc = {}
+    with mpmath.workdps(dps):
+        for a, d, xi, top in facts:
+            sq = pairing_brute((0, xi, 0), (0, xi, 0), gram)
+            for n in range(top + 1):
+                phase = mpmath.mpc(0)
+                for b in range(d):
+                    turns = Fraction(b * (2 * (n - 1) - sq), 2 * d) % 1
+                    phase += mpmath.expjpi(2 * mpmath.mpf(turns.numerator) / turns.denominator)
+                e = Fraction(a * (n - 1), d)
+                acc[e] = acc.get(e, mpmath.mpc(0)) + d * euler[n] * phase
+        return {e: c / mpmath.mpf(r * r) for e, c in acc.items()}

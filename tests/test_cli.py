@@ -263,3 +263,35 @@ def test_integer_subcommands_load_no_float_libraries(tmp_path, command):
                          env=dict(os.environ, PYTHONPATH=src), capture_output=True,
                          text=True, timeout=60, check=True).stdout
     assert json.loads(out.splitlines()[-1]) == []
+
+
+@pytest.mark.parametrize("argv", [
+    ["zfull", "--rank", "2", "--tau", "0", "0.01"],
+    ["zfull", "--rank", "1", "--tau", "0", "1e300"],
+    ["zfull", "--rank", "1", "--tau", "0", "1e300", "--method", "factorized"],
+    ["zfull", "--rank", "2", "--tau", "0", "1", "--cutoff", "1e9"],
+    ["zfull", "--rank", "2", "--tau", "0", "1", "--radius", "1e6"],
+    ["theta", "--tau", "0", "1", "--radius", "1e7"],
+    ["zseries", "--rank", "2", "--order", "1e300", "--method", "literal"],
+], ids=["tau-uncertified", "tau-overflow", "tau-underflow", "cutoff-1e9", "radius-1e6",
+        "theta-radius-1e7", "order-1e300"])
+def test_out_of_range_inputs_exit_2_quickly(argv):
+    src = os.path.dirname(os.path.dirname(os.path.abspath(k3tk.__file__)))
+    proc = subprocess.run([sys.executable, "-m", "k3tk", *argv],
+                          env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, timeout=5)
+    assert proc.returncode == 2
+    assert set(json.loads(proc.stdout)) == {"error"}       # exactly one JSON document
+    assert proc.stderr == ""
+
+
+def test_unexpected_exception_is_an_internal_error_document(monkeypatch, capsys):
+    def broken(args):
+        raise ZeroDivisionError("boom")
+
+    monkeypatch.setattr(k3tk.cli, "_cmd_gottsche", broken)
+    code = main(["gottsche", "--order", "3"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert json.loads(captured.out) == {"error": "ZeroDivisionError: boom", "internal": True}
+    assert captured.err == ""

@@ -3,13 +3,14 @@ from fractions import Fraction
 import mpmath
 import pytest
 
-from k3tk import (InputError, MukaiVector, QSeries, chi_virtual, content,
+from k3tk import (EvenLattice, InputError, MukaiVector, QSeries, chi_virtual, content,
                   hilb_euler, primitive, qs_add, qs_scale,
                   qs_substitute_power, square, z1_zero, z_psu_direct,
                   z_psu_hecke, z_psu_hecke_literal)
 
 from .conftest import random_lattice, random_vector
-from .oracles import chi_virtual_brute, colored_partition_counts
+from .oracles import (chi_virtual_brute, colored_partition_counts,
+                      hecke_literal_reference)
 
 
 def test_chi_virtual_primitive(gram2, rng):
@@ -164,3 +165,27 @@ def test_numeric_series_access(gram2):
     assert lit.coeff(Fraction(1, 4)) == mpmath.mpc(0)
     with pytest.raises(InputError):
         lit.coeff(8)
+
+
+def test_literal_bit_identical_to_per_term_reference(gram2):
+    # cached roots and phase sums must give the very mpc values of one
+    # expjpi per (n, b) term, summed in the same order
+    euler = colored_partition_counts(120)
+    lat2 = EvenLattice(((2, 1), (1, -4)))
+    for r, alpha, lat, order in ((1, (0,), gram2, 10), (2, (1,), gram2, 12),
+                                 (3, (0,), gram2, 12), (4, (2,), gram2, Fraction(17, 2)),
+                                 (6, (0,), gram2, 6), (2, (2, 0), lat2, 9),
+                                 (3, (0, 3), lat2, Fraction(15, 2))):
+        lit = z_psu_hecke_literal(r, alpha, order, lat)
+        want = hecke_literal_reference(r, alpha, lat.gram, order, euler)
+        assert dict(lit.items()) == want
+        assert all(c._mpc_ == want[e]._mpc_ for e, c in lit.items())
+
+
+def test_series_work_cap(gram2):
+    for path in (z_psu_direct, z_psu_hecke, z_psu_hecke_literal):
+        with pytest.raises(InputError, match=f"{path.__name__} would visit"):
+            path(2, (0,), Fraction(10) ** 300, gram2)
+    # the triple sum visits about ten times the Hecke path's terms at r = 12
+    with pytest.raises(InputError, match="z_psu_hecke_literal would visit"):
+        z_psu_hecke_literal(12, (0,), 10 ** 5, gram2)

@@ -7,6 +7,8 @@ from k3tk import (EvenLattice, InputError, Splitting, qs_evaluate,
                   theta_siegel_narain, z1_zero, z_full_direct,
                   z_full_factorized)
 
+from .oracles import colored_partition_counts, skew_theta_brute, z_full_brute
+
 
 @pytest.fixture
 def neg2():
@@ -147,3 +149,56 @@ def test_z_full_scale_guard(split1, neg2):
     lat3 = EvenLattice(((-2, 0, 0), (0, -2, 0), (0, 0, -2)))
     with pytest.raises(InputError):
         z_full_direct(lat3, 1, 1j, Splitting.identity_positive(lat3))
+
+
+@pytest.mark.parametrize("gram", [((-2,),), ((-2, 0), (0, -2))], ids=["rank1", "rank2"])
+@pytest.mark.parametrize("tau", [1j, 0.25 + 1.1j])
+def test_z_full_direct_matches_brute_sum(gram, tau):
+    lat = EvenLattice(gram)
+    split = Splitting.identity_positive(lat)
+    euler = colored_partition_counts(40)
+    for r, cutoff, radius in ((1, 8.0, 5.0), (2, 6.0, 4.0), (2, 2.5, 3.0), (3, 4.0, 3.0)):
+        res = z_full_direct(lat, r, tau, split, None, cutoff, radius)
+        value, terms = z_full_brute(gram, r, tau, cutoff, radius, euler)
+        assert res.terms == terms
+        assert abs(res.value - value) <= 1e-12 * abs(value)
+
+
+@pytest.mark.parametrize("skew", [4, -4])
+def test_theta_skewed_basis_matches_brute_count(skew):
+    # Q = diag(2, 4) written in the basis [[1, skew], [0, 1]]: a wide box, few points
+    b = ((1, skew), (0, 1))
+    g = ((-2, 0), (0, -4))
+    gram = tuple(tuple(sum(b[x][i] * g[x][y] * b[y][j] for x in range(2) for y in range(2))
+                       for j in range(2)) for i in range(2))
+    lat = EvenLattice(gram)
+    split = Splitting.identity_positive(lat)
+    for alpha in ((0, 0), (0, 1), (1, 0), (1, 1)):
+        for tau, radius in ((1j, 6.0), (0.3 + 0.8j, 3.5)):
+            th = theta_siegel_narain(lat, alpha, 2, tau, split, None, radius)
+            value, points = skew_theta_brute((1, 2), skew, alpha, 2, tau, radius)
+            assert th.points == points
+            assert abs(th.value - value) <= 1e-12 * abs(value)
+
+
+def test_out_of_range_input_is_an_input_error(neg2, split1):
+    lat = EvenLattice(((-2, 0), (0, -2)))
+    with pytest.raises(InputError):          # the exponent tail cannot be certified
+        z_full_direct(lat, 2, 0.01j, Splitting.identity_positive(lat))
+    with pytest.raises(InputError):          # q^-1 overflows
+        z_full_direct(neg2, 1, 1e300j, split1)
+    with pytest.raises(InputError):          # q underflows to 0 under a negative power
+        z_full_factorized(neg2, 1, 1e300j, split1)
+    with pytest.raises(InputError):          # chi(Hilb^4009) exceeds double precision
+        z_full_direct(neg2, 1, 1j, split1, None, 4000.0, 1.0)
+    with pytest.raises(InputError):
+        qs_evaluate(z1_zero(4), 1e300j)
+
+
+def test_work_cap_refuses_before_enumerating(neg2, split1):
+    with pytest.raises(InputError, match="candidates"):
+        theta_siegel_narain(neg2, (0,), 1, 1j, split1, None, 1e7)
+    with pytest.raises(InputError, match="candidates"):
+        z_full_direct(neg2, 2, 1j, split1, None, 1e9, 5.0)
+    with pytest.raises(InputError, match="candidates"):
+        z_full_direct(neg2, 2, 1j, split1, None, 8.0, 1e6)
