@@ -18,8 +18,8 @@ from .moduli import (CaseInfo, NonLocallyFree, classify_case,
                      exists_mu_stable, exists_semistable,
                      exists_stable_primitive, hilb_index, moduli_dim,
                      mu_stable_boundary_flag)
-from .partitions import (NumericSeries, chi_virtual, z_psu_direct,
-                         z_psu_hecke, z_psu_hecke_literal)
+from .partitions import (chi_virtual, z_psu_direct, z_psu_hecke,
+                         z_psu_hecke_literal)
 from .qseries import (QSeries, gottsche_series, hilb_euler, qs_add,
                       qs_evaluate, qs_mul, qs_scale, qs_substitute_power,
                       z1_zero)

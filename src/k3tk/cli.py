@@ -273,26 +273,21 @@ def _cmd_verify(args) -> int:
                   "examples": [list(t) for t in bad[:10]]})
 
 
-_LIST_OPTIONS = ("--N", "--alpha", "--x")
-
-
-def _join_negative_lists(argv: list[str]) -> list[str]:
-    """Rewrite `--N -1,1` as `--N=-1,1`.
-
-    argparse reads a separate value such as -1,1 as an unknown option,
-    because only plain negative numbers are exempt.
-    """
-    out: list[str] = []
-    for tok in argv:
-        if out and out[-1] in _LIST_OPTIONS and re.match(r"-[\d.]", tok):
-            out[-1] += "=" + tok
-        else:
-            out.append(tok)
-    return out
+_NEGATIVE_NUMBER = re.compile(r"-(\.?\d|inf|nan)", re.IGNORECASE)
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse that reports a usage error as an {"error"} document on stdout."""
+    """argparse that reports a usage error as an {"error"} document on stdout.
+
+    A token that starts like a negative number (-1,1 or -1.5e3 or -.5 or
+    -inf) is a value, never an option: argparse's own rule exempts only
+    plain decimals such as -1 and -1.5, and no option here starts with a
+    single dash and a digit.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = _NEGATIVE_NUMBER
 
     def error(self, message):
         print(json.dumps({"error": f"{self.prog}: {message}"}))
@@ -387,7 +382,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = _build_parser()
-    args = parser.parse_args(_join_negative_lists(sys.argv[1:] if argv is None else argv))
+    args = parser.parse_args(argv)
     try:
         return args.fn(args)
     except InputError as exc:

@@ -31,7 +31,12 @@ the projection analytically gives the exact rational path (z_psu_hecke);
 keeping the literal triple sum with floating-point phases e(b m / d), the d
 roots e(j / d) and the d sums over b computed once per factorization, gives
 the numeric validation path (z_psu_hecke_literal).  Each path counts its
-terms first and refuses more than errors.MAX_WORK.  The literal path must
+terms first and refuses more than errors.MAX_WORK.
+
+Every path keys its coefficients by integer index: the direct path by <v^2>
+over 2r, the Hecke paths by a^2 (n - 1) over r (a (n - 1)/d = a^2 (n - 1)/r),
+and the exact Hecke path and the literal check read one helper's integer
+numerators r^2 c_k.  The literal path must
 reproduce the exact coefficients to 1e-9 and have imaginary parts below 1e-9;
 it runs in mpmath with working precision scaled to the largest coefficient,
 because the Hilbert-scheme Euler numbers involved overflow double-precision
@@ -52,9 +57,7 @@ constants are specific to that lattice, so only the r = 1 specialization
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 
 from .errors import ConsistencyError, InputError, check_work
 from .lattice import EvenLattice, MukaiVector, _as_int, _as_ints, content, square
@@ -102,85 +105,59 @@ def z_psu_direct(r: int, alpha, order, lat: EvenLattice) -> QSeries:
     a_min = math.floor((Fraction(s_alpha) - 2 * r * order) / (2 * r)) + 1
     check_work(a_max - a_min + 1, "z_psu_direct")
     g = math.gcd(r, *alpha)
-    terms: dict[Fraction, Fraction] = {}
+    terms = {}      # keyed by <v^2> = (alpha^2) - 2ra, the exponent times 2r
     for a in range(a_min, a_max + 1):
         c = math.gcd(g, a)
         if coeff := _chi_scaled(s_alpha - 2 * r * a, c):
-            terms[Fraction(s_alpha - 2 * r * a, 2 * r)] = Fraction(coeff, c * c)
-    return QSeries.from_terms(terms, order)
+            terms[s_alpha - 2 * r * a] = Fraction(coeff, c * c)
+    return QSeries._of(2 * r, terms, order)
 
 
-def _hecke_factorizations(r: int, alpha) -> list[tuple[int, int, tuple[int, ...]]]:
-    """(a, d, xi = alpha/a) for every factorization a d = r with a | alpha."""
+def _hecke_factorizations(r: int, alpha, order: Fraction):
+    """(a, d, xi = alpha/a, top) for every factorization a d = r with a | alpha,
+    top the largest n with a (n - 1) / d < order (-1 if none)."""
     out = []
     for a in range(1, r + 1):
-        if r % a:
+        if r % a or any(x % a for x in alpha):
             continue
-        if any(x % a for x in alpha):
-            continue
-        out.append((a, r // a, tuple(x // a for x in alpha)))
+        d = r // a
+        top = math.ceil(1 + Fraction(d, a) * order) - 1
+        out.append((a, d, tuple(x // a for x in alpha), top))
     return out
 
 
-def _n_top(a: int, d: int, order: Fraction) -> int:
-    """Largest n >= 0 with a (n - 1) / d < order, or -1 if none."""
-    bound = 1 + Fraction(d, a) * order     # n < bound
-    top = math.floor(bound)
-    if top == bound:
-        top -= 1
-    return top
+def _hecke_numerators(factorizations, lat: EvenLattice) -> dict[int, int]:
+    """{a^2 (n - 1): r^2 times the coefficient of Z_r^alpha at q^(a^2 (n - 1)/r)};
+    the b-sum projection keeps the n with n - 1 = (xi^2)/2 mod d, each
+    weighing d^2 chi(Hilb^n)."""
+    nums: dict[int, int] = {}
+    for a, d, xi, top in factorizations:
+        m0 = (lat.quad(xi) // 2 + 1) % d    # n must be congruent to this mod d
+        for n in range(m0, top + 1, d):
+            k = a * a * (n - 1)
+            nums[k] = nums.get(k, 0) + d * d * hilb_euler(n)
+    return nums
 
 
 def z_psu_hecke(r: int, alpha, order, lat: EvenLattice) -> QSeries:
     """Hecke-transform path with the b-sum projection applied analytically."""
     r, alpha = _check_rank_alpha(r, alpha, lat)
     order = Fraction(order)
-    factorizations = _hecke_factorizations(r, alpha)
-    check_work(sum(_n_top(a, d, order) + 1 for a, d, _ in factorizations), "z_psu_hecke")
-    terms: dict[Fraction, Fraction] = {}
-    for a, d, xi in factorizations:
-        m0 = (lat.quad(xi) // 2 + 1) % d    # n must be congruent to this mod d
-        for n in range(m0, _n_top(a, d, order) + 1, d):
-            e = Fraction(a * (n - 1), d)
-            terms[e] = terms.get(e, Fraction(0)) + Fraction(d * d * hilb_euler(n), r * r)
-    return QSeries.from_terms(terms, order)
+    factorizations = _hecke_factorizations(r, alpha, order)
+    check_work(sum(top + 1 for *_, top in factorizations), "z_psu_hecke")
+    rr = r * r
+    return QSeries._of(r, {k: Fraction(v, rr) for k, v in
+                           _hecke_numerators(factorizations, lat).items()}, order)
 
 
-@dataclass(frozen=True)
-class NumericSeries:
-    """q-expansion with arbitrary-precision complex coefficients."""
-
-    denom: int
-    coeffs: tuple[tuple[int, object], ...]
-    trunc: Fraction
-
-    def items(self):
-        return [(Fraction(k, self.denom), c) for k, c in self.coeffs]
-
-    def coeff(self, e):
-        import mpmath
-
-        e = Fraction(e)
-        if e >= self.trunc:
-            raise InputError(
-                f"coefficient at exponent {e} requested beyond truncation {self.trunc}")
-        k = e * self.denom
-        if k.denominator != 1:
-            return mpmath.mpc(0)
-        return self._index.get(int(k), mpmath.mpc(0))
-
-    @cached_property
-    def _index(self) -> dict:
-        """coeffs as a dict, built on the first lookup; the series is immutable."""
-        return dict(self.coeffs)
-
-
-def z_psu_hecke_literal(r: int, alpha, order, lat: EvenLattice) -> NumericSeries:
+def z_psu_hecke_literal(r: int, alpha, order, lat: EvenLattice) -> QSeries:
     """Literal (a, b, d) triple sum with floating-point root-of-unity phases.
 
-    Cross-checked against z_psu_hecke before returning: imaginary parts and
-    deviations of real parts from the exact rationals beyond 1e-9 raise
-    ConsistencyError (they would signal a formula bug, not noise).
+    Cross-checked against the exact Hecke coefficients before returning:
+    imaginary parts and deviations of real parts from the exact rationals
+    beyond 1e-9 raise ConsistencyError (they would signal a formula bug, not
+    noise).  The series has mpmath complex coefficients and keeps every
+    exponent the triple sum visits, exact cancellations included.
     """
     import mpmath
 
@@ -188,10 +165,9 @@ def z_psu_hecke_literal(r: int, alpha, order, lat: EvenLattice) -> NumericSeries
         raise InputError("literal Hecke path is limited to rank <= 12")
     r, alpha = _check_rank_alpha(r, alpha, lat)
     order = Fraction(order)
-    factorizations = [(a, d, xi, _n_top(a, d, order))
-                      for a, d, xi in _hecke_factorizations(r, alpha)]
+    factorizations = _hecke_factorizations(r, alpha, order)
     check_work(sum(d * (top + 1) for _, d, _, top in factorizations), "z_psu_hecke_literal")
-    exact = z_psu_hecke(r, alpha, order, lat)
+    exact = _hecke_numerators(factorizations, lat)
     max_chi = max([1] + [hilb_euler(top) for *_, top in factorizations])
     dps = 40 + len(str(max_chi))
 
@@ -207,22 +183,16 @@ def z_psu_hecke_literal(r: int, alpha, order, lat: EvenLattice) -> NumericSeries
                 acc[key] = acc.get(key, mpmath.mpc(0)) \
                     + d * hilb_euler(n) * phase[(n - 1 - s_xi // 2) % d]
         rr = mpmath.mpf(r * r)
-        acc = {Fraction(k, r): c / rr for k, c in acc.items()}
+        acc = {k: c / rr for k, c in sorted(acc.items())}
 
-        for e in sorted(set(acc) | {e for e, _ in exact.items()}):
-            lit = acc.get(e, mpmath.mpc(0))
-            want = exact.coeff(e)
-            want_mp = mpmath.mpf(want.numerator) / want.denominator
-            if abs(mpmath.im(lit)) >= LITERAL_TOL:
-                raise ConsistencyError(
-                    f"literal Hecke path: imaginary residue {mpmath.im(lit)} at q^{e}")
-            if abs(mpmath.re(lit) - want_mp) >= LITERAL_TOL:
-                raise ConsistencyError(
-                    f"literal Hecke path: coefficient at q^{e} deviates from exact value")
-
-        denom = 1
-        for e in acc:
-            denom = math.lcm(denom, e.denominator)
-        coeffs = tuple(sorted(((int(e * denom), c) for e, c in acc.items()),
-                              key=lambda t: t[0]))
-    return NumericSeries(denom, coeffs, order)
+        tol = mpmath.mpf(LITERAL_TOL)       # exact: compares as the float does
+        for k, lit in acc.items():      # the exact exponents are among the visited ones
+            want_mp = mpmath.mpf(exact.get(k, 0)) / rr
+            if abs(mpmath.im(lit)) >= tol:
+                raise ConsistencyError(f"literal Hecke path: imaginary residue "
+                                       f"{mpmath.im(lit)} at q^{Fraction(k, r)}")
+            if abs(mpmath.re(lit) - want_mp) >= tol:
+                raise ConsistencyError(f"literal Hecke path: coefficient at "
+                                       f"q^{Fraction(k, r)} deviates from exact value")
+    g = math.gcd(r, *acc)       # not QSeries._of: its exact zeros are visited terms
+    return QSeries(r // g, tuple((k // g, c) for k, c in acc.items()), order)

@@ -1,10 +1,18 @@
-"""Exact formal q-series with rational exponents, and the Goettsche series.
+"""Formal q-series with rational exponents, and the Goettsche series.
 
-A QSeries stores finitely many exact rational coefficients c_k at exponents
-k/denom together with a truncation bound trunc: every exponent strictly below
-trunc is complete (absent means zero there); at or beyond trunc nothing is
-claimed, and asking for such a coefficient raises an error instead of
-silently returning 0.
+A QSeries stores finitely many coefficients c_k at exponents k/denom, keyed
+by the integer index k over one denominator, together with a truncation
+bound trunc: every exponent strictly below trunc is complete (absent means
+zero there); at or beyond trunc nothing is claimed, and asking for such a
+coefficient raises an error instead of silently returning 0.  The type is
+generic in its coefficient ring (Fraction on the exact paths, mpmath mpc on
+the literal Hecke path); coeff answers with the zero of that ring.
+
+Producers and arithmetic work on the indices alone, rescaling operands to the
+lcm of their denominators and comparing against the integer index
+ceil(trunc * denom).  The trusted constructor QSeries._of drops zeros and
+reduces by gcd(denom, k, ...); the public constructor and from_terms are the
+checked boundary.
 
 Truncation propagates pessimistically through arithmetic.  For a product the
 bound is min(a.trunc + b.min_exponent, b.trunc + a.min_exponent): a summand at
@@ -19,8 +27,9 @@ is computed from its logarithmic derivative: q d/dq log of the product is
 24 sum_k sigma(k) q^k, with sigma the divisor sum, so the coefficients c(n)
 obey n c(n) = 24 sum_{k=1}^n sigma(k) c(n - k).  Each c(n) is an exact
 integer from the ones before it, so the cached table grows one index at a
-time.  The test suite checks it against an independent 24-colored-partition
-dynamic program.
+time; growing it from m to n entries costs about (n^2 - m^2)/2 big-integer
+products, which errors.check_work bounds.  The test suite checks it against
+an independent 24-colored-partition dynamic program.
 chi(Hilb^n) = 0 for n < 0 by convention; the virtual Euler characteristic
 formula relies on this.
 """
@@ -36,24 +45,41 @@ from math import gcd, isqrt, lcm
 from operator import mul
 from typing import NamedTuple
 
-from .errors import InputError
-from .lattice import _as_int
+from .errors import InputError, check_work
+from .lattice import _as_int, _new, _set
 
 
 @dataclass(frozen=True)
 class QSeries:
-    """Finite exact q-expansion sum_k c_k q^(k/denom), complete below trunc."""
+    """Finite q-expansion sum_k c_k q^(k/denom), complete below trunc."""
 
     denom: int
-    coeffs: tuple[tuple[int, Fraction], ...]
+    coeffs: tuple[tuple[int, object], ...]
     trunc: Fraction
 
     def __post_init__(self):
         if self.denom < 1:
             raise InputError("denominator must be positive")
-        for k, c in self.coeffs:
-            if Fraction(k, self.denom) >= self.trunc:
-                raise InputError("coefficient stored at or beyond truncation")
+        if self.coeffs and max(k for k, _ in self.coeffs) >= self.trunc * self.denom:
+            raise InputError("coefficient stored at or beyond truncation")
+
+    @classmethod
+    def _of(cls, denom: int, terms: dict, trunc: Fraction) -> "QSeries":
+        """Trusted constructor from {k: c} at exponents k/denom, each below trunc.
+
+        Drops zero coefficients, reduces by gcd(denom, k, ...) and sorts; the
+        caller guarantees the rest, so nothing is re-validated.
+        """
+        terms = {k: c for k, c in terms.items() if c}
+        g = gcd(denom, *terms)
+        if g > 1:
+            denom //= g
+            terms = {k // g: c for k, c in terms.items()}
+        s = _new(cls)
+        _set(s, "denom", denom)
+        _set(s, "coeffs", tuple(sorted(terms.items())))
+        _set(s, "trunc", trunc)
+        return s
 
     @classmethod
     def from_terms(cls, terms, trunc) -> "QSeries":
@@ -68,16 +94,8 @@ class QSeries:
             if e >= trunc:
                 raise InputError("coefficient at or beyond the truncation bound")
             cleaned[e] = cleaned.get(e, Fraction(0)) + c
-        denom = 1
-        for e in cleaned:
-            denom = lcm(denom, e.denominator)
-        keys = {int(e * denom): c for e, c in cleaned.items() if c != 0}
-        if keys:
-            g = gcd(denom, *(abs(k) for k in keys))
-            if g > 1:
-                denom //= g
-                keys = {k // g: c for k, c in keys.items()}
-        return cls(denom, tuple(sorted(keys.items())), trunc)
+        denom = lcm(*(e.denominator for e in cleaned))
+        return cls._of(denom, {int(e * denom): c for e, c in cleaned.items()}, trunc)
 
     @property
     def min_exponent(self) -> Fraction:
@@ -94,16 +112,17 @@ class QSeries:
         """Sorted (exponent, coefficient) pairs, exponents as Fractions."""
         return [(Fraction(k, self.denom), c) for k, c in self.coeffs]
 
-    def coeff(self, e) -> Fraction:
-        """Coefficient at exponent e; error if e is at or beyond trunc."""
+    def coeff(self, e):
+        """Coefficient at exponent e, the ring's zero if absent; error at or beyond trunc."""
         e = Fraction(e)
         if e >= self.trunc:
             raise InputError(
                 f"coefficient at exponent {e} requested beyond truncation {self.trunc}")
+        zero = type(self.coeffs[0][1])() if self.coeffs else Fraction(0)
         k = e * self.denom
         if k.denominator != 1:
-            return Fraction(0)
-        return self._index.get(int(k), Fraction(0))
+            return zero
+        return self._index.get(int(k), zero)
 
     @cached_property
     def _index(self) -> dict:
@@ -121,36 +140,50 @@ class QSeries:
     __rmul__ = __mul__
 
 
+def _common(a: QSeries, b: QSeries, trunc: Fraction) -> tuple[int, int, int, int]:
+    """(d, d / a.denom, d / b.denom, top): d = lcm of the denominators, and
+    index k over d lies below trunc exactly when k < top."""
+    d = lcm(a.denom, b.denom)
+    return d, d // a.denom, d // b.denom, math.ceil(trunc * d)
+
+
 def qs_add(a: QSeries, b: QSeries) -> QSeries:
     trunc = min(a.trunc, b.trunc)
-    terms: dict[Fraction, Fraction] = {}
-    for e, c in a.items() + b.items():
-        if e < trunc:
-            terms[e] = terms.get(e, Fraction(0)) + c
-    return QSeries.from_terms(terms, trunc)
+    d, ma, mb, top = _common(a, b, trunc)
+    terms = {}
+    for s, m in ((a, ma), (b, mb)):
+        for k, c in s.coeffs:
+            k *= m
+            if k < top:
+                terms[k] = terms[k] + c if k in terms else c
+    return QSeries._of(d, terms, trunc)
 
 
 def qs_scale(a: QSeries, scalar) -> QSeries:
     scalar = Fraction(scalar)
-    return QSeries.from_terms({e: scalar * c for e, c in a.items()}, a.trunc)
+    return QSeries._of(a.denom, {k: scalar * c for k, c in a.coeffs}, a.trunc)
 
 
 def qs_mul(a: QSeries, b: QSeries) -> QSeries:
     trunc = min(a.trunc + b.min_exponent, b.trunc + a.min_exponent)
-    terms: dict[Fraction, Fraction] = {}
-    for ea, ca in a.items():
-        for eb, cb in b.items():
-            e = ea + eb
-            if e < trunc:
-                terms[e] = terms.get(e, Fraction(0)) + ca * cb
-    return QSeries.from_terms(terms, trunc)
+    d, ma, mb, top = _common(a, b, trunc)
+    bk = sorted((k * mb, c) for k, c in b.coeffs)
+    terms = {}
+    for ka, ca in a.coeffs:
+        ka *= ma
+        for kb, cb in bk:
+            k = ka + kb
+            if k >= top:        # b's indices ascend
+                break
+            terms[k] = terms[k] + ca * cb if k in terms else ca * cb
+    return QSeries._of(d, terms, trunc)
 
 
 def qs_substitute_power(s: QSeries, m: int) -> QSeries:
     """Substitute q -> q^m (m >= 1); exponents and truncation scale exactly."""
     if not isinstance(m, int) or m < 1:
         raise InputError("substitution power must be a positive integer")
-    return QSeries.from_terms({e * m: c for e, c in s.items()}, s.trunc * m)
+    return QSeries._of(s.denom, {k * m: c for k, c in s.coeffs}, s.trunc * m)
 
 
 class QSeriesValue(NamedTuple):
@@ -164,15 +197,16 @@ def qs_evaluate(s: QSeries, tau: complex) -> QSeriesValue:
     The tail estimate extrapolates the omitted terms geometrically from the
     observed growth of the retained coefficients (a heuristic, adequate for
     eta-quotient-type series well inside the upper half plane); math.inf is
-    reported when the extrapolation does not contract.
+    reported when the extrapolation does not contract.  Every float exponent
+    and step is one correctly rounded integer quotient over denom.
     """
     tau = complex(tau)
     if tau.imag <= 0:
         raise InputError("tau must lie in the upper half plane")
     q = cmath.exp(2j * cmath.pi * tau)
-    entries = s.items()
+    d, entries = s.denom, s.coeffs
     try:
-        terms = [c * q ** float(e) for e, c in entries]
+        terms = [c * q ** (k / d) for k, c in entries]
     except (OverflowError, ZeroDivisionError):     # q under- or overflows at this tau
         raise InputError("q-series terms are not representable at this tau") from None
     value = complex(math.fsum(t.real for t in terms), math.fsum(t.imag for t in terms))
@@ -182,16 +216,16 @@ def qs_evaluate(s: QSeries, tau: complex) -> QSeriesValue:
     # Growth per unit exponent, read off the top half of the expansion.
     growth = 1.0
     median = entries[len(entries) // 2][0]
-    for (e1, c1), (e2, c2) in zip(entries, entries[1:]):
-        if e1 >= median and float(c1) != 0.0:
-            step = float(e2 - e1)
+    for (k1, c1), (k2, c2) in zip(entries, entries[1:]):
+        if k1 >= median and float(c1) != 0.0:
+            step = (k2 - k1) / d
             growth = max(growth, (abs(float(c2)) / abs(float(c1))) ** (1.0 / step))
     x = growth * qa
     if x >= 1.0:
         return QSeriesValue(value, math.inf)
-    e_last, c_last = entries[-1]
-    base = abs(float(c_last)) * qa ** float(e_last)
-    tail = base * x ** float(s.trunc - e_last) / (1.0 - x)
+    k_last, c_last = entries[-1]
+    base = abs(float(c_last)) * qa ** (k_last / d)
+    tail = base * x ** float(s.trunc - Fraction(k_last, d)) / (1.0 - x)
     return QSeriesValue(value, tail)
 
 
@@ -216,6 +250,8 @@ def hilb_euler(n: int) -> int:
         return 0
     c = _hilb_euler
     if n >= len(c):
+        # entry m costs m products: m = len(c), ..., n
+        check_work((n * (n + 1) - len(c) * (len(c) - 1)) // 2, "hilb_euler")
         sigma = _divisor_sums
         while len(sigma) <= n:
             sigma.append(_divisor_sum(len(sigma)))
@@ -230,7 +266,9 @@ def gottsche_series(order: int) -> QSeries:
     order = _as_int(order)
     if order < 1:
         raise InputError("order must be at least 1")
-    return QSeries.from_terms({n: hilb_euler(n) for n in range(order)}, order)
+    hilb_euler(order - 1)
+    return QSeries._of(1, {n: Fraction(c) for n, c in enumerate(_hilb_euler[:order])},
+                       Fraction(order))
 
 
 def z1_zero(order: int) -> QSeries:
@@ -238,5 +276,6 @@ def z1_zero(order: int) -> QSeries:
     order = _as_int(order)
     if order < 0:
         raise InputError("order must be nonnegative")
-    return QSeries.from_terms(
-        {n - 1: hilb_euler(n) for n in range(order + 1)}, order)
+    hilb_euler(order)
+    return QSeries._of(1, {n - 1: Fraction(c) for n, c in enumerate(_hilb_euler[:order + 1])},
+                       Fraction(order))

@@ -58,6 +58,7 @@ from .qseries import hilb_euler, qs_evaluate
 
 GUARD_SHELLS = 3
 EXP_BINS = 8
+CHI_FLOAT_TOP = 3713    # largest n with chi(Hilb^n) below the largest double
 
 
 @dataclass(eq=False)
@@ -292,6 +293,8 @@ def z_full_direct(lat: EvenLattice, r: int, tau: complex, split: Splitting,
     n_top = n_cut + two_r * EXP_BINS
     ball = _ball((0,) * lat.rank, 1, r, tau, forms, lam_min, radius,
                  max(1, r + EXP_BINS + 2 + math.ceil(cutoff)), "z_full_direct")
+    if n_top // 2 + 1 > CHI_FLOAT_TOP:      # the weight table would end past a double
+        raise InputError("a term overflows double precision at this input")
     weights = {(n, c): _e(tau * n / two_r, Fraction(chi, c * c))     # chi_virtual q^{n/2r}
                for c in range(1, r + 1) if r % c == 0
                for n in range(-2 * r * r, n_top + 1, 2) if (chi := _chi_scaled(n, c))}

@@ -6,6 +6,9 @@ the pairing is a hand-expanded double loop, the triangle count comes from
 Pick's theorem or from testing every point of the bounding box, instead of
 the column scan, and the partition and theta sums visit every candidate with
 one exponential per term, instead of tables of weights and Hecke roots.
+The q-series reference keys every coefficient by its Fraction exponent and
+normalises through ref_from_terms after each operation, where the library
+works on integer indices over one denominator.
 None of them imports k3tk.
 """
 
@@ -13,7 +16,8 @@ import cmath
 import math
 from fractions import Fraction
 from itertools import permutations, product
-from math import gcd
+from math import gcd, lcm
+from typing import NamedTuple
 
 
 def colored_partition_counts(order: int, colors: int = 24) -> list[int]:
@@ -183,3 +187,99 @@ def hecke_literal_reference(r, alpha, gram, order, euler):
                 e = Fraction(a * (n - 1), d)
                 acc[e] = acc.get(e, mpmath.mpc(0)) + d * euler[n] * phase
         return {e: c / mpmath.mpf(r * r) for e, c in acc.items()}
+
+
+class RefSeries(NamedTuple):
+    """(denom, ((k, c), ...), trunc) as the Fraction-exponent reference stores it."""
+
+    denom: int
+    coeffs: tuple
+    trunc: Fraction
+
+    @property
+    def min_exponent(self) -> Fraction:
+        if not self.coeffs:
+            return self.trunc
+        return Fraction(self.coeffs[0][0], self.denom)
+
+    def items(self):
+        return [(Fraction(k, self.denom), c) for k, c in self.coeffs]
+
+
+def ref_from_terms(terms, trunc) -> RefSeries:
+    """Normalise {exponent: coefficient}: Fraction keys, lcm denominator, gcd reduction."""
+    trunc = Fraction(trunc)
+    cleaned = {}
+    for e, c in terms.items():
+        e = Fraction(e)
+        c = Fraction(c)
+        if c == 0:
+            continue
+        if e >= trunc:
+            raise ValueError("coefficient at or beyond the truncation bound")
+        cleaned[e] = cleaned.get(e, Fraction(0)) + c
+    denom = 1
+    for e in cleaned:
+        denom = lcm(denom, e.denominator)
+    keys = {int(e * denom): c for e, c in cleaned.items() if c != 0}
+    if keys:
+        g = gcd(denom, *(abs(k) for k in keys))
+        if g > 1:
+            denom //= g
+            keys = {k // g: c for k, c in keys.items()}
+    return RefSeries(denom, tuple(sorted(keys.items())), trunc)
+
+
+def ref_add(a: RefSeries, b: RefSeries) -> RefSeries:
+    trunc = min(a.trunc, b.trunc)
+    terms = {}
+    for e, c in a.items() + b.items():
+        if e < trunc:
+            terms[e] = terms.get(e, Fraction(0)) + c
+    return ref_from_terms(terms, trunc)
+
+
+def ref_scale(a: RefSeries, scalar) -> RefSeries:
+    scalar = Fraction(scalar)
+    return ref_from_terms({e: scalar * c for e, c in a.items()}, a.trunc)
+
+
+def ref_mul(a: RefSeries, b: RefSeries) -> RefSeries:
+    trunc = min(a.trunc + b.min_exponent, b.trunc + a.min_exponent)
+    terms = {}
+    for ea, ca in a.items():
+        for eb, cb in b.items():
+            e = ea + eb
+            if e < trunc:
+                terms[e] = terms.get(e, Fraction(0)) + ca * cb
+    return ref_from_terms(terms, trunc)
+
+
+def ref_substitute_power(s: RefSeries, m: int) -> RefSeries:
+    return ref_from_terms({e * m: c for e, c in s.items()}, s.trunc * m)
+
+
+def ref_evaluate(s: RefSeries, tau: complex) -> tuple[complex, float]:
+    """(value, tail) at q = exp(2 pi i tau): every float exponent is float(Fraction),
+    and the tail extrapolates the top half's coefficient growth geometrically."""
+    tau = complex(tau)
+    q = cmath.exp(2j * cmath.pi * tau)
+    entries = s.items()
+    terms = [c * q ** float(e) for e, c in entries]
+    value = complex(math.fsum(t.real for t in terms), math.fsum(t.imag for t in terms))
+    qa = abs(q)
+    if not entries:
+        return value, 0.0
+    growth = 1.0
+    median = entries[len(entries) // 2][0]
+    for (e1, c1), (e2, c2) in zip(entries, entries[1:]):
+        if e1 >= median and float(c1) != 0.0:
+            step = float(e2 - e1)
+            growth = max(growth, (abs(float(c2)) / abs(float(c1))) ** (1.0 / step))
+    x = growth * qa
+    if x >= 1.0:
+        return value, math.inf
+    e_last, c_last = entries[-1]
+    base = abs(float(c_last)) * qa ** float(e_last)
+    tail = base * x ** float(s.trunc - e_last) / (1.0 - x)
+    return value, tail

@@ -276,13 +276,39 @@ def test_integer_subcommands_load_no_float_libraries(tmp_path, command):
 ], ids=["tau-uncertified", "tau-overflow", "tau-underflow", "cutoff-1e9", "radius-1e6",
         "theta-radius-1e7", "order-1e300"])
 def test_out_of_range_inputs_exit_2_quickly(argv):
+    _assert_spawned_input_error(argv, timeout=5)
+
+
+@pytest.mark.parametrize("argv", [
+    ["gottsche", "--order", "100000"],
+    ["zfull", "--rank", "1", "--tau", "0", "1", "--cutoff", "4000"],
+], ids=["gottsche-order-1e5", "zfull-cutoff-4000"])
+def test_goettsche_index_refused_within_2_s(argv):
+    # refused before the Euler-number table grows: O(n^2) products, and past
+    # n = 3713 chi(Hilb^n) is not a double
+    _assert_spawned_input_error(argv, timeout=2)
+
+
+def _assert_spawned_input_error(argv, timeout):
     src = os.path.dirname(os.path.dirname(os.path.abspath(k3tk.__file__)))
     proc = subprocess.run([sys.executable, "-m", "k3tk", *argv],
                           env=dict(os.environ, PYTHONPATH=src),
-                          capture_output=True, text=True, timeout=5)
+                          capture_output=True, text=True, timeout=timeout)
     assert proc.returncode == 2
     assert set(json.loads(proc.stdout)) == {"error"}       # exactly one JSON document
     assert proc.stderr == ""
+
+
+@pytest.mark.parametrize("argv, plain", [
+    (["zfull", "--rank", "2", "--tau", "0", "1", "--cutoff", "-1.5e3"],
+     ["zfull", "--rank", "2", "--tau", "0", "1", "--cutoff=-1500"]),
+    (["theta", "--tau", "-1e-05", "1", "--radius", "3"],
+     ["theta", "--tau", "-0.00001", "1", "--radius", "3"]),
+    (["theta", "--tau", "-.5", "1", "--x", "-1E-1,0", "--radius", "2"],
+     ["theta", "--tau", "-0.5", "1", "--x=-0.1,0", "--radius", "2"]),
+], ids=["zfull-cutoff", "theta-tau", "theta-x"])
+def test_negative_numbers_in_any_notation_are_values(capsys, argv, plain):
+    assert run_json(capsys, *argv) == run_json(capsys, *plain)
 
 
 def test_unexpected_exception_is_an_internal_error_document(monkeypatch, capsys):

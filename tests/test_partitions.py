@@ -2,6 +2,8 @@ from fractions import Fraction
 
 import mpmath
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from k3tk import (EvenLattice, InputError, MukaiVector, QSeries, chi_virtual, content,
                   hilb_euler, primitive, qs_add, qs_scale,
@@ -94,6 +96,28 @@ def test_hecke_equals_direct(gram2, rng):
         order = rng.randint(3, 9)
         assert z_psu_hecke(r, alpha, order, lat) == \
             z_psu_direct(r, alpha, order, lat)
+
+
+@st.composite
+def _rank_alpha_order(draw):
+    """(lattice of rank 1 or 2, r <= 6, alpha, rational order)."""
+    rank = draw(st.integers(1, 2))
+    entry = st.integers(-3, 3)
+    gram = [[0] * rank for _ in range(rank)]
+    for i in range(rank):
+        gram[i][i] = 2 * draw(entry)
+        for j in range(i):
+            gram[i][j] = gram[j][i] = draw(entry)
+    alpha = tuple(draw(st.integers(-4, 4)) for _ in range(rank))
+    order = Fraction(draw(st.integers(-12, 60)), draw(st.integers(1, 5)))
+    return EvenLattice(tuple(map(tuple, gram))), draw(st.integers(1, 6)), alpha, order
+
+
+@settings(max_examples=150, deadline=None)
+@given(_rank_alpha_order())
+def test_hecke_equals_direct_property(case):
+    lat, r, alpha, order = case
+    assert z_psu_hecke(r, alpha, order, lat) == z_psu_direct(r, alpha, order, lat)
 
 
 def test_hecke_hand_evaluation(gram2):

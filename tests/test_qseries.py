@@ -1,12 +1,17 @@
 import cmath
 from fractions import Fraction
 
+import mpmath
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from k3tk import (InputError, QSeries, gottsche_series, hilb_euler, qs_add,
-                  qs_evaluate, qs_mul, qs_scale, qs_substitute_power, qseries,
-                  z1_zero)
+from k3tk import (EvenLattice, InputError, QSeries, chi_virtual, MukaiVector,
+                  gottsche_series, hilb_euler, qs_add, qs_evaluate, qs_mul, qs_scale,
+                  qs_substitute_power, qseries, z1_zero, z_psu_direct,
+                  z_psu_hecke_literal)
 
+from . import oracles
 from .oracles import colored_partition_counts
 
 
@@ -154,3 +159,69 @@ def test_evaluate_tail_is_honest():
         approx = qs_evaluate(short, tau)
         better = qs_evaluate(long, tau).value
         assert abs(approx.value - better) <= approx.tail
+
+
+def test_hilb_euler_work_cap_covers_every_entry_point():
+    # growing the table to n costs about n^2/2 big-integer products
+    huge = MukaiVector(1, (0,), -10 ** 5)         # <v^2> / 2 + 1 = 10^5 + 1
+    for call in (lambda: hilb_euler(10 ** 5), lambda: gottsche_series(10 ** 5),
+                 lambda: z1_zero(10 ** 5),
+                 lambda: chi_virtual(huge, EvenLattice(((2,),)))):
+        with pytest.raises(InputError, match="hilb_euler would visit"):
+            call()
+
+
+_exponent = st.builds(Fraction, st.integers(-24, 24), st.sampled_from([1, 2, 3, 4, 5, 6]))
+_coefficient = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 4))
+
+
+@st.composite
+def _terms(draw):
+    """({exponent: coefficient}, trunc) with mixed denominators and negative exponents."""
+    trunc = draw(st.builds(Fraction, st.integers(-6, 30), st.sampled_from([1, 2, 3, 4])))
+    terms = draw(st.dictionaries(_exponent, _coefficient, max_size=12))
+    return {e: c for e, c in terms.items() if e < trunc}, trunc
+
+
+def _matches(s, ref):
+    """s is the reference field for field, canonical, and stores only exponents below trunc."""
+    assert (s.denom, s.coeffs, s.trunc) == tuple(ref)
+    assert type(s.trunc) is Fraction and all(type(c) is Fraction for _, c in s.coeffs)
+    canonical = QSeries.from_terms(dict(s.items()), s.trunc)
+    assert s == canonical and hash(s) == hash(canonical)
+    assert all(Fraction(k, s.denom) < s.trunc for k, _ in s.coeffs)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_terms(), _terms(), _coefficient, st.integers(1, 5),
+       st.sampled_from([0.3 + 0.9j, -0.2 + 0.6j, 1j, 0.45 + 1.3j]))
+def test_index_arithmetic_matches_fraction_reference(x, y, scalar, m, tau):
+    a, b = QSeries.from_terms(*x), QSeries.from_terms(*y)
+    ra, rb = oracles.ref_from_terms(*x), oracles.ref_from_terms(*y)
+    _matches(a, ra)
+    _matches(qs_add(a, b), oracles.ref_add(ra, rb))
+    _matches(qs_mul(a, b), oracles.ref_mul(ra, rb))
+    _matches(qs_scale(a, scalar), oracles.ref_scale(ra, scalar))
+    _matches(qs_substitute_power(b, m), oracles.ref_substitute_power(rb, m))
+    for s, ref in ((qs_add(a, b), oracles.ref_add(ra, rb)),
+                   (qs_mul(a, b), oracles.ref_mul(ra, rb))):
+        assert repr(tuple(qs_evaluate(s, tau))) == repr(oracles.ref_evaluate(ref, tau))
+
+
+def test_evaluate_and_literal_bit_identical_to_reference(gram2):
+    # Z_3^1 has denominator 6, where the growth step (k2 - k1)/6 and the
+    # difference k2/6 - k1/6 round apart and move the tail
+    series = [z1_zero(42), z_psu_direct(3, (1,), Fraction(17, 3), gram2),
+              qs_add(z_psu_direct(2, (1,), 9, gram2), z_psu_direct(3, (0,), 9, gram2))]
+    for s in series:
+        ref = oracles.ref_from_terms(dict(s.items()), s.trunc)
+        for tau in (0.5j, 0.2 + 0.8j, 1j, 0.1 + 0.9j):
+            for t in (tau, -1 / tau):
+                assert repr(tuple(qs_evaluate(s, t))) == repr(oracles.ref_evaluate(ref, t))
+    euler = colored_partition_counts(40)
+    for r, alpha in ((2, (0,)), (3, (1,))):      # exact zeros at r = 2, residues at r = 3
+        lit = z_psu_hecke_literal(r, alpha, 12, gram2)
+        want = oracles.hecke_literal_reference(r, alpha, gram2.gram, 12, euler)
+        with mpmath.workdps(120):
+            assert [(e, repr(c)) for e, c in lit.items()] == \
+                [(e, repr(want[e])) for e in sorted(want)]

@@ -1,9 +1,10 @@
 import cmath
+import math
 
 import numpy as np
 import pytest
 
-from k3tk import (EvenLattice, InputError, Splitting, qs_evaluate,
+from k3tk import (EvenLattice, InputError, Splitting, hilb_euler, qs_evaluate, theta,
                   theta_siegel_narain, z1_zero, z_full_direct,
                   z_full_factorized)
 
@@ -202,3 +203,11 @@ def test_work_cap_refuses_before_enumerating(neg2, split1):
         z_full_direct(neg2, 2, 1j, split1, None, 1e9, 5.0)
     with pytest.raises(InputError, match="candidates"):
         z_full_direct(neg2, 2, 1j, split1, None, 8.0, 1e6)
+
+
+def test_chi_float_top_is_the_last_double_in_the_table():
+    # z_full_direct refuses a cutoff whose weight table would pass this index
+    # before it builds the table
+    assert math.isfinite(float(hilb_euler(theta.CHI_FLOAT_TOP)))
+    with pytest.raises(OverflowError):
+        float(hilb_euler(theta.CHI_FLOAT_TOP + 1))
