@@ -39,7 +39,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd, inf
 
-from .errors import ConsistencyError, InputError
+from .errors import ConsistencyError, InputError, check_work
 from .isometry import apply_reflect
 from .lattice import (EvenLattice, MukaiVector, _as_int, dual, ell, mukai_pairing,
                       square)
@@ -90,8 +90,9 @@ def build_auxiliary(l: int, r: int, s: int, a: int,
         raise InputError("the square 2l(ls - ra) must be nonnegative")
 
     r1 = None
-    for cand in range(l * r + 2, search_bound + 1):
-        if (a * cand - 1) % l == 0 and gcd(cand, r) == 1:
+    start = l * r + 2       # scan only the class a * cand = 1 (mod l)
+    for cand in range(start + (pow(a, -1, l) - start) % l, search_bound + 1, l):
+        if gcd(cand, r) == 1:
             r1 = cand
             break
     if r1 is None:
@@ -228,6 +229,7 @@ def sweep_triangles(max_r1: int) -> tuple[int, list]:
     Returns (number of tuples checked, list of counterexample tuples).
     """
     max_r1 = _as_int(max_r1)
+    check_work((max_r1 - 1) * (2 * max_r1 + 1), "sweep_triangles")     # (r1, d1) pairs
     checked = 0
     bad = []
     for r1 in range(2, max_r1 + 1):    # r1 = 1 admits no l with l r < r1
@@ -254,6 +256,7 @@ def sweep_farey(max_x: int) -> tuple[int, list]:
     Returns (number of tuples checked, list of counterexamples).
     """
     max_x = _as_int(max_x)
+    check_work(max_x * max_x * (max_x + 1) // 2, "sweep_farey")      # (x3, y3, x1) triples
     checked = 0
     bad = []
     for x3 in range(1, max_x + 1):

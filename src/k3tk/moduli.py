@@ -61,13 +61,12 @@ def exists_stable_primitive(v: MukaiVector, lat: EvenLattice) -> bool:
 def exists_semistable(v: MukaiVector, lat: EvenLattice) -> bool:
     """Non-emptiness of the semistable moduli space for arbitrary v.
 
-    True iff v = n w for some integer n >= 1 with <w^2> >= -2; implemented
-    as a divisor scan over the content of v, with <w^2> = <v^2>/n^2.
+    True iff v = n w for some integer n >= 1 with <w^2> >= -2.  As
+    <w^2> = <v^2>/n^2 only moves toward 0 as n grows, n = content(v) decides.
     """
     _require_positive_rank(v)
-    sq = square(v, lat)
     c = content(v)
-    return any(sq // (n * n) >= -2 for n in range(1, c + 1) if c % n == 0)
+    return square(v, lat) // (c * c) >= -2
 
 
 def moduli_dim(v: MukaiVector, lat: EvenLattice) -> int:

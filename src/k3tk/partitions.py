@@ -79,6 +79,7 @@ def chi_virtual(v: MukaiVector, lat: EvenLattice) -> Fraction:
     if v.r <= 0:
         raise InputError("rank must be positive")
     c = content(v)
+    check_work(c, "chi_virtual")        # the divisor scan tries every a <= c
     return Fraction(_chi_scaled(square(v, lat), c), c * c)
 
 
@@ -116,6 +117,7 @@ def z_psu_direct(r: int, alpha, order, lat: EvenLattice) -> QSeries:
 def _hecke_factorizations(r: int, alpha, order: Fraction):
     """(a, d, xi = alpha/a, top) for every factorization a d = r with a | alpha,
     top the largest n with a (n - 1) / d < order (-1 if none)."""
+    check_work(r, "z_psu_hecke")        # the divisor scan tries every a <= r
     out = []
     for a in range(1, r + 1):
         if r % a or any(x % a for x in alpha):

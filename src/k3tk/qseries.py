@@ -12,7 +12,7 @@ Producers and arithmetic work on the indices alone, rescaling operands to the
 lcm of their denominators and comparing against the integer index
 ceil(trunc * denom).  The trusted constructor QSeries._of drops zeros and
 reduces by gcd(denom, k, ...); the public constructor and from_terms are the
-checked boundary.
+checked boundary, and the constructor accepts only that canonical form.
 
 Truncation propagates pessimistically through arithmetic.  For a product the
 bound is min(a.trunc + b.min_exponent, b.trunc + a.min_exponent): a summand at
@@ -51,17 +51,36 @@ from .lattice import _as_int, _new, _set
 
 @dataclass(frozen=True)
 class QSeries:
-    """Finite q-expansion sum_k c_k q^(k/denom), complete below trunc."""
+    """Finite q-expansion sum_k c_k q^(k/denom), complete below trunc.
+
+    The constructor accepts only the canonical form: ascending integer indices
+    below trunc * denom, gcd(denom, k, ...) = 1, trunc stored as a Fraction.
+    Zero coefficients may stay, as terms that were visited and cancelled.
+    """
 
     denom: int
     coeffs: tuple[tuple[int, object], ...]
     trunc: Fraction
 
     def __post_init__(self):
-        if self.denom < 1:
+        denom = _as_int(self.denom)
+        try:
+            coeffs = tuple((_as_int(k), c) for k, c in self.coeffs)
+            trunc = Fraction(self.trunc)
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise InputError(f"malformed q-series: {exc}") from None
+        if denom < 1:
             raise InputError("denominator must be positive")
-        if self.coeffs and max(k for k, _ in self.coeffs) >= self.trunc * self.denom:
+        keys = [k for k, _ in coeffs]
+        if any(k1 >= k2 for k1, k2 in zip(keys, keys[1:])):
+            raise InputError("q-series indices must be strictly ascending")
+        if gcd(denom, *keys) > 1:
+            raise InputError("q-series denominator is not reduced")
+        if keys and keys[-1] >= trunc * denom:
             raise InputError("coefficient stored at or beyond truncation")
+        _set(self, "denom", denom)
+        _set(self, "coeffs", coeffs)
+        _set(self, "trunc", trunc)
 
     @classmethod
     def _of(cls, denom: int, terms: dict, trunc: Fraction) -> "QSeries":

@@ -29,11 +29,14 @@ in the majorant norm (Cauchy-Schwarz on each definite part) is folded into
 the analytic bound.
 
 Kernels: lattice points are tuples of ints and the forms are tuples of float
-columns built once per call, so numpy serves only Splitting and the least
-majorant eigenvalue.  Each enumeration counts its candidates first and is
-refused above errors.MAX_WORK.  The direct partition sum keeps <v^2> as an
-exact integer and reads chi_virtual(v) q^{<v^2>/2r} from a table built once
-per call; a term that overflows double precision is an InputError.
+columns, validated and built with numpy once per splitting and lattice Gram
+matrix and kept on the immutable splitting.  Points come from Fincke-Pohst
+enumeration (Math. Comp. 44 (1985); Cohen, GTM 138, 2.7.3) over the majorant
+pivots, in lexicographic order.  Its leaf bound prod_k (2R / sqrt(d_k) / step
++ 1), never above the box of half-width R / sqrt(lambda_min), is checked
+against errors.MAX_WORK before it starts.  The direct partition sum keeps
+<v^2> as an exact integer and reads chi_virtual(v) q^{<v^2>/2r} from a table
+built once per call; a term that overflows double precision is an InputError.
 
 Modular transformation laws of the theta sum are not implemented: the
 familiar constants are specific to the rank-22 K3 lattice and no
@@ -45,7 +48,7 @@ from __future__ import annotations
 import cmath
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import mul
 
@@ -61,23 +64,34 @@ EXP_BINS = 8
 CHI_FLOAT_TOP = 3713    # largest n with chi(Hilb^n) below the largest double
 
 
-@dataclass(eq=False)
+def _q(lat: EvenLattice) -> np.ndarray:
+    """Q = -G as a float matrix; InputError for rank 0 or an entry beyond a double."""
+    if not lat.rank:
+        raise InputError("a splitting needs a lattice of positive rank")
+    try:
+        return -np.array(lat.gram, dtype=float)
+    except OverflowError:
+        raise InputError("lattice entries exceed double precision") from None
+
+
+@dataclass(frozen=True, eq=False)
 class Splitting:
-    """Projectors onto the Q-positive (P_L) and Q-negative (P_R) subspaces."""
+    """Read-only projectors onto the Q-positive (P_L) and Q-negative (P_R) subspaces."""
 
     pl: np.ndarray
     pr: np.ndarray
+    _cache: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
-        self.pl = np.array(self.pl, dtype=float)
-        self.pr = np.array(self.pr, dtype=float)
-        self.pl.setflags(write=False)
-        self.pr.setflags(write=False)
+        for name in ("pl", "pr"):
+            m = np.array(getattr(self, name), dtype=float)
+            m.setflags(write=False)
+            object.__setattr__(self, name, m)
 
     @classmethod
     def spectral(cls, lat: EvenLattice) -> "Splitting":
         """Eigenprojectors of Q = -G; requires a nondegenerate form."""
-        q = -np.array(lat.gram, dtype=float)
+        q = _q(lat)
         vals, vecs = np.linalg.eigh(q)
         if np.any(np.abs(vals) < 1e-9):
             raise InputError("lattice form is degenerate; no splitting exists")
@@ -95,9 +109,9 @@ class Splitting:
 
     def validate(self, lat: EvenLattice) -> None:
         n = lat.rank
+        q = _q(lat)
         if self.pl.shape != (n, n) or self.pr.shape != (n, n):
             raise InputError("splitting projectors do not match the lattice rank")
-        q = -np.array(lat.gram, dtype=float)
         if np.max(np.abs(self.pl + self.pr - np.eye(n))) > 1e-12:
             raise InputError("splitting projectors must sum to the identity")
         cross = self.pl.T @ q @ self.pr
@@ -127,25 +141,30 @@ class ZFullSum:
 
 
 def _forms(lat: EvenLattice, split: Splitting, x):
-    """((QL, QR, MJ, Qx), lam_min, xnorm): the forms as tuples of float columns
-    (MJ the majorant), Qx = Q x (None for x = None), MJ's least eigenvalue
-    and the majorant norm of Im x."""
-    split.validate(lat)
-    q = -np.array(lat.gram, dtype=float)
-    ql = split.pl.T @ q @ split.pl
-    qr = split.pr.T @ q @ split.pr
-    mj = ql - qr
-    lam_min = float(np.min(np.linalg.eigvalsh(mj)))
-    if lam_min <= 1e-10:
-        raise InputError("majorant form is not positive definite; invalid splitting")
-    ql, qr, mj = (tuple(map(tuple, m.T.tolist())) for m in (ql, qr, mj))
+    """((QL, QR, MJ, Qx), pivots, lam_min, xnorm): the forms as tuples of float
+    columns (MJ the majorant), Qx = Q x (None for x = None), MJ's _pivots and
+    least eigenvalue, kept on the splitting, and the majorant norm of Im x."""
+    cached = split._cache.get(lat.gram)
+    if cached is None:
+        split.validate(lat)
+        q = _q(lat)
+        ql = split.pl.T @ q @ split.pl
+        qr = split.pr.T @ q @ split.pr
+        mj = ql - qr
+        lam_min = float(np.min(np.linalg.eigvalsh(mj)))
+        if lam_min <= 1e-10:
+            raise InputError("majorant form is not positive definite; invalid splitting")
+        ql, qr, mj = (tuple(map(tuple, m.T.tolist())) for m in (ql, qr, mj))
+        cached = split._cache[lat.gram] = (ql, qr, mj), _pivots(mj), lam_min
+    (ql, qr, mj), pivots, lam_min = cached
     if x is None:
-        return (ql, qr, mj, None), lam_min, 0.0
+        return (ql, qr, mj, None), pivots, lam_min, 0.0
     xv = tuple(map(complex, x))
     if len(xv) != lat.rank:
         raise InputError("x must have one complex coordinate per lattice rank")
     qx = tuple(-sum(map(mul, row, xv)) for row in lat.gram)
-    return (ql, qr, mj, qx), lam_min, math.sqrt(max(_quad(mj, [v.imag for v in xv]), 0.0))
+    return (ql, qr, mj, qx), pivots, lam_min, \
+        math.sqrt(max(_quad(mj, [v.imag for v in xv]), 0.0))
 
 
 def _quad(cols, c) -> float:
@@ -153,28 +172,68 @@ def _quad(cols, c) -> float:
     return sum(map(mul, [sum(map(mul, c, col)) for col in cols], c))
 
 
-def _e(t: complex, coeff=1) -> complex:
-    """coeff e(t) = coeff exp(2 pi i t); InputError where it overflows double precision."""
+def _pivots(mj):
+    """(d, mu) with MJ(c) = sum_k d_k (c_k - ctr_k)^2, ctr_k = -sum_{j<k} mu_k[j] c_j:
+    squares completed from the last coordinate down, so each d_k is a Schur
+    complement pivot, at least the least eigenvalue of MJ."""
+    a = [list(col) for col in mj]
+    d, mu = [], []
+    for k in reversed(range(len(a))):
+        mu.insert(0, [x / a[k][k] for x in a[k][:k]])
+        d.insert(0, a[k][k])
+        for i in range(k):
+            a[i][:k] = [x - a[i][k] * y for x, y in zip(a[i], mu[0])]
+    return d, mu
+
+
+def _leaf_bound(pivots, step: int, outer: float) -> float:
+    """Leaves of the _short_vectors tree at majorant radius outer: level k spans
+    at most 2 outer / sqrt(d_k) along its coset progression of the given step."""
+    return math.prod([2 * (outer / math.sqrt(dk)) / step + 1 for dk in pivots[0]])
+
+
+def _short_vectors(pivots, alpha, step: int, bound2: float):
+    """c in alpha + step Z^n with sum_k d_k (c_k - ctr_k)^2 <= bound2 (Fincke-Pohst): c_0
+    is the outer loop and each level scans its interval of alpha_k + step Z upwards,
+    so points arrive in itertools.product order."""
+    d, mu = pivots
+    last = len(alpha) - 1
+    c = [0] * len(alpha)
+
+    def level(k, budget):
+        ctr = -sum(map(mul, mu[k], c))
+        half = math.sqrt(max(budget, 0.0) / d[k])
+        a = alpha[k]
+        for ck in range(step * math.ceil((ctr - half - a) / step) + a,
+                        step * math.floor((ctr + half - a) / step) + a + 1, step):
+            c[k] = ck
+            if k == last:
+                yield tuple(c)
+            else:
+                yield from level(k + 1, budget - d[k] * (ck - ctr) ** 2)
+    return level(0, bound2)
+
+
+def _e(t: complex, num=1, den=1) -> complex:
+    """num / den e(t) = num / den exp(2 pi i t); InputError where it overflows double precision."""
     try:
-        return coeff * cmath.exp(2j * cmath.pi * t)
-    except OverflowError:
+        return num / den * cmath.exp(2j * cmath.pi * t)
+    except (OverflowError, ValueError):     # ValueError: an infinite phase
         raise InputError("a term overflows double precision at this input") from None
 
 
-def _ball(alpha, step: int, r: int, tau: complex, forms, lam_min: float,
+def _ball(alpha, step: int, r: int, tau: complex, forms, pivots,
           radius: float, per_point: int, what: str):
     """(c, j, e(tau Q(c_L^2)/2r - taubar Q(c_R^2)/2r + Q(c, x))) over c in alpha + step Z^n
     of majorant norm <= radius + GUARD_SHELLS; j = 0 inside radius, else the guard shell.
-    The enclosing box, times per_point work per point, is checked on the call."""
+    The leaf bound, times per_point work per point, is checked on the call; the
+    enumeration runs at a slightly widened bound and _quad decides membership."""
     ql, qr, mj, qx = forms
     outer = radius + GUARD_SHELLS
-    bound = outer / math.sqrt(lam_min) + 1e-9
-    check_work(math.prod([2 * bound / step + 1] * len(alpha)) * per_point, what)
-    axes = [range(step * math.ceil((-bound - a) / step) + a,
-                  step * math.floor((bound - a) / step) + a + 1, step) for a in alpha]
+    check_work(_leaf_bound(pivots, step, outer) * per_point, what)
 
     def points():
-        for c in itertools.product(*axes):
+        for c in _short_vectors(pivots, alpha, step, outer * outer * (1 + 1e-9)):
             maj = _quad(mj, c)
             if maj > outer * outer:
                 continue
@@ -183,6 +242,14 @@ def _ball(alpha, step: int, r: int, tau: complex, forms, lam_min: float,
             hol = tau * (_quad(ql, c) / (2 * r)) - tau.conjugate() * (-_quad(qr, c) / (2 * r))
             yield c, j, _e(hol if qx is None else hol + sum(map(mul, c, qx)))
     return points()
+
+
+def _exp(t: float) -> float:
+    """math.exp, saturating to inf: an overflowing tail bound is an unbounded tail."""
+    try:
+        return math.exp(t)
+    except OverflowError:
+        return math.inf
 
 
 def _count_bound(t: float, r: int, rank: int, lam_min: float) -> float:
@@ -212,17 +279,17 @@ def theta_siegel_narain(lat: EvenLattice, alpha, r: int, tau: complex,
     tau = complex(tau)
     if tau.imag <= 0:
         raise InputError("tau must lie in the upper half plane")
-    if radius < 0:
+    if not radius >= 0:
         raise InputError("radius must be nonnegative")
     r = _as_int(r)
     if r < 1:
         raise InputError("coset step r must be a positive integer")
     alpha = _as_ints(alpha)
     lat.check_vector(alpha)
-    forms, lam_min, xnorm = _forms(lat, split, x)
+    forms, pivots, lam_min, xnorm = _forms(lat, split, x)
     main = []
     shells = [0.0] * GUARD_SHELLS
-    for _, j, term in _ball(alpha, r, r, tau, forms, lam_min, radius, 1,
+    for _, j, term in _ball(alpha, r, r, tau, forms, pivots, radius, 1,
                             "theta_siegel_narain"):
         if j:
             shells[j - 1] += abs(term)
@@ -232,17 +299,22 @@ def theta_siegel_narain(lat: EvenLattice, alpha, r: int, tau: complex,
 
     t0 = radius + GUARD_SHELLS
     decay = 2.0 * math.pi * tau.imag / (2 * r)
-    rho_analytic = (2.0 ** lat.rank) * math.exp(-decay * (2 * t0 + 1)
+    rho_analytic = (2.0 ** lat.rank) * _exp(-decay * (2 * t0 + 1)
                                                 + 2 * math.pi * xnorm)
     first_analytic = _count_bound(t0, r, lat.rank, lam_min) \
-        * math.exp(-decay * t0 * t0 + 2 * math.pi * xnorm * t0)
+        * _exp(-decay * t0 * t0 + 2 * math.pi * xnorm * t0)
     tail = _geom_tail(shells, first_analytic, rho_analytic)
     return ThetaSum(value, tail, len(main))
 
 
-def _toy_guard(lat: EvenLattice, r: int) -> None:
+def _toy_guard(lat: EvenLattice, r) -> int:
+    """r as a positive integer, within the sizes the full partition sums accept."""
+    r = _as_int(r)
+    if r < 1:
+        raise InputError("rank must be a positive integer")
     if lat.rank > 2 or r > 3:
         raise InputError("full partition sums are limited to rank <= 2 and r <= 3")
+    return r
 
 
 def _a_sum_bound(r: int, qabs: float) -> float:
@@ -279,11 +351,13 @@ def z_full_direct(lat: EvenLattice, r: int, tau: complex, split: Splitting,
     e(Q(c1, x)) over Mukai vectors v = (r, xi, a) with majorant norm of xi at
     most radius^2 and holomorphic Mukai exponent at most exponent_cutoff.
     """
-    _toy_guard(lat, r)
+    r = _toy_guard(lat, r)
     tau = complex(tau)
     if tau.imag <= 0:
         raise InputError("tau must lie in the upper half plane")
-    forms, lam_min, xnorm = _forms(lat, split, x)
+    if not radius >= 0:
+        raise InputError("radius must be nonnegative")
+    forms, pivots, lam_min, xnorm = _forms(lat, split, x)
 
     # v = (r, xi, a): <v^2> = n = (xi^2) - 2ra, exponent n / 2r; the main sum keeps
     # n <= n_cut, bin j holds n_cut + 2r(j - 1) < n <= n_cut + 2rj; chi = 0 below -2r^2
@@ -291,11 +365,11 @@ def z_full_direct(lat: EvenLattice, r: int, tau: complex, split: Splitting,
     cutoff = Fraction(exponent_cutoff)
     n_cut = math.floor(two_r * cutoff)
     n_top = n_cut + two_r * EXP_BINS
-    ball = _ball((0,) * lat.rank, 1, r, tau, forms, lam_min, radius,
+    ball = _ball((0,) * lat.rank, 1, r, tau, forms, pivots, radius,
                  max(1, r + EXP_BINS + 2 + math.ceil(cutoff)), "z_full_direct")
     if n_top // 2 + 1 > CHI_FLOAT_TOP:      # the weight table would end past a double
         raise InputError("a term overflows double precision at this input")
-    weights = {(n, c): _e(tau * n / two_r, Fraction(chi, c * c))     # chi_virtual q^{n/2r}
+    weights = {(n, c): _e(tau * n / two_r, chi, c * c)     # chi_virtual q^{n/2r}
                for c in range(1, r + 1) if r % c == 0
                for n in range(-2 * r * r, n_top + 1, 2) if (chi := _chi_scaled(n, c))}
 
@@ -322,6 +396,8 @@ def z_full_direct(lat: EvenLattice, r: int, tau: complex, split: Splitting,
     # exponent direction: coefficient growth is subexponential, so the bin
     # sums must already decay; refuse to certify otherwise.
     qabs = abs(cmath.exp(2j * cmath.pi * tau))
+    if qabs == 0.0:         # the a-sum bound raises q to negative powers
+        raise InputError("q underflows to 0 at this tau")
     if hbins[-1] > 0 and hbins[-2] > 0:
         rho_h = hbins[-1] / hbins[-2]
     else:
@@ -333,11 +409,11 @@ def z_full_direct(lat: EvenLattice, r: int, tau: complex, split: Splitting,
 
     t0 = radius + GUARD_SHELLS
     decay = 2.0 * math.pi * tau.imag / (2 * r)
-    rho_x = (2.0 ** lat.rank) * math.exp(-decay * (2 * t0 + 1) + 2 * math.pi * xnorm)
+    rho_x = (2.0 ** lat.rank) * _exp(-decay * (2 * t0 + 1) + 2 * math.pi * xnorm)
     # a distant xi contributes at most its full a-sum (xi-independent bound)
     # times the Gaussian shell weight
     first_analytic = _count_bound(t0, r, lat.rank, lam_min) \
-        * math.exp(-decay * t0 * t0 + 2 * math.pi * xnorm * t0) \
+        * _exp(-decay * t0 * t0 + 2 * math.pi * xnorm * t0) \
         * _a_sum_bound(r, qabs)
     tail_x = _geom_tail(xshells, first_analytic, rho_x) * h_factor
     return ZFullSum(value, tail_h + tail_x, len(main))
@@ -346,7 +422,7 @@ def z_full_direct(lat: EvenLattice, r: int, tau: complex, split: Splitting,
 def z_full_factorized(lat: EvenLattice, r: int, tau: complex, split: Splitting,
                       x=None, series_order=12, radius: float = 5.0) -> ZFullSum:
     """Coset factorization sum_alpha Z_r^alpha(tau) Theta_{alpha,r}(tau, P, x)."""
-    _toy_guard(lat, r)
+    r = _toy_guard(lat, r)
     tau = complex(tau)
     value = 0j
     tail = 0.0

@@ -6,6 +6,9 @@ the pairing is a hand-expanded double loop, the triangle count comes from
 Pick's theorem or from testing every point of the bounding box, instead of
 the column scan, and the partition and theta sums visit every candidate with
 one exponential per term, instead of tables of weights and Hecke roots.
+Short-vector counts of A2, D4 and E8 come from divisor-sum closed forms, and
+the box enumeration that theta used before Fincke-Pohst is kept as the
+reference for the points, their order and their terms.
 The q-series reference keys every coefficient by its Fraction exponent and
 normalises through ref_from_terms after each operation, where the library
 works on integer indices over one denominator.
@@ -14,6 +17,7 @@ None of them imports k3tk.
 
 import cmath
 import math
+import operator
 from fractions import Fraction
 from itertools import permutations, product
 from math import gcd, lcm
@@ -283,3 +287,63 @@ def ref_evaluate(s: RefSeries, tau: complex) -> tuple[complex, float]:
     base = abs(float(c_last)) * qa ** float(e_last)
     tail = base * x ** float(s.trunc - e_last) / (1.0 - x)
     return value, tail
+
+
+def a2_count(n: int) -> int:
+    """Vectors of norm 2n in A2 (Gram [[2, -1], [-1, 2]]): 6 (d_{1,3}(n) - d_{2,3}(n))."""
+    if n == 0:
+        return 1
+    return 6 * sum((d % 3 == 1) - (d % 3 == 2) for d in range(1, n + 1) if n % d == 0)
+
+
+def d4_count(n: int) -> int:
+    """Vectors of norm 2n in D4, the even-sum vectors of Z^4: r_4(2n) = 8 sum_{d | 2n, 4 !| d} d."""
+    if n == 0:
+        return 1
+    return 8 * sum(d for d in range(1, 2 * n + 1) if 2 * n % d == 0 and d % 4)
+
+
+def e8_count(n: int) -> int:
+    """Vectors of norm 2n in E8, whose theta series is E4: 240 sigma_3(n)."""
+    if n == 0:
+        return 1
+    return 240 * sum(d ** 3 for d in range(1, n + 1) if n % d == 0)
+
+
+def _quad(cols, c) -> float:
+    """c^T M c for a form M stored as its columns, evaluated as (c^T M) c."""
+    return sum(map(operator.mul, [sum(map(operator.mul, c, col)) for col in cols], c))
+
+
+def _e(t: complex, coeff=1) -> complex:
+    """coeff e(t) = coeff exp(2 pi i t)."""
+    return coeff * cmath.exp(2j * cmath.pi * t)
+
+
+def box_count(rank, step, lam_min, outer) -> float:
+    """Candidates of the box the theta sums enumerated before Fincke-Pohst: every
+    axis spans outer / sqrt(lam_min) (+1e-9) either side along its coset."""
+    bound = outer / math.sqrt(lam_min) + 1e-9
+    return math.prod([2 * bound / step + 1] * rank)
+
+
+def box_ball(alpha, step, r, tau, forms, lam_min, radius, guard):
+    """(c, j, term) as theta._ball yields them, from the box of box_count.
+
+    Every candidate of alpha + step Z^n in the box is visited in
+    itertools.product order and kept when its majorant norm is at most
+    (radius + guard)^2; j = 0 inside radius, else its guard shell.
+    """
+    ql, qr, mj, qx = forms
+    outer = radius + guard
+    bound = outer / math.sqrt(lam_min) + 1e-9
+    axes = [range(step * math.ceil((-bound - a) / step) + a,
+                  step * math.floor((bound - a) / step) + a + 1, step) for a in alpha]
+    for c in product(*axes):
+        maj = _quad(mj, c)
+        if maj > outer * outer:
+            continue
+        j = 0 if maj <= radius * radius else \
+            max(1, min(math.ceil(math.sqrt(maj) - radius), guard))
+        hol = tau * (_quad(ql, c) / (2 * r)) - tau.conjugate() * (-_quad(qr, c) / (2 * r))
+        yield c, j, _e(hol if qx is None else hol + sum(map(operator.mul, c, qx)))

@@ -1,9 +1,15 @@
+import contextlib
+import io
 import json
 import os
+import pathlib
+import re
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import k3tk
 
@@ -221,8 +227,14 @@ def test_unknown_subcommand_exits_2(capsys):
     ["zseries", "--rank", "2", "--order", "abc"],
     ["zseries", "--rank", "2", "--order", "1/0"],
     ["theta", "--tau", "0", "0.001"],           # finite input, unbounded tail
+    ["zfull", "--rank", "0", "--tau", "0", "1"],
+    ["theta", "--tau", "1e308", "1"],           # an infinite phase
+    ["theta", "--tau", "0", "1", "--rank", str(10 ** 30), "--x", "0,1e30"],
+    ["zfull", "--rank", "1", "--tau", "1e300", "1e300", "--cutoff", "-1.5e3"],
+    ["zfull", "--rank", "1", "--tau", "0", "1", "--radius", "-1500", "--method", "direct"],
 ], ids=["tau-nan", "radius-nan", "radius-inf", "cutoff-inf", "x-abc", "order-abc",
-        "order-1/0", "tail-inf"])
+        "order-1/0", "tail-inf", "zfull-rank-0", "tau-phase-inf", "tail-bound-overflow",
+        "q-underflow", "zfull-radius-negative"])
 def test_bad_numbers_exit_2_with_error_document(capsys, argv):
     try:
         code = main(argv)
@@ -232,6 +244,17 @@ def test_bad_numbers_exit_2_with_error_document(capsys, argv):
     assert code == 2
     assert set(json.loads(captured.out)) == {"error"}
     assert captured.err == ""
+
+
+@pytest.mark.parametrize("gram", [[], [[10 ** 400]]], ids=["rank-0", "huge-entry"])
+@pytest.mark.parametrize("command", ["theta", "zfull"])
+def test_unusable_surfaces_exit_2(tmp_path, capsys, gram, command):
+    surf = tmp_path / "s.json"
+    surf.write_text(json.dumps({"gram": gram}))
+    for splitting in ("spectral", "identity"):
+        code, out = run(capsys, command, "--surface", str(surf), "--rank", "1",
+                        "--tau", "0", "1", "--splitting", splitting)
+        assert code == 2 and set(json.loads(out)) == {"error"}
 
 
 _IMPORT_PROBE = """
@@ -321,3 +344,156 @@ def test_unexpected_exception_is_an_internal_error_document(monkeypatch, capsys)
     assert code == 1
     assert json.loads(captured.out) == {"error": "ZeroDivisionError: boom", "internal": True}
     assert captured.err == ""
+
+
+def _no_constant(name):
+    raise AssertionError(f"{name} written into JSON")
+
+
+def _assert_contract(argv):
+    """Run the CLI in process; one JSON document on stdout, an empty stderr, and
+    exit 0 or 2, or 1 for a ConsistencyError only.  Returns (code, document)."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:           # argparse usage errors exit this way
+            code = exc.code
+    doc = json.loads(out.getvalue(), parse_constant=_no_constant)
+    assert err.getvalue() == ""
+    assert code in (0, 2) or (code == 1 and doc.get("internal") is True
+                              and doc["error"].startswith("ConsistencyError")), (code, doc)
+    return code, doc
+
+
+_SMALL = st.integers(-3, 3)
+_ODD = st.sampled_from([10 ** 30, -10 ** 30, 10 ** 400, 1.5, -0.5, float("nan"),
+                        float("inf"), None, True, "1", [], {}])
+
+
+def _mostly(good, bad):
+    """good, with bad one draw in eight."""
+    return st.integers(0, 7).flatmap(lambda i: bad if i == 0 else good)
+
+
+_ENTRY = _mostly(_SMALL, _ODD)
+_VECTOR = st.fixed_dictionaries({"r": _ENTRY, "c1": st.lists(_ENTRY, min_size=1, max_size=2),
+                                 "a": _ENTRY})
+
+
+@st.composite
+def _surface_doc(draw):
+    n = draw(st.integers(0, 3))
+    gram = [[0] * n for _ in range(n)]
+    for i in range(n):
+        gram[i][i] = 2 * draw(_SMALL)
+        for j in range(i):
+            gram[i][j] = gram[j][i] = draw(_SMALL)
+    if n and not draw(st.integers(0, 3)):   # odd, asymmetric, huge or non-integral entry
+        gram[draw(st.integers(0, n - 1))][draw(st.integers(0, n - 1))] = draw(_ENTRY)
+    return {"rank": draw(st.sampled_from([n, n, n, n + 1, "2"])), "gram": gram}
+
+
+_WORD = st.lists(st.fixed_dictionaries(
+    {"type": st.sampled_from(["translate", "reflect", "nsauto", "negate", "dual", "spin"])},
+    optional={"N": st.lists(_ENTRY, max_size=3), "u": _VECTOR,
+              "M": st.lists(st.lists(_ENTRY, max_size=3), max_size=3)}), max_size=3)
+_JUNK = st.recursive(st.none() | st.booleans() | _SMALL | _ODD | st.text(max_size=3),
+                     lambda inner: st.lists(inner, max_size=3)
+                     | st.dictionaries(st.sampled_from(["r", "c1", "a", "gram", "type"]),
+                                       inner, max_size=3), max_leaves=6)
+_FILES = {"--x": _VECTOR, "--y": _VECTOR, "--v": _VECTOR, "--u": _VECTOR,
+          "--surface": _surface_doc(), "--word": _WORD}
+
+_BAD_NUMBER = st.sampled_from(["1e300", "-1e300", "1e-300", "1e308", str(10 ** 30), "nan",
+                               "NaN", "inf", "-inf", "Infinity", "1/0", "1.5", "abc", ""])
+_GOOD = {"int": ["0", "1", "2", "3", "-1", "5"], "float": ["0", "0.5", "2", "3.5", "-1.5e3"],
+         "rational": ["3", "5/2", "-1", "0.5"], "re": ["0", "0.25", "-1e-05"],
+         "im": ["1", "0.8", "2", "-1"]}
+_NUMBER = {kind: _mostly(st.sampled_from(good), _BAD_NUMBER) for kind, good in _GOOD.items()}
+_KIND = {"--radius": "float", "--cutoff": "float", "--N": "int", "--alpha": "int",
+         "--x": "float"}
+_CHOICES = {"--splitting": ["spectral", "identity"], "zseries": ["direct", "hecke", "literal"],
+            "zfull": ["direct", "factorized", "both"]}
+_OPTIONS = {        # required options first
+    "pair": ("--x", "--y", "--surface"), "dualize": ("--v",),
+    "translate": ("--N", "--v", "--surface"), "reflect": ("--u", "--v", "--surface"),
+    "word": ("--word", "--v", "--surface"), "invariants": ("--v", "--surface"),
+    "gottsche": ("--order",), "chivirtual": ("--v", "--surface"),
+    "zseries": ("--rank", "--order", "--alpha", "--method", "--surface"),
+    "theta": ("--tau", "--rank", "--alpha", "--x", "--radius", "--splitting", "--surface"),
+    "zfull": ("--rank", "--tau", "--x", "--method", "--cutoff", "--order", "--radius",
+              "--splitting", "--surface"),
+    "construct": ("--l", "--r", "--s", "--a", "--bound"),
+    "verify": ("--bound",),
+}
+_REQUIRED = {"pair": 2, "dualize": 1, "translate": 2, "reflect": 2, "word": 2, "invariants": 1,
+             "gottsche": 1, "chivirtual": 1, "zseries": 2, "theta": 1, "zfull": 2,
+             "construct": 4, "verify": 1}
+
+
+@st.composite
+def _invocation(draw):
+    """(argv, {file name: document}): a subcommand with some of its options; a file
+    option names a generated JSON document of its kind (or of any shape), or a
+    missing file."""
+    command = draw(st.sampled_from(sorted(_OPTIONS)))
+    argv = [command]
+    files = {}
+    if command == "verify":
+        argv.append(draw(st.sampled_from(["triangle", "farey", "triangle", "sphere"])))
+    for i, opt in enumerate(_OPTIONS[command]):
+        if not draw(st.integers(0, 9 if i < _REQUIRED[command] else 1)):
+            continue
+        if opt in _FILES and not (command in ("theta", "zfull") and opt == "--x"):
+            name = f"{len(files)}.json"
+            files[name] = draw(_mostly(_FILES[opt], _JUNK))
+            value = [draw(st.sampled_from([name] * 9 + ["missing.json"]))]
+        elif opt in ("--N", "--alpha", "--x"):
+            value = [",".join(draw(st.lists(_NUMBER[_KIND[opt]], min_size=1, max_size=4)))]
+        elif opt == "--tau":
+            value = [draw(_NUMBER["re"]), draw(_NUMBER["im"])]
+        elif opt in ("--method", "--splitting"):
+            valid = _CHOICES[opt if opt == "--splitting" else command]
+            value = [draw(_mostly(st.sampled_from(valid), st.sampled_from(["other", "hecke"])))]
+        else:
+            kind = "rational" if command == "zseries" and opt == "--order" else "int"
+            value = [draw(_NUMBER[_KIND.get(opt, kind)])]
+        argv += [opt + "=" + value[0]] if len(value) == 1 and draw(st.booleans()) \
+            else [opt, *value]
+    if not draw(st.integers(0, 9)):
+        argv.append(draw(st.sampled_from(["--bogus", "extra", "-1", "--radius"])))
+    return argv, files
+
+
+@settings(max_examples=300, deadline=None)
+@given(_invocation())
+def test_cli_contract_holds_for_generated_input(tmp_path_factory, case):
+    # --help and gottsche --lines ask for plain text, so neither is generated
+    argv, files = case
+    folder = tmp_path_factory.mktemp("contract")
+    for name, doc in files.items():
+        (folder / name).write_text(json.dumps(doc))
+    _assert_contract([re.sub(r"^(--\w+=)?(\d+|missing)\.json$",
+                             lambda m: (m[1] or "") + str(folder / f"{m[2]}.json"), a)
+                      for a in argv])
+
+
+_README_FIXTURES = {
+    "v.json": {"r": 2, "c1": [1], "a": 0}, "v1.json": {"r": 1, "c1": [0], "a": 1},
+    "v2.json": {"r": 2, "c1": [1], "a": -1}, "u.json": {"r": 1, "c1": [0], "a": 1},
+    "s.json": {"rank": 1, "gram": [[-2]]},
+    "word.json": [{"type": "translate", "N": [1]}, {"type": "dual"}],
+}
+
+
+def test_readme_cli_examples_run(tmp_path, monkeypatch):
+    readme = (pathlib.Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"^## CLI$.*?^```sh$(.*?)^```$", readme, re.S | re.M)[1]
+    lines = [line.split("#")[0].split() for line in block.splitlines() if line.strip()]
+    assert lines and all(line[0] == "k3tk" for line in lines)
+    for name, doc in _README_FIXTURES.items():
+        (tmp_path / name).write_text(json.dumps(doc))
+    monkeypatch.chdir(tmp_path)
+    for line in lines:
+        assert _assert_contract(line[1:])[0] == 0, line

@@ -142,6 +142,17 @@ def test_integer_arguments_are_strict(bad):
             call()
 
 
+def test_sweeps_refuse_huge_bounds_and_r1_search_scans_one_class():
+    for sweep in (sweep_triangles, sweep_farey):
+        with pytest.raises(InputError, match="would visit"):
+            sweep(10 ** 6)
+    # a r1 = 1 (mod l): the search steps through that class, not every integer
+    aux = build_auxiliary(10 ** 11, 1, 1, 1, 10 ** 12)
+    assert aux.r1 == 2 * 10 ** 11 + 1
+    assert build_auxiliary(7, 3, 2, 3).r1 == min(
+        c for c in range(23, 500) if (3 * c - 1) % 7 == 0 and gcd(c, 3) == 1)
+
+
 def test_farey_examples():
     assert farey_gap_holds(1, 1, 2, 1, 1, 0).holds
     res = farey_gap_holds(2, 1, 5, 2, 3, 1)

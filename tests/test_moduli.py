@@ -26,6 +26,8 @@ def test_exists_stable_preconditions(gram2):
 def test_exists_semistable_examples(gram2):
     assert exists_semistable(MukaiVector(2, (0,), 2), gram2)      # 2 (1,0,1)
     assert not exists_semistable(MukaiVector(2, (0,), 3), gram2)
+    # content 10^30 with primitive part (1, 1, 10^370): decided without a divisor scan
+    assert not exists_semistable(MukaiVector(10 ** 30, (10 ** 30,), 10 ** 400), gram2)
     with pytest.raises(InputError):
         exists_semistable(MukaiVector(0, (0,), 1), gram2)
 

@@ -213,3 +213,8 @@ def test_series_work_cap(gram2):
     # the triple sum visits about ten times the Hecke path's terms at r = 12
     with pytest.raises(InputError, match="z_psu_hecke_literal would visit"):
         z_psu_hecke_literal(12, (0,), 10 ** 5, gram2)
+    # chi_virtual and the Hecke factorizations scan every a <= content(v) or r
+    with pytest.raises(InputError, match="z_psu_hecke would visit"):
+        z_psu_hecke(10 ** 30, (0,), 2, gram2)
+    with pytest.raises(InputError, match="chi_virtual would visit"):
+        chi_virtual(MukaiVector(10 ** 30, (0,), 0), gram2)

@@ -74,6 +74,32 @@ def test_denominator_reduction():
     assert t.denom == 1
 
 
+@pytest.mark.parametrize("args", [
+    (2, ((2, 1),), 5),              # q^1 over a reducible denominator
+    (2, (), 5),                     # the zero series has denominator 1
+    (1, ((3, 1), (1, 2)), 5),       # unsorted
+    (1, ((1, 1), (1, 2)), 5),       # duplicate index
+    (1, ((5, 1),), 5),              # at the truncation
+    (1, ((1.5, 1),), 5),
+    (0, (), 1),
+    (1, ((1, 1),), "x"),
+], ids=["reducible", "reducible-empty", "unsorted", "duplicate", "at-trunc",
+        "float-index", "denom-0", "bad-trunc"])
+def test_constructor_accepts_only_canonical_form(args):
+    with pytest.raises(InputError):
+        QSeries(*args)
+
+
+def test_constructor_equals_from_terms():
+    s = QSeries(2, ((1, Fraction(1, 3)), (2, 0), (5, 4)), 3)
+    assert type(s.trunc) is Fraction and s.trunc == 3
+    assert s.coeff(1) == 0          # a kept zero answers like an absent index
+    canonical = QSeries.from_terms({Fraction(1, 2): Fraction(1, 3), Fraction(5, 2): 4}, 3)
+    assert qs_add(s, series({}, 3)) == canonical
+    q1 = QSeries(1, ((1, 1),), 5)
+    assert q1 == series({1: 1}, 5) and hash(q1) == hash(series({1: 1}, 5))
+
+
 def test_gottsche_first_coefficients():
     g = gottsche_series(4)
     assert [g.coeff(n) for n in range(4)] == [1, 24, 324, 3200]

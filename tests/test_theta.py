@@ -1,13 +1,19 @@
 import cmath
+import dataclasses
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from k3tk import (EvenLattice, InputError, Splitting, hilb_euler, qs_evaluate, theta,
                   theta_siegel_narain, z1_zero, z_full_direct,
                   z_full_factorized)
+from k3tk.errors import MAX_WORK
 
+from . import oracles
 from .oracles import colored_partition_counts, skew_theta_brute, z_full_brute
 
 
@@ -53,6 +59,31 @@ def test_spectral_splitting_indefinite():
 def test_spectral_rejects_degenerate():
     with pytest.raises(InputError):
         Splitting.spectral(EvenLattice(((0,),)))
+    rank0 = EvenLattice(())
+    with pytest.raises(InputError):
+        Splitting.spectral(rank0)
+    with pytest.raises(InputError):
+        Splitting(np.eye(0), np.eye(0)).validate(rank0)
+
+
+def test_splitting_is_immutable_and_validated_once_per_lattice(monkeypatch, neg2, split1):
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        split1.pl = np.eye(1) * 2
+    with pytest.raises(ValueError):
+        split1.pl[0, 0] = 2.0
+    calls = []
+    validate = Splitting.validate
+    monkeypatch.setattr(Splitting, "validate", lambda self, lat: calls.append(lat.gram)
+                        or validate(self, lat))
+    first = theta_siegel_narain(neg2, (0,), 1, 1j, split1, None, 3.0)
+    assert theta_siegel_narain(neg2, (0,), 1, 1j, split1, None, 3.0) == first
+    z_full_direct(neg2, 1, 1j, split1, None, 2.0, 2.0)
+    theta_siegel_narain(EvenLattice(((-4,),)), (0,), 1, 1j, split1, None, 3.0)
+    assert calls == [((-2,),), ((-4,),)]
+    with pytest.raises(InputError):         # a failed validation is not kept
+        theta_siegel_narain(EvenLattice(((2,),)), (0,), 1, 1j, split1)
+    with pytest.raises(InputError):
+        theta_siegel_narain(EvenLattice(((2,),)), (0,), 1, 1j, split1)
 
 
 def test_theta_single_point(neg2, split1):
@@ -113,6 +144,10 @@ def test_theta_input_errors(neg2, split1):
         theta_siegel_narain(neg2, (0.5,), 1, 1j, split1)     # alpha is not truncated
     with pytest.raises(InputError):
         theta_siegel_narain(neg2, (0,), 1.5, 1j, split1)      # nor is the coset step
+    with pytest.raises(InputError, match="radius"):
+        z_full_direct(neg2, 1, 1j, split1, None, 2.0, -1.0)
+    with pytest.raises(InputError, match="rank"):
+        z_full_direct(neg2, 0, 1j, split1)
 
 
 def test_z_full_single_term(neg2, split1):
@@ -211,3 +246,160 @@ def test_chi_float_top_is_the_last_double_in_the_table():
     assert math.isfinite(float(hilb_euler(theta.CHI_FLOAT_TOP)))
     with pytest.raises(OverflowError):
         float(hilb_euler(theta.CHI_FLOAT_TOP + 1))
+
+
+def _root_lattice(rank, edges):
+    """Gram -C for the Cartan matrix C of a simply laced Dynkin diagram, so Q = C."""
+    c = [[2 * (i == j) for j in range(rank)] for i in range(rank)]
+    for i, j in edges:
+        c[i][j] = c[j][i] = -1
+    return EvenLattice(tuple(tuple(-x for x in row) for row in c))
+
+
+ROOT_LATTICES = {
+    "A2": (_root_lattice(2, [(0, 1)]), oracles.a2_count, 31),
+    "D4": (_root_lattice(4, [(0, 1), (1, 2), (1, 3)]), oracles.d4_count, 10),
+    "E8": (_root_lattice(8, [(0, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 7), (1, 3)]),
+           oracles.e8_count, 4),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ROOT_LATTICES))
+def test_short_vector_counts_match_closed_forms(name):
+    lat, count, top = ROOT_LATTICES[name]
+    _, pivots, _, _ = theta._forms(lat, Splitting.identity_positive(lat), None)
+    points = list(theta._short_vectors(pivots, (0,) * lat.rank, 1, 2 * top * (1 + 1e-9)))
+    assert len(set(points)) == len(points) and points == sorted(points)
+    norms = Counter(-lat._bilinear(c, c) // 2 for c in points)
+    assert max(norms) == top
+    assert [norms[n] for n in range(top + 1)] == [count(n) for n in range(top + 1)]
+
+
+def test_e8_leaf_bound_fits_where_the_box_did_not():
+    lat = ROOT_LATTICES["E8"][0]
+    _, pivots, lam_min, _ = theta._forms(lat, Splitting.identity_positive(lat), None)
+    outer = math.sqrt(8)
+    assert oracles.box_count(8, 1, lam_min, outer) > MAX_WORK
+    assert theta._leaf_bound(pivots, 1, outer) <= MAX_WORK
+
+
+@st.composite
+def _ball_inputs(draw):
+    """A rank <= 3 lattice with a valid splitting, a coset and a radius whose box stays small."""
+    n = draw(st.integers(1, 3))
+    if draw(st.booleans()):         # definite: Q = B^T D B
+        b = [[draw(st.integers(-3, 3)) for _ in range(n)] for _ in range(n)]
+        d = [draw(st.integers(1, 3)) for _ in range(n)]
+        gram = [[-2 * sum(b[k][i] * d[k] * b[k][j] for k in range(n)) for j in range(n)]
+                for i in range(n)]
+    else:
+        gram = [[0] * n for _ in range(n)]
+        for i in range(n):
+            gram[i][i] = 2 * draw(st.integers(-3, 3))
+            for j in range(i):
+                gram[i][j] = gram[j][i] = draw(st.integers(-3, 3))
+    lat = EvenLattice(gram)
+    assume(abs(np.linalg.det(np.array(gram, dtype=float))) > 0.5)
+    try:
+        split = Splitting.identity_positive(lat) if draw(st.booleans()) \
+            else Splitting.spectral(lat)
+        forms, pivots, lam_min, _ = theta._forms(lat, split, None)
+    except InputError:
+        assume(False)
+    step = draw(st.integers(1, 3))
+    radius = draw(st.sampled_from([0.0, 0.5, 1.0, 1.7, 2.0, 3.0, 4.5]))
+    assume(oracles.box_count(n, step, lam_min, radius + theta.GUARD_SHELLS) <= 20000)
+    alpha = tuple(draw(st.integers(-4, 4)) for _ in range(n))
+    tau = complex(draw(st.floats(-0.5, 0.5)), draw(st.floats(0.3, 2.0)))
+    if draw(st.booleans()):
+        x = [complex(draw(st.floats(-1, 1)), draw(st.floats(-0.2, 0.2))) for _ in range(n)]
+        forms = theta._forms(lat, split, x)[0]
+    return alpha, step, tau, forms, pivots, lam_min, radius
+
+
+@settings(max_examples=150, deadline=None)
+@given(_ball_inputs(), st.integers(1, 3))
+def test_fincke_pohst_yields_the_box_points_in_order(case, r):
+    alpha, step, tau, forms, pivots, lam_min, radius = case
+    got = list(theta._ball(alpha, step, r, tau, forms, pivots, radius, 1, "test"))
+    want = list(oracles.box_ball(alpha, step, r, tau, forms, lam_min, radius,
+                                 theta.GUARD_SHELLS))
+    assert got == want
+
+
+@settings(max_examples=150, deadline=None)
+@given(_ball_inputs())
+def test_leaf_bound_never_exceeds_the_box_count(case):
+    alpha, step, _, _, pivots, lam_min, radius = case
+    outer = radius + theta.GUARD_SHELLS
+    assert min(pivots[0]) >= lam_min * (1 - 1e-12)
+    assert theta._leaf_bound(pivots, step, outer) <= oracles.box_count(len(alpha), step,
+                                                                       lam_min, outer)
+
+
+def _skewed(skew):
+    """The diagonal form Q = diag(2, 4) written in the basis [[1, skew], [0, 1]]."""
+    b = ((1, skew), (0, 1))
+    g = ((-2, 0), (0, -4))
+    return EvenLattice(tuple(tuple(sum(b[x][i] * g[x][y] * b[y][j]
+                                       for x in range(2) for y in range(2))
+                                   for j in range(2)) for i in range(2)))
+
+
+@pytest.mark.parametrize("gram, spectral, x", [
+    (((-2,),), False, None),
+    (((-2, 0), (0, -2)), False, None),
+    (((-2, 0), (0, -2)), True, [0.3 + 0.05j, -0.1 + 0j]),
+    (((-2, 1), (1, -4)), True, None),
+    (((-2, 0), (0, 2)), True, [0.25 + 0.02j, 0.1 - 0.03j]),
+    (_skewed(4).gram, False, None),
+    (_skewed(-4).gram, False, [0.1 + 0.01j, 0.2 + 0j]),
+])
+def test_results_bit_identical_to_the_box_reference(monkeypatch, gram, spectral, x):
+    lat = EvenLattice(gram)
+    split = Splitting.spectral(lat) if spectral else Splitting.identity_positive(lat)
+    lam_min = theta._forms(lat, split, None)[2]
+
+    def results():
+        out = []
+        for tau in (1j, 0.3 + 0.8j):
+            for alpha, r, radius in (((0,) * lat.rank, 1, 4.0), ((1,) * lat.rank, 2, 6.0),
+                                     ((1,) + (0,) * (lat.rank - 1), 3, 2.5)):
+                out.append(theta_siegel_narain(lat, alpha, r, tau, split, x, radius))
+            for r in (1, 2):
+                out.append(z_full_direct(lat, r, tau, split, x, 5.0, 3.0))
+                out.append(z_full_factorized(lat, r, tau, split, x, 8, 3.0))
+        return [repr(res) for res in out]
+
+    def box(alpha, step, r, tau, forms, pivots, radius, per_point, what):
+        return oracles.box_ball(alpha, step, r, tau, forms, lam_min, radius, theta.GUARD_SHELLS)
+
+    new = results()
+    monkeypatch.setattr(theta, "_ball", box)
+    assert new == results()
+
+
+def test_results_pinned_to_the_box_enumeration():
+    # reprs from the box enumeration and Fraction weights that Fincke-Pohst and
+    # float weights replaced; r = 3 reads chi / 9, which the binary division must round alike
+    skew, ind = _skewed(4), EvenLattice(((-2, 0), (0, 2)))
+    neg2, toy2 = EvenLattice(((-2,),)), EvenLattice(((-2, 0), (0, -2)))
+    got = [theta_siegel_narain(skew, (1, 0), 2, 0.3 + 0.8j, Splitting.identity_positive(skew),
+                               None, 6.0),
+           theta_siegel_narain(ind, (1, 1), 2, 0.1 + 1.2j, Splitting.spectral(ind),
+                               [0.25 + 0.02j, 0.1 - 0.03j], 4.0),
+           z_full_direct(neg2, 3, 0.25 + 1.1j, Splitting.identity_positive(neg2), None, 4.0, 3.0),
+           z_full_direct(toy2, 2, 0.1 + 1j, Splitting.identity_positive(toy2), None, 6.0, 4.0),
+           z_full_factorized(toy2, 2, 0.1 + 1j, Splitting.identity_positive(toy2), None, 10, 4.0)]
+    assert [repr(res) for res in got] == [
+        "ThetaSum(value=(0.09522425760630887+0.13106494801718224j), "
+        "tail=1.0315800201566826e-27, points=12)",
+        "ThetaSum(value=(-0.0007265580394613061-0.0008052064362195986j), "
+        "tail=5.354554130909934e-16, points=4)",
+        "ZFullSum(value=(20.706061041337396+112367714.0222711j), "
+        "tail=0.22866310579762913, terms=26)",
+        "ZFullSum(value=(22194.984316239326-68173.09792064782j), "
+        "tail=9.690967612446596e-08, terms=184)",
+        "ZFullSum(value=(22194.98431621098-68173.09792073988j), "
+        "tail=8.294299865099132e-11, terms=25)",
+    ]
