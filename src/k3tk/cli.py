@@ -1,16 +1,18 @@
 """Command-line front end: every operation behind JSON-emitting subcommands.
 
-Exit codes: 0 on success (one JSON document on stdout), 2 on input errors,
-usage errors and non-finite numbers included (a machine-readable {"error":
-...} document; NaN and Infinity are never written), 1 on internal invariant
-failures and any other exception ({"error": ..., "internal": true}).
-Rationals are serialized as {"num": ..., "den": ...}, never as floats on
-exact paths; complex values as [re, im] pairs.  Output is deterministic for
-identical inputs.
+Every invocation except --help writes exactly one JSON document to stdout.
+Exit codes: 0 on success, 2 on input errors, usage errors and non-finite
+numbers included (a machine-readable {"error": ...} document; NaN and
+Infinity are never written), 1 on internal invariant failures and any other
+exception ({"error": ..., "internal": true}).  Rationals are serialized as
+{"num": ..., "den": ...}, never as floats on exact paths; complex values as
+[re, im] pairs.  Output is deterministic for identical inputs.
 
-When no surface file is given, the rank-1 lattice with Gram [2] is used.
-theta and partitions are imported by the subcommands that use them, so the
-integer subcommands start without numpy or mpmath.
+Only the subcommands that read a lattice accept --surface; without it the
+rank-1 lattice with Gram [2] is used.  Only verify takes --bound: the r1 scan
+of construct always ends, so it needs none.  theta and partitions are imported
+by the subcommands that use them, so the integer subcommands start without
+numpy or mpmath.
 """
 
 from __future__ import annotations
@@ -42,7 +44,7 @@ def _load_json(path: str):
 
 
 def _surface(args) -> EvenLattice:
-    if getattr(args, "surface", None):
+    if args.surface:
         return EvenLattice.from_json(_load_json(args.surface))
     return DEFAULT_SURFACE
 
@@ -137,8 +139,6 @@ def _cmd_word(args) -> int:
 def _cmd_invariants(args) -> int:
     lat = _surface(args)
     v = _vector(args.v)
-    if v.r <= 0:
-        raise InputError("rank must be positive")
     is_prim = primitive(v, lat)
     sq = square(v, lat)
     info = moduli.classify_case(v, lat)
@@ -172,12 +172,7 @@ def _cmd_invariants(args) -> int:
 
 def _cmd_gottsche(args) -> int:
     series = gottsche_series(args.order)
-    coeffs = [int(series.coeff(n)) for n in range(args.order)]
-    if args.lines:
-        for c in coeffs:
-            print(c)
-        return 0
-    return _emit({"coeffs": coeffs})
+    return _emit({"coeffs": [int(series.coeff(n)) for n in range(args.order)]})
 
 
 def _cmd_chivirtual(args) -> int:
@@ -260,7 +255,7 @@ def _cmd_zfull(args) -> int:
 
 
 def _cmd_construct(args) -> int:
-    aux = constructions.build_auxiliary(args.l, args.r, args.s, args.a, args.bound)
+    aux = constructions.build_auxiliary(args.l, args.r, args.s, args.a)
     return _emit(aux.to_json())
 
 
@@ -300,17 +295,18 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Exact computations with Mukai vectors on a K3 surface")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, fn, **kwargs):
+    def add(name, fn, surface=True, **kwargs):
         p = sub.add_parser(name, **kwargs)
         p.set_defaults(fn=fn)
-        p.add_argument("--surface", help="JSON lattice file (default: Gram [2])")
+        if surface:
+            p.add_argument("--surface", help="JSON lattice file (default: Gram [2])")
         return p
 
     p = add("pair", _cmd_pair, help="Mukai pairing of two vectors")
     p.add_argument("--x", required=True)
     p.add_argument("--y", required=True)
 
-    p = add("dualize", _cmd_dualize, help="dual vector (r, -c1, a)")
+    p = add("dualize", _cmd_dualize, surface=False, help="dual vector (r, -c1, a)")
     p.add_argument("--v", required=True)
 
     p = add("translate", _cmd_translate, help="apply ch(N) to a vector")
@@ -328,10 +324,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p = add("invariants", _cmd_invariants, help="all moduli invariants of a vector")
     p.add_argument("--v", required=True)
 
-    p = add("gottsche", _cmd_gottsche, help="Euler numbers of the Hilbert schemes")
+    p = add("gottsche", _cmd_gottsche, surface=False,
+            help="Euler numbers of the Hilbert schemes")
     p.add_argument("--order", type=int, required=True)
-    p.add_argument("--lines", action="store_true",
-                   help="print one integer per line instead of JSON")
 
     p = add("chivirtual", _cmd_chivirtual, help="divisor-sum virtual Euler characteristic")
     p.add_argument("--v", required=True)
@@ -366,14 +361,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--splitting", choices=["spectral", "identity"],
                    default="spectral")
 
-    p = add("construct", _cmd_construct, help="auxiliary reduction data for (l, r, s, a)")
+    p = add("construct", _cmd_construct, surface=False,
+            help="auxiliary reduction data for (l, r, s, a)")
     p.add_argument("--l", type=int, required=True)
     p.add_argument("--r", type=int, required=True)
     p.add_argument("--s", type=int, required=True)
     p.add_argument("--a", type=int, required=True)
-    p.add_argument("--bound", type=int, default=500)
 
-    p = add("verify", _cmd_verify, help="exhaustive triangle/Farey sweeps")
+    p = add("verify", _cmd_verify, surface=False, help="exhaustive triangle/Farey sweeps")
     p.add_argument("what", choices=["triangle", "farey"])
     p.add_argument("--bound", type=int, required=True)
 

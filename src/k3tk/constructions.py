@@ -73,15 +73,14 @@ class AuxConstruction:
         }
 
 
-def build_auxiliary(l: int, r: int, s: int, a: int,
-                    search_bound: int = 500) -> AuxConstruction:
+def build_auxiliary(l: int, r: int, s: int, a: int) -> AuxConstruction:
     """Construct the full auxiliary data for inputs (l, r, s, a).
 
     Requires l, r >= 1, gcd(l, a) = 1 (primitivity of the source vector) and
     2l(ls - ra) >= 0 (nonnegative square).  The smallest admissible r1 is
     taken, so the output is deterministic.
     """
-    l, r, s, a, search_bound = map(_as_int, (l, r, s, a, search_bound))
+    l, r, s, a = map(_as_int, (l, r, s, a))
     if l < 1 or r < 1:
         raise InputError("l and r must be positive")
     if gcd(l, a) != 1:
@@ -89,14 +88,14 @@ def build_auxiliary(l: int, r: int, s: int, a: int,
     if 2 * l * (l * s - r * a) < 0:
         raise InputError("the square 2l(ls - ra) must be nonnegative")
 
-    r1 = None
-    start = l * r + 2       # scan only the class a * cand = 1 (mod l)
-    for cand in range(start + (pow(a, -1, l) - start) % l, search_bound + 1, l):
-        if gcd(cand, r) == 1:
-            r1 = cand
-            break
-    if r1 is None:
-        raise InputError(f"no admissible r1 up to search bound {search_bound}")
+    # Scan the class a * cand = 1 (mod l), which is prime to l.  A prime that
+    # divides both l and r thus divides no candidate, and any other prime p of
+    # r divides one in every p consecutive candidates, so the scan ends within
+    # Jacobsthal's j(r) steps.
+    start = l * r + 2
+    r1 = start + (pow(a, -1, l) - start) % l
+    while gcd(r1, r) != 1:
+        r1 += l
 
     q = (1 - a * r1) // l
     # minimal positive d' with d' r1 = 1 (mod r)

@@ -14,54 +14,38 @@ free and every application is exact integer arithmetic.  Words apply
 right-to-left; the empty word is the identity.  No word reduction or
 canonical form is attempted, and no orbit enumeration is provided.
 
-Validation happens once, where data enters.  Every constructor coerces its
-entries strictly to int.  The checks that need the lattice (a Translate has
+Elements are plain immutable values: constructors coerce entries strictly to
+int and store nothing else.  The checks that need the lattice (a Translate has
 its rank, a Reflect carries a genuine (-2)-vector, an NSAuto is an invertible
-automorphism) run in the factories reflect and ns_auto and in
-IsometryWord.from_json, which bind each element to the lattice it was
-checked against.  Applying an element on its bound lattice is then plain
-arithmetic.  An element applied on any other lattice, or one built directly
-from its class, is checked for that lattice first, on every application, and
-raises InputError if it does not preserve it.  apply_translate and
-apply_reflect take raw arguments and check them on every call.
+automorphism) are each element's validate, and raise InputError.  They run
+when a single element is applied (elem.apply, apply_translate, apply_reflect),
+in the factories reflect and ns_auto, and once per word: from_json validates
+every element against its lattice and records that lattice on the word, so
+applying the word there, or on an equal lattice, is plain arithmetic, while
+apply_word on any other lattice (any lattice, for a word built directly)
+validates every element once before the first is applied.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from operator import mul
 from typing import Union
 
 from .errors import InputError
 from .lattice import (EvenLattice, MukaiVector, _as_ints, _as_matrix, _mukai,
-                      dual)
+                      dual, square)
 
 
 class _Generator:
-    """Validation and binding shared by the generator classes.
-
-    _lattice is the lattice the element was last validated for; it is not
-    part of the element's value (equality, hash, repr).
-    """
-
-    _lattice = None
+    """Single-element application shared by the generator classes."""
 
     def validate(self, lat: EvenLattice) -> None:
         pass
 
-    def _bind(self, lat: EvenLattice):
-        self.validate(lat)
-        object.__setattr__(self, "_lattice", lat)
-        return self
-
-    def _check_for(self, lat: EvenLattice) -> None:
-        bound = self._lattice
-        if bound is not lat and bound != lat:
-            self.validate(lat)
-
     def apply(self, v: MukaiVector, lat: EvenLattice) -> MukaiVector:
         lat.check_vector(v.c1)
-        self._check_for(lat)
+        self.validate(lat)
         return self._apply(v, lat)
 
 
@@ -76,7 +60,15 @@ class Translate(_Generator):
         lat.check_vector(self.shift)
 
     def _apply(self, v: MukaiVector, lat: EvenLattice) -> MukaiVector:
-        return _translate(self.shift, v, lat.gram)
+        """ch(N) x = (r, c1 + r N, a + (N.c1) + r (N^2)/2); G N is formed once.
+
+        (N^2) is even on an even lattice, so the result is integral.
+        """
+        shift, r, c1 = self.shift, v.r, v.c1
+        gn = _times(lat.gram, shift)
+        nn = sum(map(mul, shift, gn))
+        return _mukai(r, tuple([x + r * n for x, n in zip(c1, shift)]),
+                      v.a + sum(map(mul, c1, gn)) + r * (nn // 2))
 
     def to_json(self) -> dict:
         return {"type": "translate", "N": list(self.shift)}
@@ -91,10 +83,17 @@ class Reflect(_Generator):
             raise InputError("reflection vector must be a Mukai vector")
 
     def validate(self, lat: EvenLattice) -> None:
-        _root_image(self.u, lat)
+        if square(self.u, lat) != -2:
+            raise InputError("reflection vector must have square -2")
 
     def _apply(self, v: MukaiVector, lat: EvenLattice) -> MukaiVector:
-        return _reflect(self.u, _times(lat.gram, self.u.c1), v)
+        """v + <v, u> u."""
+        u = self.u
+        k = lat._bilinear(v.c1, u.c1) - v.r * u.a - v.a * u.r
+        if not k:
+            return v
+        return _mukai(v.r + k * u.r, tuple([x + k * y for x, y in zip(v.c1, u.c1)]),
+                      v.a + k * u.a)
 
     def to_json(self) -> dict:
         return {"type": "reflect", "u": self.u.to_json()}
@@ -152,11 +151,15 @@ def translate(shift) -> Translate:
 
 
 def reflect(u: MukaiVector, lat: EvenLattice) -> Reflect:
-    return Reflect(u)._bind(lat)
+    elem = Reflect(u)
+    elem.validate(lat)
+    return elem
 
 
 def ns_auto(matrix, lat: EvenLattice) -> NSAuto:
-    return NSAuto(matrix)._bind(lat)
+    elem = NSAuto(matrix)
+    elem.validate(lat)
+    return elem
 
 
 _PARSERS = {
@@ -170,9 +173,14 @@ _PARSERS = {
 
 @dataclass(frozen=True)
 class IsometryWord:
-    """Ordered list of generators; applies right-to-left."""
+    """Ordered list of generators; applies right-to-left.
+
+    lattice is the lattice every element was validated against by from_json
+    (None for a word built directly); it is not part of the word's value.
+    """
 
     elems: tuple[IsometryElem, ...]
+    lattice: EvenLattice | None = field(default=None, compare=False, repr=False)
 
     def apply(self, v: MukaiVector, lat: EvenLattice) -> MukaiVector:
         return apply_word(self, v, lat)
@@ -182,7 +190,7 @@ class IsometryWord:
 
     @classmethod
     def from_json(cls, doc: list, lat: EvenLattice) -> "IsometryWord":
-        """Parse and validate a word, binding every element to lat."""
+        """Parse a word and validate every element against lat."""
         if not isinstance(doc, list):
             raise InputError("isometry word must be a JSON list")
         elems = []
@@ -197,8 +205,9 @@ class IsometryWord:
                 elem = make(item[key])
             else:
                 raise InputError(f"isometry element {item['type']!r} needs {key!r}")
-            elems.append(elem._bind(lat))
-        return cls(tuple(elems))
+            elem.validate(lat)
+            elems.append(elem)
+        return cls(tuple(elems), lat)
 
 
 def _times(m, x) -> list[int]:
@@ -225,57 +234,24 @@ def _det(m) -> int:
     return sign * a[-1][-1] if n else 1
 
 
-def _translate(shift: tuple[int, ...], v: MukaiVector, gram) -> MukaiVector:
-    """ch(N) v for N and v of the lattice's rank; G N is formed once."""
-    r, c1 = v.r, v.c1
-    gn = _times(gram, shift)
-    nn = sum(map(mul, shift, gn))
-    return _mukai(r, tuple([x + r * n for x, n in zip(c1, shift)]),
-                  v.a + sum(map(mul, c1, gn)) + r * (nn // 2))
-
-
 def apply_translate(shift, v: MukaiVector, lat: EvenLattice) -> MukaiVector:
-    """ch(N) x = (r, c1 + r N, a + (N.c1) + r (N^2)/2).
-
-    (N^2) is even on an even lattice, so the result is integral.
-    """
-    shift = _as_ints(shift)
-    gram = lat.gram
-    if len(shift) != len(gram) or len(v.c1) != len(gram):
-        raise InputError(f"translation data do not match lattice rank {len(gram)}")
-    return _translate(shift, v, gram)
-
-
-def _root_image(u: MukaiVector, lat: EvenLattice) -> list[int]:
-    """G u.c1, after checking that u is a (-2)-vector of the lattice's rank."""
-    lat.check_vector(u.c1)
-    gu = _times(lat.gram, u.c1)
-    if sum(map(mul, u.c1, gu)) - 2 * u.r * u.a != -2:
-        raise InputError("reflection vector must have square -2")
-    return gu
-
-
-def _reflect(u: MukaiVector, gu: list[int], v: MukaiVector) -> MukaiVector:
-    """v + <v, u> u, with gu = G u.c1."""
-    k = sum(map(mul, v.c1, gu)) - v.r * u.a - v.a * u.r
-    if not k:
-        return v
-    return _mukai(v.r + k * u.r, tuple([x + k * y for x, y in zip(v.c1, u.c1)]),
-                  v.a + k * u.a)
+    """ch(N) x for a lattice vector N, checked for lat."""
+    return Translate(shift).apply(v, lat)
 
 
 def apply_reflect(u: MukaiVector, v: MukaiVector, lat: EvenLattice) -> MukaiVector:
-    """x -> x + <x, u> u for a (-2)-vector u."""
-    gu = _root_image(u, lat)
-    lat.check_vector(v.c1)
-    return _reflect(u, gu, v)
+    """x -> x + <x, u> u for a (-2)-vector u, checked for lat."""
+    return Reflect(u).apply(v, lat)
 
 
 def apply_word(word: IsometryWord, v: MukaiVector, lat: EvenLattice) -> MukaiVector:
-    """Apply right-to-left; an element not bound to lat is validated for it first."""
+    """Apply right-to-left; off word.lattice, every element is validated once first."""
     lat.check_vector(v.c1)
-    for elem in reversed(word.elems):
-        elem._check_for(lat)
+    elems = word.elems
+    if lat is not word.lattice and lat != word.lattice:
+        for elem in elems:
+            elem.validate(lat)
+    for elem in reversed(elems):
         v = elem._apply(v, lat)
     return v
 

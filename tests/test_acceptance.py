@@ -169,7 +169,7 @@ def test_c08_auxiliary_construction_sweep():
                 for a in range(-5, 6):
                     if gcd(l, a) != 1 or 2 * l * (l * s - r * a) < 0:
                         continue
-                    aux = build_auxiliary(l, r, s, a, search_bound=500)
+                    aux = build_auxiliary(l, r, s, a)
                     lat = aux.lattice
                     assert square(aux.v1, lat) == -2
                     assert mukai_pairing(aux.v1, aux.vprime, lat) == -1

@@ -17,6 +17,8 @@ from k3tk import (EvenLattice, IsometryWord, MukaiVector, apply_reflect,
                   apply_translate, build_auxiliary)
 from k3tk.cli import main
 
+from .test_constructions import check_aux_with_oracle
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -126,9 +128,6 @@ def test_invariants_nonprimitive(tmp_path, capsys):
 def test_gottsche(capsys):
     doc = run_json(capsys, "gottsche", "--order", "4")
     assert doc == {"coeffs": [1, 24, 324, 3200]}
-    code, out = run(capsys, "gottsche", "--order", "4", "--lines")
-    assert code == 0
-    assert out.splitlines() == ["1", "24", "324", "3200"]
 
 
 def test_chivirtual(tmp_path, capsys):
@@ -179,6 +178,36 @@ def test_construct_matches_library(capsys):
     doc = run_json(capsys, "construct", "--l", "2", "--r", "3", "--s", "2",
                    "--a", "1")
     assert doc == build_auxiliary(2, 3, 2, 1).to_json()
+
+
+def test_construct_finds_an_r1_above_500(capsys):
+    doc = run_json(capsys, "construct", "--l", "30", "--r", "20", "--s", "50", "--a", "1")
+    aux = build_auxiliary(30, 20, 50, 1)
+    assert doc == aux.to_json()
+    assert aux.r1 == 631
+    check_aux_with_oracle(aux)
+
+
+@pytest.mark.parametrize("argv", [
+    ["dualize", "--surface", "/nonexistent.json", "--v", "v.json"],
+    ["gottsche", "--surface", "s.json", "--order", "4"],
+    ["construct", "--surface", "s.json", "--l", "2", "--r", "3", "--s", "2", "--a", "1"],
+    ["verify", "triangle", "--surface", "s.json", "--bound", "8"],
+    ["gottsche", "--order", "4", "--lines"],
+    ["construct", "--l", "2", "--r", "3", "--s", "2", "--a", "1", "--bound", "500"],
+], ids=["dualize-surface", "gottsche-surface", "construct-surface", "verify-surface",
+        "gottsche-lines", "construct-bound"])
+def test_options_a_subcommand_does_not_read_are_usage_errors(tmp_path, monkeypatch, capsys,
+                                                              argv):
+    write_vec(tmp_path, "v.json", 1, (3,), 2)
+    (tmp_path / "s.json").write_text(json.dumps({"rank": 1, "gram": [[2]]}))
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    assert set(json.loads(captured.out)) == {"error"}
+    assert captured.err == ""
 
 
 def test_verify_commands(capsys):
@@ -312,14 +341,39 @@ def test_goettsche_index_refused_within_2_s(argv):
     _assert_spawned_input_error(argv, timeout=2)
 
 
-def _assert_spawned_input_error(argv, timeout):
+def _spawn(argv, timeout):
     src = os.path.dirname(os.path.dirname(os.path.abspath(k3tk.__file__)))
-    proc = subprocess.run([sys.executable, "-m", "k3tk", *argv],
+    return subprocess.run([sys.executable, "-m", "k3tk", *argv],
                           env=dict(os.environ, PYTHONPATH=src),
                           capture_output=True, text=True, timeout=timeout)
+
+
+def _assert_spawned_input_error(argv, timeout):
+    proc = _spawn(argv, timeout)
     assert proc.returncode == 2
     assert set(json.loads(proc.stdout)) == {"error"}       # exactly one JSON document
     assert proc.stderr == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ["chivirtual", "--v", "content-1e30.json"],
+    ["zseries", "--rank", str(10 ** 30), "--order", "2", "--method", "hecke"],
+    ["verify", "triangle", "--bound", "1000000"],
+    ["verify", "farey", "--bound", "1000000"],
+], ids=["chivirtual-content-1e30", "zseries-hecke-rank-1e30", "triangle-1e6", "farey-1e6"])
+def test_work_caps_refuse_in_a_spawned_run(tmp_path, argv):
+    # spawned with a timeout, so a missing cap fails the test instead of hanging it
+    write_vec(tmp_path, "content-1e30.json", 10 ** 30, (0,), 0)
+    argv = [str(tmp_path / a) if a.endswith(".json") else a for a in argv]
+    _assert_spawned_input_error(argv, timeout=10)
+
+
+def test_huge_nonprimitive_invariants_finish_in_a_spawned_run(tmp_path):
+    v = write_vec(tmp_path, "v.json", 10 ** 30, (10 ** 30,), 10 ** 400)
+    proc = _spawn(["invariants", "--v", v], timeout=10)
+    assert proc.returncode == 0 and proc.stderr == ""
+    doc = json.loads(proc.stdout)
+    assert doc["exists_semistable"] is False and doc["primitive"] is False
 
 
 @pytest.mark.parametrize("argv, plain", [
@@ -424,7 +478,7 @@ _OPTIONS = {        # required options first
     "theta": ("--tau", "--rank", "--alpha", "--x", "--radius", "--splitting", "--surface"),
     "zfull": ("--rank", "--tau", "--x", "--method", "--cutoff", "--order", "--radius",
               "--splitting", "--surface"),
-    "construct": ("--l", "--r", "--s", "--a", "--bound"),
+    "construct": ("--l", "--r", "--s", "--a"),
     "verify": ("--bound",),
 }
 _REQUIRED = {"pair": 2, "dualize": 1, "translate": 2, "reflect": 2, "word": 2, "invariants": 1,
@@ -469,7 +523,7 @@ def _invocation(draw):
 @settings(max_examples=300, deadline=None)
 @given(_invocation())
 def test_cli_contract_holds_for_generated_input(tmp_path_factory, case):
-    # --help and gottsche --lines ask for plain text, so neither is generated
+    # --help asks for plain text, so it is not generated
     argv, files = case
     folder = tmp_path_factory.mktemp("contract")
     for name, doc in files.items():

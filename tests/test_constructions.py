@@ -1,4 +1,4 @@
-from math import gcd
+from math import gcd, prod
 
 import pytest
 
@@ -61,8 +61,6 @@ def test_build_auxiliary_preconditions():
         build_auxiliary(2, 3, 0, 1)      # square 2l(ls - ra) < 0
     with pytest.raises(InputError):
         build_auxiliary(0, 3, 2, 1)
-    with pytest.raises(InputError):
-        build_auxiliary(2, 3, 2, 1, search_bound=5)   # exhausted
 
 
 def test_build_auxiliary_grid():
@@ -135,7 +133,6 @@ def test_column_scan_matches_box_count_and_pick(rng):
 @pytest.mark.parametrize("bad", [1.5, True, "3"])
 def test_integer_arguments_are_strict(bad):
     for call in (lambda: build_auxiliary(bad, 3, 2, 1),
-                 lambda: build_auxiliary(2, 3, 2, 1, bad),
                  lambda: sweep_triangles(bad),
                  lambda: sweep_farey(bad)):
         with pytest.raises(InputError):
@@ -147,10 +144,23 @@ def test_sweeps_refuse_huge_bounds_and_r1_search_scans_one_class():
         with pytest.raises(InputError, match="would visit"):
             sweep(10 ** 6)
     # a r1 = 1 (mod l): the search steps through that class, not every integer
-    aux = build_auxiliary(10 ** 11, 1, 1, 1, 10 ** 12)
+    aux = build_auxiliary(10 ** 11, 1, 1, 1)
     assert aux.r1 == 2 * 10 ** 11 + 1
     assert build_auxiliary(7, 3, 2, 3).r1 == min(
         c for c in range(23, 500) if (3 * c - 1) % 7 == 0 and gcd(c, 3) == 1)
+
+
+def test_r1_scan_ends_quickly_for_a_primorial_rank():
+    # r = product of the first 40 primes: many candidates share a small prime with it
+    r = prod(p for p in range(2, 174) if all(p % q for q in range(2, p)))
+    for l, a in ((1, 1), (2, 1), (3, 2), (7, 3), (30, 7), (97, -5), (2 ** 61 - 1, 1)):
+        aux = build_auxiliary(l, r, r, a)
+        check_aux_with_oracle(aux)
+        start = l * r + 2
+        assert (aux.r1 - start) // l < 200
+        if l < 100:                 # every integer from l r + 2 on, not only a's class
+            assert aux.r1 == next(c for c in range(start, start + 300 * l)
+                                  if (a * c - 1) % l == 0 and gcd(c, r) == 1)
 
 
 def test_farey_examples():

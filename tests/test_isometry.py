@@ -1,3 +1,6 @@
+from collections import Counter
+from dataclasses import fields
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -258,6 +261,31 @@ def test_bound_elements_are_checked_on_another_lattice(gram2):
     # a word that does preserve the other lattice is accepted there
     neg = IsometryWord.from_json([{"type": "nsauto", "M": [[-1]]}], gram2)
     assert neg.apply(v, gram4) == MukaiVector(2, (-1,), 0)
+
+
+def test_word_validates_its_elements_once(monkeypatch):
+    skew = EvenLattice(((2, 1), (1, -2)))
+    doc = [{"type": "translate", "N": [1, -2]},
+           {"type": "reflect", "u": {"r": 1, "c1": [0, 0], "a": 1}},
+           {"type": "nsauto", "M": [[-1, 0], [0, -1]]}, {"type": "negate"}, {"type": "dual"}]
+    word = IsometryWord.from_json(doc, skew)
+    kinds = (Translate, Reflect, NSAuto, Negate, Dual)
+    calls = Counter()
+    for cls in kinds:
+        def counted(self, lat, _validate=cls.validate):
+            calls[type(self)] += 1
+            return _validate(self, lat)
+        monkeypatch.setattr(cls, "validate", counted)
+    vectors = [MukaiVector(k, (k - 3, 2 * k), 1 - k) for k in range(10)]
+    for lat in (skew, EvenLattice(((2, 1), (1, -2)))):      # its own lattice, then an equal one
+        for v in vectors:
+            word.apply(v, lat)
+    assert calls == {}
+    for v in vectors:                                        # another lattice
+        word.apply(v, EvenLattice(((2, 0), (0, 4))))
+    assert calls == {cls: len(vectors) for cls in kinds}
+    for elem in word.elems:
+        assert set(vars(elem)) == {f.name for f in fields(elem)}
 
 
 _small = st.integers(-4, 4)
