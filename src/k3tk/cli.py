@@ -10,9 +10,9 @@ exception ({"error": ..., "internal": true}).  Rationals are serialized as
 
 Only the subcommands that read a lattice accept --surface; without it the
 rank-1 lattice with Gram [2] is used.  Only verify takes --bound: the r1 scan
-of construct always ends, so it needs none.  theta and partitions are imported
-by the subcommands that use them, so the integer subcommands start without
-numpy or mpmath.
+of construct always ends, so it needs none.  Each subcommand imports only the
+modules it uses, so a spawn loads little beyond the interpreter: nothing loads
+numpy, and only zseries --method literal loads mpmath.
 """
 
 from __future__ import annotations
@@ -22,13 +22,9 @@ import json
 import math
 import re
 import sys
-from fractions import Fraction
 
-from . import constructions, isometry, moduli
 from .errors import InputError
-from .lattice import (EvenLattice, MukaiVector, dual, ell, mukai_pairing,
-                      primitive, square)
-from .qseries import gottsche_series
+from .lattice import EvenLattice, MukaiVector, dual, ell, mukai_pairing, primitive, square
 
 DEFAULT_SURFACE = EvenLattice(((2,),))
 
@@ -79,15 +75,17 @@ def _finite_floats(text: str) -> list[float]:
     return [_finite_float(part) for part in text.split(",")] if text.strip() else []
 
 
-def _rational(text: str) -> Fraction:
+def _rational(text: str):
+    from fractions import Fraction
+
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise InputError(f"expected a rational number, got {text!r}") from exc
 
 
-def _frac_json(x: Fraction) -> dict:
-    x = Fraction(x)
+def _frac_json(x) -> dict:
+    """An int or Fraction as {"num", "den"}, the latter reduced with den > 0."""
     return {"num": x.numerator, "den": x.denominator}
 
 
@@ -119,24 +117,32 @@ def _cmd_dualize(args) -> int:
 
 
 def _cmd_translate(args) -> int:
+    from . import isometry
+
     lat = _surface(args)
     out = isometry.apply_translate(_ints(args.N), _vector(args.v), lat)
     return _emit({"vector": out.to_json()})
 
 
 def _cmd_reflect(args) -> int:
+    from . import isometry
+
     lat = _surface(args)
     out = isometry.apply_reflect(_vector(args.u), _vector(args.v), lat)
     return _emit({"vector": out.to_json()})
 
 
 def _cmd_word(args) -> int:
+    from . import isometry
+
     lat = _surface(args)
     word = isometry.IsometryWord.from_json(_load_json(args.word), lat)
     return _emit({"vector": word.apply(_vector(args.v), lat).to_json()})
 
 
 def _cmd_invariants(args) -> int:
+    from . import moduli
+
     lat = _surface(args)
     v = _vector(args.v)
     is_prim = primitive(v, lat)
@@ -171,6 +177,8 @@ def _cmd_invariants(args) -> int:
 
 
 def _cmd_gottsche(args) -> int:
+    from .qseries import gottsche_series
+
     series = gottsche_series(args.order)
     return _emit({"coeffs": [int(series.coeff(n)) for n in range(args.order)]})
 
@@ -255,11 +263,15 @@ def _cmd_zfull(args) -> int:
 
 
 def _cmd_construct(args) -> int:
+    from . import constructions
+
     aux = constructions.build_auxiliary(args.l, args.r, args.s, args.a)
     return _emit(aux.to_json())
 
 
 def _cmd_verify(args) -> int:
+    from . import constructions
+
     if args.what == "triangle":
         checked, bad = constructions.sweep_triangles(args.bound)
     else:

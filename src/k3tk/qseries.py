@@ -216,7 +216,8 @@ def qs_evaluate(s: QSeries, tau: complex) -> QSeriesValue:
     The tail estimate extrapolates the omitted terms geometrically from the
     observed growth of the retained coefficients (a heuristic, adequate for
     eta-quotient-type series well inside the upper half plane); math.inf is
-    reported when the extrapolation does not contract.  Every float exponent
+    reported when the extrapolation does not contract, or when no term is
+    stored, since nothing then bounds the terms from trunc on.  Every float exponent
     and step is one correctly rounded integer quotient over denom.
     """
     tau = complex(tau)
@@ -231,7 +232,7 @@ def qs_evaluate(s: QSeries, tau: complex) -> QSeriesValue:
     value = complex(math.fsum(t.real for t in terms), math.fsum(t.imag for t in terms))
     qa = abs(q)
     if not entries:
-        return QSeriesValue(value, 0.0)
+        return QSeriesValue(value, math.inf)
     # Growth per unit exponent, read off the top half of the expansion.
     growth = 1.0
     median = entries[len(entries) // 2][0]

@@ -29,8 +29,9 @@ in the majorant norm (Cauchy-Schwarz on each definite part) is folded into
 the analytic bound.
 
 Kernels: lattice points are tuples of ints and the forms are tuples of float
-columns, validated and built with numpy once per splitting and lattice Gram
-matrix and kept on the immutable splitting.  Points come from Fincke-Pohst
+columns, validated and built in plain Python once per splitting and lattice
+Gram matrix and kept on the immutable splitting; eigenvalues come from cyclic
+Jacobi (_eigh), so nothing here needs numpy.  Points come from Fincke-Pohst
 enumeration (Math. Comp. 44 (1985); Cohen, GTM 138, 2.7.3) over the majorant
 pivots, in lexicographic order.  Its leaf bound prod_k (2R / sqrt(d_k) / step
 + 1), never above the box of half-width R / sqrt(lambda_min), is checked
@@ -50,9 +51,7 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from operator import mul
-
-import numpy as np
+from operator import mul, sub
 
 from .errors import InputError, check_work
 from .lattice import EvenLattice, _as_int, _as_ints
@@ -64,65 +63,95 @@ EXP_BINS = 8
 CHI_FLOAT_TOP = 3713    # largest n with chi(Hilb^n) below the largest double
 
 
-def _q(lat: EvenLattice) -> np.ndarray:
-    """Q = -G as a float matrix; InputError for rank 0 or an entry beyond a double."""
+def _q(lat: EvenLattice):
+    """Q = -G as float rows; InputError for rank 0 or an entry beyond a double."""
     if not lat.rank:
         raise InputError("a splitting needs a lattice of positive rank")
     try:
-        return -np.array(lat.gram, dtype=float)
+        return tuple(tuple(-float(g) for g in row) for row in lat.gram)
     except OverflowError:
         raise InputError("lattice entries exceed double precision") from None
 
 
+def _mm(a, b):
+    """The product of two matrices stored as rows."""
+    cols = tuple(zip(*b))
+    return tuple(tuple(sum(map(mul, row, col)) for col in cols) for row in a)
+
+
+def _eigh(m):
+    """(eigenvalues, rows whose columns are the eigenvectors) of the symmetric matrix
+    whose lower triangle m holds: cyclic Jacobi (Golub-Van Loan, Matrix Computations,
+    8.5), sweeping until no off-diagonal entry is above 1e-18 of its diagonal pair."""
+    n = len(m)
+    a = [[float(m[max(i, j)][min(i, j)]) for j in range(n)] for i in range(n)]
+    v = [[float(i == j) for j in range(n)] for i in range(n)]
+    for _ in range(100):        # converges quadratically: a handful of sweeps
+        rotated = False
+        for p in range(n - 1):
+            for q in range(p + 1, n):
+                if abs(a[p][q]) <= 1e-18 * math.sqrt(abs(a[p][p] * a[q][q])):
+                    continue
+                rotated = True
+                cot = (a[q][q] - a[p][p]) / (2 * a[p][q])      # cot of twice the angle
+                t = math.copysign(1 / (abs(cot) + math.hypot(1, cot)), cot)
+                c = 1 / math.hypot(1, t)
+                s = t * c
+                for row in (*a, *v):            # columns p, q of A J and of V J
+                    row[p], row[q] = c * row[p] - s * row[q], s * row[p] + c * row[q]
+                a[p], a[q] = ([c * x - s * y for x, y in zip(a[p], a[q])],   # rows of J^T A
+                              [s * x + c * y for x, y in zip(a[p], a[q])])
+        if not rotated:
+            break
+    return [a[i][i] for i in range(n)], v
+
+
 @dataclass(frozen=True, eq=False)
 class Splitting:
-    """Read-only projectors onto the Q-positive (P_L) and Q-negative (P_R) subspaces."""
+    """Projectors onto the Q-positive (P_L) and Q-negative (P_R) subspaces, stored as
+    tuples of float rows; the constructor takes any n x n nested sequence."""
 
-    pl: np.ndarray
-    pr: np.ndarray
+    pl: tuple
+    pr: tuple
     _cache: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         for name in ("pl", "pr"):
-            m = np.array(getattr(self, name), dtype=float)
-            m.setflags(write=False)
-            object.__setattr__(self, name, m)
+            object.__setattr__(self, name,
+                               tuple(tuple(map(float, row)) for row in getattr(self, name)))
 
     @classmethod
     def spectral(cls, lat: EvenLattice) -> "Splitting":
         """Eigenprojectors of Q = -G; requires a nondegenerate form."""
-        q = _q(lat)
-        vals, vecs = np.linalg.eigh(q)
-        if np.any(np.abs(vals) < 1e-9):
+        vals, vecs = _eigh(_q(lat))
+        if any(abs(x) < 1e-9 for x in vals):
             raise InputError("lattice form is degenerate; no splitting exists")
-        pos = vecs[:, vals > 0]
-        neg = vecs[:, vals < 0]
-        return cls(pos @ pos.T, neg @ neg.T)
+        return cls(*([[sum(x * y for x, y, lam in zip(vi, vj, vals) if sign * lam > 0)
+                       for vj in vecs] for vi in vecs] for sign in (1, -1)))
 
     @classmethod
     def identity_positive(cls, lat: EvenLattice) -> "Splitting":
         """P_L = id, P_R = 0: valid exactly when Q = -G is positive definite."""
-        n = lat.rank
-        split = cls(np.eye(n), np.zeros((n, n)))
+        n = range(lat.rank)
+        split = cls([[i == j for j in n] for i in n], [[0 for _ in n] for _ in n])
         split.validate(lat)
         return split
 
     def validate(self, lat: EvenLattice) -> None:
         n = lat.rank
         q = _q(lat)
-        if self.pl.shape != (n, n) or self.pr.shape != (n, n):
+        if any(len(m) != n or any(len(row) != n for row in m) for m in (self.pl, self.pr)):
             raise InputError("splitting projectors do not match the lattice rank")
-        if np.max(np.abs(self.pl + self.pr - np.eye(n))) > 1e-12:
+        if any(abs(x + y - (i == j)) > 1e-12 for i, rows in enumerate(zip(self.pl, self.pr))
+               for j, (x, y) in enumerate(zip(*rows))):
             raise InputError("splitting projectors must sum to the identity")
-        cross = self.pl.T @ q @ self.pr
-        if np.max(np.abs(cross)) > 1e-10:
+        plt, prt = tuple(zip(*self.pl)), tuple(zip(*self.pr))
+        if any(abs(x) > 1e-10 for row in _mm(_mm(plt, q), self.pr) for x in row):
             raise InputError("splitting subspaces must be Q-orthogonal")
-        for i in range(n):
-            u = self.pl[:, i]
-            if np.linalg.norm(u) > 1e-8 and u @ q @ u <= 0:
+        for u, w in zip(plt, prt):
+            if math.hypot(*u) > 1e-8 and _quad(q, u) <= 0:
                 raise InputError("Q must be positive definite on range(P_L)")
-            w = self.pr[:, i]
-            if np.linalg.norm(w) > 1e-8 and w @ q @ w >= 0:
+            if math.hypot(*w) > 1e-8 and _quad(q, w) >= 0:
                 raise InputError("Q must be negative definite on range(P_R)")
 
 
@@ -148,13 +177,12 @@ def _forms(lat: EvenLattice, split: Splitting, x):
     if cached is None:
         split.validate(lat)
         q = _q(lat)
-        ql = split.pl.T @ q @ split.pl
-        qr = split.pr.T @ q @ split.pr
-        mj = ql - qr
-        lam_min = float(np.min(np.linalg.eigvalsh(mj)))
+        ql, qr = (_mm(_mm(tuple(zip(*p)), q), p) for p in (split.pl, split.pr))
+        mj = tuple(tuple(map(sub, x, y)) for x, y in zip(ql, qr))
+        lam_min = min(_eigh(mj)[0])
         if lam_min <= 1e-10:
             raise InputError("majorant form is not positive definite; invalid splitting")
-        ql, qr, mj = (tuple(map(tuple, m.T.tolist())) for m in (ql, qr, mj))
+        ql, qr, mj = (tuple(zip(*m)) for m in (ql, qr, mj))
         cached = split._cache[lat.gram] = (ql, qr, mj), _pivots(mj), lam_min
     (ql, qr, mj), pivots, lam_min = cached
     if x is None:

@@ -272,8 +272,8 @@ def ref_evaluate(s: RefSeries, tau: complex) -> tuple[complex, float]:
     terms = [c * q ** float(e) for e, c in entries]
     value = complex(math.fsum(t.real for t in terms), math.fsum(t.imag for t in terms))
     qa = abs(q)
-    if not entries:
-        return value, 0.0
+    if not entries:         # no stored term: nothing bounds the omitted ones
+        return value, math.inf
     growth = 1.0
     median = entries[len(entries) // 2][0]
     for (e1, c1), (e2, c2) in zip(entries, entries[1:]):

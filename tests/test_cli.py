@@ -293,28 +293,89 @@ try:
     runpy.run_module("k3tk", run_name="__main__")
 except SystemExit as exc:
     assert exc.code == 0, exc.code
-print(json.dumps(sorted({"numpy", "mpmath"} & set(sys.modules))))
+print(json.dumps([sorted({"numpy", "mpmath"} & set(sys.modules)),
+                  sorted(m for m in sys.modules if m.split(".")[0] == "k3tk")]))
 """
 
 
-@pytest.mark.parametrize("command", ["pair", "translate", "word", "construct",
-                                     "invariants", "gottsche", "verify"])
-def test_integer_subcommands_load_no_float_libraries(tmp_path, command):
+def _loaded_by(tmp_path, command):
+    """(float libraries, k3tk modules) loaded by one spawned subcommand."""
     v = write_vec(tmp_path, "v.json", 2, (1,), -1)
     word = tmp_path / "w.json"
     word.write_text(json.dumps([{"type": "translate", "N": [1]}, {"type": "dual"}]))
+    surface = tmp_path / "s.json"
+    surface.write_text(json.dumps({"rank": 1, "gram": [[-2]]}))
     argv = {"pair": ["pair", "--x", v, "--y", v],
             "translate": ["translate", "--N", "-1", "--v", v],
             "word": ["word", "--word", str(word), "--v", v],
             "construct": ["construct", "--l", "2", "--r", "3", "--s", "2", "--a", "1"],
             "invariants": ["invariants", "--v", v],
             "gottsche": ["gottsche", "--order", "40"],
-            "verify": ["verify", "triangle", "--bound", "8"]}[command]
+            "verify": ["verify", "triangle", "--bound", "8"],
+            "theta": ["theta", "--surface", str(surface), "--tau", "0", "1"],
+            "zfull": ["zfull", "--surface", str(surface), "--rank", "2", "--tau", "0", "1"],
+            }[command[0]] + list(command[1:])
     src = os.path.dirname(os.path.dirname(os.path.abspath(k3tk.__file__)))
     out = subprocess.run([sys.executable, "-c", _IMPORT_PROBE, json.dumps(argv)],
                          env=dict(os.environ, PYTHONPATH=src), capture_output=True,
                          text=True, timeout=60, check=True).stdout
-    assert json.loads(out.splitlines()[-1]) == []
+    return json.loads(out.splitlines()[-1])
+
+
+@pytest.mark.parametrize("command", ["pair", "translate", "word", "construct",
+                                     "invariants", "gottsche", "verify"])
+def test_integer_subcommands_load_no_float_libraries(tmp_path, command):
+    assert _loaded_by(tmp_path, [command])[0] == []
+
+
+@pytest.mark.parametrize("command", ["theta", "zfull"])
+@pytest.mark.parametrize("splitting", ["spectral", "identity"])
+def test_theta_subcommands_load_no_float_libraries(tmp_path, command, splitting):
+    assert _loaded_by(tmp_path, [command, "--splitting", splitting])[0] == []
+
+
+def test_pair_loads_only_the_lattice_layer(tmp_path):
+    assert set(_loaded_by(tmp_path, ["pair"])[1]) <= {
+        "k3tk", "k3tk.__main__", "k3tk.cli", "k3tk.errors", "k3tk.lattice"}
+
+
+PUBLIC_NAMES = [
+    "AuxConstruction", "CaseInfo", "ConsistencyError", "Dual", "EvenLattice", "FareyCheck",
+    "InputError", "IsometryWord", "MukaiVector", "NSAuto", "Negate", "NonLocallyFree",
+    "QSeries", "Reflect", "Splitting", "ThetaSum", "Translate", "ZFullSum", "apply_reflect",
+    "apply_translate", "apply_word", "build_auxiliary", "chi_virtual", "classify_case",
+    "classify_non_locally_free", "constructions", "content", "dual", "ell", "errors",
+    "euler_characteristic", "exists_mu_stable", "exists_semistable",
+    "exists_stable_primitive", "farey_gap_holds", "gottsche_series", "hilb_euler",
+    "hilb_index", "isometry", "lattice", "moduli", "moduli_dim", "mu_stable_boundary_flag",
+    "mukai_from_chern", "mukai_pairing", "ns_auto", "partitions", "primitive", "qs_add",
+    "qs_evaluate", "qs_mul", "qs_scale", "qs_substitute_power", "qseries", "reflect",
+    "reflected_target", "reflection_target", "square", "sweep_farey", "sweep_triangles",
+    "theta", "theta_siegel_narain", "translate", "triangle_interior_count", "z1_zero",
+    "z_full_direct", "z_full_factorized", "z_psu_direct", "z_psu_hecke", "z_psu_hecke_literal",
+]
+
+_PACKAGE_PROBE = """
+import json, sys
+import k3tk
+loaded = sorted(m for m in sys.modules if m.startswith("k3tk."))
+names = {}
+exec("from k3tk import *", names)
+print(json.dumps([loaded, k3tk.__all__, sorted(n for n in names if not n.startswith("__")),
+                  all(getattr(k3tk, n) is names[n] for n in k3tk.__all__)]))
+"""
+
+
+def test_package_import_loads_no_submodule_and_resolves_every_name():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(k3tk.__file__)))
+    out = subprocess.run([sys.executable, "-c", _PACKAGE_PROBE],
+                         env=dict(os.environ, PYTHONPATH=src), capture_output=True,
+                         text=True, timeout=60, check=True).stdout
+    loaded, public, star, same = json.loads(out)
+    assert loaded == []
+    assert public == PUBLIC_NAMES and star == PUBLIC_NAMES and same
+    with pytest.raises(AttributeError):
+        k3tk.no_such_name
 
 
 @pytest.mark.parametrize("argv", [
@@ -325,8 +386,9 @@ def test_integer_subcommands_load_no_float_libraries(tmp_path, command):
     ["zfull", "--rank", "2", "--tau", "0", "1", "--radius", "1e6"],
     ["theta", "--tau", "0", "1", "--radius", "1e7"],
     ["zseries", "--rank", "2", "--order", "1e300", "--method", "literal"],
+    ["zfull", "--rank", "2", "--tau", "0", "1", "--order", "-5"],
 ], ids=["tau-uncertified", "tau-overflow", "tau-underflow", "cutoff-1e9", "radius-1e6",
-        "theta-radius-1e7", "order-1e300"])
+        "theta-radius-1e7", "order-1e300", "zfull-empty-series"])
 def test_out_of_range_inputs_exit_2_quickly(argv):
     _assert_spawned_input_error(argv, timeout=5)
 

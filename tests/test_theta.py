@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from k3tk import (EvenLattice, InputError, Splitting, hilb_euler, qs_evaluate, theta,
                   theta_siegel_narain, z1_zero, z_full_direct,
-                  z_full_factorized)
+                  z_full_factorized, z_psu_direct)
 from k3tk.errors import MAX_WORK
 
 from . import oracles
@@ -30,7 +30,8 @@ def split1(neg2):
 
 def test_splitting_invariants(neg2, split1):
     split1.validate(neg2)
-    assert np.allclose(split1.pl + split1.pr, np.eye(1))
+    n = neg2.rank
+    assert all(split1.pl[i][j] + split1.pr[i][j] == (i == j) for i in range(n) for j in range(n))
 
 
 def test_splitting_rejects_bad_projectors(neg2):
@@ -64,13 +65,68 @@ def test_spectral_rejects_degenerate():
         Splitting.spectral(rank0)
     with pytest.raises(InputError):
         Splitting(np.eye(0), np.eye(0)).validate(rank0)
+    for gram in (((2, 2), (2, 2)), ((-2, 1, 1), (1, -2, 1), (1, 1, -2))):   # Jacobi rotates
+        with pytest.raises(InputError, match="degenerate"):
+            Splitting.spectral(EvenLattice(gram))
+
+
+@st.composite
+def _nondegenerate_forms(draw):
+    """An even symmetric integer Gram matrix of rank <= 6 with nonzero determinant."""
+    n = draw(st.integers(1, 6))
+    gram = [[0] * n for _ in range(n)]
+    for i in range(n):
+        gram[i][i] = 2 * draw(st.integers(-3, 3))
+        for j in range(i):
+            gram[i][j] = gram[j][i] = draw(st.integers(-3, 3))
+    assume(abs(np.linalg.det(np.array(gram, dtype=float))) > 0.5)
+    return gram
+
+
+@settings(max_examples=300, deadline=None)
+@given(_nondegenerate_forms())
+def test_jacobi_splitting_matches_numpy_eigh(gram):
+    # lambda_min is compared relative to the spectral radius: on ill-conditioned
+    # forms numpy's own smallest eigenvalue is off by more than 1e-12 of itself
+    lat, q = EvenLattice(gram), -np.array(gram, dtype=float)
+    vals, vecs = np.linalg.eigh(q)
+    pos, neg = vecs[:, vals > 0], vecs[:, vals < 0]
+    pl, pr = pos @ pos.T, neg @ neg.T
+    splits = [(Splitting.spectral(lat), pl, pr)]
+    if vals.min() > 0:
+        splits.append((Splitting.identity_positive(lat), np.eye(len(gram)), 0 * q))
+    for split, pl, pr in splits:
+        assert np.max(np.abs(np.array(split.pl) - pl)) <= 1e-12
+        assert np.max(np.abs(np.array(split.pr) - pr)) <= 1e-12
+        ref = np.linalg.eigvalsh(pl.T @ q @ pl - pr.T @ q @ pr)
+        assert abs(theta._forms(lat, split, None)[2] - ref.min()) <= 1e-12 * ref.max()
+
+
+def test_spectral_splitting_of_the_k3_lattice():
+    # U^3 + E8(-1)^2, the K3 lattice: Q = -G has signature (19, 3)
+    u = ((0, 1), (1, 0))
+    e8 = ROOT_LATTICES["E8"][0].gram             # -Cartan = E8(-1)
+    gram, at = [[0] * 22 for _ in range(22)], 0
+    for block in (u, u, u, e8, e8):
+        for i, row in enumerate(block):
+            gram[at + i][at:at + len(row)] = row
+        at += len(block)
+    lat = EvenLattice(gram)
+    split = Splitting.spectral(lat)
+    split.validate(lat)
+    assert sum(split.pl[i][i] for i in range(22)) == pytest.approx(19, abs=1e-9)
+    assert sum(split.pr[i][i] for i in range(22)) == pytest.approx(3, abs=1e-9)
+    lam_min = np.abs(np.linalg.eigvalsh(-np.array(gram, dtype=float))).min()
+    assert theta._forms(lat, split, None)[2] == pytest.approx(lam_min, rel=1e-12)
 
 
 def test_splitting_is_immutable_and_validated_once_per_lattice(monkeypatch, neg2, split1):
     with pytest.raises(dataclasses.FrozenInstanceError):
         split1.pl = np.eye(1) * 2
-    with pytest.raises(ValueError):
-        split1.pl[0, 0] = 2.0
+    with pytest.raises(TypeError):
+        split1.pl[0] = (2.0,)
+    with pytest.raises(TypeError):
+        split1.pl[0][0] = 2.0
     calls = []
     validate = Splitting.validate
     monkeypatch.setattr(Splitting, "validate", lambda self, lat: calls.append(lat.gram)
@@ -171,6 +227,16 @@ def test_z_full_two_paths_agree(neg2, split1):
         fact = z_full_factorized(neg2, r, 1j, split1, None, 12, 5.0)
         assert direct.tail < 1e-8 and fact.tail < 1e-8
         assert abs(direct.value - fact.value) < 1e-6
+
+
+def test_empty_series_has_an_unbounded_tail(neg2, split1):
+    # at order -5 no coefficient is stored, so nothing bounds the terms from -5 on
+    empty = z_psu_direct(2, (0,), -5, neg2)
+    assert not empty.coeffs
+    assert qs_evaluate(empty, 1j) == (0j, math.inf)
+    fact = z_full_factorized(neg2, 2, 1j, split1, None, -5)
+    assert fact.value == 0 and fact.tail == math.inf
+    assert z_full_direct(neg2, 2, 1j, split1).value != 0
 
 
 def test_z_full_direct_within_tail_of_refinement(neg2, split1):
