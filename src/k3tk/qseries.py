@@ -217,8 +217,8 @@ def qs_evaluate(s: QSeries, tau: complex) -> QSeriesValue:
     observed growth of the retained coefficients (a heuristic, adequate for
     eta-quotient-type series well inside the upper half plane); math.inf is
     reported when the extrapolation does not contract, or when no term is
-    stored, since nothing then bounds the terms from trunc on.  Every float exponent
-    and step is one correctly rounded integer quotient over denom.
+    stored, since nothing then bounds the terms from trunc on.  Every float
+    exponent and step is one correctly rounded integer quotient over denom.
     """
     tau = complex(tau)
     if tau.imag <= 0:

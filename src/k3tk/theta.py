@@ -82,7 +82,7 @@ def _mm(a, b):
 def _eigh(m):
     """(eigenvalues, rows whose columns are the eigenvectors) of the symmetric matrix
     whose lower triangle m holds: cyclic Jacobi (Golub-Van Loan, Matrix Computations,
-    8.5), sweeping until no off-diagonal entry is above 1e-18 of its diagonal pair."""
+    8.5), sweeping until each off-diagonal a_pq is at most 1e-18 sqrt(|a_pp a_qq|)."""
     n = len(m)
     a = [[float(m[max(i, j)][min(i, j)]) for j in range(n)] for i in range(n)]
     v = [[float(i == j) for j in range(n)] for i in range(n)]
@@ -90,7 +90,7 @@ def _eigh(m):
         rotated = False
         for p in range(n - 1):
             for q in range(p + 1, n):
-                if abs(a[p][q]) <= 1e-18 * math.sqrt(abs(a[p][p] * a[q][q])):
+                if abs(a[p][q]) <= 1e-18 * math.sqrt(abs(a[p][p])) * math.sqrt(abs(a[q][q])):
                     continue
                 rotated = True
                 cot = (a[q][q] - a[p][p]) / (2 * a[p][q])      # cot of twice the angle
@@ -126,8 +126,12 @@ class Splitting:
         vals, vecs = _eigh(_q(lat))
         if any(abs(x) < 1e-9 for x in vals):
             raise InputError("lattice form is degenerate; no splitting exists")
-        return cls(*([[sum(x * y for x, y, lam in zip(vi, vj, vals) if sign * lam > 0)
-                       for vj in vecs] for vi in vecs] for sign in (1, -1)))
+
+        def projector(sign):        # exactly 0 or the identity on a definite form
+            keep = [sign * lam > 0 for lam in vals]
+            return [[(i == j) if all(keep) else sum(x * y for x, y, k in zip(vi, vj, keep) if k)
+                     for j, vj in enumerate(vecs)] for i, vi in enumerate(vecs)]
+        return cls(projector(1), projector(-1))
 
     @classmethod
     def identity_positive(cls, lat: EvenLattice) -> "Splitting":

@@ -57,6 +57,15 @@ def test_spectral_splitting_indefinite():
     assert th.value == pytest.approx(expect, abs=1e-12)
 
 
+def test_spectral_splitting_of_a_definite_form_is_exact():
+    # no rounding in the projectors, so a point on the ball's boundary is decided exactly
+    lat = EvenLattice(((-4, 3, 2), (3, -6, -1), (2, -1, -6)))       # Q positive definite
+    ident = Splitting.identity_positive(lat)
+    assert Splitting.spectral(lat).pl == ident.pl and Splitting.spectral(lat).pr == ident.pr
+    flipped = Splitting.spectral(EvenLattice(((4, -3, -2), (-3, 6, 1), (-2, 1, 6))))
+    assert flipped.pl == ident.pr and flipped.pr == ident.pl
+
+
 def test_spectral_rejects_degenerate():
     with pytest.raises(InputError):
         Splitting.spectral(EvenLattice(((0,),)))
