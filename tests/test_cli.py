@@ -224,6 +224,53 @@ def test_output_deterministic(tmp_path, capsys):
     assert first == second
 
 
+_PINNED_INPUTS = {
+    "v.json": {"r": 2, "c1": [1], "a": -1}, "y.json": {"r": 1, "c1": [1], "a": 0},
+    "s.json": {"rank": 1, "gram": [[-2]]},
+    "w.json": [{"type": "translate", "N": [1]},
+               {"type": "reflect", "u": {"r": 1, "c1": [0], "a": 1}}, {"type": "dual"}],
+}
+_PINNED_OUTPUTS = [
+    ("pair --x v.json --y y.json", '{"pairing": 3}'),
+    ("word --word w.json --v v.json", '{"vector": {"a": -3, "c1": [0], "r": 1}}'),
+    ("invariants --v v.json",
+     '{"case": "B", "dim": 8, "ell": 1, "euler": 25650, "exists": true, '
+     '"exists_semistable": true, "hilb_index": 4, "mu_stable": true, '
+     '"mu_stable_boundary_flag": false, "non_locally_free": {"kind": "has_locally_free", '
+     '"model": null}, "primitive": true, "square": 6, "v0": {"a": 1, "c1": [1], "r": 2}, '
+     '"vector": {"a": -1, "c1": [1], "r": 2}}'),
+    ("construct --l 2 --r 3 --s 2 --a 1",
+     '{"a": 1, "d1": 7, "dprime": 2, "k": 68, "l": 2, "lattice": {"gram": [[136]], "rank": 1}, '
+     '"q": -5, "r": 3, "r1": 11, "s": 2, "v1": {"a": 303, "c1": [7], "r": 11}, '
+     '"vprime": {"a": 181, "c1": [4], "r": 6}, "w": {"a": 122, "c1": [-3], "r": 5}}'),
+    ("chivirtual --v v.json", '{"chi_virtual": {"den": 1, "num": 25650}}'),
+    ("gottsche --order 30",
+     '{"coeffs": [1, 24, 324, 3200, 25650, 176256, 1073720, 5930496, 30178575, 143184000, '
+     '639249300, 2705114880, 10914317934, 42189811200, 156883829400, 563116739584, '
+     '1956790259235, 6599620022400, 21651325216200, 69228721526400, 216108718571250, '
+     '659641645039360, 1971466420726656, 5776331152550400, 16610409114771900, '
+     '46925988716146176, 130362155499200220, 356418628326241024, 959788304511313500, '
+     '2547447689037081600]}'),
+    ("theta --surface s.json --rank 2 --alpha 1 --tau 0.1 1 --x 0.2,0.1 --radius 3 "
+     "--splitting identity",
+     '{"points": 2, "tail": 2.2808420062202766e-11, '
+     '"value": [-0.10094397823264137, -0.11903711523675795]}'),
+    ("zfull --surface s.json --rank 2 --tau 0 1 --splitting identity",
+     '{"difference": 2.9103830456733704e-11, "direct": {"tail": 3.16541401599561e-11, '
+     '"terms": 66, "value": [71728.36348293131, 0.0]}, "factorized": '
+     '{"tail": 1.9818646105048908e-16, "terms": 7, "value": [71728.36348293134, 0.0]}}'),
+]
+
+
+@pytest.mark.parametrize("line, expected", _PINNED_OUTPUTS,
+                         ids=[line.split()[0] for line, _ in _PINNED_OUTPUTS])
+def test_output_pinned_byte_for_byte(tmp_path, monkeypatch, capsys, line, expected):
+    for name, doc in _PINNED_INPUTS.items():
+        (tmp_path / name).write_text(json.dumps(doc))
+    monkeypatch.chdir(tmp_path)
+    assert run(capsys, *line.split()) == (0, expected + "\n")
+
+
 def test_input_errors_exit_2(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
