@@ -36,30 +36,18 @@ sheaf-level content and out of scope; only the lattice data is built.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd, inf
 
 from .errors import ConsistencyError, InputError, check_work
 from .isometry import apply_reflect
-from .lattice import (EvenLattice, MukaiVector, _as_int, dual, ell, mukai_pairing,
-                      square)
+from .lattice import (EvenLattice, MukaiVector, Value, _as_int, _set, dual, ell,
+                      mukai_pairing, square)
 
 
-@dataclass(frozen=True)
-class AuxConstruction:
-    l: int
-    r: int
-    s: int
-    a: int
-    r1: int
-    d1: int
-    dprime: int
-    q: int
-    k: int
-    lattice: EvenLattice        # rank 1, Gram [2k]
-    vprime: MukaiVector
-    v1: MukaiVector
-    w: MukaiVector
+class AuxConstruction(Value):
+    # integers, then the rank-1 lattice with Gram [2k] and three Mukai vectors
+    __slots__ = ("l", "r", "s", "a", "r1", "d1", "dprime", "q", "k",
+                 "lattice", "vprime", "v1", "w")
 
     def to_json(self) -> dict:
         return {
@@ -195,10 +183,12 @@ def _interior_points(p1, p2, p3) -> int:
     return count
 
 
-@dataclass(frozen=True)
-class FareyCheck:
-    holds: bool
-    vacuous: bool
+class FareyCheck(Value):
+    __slots__ = ("holds", "vacuous")
+
+    def __init__(self, holds: bool, vacuous: bool):
+        _set(self, "holds", holds)
+        _set(self, "vacuous", vacuous)
 
     def __bool__(self) -> bool:
         return self.holds

@@ -28,17 +28,18 @@ validates every element once before the first is applied.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from operator import mul
 from typing import Union
 
 from .errors import InputError
-from .lattice import (EvenLattice, MukaiVector, _as_ints, _as_matrix, _mukai,
-                      dual, square)
+from .lattice import (EvenLattice, MukaiVector, Value, _as_ints, _as_matrix, _mukai,
+                      _set, dual, square)
 
 
-class _Generator:
+class _Generator(Value):
     """Single-element application shared by the generator classes."""
+
+    __slots__ = ()
 
     def validate(self, lat: EvenLattice) -> None:
         pass
@@ -49,12 +50,11 @@ class _Generator:
         return self._apply(v, lat)
 
 
-@dataclass(frozen=True)
 class Translate(_Generator):
-    shift: tuple[int, ...]
+    __slots__ = ("shift",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "shift", _as_ints(self.shift))
+    def __init__(self, shift):
+        _set(self, "shift", _as_ints(shift))
 
     def validate(self, lat: EvenLattice) -> None:
         lat.check_vector(self.shift)
@@ -74,13 +74,13 @@ class Translate(_Generator):
         return {"type": "translate", "N": list(self.shift)}
 
 
-@dataclass(frozen=True)
 class Reflect(_Generator):
-    u: MukaiVector
+    __slots__ = ("u",)
 
-    def __post_init__(self):
-        if not isinstance(self.u, MukaiVector):
+    def __init__(self, u):
+        if not isinstance(u, MukaiVector):
             raise InputError("reflection vector must be a Mukai vector")
+        _set(self, "u", u)
 
     def validate(self, lat: EvenLattice) -> None:
         if square(self.u, lat) != -2:
@@ -99,12 +99,11 @@ class Reflect(_Generator):
         return {"type": "reflect", "u": self.u.to_json()}
 
 
-@dataclass(frozen=True)
 class NSAuto(_Generator):
-    matrix: tuple[tuple[int, ...], ...]
+    __slots__ = ("matrix",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "matrix", _as_matrix(self.matrix))
+    def __init__(self, matrix):
+        _set(self, "matrix", _as_matrix(matrix))
 
     def validate(self, lat: EvenLattice) -> None:
         n = lat.rank
@@ -125,8 +124,9 @@ class NSAuto(_Generator):
         return {"type": "nsauto", "M": [list(row) for row in self.matrix]}
 
 
-@dataclass(frozen=True)
 class Negate(_Generator):
+    __slots__ = ()
+
     def _apply(self, v: MukaiVector, lat: EvenLattice) -> MukaiVector:
         return -v
 
@@ -134,8 +134,9 @@ class Negate(_Generator):
         return {"type": "negate"}
 
 
-@dataclass(frozen=True)
 class Dual(_Generator):
+    __slots__ = ()
+
     def _apply(self, v: MukaiVector, lat: EvenLattice) -> MukaiVector:
         return dual(v)
 
@@ -171,16 +172,19 @@ _PARSERS = {
 }
 
 
-@dataclass(frozen=True)
-class IsometryWord:
+class IsometryWord(Value):
     """Ordered list of generators; applies right-to-left.
 
     lattice is the lattice every element was validated against by from_json
     (None for a word built directly); it is not part of the word's value.
     """
 
-    elems: tuple[IsometryElem, ...]
-    lattice: EvenLattice | None = field(default=None, compare=False, repr=False)
+    __slots__ = ("elems", "lattice")
+    _fields = ("elems",)
+
+    def __init__(self, elems: tuple[IsometryElem, ...], lattice: EvenLattice | None = None):
+        _set(self, "elems", elems)
+        _set(self, "lattice", lattice)
 
     def apply(self, v: MukaiVector, lat: EvenLattice) -> MukaiVector:
         return apply_word(self, v, lat)

@@ -10,13 +10,13 @@ Sign convention, fixed here once for the whole package: G is the intersection
 form.  The quadratic form Q used by the theta machinery (k3tk.theta) is -G;
 every theta exponent references Q explicitly so the sign cannot drift.
 
-Everything in this module is plain integer arithmetic, hence exact, and all
-types are immutable values.
+Everything in this module is plain integer arithmetic, hence exact.  The
+package's value classes derive from Value, defined here: an immutable record
+whose fields are its __slots__, which its own __init__ assigns once with _set.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
 from operator import add, mul, neg
 
@@ -55,15 +55,63 @@ def _as_matrix(rows) -> tuple[tuple[int, ...], ...]:
         raise InputError(f"expected a matrix of integers, got {rows!r}") from exc
 
 
-@dataclass(frozen=True)
-class EvenLattice:
+_new = object.__new__
+_set = object.__setattr__
+
+
+class Value:
+    """Immutable record whose fields are the public names in its __slots__.
+
+    Equality (same class only), hashing, repr and pickling go by the tuple of
+    fields; the default __init__ takes them positionally.  An underscore slot,
+    or a name left out of an explicit _fields, holds state outside the value.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls):
+        if "_fields" not in cls.__dict__:
+            cls._fields += tuple(n for n in cls.__dict__.get("__slots__", ()) if n[0] != "_")
+
+    def __init__(self, *args):
+        if len(args) != len(self._fields):
+            raise TypeError(f"{type(self).__name__} takes {len(self._fields)} arguments")
+        for name, x in zip(self._fields, args):
+            _set(self, name, x)
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"cannot set or delete {name!r}: {type(self).__name__} is immutable")
+
+    __delattr__ = __setattr__
+
+
+class EvenLattice(Value):
     """Integral even symmetric bilinear form given by its Gram matrix."""
 
-    gram: tuple[tuple[int, ...], ...]
+    __slots__ = ("gram",)
 
-    def __post_init__(self):
-        rows = _as_matrix(self.gram)
-        object.__setattr__(self, "gram", rows)
+    def __init__(self, gram):
+        rows = _as_matrix(gram)
+        _set(self, "gram", rows)
         n = len(rows)
         if any(len(row) != n for row in rows):
             raise InputError("gram matrix must be square")
@@ -112,8 +160,7 @@ class EvenLattice:
         return lat
 
 
-@dataclass(frozen=True)
-class MukaiVector:
+class MukaiVector(Value):
     """Integral triple (r, c1, a) in H^0 + H^2 + H^4.
 
     The constructor coerces every component strictly to int.  Arithmetic on
@@ -121,14 +168,12 @@ class MukaiVector:
     since sums and multiples of integers need no second check.
     """
 
-    r: int
-    c1: tuple[int, ...]
-    a: int
+    __slots__ = ("r", "c1", "a")
 
-    def __post_init__(self):
-        object.__setattr__(self, "r", _as_int(self.r))
-        object.__setattr__(self, "c1", _as_ints(self.c1))
-        object.__setattr__(self, "a", _as_int(self.a))
+    def __init__(self, r, c1, a):
+        _set(self, "r", _as_int(r))
+        _set(self, "c1", _as_ints(c1))
+        _set(self, "a", _as_int(a))
 
     def __add__(self, other: "MukaiVector") -> "MukaiVector":
         if len(self.c1) != len(other.c1):
@@ -169,10 +214,6 @@ class MukaiVector:
     def omega(cls, rank: int) -> "MukaiVector":
         """The point class (0, 0, 1)."""
         return cls(0, (0,) * rank, 1)
-
-
-_new = object.__new__
-_set = object.__setattr__
 
 
 def _mukai(r: int, c1: tuple[int, ...], a: int) -> MukaiVector:

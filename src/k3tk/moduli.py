@@ -19,10 +19,8 @@ marks that corner.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import InputError
-from .lattice import EvenLattice, MukaiVector, _mukai, content, ell, square
+from .lattice import EvenLattice, MukaiVector, Value, _mukai, _set, content, ell, square
 from .qseries import hilb_euler
 
 RANK_ONE = "rank_one"
@@ -74,10 +72,12 @@ def moduli_dim(v: MukaiVector, lat: EvenLattice) -> int:
     return _nonempty_square(v, lat) + 2
 
 
-@dataclass(frozen=True)
-class CaseInfo:
-    case: str                      # "A" or "B"
-    v0: MukaiVector | None         # the (-2)-witness r + xi + b omega, case B only
+class CaseInfo(Value):
+    __slots__ = ("case", "v0")
+
+    def __init__(self, case: str, v0: MukaiVector | None):
+        _set(self, "case", case)    # "A" or "B"
+        _set(self, "v0", v0)        # the (-2)-witness r + xi + b omega, case B only
 
 
 def _case(v: MukaiVector, lat: EvenLattice) -> tuple[int, CaseInfo]:
@@ -117,10 +117,12 @@ def mu_stable_boundary_flag(v: MukaiVector, lat: EvenLattice) -> bool:
     return info.case == "B" and l == 1 and sq == -2
 
 
-@dataclass(frozen=True)
-class NonLocallyFree:
-    kind: str
-    model: str | None
+class NonLocallyFree(Value):
+    __slots__ = ("kind", "model")
+
+    def __init__(self, kind: str, model: str | None):
+        _set(self, "kind", kind)
+        _set(self, "model", model)
 
 
 def classify_non_locally_free(v: MukaiVector, lat: EvenLattice) -> NonLocallyFree:

@@ -38,7 +38,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, isqrt, lcm
@@ -46,11 +45,10 @@ from operator import mul
 from typing import NamedTuple
 
 from .errors import InputError, check_work
-from .lattice import _as_int, _new, _set
+from .lattice import Value, _as_int, _new, _set
 
 
-@dataclass(frozen=True)
-class QSeries:
+class QSeries(Value):
     """Finite q-expansion sum_k c_k q^(k/denom), complete below trunc.
 
     The constructor accepts only the canonical form: ascending integer indices
@@ -58,15 +56,13 @@ class QSeries:
     Zero coefficients may stay, as terms that were visited and cancelled.
     """
 
-    denom: int
-    coeffs: tuple[tuple[int, object], ...]
-    trunc: Fraction
+    __slots__ = ("denom", "coeffs", "trunc", "__dict__")     # __dict__ for _index
 
-    def __post_init__(self):
-        denom = _as_int(self.denom)
+    def __init__(self, denom: int, coeffs, trunc):
+        denom = _as_int(denom)
         try:
-            coeffs = tuple((_as_int(k), c) for k, c in self.coeffs)
-            trunc = Fraction(self.trunc)
+            coeffs = tuple((_as_int(k), c) for k, c in coeffs)
+            trunc = Fraction(trunc)
         except (TypeError, ValueError, OverflowError) as exc:
             raise InputError(f"malformed q-series: {exc}") from None
         if denom < 1:

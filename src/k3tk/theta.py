@@ -49,12 +49,11 @@ from __future__ import annotations
 import cmath
 import itertools
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import mul, sub
 
 from .errors import InputError, check_work
-from .lattice import EvenLattice, _as_int, _as_ints
+from .lattice import EvenLattice, Value, _as_int, _as_ints, _set
 from .partitions import _chi_scaled, z_psu_direct
 from .qseries import hilb_euler, qs_evaluate
 
@@ -106,19 +105,19 @@ def _eigh(m):
     return [a[i][i] for i in range(n)], v
 
 
-@dataclass(frozen=True, eq=False)
-class Splitting:
+class Splitting(Value):
     """Projectors onto the Q-positive (P_L) and Q-negative (P_R) subspaces, stored as
-    tuples of float rows; the constructor takes any n x n nested sequence."""
+    tuples of float rows; the constructor takes any n x n nested sequence.  Equal
+    only to itself, since _cache keeps the forms it was validated for."""
 
-    pl: tuple
-    pr: tuple
-    _cache: dict = field(default_factory=dict, init=False, repr=False)
+    __slots__ = ("pl", "pr", "_cache")
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
 
-    def __post_init__(self):
-        for name in ("pl", "pr"):
-            object.__setattr__(self, name,
-                               tuple(tuple(map(float, row)) for row in getattr(self, name)))
+    def __init__(self, pl, pr):
+        _set(self, "pl", tuple(tuple(map(float, row)) for row in pl))
+        _set(self, "pr", tuple(tuple(map(float, row)) for row in pr))
+        _set(self, "_cache", {})
 
     @classmethod
     def spectral(cls, lat: EvenLattice) -> "Splitting":
@@ -159,18 +158,12 @@ class Splitting:
                 raise InputError("Q must be negative definite on range(P_R)")
 
 
-@dataclass(frozen=True)
-class ThetaSum:
-    value: complex
-    tail: float
-    points: int
+class ThetaSum(Value):
+    __slots__ = ("value", "tail", "points")      # complex, float, int
 
 
-@dataclass(frozen=True)
-class ZFullSum:
-    value: complex
-    tail: float
-    terms: int
+class ZFullSum(Value):
+    __slots__ = ("value", "tail", "terms")       # complex, float, int
 
 
 def _forms(lat: EvenLattice, split: Splitting, x):
@@ -464,6 +457,9 @@ def z_full_factorized(lat: EvenLattice, r: int, tau: complex, split: Splitting,
         ev = qs_evaluate(series, tau)
         th = theta_siegel_narain(lat, alpha, r, tau, split, x, radius)
         value += ev.value * th.value
-        tail += abs(ev.value) * th.tail + ev.tail * (abs(th.value) + th.tail)
+        if math.inf in (ev.tail, th.tail):      # not 0 * inf = nan for an empty series
+            tail = math.inf
+        else:
+            tail += abs(ev.value) * th.tail + ev.tail * (abs(th.value) + th.tail)
         points += th.points
     return ZFullSum(value, tail, points)

@@ -341,12 +341,14 @@ try:
 except SystemExit as exc:
     assert exc.code == 0, exc.code
 print(json.dumps([sorted({"numpy", "mpmath"} & set(sys.modules)),
-                  sorted(m for m in sys.modules if m.split(".")[0] == "k3tk")]))
+                  sorted(m for m in sys.modules if m.split(".")[0] == "k3tk"),
+                  sorted({"dataclasses", "inspect"} & set(sys.modules))]))
 """
 
 
 def _loaded_by(tmp_path, command):
-    """(float libraries, k3tk modules) loaded by one spawned subcommand."""
+    """(float libraries, k3tk modules, dataclasses and inspect) loaded by one spawned
+    subcommand."""
     v = write_vec(tmp_path, "v.json", 2, (1,), -1)
     word = tmp_path / "w.json"
     word.write_text(json.dumps([{"type": "translate", "N": [1]}, {"type": "dual"}]))
@@ -361,6 +363,7 @@ def _loaded_by(tmp_path, command):
             "verify": ["verify", "triangle", "--bound", "8"],
             "theta": ["theta", "--surface", str(surface), "--tau", "0", "1"],
             "zfull": ["zfull", "--surface", str(surface), "--rank", "2", "--tau", "0", "1"],
+            "zseries": ["zseries", "--rank", "2", "--order", "3"],
             }[command[0]] + list(command[1:])
     src = os.path.dirname(os.path.dirname(os.path.abspath(k3tk.__file__)))
     out = subprocess.run([sys.executable, "-c", _IMPORT_PROBE, json.dumps(argv)],
@@ -379,6 +382,23 @@ def test_integer_subcommands_load_no_float_libraries(tmp_path, command):
 @pytest.mark.parametrize("splitting", ["spectral", "identity"])
 def test_theta_subcommands_load_no_float_libraries(tmp_path, command, splitting):
     assert _loaded_by(tmp_path, [command, "--splitting", splitting])[0] == []
+
+
+@pytest.mark.parametrize("command", [
+    ["pair"], ["translate"], ["word"], ["construct"], ["invariants"], ["gottsche"], ["verify"],
+    ["theta", "--splitting", "spectral"], ["zfull", "--splitting", "identity"],
+    ["zseries", "--method", "literal"]], ids=lambda c: "-".join(c))
+def test_no_subcommand_loads_dataclasses_or_inspect(tmp_path, command):
+    assert _loaded_by(tmp_path, command)[2] == []
+
+
+def test_lattice_import_loads_no_dataclasses():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(k3tk.__file__)))
+    out = subprocess.run([sys.executable, "-c", "import sys, k3tk.lattice; "
+                          "print('dataclasses' in sys.modules, 'inspect' in sys.modules)"],
+                         env=dict(os.environ, PYTHONPATH=src), capture_output=True,
+                         text=True, timeout=60, check=True).stdout
+    assert out.split() == ["False", "False"]
 
 
 def test_pair_loads_only_the_lattice_layer(tmp_path):
@@ -438,6 +458,13 @@ def test_package_import_loads_no_submodule_and_resolves_every_name():
         "theta-radius-1e7", "order-1e300", "zfull-empty-series"])
 def test_out_of_range_inputs_exit_2_quickly(argv):
     _assert_spawned_input_error(argv, timeout=5)
+
+
+def test_unbounded_factorized_tail_exits_2(tmp_path):
+    surface = tmp_path / "s.json"
+    surface.write_text(json.dumps({"rank": 1, "gram": [[-2]]}))
+    _assert_spawned_input_error(["zfull", "--rank", "2", "--tau", "0", "0.02", "--order", "-5",
+                                 "--method", "factorized", "--surface", str(surface)], 10)
 
 
 @pytest.mark.parametrize("argv", [

@@ -1,6 +1,10 @@
+import copy
 import json
+import pickle
 
 import pytest
+
+import k3tk
 
 from k3tk import (EvenLattice, InputError, MukaiVector, content, dual, ell,
                   mukai_from_chern, mukai_pairing, primitive, square)
@@ -131,3 +135,61 @@ def test_constructors_coerce_strictly():
         EvenLattice.from_json({"gram": [[2, "x"], [1, 2]]})
     with pytest.raises(InputError):
         3.5 * MukaiVector(1, (0,), 1)
+
+
+_M = MukaiVector(1, (0,), 1)
+_VALUES = [     # (make, field names, repr) for every public value class
+    (lambda: EvenLattice(((2, 1), (1, -2))), "gram", "EvenLattice(gram=((2, 1), (1, -2)))"),
+    (lambda: MukaiVector(1, (2,), 3), "r c1 a", "MukaiVector(r=1, c1=(2,), a=3)"),
+    (lambda: k3tk.Translate((1, -2)), "shift", "Translate(shift=(1, -2))"),
+    (lambda: k3tk.Reflect(_M), "u", "Reflect(u=MukaiVector(r=1, c1=(0,), a=1))"),
+    (lambda: k3tk.NSAuto(((-1,),)), "matrix", "NSAuto(matrix=((-1,),))"),
+    (lambda: k3tk.Negate(), "", "Negate()"),
+    (lambda: k3tk.Dual(), "", "Dual()"),
+    (lambda: k3tk.IsometryWord((k3tk.Translate((1,)), k3tk.Dual())), "elems",
+     "IsometryWord(elems=(Translate(shift=(1,)), Dual()))"),
+    (lambda: k3tk.CaseInfo("B", _M), "case v0",
+     "CaseInfo(case='B', v0=MukaiVector(r=1, c1=(0,), a=1))"),
+    (lambda: k3tk.NonLocallyFree("rank_one", "Hilb^2"), "kind model",
+     "NonLocallyFree(kind='rank_one', model='Hilb^2')"),
+    (lambda: k3tk.QSeries(2, ((-1, 1), (3, 24)), 2), "denom coeffs trunc",
+     "QSeries(denom=2, coeffs=((-1, 1), (3, 24)), trunc=Fraction(2, 1))"),
+    (lambda: k3tk.build_auxiliary(2, 3, 2, 1), "l r s a r1 d1 dprime q k lattice vprime v1 w",
+     "AuxConstruction(l=2, r=3, s=2, a=1, r1=11, d1=7, dprime=2, q=-5, k=68, "
+     "lattice=EvenLattice(gram=((136,),)), vprime=MukaiVector(r=6, c1=(4,), a=181), "
+     "v1=MukaiVector(r=11, c1=(7,), a=303), w=MukaiVector(r=5, c1=(-3,), a=122))"),
+    (lambda: k3tk.FareyCheck(True, False), "holds vacuous",
+     "FareyCheck(holds=True, vacuous=False)"),
+    (lambda: k3tk.Splitting([[1]], [[0]]), "pl pr", "Splitting(pl=((1.0,),), pr=((0.0,),))"),
+    (lambda: k3tk.ThetaSum(1j, 0.5, 3), "value tail points",
+     "ThetaSum(value=1j, tail=0.5, points=3)"),
+    (lambda: k3tk.ZFullSum(1j, 0.5, 3), "value tail terms",
+     "ZFullSum(value=1j, tail=0.5, terms=3)"),
+]
+
+
+@pytest.mark.parametrize("make, names, rep", _VALUES, ids=[r.split("(")[0] for *_, r in _VALUES])
+def test_public_classes_are_immutable_values(make, names, rep):
+    v, names = make(), names.split()
+    for name in names + ["extra"]:
+        with pytest.raises(AttributeError):
+            setattr(v, name, None)
+        with pytest.raises(AttributeError):
+            delattr(v, name)
+    assert repr(v) == rep
+    twin = type("Twin", (type(v),), {})     # equal fields, another class
+    assert v != twin(*(getattr(v, n) for n in names)) and v == v
+    copies = [make(), pickle.loads(pickle.dumps(v)), copy.deepcopy(v)]
+    if type(v) is k3tk.Splitting:           # equal by identity
+        assert all(c != v and (c.pl, c.pr) == (v.pl, v.pr) for c in copies)
+        return
+    assert all(type(c) is type(v) and c == v and hash(c) == hash(v) for c in copies)
+    assert hash(v) == hash(tuple(getattr(v, n) for n in names))
+
+
+def test_word_value_ignores_the_lattice_it_was_checked_on():
+    lat = EvenLattice(((2,),))
+    word = k3tk.IsometryWord.from_json([{"type": "translate", "N": [1]}], lat)
+    plain = k3tk.IsometryWord((k3tk.Translate((1,)),))
+    assert word.lattice is lat and plain.lattice is None
+    assert word == plain and hash(word) == hash(plain) and repr(word) == repr(plain)
