@@ -271,6 +271,90 @@ def test_output_pinned_byte_for_byte(tmp_path, monkeypatch, capsys, line, expect
     assert run(capsys, *line.split()) == (0, expected + "\n")
 
 
+_PINNED_USAGE_ERRORS = [
+    ("frobnicate",
+     "k3tk: argument command: invalid choice: 'frobnicate' (choose from 'pair', 'dualize', "
+     "'translate', 'reflect', 'word', 'invariants', 'gottsche', 'chivirtual', 'zseries', "
+     "'theta', 'zfull', 'construct', 'verify')"),
+    ("pair", "k3tk pair: the following arguments are required: --x, --y"),
+    ("pair --x v.json --y y.json --z 1", "k3tk: unrecognized arguments: --z 1"),
+    ("gottsche --order x", "k3tk gottsche: argument --order: invalid int value: 'x'"),
+    ("zseries --rank 2 --order 4 --method bogus",
+     "k3tk zseries: argument --method: invalid choice: 'bogus' "
+     "(choose from 'direct', 'hecke', 'literal')"),
+    ("verify cube --bound 3",
+     "k3tk verify: argument what: invalid choice: 'cube' (choose from 'triangle', 'farey')"),
+]
+
+
+@pytest.mark.parametrize("line, expected", _PINNED_USAGE_ERRORS,
+                         ids=["unknown-command", "pair-missing", "pair-extra",
+                              "gottsche-order", "zseries-method", "verify-what"])
+def test_usage_errors_pinned_byte_for_byte(tmp_path, monkeypatch, capsys, line, expected):
+    for name, doc in _PINNED_INPUTS.items():
+        (tmp_path / name).write_text(json.dumps(doc))
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(line.split())
+    captured = capsys.readouterr()
+    assert (exc.value.code, captured.out, captured.err) == \
+        (2, json.dumps({"error": expected}) + "\n", "")
+
+
+_COMMAND_CHOICES = ("{pair,dualize,translate,reflect,word,invariants,gottsche,chivirtual,"
+                    "zseries,theta,zfull,construct,verify}")
+_PINNED_HELP = {
+    "": f"""usage: k3tk [-h]
+            {_COMMAND_CHOICES}
+            ...
+
+Exact computations with Mukai vectors on a K3 surface
+
+positional arguments:
+  {_COMMAND_CHOICES}
+    pair                Mukai pairing of two vectors
+    dualize             dual vector (r, -c1, a)
+    translate           apply ch(N) to a vector
+    reflect             reflect a vector in a (-2)-vector
+    word                apply an isometry word (right-to-left)
+    invariants          all moduli invariants of a vector
+    gottsche            Euler numbers of the Hilbert schemes
+    chivirtual          divisor-sum virtual Euler characteristic
+    zseries             rank-r partition q-series
+    theta               truncated Siegel-Narain theta sum
+    zfull               full rank-r partition function value
+    construct           auxiliary reduction data for (l, r, s, a)
+    verify              exhaustive triangle/Farey sweeps
+
+options:
+  -h, --help            show this help message and exit
+""",
+    "theta": """usage: k3tk theta [-h] [--surface SURFACE] [--rank RANK] [--alpha ALPHA] --tau
+                  RE IM [--x X] [--radius RADIUS]
+                  [--splitting {spectral,identity}]
+
+options:
+  -h, --help            show this help message and exit
+  --surface SURFACE     JSON lattice file (default: Gram [2])
+  --rank RANK           coset step r
+  --alpha ALPHA         comma-separated coset representative
+  --tau RE IM
+  --x X                 interleaved re,im complex coordinates
+  --radius RADIUS
+  --splitting {spectral,identity}
+""",
+}
+
+
+@pytest.mark.parametrize("command", sorted(_PINNED_HELP), ids=["k3tk", "theta"])
+def test_help_pinned_byte_for_byte(monkeypatch, capsys, command):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        main([*command.split(), "--help"])
+    captured = capsys.readouterr()
+    assert (exc.value.code, captured.out, captured.err) == (0, _PINNED_HELP[command], "")
+
+
 def test_input_errors_exit_2(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
