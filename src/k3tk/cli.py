@@ -8,11 +8,16 @@ exception ({"error": ..., "internal": true}).  Rationals are serialized as
 {"num": ..., "den": ...}, never as floats on exact paths; complex values as
 [re, im] pairs.  Output is deterministic for identical inputs.
 
-Only the subcommands that read a lattice accept --surface; without it the
-rank-1 lattice with Gram [2] is used.  Only verify takes --bound: the r1 scan
-of construct always ends, so it needs none.  Each subcommand imports only the
-modules it uses, so a spawn loads little beyond the interpreter: nothing loads
-numpy, and only zseries --method literal loads mpmath.
+One table, _COMMANDS, declares each subcommand once: its help text and its
+options.  A spawn builds the subparser of the subcommand it names and no
+other (all of them, for --help and the invalid-choice message, when it names
+none).  The handler _cmd_<name> returns the document that main writes.
+Only the subcommands that read a lattice accept --surface; main loads it
+once, and without it the rank-1 lattice with Gram [2] is used.  Only verify
+takes --bound: the r1 scan of construct always ends, so it needs none.  Each
+subcommand imports only the modules it uses, so a spawn loads little beyond
+the interpreter: nothing loads numpy, and only zseries --method literal
+loads mpmath.
 """
 
 from __future__ import annotations
@@ -35,14 +40,8 @@ def _load_json(path: str):
             return json.load(fh)
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:     # also bad UTF-8, deep nesting, huge ints
         raise InputError(f"malformed JSON in {path}: {exc}") from exc
-
-
-def _surface(args) -> EvenLattice:
-    if args.surface:
-        return EvenLattice.from_json(_load_json(args.surface))
-    return DEFAULT_SURFACE
 
 
 def _vector(path: str) -> MukaiVector:
@@ -94,8 +93,9 @@ def _complex_json(z) -> list:
     return [z.real, z.imag]
 
 
-def _series_json(series) -> list:
-    return [{"exp": _frac_json(e), "coeff": _frac_json(c)} for e, c in series.items()]
+def _sum_json(res, count: str = "terms") -> dict:
+    """A theta or partition-function sum: its value, tail and points or terms."""
+    return {"value": _complex_json(res.value), "tail": res.tail, count: getattr(res, count)}
 
 
 def _emit(doc) -> int:
@@ -107,43 +107,37 @@ def _emit(doc) -> int:
     return 0
 
 
-def _cmd_pair(args) -> int:
-    lat = _surface(args)
-    return _emit({"pairing": mukai_pairing(_vector(args.x), _vector(args.y), lat)})
+def _cmd_pair(args) -> dict:
+    return {"pairing": mukai_pairing(_vector(args.x), _vector(args.y), args.lat)}
 
 
-def _cmd_dualize(args) -> int:
-    return _emit({"vector": dual(_vector(args.v)).to_json()})
+def _cmd_dualize(args) -> dict:
+    return {"vector": dual(_vector(args.v)).to_json()}
 
 
-def _cmd_translate(args) -> int:
-    from . import isometry
+def _cmd_translate(args) -> dict:
+    from .isometry import apply_translate
 
-    lat = _surface(args)
-    out = isometry.apply_translate(_ints(args.N), _vector(args.v), lat)
-    return _emit({"vector": out.to_json()})
+    return {"vector": apply_translate(_ints(args.N), _vector(args.v), args.lat).to_json()}
 
 
-def _cmd_reflect(args) -> int:
-    from . import isometry
+def _cmd_reflect(args) -> dict:
+    from .isometry import apply_reflect
 
-    lat = _surface(args)
-    out = isometry.apply_reflect(_vector(args.u), _vector(args.v), lat)
-    return _emit({"vector": out.to_json()})
+    return {"vector": apply_reflect(_vector(args.u), _vector(args.v), args.lat).to_json()}
 
 
-def _cmd_word(args) -> int:
-    from . import isometry
+def _cmd_word(args) -> dict:
+    from .isometry import IsometryWord
 
-    lat = _surface(args)
-    word = isometry.IsometryWord.from_json(_load_json(args.word), lat)
-    return _emit({"vector": word.apply(_vector(args.v), lat).to_json()})
+    word = IsometryWord.from_json(_load_json(args.word), args.lat)
+    return {"vector": word.apply(_vector(args.v), args.lat).to_json()}
 
 
-def _cmd_invariants(args) -> int:
+def _cmd_invariants(args) -> dict:
     from . import moduli
 
-    lat = _surface(args)
+    lat = args.lat
     v = _vector(args.v)
     is_prim = primitive(v, lat)
     sq = square(v, lat)
@@ -173,112 +167,134 @@ def _cmd_invariants(args) -> int:
                         "mu_stable": None, "non_locally_free": None})
     else:
         doc["exists"] = doc["exists_semistable"]
-    return _emit(doc)
+    return doc
 
 
-def _cmd_gottsche(args) -> int:
+def _cmd_gottsche(args) -> dict:
     from .qseries import gottsche_series
 
     series = gottsche_series(args.order)
-    return _emit({"coeffs": [int(series.coeff(n)) for n in range(args.order)]})
+    return {"coeffs": [int(series.coeff(n)) for n in range(args.order)]}
 
 
-def _cmd_chivirtual(args) -> int:
+def _cmd_chivirtual(args) -> dict:
+    from .partitions import chi_virtual
+
+    return {"chi_virtual": _frac_json(chi_virtual(_vector(args.v), args.lat))}
+
+
+def _cmd_zseries(args) -> dict:
     from . import partitions
 
-    lat = _surface(args)
-    return _emit({"chi_virtual": _frac_json(partitions.chi_virtual(_vector(args.v), lat))})
-
-
-def _cmd_zseries(args) -> int:
-    from . import partitions
-
-    lat = _surface(args)
-    alpha = _ints(args.alpha) if args.alpha else (0,) * lat.rank
+    alpha = _ints(args.alpha) if args.alpha else (0,) * args.lat.rank
     order = _rational(args.order)
-    if args.method == "direct":
-        series = partitions.z_psu_direct(args.rank, alpha, order, lat)
-        return _emit({"method": "direct", "terms": _series_json(series)})
-    if args.method == "hecke":
-        series = partitions.z_psu_hecke(args.rank, alpha, order, lat)
-        return _emit({"method": "hecke", "terms": _series_json(series)})
-    series = partitions.z_psu_hecke_literal(args.rank, alpha, order, lat)
-    terms = [{"exp": _frac_json(e), "coeff": _complex_json(c)}
-             for e, c in series.items()]
-    return _emit({"method": "literal", "terms": terms})
+    fn, coeff = {"direct": (partitions.z_psu_direct, _frac_json),
+                 "hecke": (partitions.z_psu_hecke, _frac_json),
+                 "literal": (partitions.z_psu_hecke_literal, _complex_json)}[args.method]
+    series = fn(args.rank, alpha, order, args.lat)
+    return {"method": args.method,
+            "terms": [{"exp": _frac_json(e), "coeff": coeff(c)} for e, c in series.items()]}
 
 
-def _split(args, lat: EvenLattice):
-    from . import theta
+def _tau_split_x(args):
+    """tau, the splitting and x of theta and zfull; the splitting is built before x is read."""
+    from .theta import Splitting
 
-    if args.splitting == "identity":
-        return theta.Splitting.identity_positive(lat)
-    return theta.Splitting.spectral(lat)
-
-
-def _x_vector(args, lat: EvenLattice):
-    if not args.x:
-        return None
-    parts = args.x
-    if len(parts) != 2 * lat.rank:
+    lat = args.lat
+    split = (Splitting.identity_positive if args.splitting == "identity"
+             else Splitting.spectral)(lat)
+    if args.x and len(args.x) != 2 * lat.rank:
         raise InputError("x must interleave re,im once per lattice coordinate")
-    return [complex(parts[2 * i], parts[2 * i + 1]) for i in range(lat.rank)]
+    x = [complex(*args.x[2 * i:2 * i + 2]) for i in range(lat.rank)] if args.x else None
+    return complex(*args.tau), split, x
 
 
-def _cmd_theta(args) -> int:
+def _cmd_theta(args) -> dict:
+    from .theta import theta_siegel_narain
+
+    alpha = _ints(args.alpha) if args.alpha else (0,) * args.lat.rank
+    tau, split, x = _tau_split_x(args)
+    return _sum_json(theta_siegel_narain(args.lat, alpha, args.rank, tau, split, x,
+                                         args.radius), "points")
+
+
+def _cmd_zfull(args) -> dict:
     from . import theta
 
-    lat = _surface(args)
-    alpha = _ints(args.alpha) if args.alpha else (0,) * lat.rank
-    tau = complex(args.tau[0], args.tau[1])
-    result = theta.theta_siegel_narain(lat, alpha, args.rank, tau,
-                                       _split(args, lat), _x_vector(args, lat),
-                                       args.radius)
-    return _emit({"value": _complex_json(result.value), "tail": result.tail,
-                  "points": result.points})
-
-
-def _cmd_zfull(args) -> int:
-    from . import theta
-
-    lat = _surface(args)
-    tau = complex(args.tau[0], args.tau[1])
-    split = _split(args, lat)
-    x = _x_vector(args, lat)
+    tau, split, x = _tau_split_x(args)
     doc = {}
     if args.method in ("direct", "both"):
-        res = theta.z_full_direct(lat, args.rank, tau, split, x,
-                                  args.cutoff, args.radius)
-        doc["direct"] = {"value": _complex_json(res.value), "tail": res.tail,
-                         "terms": res.terms}
+        doc["direct"] = _sum_json(theta.z_full_direct(args.lat, args.rank, tau, split, x,
+                                                      args.cutoff, args.radius))
     if args.method in ("factorized", "both"):
-        res = theta.z_full_factorized(lat, args.rank, tau, split, x,
-                                      args.order, args.radius)
-        doc["factorized"] = {"value": _complex_json(res.value), "tail": res.tail,
-                             "terms": res.terms}
+        doc["factorized"] = _sum_json(theta.z_full_factorized(args.lat, args.rank, tau, split,
+                                                              x, args.order, args.radius))
     if args.method == "both":
         doc["difference"] = abs(complex(*doc["direct"]["value"])
                                 - complex(*doc["factorized"]["value"]))
-    return _emit(doc)
+    return doc
 
 
-def _cmd_construct(args) -> int:
+def _cmd_construct(args) -> dict:
+    from .constructions import build_auxiliary
+
+    return build_auxiliary(args.l, args.r, args.s, args.a).to_json()
+
+
+def _cmd_verify(args) -> dict:
     from . import constructions
 
-    aux = constructions.build_auxiliary(args.l, args.r, args.s, args.a)
-    return _emit(aux.to_json())
+    sweep = constructions.sweep_triangles if args.what == "triangle" else constructions.sweep_farey
+    checked, bad = sweep(args.bound)
+    return {"checked": checked, "counterexamples": len(bad),
+            "examples": [list(t) for t in bad[:10]]}
 
 
-def _cmd_verify(args) -> int:
-    from . import constructions
-
-    if args.what == "triangle":
-        checked, bad = constructions.sweep_triangles(args.bound)
-    else:
-        checked, bad = constructions.sweep_farey(args.bound)
-    return _emit({"checked": checked, "counterexamples": len(bad),
-                  "examples": [list(t) for t in bad[:10]]})
-
+_REQUIRED = {"required": True}
+_INT = {"type": int, "required": True}      # a required integer
+_SURFACE = {"--surface": {"help": "JSON lattice file (default: Gram [2])"}}
+# theta and zfull share these two groups; zfull's --help lists its own options between them
+_TAU_X = {"--tau": {"type": _finite_float, "nargs": 2, "required": True,
+                    "metavar": ("RE", "IM")},
+          "--x": {"type": _finite_floats, "help": "interleaved re,im complex coordinates"}}
+_RADIUS_SPLITTING = {"--radius": {"type": _finite_float, "default": 5.0},
+                     "--splitting": {"choices": ["spectral", "identity"],
+                                     "default": "spectral"}}
+_COMMANDS = {       # name: (help, {option: add_argument keywords}), in --help order
+    "pair": ("Mukai pairing of two vectors", {**_SURFACE, "--x": _REQUIRED, "--y": _REQUIRED}),
+    "dualize": ("dual vector (r, -c1, a)", {"--v": _REQUIRED}),
+    "translate": ("apply ch(N) to a vector",
+                  {**_SURFACE, "--N": {"required": True, "help": "comma-separated lattice vector"},
+                   "--v": _REQUIRED}),
+    "reflect": ("reflect a vector in a (-2)-vector",
+                {**_SURFACE, "--u": _REQUIRED, "--v": _REQUIRED}),
+    "word": ("apply an isometry word (right-to-left)",
+             {**_SURFACE, "--word": {"required": True, "help": "JSON word file"},
+              "--v": _REQUIRED}),
+    "invariants": ("all moduli invariants of a vector", {**_SURFACE, "--v": _REQUIRED}),
+    "gottsche": ("Euler numbers of the Hilbert schemes", {"--order": _INT}),
+    "chivirtual": ("divisor-sum virtual Euler characteristic", {**_SURFACE, "--v": _REQUIRED}),
+    "zseries": ("rank-r partition q-series",
+                {**_SURFACE, "--rank": _INT, "--alpha": {"help": "comma-separated c1 (default 0)"},
+                 "--order": {"required": True, "help": "truncation order (rational)"},
+                 "--method": {"choices": ["direct", "hecke", "literal"], "default": "direct"}}),
+    "theta": ("truncated Siegel-Narain theta sum",
+              {**_SURFACE, "--rank": {"type": int, "default": 1, "help": "coset step r"},
+               "--alpha": {"help": "comma-separated coset representative"},
+               **_TAU_X, **_RADIUS_SPLITTING}),
+    "zfull": ("full rank-r partition function value",
+              {**_SURFACE, "--rank": _INT, **_TAU_X,
+               "--method": {"choices": ["direct", "factorized", "both"], "default": "both"},
+               "--cutoff": {"type": _finite_float, "default": 8.0,
+                            "help": "holomorphic exponent cutoff (direct path)"},
+               "--order": {"type": int, "default": 12,
+                           "help": "series truncation order (factorized path)"},
+               **_RADIUS_SPLITTING}),
+    "construct": ("auxiliary reduction data for (l, r, s, a)",
+                  {"--l": _INT, "--r": _INT, "--s": _INT, "--a": _INT}),
+    "verify": ("exhaustive triangle/Farey sweeps",
+               {"what": {"choices": ["triangle", "farey"]}, "--bound": _INT}),
+}
 
 _NEGATIVE_NUMBER = re.compile(r"-(\.?\d|inf|nan)", re.IGNORECASE)
 
@@ -301,97 +317,27 @@ class _Parser(argparse.ArgumentParser):
         self.exit(2)
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser(argv=()) -> argparse.ArgumentParser:
+    """The parser with the one subcommand argv[0] names, or with all when it names none."""
     parser = _Parser(
         prog="k3tk",
         description="Exact computations with Mukai vectors on a K3 surface")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name, fn, surface=True, **kwargs):
-        p = sub.add_parser(name, **kwargs)
-        p.set_defaults(fn=fn)
-        if surface:
-            p.add_argument("--surface", help="JSON lattice file (default: Gram [2])")
-        return p
-
-    p = add("pair", _cmd_pair, help="Mukai pairing of two vectors")
-    p.add_argument("--x", required=True)
-    p.add_argument("--y", required=True)
-
-    p = add("dualize", _cmd_dualize, surface=False, help="dual vector (r, -c1, a)")
-    p.add_argument("--v", required=True)
-
-    p = add("translate", _cmd_translate, help="apply ch(N) to a vector")
-    p.add_argument("--N", required=True, help="comma-separated lattice vector")
-    p.add_argument("--v", required=True)
-
-    p = add("reflect", _cmd_reflect, help="reflect a vector in a (-2)-vector")
-    p.add_argument("--u", required=True)
-    p.add_argument("--v", required=True)
-
-    p = add("word", _cmd_word, help="apply an isometry word (right-to-left)")
-    p.add_argument("--word", required=True, help="JSON word file")
-    p.add_argument("--v", required=True)
-
-    p = add("invariants", _cmd_invariants, help="all moduli invariants of a vector")
-    p.add_argument("--v", required=True)
-
-    p = add("gottsche", _cmd_gottsche, surface=False,
-            help="Euler numbers of the Hilbert schemes")
-    p.add_argument("--order", type=int, required=True)
-
-    p = add("chivirtual", _cmd_chivirtual, help="divisor-sum virtual Euler characteristic")
-    p.add_argument("--v", required=True)
-
-    p = add("zseries", _cmd_zseries, help="rank-r partition q-series")
-    p.add_argument("--rank", type=int, required=True)
-    p.add_argument("--alpha", help="comma-separated c1 (default 0)")
-    p.add_argument("--order", required=True, help="truncation order (rational)")
-    p.add_argument("--method", choices=["direct", "hecke", "literal"],
-                   default="direct")
-
-    p = add("theta", _cmd_theta, help="truncated Siegel-Narain theta sum")
-    p.add_argument("--rank", type=int, default=1, help="coset step r")
-    p.add_argument("--alpha", help="comma-separated coset representative")
-    p.add_argument("--tau", type=_finite_float, nargs=2, required=True, metavar=("RE", "IM"))
-    p.add_argument("--x", type=_finite_floats, help="interleaved re,im complex coordinates")
-    p.add_argument("--radius", type=_finite_float, default=5.0)
-    p.add_argument("--splitting", choices=["spectral", "identity"],
-                   default="spectral")
-
-    p = add("zfull", _cmd_zfull, help="full rank-r partition function value")
-    p.add_argument("--rank", type=int, required=True)
-    p.add_argument("--tau", type=_finite_float, nargs=2, required=True, metavar=("RE", "IM"))
-    p.add_argument("--x", type=_finite_floats, help="interleaved re,im complex coordinates")
-    p.add_argument("--method", choices=["direct", "factorized", "both"],
-                   default="both")
-    p.add_argument("--cutoff", type=_finite_float, default=8.0,
-                   help="holomorphic exponent cutoff (direct path)")
-    p.add_argument("--order", type=int, default=12,
-                   help="series truncation order (factorized path)")
-    p.add_argument("--radius", type=_finite_float, default=5.0)
-    p.add_argument("--splitting", choices=["spectral", "identity"],
-                   default="spectral")
-
-    p = add("construct", _cmd_construct, surface=False,
-            help="auxiliary reduction data for (l, r, s, a)")
-    p.add_argument("--l", type=int, required=True)
-    p.add_argument("--r", type=int, required=True)
-    p.add_argument("--s", type=int, required=True)
-    p.add_argument("--a", type=int, required=True)
-
-    p = add("verify", _cmd_verify, surface=False, help="exhaustive triangle/Farey sweeps")
-    p.add_argument("what", choices=["triangle", "farey"])
-    p.add_argument("--bound", type=int, required=True)
-
+    for name in [argv[0]] if argv and argv[0] in _COMMANDS else _COMMANDS:
+        help_text, options = _COMMANDS[name]
+        p = sub.add_parser(name, help=help_text)
+        for option, keywords in options.items():
+            p.add_argument(option, **keywords)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = _build_parser(argv).parse_args(argv)
     try:
-        return args.fn(args)
+        args.lat = (EvenLattice.from_json(_load_json(args.surface))
+                    if getattr(args, "surface", None) else DEFAULT_SURFACE)
+        return _emit(globals()[f"_cmd_{args.command}"](args))
     except InputError as exc:
         print(json.dumps({"error": str(exc)}))
         return 2

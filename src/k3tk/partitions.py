@@ -163,9 +163,9 @@ def z_psu_hecke_literal(r: int, alpha, order, lat: EvenLattice) -> QSeries:
     """
     import mpmath
 
+    r, alpha = _check_rank_alpha(r, alpha, lat)
     if r > 12:
         raise InputError("literal Hecke path is limited to rank <= 12")
-    r, alpha = _check_rank_alpha(r, alpha, lat)
     order = Fraction(order)
     factorizations = _hecke_factorizations(r, alpha, order)
     check_work(sum(d * (top + 1) for _, d, _, top in factorizations), "z_psu_hecke_literal")

@@ -196,7 +196,8 @@ def qs_mul(a: QSeries, b: QSeries) -> QSeries:
 
 def qs_substitute_power(s: QSeries, m: int) -> QSeries:
     """Substitute q -> q^m (m >= 1); exponents and truncation scale exactly."""
-    if not isinstance(m, int) or m < 1:
+    m = _as_int(m)
+    if m < 1:
         raise InputError("substitution power must be a positive integer")
     return QSeries._of(s.denom, {k * m: c for k, c in s.coeffs}, s.trunc * m)
 

@@ -371,6 +371,23 @@ def test_input_errors_exit_2(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("content", [b"[" * 100000 + b"]" * 100000,
+                                     b'{"r": 1, "c1": [0], "a": "\xe9"}', b"1" * 5000],
+                         ids=["nested-too-deep", "not-utf-8", "integer-too-long"])
+@pytest.mark.parametrize("option", ["--v", "--surface"])
+def test_unreadable_json_files_exit_2(tmp_path, capsys, content, option):
+    (tmp_path / "bad.json").write_bytes(content)
+    (tmp_path / "s.json").write_text(json.dumps({"rank": 1, "gram": [[2]]}))
+    files = {"--v": write_vec(tmp_path, "v.json", 1, (0,), 1),
+             "--surface": str(tmp_path / "s.json")}
+    files[option] = str(tmp_path / "bad.json")
+    code = main(["invariants", "--v", files["--v"], "--surface", files["--surface"]])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert set(json.loads(captured.out)) == {"error"}
+    assert captured.err == ""
+
+
 def test_unknown_subcommand_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
@@ -706,6 +723,27 @@ _REQUIRED = {"pair": 2, "dualize": 1, "translate": 2, "reflect": 2, "word": 2, "
              "construct": 4, "verify": 1}
 
 
+def test_generated_options_are_the_command_table():
+    assert _OPTIONS.keys() == k3tk.cli._COMMANDS.keys()
+    for name, (_, options) in k3tk.cli._COMMANDS.items():
+        assert set(_OPTIONS[name]) == {o for o in options if o.startswith("--")}, name
+
+
+def _registered(argv):
+    """The subcommands k3tk.cli._build_parser(argv) registers, in order."""
+    return [*k3tk.cli._build_parser(argv)._subparsers._group_actions[0].choices]
+
+
+@pytest.mark.parametrize("argv", [[], ["-h"], ["frobnicate"], ["--surface", "s.json"]],
+                         ids=["empty", "help", "unknown", "option-first"])
+def test_a_parser_without_a_subcommand_registers_all_in_table_order(argv):
+    assert _registered(argv) == list(k3tk.cli._COMMANDS) and len(k3tk.cli._COMMANDS) == 13
+
+
+def test_a_parser_registers_only_the_subcommand_it_parses():
+    assert _registered(["pair", "--x", "v.json", "--y", "y.json"]) == ["pair"]
+
+
 @st.composite
 def _invocation(draw):
     """(argv, {file name: document}): a subcommand with some of its options; a file
@@ -766,6 +804,7 @@ def test_readme_cli_examples_run(tmp_path, monkeypatch):
     block = re.search(r"^## CLI$.*?^```sh$(.*?)^```$", readme, re.S | re.M)[1]
     lines = [line.split("#")[0].split() for line in block.splitlines() if line.strip()]
     assert lines and all(line[0] == "k3tk" for line in lines)
+    assert {line[1] for line in lines} == set(k3tk.cli._COMMANDS)
     for name, doc in _README_FIXTURES.items():
         (tmp_path / name).write_text(json.dumps(doc))
     monkeypatch.chdir(tmp_path)

@@ -1,5 +1,6 @@
 import cmath
 from fractions import Fraction
+from functools import partial
 
 import mpmath
 import pytest
@@ -123,10 +124,12 @@ def test_hilb_euler_grows_in_uneven_steps(monkeypatch):
         assert qseries._hilb_euler == oracle[:top + 1]
 
 
-@pytest.mark.parametrize("bad", [1.5, True, "3"])
+@pytest.mark.parametrize("bad", [1.5, True, "3", 12.5])
 def test_integer_arguments_are_strict(bad):
-    for fn in (hilb_euler, gottsche_series, z1_zero):
-        with pytest.raises(InputError):
+    literal = partial(z_psu_hecke_literal, alpha=(0,), order=3, lat=EvenLattice(((2,),)))
+    power = partial(qs_substitute_power, series({0: 1}, 4))
+    for fn in (hilb_euler, gottsche_series, z1_zero, literal, power):
+        with pytest.raises(InputError, match="expected an integer"):
             fn(bad)
 
 
