@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from k3tk import (EvenLattice, InputError, MukaiVector, QSeries, chi_virtual, content,
-                  hilb_euler, primitive, qs_add, qs_scale,
+from k3tk import (ConsistencyError, EvenLattice, InputError, MukaiVector, QSeries,
+                  chi_virtual, content, hilb_euler, partitions, primitive, qs_add, qs_scale,
                   qs_substitute_power, square, z1_zero, z_psu_direct,
                   z_psu_hecke, z_psu_hecke_literal)
 
@@ -204,6 +204,47 @@ def test_literal_bit_identical_to_per_term_reference(gram2):
         want = hecke_literal_reference(r, alpha, lat.gram, order, euler)
         assert dict(lit.items()) == want
         assert all(c._mpc_ == want[e]._mpc_ for e, c in lit.items())
+
+
+@pytest.fixture(scope="module")
+def euler_to_360():
+    # top = ceil(1 + (d/a) order) - 1 <= 1 + 6 * 60 - 1 over _rank_alpha_order()
+    return colored_partition_counts(361)
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=_rank_alpha_order())
+def test_literal_bit_identical_property(euler_to_360, case):
+    lat, r, alpha, order = case
+    lit = z_psu_hecke_literal(r, alpha, order, lat)
+    want = hecke_literal_reference(r, alpha, lat.gram, order, euler_to_360)
+    assert dict(lit.items()) == want
+    assert all(c._mpc_ == want[e]._mpc_ for e, c in lit.items())
+
+
+def test_literal_deviation_raises(gram2, monkeypatch):
+    # one numerator off by one moves the coefficient at q^2 by 1/4
+    numerators = partitions._hecke_numerators
+
+    def off_by_one(factorizations, lat):
+        nums = numerators(factorizations, lat)
+        nums[4] += 1
+        return nums
+
+    monkeypatch.setattr(partitions, "_hecke_numerators", off_by_one)
+    with pytest.raises(ConsistencyError) as exc:
+        z_psu_hecke_literal(2, (0,), 6, gram2)
+    assert str(exc.value) == "literal Hecke path: coefficient at q^2 deviates from exact value"
+
+
+def test_literal_imaginary_residue_raises(gram2, monkeypatch):
+    # every root turned by pi 1e-6: the first key, q^-2 (a = 2), gets im 1/4 sin(pi 1e-6)
+    expjpi = mpmath.expjpi
+    monkeypatch.setattr(mpmath, "expjpi", lambda x: expjpi(x) * expjpi(mpmath.mpf(10) ** -6))
+    with pytest.raises(ConsistencyError) as exc:
+        z_psu_hecke_literal(2, (0,), 6, gram2)
+    assert str(exc.value) == ("literal Hecke path: imaginary residue 0.0000007853981633961563"
+                              "81420648990853574177108041290091236 at q^-2")
 
 
 def test_series_work_cap(gram2):

@@ -237,6 +237,14 @@ def test_index_arithmetic_matches_fraction_reference(x, y, scalar, m, tau):
         assert repr(tuple(qs_evaluate(s, tau))) == repr(oracles.ref_evaluate(ref, tau))
 
 
+@settings(max_examples=150, deadline=None)
+@given(_terms(), st.sampled_from([0.3 + 0.9j, -0.2 + 0.6j, 1j, 0.45 + 1.3j]))
+def test_evaluate_bit_identical_to_reference_property(x, tau):
+    s, ref = QSeries.from_terms(*x), oracles.ref_from_terms(*x)
+    for t in (tau, -1 / tau):
+        assert repr(tuple(qs_evaluate(s, t))) == repr(oracles.ref_evaluate(ref, t))
+
+
 def test_evaluate_and_literal_bit_identical_to_reference(gram2):
     # Z_3^1 has denominator 6, where the growth step (k2 - k1)/6 and the
     # difference k2/6 - k1/6 round apart and move the tail
