@@ -40,8 +40,11 @@ numerators r^2 c_k.  The literal path must
 reproduce the exact coefficients to 1e-9 and have imaginary parts below 1e-9;
 it runs in mpmath with working precision scaled to the largest coefficient,
 because the Hilbert-scheme Euler numbers involved overflow double-precision
-accuracy at the orders the exact paths reach.  mpmath is imported only by
-that path, so the exact paths load no floating-point library.
+accuracy at the orders the exact paths reach.  Past the roots and phase
+sums, its arithmetic calls mpmath.libmp on the raw _mpc_/_mpf_ tuples, the
+very calls the mpc/mpf operators make, so every coefficient keeps the bits
+of a per-term mpc sum.  mpmath is imported only by that path, so the exact
+paths load no floating-point library.
 
 For the record (not verified numerically here): on an actual K3 surface the
 rank-r series is expected to satisfy
@@ -159,9 +162,14 @@ def z_psu_hecke_literal(r: int, alpha, order, lat: EvenLattice) -> QSeries:
     imaginary parts and deviations of real parts from the exact rationals
     beyond 1e-9 raise ConsistencyError (they would signal a formula bug, not
     noise).  The series has mpmath complex coefficients and keeps every
-    exponent the triple sum visits, exact cancellations included.
+    exponent the triple sum visits, exact cancellations included.  Terms and
+    checks run on raw libmp tuples at the working precision, rounding to
+    nearest as the mpc/mpf operators do: the coefficients are bit-identical
+    to summing d chi(Hilb^n) e(b m / d) per term in mpc arithmetic.
     """
     import mpmath
+    from mpmath.libmp import (from_float, from_int, mpc_add, mpc_div_mpf, mpc_mul_int,
+                              mpf_abs, mpf_div, mpf_ge, mpf_sub, round_nearest as rnd)
 
     r, alpha = _check_rank_alpha(r, alpha, lat)
     if r > 12:
@@ -174,27 +182,30 @@ def z_psu_hecke_literal(r: int, alpha, order, lat: EvenLattice) -> QSeries:
     dps = 40 + len(str(max_chi))
 
     with mpmath.workdps(dps):
-        acc: dict[int, mpmath.mpc] = {}     # keyed by r e = a^2 (n - 1) for e = a (n - 1) / d
+        prec = mpmath.mp.prec
+        acc = {}        # keyed by r e = a^2 (n - 1) for e = a (n - 1) / d; raw _mpc_ tuples
         for a, d, xi, top in factorizations:
             s_xi = lat.quad(xi)
             roots = [mpmath.expjpi(mpmath.mpf(2 * j) / d) for j in range(d)]
-            phase = [sum((roots[b * m % d] for b in range(d)), mpmath.mpc(0))
+            phase = [sum((roots[b * m % d] for b in range(d)), mpmath.mpc(0))._mpc_
                      for m in range(d)]
             for n in range(top + 1):
                 key = a * a * (n - 1)
-                acc[key] = acc.get(key, mpmath.mpc(0)) \
-                    + d * hilb_euler(n) * phase[(n - 1 - s_xi // 2) % d]
-        rr = mpmath.mpf(r * r)
-        acc = {k: c / rr for k, c in sorted(acc.items())}
+                t = mpc_mul_int(phase[(n - 1 - s_xi // 2) % d], d * hilb_euler(n), prec, rnd)
+                acc[key] = mpc_add(acc[key], t, prec, rnd) if key in acc else t
 
-        tol = mpmath.mpf(LITERAL_TOL)       # exact: compares as the float does
-        for k, lit in acc.items():      # the exact exponents are among the visited ones
-            want_mp = mpmath.mpf(exact.get(k, 0)) / rr
-            if abs(mpmath.im(lit)) >= tol:
+        rr = from_int(r * r)
+        tol = from_float(LITERAL_TOL)       # exact: compares as the float does
+        coeffs = []
+        for k, c in sorted(acc.items()):    # the exact exponents are among the visited ones
+            re, im = lit = mpc_div_mpf(c, rr, prec, rnd)
+            if mpf_ge(mpf_abs(im, prec, rnd), tol):
                 raise ConsistencyError(f"literal Hecke path: imaginary residue "
-                                       f"{mpmath.im(lit)} at q^{Fraction(k, r)}")
-            if abs(mpmath.re(lit) - want_mp) >= tol:
+                                       f"{mpmath.mp.make_mpf(im)} at q^{Fraction(k, r)}")
+            want = mpf_div(from_int(exact.get(k, 0), prec, rnd), rr, prec, rnd)
+            if mpf_ge(mpf_abs(mpf_sub(re, want, prec, rnd), prec, rnd), tol):
                 raise ConsistencyError(f"literal Hecke path: coefficient at "
                                        f"q^{Fraction(k, r)} deviates from exact value")
+            coeffs.append((k, mpmath.mp.make_mpc(lit)))
     g = math.gcd(r, *acc)       # not QSeries._of: its exact zeros are visited terms
-    return QSeries(r // g, tuple((k // g, c) for k, c in acc.items()), order)
+    return QSeries(r // g, tuple((k // g, c) for k, c in coeffs), order)

@@ -216,13 +216,17 @@ def qs_evaluate(s: QSeries, tau: complex) -> QSeriesValue:
     reported when the extrapolation does not contract, or when no term is
     stored, since nothing then bounds the terms from trunc on.  Every float
     exponent and step is one correctly rounded integer quotient over denom.
+    Coefficients may come from any ring complex() accepts (Fraction, mpc);
+    each is read once, as complex(c), which is what Fraction * complex
+    computes, and abs(complex(c)) == abs(c) for a Fraction.
     """
     tau = complex(tau)
     if tau.imag <= 0:
         raise InputError("tau must lie in the upper half plane")
     q = cmath.exp(2j * cmath.pi * tau)
-    d, entries = s.denom, s.coeffs
+    d = s.denom
     try:
+        entries = [(k, complex(c)) for k, c in s.coeffs]    # Fraction * complex reads this
         terms = [c * q ** (k / d) for k, c in entries]
     except (OverflowError, ZeroDivisionError):     # q under- or overflows at this tau
         raise InputError("q-series terms are not representable at this tau") from None
@@ -234,14 +238,14 @@ def qs_evaluate(s: QSeries, tau: complex) -> QSeriesValue:
     growth = 1.0
     median = entries[len(entries) // 2][0]
     for (k1, c1), (k2, c2) in zip(entries, entries[1:]):
-        if k1 >= median and float(c1) != 0.0:
+        if k1 >= median and c1 != 0.0:
             step = (k2 - k1) / d
-            growth = max(growth, (abs(float(c2)) / abs(float(c1))) ** (1.0 / step))
+            growth = max(growth, (abs(c2) / abs(c1)) ** (1.0 / step))
     x = growth * qa
     if x >= 1.0:
         return QSeriesValue(value, math.inf)
     k_last, c_last = entries[-1]
-    base = abs(float(c_last)) * qa ** (k_last / d)
+    base = abs(c_last) * qa ** (k_last / d)
     tail = base * x ** float(s.trunc - Fraction(k_last, d)) / (1.0 - x)
     return QSeriesValue(value, tail)
 

@@ -286,16 +286,18 @@ def _geom_tail(shells, first_analytic, rho_analytic):
     """Sum of guard shells plus a geometric remainder.
 
     The remainder ratio is the larger of the observed shell decay and the
-    analytic per-shell bound; math.inf when neither contracts.
+    analytic per-shell bound; math.inf when neither contracts.  The remainder
+    starts at the last shell times that ratio, or at first_analytic, the
+    bound on the first shell past the guard, when the last shell is empty.
     """
     total = math.fsum(shells)
-    last = shells[-1] if shells and shells[-1] > 0 else first_analytic
     rho = rho_analytic
     if len(shells) >= 2 and shells[-2] > 0 and shells[-1] > 0:
         rho = max(rho, shells[-1] / shells[-2])
     if rho >= 1.0:
         return math.inf
-    return total + last * rho / (1.0 - rho)
+    first = shells[-1] * rho if shells and shells[-1] > 0 else first_analytic
+    return total + first / (1.0 - rho)
 
 
 def theta_siegel_narain(lat: EvenLattice, alpha, r: int, tau: complex,

@@ -253,7 +253,7 @@ _PINNED_OUTPUTS = [
      '2547447689037081600]}'),
     ("theta --surface s.json --rank 2 --alpha 1 --tau 0.1 1 --x 0.2,0.1 --radius 3 "
      "--splitting identity",
-     '{"points": 2, "tail": 2.2808420062202766e-11, '
+     '{"points": 2, "tail": 2.2808420062559233e-11, '
      '"value": [-0.10094397823264137, -0.11903711523675795]}'),
     ("zfull --surface s.json --rank 2 --tau 0 1 --splitting identity",
      '{"difference": 2.9103830456733704e-11, "direct": {"tail": 3.16541401599561e-11, '

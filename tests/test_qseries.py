@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from k3tk import (EvenLattice, InputError, QSeries, chi_virtual, MukaiVector,
                   gottsche_series, hilb_euler, qs_add, qs_evaluate, qs_mul, qs_scale,
                   qs_substitute_power, qseries, z1_zero, z_psu_direct,
-                  z_psu_hecke_literal)
+                  z_psu_hecke, z_psu_hecke_literal)
 
 from . import oracles
 from .oracles import colored_partition_counts
@@ -243,6 +243,13 @@ def test_evaluate_bit_identical_to_reference_property(x, tau):
     s, ref = QSeries.from_terms(*x), oracles.ref_from_terms(*x)
     for t in (tau, -1 / tau):
         assert repr(tuple(qs_evaluate(s, t))) == repr(oracles.ref_evaluate(ref, t))
+
+
+def test_evaluate_literal_series(gram2):
+    # mpc coefficients evaluate through complex(c), as Fraction ones do
+    lit = qs_evaluate(z_psu_hecke_literal(2, (0,), 12, gram2), 1j)
+    exact = qs_evaluate(z_psu_hecke(2, (0,), 12, gram2), 1j)
+    assert abs(lit.value - exact.value) <= 1e-9 * abs(exact.value)
 
 
 def test_evaluate_and_literal_bit_identical_to_reference(gram2):

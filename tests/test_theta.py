@@ -197,6 +197,19 @@ def test_theta_complex_x_doubling_within_tail(neg2, split1):
     assert abs(big.value - small.value) <= small.tail
 
 
+def test_empty_guard_shells_keep_the_first_analytic_term():
+    # one point within the radius and empty guard shells: the omitted c = +-2
+    # terms (8.4e-10 in modulus) lie in the first analytic shell, which the
+    # tail must count, not only the geometric remainder after it
+    lat = EvenLattice(((-6,),))
+    split = Splitting.identity_positive(lat)
+    tau = complex(-0.42734250381219896, 0.5726230247763422)
+    small = theta_siegel_narain(lat, (0,), 2, tau, split, None, 1.705571430277494)
+    big = theta_siegel_narain(lat, (0,), 2, tau, split, None, 5.0)
+    assert small.points == 1
+    assert abs(big.value - small.value) <= small.tail
+
+
 def test_theta_input_errors(neg2, split1):
     with pytest.raises(InputError):
         theta_siegel_narain(neg2, (0,), 1, 1.0 + 0j, split1)
