@@ -484,7 +484,9 @@ def test_results_pinned_to_the_box_enumeration():
                                [0.25 + 0.02j, 0.1 - 0.03j], 4.0),
            z_full_direct(neg2, 3, 0.25 + 1.1j, Splitting.identity_positive(neg2), None, 4.0, 3.0),
            z_full_direct(toy2, 2, 0.1 + 1j, Splitting.identity_positive(toy2), None, 6.0, 4.0),
-           z_full_factorized(toy2, 2, 0.1 + 1j, Splitting.identity_positive(toy2), None, 10, 4.0)]
+           z_full_factorized(toy2, 2, 0.1 + 1j, Splitting.identity_positive(toy2), None, 10, 4.0),
+           # the last xi guard shell is empty: the analytic start carries the a-sum weight
+           z_full_direct(neg2, 2, 1j, Splitting.identity_positive(neg2), None, 4.0, 4.0)]
     assert [repr(res) for res in got] == [
         "ThetaSum(value=(0.09522425760630887+0.13106494801718224j), "
         "tail=1.0315800201566826e-27, points=12)",
@@ -496,4 +498,5 @@ def test_results_pinned_to_the_box_enumeration():
         "tail=9.690967612446596e-08, terms=184)",
         "ZFullSum(value=(22194.98431621098-68173.09792073988j), "
         "tail=8.294299865099132e-11, terms=25)",
+        "ZFullSum(value=(71728.36338967281+0j), tail=9.325852781065597e-05, terms=28)",
     ]
