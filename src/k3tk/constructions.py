@@ -40,8 +40,8 @@ from math import gcd, inf
 
 from .errors import ConsistencyError, InputError, check_work
 from .isometry import apply_reflect
-from .lattice import (EvenLattice, MukaiVector, Value, _as_int, _set, dual, ell,
-                      mukai_pairing, square)
+from .lattice import (EvenLattice, MukaiVector, Value, _as_int, dual, ell, mukai_pairing,
+                      square)
 
 
 class AuxConstruction(Value):
@@ -186,10 +186,6 @@ def _interior_points(p1, p2, p3) -> int:
 class FareyCheck(Value):
     __slots__ = ("holds", "vacuous")
 
-    def __init__(self, holds: bool, vacuous: bool):
-        _set(self, "holds", holds)
-        _set(self, "vacuous", vacuous)
-
     def __bool__(self) -> bool:
         return self.holds
 
@@ -242,6 +238,8 @@ def sweep_farey(max_x: int) -> tuple[int, list]:
 
     The data is invariant under the shear y_i -> y_i + t x_i, so y3 is
     normalized to [0, x3); every valid tuple is a shear of an enumerated one.
+    Every enumerated tuple meets the preconditions of farey_gap_holds by
+    construction, so the sweep tests x2 < x1 + x3 directly.
     Returns (number of tuples checked, list of counterexamples).
     """
     max_x = _as_int(max_x)
@@ -260,10 +258,7 @@ def sweep_farey(max_x: int) -> tuple[int, list]:
                     lo = y3 * x2 // x3 + 1
                     hi = -((-y1 * x2) // x1) - 1    # floor/ceil tricks, exact
                     for y2 in range(lo, hi + 1):
-                        res = farey_gap_holds(x1, y1, x2, y2, x3, y3)
-                        if res.vacuous:
-                            continue
                         checked += 1
-                        if not res.holds:
+                        if x2 < x1 + x3:
                             bad.append((x1, y1, x2, y2, x3, y3))
     return checked, bad

@@ -213,9 +213,11 @@ def qs_evaluate(s: QSeries, tau: complex) -> QSeriesValue:
     The tail estimate extrapolates the omitted terms geometrically from the
     observed growth of the retained coefficients (a heuristic, adequate for
     eta-quotient-type series well inside the upper half plane); math.inf is
-    reported when the extrapolation does not contract, or when no term is
-    stored, since nothing then bounds the terms from trunc on.  Every float
-    exponent and step is one correctly rounded integer quotient over denom.
+    reported when the extrapolation does not contract or overflows, or when
+    no nonzero term is stored, since nothing then bounds the terms from trunc
+    on; growth and tail base are read over the nonzero terms only.  Every
+    float exponent and step is one correctly rounded integer quotient over
+    denom.
     Coefficients may come from any ring complex() accepts (Fraction, mpc);
     each is read once, as complex(c), which is what Fraction * complex
     computes, and abs(complex(c)) == abs(c) for a Fraction.
@@ -232,15 +234,19 @@ def qs_evaluate(s: QSeries, tau: complex) -> QSeriesValue:
         raise InputError("q-series terms are not representable at this tau") from None
     value = complex(math.fsum(t.real for t in terms), math.fsum(t.imag for t in terms))
     qa = abs(q)
+    entries = [(k, c) for k, c in entries if c]     # a literal series keeps exact zeros
     if not entries:
         return QSeriesValue(value, math.inf)
     # Growth per unit exponent, read off the top half of the expansion.
     growth = 1.0
     median = entries[len(entries) // 2][0]
-    for (k1, c1), (k2, c2) in zip(entries, entries[1:]):
-        if k1 >= median and c1 != 0.0:
-            step = (k2 - k1) / d
-            growth = max(growth, (abs(c2) / abs(c1)) ** (1.0 / step))
+    try:
+        for (k1, c1), (k2, c2) in zip(entries, entries[1:]):
+            if k1 >= median:
+                step = (k2 - k1) / d
+                growth = max(growth, (abs(c2) / abs(c1)) ** (1.0 / step))
+    except OverflowError:
+        return QSeriesValue(value, math.inf)
     x = growth * qa
     if x >= 1.0:
         return QSeriesValue(value, math.inf)

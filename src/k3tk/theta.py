@@ -20,13 +20,15 @@ chi_virtual, and the coset factorization sum_alpha Z_r^alpha * Theta_{alpha,r}.
 
 Tail reporting: each truncated sum also evaluates a few guard shells (in the
 majorant radius) and extension bins (in the holomorphic exponent) beyond its
-cutoff, then extrapolates geometrically with the observed decay ratio,
-falling back to an analytic Gaussian-times-count bound when the guard region
-is empty.  InputError is raised when the geometric regime cannot be
-certified at the given tau (ratio not < 1), rather than reporting an unsound
-bound.  For complex x the phase growth |e(Q(c, x))| <= exp(2 pi |c| |Im x|)
-in the majorant norm (Cauchy-Schwarz on each definite part) is folded into
-the analytic bound.
+cutoff, then extrapolates geometrically with the observed decay ratio.  One
+function, _shell_tail, does this in the majorant direction for both sums; its
+remainder starts at an analytic Gaussian-times-count bound when the last
+guard shell is empty, and it is math.inf when the ratio is not < 1.  In the
+exponent direction InputError is raised when the geometric regime cannot be
+certified at the given tau, rather than reporting an unsound bound.  For
+complex x the phase growth |e(Q(c, x))| <= exp(2 pi |c| |Im x|) in the
+majorant norm (Cauchy-Schwarz on each definite part) is folded into the
+analytic bound.
 
 Kernels: lattice points are tuples of ints and the forms are tuples of float
 columns, validated and built in plain Python once per splitting and lattice
@@ -137,7 +139,7 @@ class Splitting(Value):
         """P_L = id, P_R = 0: valid exactly when Q = -G is positive definite."""
         n = range(lat.rank)
         split = cls([[i == j for j in n] for i in n], [[0 for _ in n] for _ in n])
-        split.validate(lat)
+        _forms(lat, split, None)        # validates, checks the majorant, keeps the forms
         return split
 
     def validate(self, lat: EvenLattice) -> None:
@@ -277,37 +279,44 @@ def _exp(t: float) -> float:
         return math.inf
 
 
-def _count_bound(t: float, r: int, rank: int, lam_min: float) -> float:
-    per_axis = 2.0 * t / (r * math.sqrt(lam_min)) + 2.0
-    return per_axis ** rank
+def _shell_tail(shells, rank: int, r: int, tau: complex, radius: float, lam_min: float,
+                xnorm: float, weight: float = 1.0) -> float:
+    """The sum of the guard shells plus a geometric remainder past the last one.
 
-
-def _geom_tail(shells, first_analytic, rho_analytic):
-    """Sum of guard shells plus a geometric remainder.
-
-    The remainder ratio is the larger of the observed shell decay and the
-    analytic per-shell bound; math.inf when neither contracts.  The remainder
-    starts at the last shell times that ratio, or at first_analytic, the
-    bound on the first shell past the guard, when the last shell is empty.
+    The remainder ratio is the larger of the analytic per-shell bound and the
+    observed decay of the last two shells; math.inf when it does not contract.
+    The remainder starts at the last shell times that ratio or, when the last
+    shell is empty, at the bound on the first shell past the guard: a point
+    count times the Gaussian at t0, times the weight that bounds each point.
     """
-    total = math.fsum(shells)
-    rho = rho_analytic
-    if len(shells) >= 2 and shells[-2] > 0 and shells[-1] > 0:
+    t0 = radius + GUARD_SHELLS
+    decay = 2.0 * math.pi * tau.imag / (2 * r)
+    rho = (2.0 ** rank) * _exp(-decay * (2 * t0 + 1) + 2 * math.pi * xnorm)
+    first = (2.0 * t0 / (r * math.sqrt(lam_min)) + 2.0) ** rank \
+        * _exp(-decay * t0 * t0 + 2 * math.pi * xnorm * t0) * weight
+    if shells[-2] > 0 and shells[-1] > 0:
         rho = max(rho, shells[-1] / shells[-2])
     if rho >= 1.0:
         return math.inf
-    first = shells[-1] * rho if shells and shells[-1] > 0 else first_analytic
-    return total + first / (1.0 - rho)
+    if shells[-1] > 0:
+        first = shells[-1] * rho
+    return math.fsum(shells) + first / (1.0 - rho)
 
 
-def theta_siegel_narain(lat: EvenLattice, alpha, r: int, tau: complex,
-                        split: Splitting, x=None, radius: float = 5.0) -> ThetaSum:
-    """Coset theta sum truncated at majorant norm <= radius^2."""
+def _upper(tau, radius) -> complex:
+    """tau as a complex number; InputError off the upper half plane or for radius < 0."""
     tau = complex(tau)
     if tau.imag <= 0:
         raise InputError("tau must lie in the upper half plane")
     if not radius >= 0:
         raise InputError("radius must be nonnegative")
+    return tau
+
+
+def theta_siegel_narain(lat: EvenLattice, alpha, r: int, tau: complex,
+                        split: Splitting, x=None, radius: float = 5.0) -> ThetaSum:
+    """Coset theta sum truncated at majorant norm <= radius^2."""
+    tau = _upper(tau, radius)
     r = _as_int(r)
     if r < 1:
         raise InputError("coset step r must be a positive integer")
@@ -323,15 +332,8 @@ def theta_siegel_narain(lat: EvenLattice, alpha, r: int, tau: complex,
         else:
             main.append(term)
     value = complex(math.fsum(t.real for t in main), math.fsum(t.imag for t in main))
-
-    t0 = radius + GUARD_SHELLS
-    decay = 2.0 * math.pi * tau.imag / (2 * r)
-    rho_analytic = (2.0 ** lat.rank) * _exp(-decay * (2 * t0 + 1)
-                                                + 2 * math.pi * xnorm)
-    first_analytic = _count_bound(t0, r, lat.rank, lam_min) \
-        * _exp(-decay * t0 * t0 + 2 * math.pi * xnorm * t0)
-    tail = _geom_tail(shells, first_analytic, rho_analytic)
-    return ThetaSum(value, tail, len(main))
+    return ThetaSum(value, _shell_tail(shells, lat.rank, r, tau, radius, lam_min, xnorm),
+                    len(main))
 
 
 def _toy_guard(lat: EvenLattice, r) -> int:
@@ -379,11 +381,7 @@ def z_full_direct(lat: EvenLattice, r: int, tau: complex, split: Splitting,
     most radius^2 and holomorphic Mukai exponent at most exponent_cutoff.
     """
     r = _toy_guard(lat, r)
-    tau = complex(tau)
-    if tau.imag <= 0:
-        raise InputError("tau must lie in the upper half plane")
-    if not radius >= 0:
-        raise InputError("radius must be nonnegative")
+    tau = _upper(tau, radius)
     forms, pivots, lam_min, xnorm = _forms(lat, split, x)
 
     # v = (r, xi, a): <v^2> = n = (xi^2) - 2ra, exponent n / 2r; the main sum keeps
@@ -434,15 +432,10 @@ def z_full_direct(lat: EvenLattice, r: int, tau: complex, split: Splitting,
     tail_h = math.fsum(hbins) + hbins[-1] * rho_h / (1.0 - rho_h)
     h_factor = 1.0 + rho_h / (1.0 - rho_h)
 
-    t0 = radius + GUARD_SHELLS
-    decay = 2.0 * math.pi * tau.imag / (2 * r)
-    rho_x = (2.0 ** lat.rank) * _exp(-decay * (2 * t0 + 1) + 2 * math.pi * xnorm)
     # a distant xi contributes at most its full a-sum (xi-independent bound)
     # times the Gaussian shell weight
-    first_analytic = _count_bound(t0, r, lat.rank, lam_min) \
-        * _exp(-decay * t0 * t0 + 2 * math.pi * xnorm * t0) \
-        * _a_sum_bound(r, qabs)
-    tail_x = _geom_tail(xshells, first_analytic, rho_x) * h_factor
+    tail_x = _shell_tail(xshells, lat.rank, r, tau, radius, lam_min, xnorm,
+                         _a_sum_bound(r, qabs)) * h_factor
     return ZFullSum(value, tail_h + tail_x, len(main))
 
 

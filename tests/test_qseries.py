@@ -1,4 +1,5 @@
 import cmath
+import math
 from fractions import Fraction
 from functools import partial
 
@@ -250,6 +251,13 @@ def test_evaluate_literal_series(gram2):
     lit = qs_evaluate(z_psu_hecke_literal(2, (0,), 12, gram2), 1j)
     exact = qs_evaluate(z_psu_hecke(2, (0,), 12, gram2), 1j)
     assert abs(lit.value - exact.value) <= 1e-9 * abs(exact.value)
+    # its last stored coefficient is an exact zero, which the tail base skips
+    assert 0.0 < lit.tail < math.inf
+    assert abs(lit.tail - exact.tail) <= 1e-9 * exact.tail
+    # a growth estimate that overflows is an unbounded tail, not an OverflowError
+    for s in (QSeries(100, ((0, 1), (1, 1), (2, 10**10)), 1),
+              z_psu_hecke_literal(5, (2,), 20, EvenLattice(((4,),)))):
+        assert qs_evaluate(s, 1j).tail == math.inf
 
 
 def test_evaluate_and_literal_bit_identical_to_reference(gram2):

@@ -139,15 +139,22 @@ def test_splitting_is_immutable_and_validated_once_per_lattice(monkeypatch, neg2
     validate = Splitting.validate
     monkeypatch.setattr(Splitting, "validate", lambda self, lat: calls.append(lat.gram)
                         or validate(self, lat))
-    first = theta_siegel_narain(neg2, (0,), 1, 1j, split1, None, 3.0)
-    assert theta_siegel_narain(neg2, (0,), 1, 1j, split1, None, 3.0) == first
-    z_full_direct(neg2, 1, 1j, split1, None, 2.0, 2.0)
-    theta_siegel_narain(EvenLattice(((-4,),)), (0,), 1, 1j, split1, None, 3.0)
+    split = Splitting.identity_positive(neg2)     # validated here, not again by the sums
+    first = theta_siegel_narain(neg2, (0,), 1, 1j, split, None, 3.0)
+    assert theta_siegel_narain(neg2, (0,), 1, 1j, split, None, 3.0) == first
+    z_full_direct(neg2, 1, 1j, split, None, 2.0, 2.0)
+    theta_siegel_narain(EvenLattice(((-4,),)), (0,), 1, 1j, split, None, 3.0)
     assert calls == [((-2,),), ((-4,),)]
     with pytest.raises(InputError):         # a failed validation is not kept
-        theta_siegel_narain(EvenLattice(((2,),)), (0,), 1, 1j, split1)
+        theta_siegel_narain(EvenLattice(((2,),)), (0,), 1, 1j, split)
     with pytest.raises(InputError):
-        theta_siegel_narain(EvenLattice(((2,),)), (0,), 1, 1j, split1)
+        theta_siegel_narain(EvenLattice(((2,),)), (0,), 1, 1j, split)
+
+
+def test_identity_splitting_refuses_an_indefinite_form_at_construction():
+    # Q = -G = [[2, 3], [3, 2]] is positive on each axis but indefinite
+    with pytest.raises(InputError, match="majorant"):
+        Splitting.identity_positive(EvenLattice(((-2, -3), (-3, -2))))
 
 
 def test_theta_single_point(neg2, split1):
