@@ -215,9 +215,8 @@ def qs_evaluate(s: QSeries, tau: complex) -> QSeriesValue:
     eta-quotient-type series well inside the upper half plane); math.inf is
     reported when the extrapolation does not contract or overflows, or when
     no nonzero term is stored, since nothing then bounds the terms from trunc
-    on; growth and tail base are read over the nonzero terms only.  Every
-    float exponent and step is one correctly rounded integer quotient over
-    denom.
+    on.  Every float exponent and step is one correctly rounded integer
+    quotient over denom.
     Coefficients may come from any ring complex() accepts (Fraction, mpc);
     each is read once, as complex(c), which is what Fraction * complex
     computes, and abs(complex(c)) == abs(c) for a Fraction.
@@ -234,7 +233,7 @@ def qs_evaluate(s: QSeries, tau: complex) -> QSeriesValue:
         raise InputError("q-series terms are not representable at this tau") from None
     value = complex(math.fsum(t.real for t in terms), math.fsum(t.imag for t in terms))
     qa = abs(q)
-    entries = [(k, c) for k, c in entries if c]     # a literal series keeps exact zeros
+    entries = [(k, c) for k, c in entries if c]     # the literal path keeps exact zeros
     if not entries:
         return QSeriesValue(value, math.inf)
     # Growth per unit exponent, read off the top half of the expansion.
