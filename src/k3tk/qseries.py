@@ -222,14 +222,14 @@ def qs_evaluate(s: QSeries, tau: complex) -> QSeriesValue:
     computes, and abs(complex(c)) == abs(c) for a Fraction.
     """
     tau = complex(tau)
-    if tau.imag <= 0:
+    if not (tau.imag > 0 and cmath.isfinite(tau)):      # nan or inf is not a point of it
         raise InputError("tau must lie in the upper half plane")
-    q = cmath.exp(2j * cmath.pi * tau)
     d = s.denom
     try:
+        q = cmath.exp(2j * cmath.pi * tau)      # ValueError: an infinite phase
         entries = [(k, complex(c)) for k, c in s.coeffs]    # Fraction * complex reads this
         terms = [c * q ** (k / d) for k, c in entries]
-    except (OverflowError, ZeroDivisionError):     # q under- or overflows at this tau
+    except (OverflowError, ValueError, ZeroDivisionError):  # q under- or overflows at this tau
         raise InputError("q-series terms are not representable at this tau") from None
     value = complex(math.fsum(t.real for t in terms), math.fsum(t.imag for t in terms))
     qa = abs(q)

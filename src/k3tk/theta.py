@@ -30,16 +30,16 @@ complex x the phase growth |e(Q(c, x))| <= exp(2 pi |c| |Im x|) in the
 majorant norm (Cauchy-Schwarz on each definite part) is folded into the
 analytic bound.
 
-Kernels: lattice points are tuples of ints and the forms are tuples of float
-columns, validated and built in plain Python once per splitting and lattice
-Gram matrix and kept on the immutable splitting; eigenvalues come from cyclic
-Jacobi (_eigh), so nothing here needs numpy.  Points come from Fincke-Pohst
-enumeration (Math. Comp. 44 (1985); Cohen, GTM 138, 2.7.3) over the majorant
-pivots, in lexicographic order.  Its leaf bound prod_k (2R / sqrt(d_k) / step
-+ 1), never above the box of half-width R / sqrt(lambda_min), is checked
-against errors.MAX_WORK before it starts.  The direct partition sum keeps
-<v^2> as an exact integer and reads chi_virtual(v) q^{<v^2>/2r} from a table
-built once per call; a term that overflows double precision is an InputError.
+Kernels: points are tuples of ints.  The projectors sum to the identity and are
+Q-orthogonal, so Q(c_L^2) + Q(c_R^2) = Q(c) and each exponent is (Re tau Q(c) +
+i Im tau M(c))/2r, M the majorant: per point only the exact integer Q(c) = -(c^2)
+and the one float form M are evaluated.  M is built in plain Python once per
+splitting and Gram matrix and kept on the immutable splitting; eigenvalues come from
+cyclic Jacobi (_eigh), so nothing here needs numpy.  Fincke-Pohst enumeration (Math.
+Comp. 44 (1985); Cohen, GTM 138, 2.7.3) over M's pivots yields the points in
+lexicographic order; its leaf bound prod_k (2R / sqrt(d_k) / step + 1), never above
+the box of half-width R / sqrt(lambda_min), is checked against errors.MAX_WORK first.
+A term that overflows double precision is an InputError.
 
 Modular transformation laws of the theta sum are not implemented: the
 familiar constants are specific to the rank-22 K3 lattice and no
@@ -169,9 +169,9 @@ class ZFullSum(Value):
 
 
 def _forms(lat: EvenLattice, split: Splitting, x):
-    """((QL, QR, MJ, Qx), pivots, lam_min, xnorm): the forms as tuples of float
-    columns (MJ the majorant), Qx = Q x (None for x = None), MJ's _pivots and
-    least eigenvalue, kept on the splitting, and the majorant norm of Im x."""
+    """((G, MJ, Qx), pivots, lam_min, xnorm): the integer Gram rows G, the majorant MJ
+    as a tuple of float columns, Qx = Q x (None for x = None), MJ's _pivots and least
+    eigenvalue, kept on the splitting, and the majorant norm of Im x."""
     cached = split._cache.get(lat.gram)
     if cached is None:
         split.validate(lat)
@@ -181,16 +181,16 @@ def _forms(lat: EvenLattice, split: Splitting, x):
         lam_min = min(_eigh(mj)[0])
         if lam_min <= 1e-10:
             raise InputError("majorant form is not positive definite; invalid splitting")
-        ql, qr, mj = (tuple(zip(*m)) for m in (ql, qr, mj))
-        cached = split._cache[lat.gram] = (ql, qr, mj), _pivots(mj), lam_min
-    (ql, qr, mj), pivots, lam_min = cached
+        mj = tuple(zip(*mj))
+        cached = split._cache[lat.gram] = mj, _pivots(mj), lam_min
+    mj, pivots, lam_min = cached
     if x is None:
-        return (ql, qr, mj, None), pivots, lam_min, 0.0
+        return (lat.gram, mj, None), pivots, lam_min, 0.0
     xv = tuple(map(complex, x))
-    if len(xv) != lat.rank:
-        raise InputError("x must have one complex coordinate per lattice rank")
     qx = tuple(-sum(map(mul, row, xv)) for row in lat.gram)
-    return (ql, qr, mj, qx), pivots, lam_min, \
+    if len(xv) != lat.rank or not all(map(cmath.isfinite, xv + qx)):
+        raise InputError("x must have one finite coordinate per lattice rank, and a finite Q x")
+    return (lat.gram, mj, qx), pivots, lam_min, \
         math.sqrt(max(_quad(mj, [v.imag for v in xv]), 0.0))
 
 
@@ -244,18 +244,21 @@ def _short_vectors(pivots, alpha, step: int, bound2: float):
 def _e(t: complex, num=1, den=1) -> complex:
     """num / den e(t) = num / den exp(2 pi i t); InputError where it overflows double precision."""
     try:
-        return num / den * cmath.exp(2j * cmath.pi * t)
+        v = num / den * cmath.exp(2j * cmath.pi * t)
     except (OverflowError, ValueError):     # ValueError: an infinite phase
-        raise InputError("a term overflows double precision at this input") from None
+        v = math.nan
+    if v != v:          # also an exponent that overflowed to inf before the exp
+        raise InputError("a term overflows double precision at this input")
+    return v
 
 
 def _ball(alpha, step: int, r: int, tau: complex, forms, pivots,
           radius: float, per_point: int, what: str):
-    """(c, j, e(tau Q(c_L^2)/2r - taubar Q(c_R^2)/2r + Q(c, x))) over c in alpha + step Z^n
-    of majorant norm <= radius + GUARD_SHELLS; j = 0 inside radius, else the guard shell.
-    The leaf bound, times per_point work per point, is checked on the call; the
-    enumeration runs at a slightly widened bound and _quad decides membership."""
-    ql, qr, mj, qx = forms
+    """(c, j, (c^2), e((Re tau Q(c) + i Im tau M(c))/2r + Q(c, x))) over c in alpha + step Z^n
+    with sqrt M(c) <= radius + GUARD_SHELLS, M the majorant and Q(c) = -(c^2) exact; j = 0 inside
+    radius, else the guard shell.  The leaf bound, times per_point work per point, is checked
+    on the call; the enumeration runs at a slightly widened bound and _quad decides membership."""
+    gram, mj, qx = forms
     outer = radius + GUARD_SHELLS
     check_work(_leaf_bound(pivots, step, outer) * per_point, what)
 
@@ -266,8 +269,9 @@ def _ball(alpha, step: int, r: int, tau: complex, forms, pivots,
                 continue
             j = 0 if maj <= radius * radius else \
                 max(1, min(math.ceil(math.sqrt(maj) - radius), GUARD_SHELLS))
-            hol = tau * (_quad(ql, c) / (2 * r)) - tau.conjugate() * (-_quad(qr, c) / (2 * r))
-            yield c, j, _e(hol if qx is None else hol + sum(map(mul, c, qx)))
+            sq = sum(map(mul, c, [sum(map(mul, row, c)) for row in gram]))
+            t = complex(-tau.real * sq, tau.imag * maj) / (2 * r)
+            yield c, j, sq, _e(t if qx is None else t + sum(map(mul, c, qx)))
     return points()
 
 
@@ -304,9 +308,9 @@ def _shell_tail(shells, rank: int, r: int, tau: complex, radius: float, lam_min:
 
 
 def _upper(tau, radius) -> complex:
-    """tau as a complex number; InputError off the upper half plane or for radius < 0."""
+    """tau as a complex number; InputError off the finite upper half plane or for radius < 0."""
     tau = complex(tau)
-    if tau.imag <= 0:
+    if not (tau.imag > 0 and cmath.isfinite(tau)):
         raise InputError("tau must lie in the upper half plane")
     if not radius >= 0:
         raise InputError("radius must be nonnegative")
@@ -325,7 +329,7 @@ def theta_siegel_narain(lat: EvenLattice, alpha, r: int, tau: complex,
     forms, pivots, lam_min, xnorm = _forms(lat, split, x)
     main = []
     shells = [0.0] * GUARD_SHELLS
-    for _, j, term in _ball(alpha, r, r, tau, forms, pivots, radius, 1,
+    for _, j, _, term in _ball(alpha, r, r, tau, forms, pivots, radius, 1,
                             "theta_siegel_narain"):
         if j:
             shells[j - 1] += abs(term)
@@ -401,8 +405,7 @@ def z_full_direct(lat: EvenLattice, r: int, tau: complex, split: Splitting,
     main = []
     hbins = [0.0] * EXP_BINS          # xi in the main ball, exponent beyond cutoff
     xshells = [0.0] * GUARD_SHELLS    # xi beyond the main ball, any exponent
-    for xi, j, base in ball:
-        s_xi = lat._bilinear(xi, xi)
+    for xi, j, s_xi, base in ball:
         g = math.gcd(r, *xi)
         for a in range(-((n_top - s_xi) // two_r), s_xi // two_r + r + 1):
             n = s_xi - two_r * a
@@ -423,10 +426,7 @@ def z_full_direct(lat: EvenLattice, r: int, tau: complex, split: Splitting,
     qabs = abs(cmath.exp(2j * cmath.pi * tau))
     if qabs == 0.0:         # the a-sum bound raises q to negative powers
         raise InputError("q underflows to 0 at this tau")
-    if hbins[-1] > 0 and hbins[-2] > 0:
-        rho_h = hbins[-1] / hbins[-2]
-    else:
-        rho_h = qabs * 25.0
+    rho_h = hbins[-1] / hbins[-2] if hbins[-1] > 0 and hbins[-2] > 0 else qabs * 25.0
     if rho_h >= 1.0:
         raise InputError("cannot certify the exponent-direction tail at this tau")
     tail_h = math.fsum(hbins) + hbins[-1] * rho_h / (1.0 - rho_h)

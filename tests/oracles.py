@@ -328,13 +328,13 @@ def box_count(rank, step, lam_min, outer) -> float:
 
 
 def box_ball(alpha, step, r, tau, forms, lam_min, radius, guard):
-    """(c, j, term) as theta._ball yields them, from the box of box_count.
+    """(c, j, (c^2), term) as theta._ball yields them, from the box of box_count.
 
     Every candidate of alpha + step Z^n in the box is visited in
     itertools.product order and kept when its majorant norm is at most
     (radius + guard)^2; j = 0 inside radius, else its guard shell.
     """
-    ql, qr, mj, qx = forms
+    gram, mj, qx = forms
     outer = radius + guard
     bound = outer / math.sqrt(lam_min) + 1e-9
     axes = [range(step * math.ceil((-bound - a) / step) + a,
@@ -345,5 +345,15 @@ def box_ball(alpha, step, r, tau, forms, lam_min, radius, guard):
             continue
         j = 0 if maj <= radius * radius else \
             max(1, min(math.ceil(math.sqrt(maj) - radius), guard))
-        hol = tau * (_quad(ql, c) / (2 * r)) - tau.conjugate() * (-_quad(qr, c) / (2 * r))
-        yield c, j, _e(hol if qx is None else hol + sum(map(operator.mul, c, qx)))
+        sq = pairing_brute((0, c, 0), (0, c, 0), gram)      # (c^2) as a Mukai pairing
+        t = complex(-tau.real * sq, tau.imag * maj) / (2 * r)
+        yield c, j, sq, _e(t if qx is None else t + sum(map(operator.mul, c, qx)))
+
+
+def definite_parts(gram, pl, pr, c) -> tuple[float, float]:
+    """(Q_L(c), Q_R(c)) = (Q(P_L c), Q(P_R c)) with Q = -G: the form on each
+    projected vector, by plain loops over the projector rows."""
+    def q(p):
+        u = [sum(x * ck for x, ck in zip(row, c)) for row in p]
+        return -sum(ui * g * uj for ui, row in zip(u, gram) for g, uj in zip(row, u))
+    return q(pl), q(pr)

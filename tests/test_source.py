@@ -1,4 +1,5 @@
-"""Source checks over the package: line length and unused top-level imports."""
+"""Source checks over the package: line length, unused top-level imports and
+unreferenced private helpers."""
 
 import ast
 from pathlib import Path
@@ -27,3 +28,23 @@ def test_every_top_level_import_is_used():
         used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         unused += [(path.name, name) for name in sorted(bound - used)]
     assert unused == []
+
+
+def test_every_private_top_level_helper_is_referenced():
+    trees = {path.name: ast.parse(path.read_text()) for path in SOURCES}
+    used = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.alias):       # imported by another module
+                used.add(node.name)
+    # cli looks its _cmd_<name> handlers up by name from _COMMANDS
+    dead = [(name, node.name) for name, tree in trees.items() for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+            and node.name.startswith("_") and not node.name.startswith("__")
+            and not (name == "cli.py" and node.name.startswith("_cmd_"))
+            and node.name not in used]
+    assert dead == []

@@ -332,6 +332,27 @@ def test_out_of_range_input_is_an_input_error(neg2, split1):
         qs_evaluate(z1_zero(4), 1e300j)
 
 
+_ENTRY_POINTS = {
+    "theta": lambda lat, split, tau, x: theta_siegel_narain(lat, (0,), 1, tau, split, x, 2.0),
+    "direct": lambda lat, split, tau, x: z_full_direct(lat, 1, tau, split, x),
+    "factorized": lambda lat, split, tau, x: z_full_factorized(lat, 1, tau, split, x),
+    "qs_evaluate": lambda lat, split, tau, x: qs_evaluate(z1_zero(5), tau),
+}
+_NON_FINITE = [(complex(math.nan, 1), None), (complex(1, math.nan), None),
+               (complex(math.inf, 1), None), (complex(0, math.inf), None),
+               (1e308 + 1j, None),              # finite, but an infinite phase
+               (1j, [math.nan]), (1j, [math.inf]), (1j, [1e308])]      # the last: Q x overflows
+
+
+@pytest.mark.parametrize("entry, tau, x", [
+    (entry, tau, x) for tau, x in _NON_FINITE for entry in _ENTRY_POINTS
+    if x is None or entry != "qs_evaluate"])
+def test_non_finite_tau_or_x_is_an_input_error(neg2, split1, entry, tau, x):
+    # not a nan result, which a caller's tail > bound check would pass, nor a bare exception
+    with pytest.raises(InputError):
+        _ENTRY_POINTS[entry](neg2, split1, tau, x)
+
+
 def test_work_cap_refuses_before_enumerating(neg2, split1):
     with pytest.raises(InputError, match="candidates"):
         theta_siegel_narain(neg2, (0,), 1, 1j, split1, None, 1e7)
@@ -385,8 +406,9 @@ def test_e8_leaf_bound_fits_where_the_box_did_not():
 
 
 @st.composite
-def _ball_inputs(draw):
-    """A rank <= 3 lattice with a valid splitting, a coset and a radius whose box stays small."""
+def _ball_inputs(draw, with_split=False):
+    """A rank <= 3 lattice with a valid splitting, a coset and a radius whose box stays
+    small; with_split appends the lattice and the splitting."""
     n = draw(st.integers(1, 3))
     if draw(st.booleans()):         # definite: Q = B^T D B
         b = [[draw(st.integers(-3, 3)) for _ in range(n)] for _ in range(n)]
@@ -415,7 +437,7 @@ def _ball_inputs(draw):
     if draw(st.booleans()):
         x = [complex(draw(st.floats(-1, 1)), draw(st.floats(-0.2, 0.2))) for _ in range(n)]
         forms = theta._forms(lat, split, x)[0]
-    return alpha, step, tau, forms, pivots, lam_min, radius
+    return (alpha, step, tau, forms, pivots, lam_min, radius) + ((lat, split) * with_split)
 
 
 @settings(max_examples=150, deadline=None)
@@ -426,6 +448,23 @@ def test_fincke_pohst_yields_the_box_points_in_order(case, r):
     want = list(oracles.box_ball(alpha, step, r, tau, forms, lam_min, radius,
                                  theta.GUARD_SHELLS))
     assert got == want
+
+
+@settings(max_examples=150, deadline=None)
+@given(_ball_inputs(with_split=True), st.integers(1, 3))
+def test_exponent_from_q_and_the_majorant_matches_the_projected_forms(case, r):
+    # Q_L + Q_R = Q and Q_L - Q_R = M, so tau Q_L + taubar Q_R = Re tau Q + i Im tau M
+    alpha, step, tau, forms, pivots, _, radius, lat, split = case
+    qx = forms[2] or (0,) * len(alpha)
+    for c, _, sq, term in theta._ball(alpha, step, r, tau, forms, pivots, radius, 1, "test"):
+        assert sq == oracles.pairing_brute((0, c, 0), (0, c, 0), lat.gram)
+        q, maj = -sq, oracles._quad(forms[1], c)
+        ql, qr = oracles.definite_parts(lat.gram, split.pl, split.pr, c)
+        hol = tau * ql + tau.conjugate() * qr
+        tol = 1e-12 * (abs(q) + maj + 1) * abs(tau)
+        assert abs(complex(tau.real * q, tau.imag * maj) - hol) <= tol
+        want = oracles._e(hol / (2 * r) + sum(ci * v for ci, v in zip(c, qx)))
+        assert abs(term - want) <= (2 * math.pi * tol + 1e-14) * abs(want)
 
 
 @settings(max_examples=150, deadline=None)
@@ -498,7 +537,7 @@ def test_results_pinned_to_the_box_enumeration():
         "ThetaSum(value=(0.09522425760630887+0.13106494801718224j), "
         "tail=1.0315800201566826e-27, points=12)",
         "ThetaSum(value=(-0.0007265580394613061-0.0008052064362195986j), "
-        "tail=5.354554130909934e-16, points=4)",
+        "tail=5.354554130909906e-16, points=4)",
         "ZFullSum(value=(20.706061041337396+112367714.0222711j), "
         "tail=0.22866310579762913, terms=26)",
         "ZFullSum(value=(22194.984316239326-68173.09792064782j), "
