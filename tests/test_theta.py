@@ -437,7 +437,7 @@ def _ball_inputs(draw, with_split=False):
     if draw(st.booleans()):
         x = [complex(draw(st.floats(-1, 1)), draw(st.floats(-0.2, 0.2))) for _ in range(n)]
         forms = theta._forms(lat, split, x)[0]
-    return (alpha, step, tau, forms, pivots, lam_min, radius) + ((lat, split) * with_split)
+    return (alpha, step, tau, forms, pivots, lam_min, radius) + ((lat, split) if with_split else ())
 
 
 @settings(max_examples=150, deadline=None)
