@@ -171,10 +171,12 @@ def _cmd_invariants(args) -> dict:
 
 
 def _cmd_gottsche(args) -> dict:
-    from .qseries import gottsche_series
+    from .qseries import hilb_euler
 
-    series = gottsche_series(args.order)
-    return {"coeffs": [int(series.coeff(n)) for n in range(args.order)]}
+    if args.order < 1:
+        raise InputError("order must be at least 1")
+    hilb_euler(args.order - 1)          # grows the table once; the reads below are lookups
+    return {"coeffs": [hilb_euler(n) for n in range(args.order)]}
 
 
 def _cmd_chivirtual(args) -> dict:

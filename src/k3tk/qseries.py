@@ -21,15 +21,16 @@ own truncation, where its coefficients are known.
 
 The Goettsche series of a K3 surface,
 
-    sum_n chi(Hilb^n) q^n = prod_{m>=1} (1 - q^m)^(-24),
+    sum_n chi(Hilb^n) q^n = prod_{m>=1} (1 - q^m)^(-24) = h^(-8),
 
-is computed from its logarithmic derivative: q d/dq log of the product is
-24 sum_k sigma(k) q^k, with sigma the divisor sum, so the coefficients c(n)
-obey n c(n) = 24 sum_{k=1}^n sigma(k) c(n - k).  Each c(n) is an exact
-integer from the ones before it, so the cached table grows one index at a
-time; growing it from m to n entries costs about (n^2 - m^2)/2 big-integer
-products, which errors.check_work bounds.  The test suite checks it against
-an independent 24-colored-partition dynamic program.
+where h = prod_m (1 - q^m)^3 = sum_{j>=0} (-1)^j (2j+1) q^(j(j+1)/2) by Jacobi's
+identity is nonzero only at the triangular numbers k.  J.C.P. Miller's recurrence
+for a power of a series (Knuth, TAOCP vol. 2, 4.7) gives n c(n) = -sum_k (7k + n)
+h_k c(n - k): at most T(n) = (isqrt(8n + 1) - 1) // 2 big-integer products per
+exact integer c(n) (a nonzero remainder is a ConsistencyError), so the cached
+table grows one index at a time at O(n^1.5) cost, which errors.check_work bounds.
+The test suite checks it against the divisor-sum recurrence of the logarithmic
+derivative and an independent 24-colored-partition dynamic program.
 chi(Hilb^n) = 0 for n < 0 by convention; the virtual Euler characteristic
 formula relies on this.
 """
@@ -41,10 +42,9 @@ import math
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, isqrt, lcm
-from operator import mul
 from typing import NamedTuple
 
-from .errors import InputError, check_work
+from .errors import ConsistencyError, InputError, check_work
 from .lattice import Value, _as_int, _new, _set
 
 
@@ -256,34 +256,32 @@ def qs_evaluate(s: QSeries, tau: complex) -> QSeriesValue:
 
 
 _hilb_euler: list[int] = [1]
-_divisor_sums: list[int] = [0]
-
-
-def _divisor_sum(k: int) -> int:
-    """sigma(k): the sum of the positive divisors of k >= 1."""
-    root = isqrt(k)
-    total = sum(d + k // d for d in range(1, root + 1) if k % d == 0)
-    return total - root if root * root == k else total
 
 
 def hilb_euler(n: int) -> int:
     """Euler characteristic of the Hilbert scheme of n points on a K3.
 
-    Coefficient of q^n in prod_{m>=1} (1 - q^m)^(-24); 0 for n < 0.
+    Coefficient of q^n in prod_{m>=1} (1 - q^m)^(-24) = h^(-8), from Miller's
+    recurrence over h's triangular exponents (module docstring); 0 for n < 0.
     """
     n = _as_int(n)
     if n < 0:
         return 0
     c = _hilb_euler
     if n >= len(c):
-        # entry m costs m products: m = len(c), ..., n
-        check_work((n * (n + 1) - len(c) * (len(c) - 1)) // 2, "hilb_euler")
-        sigma = _divisor_sums
-        while len(sigma) <= n:
-            sigma.append(_divisor_sum(len(sigma)))
+        top = (isqrt(8 * n + 1) - 1) // 2      # T(n): no entry up to n reads more h_k
+        check_work((n + 1 - len(c)) * top, "hilb_euler")
+        tri = [(j * (j + 1) // 2, (-1) ** j * (2 * j + 1)) for j in range(1, top + 1)]
         for m in range(len(c), n + 1):
-            # m c(m) = 24 sum_{k=1}^m sigma(k) c(m-k); reversed(c) runs c(m-1), ..., c(0)
-            c.append(24 * sum(map(mul, sigma[1:m + 1], reversed(c))) // m)
+            s = 0
+            for k, h in tri:
+                if k > m:
+                    break
+                s -= (7 * k + m) * h * c[m - k]
+            entry, rest = divmod(s, m)
+            if rest:
+                raise ConsistencyError(f"chi(Hilb^{m}) is not an integer")
+            c.append(entry)
     return c[n]
 
 

@@ -170,8 +170,8 @@ class ZFullSum(Value):
 
 def _forms(lat: EvenLattice, split: Splitting, x):
     """((G, MJ, Qx), pivots, lam_min, xnorm): the integer Gram rows G, the majorant MJ
-    as a tuple of float columns, Qx = Q x (None for x = None), MJ's _pivots and least
-    eigenvalue, kept on the splitting, and the majorant norm of Im x."""
+    as float columns, Qx = Q x with Re Q x mod 1 (exact fmod; c is integral; None for
+    x = None), MJ's _pivots and least eigenvalue, kept on the splitting, and |Im x|_MJ."""
     cached = split._cache.get(lat.gram)
     if cached is None:
         split.validate(lat)
@@ -190,6 +190,7 @@ def _forms(lat: EvenLattice, split: Splitting, x):
     qx = tuple(-sum(map(mul, row, xv)) for row in lat.gram)
     if len(xv) != lat.rank or not all(map(cmath.isfinite, xv + qx)):
         raise InputError("x must have one finite coordinate per lattice rank, and a finite Q x")
+    qx = tuple(complex(math.fmod(v.real, 1.0), v.imag) for v in qx)
     return (lat.gram, mj, qx), pivots, lam_min, \
         math.sqrt(max(_quad(mj, [v.imag for v in xv]), 0.0))
 

@@ -1,7 +1,9 @@
 """Independent oracles the tests check the library against.
 
 Each oracle deliberately uses a different algorithm than the production
-code: the partition counter is a plain dynamic program (no divisor sums),
+code: the Goettsche numbers come from a plain dynamic program and from the
+divisor-sum recurrence of the logarithmic derivative (the library uses
+Jacobi's triple product),
 the pairing is a hand-expanded double loop, the triangle count comes from
 Pick's theorem or from testing every point of the bounding box, instead of
 the column scan, and the partition and theta sums visit every candidate with
@@ -31,6 +33,18 @@ def colored_partition_counts(order: int, colors: int = 24) -> list[int]:
         for _ in range(colors):
             for n in range(part, order):
                 counts[n] += counts[n - part]
+    return counts
+
+
+def sigma_recurrence_counts(order: int) -> list[int]:
+    """Coefficients of prod_m (1 - q^m)^(-24) below q^order from its logarithmic
+    derivative: n c(n) = 24 sum_{k=1}^n sigma(k) c(n - k), sigma the divisor sum."""
+    sigma = [0] + [sum(d for d in range(1, k + 1) if k % d == 0) for k in range(1, order)]
+    counts = [1]
+    for n in range(1, order):
+        total = 24 * sum(sigma[k] * counts[n - k] for k in range(1, n + 1))
+        assert total % n == 0
+        counts.append(total // n)
     return counts
 
 

@@ -15,7 +15,7 @@ from k3tk import (EvenLattice, MukaiVector, Splitting, apply_reflect,
                   apply_translate, build_auxiliary, chi_virtual,
                   classify_non_locally_free, dual, ell, gottsche_series,
                   hilb_euler, hilb_index, moduli_dim, mukai_pairing, ns_auto,
-                  primitive, qs_evaluate, reflected_target, square,
+                  primitive, qs_evaluate, qseries, reflected_target, square,
                   sweep_farey, sweep_triangles, z1_zero, z_full_direct,
                   z_full_factorized, z_psu_direct, z_psu_hecke,
                   z_psu_hecke_literal)
@@ -76,7 +76,7 @@ def test_c02_isometry_suite():
            time.time() - start, 1.0)
 
 
-def test_c03_gottsche_vs_partition_oracle():
+def test_c03_gottsche_vs_partition_oracle(monkeypatch):
     start = time.time()
     order = 25
     counts = [1] + [0] * (order - 1)        # 24-colored partition DP, inline oracle
@@ -88,6 +88,11 @@ def test_c03_gottsche_vs_partition_oracle():
     assert [int(series.coeff(n)) for n in range(order)] == counts
     assert counts[:4] == [1, 24, 324, 3200]
     report(3, "Goettsche series to order 25 matches the colored-partition DP",
+           time.time() - start, 1.0)
+    monkeypatch.setattr(qseries, "_hilb_euler", [1])
+    start = time.time()             # O(n^1.5) products: a return to n^2 takes over 1 s
+    hilb_euler(4000)
+    report(3, "Euler-number table grown from empty to index 4000",
            time.time() - start, 1.0)
 
 

@@ -128,6 +128,8 @@ def test_invariants_nonprimitive(tmp_path, capsys):
 def test_gottsche(capsys):
     doc = run_json(capsys, "gottsche", "--order", "4")
     assert doc == {"coeffs": [1, 24, 324, 3200]}
+    assert run(capsys, "gottsche", "--order", "0") == \
+        (2, '{"error": "order must be at least 1"}\n')
 
 
 def test_chivirtual(tmp_path, capsys):
@@ -573,7 +575,7 @@ def test_unbounded_factorized_tail_exits_2(tmp_path):
     ["zfull", "--rank", "1", "--tau", "0", "1", "--cutoff", "4000"],
 ], ids=["gottsche-order-1e5", "zfull-cutoff-4000"])
 def test_goettsche_index_refused_within_2_s(argv):
-    # refused before the Euler-number table grows: O(n^2) products, and past
+    # refused before the Euler-number table grows: O(n^1.5) products, and past
     # n = 3713 chi(Hilb^n) is not a double
     _assert_spawned_input_error(argv, timeout=2)
 

@@ -8,13 +8,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from k3tk import (EvenLattice, InputError, QSeries, chi_virtual, MukaiVector,
+from k3tk import (EvenLattice, InputError, QSeries, chi_virtual, MukaiVector, errors,
                   gottsche_series, hilb_euler, qs_add, qs_evaluate, qs_mul, qs_scale,
                   qs_substitute_power, qseries, z1_zero, z_psu_direct,
                   z_psu_hecke, z_psu_hecke_literal)
 
 from . import oracles
-from .oracles import colored_partition_counts
+from .oracles import colored_partition_counts, sigma_recurrence_counts
 
 
 def series(terms, trunc):
@@ -119,10 +119,28 @@ def test_gottsche_matches_partition_dp_oracle():
 def test_hilb_euler_grows_in_uneven_steps(monkeypatch):
     oracle = colored_partition_counts(701)
     monkeypatch.setattr(qseries, "_hilb_euler", [1])
-    monkeypatch.setattr(qseries, "_divisor_sums", [0])
     for top in (10, 11, 700):
         assert hilb_euler(top) == oracle[top]
         assert qseries._hilb_euler == oracle[:top + 1]
+
+
+def test_hilb_euler_matches_the_divisor_sum_recurrence(monkeypatch):
+    oracle = sigma_recurrence_counts(2001)
+    monkeypatch.setattr(qseries, "_hilb_euler", [1])
+    assert hilb_euler(2000) == oracle[2000]
+    assert qseries._hilb_euler == oracle
+
+
+def test_hilb_euler_work_cap_admits_its_boundary_index(monkeypatch):
+    # growing [1] to index n counts n * T(n) products, T(n) = (isqrt(8n + 1) - 1) // 2:
+    # 20 * 5 = 100 is admitted under a cap of 100, 21 * 6 = 126 is not
+    monkeypatch.setattr(errors, "MAX_WORK", 100)
+    monkeypatch.setattr(qseries, "_hilb_euler", [1])
+    with pytest.raises(InputError, match="hilb_euler would visit"):
+        hilb_euler(21)
+    assert qseries._hilb_euler == [1]
+    assert hilb_euler(20) == colored_partition_counts(21)[20]
+    assert hilb_euler(21) == colored_partition_counts(22)[21]     # one new entry: 6 products
 
 
 @pytest.mark.parametrize("bad", [1.5, True, "3", 12.5])
@@ -192,7 +210,7 @@ def test_evaluate_tail_is_honest():
 
 
 def test_hilb_euler_work_cap_covers_every_entry_point():
-    # growing the table to n costs about n^2/2 big-integer products
+    # growing the table to n costs at most n * T(n) big-integer products, T(n) ~ sqrt(2n)
     huge = MukaiVector(1, (0,), -10 ** 5)         # <v^2> / 2 + 1 = 10^5 + 1
     for call in (lambda: hilb_euler(10 ** 5), lambda: gottsche_series(10 ** 5),
                  lambda: z1_zero(10 ** 5),

@@ -196,6 +196,14 @@ def test_theta_integral_phase_shift_invariance(neg2, split1):
     assert a.value == pytest.approx(b.value, abs=1e-12)
 
 
+@pytest.mark.parametrize("x", [[1e17], [2.0 ** 60]])
+def test_theta_phase_of_a_huge_integral_x(neg2, split1, x):
+    # Q(c, x) is an integer, so every phase is 1; unreduced, 2 pi Q(c, x) rounds to noise
+    plain = theta_siegel_narain(neg2, (0,), 1, 1j, split1, None, 2.0)
+    assert plain.value == 1.003734885463416
+    assert theta_siegel_narain(neg2, (0,), 1, 1j, split1, x, 2.0) == plain
+
+
 def test_theta_complex_x_doubling_within_tail(neg2, split1):
     # Im x != 0 turns on the phase-growth factor in the analytic tail bound
     x = [0.1 + 0.05j]
