@@ -134,13 +134,14 @@ def test_hilb_euler_matches_the_divisor_sum_recurrence(monkeypatch):
 def test_hilb_euler_work_cap_admits_its_boundary_index(monkeypatch):
     # growing [1] to index n counts n * T(n) products, T(n) = (isqrt(8n + 1) - 1) // 2:
     # 20 * 5 = 100 is admitted under a cap of 100, 21 * 6 = 126 is not
+    oracle = colored_partition_counts(22)
     monkeypatch.setattr(errors, "MAX_WORK", 100)
     monkeypatch.setattr(qseries, "_hilb_euler", [1])
     with pytest.raises(InputError, match="hilb_euler would visit"):
         hilb_euler(21)
     assert qseries._hilb_euler == [1]
-    assert hilb_euler(20) == colored_partition_counts(21)[20]
-    assert hilb_euler(21) == colored_partition_counts(22)[21]     # one new entry: 6 products
+    assert hilb_euler(20) == oracle[20]
+    assert hilb_euler(21) == oracle[21]         # one new entry: 6 products
 
 
 @pytest.mark.parametrize("bad", [1.5, True, "3", 12.5])
