@@ -208,12 +208,20 @@ def farey_gap_holds(x1: int, y1: int, x2: int, y2: int,
     return FareyCheck(x2 >= x1 + x3, False)
 
 
+def _bound(n) -> int:
+    """A sweep's bound: a nonnegative integer (0 is a valid, empty sweep)."""
+    n = _as_int(n)
+    if n < 0:
+        raise InputError("bound must be nonnegative")
+    return n
+
+
 def sweep_triangles(max_r1: int) -> tuple[int, list]:
     """Exhaust all valid (r1, d1, r, d, l) with r1 <= max_r1, |d1| <= max_r1.
 
     Returns (number of tuples checked, list of counterexample tuples).
     """
-    max_r1 = _as_int(max_r1)
+    max_r1 = _bound(max_r1)
     check_work((max_r1 - 1) * (2 * max_r1 + 1), "sweep_triangles")     # (r1, d1) pairs
     checked = 0
     bad = []
@@ -242,7 +250,7 @@ def sweep_farey(max_x: int) -> tuple[int, list]:
     construction, so the sweep tests x2 < x1 + x3 directly.
     Returns (number of tuples checked, list of counterexamples).
     """
-    max_x = _as_int(max_x)
+    max_x = _bound(max_x)
     check_work(max_x * max_x * (max_x + 1) // 2, "sweep_farey")      # (x3, y3, x1) triples
     checked = 0
     bad = []

@@ -13,6 +13,12 @@ every theta exponent references Q explicitly so the sign cannot drift.
 Everything in this module is plain integer arithmetic, hence exact.  The
 package's value classes derive from Value, defined here: an immutable record
 whose fields are its __slots__, which its own __init__ assigns once with _set.
+MukaiVector._memo is the one underscore slot: it keeps (gram, <v^2>, case) for
+the last lattice v was read against, keyed by the identity of that lattice's
+Gram tuple (held, so the identity cannot be reused), and lives as long as v.
+square fills <v^2> and k3tk.moduli the case; an equal but distinct lattice, or
+a new vector from the same components, simply recomputes.  The record is read
+and replaced whole, so two threads sharing a vector at worst recompute.
 """
 
 from __future__ import annotations
@@ -165,15 +171,17 @@ class MukaiVector(Value):
 
     The constructor coerces every component strictly to int.  Arithmetic on
     vectors builds its results with the trusted constructor _mukai instead,
-    since sums and multiples of integers need no second check.
+    since sums and multiples of integers need no second check.  Both start
+    _memo empty (see the module docstring).
     """
 
-    __slots__ = ("r", "c1", "a")
+    __slots__ = ("r", "c1", "a", "_memo")
 
     def __init__(self, r, c1, a):
         _set(self, "r", _as_int(r))
         _set(self, "c1", _as_ints(c1))
         _set(self, "a", _as_int(a))
+        _set(self, "_memo", None)
 
     def __add__(self, other: "MukaiVector") -> "MukaiVector":
         if len(self.c1) != len(other.c1):
@@ -222,6 +230,7 @@ def _mukai(r: int, c1: tuple[int, ...], a: int) -> MukaiVector:
     _set(v, "r", r)
     _set(v, "c1", c1)
     _set(v, "a", a)
+    _set(v, "_memo", None)
     return v
 
 
@@ -269,5 +278,10 @@ def primitive(v: MukaiVector, lat: EvenLattice | None = None) -> bool:
 
 
 def square(v: MukaiVector, lat: EvenLattice) -> int:
-    """<v, v>; even for an even lattice."""
-    return mukai_pairing(v, v, lat)
+    """<v, v>; even for an even lattice.  Read from, or kept in, v._memo."""
+    memo = v._memo
+    if memo is not None and memo[0] is lat.gram:
+        return memo[1]
+    sq = mukai_pairing(v, v, lat)
+    _set(v, "_memo", (lat.gram, sq, None))
+    return sq

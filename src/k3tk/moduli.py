@@ -15,6 +15,10 @@ case B when there is a (-2)-vector of the shape r + xi + b omega, i.e. when
 applied verbatim even at the corner l = 1, <v^2> = -2, where rigid mu-stable
 bundles (the structure sheaf) sit on the boundary; mu_stable_boundary_flag
 marks that corner.
+
+Every predicate reads one record per vector and lattice: <v^2> and the case
+split (l, CaseInfo) are computed once and kept in the vector's _memo slot (see
+k3tk.lattice), so asking all of them about one v costs one Mukai pairing.
 """
 
 from __future__ import annotations
@@ -34,26 +38,21 @@ def _require_positive_rank(v: MukaiVector) -> None:
         raise InputError("rank must be positive (rank-0 theory is out of scope)")
 
 
-def _primitive_square(v: MukaiVector, lat: EvenLattice) -> int:
-    """Validate a positive-rank primitive v once and return <v^2>."""
+def _square(v: MukaiVector, lat: EvenLattice, nonempty: bool = True) -> int:
+    """<v^2> of v after the checks, in this order: positive rank, c1 length,
+    primitive and, when nonempty, <v^2> >= -2 (a non-empty moduli space)."""
     _require_positive_rank(v)
     sq = square(v, lat)
     if content(v) != 1:
         raise InputError("Mukai vector must be primitive")
-    return sq
-
-
-def _nonempty_square(v: MukaiVector, lat: EvenLattice) -> int:
-    """<v^2> of a valid primitive v whose stable moduli space is non-empty."""
-    sq = _primitive_square(v, lat)
-    if sq < -2:
+    if nonempty and sq < -2:
         raise InputError("moduli space is empty: <v^2> < -2")
     return sq
 
 
 def exists_stable_primitive(v: MukaiVector, lat: EvenLattice) -> bool:
     """Non-emptiness of the stable moduli space: <v^2> >= -2."""
-    return _primitive_square(v, lat) >= -2
+    return _square(v, lat, nonempty=False) >= -2
 
 
 def exists_semistable(v: MukaiVector, lat: EvenLattice) -> bool:
@@ -69,7 +68,7 @@ def exists_semistable(v: MukaiVector, lat: EvenLattice) -> bool:
 
 def moduli_dim(v: MukaiVector, lat: EvenLattice) -> int:
     """dim M(v) = <v^2> + 2 for primitive v with <v^2> >= -2."""
-    return _nonempty_square(v, lat) + 2
+    return _square(v, lat) + 2
 
 
 class CaseInfo(Value):
@@ -81,17 +80,25 @@ class CaseInfo(Value):
 
 
 def _case(v: MukaiVector, lat: EvenLattice) -> tuple[int, CaseInfo]:
-    """(l, case) for a positive-rank v already checked against lat.
+    """(l, case) for a positive-rank v, kept beside <v^2> in v._memo.
 
-    l = gcd(rank, c1) and v = l(r + xi) + a omega with r + xi primitive.
+    l = gcd(rank, c1) and v = l(r + xi) + a omega with r + xi primitive, so
+    (xi^2) = (<v^2> + 2 rank(v) a) / l^2 exactly.
     """
+    sq = square(v, lat)
+    memo = v._memo
+    if memo[0] is lat.gram and memo[2] is not None:
+        return memo[2]
     l = ell(v)
     r = v.r // l
-    xi = tuple([x // l for x in v.c1])
-    xi_sq = lat._bilinear(xi, xi)
+    xi_sq = (sq + 2 * v.r * v.a) // (l * l)
     if (xi_sq + 2) % (2 * r) == 0:
-        return l, CaseInfo("B", _mukai(r, xi, (xi_sq + 2) // (2 * r)))
-    return l, CaseInfo("A", None)
+        xi = tuple([x // l for x in v.c1])
+        case = l, CaseInfo("B", _mukai(r, xi, (xi_sq + 2) // (2 * r)))
+    else:
+        case = l, CaseInfo("A", None)
+    _set(v, "_memo", (lat.gram, sq, case))
+    return case
 
 
 def classify_case(v: MukaiVector, lat: EvenLattice) -> CaseInfo:
@@ -102,7 +109,7 @@ def classify_case(v: MukaiVector, lat: EvenLattice) -> CaseInfo:
 
 def exists_mu_stable(v: MukaiVector, lat: EvenLattice) -> bool:
     """Existence of mu-stable members: <v^2> >= 0 (case A) or >= 2 l^2 (case B)."""
-    sq = _nonempty_square(v, lat)
+    sq = _square(v, lat)
     l, info = _case(v, lat)
     if info.case == "A":
         return sq >= 0
@@ -133,7 +140,7 @@ def classify_non_locally_free(v: MukaiVector, lat: EvenLattice) -> NonLocallyFre
     and v = l v0 - (l+1) omega, moduli the Hilbert scheme of l+1 points.
     Everything else contains locally free members.
     """
-    sq = _nonempty_square(v, lat)
+    sq = _square(v, lat)
     if v.r == 1:
         return NonLocallyFree(RANK_ONE, f"Hilb^{sq // 2 + 1}")
     l, info = _case(v, lat)
@@ -148,7 +155,7 @@ def classify_non_locally_free(v: MukaiVector, lat: EvenLattice) -> NonLocallyFre
 
 def hilb_index(v: MukaiVector, lat: EvenLattice) -> int:
     """<v^2>/2 + 1, the number of points of the reference Hilbert scheme."""
-    return _nonempty_square(v, lat) // 2 + 1
+    return _square(v, lat) // 2 + 1
 
 
 def euler_characteristic(v: MukaiVector, lat: EvenLattice) -> int:

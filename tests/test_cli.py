@@ -219,6 +219,16 @@ def test_verify_commands(capsys):
     assert doc["counterexamples"] == 0 and doc["checked"] > 0
 
 
+@pytest.mark.parametrize("what, bound", [("triangle", "-4"), ("farey", "-1")])
+def test_verify_negative_bound_exits_2(capsys, what, bound):
+    assert main(["verify", what, "--bound", bound]) == 2
+    captured = capsys.readouterr()
+    assert json.loads(captured.out) == {"error": "bound must be nonnegative"}
+    assert captured.err == ""
+    assert run_json(capsys, "verify", what, "--bound", "0") == {
+        "checked": 0, "counterexamples": 0, "examples": []}
+
+
 def test_output_deterministic(tmp_path, capsys):
     v = write_vec(tmp_path, "v.json", 3, (1,), -2)
     _, first = run(capsys, "invariants", "--v", v)

@@ -139,6 +139,14 @@ def test_integer_arguments_are_strict(bad):
             call()
 
 
+@pytest.mark.parametrize("sweep", [sweep_triangles, sweep_farey])
+def test_sweeps_refuse_a_negative_bound(sweep):
+    for bad in (-1, -4):
+        with pytest.raises(InputError, match="bound must be nonnegative"):
+            sweep(bad)
+    assert sweep(0) == (0, [])              # an empty sweep, not an error
+
+
 def test_sweeps_refuse_huge_bounds_and_r1_search_scans_one_class():
     for sweep in (sweep_triangles, sweep_farey):
         with pytest.raises(InputError, match="would visit"):

@@ -1,6 +1,10 @@
-import pytest
+import pickle
 
-from k3tk import (EvenLattice, InputError, MukaiVector, classify_case,
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from k3tk import (EvenLattice, InputError, MukaiVector, chi_virtual, classify_case,
                   classify_non_locally_free, content, euler_characteristic,
                   exists_mu_stable, exists_semistable, exists_stable_primitive,
                   hilb_index, moduli_dim, mu_stable_boundary_flag, primitive,
@@ -131,3 +135,68 @@ def test_euler_deformation_invariance(rng):
         if idx in seen:
             assert seen[idx] == chi
         seen[idx] = chi
+
+
+# every question asked of one vector: the lattice square, the moduli predicates, chi_virtual
+_QUESTIONS = (square, classify_case, exists_stable_primitive, exists_semistable,
+              exists_mu_stable, moduli_dim, hilb_index, euler_characteristic,
+              classify_non_locally_free, mu_stable_boundary_flag, chi_virtual)
+
+
+def _answer(question, v, lat):
+    try:
+        return question(v, lat)
+    except InputError as exc:
+        return type(exc), str(exc)
+
+
+@st.composite
+def _gram(draw, n):
+    g = [[0] * n for _ in range(n)]
+    for i in range(n):
+        g[i][i] = 2 * draw(st.integers(-3, 3))
+        for j in range(i):
+            g[i][j] = g[j][i] = draw(st.integers(-3, 3))
+    return g
+
+
+@st.composite
+def _memo_case(draw):
+    n = draw(st.integers(1, 4))
+    gram = draw(_gram(n))
+    a, a_twin = EvenLattice(gram), EvenLattice([list(row) for row in gram])
+    b = EvenLattice(draw(_gram(draw(st.integers(1, 4))).filter(lambda g: g != gram)))
+    length = draw(st.sampled_from((n, n, n, n - 1, n + 1)))      # sometimes a wrong c1 length
+    base = MukaiVector(draw(st.integers(-2, 5)), draw(st.lists(st.integers(-3, 3),
+                       min_size=length, max_size=length)), draw(st.integers(-6, 4)))
+    scale = draw(st.integers(1, 3))         # scale > 1: non-primitive, built by _mukai
+    asks = draw(st.lists(st.tuples(st.sampled_from(_QUESTIONS), st.sampled_from((a, a_twin, b))),
+                         min_size=1, max_size=30))
+    return scale * base, asks
+
+
+@settings(max_examples=300, deadline=None)
+@given(_memo_case())
+def test_memo_answers_as_a_fresh_vector_would(case):
+    v, asks = case
+    for question, lat in asks:
+        assert _answer(question, v, lat) == _answer(question, MukaiVector(v.r, v.c1, v.a), lat)
+    fresh = MukaiVector(v.r, v.c1, v.a)
+    assert v == fresh and hash(v) == hash(fresh) and repr(v) == repr(fresh)
+    assert pickle.loads(pickle.dumps(v)) == fresh
+    assert MukaiVector._fields == ("r", "c1", "a")
+
+
+def test_one_vector_costs_at_most_two_pairings(monkeypatch):
+    lat = EvenLattice(((2, 1), (1, -4)))
+    bilinear, calls = EvenLattice._bilinear, []
+
+    def counted(self, x, y):
+        calls.append((x, y))
+        return bilinear(self, x, y)
+
+    monkeypatch.setattr(EvenLattice, "_bilinear", counted)
+    v = MukaiVector(4, (2, 0), 1)           # 2 v0 - omega, v0 = (2, (1, 0), 1): case B, l = 2
+    answers = [question(v, lat) for question in _QUESTIONS]
+    assert answers[1].case == "B" and answers[8].kind == REFL_POINT
+    assert len(calls) <= 2                  # one for <v^2>, at most one for (xi^2)
