@@ -169,7 +169,7 @@ def _memo_case(draw):
     length = draw(st.sampled_from((n, n, n, n - 1, n + 1)))      # sometimes a wrong c1 length
     base = MukaiVector(draw(st.integers(-2, 5)), draw(st.lists(st.integers(-3, 3),
                        min_size=length, max_size=length)), draw(st.integers(-6, 4)))
-    scale = draw(st.integers(1, 3))         # scale > 1: non-primitive, built by _mukai
+    scale = draw(st.integers(1, 3))         # built by _mukai; non-primitive if > 1
     asks = draw(st.lists(st.tuples(st.sampled_from(_QUESTIONS), st.sampled_from((a, a_twin, b))),
                          min_size=1, max_size=30))
     return scale * base, asks
