@@ -29,7 +29,8 @@ import re
 import sys
 
 from .errors import InputError
-from .lattice import EvenLattice, MukaiVector, dual, ell, mukai_pairing, primitive, square
+from .lattice import (EvenLattice, MukaiVector, _at_least, dual, ell, mukai_pairing, primitive,
+                      square)
 
 DEFAULT_SURFACE = EvenLattice(((2,),))
 
@@ -72,15 +73,6 @@ def _finite_float(text: str) -> float:
 def _finite_floats(text: str) -> list[float]:
     """argparse type: comma-separated finite floats (empty text: none)."""
     return [_finite_float(part) for part in text.split(",")] if text.strip() else []
-
-
-def _rational(text: str):
-    from fractions import Fraction
-
-    try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise InputError(f"expected a rational number, got {text!r}") from exc
 
 
 def _frac_json(x) -> dict:
@@ -173,10 +165,9 @@ def _cmd_invariants(args) -> dict:
 def _cmd_gottsche(args) -> dict:
     from .qseries import hilb_euler
 
-    if args.order < 1:
-        raise InputError("order must be at least 1")
-    hilb_euler(args.order - 1)          # grows the table once; the reads below are lookups
-    return {"coeffs": [hilb_euler(n) for n in range(args.order)]}
+    order = _at_least(args.order, 1, "order")
+    hilb_euler(order - 1)               # grows the table once; the reads below are lookups
+    return {"coeffs": [hilb_euler(n) for n in range(order)]}
 
 
 def _cmd_chivirtual(args) -> dict:
@@ -189,11 +180,10 @@ def _cmd_zseries(args) -> dict:
     from . import partitions
 
     alpha = _ints(args.alpha) if args.alpha else (0,) * args.lat.rank
-    order = _rational(args.order)
     fn, coeff = {"direct": (partitions.z_psu_direct, _frac_json),
                  "hecke": (partitions.z_psu_hecke, _frac_json),
                  "literal": (partitions.z_psu_hecke_literal, _complex_json)}[args.method]
-    series = fn(args.rank, alpha, order, args.lat)
+    series = fn(args.rank, alpha, args.order, args.lat)
     return {"method": args.method,
             "terms": [{"exp": _frac_json(e), "coeff": coeff(c)} for e, c in series.items()]}
 

@@ -40,8 +40,8 @@ from math import gcd, inf
 
 from .errors import ConsistencyError, InputError, check_work
 from .isometry import apply_reflect
-from .lattice import (EvenLattice, MukaiVector, Value, _as_int, dual, ell, mukai_pairing,
-                      square)
+from .lattice import (EvenLattice, MukaiVector, Value, _as_int, _as_ints, _at_least, dual, ell,
+                      mukai_pairing, square)
 
 
 class AuxConstruction(Value):
@@ -68,9 +68,7 @@ def build_auxiliary(l: int, r: int, s: int, a: int) -> AuxConstruction:
     2l(ls - ra) >= 0 (nonnegative square).  The smallest admissible r1 is
     taken, so the output is deterministic.
     """
-    l, r, s, a = map(_as_int, (l, r, s, a))
-    if l < 1 or r < 1:
-        raise InputError("l and r must be positive")
+    l, r, s, a = _at_least(l, 1, "l"), _at_least(r, 1, "r"), _as_int(s), _as_int(a)
     if gcd(l, a) != 1:
         raise InputError("gcd(l, a) must be 1")
     if 2 * l * (l * s - r * a) < 0:
@@ -144,8 +142,7 @@ def triangle_interior_count(r1: int, d1: int, r: int, d: int, l: int) -> int:
     Preconditions: r1, r > 0, l r < r1 and d r1 - r d1 = 1 (unimodularity);
     the count is expected to vanish for every valid tuple.
     """
-    if r1 <= 0 or r <= 0:
-        raise InputError("r1 and r must be positive")
+    r1, r, d1, d, l = _at_least(r1, 1, "r1"), _at_least(r, 1, "r"), *_as_ints((d1, d, l))
     if l * r >= r1:
         raise InputError("need l r < r1")
     if d * r1 - r * d1 != 1:
@@ -197,6 +194,7 @@ def farey_gap_holds(x1: int, y1: int, x2: int, y2: int,
     When the preconditions fail the statement is vacuous: the check returns
     holds=True with the vacuous flag set.
     """
+    x1, y1, x2, y2, x3, y3 = _as_ints((x1, y1, x2, y2, x3, y3))
     preconditions = (
         x1 > 0 and x2 > 0 and x3 > 0
         and y1 * x3 - x1 * y3 == 1
@@ -208,20 +206,12 @@ def farey_gap_holds(x1: int, y1: int, x2: int, y2: int,
     return FareyCheck(x2 >= x1 + x3, False)
 
 
-def _bound(n) -> int:
-    """A sweep's bound: a nonnegative integer (0 is a valid, empty sweep)."""
-    n = _as_int(n)
-    if n < 0:
-        raise InputError("bound must be nonnegative")
-    return n
-
-
 def sweep_triangles(max_r1: int) -> tuple[int, list]:
     """Exhaust all valid (r1, d1, r, d, l) with r1 <= max_r1, |d1| <= max_r1.
 
     Returns (number of tuples checked, list of counterexample tuples).
     """
-    max_r1 = _bound(max_r1)
+    max_r1 = _at_least(max_r1, 0, "bound")     # 0 is a valid, empty sweep
     check_work((max_r1 - 1) * (2 * max_r1 + 1), "sweep_triangles")     # (r1, d1) pairs
     checked = 0
     bad = []
@@ -250,7 +240,7 @@ def sweep_farey(max_x: int) -> tuple[int, list]:
     construction, so the sweep tests x2 < x1 + x3 directly.
     Returns (number of tuples checked, list of counterexamples).
     """
-    max_x = _bound(max_x)
+    max_x = _at_least(max_x, 0, "bound")
     check_work(max_x * max_x * (max_x + 1) // 2, "sweep_farey")      # (x3, y3, x1) triples
     checked = 0
     bad = []

@@ -10,7 +10,12 @@ Sign convention, fixed here once for the whole package: G is the intersection
 form.  The quadratic form Q used by the theta machinery (k3tk.theta) is -G;
 every theta exponent references Q explicitly so the sign cannot drift.
 
-Everything in this module is plain integer arithmetic, hence exact.  The
+Everything in this module is plain integer arithmetic, hence exact.  Integer
+input is checked at the boundary, once, by the helpers here, each fault with
+one message for the whole package: _as_int, _as_ints and _as_matrix read
+strict integers, _at_least refuses one below 0 or 1 (a rank, order, bound or
+power), _require_positive_rank is that check for a Mukai vector, and
+EvenLattice.check_vector reports a vector of the wrong length.  The
 package's value classes derive from Value, defined here: an immutable record
 whose fields are its __slots__, which its own __init__ assigns once with _set.
 MukaiVector._memo is the one underscore slot: it keeps (gram, <v^2>, case) for
@@ -39,6 +44,21 @@ def _as_int(x) -> int:
     except (TypeError, ValueError, OverflowError):
         pass
     raise InputError(f"expected an integer, got {x!r}")
+
+
+def _at_least(x, lo: int, what: str) -> int:
+    """_as_int, refused below lo (0 or 1): the one check of a rank, order, bound or power."""
+    x = _as_int(x)
+    if x < lo:
+        raise InputError(f"{what} must be nonnegative" if lo == 0
+                         else f"{what} must be at least {lo}")
+    return x
+
+
+def _require_positive_rank(v: "MukaiVector") -> None:
+    """_at_least(v.r, 1, "rank") for a Mukai vector, whose rank is an int already."""
+    if v.r < 1:
+        _at_least(v.r, 1, "rank")
 
 
 _INT = frozenset((int,))
@@ -238,7 +258,8 @@ def mukai_pairing(x: MukaiVector, y: MukaiVector, lat: EvenLattice) -> int:
     """<x, y> = (c1(x).c1(y)) - r(x) a(y) - a(x) r(y)."""
     n = len(lat.gram)
     if len(x.c1) != n or len(y.c1) != n:
-        raise InputError(f"Mukai vectors do not match lattice rank {n}")
+        lat.check_vector(x.c1)
+        lat.check_vector(y.c1)
     return lat._bilinear(x.c1, y.c1) - x.r * y.a - x.a * y.r
 
 

@@ -24,18 +24,14 @@ k3tk.lattice), so asking all of them about one v costs one Mukai pairing.
 from __future__ import annotations
 
 from .errors import InputError
-from .lattice import EvenLattice, MukaiVector, Value, _mukai, _set, content, ell, square
+from .lattice import (EvenLattice, MukaiVector, Value, _mukai, _require_positive_rank, _set,
+                      content, ell, square)
 from .qseries import hilb_euler
 
 RANK_ONE = "rank_one"
 REFL_POINT = "refl_point"
 UNIV_EXT = "univ_ext"
 HAS_LOCALLY_FREE = "has_locally_free"
-
-
-def _require_positive_rank(v: MukaiVector) -> None:
-    if v.r <= 0:
-        raise InputError("rank must be positive (rank-0 theory is out of scope)")
 
 
 def _square(v: MukaiVector, lat: EvenLattice, nonempty: bool = True) -> int:
@@ -103,7 +99,6 @@ def _case(v: MukaiVector, lat: EvenLattice) -> tuple[int, CaseInfo]:
 
 def classify_case(v: MukaiVector, lat: EvenLattice) -> CaseInfo:
     _require_positive_rank(v)
-    lat.check_vector(v.c1)
     return _case(v, lat)[1]
 
 

@@ -63,8 +63,9 @@ import math
 from fractions import Fraction
 
 from .errors import ConsistencyError, InputError, check_work
-from .lattice import EvenLattice, MukaiVector, _as_int, _as_ints, content, square
-from .qseries import QSeries, hilb_euler
+from .lattice import (EvenLattice, MukaiVector, _as_ints, _at_least, _require_positive_rank,
+                      content, square)
+from .qseries import QSeries, _as_rational, hilb_euler
 
 LITERAL_TOL = 1e-9
 
@@ -79,17 +80,14 @@ def _chi_scaled(sq: int, c: int) -> int:
 
 def chi_virtual(v: MukaiVector, lat: EvenLattice) -> Fraction:
     """Divisor-sum virtual Euler characteristic; denominator divides content^2."""
-    if v.r <= 0:
-        raise InputError("rank must be positive")
+    _require_positive_rank(v)
     c = content(v)
     check_work(c, "chi_virtual")        # the divisor scan tries every a <= c
     return Fraction(_chi_scaled(square(v, lat), c), c * c)
 
 
 def _check_rank_alpha(r: int, alpha, lat: EvenLattice) -> tuple[int, tuple[int, ...]]:
-    r = _as_int(r)
-    if r < 1:
-        raise InputError("rank must be a positive integer")
+    r = _at_least(r, 1, "rank")
     alpha = _as_ints(alpha)
     lat.check_vector(alpha)
     return r, alpha
@@ -103,7 +101,7 @@ def z_psu_direct(r: int, alpha, order, lat: EvenLattice) -> QSeries:
     nonzero.
     """
     r, alpha = _check_rank_alpha(r, alpha, lat)
-    order = Fraction(order)
+    order = _as_rational(order)
     s_alpha = lat.quad(alpha)
     a_max = (s_alpha + 2 * r * r) // (2 * r)
     a_min = math.floor((Fraction(s_alpha) - 2 * r * order) / (2 * r)) + 1
@@ -147,7 +145,7 @@ def _hecke_numerators(factorizations, lat: EvenLattice) -> dict[int, int]:
 def z_psu_hecke(r: int, alpha, order, lat: EvenLattice) -> QSeries:
     """Hecke-transform path with the b-sum projection applied analytically."""
     r, alpha = _check_rank_alpha(r, alpha, lat)
-    order = Fraction(order)
+    order = _as_rational(order)
     factorizations = _hecke_factorizations(r, alpha, order)
     check_work(sum(top + 1 for *_, top in factorizations), "z_psu_hecke")
     rr = r * r
@@ -174,7 +172,7 @@ def z_psu_hecke_literal(r: int, alpha, order, lat: EvenLattice) -> QSeries:
     r, alpha = _check_rank_alpha(r, alpha, lat)
     if r > 12:
         raise InputError("literal Hecke path is limited to rank <= 12")
-    order = Fraction(order)
+    order = _as_rational(order)
     factorizations = _hecke_factorizations(r, alpha, order)
     check_work(sum(d * (top + 1) for _, d, _, top in factorizations), "z_psu_hecke_literal")
     exact = _hecke_numerators(factorizations, lat)

@@ -45,7 +45,26 @@ from math import gcd, isqrt, lcm
 from typing import NamedTuple
 
 from .errors import ConsistencyError, InputError, check_work
-from .lattice import Value, _as_int, _new, _set
+from .lattice import Value, _as_int, _at_least, _new, _set
+
+
+def _as_rational(x) -> Fraction:
+    """Fraction(x) at an input boundary: InputError for a non-finite or non-numeric x."""
+    try:
+        return Fraction(x)
+    except (TypeError, ValueError, OverflowError, ZeroDivisionError):
+        raise InputError(f"expected a rational number, got {x!r}") from None
+
+
+def _upper(tau) -> complex:
+    """tau as a complex number: InputError unless a finite point with Im tau > 0."""
+    try:
+        tau = complex(tau)
+    except (TypeError, ValueError, OverflowError):
+        raise InputError(f"expected a complex number, got {tau!r}") from None
+    if not (tau.imag > 0 and cmath.isfinite(tau)):      # nan or inf is not a point of it
+        raise InputError("tau must lie in the upper half plane")
+    return tau
 
 
 class QSeries(Value):
@@ -59,14 +78,12 @@ class QSeries(Value):
     __slots__ = ("denom", "coeffs", "trunc", "__dict__")     # __dict__ for _index
 
     def __init__(self, denom: int, coeffs, trunc):
-        denom = _as_int(denom)
+        denom = _at_least(denom, 1, "denominator")
+        trunc = _as_rational(trunc)
         try:
             coeffs = tuple((_as_int(k), c) for k, c in coeffs)
-            trunc = Fraction(trunc)
-        except (TypeError, ValueError, OverflowError) as exc:
+        except (TypeError, ValueError) as exc:
             raise InputError(f"malformed q-series: {exc}") from None
-        if denom < 1:
-            raise InputError("denominator must be positive")
         keys = [k for k, _ in coeffs]
         if any(k1 >= k2 for k1, k2 in zip(keys, keys[1:])):
             raise InputError("q-series indices must be strictly ascending")
@@ -99,11 +116,11 @@ class QSeries(Value):
     @classmethod
     def from_terms(cls, terms, trunc) -> "QSeries":
         """Build from a mapping {exponent: coefficient}; exponents rational."""
-        trunc = Fraction(trunc)
+        trunc = _as_rational(trunc)
         cleaned = {}
         for e, c in terms.items():
-            e = Fraction(e)
-            c = Fraction(c)
+            e = _as_rational(e)
+            c = _as_rational(c)
             if c == 0:
                 continue
             if e >= trunc:
@@ -129,7 +146,7 @@ class QSeries(Value):
 
     def coeff(self, e):
         """Coefficient at exponent e, the ring's zero if absent; error at or beyond trunc."""
-        e = Fraction(e)
+        e = _as_rational(e)
         if e >= self.trunc:
             raise InputError(
                 f"coefficient at exponent {e} requested beyond truncation {self.trunc}")
@@ -175,7 +192,7 @@ def qs_add(a: QSeries, b: QSeries) -> QSeries:
 
 
 def qs_scale(a: QSeries, scalar) -> QSeries:
-    scalar = Fraction(scalar)
+    scalar = _as_rational(scalar)
     return QSeries._of(a.denom, {k: scalar * c for k, c in a.coeffs}, a.trunc)
 
 
@@ -196,9 +213,7 @@ def qs_mul(a: QSeries, b: QSeries) -> QSeries:
 
 def qs_substitute_power(s: QSeries, m: int) -> QSeries:
     """Substitute q -> q^m (m >= 1); exponents and truncation scale exactly."""
-    m = _as_int(m)
-    if m < 1:
-        raise InputError("substitution power must be a positive integer")
+    m = _at_least(m, 1, "substitution power")
     return QSeries._of(s.denom, {k * m: c for k, c in s.coeffs}, s.trunc * m)
 
 
@@ -221,9 +236,7 @@ def qs_evaluate(s: QSeries, tau: complex) -> QSeriesValue:
     each is read once, as complex(c), which is what Fraction * complex
     computes, and abs(complex(c)) == abs(c) for a Fraction.
     """
-    tau = complex(tau)
-    if not (tau.imag > 0 and cmath.isfinite(tau)):      # nan or inf is not a point of it
-        raise InputError("tau must lie in the upper half plane")
+    tau = _upper(tau)
     d = s.denom
     try:
         q = cmath.exp(2j * cmath.pi * tau)      # ValueError: an infinite phase
@@ -287,9 +300,7 @@ def hilb_euler(n: int) -> int:
 
 def gottsche_series(order: int) -> QSeries:
     """sum_{n=0}^{order-1} chi(Hilb^n) q^n, truncated below q^order."""
-    order = _as_int(order)
-    if order < 1:
-        raise InputError("order must be at least 1")
+    order = _at_least(order, 1, "order")
     hilb_euler(order - 1)
     return QSeries._of(1, {n: Fraction(c) for n, c in enumerate(_hilb_euler[:order])},
                        Fraction(order))
@@ -297,9 +308,7 @@ def gottsche_series(order: int) -> QSeries:
 
 def z1_zero(order: int) -> QSeries:
     """q^(-1) * Goettsche series: sum_{n>=0} chi(Hilb^n) q^(n-1), complete below q^order."""
-    order = _as_int(order)
-    if order < 0:
-        raise InputError("order must be nonnegative")
+    order = _at_least(order, 0, "order")
     hilb_euler(order)
     return QSeries._of(1, {n - 1: Fraction(c) for n, c in enumerate(_hilb_euler[:order + 1])},
                        Fraction(order))

@@ -51,13 +51,12 @@ from __future__ import annotations
 import cmath
 import itertools
 import math
-from fractions import Fraction
 from operator import mul, sub
 
 from .errors import InputError, check_work
-from .lattice import EvenLattice, Value, _as_int, _as_ints, _set
+from .lattice import EvenLattice, Value, _as_ints, _at_least, _set
 from .partitions import _chi_scaled, z_psu_direct
-from .qseries import hilb_euler, qs_evaluate
+from .qseries import _as_rational, _upper, hilb_euler, qs_evaluate
 
 GUARD_SHELLS = 3
 EXP_BINS = 8
@@ -308,11 +307,9 @@ def _shell_tail(shells, rank: int, r: int, tau: complex, radius: float, lam_min:
     return math.fsum(shells) + first / (1.0 - rho)
 
 
-def _upper(tau, radius) -> complex:
-    """tau as a complex number; InputError off the finite upper half plane or for radius < 0."""
-    tau = complex(tau)
-    if not (tau.imag > 0 and cmath.isfinite(tau)):
-        raise InputError("tau must lie in the upper half plane")
+def _tau_radius(tau, radius) -> complex:
+    """tau through qseries._upper; InputError for radius < 0 (or nan)."""
+    tau = _upper(tau)
     if not radius >= 0:
         raise InputError("radius must be nonnegative")
     return tau
@@ -321,10 +318,8 @@ def _upper(tau, radius) -> complex:
 def theta_siegel_narain(lat: EvenLattice, alpha, r: int, tau: complex,
                         split: Splitting, x=None, radius: float = 5.0) -> ThetaSum:
     """Coset theta sum truncated at majorant norm <= radius^2."""
-    tau = _upper(tau, radius)
-    r = _as_int(r)
-    if r < 1:
-        raise InputError("coset step r must be a positive integer")
+    tau = _tau_radius(tau, radius)
+    r = _at_least(r, 1, "coset step r")
     alpha = _as_ints(alpha)
     lat.check_vector(alpha)
     forms, pivots, lam_min, xnorm = _forms(lat, split, x)
@@ -343,9 +338,7 @@ def theta_siegel_narain(lat: EvenLattice, alpha, r: int, tau: complex,
 
 def _toy_guard(lat: EvenLattice, r) -> int:
     """r as a positive integer, within the sizes the full partition sums accept."""
-    r = _as_int(r)
-    if r < 1:
-        raise InputError("rank must be a positive integer")
+    r = _at_least(r, 1, "rank")
     if lat.rank > 2 or r > 3:
         raise InputError("full partition sums are limited to rank <= 2 and r <= 3")
     return r
@@ -386,13 +379,13 @@ def z_full_direct(lat: EvenLattice, r: int, tau: complex, split: Splitting,
     most radius^2 and holomorphic Mukai exponent at most exponent_cutoff.
     """
     r = _toy_guard(lat, r)
-    tau = _upper(tau, radius)
+    tau = _tau_radius(tau, radius)
     forms, pivots, lam_min, xnorm = _forms(lat, split, x)
 
     # v = (r, xi, a): <v^2> = n = (xi^2) - 2ra, exponent n / 2r; the main sum keeps
     # n <= n_cut, bin j holds n_cut + 2r(j - 1) < n <= n_cut + 2rj; chi = 0 below -2r^2
     two_r = 2 * r
-    cutoff = Fraction(exponent_cutoff)
+    cutoff = _as_rational(exponent_cutoff)
     n_cut = math.floor(two_r * cutoff)
     n_top = n_cut + two_r * EXP_BINS
     ball = _ball((0,) * lat.rank, 1, r, tau, forms, pivots, radius,
@@ -444,7 +437,7 @@ def z_full_factorized(lat: EvenLattice, r: int, tau: complex, split: Splitting,
                       x=None, series_order=12, radius: float = 5.0) -> ZFullSum:
     """Coset factorization sum_alpha Z_r^alpha(tau) Theta_{alpha,r}(tau, P, x)."""
     r = _toy_guard(lat, r)
-    tau = complex(tau)
+    tau = _upper(tau)
     value = 0j
     tail = 0.0
     points = 0

@@ -134,9 +134,16 @@ def test_column_scan_matches_box_count_and_pick(rng):
 def test_integer_arguments_are_strict(bad):
     for call in (lambda: build_auxiliary(bad, 3, 2, 1),
                  lambda: sweep_triangles(bad),
-                 lambda: sweep_farey(bad)):
+                 lambda: sweep_farey(bad),
+                 lambda: triangle_interior_count(bad, 1, 1, 1, 1),
+                 lambda: farey_gap_holds(bad, 1, 2, 1, 1, 0)):
         with pytest.raises(InputError):
             call()
+
+
+def test_integral_floats_are_read_as_integers():
+    assert triangle_interior_count(2.0, 1, 1, 1, 1) == 0
+    assert farey_gap_holds(1.0, 1, 2, 1, 1, 0) == farey_gap_holds(1, 1, 2, 1, 1, 0)
 
 
 @pytest.mark.parametrize("sweep", [sweep_triangles, sweep_farey])

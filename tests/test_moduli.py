@@ -5,9 +5,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from k3tk import (EvenLattice, InputError, MukaiVector, chi_virtual, classify_case,
-                  classify_non_locally_free, content, euler_characteristic,
+                  classify_non_locally_free, content, ell, euler_characteristic,
                   exists_mu_stable, exists_semistable, exists_stable_primitive,
-                  hilb_index, moduli_dim, mu_stable_boundary_flag, primitive,
+                  hilb_index, moduli_dim, mu_stable_boundary_flag, mukai_pairing, primitive,
                   square)
 from k3tk.moduli import HAS_LOCALLY_FREE, RANK_ONE, REFL_POINT, UNIV_EXT
 
@@ -200,3 +200,21 @@ def test_one_vector_costs_at_most_two_pairings(monkeypatch):
     answers = [question(v, lat) for question in _QUESTIONS]
     assert answers[1].case == "B" and answers[8].kind == REFL_POINT
     assert len(calls) <= 2                  # one for <v^2>, at most one for (xi^2)
+
+
+def _message(call) -> str:
+    with pytest.raises(InputError) as info:
+        call()
+    return str(info.value)
+
+
+def test_one_message_per_fault(gram2):
+    wrong_length = MukaiVector(2, (1, 0), 1)
+    calls = [lambda f=f: f(wrong_length, gram2)
+             for f in (classify_case, square, moduli_dim, chi_virtual, ell, primitive)]
+    calls.append(lambda: mukai_pairing(wrong_length, wrong_length, gram2))
+    assert {_message(call) for call in calls} == {
+        "vector of length 2 does not match lattice rank 1"}
+    rank_zero = MukaiVector(0, (1,), 1)
+    assert {_message(lambda f=f: f(rank_zero, gram2))
+            for f in _QUESTIONS if f is not square} == {"rank must be at least 1"}

@@ -1,5 +1,5 @@
-"""Source checks over the package: line length, unused top-level imports and
-unreferenced private helpers."""
+"""Source checks over the package: line length, unused top-level imports,
+unreferenced private helpers and one module per literal InputError message."""
 
 import ast
 from pathlib import Path
@@ -48,3 +48,15 @@ def test_every_private_top_level_helper_is_referenced():
             and not (name == "cli.py" and node.name.startswith("_cmd_"))
             and node.name not in used]
     assert dead == []
+
+
+def test_each_input_error_message_has_one_home():
+    homes = {}
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                    and node.func.id == "InputError" and node.args
+                    and isinstance(node.args[0], ast.Constant)):
+                homes.setdefault(node.args[0].value, set()).add(path.name)
+    assert "tau must lie in the upper half plane" in homes
+    assert {message: sorted(names) for message, names in homes.items() if len(names) > 1} == {}

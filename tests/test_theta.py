@@ -7,9 +7,9 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from k3tk import (EvenLattice, InputError, Splitting, hilb_euler, qs_evaluate, theta,
+from k3tk import (EvenLattice, InputError, QSeries, Splitting, hilb_euler, qs_evaluate, theta,
                   theta_siegel_narain, z1_zero, z_full_direct,
-                  z_full_factorized, z_psu_direct)
+                  z_full_factorized, z_psu_direct, z_psu_hecke, z_psu_hecke_literal)
 from k3tk.errors import MAX_WORK
 
 from . import oracles
@@ -359,6 +359,29 @@ def test_non_finite_tau_or_x_is_an_input_error(neg2, split1, entry, tau, x):
     # not a nan result, which a caller's tail > bound check would pass, nor a bare exception
     with pytest.raises(InputError):
         _ENTRY_POINTS[entry](neg2, split1, tau, x)
+
+
+_GRAM2 = EvenLattice(((2,),))
+_BAD_NUMBERS = {
+    "direct-order-inf": lambda neg2, split: z_psu_direct(2, (0,), math.inf, _GRAM2),
+    "direct-order-nan": lambda neg2, split: z_psu_direct(2, (0,), math.nan, _GRAM2),
+    "hecke-order-inf": lambda neg2, split: z_psu_hecke(2, (0,), math.inf, _GRAM2),
+    "literal-order-1/0": lambda neg2, split: z_psu_hecke_literal(2, (0,), "1/0", _GRAM2),
+    "from-terms-trunc-inf": lambda neg2, split: QSeries.from_terms({0: 1}, math.inf),
+    "constructor-trunc-1/0": lambda neg2, split: QSeries(1, ((0, 1),), "1/0"),
+    "coeff-exponent-nan": lambda neg2, split: z1_zero(3).coeff(math.nan),
+    "scale-inf": lambda neg2, split: z1_zero(3) * math.inf,
+    "cutoff-nan": lambda neg2, split: z_full_direct(neg2, 2, 1j, split, None, math.nan),
+    "tau-text": lambda neg2, split: qs_evaluate(z1_zero(3), "x"),
+    "tau-none": lambda neg2, split: z_full_factorized(neg2, 1, None, split),
+}
+
+
+@pytest.mark.parametrize("call", _BAD_NUMBERS.values(), ids=_BAD_NUMBERS.keys())
+def test_non_finite_or_non_numeric_rational_or_tau_is_an_input_error(neg2, split1, call):
+    # not a bare OverflowError, ValueError or TypeError from Fraction() or complex()
+    with pytest.raises(InputError):
+        call(neg2, split1)
 
 
 def test_work_cap_refuses_before_enumerating(neg2, split1):
