@@ -24,13 +24,12 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import re
 import sys
 
 from .errors import InputError
-from .lattice import (EvenLattice, MukaiVector, _at_least, dual, ell, mukai_pairing, primitive,
-                      square)
+from .lattice import (EvenLattice, MukaiVector, _as_number, _at_least, dual, ell, mukai_pairing,
+                      primitive, square)
 
 DEFAULT_SURFACE = EvenLattice(((2,),))
 
@@ -60,14 +59,11 @@ def _ints(text: str) -> tuple[int, ...]:
 
 
 def _finite_float(text: str) -> float:
-    """argparse type: a float that is neither NaN nor infinite."""
+    """argparse type: lattice._as_number's finite float, its InputError a usage error."""
     try:
-        x = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected a number, got {text!r}") from None
-    if not math.isfinite(x):
-        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
-    return x
+        return _as_number(text, float)
+    except InputError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _finite_floats(text: str) -> list[float]:

@@ -29,7 +29,6 @@ validates every element once before the first is applied.
 from __future__ import annotations
 
 from operator import mul
-from typing import Union
 
 from .errors import InputError
 from .lattice import (EvenLattice, MukaiVector, Value, _as_ints, _as_matrix, _mukai,
@@ -144,9 +143,6 @@ class Dual(_Generator):
         return {"type": "dual"}
 
 
-IsometryElem = Union[Translate, Reflect, NSAuto, Negate, Dual]
-
-
 def translate(shift) -> Translate:
     return Translate(shift)
 
@@ -182,7 +178,7 @@ class IsometryWord(Value):
     __slots__ = ("elems", "lattice")
     _fields = ("elems",)
 
-    def __init__(self, elems: tuple[IsometryElem, ...], lattice: EvenLattice | None = None):
+    def __init__(self, elems: tuple[_Generator, ...], lattice: EvenLattice | None = None):
         _set(self, "elems", elems)
         _set(self, "lattice", lattice)
 

@@ -10,11 +10,12 @@ Sign convention, fixed here once for the whole package: G is the intersection
 form.  The quadratic form Q used by the theta machinery (k3tk.theta) is -G;
 every theta exponent references Q explicitly so the sign cannot drift.
 
-Everything in this module is plain integer arithmetic, hence exact.  Integer
+Everything in this module is plain integer arithmetic, hence exact.  User
 input is checked at the boundary, once, by the helpers here, each fault with
 one message for the whole package: _as_int, _as_ints and _as_matrix read
-strict integers, _at_least refuses one below 0 or 1 (a rank, order, bound or
-power), _require_positive_rank is that check for a Mukai vector, and
+strict integers, _as_number reads any number as a finite Fraction, float or
+complex, _at_least refuses one below 0 or 1 (a rank, order, bound or power),
+_require_positive_rank is that check for a Mukai vector, and
 EvenLattice.check_vector reports a vector of the wrong length.  The
 package's value classes derive from Value, defined here: an immutable record
 whose fields are its __slots__, which its own __init__ assigns once with _set.
@@ -28,7 +29,7 @@ and replaced whole, so two threads sharing a vector at worst recompute.
 
 from __future__ import annotations
 
-from math import gcd
+from math import gcd, isfinite
 from operator import add, mul, neg
 
 from .errors import InputError
@@ -44,6 +45,18 @@ def _as_int(x) -> int:
     except (TypeError, ValueError, OverflowError):
         pass
     raise InputError(f"expected an integer, got {x!r}")
+
+
+def _as_number(x, kind):
+    """kind(x), kind Fraction, float or complex, at an input boundary: InputError unless x
+    is a number and the result is finite (a Fraction always is)."""
+    try:
+        y = kind(x)
+        if kind not in (float, complex) or isfinite(y.real) and isfinite(y.imag):
+            return y
+    except (TypeError, ValueError, OverflowError, ZeroDivisionError):
+        pass
+    raise InputError(f"expected a finite number, got {x!r}")
 
 
 def _at_least(x, lo: int, what: str) -> int:

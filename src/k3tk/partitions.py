@@ -36,15 +36,8 @@ terms first and refuses more than errors.MAX_WORK.
 Every path keys its coefficients by integer index: the direct path by <v^2>
 over 2r, the Hecke paths by a^2 (n - 1) over r (a (n - 1)/d = a^2 (n - 1)/r),
 and the exact Hecke path and the literal check read one helper's integer
-numerators r^2 c_k.  The literal path must
-reproduce the exact coefficients to 1e-9 and have imaginary parts below 1e-9;
-it runs in mpmath with working precision scaled to the largest coefficient,
-because the Hilbert-scheme Euler numbers involved overflow double-precision
-accuracy at the orders the exact paths reach.  Past the roots and phase
-sums, its arithmetic calls mpmath.libmp on the raw _mpc_/_mpf_ tuples, the
-very calls the mpc/mpf operators make, so every coefficient keeps the bits
-of a per-term mpc sum.  mpmath is imported only by that path, so the exact
-paths load no floating-point library.
+numerators r^2 c_k.  The literal path runs in mpmath, imported only there,
+so the exact paths load no floating-point library.
 
 For the record (not verified numerically here): on an actual K3 surface the
 rank-r series is expected to satisfy
@@ -63,9 +56,9 @@ import math
 from fractions import Fraction
 
 from .errors import ConsistencyError, InputError, check_work
-from .lattice import (EvenLattice, MukaiVector, _as_ints, _at_least, _require_positive_rank,
-                      content, square)
-from .qseries import QSeries, _as_rational, hilb_euler
+from .lattice import (EvenLattice, MukaiVector, _as_ints, _as_number, _at_least,
+                      _require_positive_rank, content, square)
+from .qseries import QSeries, hilb_euler
 
 LITERAL_TOL = 1e-9
 
@@ -101,7 +94,7 @@ def z_psu_direct(r: int, alpha, order, lat: EvenLattice) -> QSeries:
     nonzero.
     """
     r, alpha = _check_rank_alpha(r, alpha, lat)
-    order = _as_rational(order)
+    order = _as_number(order, Fraction)
     s_alpha = lat.quad(alpha)
     a_max = (s_alpha + 2 * r * r) // (2 * r)
     a_min = math.floor((Fraction(s_alpha) - 2 * r * order) / (2 * r)) + 1
@@ -145,7 +138,7 @@ def _hecke_numerators(factorizations, lat: EvenLattice) -> dict[int, int]:
 def z_psu_hecke(r: int, alpha, order, lat: EvenLattice) -> QSeries:
     """Hecke-transform path with the b-sum projection applied analytically."""
     r, alpha = _check_rank_alpha(r, alpha, lat)
-    order = _as_rational(order)
+    order = _as_number(order, Fraction)
     factorizations = _hecke_factorizations(r, alpha, order)
     check_work(sum(top + 1 for *_, top in factorizations), "z_psu_hecke")
     rr = r * r
@@ -172,7 +165,7 @@ def z_psu_hecke_literal(r: int, alpha, order, lat: EvenLattice) -> QSeries:
     r, alpha = _check_rank_alpha(r, alpha, lat)
     if r > 12:
         raise InputError("literal Hecke path is limited to rank <= 12")
-    order = _as_rational(order)
+    order = _as_number(order, Fraction)
     factorizations = _hecke_factorizations(r, alpha, order)
     check_work(sum(d * (top + 1) for _, d, _, top in factorizations), "z_psu_hecke_literal")
     exact = _hecke_numerators(factorizations, lat)

@@ -45,24 +45,13 @@ from math import gcd, isqrt, lcm
 from typing import NamedTuple
 
 from .errors import ConsistencyError, InputError, check_work
-from .lattice import Value, _as_int, _at_least, _new, _set
-
-
-def _as_rational(x) -> Fraction:
-    """Fraction(x) at an input boundary: InputError for a non-finite or non-numeric x."""
-    try:
-        return Fraction(x)
-    except (TypeError, ValueError, OverflowError, ZeroDivisionError):
-        raise InputError(f"expected a rational number, got {x!r}") from None
+from .lattice import Value, _as_int, _as_number, _at_least, _new, _set
 
 
 def _upper(tau) -> complex:
     """tau as a complex number: InputError unless a finite point with Im tau > 0."""
-    try:
-        tau = complex(tau)
-    except (TypeError, ValueError, OverflowError):
-        raise InputError(f"expected a complex number, got {tau!r}") from None
-    if not (tau.imag > 0 and cmath.isfinite(tau)):      # nan or inf is not a point of it
+    tau = _as_number(tau, complex)
+    if not tau.imag > 0:
         raise InputError("tau must lie in the upper half plane")
     return tau
 
@@ -79,7 +68,7 @@ class QSeries(Value):
 
     def __init__(self, denom: int, coeffs, trunc):
         denom = _at_least(denom, 1, "denominator")
-        trunc = _as_rational(trunc)
+        trunc = _as_number(trunc, Fraction)
         try:
             coeffs = tuple((_as_int(k), c) for k, c in coeffs)
         except (TypeError, ValueError) as exc:
@@ -116,11 +105,11 @@ class QSeries(Value):
     @classmethod
     def from_terms(cls, terms, trunc) -> "QSeries":
         """Build from a mapping {exponent: coefficient}; exponents rational."""
-        trunc = _as_rational(trunc)
+        trunc = _as_number(trunc, Fraction)
         cleaned = {}
         for e, c in terms.items():
-            e = _as_rational(e)
-            c = _as_rational(c)
+            e = _as_number(e, Fraction)
+            c = _as_number(c, Fraction)
             if c == 0:
                 continue
             if e >= trunc:
@@ -146,7 +135,7 @@ class QSeries(Value):
 
     def coeff(self, e):
         """Coefficient at exponent e, the ring's zero if absent; error at or beyond trunc."""
-        e = _as_rational(e)
+        e = _as_number(e, Fraction)
         if e >= self.trunc:
             raise InputError(
                 f"coefficient at exponent {e} requested beyond truncation {self.trunc}")
@@ -192,7 +181,7 @@ def qs_add(a: QSeries, b: QSeries) -> QSeries:
 
 
 def qs_scale(a: QSeries, scalar) -> QSeries:
-    scalar = _as_rational(scalar)
+    scalar = _as_number(scalar, Fraction)
     return QSeries._of(a.denom, {k: scalar * c for k, c in a.coeffs}, a.trunc)
 
 

@@ -51,12 +51,13 @@ from __future__ import annotations
 import cmath
 import itertools
 import math
+from fractions import Fraction
 from operator import mul, sub
 
-from .errors import InputError, check_work
-from .lattice import EvenLattice, Value, _as_ints, _at_least, _set
+from .errors import MAX_WORK, InputError, check_work
+from .lattice import EvenLattice, Value, _as_ints, _as_number, _at_least, _set
 from .partitions import _chi_scaled, z_psu_direct
-from .qseries import _as_rational, _upper, hilb_euler, qs_evaluate
+from .qseries import _upper, hilb_euler, qs_evaluate
 
 GUARD_SHELLS = 3
 EXP_BINS = 8
@@ -71,6 +72,15 @@ def _q(lat: EvenLattice):
         return tuple(tuple(-float(g) for g in row) for row in lat.gram)
     except OverflowError:
         raise InputError("lattice entries exceed double precision") from None
+
+
+def _as_numbers(xs, kind=None) -> tuple:
+    """_as_number(v, kind) over a caller's list, or over each row of a matrix as floats
+    when kind is None: InputError, not TypeError, when xs or a row is not a list."""
+    try:
+        return tuple([_as_number(v, kind) if kind else _as_numbers(v, float) for v in xs])
+    except TypeError:
+        raise InputError(f"expected a list of numbers, got {xs!r}") from None
 
 
 def _mm(a, b):
@@ -108,16 +118,16 @@ def _eigh(m):
 
 class Splitting(Value):
     """Projectors onto the Q-positive (P_L) and Q-negative (P_R) subspaces, stored as
-    tuples of float rows; the constructor takes any n x n nested sequence.  Equal
-    only to itself, since _cache keeps the forms it was validated for."""
+    tuples of float rows; the constructor takes any n x n nested sequence of finite
+    numbers.  Equal only to itself, since _cache keeps the forms it was validated for."""
 
     __slots__ = ("pl", "pr", "_cache")
     __eq__ = object.__eq__
     __hash__ = object.__hash__
 
     def __init__(self, pl, pr):
-        _set(self, "pl", tuple(tuple(map(float, row)) for row in pl))
-        _set(self, "pr", tuple(tuple(map(float, row)) for row in pr))
+        _set(self, "pl", _as_numbers(pl))
+        _set(self, "pr", _as_numbers(pr))
         _set(self, "_cache", {})
 
     @classmethod
@@ -185,9 +195,9 @@ def _forms(lat: EvenLattice, split: Splitting, x):
     mj, pivots, lam_min = cached
     if x is None:
         return (lat.gram, mj, None), pivots, lam_min, 0.0
-    xv = tuple(map(complex, x))
+    xv = _as_numbers(x, complex)
     qx = tuple(-sum(map(mul, row, xv)) for row in lat.gram)
-    if len(xv) != lat.rank or not all(map(cmath.isfinite, xv + qx)):
+    if len(xv) != lat.rank or not all(map(cmath.isfinite, qx)):
         raise InputError("x must have one finite coordinate per lattice rank, and a finite Q x")
     qx = tuple(complex(math.fmod(v.real, 1.0), v.imag) for v in qx)
     return (lat.gram, mj, qx), pivots, lam_min, \
@@ -256,11 +266,12 @@ def _ball(alpha, step: int, r: int, tau: complex, forms, pivots,
           radius: float, per_point: int, what: str):
     """(c, j, (c^2), e((Re tau Q(c) + i Im tau M(c))/2r + Q(c, x))) over c in alpha + step Z^n
     with sqrt M(c) <= radius + GUARD_SHELLS, M the majorant and Q(c) = -(c^2) exact; j = 0 inside
-    radius, else the guard shell.  The leaf bound, times per_point work per point, is checked
-    on the call; the enumeration runs at a slightly widened bound and _quad decides membership."""
+    radius, else the guard shell.  The leaf bound (at least 1) times per_point, saturated past
+    MAX_WORK so a huge int never meets a float, is checked on the call; the enumeration runs at
+    a slightly widened bound and _quad decides membership."""
     gram, mj, qx = forms
     outer = radius + GUARD_SHELLS
-    check_work(_leaf_bound(pivots, step, outer) * per_point, what)
+    check_work(_leaf_bound(pivots, step, outer) * min(per_point, MAX_WORK + 1), what)
 
     def points():
         for c in _short_vectors(pivots, alpha, step, outer * outer * (1 + 1e-9)):
@@ -307,20 +318,22 @@ def _shell_tail(shells, rank: int, r: int, tau: complex, radius: float, lam_min:
     return math.fsum(shells) + first / (1.0 - rho)
 
 
-def _tau_radius(tau, radius) -> complex:
-    """tau through qseries._upper; InputError for radius < 0 (or nan)."""
+def _tau_radius(tau, radius) -> tuple[complex, float]:
+    """tau through qseries._upper, and radius as a finite float; InputError if negative."""
     tau = _upper(tau)
-    if not radius >= 0:
+    radius = _as_number(radius, float)
+    if radius < 0:
         raise InputError("radius must be nonnegative")
-    return tau
+    return tau, radius
 
 
 def theta_siegel_narain(lat: EvenLattice, alpha, r: int, tau: complex,
                         split: Splitting, x=None, radius: float = 5.0) -> ThetaSum:
-    """Coset theta sum truncated at majorant norm <= radius^2."""
-    tau = _tau_radius(tau, radius)
+    """Coset theta sum over alpha + r Lambda, alpha read mod r, at majorant norm <= radius^2."""
+    tau, radius = _tau_radius(tau, radius)
     r = _at_least(r, 1, "coset step r")
-    alpha = _as_ints(alpha)
+    _as_number(r, float)        # a step beyond the double range is refused here
+    alpha = tuple(a % r for a in _as_ints(alpha))
     lat.check_vector(alpha)
     forms, pivots, lam_min, xnorm = _forms(lat, split, x)
     main = []
@@ -379,13 +392,13 @@ def z_full_direct(lat: EvenLattice, r: int, tau: complex, split: Splitting,
     most radius^2 and holomorphic Mukai exponent at most exponent_cutoff.
     """
     r = _toy_guard(lat, r)
-    tau = _tau_radius(tau, radius)
+    tau, radius = _tau_radius(tau, radius)
     forms, pivots, lam_min, xnorm = _forms(lat, split, x)
 
     # v = (r, xi, a): <v^2> = n = (xi^2) - 2ra, exponent n / 2r; the main sum keeps
     # n <= n_cut, bin j holds n_cut + 2r(j - 1) < n <= n_cut + 2rj; chi = 0 below -2r^2
     two_r = 2 * r
-    cutoff = _as_rational(exponent_cutoff)
+    cutoff = _as_number(exponent_cutoff, Fraction)
     n_cut = math.floor(two_r * cutoff)
     n_top = n_cut + two_r * EXP_BINS
     ball = _ball((0,) * lat.rank, 1, r, tau, forms, pivots, radius,

@@ -421,9 +421,10 @@ def test_unknown_subcommand_exits_2(capsys):
     ["theta", "--tau", "0", "1", "--rank", str(10 ** 30), "--x", "0,1e30"],
     ["zfull", "--rank", "1", "--tau", "1e300", "1e300", "--cutoff", "-1.5e3"],
     ["zfull", "--rank", "1", "--tau", "0", "1", "--radius", "-1500", "--method", "direct"],
+    ["theta", "--tau", "0", "1", "--rank", str(10 ** 400)],      # past the double range
 ], ids=["tau-nan", "radius-nan", "radius-inf", "cutoff-inf", "x-abc", "order-abc",
         "order-1/0", "tail-inf", "zfull-rank-0", "tau-phase-inf", "tail-bound-overflow",
-        "q-underflow", "zfull-radius-negative"])
+        "q-underflow", "zfull-radius-negative", "theta-rank-huge"])
 def test_bad_numbers_exit_2_with_error_document(capsys, argv):
     try:
         code = main(argv)
@@ -433,6 +434,15 @@ def test_bad_numbers_exit_2_with_error_document(capsys, argv):
     assert code == 2
     assert set(json.loads(captured.out)) == {"error"}
     assert captured.err == ""
+
+
+def test_theta_reads_alpha_modulo_the_coset_step(capsys):
+    # an alpha past the double range names the same coset as its residue mod r
+    for rank, alpha in (("1", 0), ("2", 1)):
+        want = run_json(capsys, "theta", "--tau", "0", "1", "--rank", rank, "--alpha",
+                        str(alpha))
+        assert run_json(capsys, "theta", "--tau", "0", "1", "--rank", rank, "--alpha",
+                        str(10 ** 400 + alpha)) == want
 
 
 @pytest.mark.parametrize("gram", [[], [[10 ** 400]]], ids=["rank-0", "huge-entry"])
@@ -708,7 +718,8 @@ _JUNK = st.recursive(st.none() | st.booleans() | _SMALL | _ODD | st.text(max_siz
 _FILES = {"--x": _VECTOR, "--y": _VECTOR, "--v": _VECTOR, "--u": _VECTOR,
           "--surface": _surface_doc(), "--word": _WORD}
 
-_BAD_NUMBER = st.sampled_from(["1e300", "-1e300", "1e-300", "1e308", str(10 ** 30), "nan",
+_BAD_NUMBER = st.sampled_from(["1e300", "-1e300", "1e-300", "1e308", str(10 ** 30),
+                               str(10 ** 400), str(-10 ** 400), "nan",
                                "NaN", "inf", "-inf", "Infinity", "1/0", "1.5", "abc", ""])
 _GOOD = {"int": ["0", "1", "2", "3", "-1", "5"], "float": ["0", "0.5", "2", "3.5", "-1.5e3"],
          "rational": ["3", "5/2", "-1", "0.5"], "re": ["0", "0.25", "-1e-05"],

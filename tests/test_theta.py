@@ -1,4 +1,5 @@
 import cmath
+import functools
 import math
 from collections import Counter
 
@@ -374,7 +375,22 @@ _BAD_NUMBERS = {
     "cutoff-nan": lambda neg2, split: z_full_direct(neg2, 2, 1j, split, None, math.nan),
     "tau-text": lambda neg2, split: qs_evaluate(z1_zero(3), "x"),
     "tau-none": lambda neg2, split: z_full_factorized(neg2, 1, None, split),
+    "x-none-entry": lambda neg2, split: theta_siegel_narain(neg2, (0,), 1, 1j, split, [None]),
+    "x-not-a-list": lambda neg2, split: theta_siegel_narain(neg2, (0,), 1, 1j, split, 5),
+    "x-text": lambda neg2, split: theta_siegel_narain(neg2, (0,), 1, 1j, split, ["a"]),
+    "splitting-text": lambda neg2, split: Splitting([["a"]], [[0]]),
+    "splitting-nan": lambda neg2, split: Splitting([[math.nan]], [[0]]),
+    "coset-step-huge": lambda neg2, split: theta_siegel_narain(neg2, (0,), 10 ** 400, 1j, split),
+    "cutoff-huge": lambda neg2, split: z_full_direct(neg2, 1, 1j, split, None, 10 ** 400, 2.0),
 }
+_RADIUS_CALLS = {
+    "theta": lambda neg2, split, rad: theta_siegel_narain(neg2, (0,), 1, 1j, split, None, rad),
+    "direct": lambda neg2, split, rad: z_full_direct(neg2, 1, 1j, split, None, 2.0, rad),
+    "factorized": lambda neg2, split, rad: z_full_factorized(neg2, 1, 1j, split, None, 4, rad),
+}
+_BAD_NUMBERS.update({f"{name}-radius-{label}": functools.partial(call, rad=rad)
+                     for name, call in _RADIUS_CALLS.items()
+                     for label, rad in {"text": "x", "none": None, "huge": 10 ** 400}.items()})
 
 
 @pytest.mark.parametrize("call", _BAD_NUMBERS.values(), ids=_BAD_NUMBERS.keys())
@@ -382,6 +398,37 @@ def test_non_finite_or_non_numeric_rational_or_tau_is_an_input_error(neg2, split
     # not a bare OverflowError, ValueError or TypeError from Fraction() or complex()
     with pytest.raises(InputError):
         call(neg2, split1)
+
+
+_NEG2 = EvenLattice(((-2,),))
+_JUNK = st.sampled_from([None, "x", "", math.nan, math.inf, -math.inf, 10 ** 400, -10 ** 400,
+                         [1], [[0]], [None, 1]])
+
+
+def _or_junk(*good):
+    return st.one_of(st.sampled_from(good), _JUNK)
+
+
+@settings(max_examples=200, deadline=None)
+@given(which=st.sampled_from(["theta", "direct", "factorized"]),
+       pl=st.one_of(st.builds(lambda e: [[e]], _or_junk(1, 1.0)), _JUNK),
+       pr=st.one_of(st.builds(lambda e: [[e]], _or_junk(0, 0.0)), _JUNK),
+       x=st.one_of(st.builds(lambda e: [e], _or_junk(0.25j, 0.5)), _or_junk(None)),
+       alpha=st.one_of(st.builds(lambda e: [e], _or_junk(0, 1, 3)), _JUNK),
+       r=_or_junk(1, 2), radius=_or_junk(0, 1.5, 2.0), limit=_or_junk(2, 2.5))
+def test_junk_numbers_give_a_result_or_an_input_error(which, pl, pr, x, alpha, r, radius, limit):
+    # each draw is a usable value or junk; limit is the direct path's exponent cutoff
+    # or the factorized path's series order
+    try:
+        split = Splitting(pl, pr)
+        if which == "theta":
+            theta_siegel_narain(_NEG2, alpha, r, 1j, split, x, radius)
+        elif which == "direct":
+            z_full_direct(_NEG2, r, 1j, split, x, limit, radius)
+        else:
+            z_full_factorized(_NEG2, r, 1j, split, x, limit, radius)
+    except InputError:
+        pass
 
 
 def test_work_cap_refuses_before_enumerating(neg2, split1):
