@@ -159,11 +159,10 @@ def _cmd_invariants(args) -> dict:
 
 
 def _cmd_gottsche(args) -> dict:
-    from .qseries import hilb_euler
+    from .qseries import _hilb_table
 
     order = _at_least(args.order, 1, "order")
-    hilb_euler(order - 1)               # grows the table once; the reads below are lookups
-    return {"coeffs": [hilb_euler(n) for n in range(order)]}
+    return {"coeffs": _hilb_table(order - 1)[:order]}
 
 
 def _cmd_chivirtual(args) -> dict:

@@ -58,17 +58,18 @@ from fractions import Fraction
 from .errors import ConsistencyError, InputError, check_work
 from .lattice import (EvenLattice, MukaiVector, _as_ints, _as_number, _at_least,
                       _require_positive_rank, content, square)
-from .qseries import QSeries, hilb_euler
+from .qseries import QSeries, _hilb_table
 
 LITERAL_TOL = 1e-9
 
 
-def _chi_scaled(sq: int, c: int) -> int:
-    """c^2 chi_virtual(v), an exact integer, from <v^2> = sq and c = content(v)."""
+def _chi_scaled(sq: int, c: int, euler: list[int]) -> int:
+    """c^2 chi_virtual(v), an exact integer, from <v^2> = sq, c = content(v) and the
+    chi(Hilb^m) table euler, grown through m = sq // 2 + 1 (qseries._hilb_table)."""
     if c == 1:
-        return hilb_euler(sq // 2 + 1)
-    return sum(hilb_euler(sq // (2 * a * a) + 1) * (c // a) ** 2
-               for a in range(1, c + 1) if c % a == 0)
+        return euler[m] if (m := sq // 2 + 1) >= 0 else 0
+    return sum(euler[m] * (c // a) ** 2 for a in range(1, c + 1)
+               if c % a == 0 and (m := sq // (2 * a * a) + 1) >= 0)
 
 
 def chi_virtual(v: MukaiVector, lat: EvenLattice) -> Fraction:
@@ -76,7 +77,7 @@ def chi_virtual(v: MukaiVector, lat: EvenLattice) -> Fraction:
     _require_positive_rank(v)
     c = content(v)
     check_work(c, "chi_virtual")        # the divisor scan tries every a <= c
-    return Fraction(_chi_scaled(square(v, lat), c), c * c)
+    return Fraction(_chi_scaled(sq := square(v, lat), c, _hilb_table(sq // 2 + 1)), c * c)
 
 
 def _check_rank_alpha(r: int, alpha, lat: EvenLattice) -> tuple[int, tuple[int, ...]]:
@@ -100,10 +101,11 @@ def z_psu_direct(r: int, alpha, order, lat: EvenLattice) -> QSeries:
     a_min = math.floor((Fraction(s_alpha) - 2 * r * order) / (2 * r)) + 1
     check_work(a_max - a_min + 1, "z_psu_direct")
     g = math.gcd(r, *alpha)
+    euler = _hilb_table((s_alpha - 2 * r * a_min) // 2 + 1)
     terms = {}      # keyed by <v^2> = (alpha^2) - 2ra, the exponent times 2r
     for a in range(a_min, a_max + 1):
         c = math.gcd(g, a)
-        if coeff := _chi_scaled(s_alpha - 2 * r * a, c):
+        if coeff := _chi_scaled(s_alpha - 2 * r * a, c, euler):
             terms[s_alpha - 2 * r * a] = Fraction(coeff, c * c)
     return QSeries._of(2 * r, terms, order)
 
@@ -126,12 +128,13 @@ def _hecke_numerators(factorizations, lat: EvenLattice) -> dict[int, int]:
     """{a^2 (n - 1): r^2 times the coefficient of Z_r^alpha at q^(a^2 (n - 1)/r)};
     the b-sum projection keeps the n with n - 1 = (xi^2)/2 mod d, each
     weighing d^2 chi(Hilb^n)."""
+    euler = _hilb_table(max(t for *_, t in factorizations))
     nums: dict[int, int] = {}
     for a, d, xi, top in factorizations:
         m0 = (lat.quad(xi) // 2 + 1) % d    # n must be congruent to this mod d
         for n in range(m0, top + 1, d):
             k = a * a * (n - 1)
-            nums[k] = nums.get(k, 0) + d * d * hilb_euler(n)
+            nums[k] = nums.get(k, 0) + d * d * euler[n]
     return nums
 
 
@@ -169,8 +172,8 @@ def z_psu_hecke_literal(r: int, alpha, order, lat: EvenLattice) -> QSeries:
     factorizations = _hecke_factorizations(r, alpha, order)
     check_work(sum(d * (top + 1) for _, d, _, top in factorizations), "z_psu_hecke_literal")
     exact = _hecke_numerators(factorizations, lat)
-    max_chi = max([1] + [hilb_euler(top) for *_, top in factorizations])
-    dps = 40 + len(str(max_chi))
+    euler = _hilb_table(top := max(t for *_, t in factorizations))
+    dps = 40 + len(str(euler[max(top, 0)]))    # chi(Hilb^n) grows with n from chi(Hilb^0) = 1
 
     with mpmath.workdps(dps):
         prec = mpmath.mp.prec
@@ -182,7 +185,7 @@ def z_psu_hecke_literal(r: int, alpha, order, lat: EvenLattice) -> QSeries:
                      for m in range(d)]
             for n in range(top + 1):
                 key = a * a * (n - 1)
-                t = mpc_mul_int(phase[(n - 1 - s_xi // 2) % d], d * hilb_euler(n), prec, rnd)
+                t = mpc_mul_int(phase[(n - 1 - s_xi // 2) % d], d * euler[n], prec, rnd)
                 acc[key] = mpc_add(acc[key], t, prec, rnd) if key in acc else t
 
         rr = from_int(r * r)

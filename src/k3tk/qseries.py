@@ -287,17 +287,22 @@ def hilb_euler(n: int) -> int:
     return c[n]
 
 
+def _hilb_table(n: int) -> list[int]:
+    """hilb_euler's table, grown through n by one call, for loops; they read m < 0 as 0."""
+    hilb_euler(n)
+    return _hilb_euler
+
+
 def gottsche_series(order: int) -> QSeries:
     """sum_{n=0}^{order-1} chi(Hilb^n) q^n, truncated below q^order."""
     order = _at_least(order, 1, "order")
-    hilb_euler(order - 1)
-    return QSeries._of(1, {n: Fraction(c) for n, c in enumerate(_hilb_euler[:order])},
+    return QSeries._of(1, {n: Fraction(c) for n, c in enumerate(_hilb_table(order - 1)[:order])},
                        Fraction(order))
 
 
 def z1_zero(order: int) -> QSeries:
     """q^(-1) * Goettsche series: sum_{n>=0} chi(Hilb^n) q^(n-1), complete below q^order."""
     order = _at_least(order, 0, "order")
-    hilb_euler(order)
-    return QSeries._of(1, {n - 1: Fraction(c) for n, c in enumerate(_hilb_euler[:order + 1])},
+    chi = _hilb_table(order)
+    return QSeries._of(1, {n - 1: Fraction(c) for n, c in enumerate(chi[:order + 1])},
                        Fraction(order))

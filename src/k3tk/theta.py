@@ -32,14 +32,17 @@ analytic bound.
 
 Kernels: points are tuples of ints.  The projectors sum to the identity and are
 Q-orthogonal, so Q(c_L^2) + Q(c_R^2) = Q(c) and each exponent is (Re tau Q(c) +
-i Im tau M(c))/2r, M the majorant: per point only the exact integer Q(c) = -(c^2)
-and the one float form M are evaluated.  M is built in plain Python once per
-splitting and Gram matrix and kept on the immutable splitting; eigenvalues come from
-cyclic Jacobi (_eigh), so nothing here needs numpy.  Fincke-Pohst enumeration (Math.
-Comp. 44 (1985); Cohen, GTM 138, 2.7.3) over M's pivots yields the points in
-lexicographic order; its leaf bound prod_k (2R / sqrt(d_k) / step + 1), never above
-the box of half-width R / sqrt(lambda_min), is checked against errors.MAX_WORK first.
-A term that overflows double precision is an InputError.
+i Im tau M(c))/2r, M the majorant: only the exact integer Q(c) = -(c^2) and the one
+float form M are evaluated.  M is built in plain Python once per splitting and Gram
+matrix and kept on the immutable splitting; eigenvalues come from cyclic Jacobi (_eigh),
+so nothing here needs numpy.  Fincke-Pohst enumeration (Math. Comp. 44 (1985); Cohen,
+GTM 138, 2.7.3) over M's pivots hands over the points in lexicographic order a row (all
+coordinates but the last fixed) at a time: a row's partial sums are taken once, and a point
+adds only its last coordinate's share, in the order of the whole sum, so every bit is kept.
+Its leaf bound prod_k (2R / sqrt(d_k) / step + 1), never above the box of half-width
+R / sqrt(lambda_min), is checked against errors.MAX_WORK first.  Both full sums reuse what
+depends on a class ((xi^2), gcd(r, xi)) alone: the direct sum's weights over a, and the
+factorized sum's Z_r^alpha(tau).  A term that overflows double precision is an InputError.
 
 Modular transformation laws of the theta sum are not implemented: the
 familiar constants are specific to the rank-22 K3 lattice and no
@@ -57,7 +60,7 @@ from operator import mul, sub
 from .errors import MAX_WORK, InputError, check_work
 from .lattice import EvenLattice, Value, _as_ints, _as_number, _at_least, _set
 from .partitions import _chi_scaled, z_psu_direct
-from .qseries import _upper, hilb_euler, qs_evaluate
+from .qseries import _hilb_table, _upper, hilb_euler, qs_evaluate
 
 GUARD_SHELLS = 3
 EXP_BINS = 8
@@ -76,8 +79,10 @@ def _q(lat: EvenLattice):
 
 def _as_numbers(xs, kind=None) -> tuple:
     """_as_number(v, kind) over a caller's list, or over each row of a matrix as floats
-    when kind is None: InputError, not TypeError, when xs or a row is not a list."""
+    when kind is None: InputError, not TypeError, when xs or a row is text or not a list."""
     try:
+        if isinstance(xs, (str, bytes)):
+            raise TypeError
         return tuple([_as_number(v, kind) if kind else _as_numbers(v, float) for v in xs])
     except TypeError:
         raise InputError(f"expected a list of numbers, got {xs!r}") from None
@@ -229,10 +234,11 @@ def _leaf_bound(pivots, step: int, outer: float) -> float:
     return math.prod([2 * (outer / math.sqrt(dk)) / step + 1 for dk in pivots[0]])
 
 
-def _short_vectors(pivots, alpha, step: int, bound2: float):
+def _short_vectors(pivots, alpha, step: int, bound2: float, rows: bool = False):
     """c in alpha + step Z^n with sum_k d_k (c_k - ctr_k)^2 <= bound2 (Fincke-Pohst): c_0
     is the outer loop and each level scans its interval of alpha_k + step Z upwards,
-    so points arrive in itertools.product order."""
+    so points arrive in itertools.product order.  With rows, each scan of the last level
+    comes whole, as (c_0 .. c_{n-2}, the range of c_{n-1})."""
     d, mu = pivots
     last = len(alpha) - 1
     c = [0] * len(alpha)
@@ -241,23 +247,28 @@ def _short_vectors(pivots, alpha, step: int, bound2: float):
         ctr = -sum(map(mul, mu[k], c))
         half = math.sqrt(max(budget, 0.0) / d[k])
         a = alpha[k]
-        for ck in range(step * math.ceil((ctr - half - a) / step) + a,
-                        step * math.floor((ctr + half - a) / step) + a + 1, step):
-            c[k] = ck
-            if k == last:
-                yield tuple(c)
+        span = range(step * math.ceil((ctr - half - a) / step) + a,
+                     step * math.floor((ctr + half - a) / step) + a + 1, step)
+        if k == last:
+            head = tuple(c[:last])
+            if rows:
+                yield head, span
             else:
-                yield from level(k + 1, budget - d[k] * (ck - ctr) ** 2)
+                yield from [(*head, ck) for ck in span]
+            return
+        for ck in span:
+            c[k] = ck
+            yield from level(k + 1, budget - d[k] * (ck - ctr) ** 2)
     return level(0, bound2)
 
 
-def _e(t: complex, num=1, den=1) -> complex:
-    """num / den e(t) = num / den exp(2 pi i t); InputError where it overflows double precision."""
+def _e(t: complex) -> complex:
+    """e(t) = exp(2 pi i t); InputError where it is not a finite double."""
     try:
-        v = num / den * cmath.exp(2j * cmath.pi * t)
+        v = cmath.exp(2j * cmath.pi * t)
     except (OverflowError, ValueError):     # ValueError: an infinite phase
         v = math.nan
-    if v != v:          # also an exponent that overflowed to inf before the exp
+    if not cmath.isfinite(v):       # also an exponent or phase that overflowed before the exp
         raise InputError("a term overflows double precision at this input")
     return v
 
@@ -268,21 +279,33 @@ def _ball(alpha, step: int, r: int, tau: complex, forms, pivots,
     with sqrt M(c) <= radius + GUARD_SHELLS, M the majorant and Q(c) = -(c^2) exact; j = 0 inside
     radius, else the guard shell.  The leaf bound (at least 1) times per_point, saturated past
     MAX_WORK so a huge int never meets a float, is checked on the call; the enumeration runs at
-    a slightly widened bound and _quad decides membership."""
+    a slightly widened bound and M(c), summed in _quad's order a row at a time, decides."""
     gram, mj, qx = forms
     outer = radius + GUARD_SHELLS
     check_work(_leaf_bound(pivots, step, outer) * min(per_point, MAX_WORK + 1), what)
+    l = len(alpha) - 1
+    last = [col[l] for col in mj]
+    g_ll, two_r, re_tau, im_tau = gram[l][l], 2 * r, -tau.real, tau.imag
+    outer2, radius2 = outer * outer, radius * radius
 
     def points():
-        for c in _short_vectors(pivots, alpha, step, outer * outer * (1 + 1e-9)):
-            maj = _quad(mj, c)
-            if maj > outer * outer:
+        for head, span in _short_vectors(pivots, alpha, step, outer2 * (1 + 1e-9), True):
+            if not span:
                 continue
-            j = 0 if maj <= radius * radius else \
-                max(1, min(math.ceil(math.sqrt(maj) - radius), GUARD_SHELLS))
-            sq = sum(map(mul, c, [sum(map(mul, row, c)) for row in gram]))
-            t = complex(-tau.real * sq, tau.imag * maj) / (2 * r)
-            yield c, j, sq, _e(t if qx is None else t + sum(map(mul, c, qx)))
+            part = [sum(map(mul, head, col)) for col in mj]
+            gh = [sum(map(mul, row, head)) for row in gram]
+            s0, x2 = sum(map(mul, head, gh)), 2 * gh[l]
+            phase = 0 if qx is None else sum(map(mul, head, qx))
+            for cl in span:
+                cols = [p + cl * m for p, m in zip(part, last)]
+                maj = sum(map(mul, cols, head)) + cols[l] * cl
+                if maj > outer2:
+                    continue
+                j = 0 if maj <= radius2 else \
+                    max(1, min(math.ceil(math.sqrt(maj) - radius), GUARD_SHELLS))
+                sq = s0 + (x2 + cl * g_ll) * cl
+                t = complex(re_tau * sq, im_tau * maj) / two_r
+                yield head + (cl,), j, sq, _e(t if qx is None else t + (phase + cl * qx[l]))
     return points()
 
 
@@ -335,7 +358,12 @@ def theta_siegel_narain(lat: EvenLattice, alpha, r: int, tau: complex,
     _as_number(r, float)        # a step beyond the double range is refused here
     alpha = tuple(a % r for a in _as_ints(alpha))
     lat.check_vector(alpha)
-    forms, pivots, lam_min, xnorm = _forms(lat, split, x)
+    return _theta(alpha, r, tau, radius, *_forms(lat, split, x))
+
+
+def _theta(alpha, r: int, tau: complex, radius: float, forms, pivots, lam_min: float,
+           xnorm: float) -> ThetaSum:
+    """theta_siegel_narain on validated input and the _forms of its lattice and x."""
     main = []
     shells = [0.0] * GUARD_SHELLS
     for _, j, _, term in _ball(alpha, r, r, tau, forms, pivots, radius, 1,
@@ -345,7 +373,7 @@ def theta_siegel_narain(lat: EvenLattice, alpha, r: int, tau: complex,
         else:
             main.append(term)
     value = complex(math.fsum(t.real for t in main), math.fsum(t.imag for t in main))
-    return ThetaSum(value, _shell_tail(shells, lat.rank, r, tau, radius, lam_min, xnorm),
+    return ThetaSum(value, _shell_tail(shells, len(alpha), r, tau, radius, lam_min, xnorm),
                     len(main))
 
 
@@ -405,27 +433,37 @@ def z_full_direct(lat: EvenLattice, r: int, tau: complex, split: Splitting,
                  max(1, r + EXP_BINS + 2 + math.ceil(cutoff)), "z_full_direct")
     if n_top // 2 + 1 > CHI_FLOAT_TOP:      # the weight table would end past a double
         raise InputError("a term overflows double precision at this input")
-    weights = {(n, c): _e(tau * n / two_r, chi, c * c)     # chi_virtual q^{n/2r}
-               for c in range(1, r + 1) if r % c == 0
-               for n in range(-2 * r * r, n_top + 1, 2) if (chi := _chi_scaled(n, c))}
+    euler = _hilb_table(n_top // 2 + 1)     # so chi / c^2 is below 0.91 of the largest double
+    weights = {(n, c): chi / (c * c) * e      # chi_virtual q^{n/2r}, one exp per n
+               for n in range(-2 * r * r, n_top + 1, 2) for e in [_e(tau * n / two_r)]
+               for c in range(1, r + 1) if r % c == 0 and (chi := _chi_scaled(n, c, euler))}
 
+    # xi's a-sum depends on ((xi^2), gcd(r, xi)) alone: per class, the weights that land in
+    # an exponent bin, those of the main sum, and all of them, each in ascending a (descending
+    # n), the order in which the bins and shells add them
+    classes = {}
     main = []
     hbins = [0.0] * EXP_BINS          # xi in the main ball, exponent beyond cutoff
     xshells = [0.0] * GUARD_SHELLS    # xi beyond the main ball, any exponent
     for xi, j, s_xi, base in ball:
-        g = math.gcd(r, *xi)
-        for a in range(-((n_top - s_xi) // two_r), s_xi // two_r + r + 1):
-            n = s_xi - two_r * a
-            w = weights.get((n, math.gcd(g, a)))
-            if w is None:                       # chi_virtual(v) = 0
-                continue
-            term = w * base
-            if j:
-                xshells[j - 1] += abs(term)
-            elif n <= n_cut:
-                main.append(term)
-            else:
-                hbins[min(-((n_cut - n) // two_r), EXP_BINS) - 1] += abs(term)
+        key = s_xi, math.gcd(r, *xi)
+        if key not in classes:
+            ws = [(n, w) for a in range(-((n_top - s_xi) // two_r), s_xi // two_r + r + 1)
+                  if (w := weights.get((n := s_xi - two_r * a, math.gcd(key[1], a))))
+                  is not None]
+            classes[key] = ([(min(-((n_cut - n) // two_r), EXP_BINS) - 1, w)
+                             for n, w in ws if n > n_cut],
+                            [w for n, w in ws if n <= n_cut], [w for _, w in ws])
+        binned, mains, every = classes[key]
+        if j:
+            shell = xshells[j - 1]
+            for w in every:
+                shell += abs(w * base)
+            xshells[j - 1] = shell
+        else:
+            for b, w in binned:
+                hbins[b] += abs(w * base)
+            main += [w * base for w in mains]
     value = complex(math.fsum(t.real for t in main), math.fsum(t.imag for t in main))
 
     # exponent direction: coefficient growth is subexponential, so the bin
@@ -454,10 +492,17 @@ def z_full_factorized(lat: EvenLattice, r: int, tau: complex, split: Splitting,
     value = 0j
     tail = 0.0
     points = 0
+    evs = {}            # Z_r^alpha(tau), which depends on ((alpha^2), gcd(r, alpha)) alone
+    formed = None       # the theta input (radius, splitting, x), read after the first series
     for alpha in itertools.product(range(r), repeat=lat.rank):
-        series = z_psu_direct(r, alpha, series_order, lat)
-        ev = qs_evaluate(series, tau)
-        th = theta_siegel_narain(lat, alpha, r, tau, split, x, radius)
+        key = lat.quad(alpha), math.gcd(r, *alpha)
+        if key not in evs:
+            evs[key] = qs_evaluate(z_psu_direct(r, alpha, series_order, lat), tau)
+        ev = evs[key]
+        if formed is None:
+            radius = _tau_radius(tau, radius)[1]
+            formed = _forms(lat, split, x)
+        th = _theta(alpha, r, tau, radius, *formed)
         value += ev.value * th.value
         if math.inf in (ev.tail, th.tail):      # not 0 * inf = nan for an empty series
             tail = math.inf

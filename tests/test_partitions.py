@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import mpmath
@@ -118,6 +119,17 @@ def _rank_alpha_order(draw):
 def test_hecke_equals_direct_property(case):
     lat, r, alpha, order = case
     assert z_psu_hecke(r, alpha, order, lat) == z_psu_direct(r, alpha, order, lat)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_rank_alpha_order(), st.integers(1, 3))
+def test_direct_series_depends_on_alpha_through_its_class_alone(case, r):
+    # z_full_factorized evaluates one series per ((alpha^2), gcd(r, alpha))
+    lat, _, alpha, order = case
+    key = lambda a: (lat.quad(a), math.gcd(r, *a))
+    for beta in (tuple(-a for a in alpha), alpha[::-1]):
+        if key(beta) == key(alpha):
+            assert z_psu_direct(r, beta, order, lat) == z_psu_direct(r, alpha, order, lat)
 
 
 def test_hecke_hand_evaluation(gram2):

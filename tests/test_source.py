@@ -1,5 +1,6 @@
 """Source checks over the package: line length, unused top-level imports,
-unreferenced private helpers and one module per literal InputError message."""
+unreferenced private helpers, one module per literal InputError message, and
+no validated Goettsche lookup inside the series and theta loops."""
 
 import ast
 from pathlib import Path
@@ -60,3 +61,18 @@ def test_each_input_error_message_has_one_home():
                 homes.setdefault(node.args[0].value, set()).add(path.name)
     assert "tau must lie in the upper half plane" in homes
     assert {message: sorted(names) for message, names in homes.items() if len(names) > 1} == {}
+
+
+def test_no_loop_in_partitions_or_theta_calls_hilb_euler():
+    # loops read the table that qseries._hilb_table grew once; a while loop whose end
+    # is not known in advance (theta._a_sum_bound) may grow it as it goes
+    loops = (ast.For, ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
+    calls = []
+    for path in SOURCES:
+        if path.name in ("partitions.py", "theta.py"):
+            for loop in ast.walk(ast.parse(path.read_text())):
+                if isinstance(loop, loops):
+                    calls += [(path.name, node.lineno) for node in ast.walk(loop)
+                              if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                              and node.func.id == "hilb_euler"]
+    assert calls == []

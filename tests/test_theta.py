@@ -1,6 +1,7 @@
 import cmath
 import functools
 import math
+import sys
 from collections import Counter
 
 import numpy as np
@@ -8,7 +9,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from k3tk import (EvenLattice, InputError, QSeries, Splitting, hilb_euler, qs_evaluate, theta,
+from k3tk import (EvenLattice, InputError, QSeries, Splitting, hilb_euler, partitions,
+                  qs_evaluate, qseries, theta,
                   theta_siegel_narain, z1_zero, z_full_direct,
                   z_full_factorized, z_psu_direct, z_psu_hecke, z_psu_hecke_literal)
 from k3tk.errors import MAX_WORK
@@ -380,6 +382,11 @@ _BAD_NUMBERS = {
     "x-text": lambda neg2, split: theta_siegel_narain(neg2, (0,), 1, 1j, split, ["a"]),
     "splitting-text": lambda neg2, split: Splitting([["a"]], [[0]]),
     "splitting-nan": lambda neg2, split: Splitting([[math.nan]], [[0]]),
+    # text iterates into one-character numbers, but is not a list
+    "x-digit-text": lambda neg2, split: theta_siegel_narain(neg2, (0,), 1, 1j, split, "1"),
+    "splitting-digit-text": lambda neg2, split: Splitting("1", "0"),
+    "splitting-digit-text-rows": lambda neg2, split: Splitting(["1"], ["0"]),
+    "splitting-bytes-rows": lambda neg2, split: Splitting([b"\x01"], [b"\x00"]),
     "coset-step-huge": lambda neg2, split: theta_siegel_narain(neg2, (0,), 10 ** 400, 1j, split),
     "cutoff-huge": lambda neg2, split: z_full_direct(neg2, 1, 1j, split, None, 10 ** 400, 2.0),
 }
@@ -446,6 +453,15 @@ def test_chi_float_top_is_the_last_double_in_the_table():
     assert math.isfinite(float(hilb_euler(theta.CHI_FLOAT_TOP)))
     with pytest.raises(OverflowError):
         float(hilb_euler(theta.CHI_FLOAT_TOP + 1))
+
+
+def test_weights_up_to_the_chi_float_top_are_doubles():
+    # z_full_direct divides chi by c^2 unguarded; chi_virtual grows with n, and the even
+    # n below the table's top reach 2 CHI_FLOAT_TOP - 2 for the contents c | r <= 3
+    n = 2 * theta.CHI_FLOAT_TOP - 2
+    euler = qseries._hilb_table(n // 2 + 1)
+    for c in (1, 2, 3):
+        assert partitions._chi_scaled(n, c, euler) / (c * c) < 0.91 * sys.float_info.max
 
 
 def _root_lattice(rank, edges):
