@@ -128,7 +128,9 @@ def _hecke_numerators(factorizations, lat: EvenLattice) -> dict[int, int]:
     """{a^2 (n - 1): r^2 times the coefficient of Z_r^alpha at q^(a^2 (n - 1)/r)};
     the b-sum projection keeps the n with n - 1 = (xi^2)/2 mod d, each
     weighing d^2 chi(Hilb^n)."""
-    euler = _hilb_table(max(t for *_, t in factorizations))
+    euler, top = _hilb_table(0), max(t for *_, t in factorizations)
+    while len(euler) <= top:    # an entry a call, as a term loop reading n upwards grows it,
+        _hilb_table(len(euler))     # so no one call meets hilb_euler's cap on a cold table
     nums: dict[int, int] = {}
     for a, d, xi, top in factorizations:
         m0 = (lat.quad(xi) // 2 + 1) % d    # n must be congruent to this mod d

@@ -38,7 +38,8 @@ matrix and kept on the immutable splitting; eigenvalues come from cyclic Jacobi 
 so nothing here needs numpy.  Fincke-Pohst enumeration (Math. Comp. 44 (1985); Cohen,
 GTM 138, 2.7.3) over M's pivots hands over the points in lexicographic order a row (all
 coordinates but the last fixed) at a time: a row's partial sums are taken once, and a point
-adds only its last coordinate's share, in the order of the whole sum, so every bit is kept.
+adds only its last coordinate's share.  These sums run left to right from 0 (_dot), not by
+the builtin sum, so a row continues the whole sum bit for bit on every interpreter.
 Its leaf bound prod_k (2R / sqrt(d_k) / step + 1), never above the box of half-width
 R / sqrt(lambda_min), is checked against errors.MAX_WORK first.  Both full sums reuse what
 depends on a class ((xi^2), gcd(r, xi)) alone: the direct sum's weights over a, and the
@@ -55,7 +56,8 @@ import cmath
 import itertools
 import math
 from fractions import Fraction
-from operator import mul, sub
+from functools import reduce
+from operator import add, mul, sub
 
 from .errors import MAX_WORK, InputError, check_work
 from .lattice import EvenLattice, Value, _as_ints, _as_number, _at_least, _set
@@ -209,9 +211,15 @@ def _forms(lat: EvenLattice, split: Splitting, x):
         math.sqrt(max(_quad(mj, [v.imag for v in xv]), 0.0))
 
 
+def _dot(a, b):
+    """sum a_k b_k added left to right from 0 on every interpreter: the builtin sum
+    compensates float rounding from Python 3.12 on, which a row's partial sum cannot continue."""
+    return reduce(add, map(mul, a, b), 0)
+
+
 def _quad(cols, c) -> float:
     """c^T M c for a form M stored as its columns, evaluated as (c^T M) c."""
-    return sum(map(mul, [sum(map(mul, c, col)) for col in cols], c))
+    return _dot([_dot(c, col) for col in cols], c)
 
 
 def _pivots(mj):
@@ -234,11 +242,10 @@ def _leaf_bound(pivots, step: int, outer: float) -> float:
     return math.prod([2 * (outer / math.sqrt(dk)) / step + 1 for dk in pivots[0]])
 
 
-def _short_vectors(pivots, alpha, step: int, bound2: float, rows: bool = False):
-    """c in alpha + step Z^n with sum_k d_k (c_k - ctr_k)^2 <= bound2 (Fincke-Pohst): c_0
-    is the outer loop and each level scans its interval of alpha_k + step Z upwards,
-    so points arrive in itertools.product order.  With rows, each scan of the last level
-    comes whole, as (c_0 .. c_{n-2}, the range of c_{n-1})."""
+def _short_vectors(pivots, alpha, step: int, bound2: float):
+    """Rows (c_0 .. c_{n-2}, the range of c_{n-1}) of the c in alpha + step Z^n with
+    sum_k d_k (c_k - ctr_k)^2 <= bound2 (Fincke-Pohst): c_0 is the outer loop and each level
+    scans its interval of alpha_k + step Z upwards, so points arrive in itertools.product order."""
     d, mu = pivots
     last = len(alpha) - 1
     c = [0] * len(alpha)
@@ -250,11 +257,7 @@ def _short_vectors(pivots, alpha, step: int, bound2: float, rows: bool = False):
         span = range(step * math.ceil((ctr - half - a) / step) + a,
                      step * math.floor((ctr + half - a) / step) + a + 1, step)
         if k == last:
-            head = tuple(c[:last])
-            if rows:
-                yield head, span
-            else:
-                yield from [(*head, ck) for ck in span]
+            yield tuple(c[:last]), span
             return
         for ck in span:
             c[k] = ck
@@ -289,16 +292,16 @@ def _ball(alpha, step: int, r: int, tau: complex, forms, pivots,
     outer2, radius2 = outer * outer, radius * radius
 
     def points():
-        for head, span in _short_vectors(pivots, alpha, step, outer2 * (1 + 1e-9), True):
+        for head, span in _short_vectors(pivots, alpha, step, outer2 * (1 + 1e-9)):
             if not span:
                 continue
-            part = [sum(map(mul, head, col)) for col in mj]
+            part = [_dot(head, col) for col in mj]
             gh = [sum(map(mul, row, head)) for row in gram]
             s0, x2 = sum(map(mul, head, gh)), 2 * gh[l]
-            phase = 0 if qx is None else sum(map(mul, head, qx))
+            phase = 0 if qx is None else _dot(head, qx)
             for cl in span:
                 cols = [p + cl * m for p, m in zip(part, last)]
-                maj = sum(map(mul, cols, head)) + cols[l] * cl
+                maj = _dot(cols, head) + cols[l] * cl
                 if maj > outer2:
                     continue
                 j = 0 if maj <= radius2 else \
@@ -439,8 +442,8 @@ def z_full_direct(lat: EvenLattice, r: int, tau: complex, split: Splitting,
                for c in range(1, r + 1) if r % c == 0 and (chi := _chi_scaled(n, c, euler))}
 
     # xi's a-sum depends on ((xi^2), gcd(r, xi)) alone: per class, the weights that land in
-    # an exponent bin, those of the main sum, and all of them, each in ascending a (descending
-    # n), the order in which the bins and shells add them
+    # an exponent bin and those of the main sum, each in ascending a (descending n), so a
+    # shell adding the binned ones first adds them all in the order of a
     classes = {}
     main = []
     hbins = [0.0] * EXP_BINS          # xi in the main ball, exponent beyond cutoff
@@ -453,13 +456,11 @@ def z_full_direct(lat: EvenLattice, r: int, tau: complex, split: Splitting,
                   is not None]
             classes[key] = ([(min(-((n_cut - n) // two_r), EXP_BINS) - 1, w)
                              for n, w in ws if n > n_cut],
-                            [w for n, w in ws if n <= n_cut], [w for _, w in ws])
-        binned, mains, every = classes[key]
+                            [w for n, w in ws if n <= n_cut])
+        binned, mains = classes[key]
         if j:
-            shell = xshells[j - 1]
-            for w in every:
-                shell += abs(w * base)
-            xshells[j - 1] = shell
+            xshells[j - 1] = reduce(add, [abs(w * base) for _, w in binned]
+                                    + [abs(w * base) for w in mains], xshells[j - 1])
         else:
             for b, w in binned:
                 hbins[b] += abs(w * base)
@@ -489,14 +490,11 @@ def z_full_factorized(lat: EvenLattice, r: int, tau: complex, split: Splitting,
     """Coset factorization sum_alpha Z_r^alpha(tau) Theta_{alpha,r}(tau, P, x)."""
     r = _toy_guard(lat, r)
     tau = _upper(tau)
-    value = 0j
-    tail = 0.0
-    points = 0
+    value, tail, points = 0j, 0.0, 0
     evs = {}            # Z_r^alpha(tau), which depends on ((alpha^2), gcd(r, alpha)) alone
     formed = None       # the theta input (radius, splitting, x), read after the first series
     for alpha in itertools.product(range(r), repeat=lat.rank):
-        key = lat.quad(alpha), math.gcd(r, *alpha)
-        if key not in evs:
+        if (key := (lat.quad(alpha), math.gcd(r, *alpha))) not in evs:
             evs[key] = qs_evaluate(z_psu_direct(r, alpha, series_order, lat), tau)
         ev = evs[key]
         if formed is None:

@@ -19,7 +19,6 @@ None of them imports k3tk.
 
 import cmath
 import math
-import operator
 from fractions import Fraction
 from itertools import permutations, product
 from math import gcd, lcm
@@ -324,9 +323,18 @@ def e8_count(n: int) -> int:
     return 240 * sum(d ** 3 for d in range(1, n + 1) if n % d == 0)
 
 
+def _dot(a, b):
+    """sum a_k b_k by a plain loop from 0, so the order of addition is the same on every
+    interpreter (the builtin sum compensates float rounding from Python 3.12 on)."""
+    s = 0
+    for x, y in zip(a, b):
+        s += x * y
+    return s
+
+
 def _quad(cols, c) -> float:
     """c^T M c for a form M stored as its columns, evaluated as (c^T M) c."""
-    return sum(map(operator.mul, [sum(map(operator.mul, c, col)) for col in cols], c))
+    return _dot([_dot(c, col) for col in cols], c)
 
 
 def _e(t: complex, coeff=1) -> complex:
@@ -361,7 +369,7 @@ def box_ball(alpha, step, r, tau, forms, lam_min, radius, guard):
             max(1, min(math.ceil(math.sqrt(maj) - radius), guard))
         sq = pairing_brute((0, c, 0), (0, c, 0), gram)      # (c^2) as a Mukai pairing
         t = complex(-tau.real * sq, tau.imag * maj) / (2 * r)
-        yield c, j, sq, _e(t if qx is None else t + sum(map(operator.mul, c, qx)))
+        yield c, j, sq, _e(t if qx is None else t + _dot(c, qx))
 
 
 def definite_parts(gram, pl, pr, c) -> tuple[float, float]:

@@ -7,8 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from k3tk import (ConsistencyError, EvenLattice, InputError, MukaiVector, QSeries,
-                  chi_virtual, content, hilb_euler, partitions, primitive, qs_add, qs_scale,
-                  qs_substitute_power, square, z1_zero, z_psu_direct,
+                  chi_virtual, content, errors, hilb_euler, partitions, primitive, qs_add,
+                  qs_scale, qs_substitute_power, qseries, square, z1_zero, z_psu_direct,
                   z_psu_hecke, z_psu_hecke_literal)
 
 from .conftest import random_lattice, random_vector
@@ -130,6 +130,18 @@ def test_direct_series_depends_on_alpha_through_its_class_alone(case, r):
     for beta in (tuple(-a for a in alpha), alpha[::-1]):
         if key(beta) == key(alpha):
             assert z_psu_direct(r, beta, order, lat) == z_psu_direct(r, alpha, order, lat)
+
+
+def test_hecke_grows_a_cold_table_an_entry_at_a_time(gram2, monkeypatch):
+    # z_psu_hecke reads chi(Hilb^n) for n = 0, 1, .. and grows the table as it goes, so a
+    # cold table reaches an index that one hilb_euler call would refuse: 300 * T(300) > 2000
+    want = z_psu_hecke(1, (0,), 300, gram2)
+    monkeypatch.setattr(errors, "MAX_WORK", 2000)
+    monkeypatch.setattr(qseries, "_hilb_euler", [1])
+    with pytest.raises(InputError, match="hilb_euler would visit"):
+        hilb_euler(300)
+    assert z_psu_hecke(1, (0,), 300, gram2) == want
+    assert len(qseries._hilb_euler) == 301
 
 
 def test_hecke_hand_evaluation(gram2):

@@ -484,7 +484,8 @@ ROOT_LATTICES = {
 def test_short_vector_counts_match_closed_forms(name):
     lat, count, top = ROOT_LATTICES[name]
     _, pivots, _, _ = theta._forms(lat, Splitting.identity_positive(lat), None)
-    points = list(theta._short_vectors(pivots, (0,) * lat.rank, 1, 2 * top * (1 + 1e-9)))
+    rows = theta._short_vectors(pivots, (0,) * lat.rank, 1, 2 * top * (1 + 1e-9))
+    points = [(*head, c) for head, span in rows for c in span]
     assert len(set(points)) == len(points) and points == sorted(points)
     norms = Counter(-lat._bilinear(c, c) // 2 for c in points)
     assert max(norms) == top
