@@ -97,17 +97,23 @@ def z_psu_direct(r: int, alpha, order, lat: EvenLattice) -> QSeries:
     r, alpha = _check_rank_alpha(r, alpha, lat)
     order = _as_number(order, Fraction)
     s_alpha = lat.quad(alpha)
-    a_max = (s_alpha + 2 * r * r) // (2 * r)
-    a_min = math.floor((Fraction(s_alpha) - 2 * r * order) / (2 * r)) + 1
-    check_work(a_max - a_min + 1, "z_psu_direct")
+    span = _a_span(r, s_alpha, order)
     g = math.gcd(r, *alpha)
-    euler = _hilb_table((s_alpha - 2 * r * a_min) // 2 + 1)
+    euler = _hilb_table((s_alpha - 2 * r * span.start) // 2 + 1)
     terms = {}      # keyed by <v^2> = (alpha^2) - 2ra, the exponent times 2r
-    for a in range(a_min, a_max + 1):
+    for a in span:
         c = math.gcd(g, a)
         if coeff := _chi_scaled(s_alpha - 2 * r * a, c, euler):
             terms[s_alpha - 2 * r * a] = Fraction(coeff, c * c)
     return QSeries._of(2 * r, terms, order)
+
+
+def _a_span(r: int, s_alpha: int, order: Fraction) -> range:
+    """The a of z_psu_direct's terms for (alpha^2) = s_alpha, after the work check."""
+    a_max = (s_alpha + 2 * r * r) // (2 * r)
+    a_min = math.floor((Fraction(s_alpha) - 2 * r * order) / (2 * r)) + 1
+    check_work(a_max - a_min + 1, "z_psu_direct")
+    return range(a_min, a_max + 1)
 
 
 def _hecke_factorizations(r: int, alpha, order: Fraction):

@@ -43,7 +43,12 @@ the builtin sum, so a row continues the whole sum bit for bit on every interpret
 Its leaf bound prod_k (2R / sqrt(d_k) / step + 1), never above the box of half-width
 R / sqrt(lambda_min), is checked against errors.MAX_WORK first.  Both full sums reuse what
 depends on a class ((xi^2), gcd(r, xi)) alone: the direct sum's weights over a, and the
-factorized sum's Z_r^alpha(tau).  A term that overflows double precision is an InputError.
+factorized sum's Z_r^alpha.  A term that overflows double precision is an InputError.
+What does not depend on tau is kept on the splitting, in tables of at most KEEP_POINTS
+entries in all: a ball's points with their j, (c^2) and distinct pairs ((c^2), M(c)); the
+direct sum's chi/c^2 per (n, c) and class lists; the factorized sum's series per class.  A
+call then takes one exp per pair (per point for an x) and per n, and evaluates each series
+at tau.  The work cap and every InputError are checked on every call, kept table or not.
 
 Modular transformation laws of the theta sum are not implemented: the
 familiar constants are specific to the rank-22 K3 lattice and no
@@ -61,12 +66,13 @@ from operator import add, mul, sub
 
 from .errors import MAX_WORK, InputError, check_work
 from .lattice import EvenLattice, Value, _as_ints, _as_number, _at_least, _set
-from .partitions import _chi_scaled, z_psu_direct
-from .qseries import _hilb_table, _upper, hilb_euler, qs_evaluate
+from .partitions import _a_span, _chi_scaled, z_psu_direct
+from .qseries import _hilb_table, _upper, qs_evaluate
 
 GUARD_SHELLS = 3
 EXP_BINS = 8
 CHI_FLOAT_TOP = 3713    # largest n with chi(Hilb^n) below the largest double
+KEEP_POINTS = 2 ** 16   # most entries the tau-independent tables of one splitting hold
 
 
 def _q(lat: EvenLattice):
@@ -123,10 +129,29 @@ def _eigh(m):
     return [a[i][i] for i in range(n)], v
 
 
+class _Tables(dict):
+    """A splitting's tau-independent tables, keyed by the Gram matrix and what built them;
+    size counts their entries, each table at least 1."""
+
+    size = 0
+
+    def keep(self, key, table, size: int):
+        """table, kept unless it alone holds more than KEEP_POINTS entries; one that would take
+        the total past KEEP_POINTS drops the kept tables first."""
+        if (size := max(size, 1)) <= KEEP_POINTS:
+            if self.size + size > KEEP_POINTS:
+                self.clear()
+                self.size = 0
+            self[key], self.size = table, self.size + size
+        return table
+
+
 class Splitting(Value):
     """Projectors onto the Q-positive (P_L) and Q-negative (P_R) subspaces, stored as
     tuples of float rows; the constructor takes any n x n nested sequence of finite
-    numbers.  Equal only to itself, since _cache keeps the forms it was validated for."""
+    numbers.  Equal only to itself, since _cache keeps, per lattice it was validated for,
+    the majorant forms (_forms), and under None the sums' tau-independent _Tables: at most
+    KEEP_POINTS entries in all, dropped when a new table would pass that, freed with it."""
 
     __slots__ = ("pl", "pr", "_cache")
     __eq__ = object.__eq__
@@ -135,7 +160,7 @@ class Splitting(Value):
     def __init__(self, pl, pr):
         _set(self, "pl", _as_numbers(pl))
         _set(self, "pr", _as_numbers(pr))
-        _set(self, "_cache", {})
+        _set(self, "_cache", {None: _Tables()})
 
     @classmethod
     def spectral(cls, lat: EvenLattice) -> "Splitting":
@@ -185,9 +210,9 @@ class ZFullSum(Value):
 
 
 def _forms(lat: EvenLattice, split: Splitting, x):
-    """((G, MJ, Qx), pivots, lam_min, xnorm): the integer Gram rows G, the majorant MJ
-    as float columns, Qx = Q x with Re Q x mod 1 (exact fmod; c is integral; None for
-    x = None), MJ's _pivots and least eigenvalue, kept on the splitting, and |Im x|_MJ."""
+    """((G, MJ, Qx), pivots, lam_min, xnorm): the integer Gram rows G, the majorant MJ as
+    float columns, Qx = Q x with Re Q x mod 1 (exact fmod; c is integral; None for x = None),
+    MJ's _pivots (and the splitting's _Tables) and least eigenvalue, kept, and |Im x|_MJ."""
     cached = split._cache.get(lat.gram)
     if cached is None:
         split.validate(lat)
@@ -198,7 +223,7 @@ def _forms(lat: EvenLattice, split: Splitting, x):
         if lam_min <= 1e-10:
             raise InputError("majorant form is not positive definite; invalid splitting")
         mj = tuple(zip(*mj))
-        cached = split._cache[lat.gram] = mj, _pivots(mj), lam_min
+        cached = split._cache[lat.gram] = mj, (*_pivots(mj), split._cache[None]), lam_min
     mj, pivots, lam_min = cached
     if x is None:
         return (lat.gram, mj, None), pivots, lam_min, 0.0
@@ -246,7 +271,7 @@ def _short_vectors(pivots, alpha, step: int, bound2: float):
     """Rows (c_0 .. c_{n-2}, the range of c_{n-1}) of the c in alpha + step Z^n with
     sum_k d_k (c_k - ctr_k)^2 <= bound2 (Fincke-Pohst): c_0 is the outer loop and each level
     scans its interval of alpha_k + step Z upwards, so points arrive in itertools.product order."""
-    d, mu = pivots
+    d, mu, _ = pivots
     last = len(alpha) - 1
     c = [0] * len(alpha)
 
@@ -281,24 +306,24 @@ def _ball(alpha, step: int, r: int, tau: complex, forms, pivots,
     """(c, j, (c^2), e((Re tau Q(c) + i Im tau M(c))/2r + Q(c, x))) over c in alpha + step Z^n
     with sqrt M(c) <= radius + GUARD_SHELLS, M the majorant and Q(c) = -(c^2) exact; j = 0 inside
     radius, else the guard shell.  The leaf bound (at least 1) times per_point, saturated past
-    MAX_WORK so a huge int never meets a float, is checked on the call; the enumeration runs at
-    a slightly widened bound and M(c), summed in _quad's order a row at a time, decides."""
+    MAX_WORK so a huge int never meets a float, is checked on every call; the enumeration runs at
+    a slightly widened bound and M(c), summed in _quad's order a row at a time, decides.  The
+    splitting's tables keep the points, each with j, (c^2) and the index of its pair ((c^2),
+    M(c)), so a call takes one e() per distinct pair, or one per point for an x."""
     gram, mj, qx = forms
     outer = radius + GUARD_SHELLS
     check_work(_leaf_bound(pivots, step, outer) * min(per_point, MAX_WORK + 1), what)
-    l = len(alpha) - 1
-    last = [col[l] for col in mj]
-    g_ll, two_r, re_tau, im_tau = gram[l][l], 2 * r, -tau.real, tau.imag
-    outer2, radius2 = outer * outer, radius * radius
-
-    def points():
+    if (table := pivots[2].get(key := (gram, alpha, step, radius))) is None:
+        l = len(alpha) - 1
+        last = [col[l] for col in mj]
+        g_ll, outer2, radius2 = gram[l][l], outer * outer, radius * radius
+        pairs, points = {}, []
         for head, span in _short_vectors(pivots, alpha, step, outer2 * (1 + 1e-9)):
             if not span:
                 continue
-            part = [_dot(head, col) for col in mj]
+            part = [_dot(head, col) for col in mj]      # a row's partial sums, taken once
             gh = [sum(map(mul, row, head)) for row in gram]
             s0, x2 = sum(map(mul, head, gh)), 2 * gh[l]
-            phase = 0 if qx is None else _dot(head, qx)
             for cl in span:
                 cols = [p + cl * m for p, m in zip(part, last)]
                 maj = _dot(cols, head) + cols[l] * cl
@@ -307,9 +332,15 @@ def _ball(alpha, step: int, r: int, tau: complex, forms, pivots,
                 j = 0 if maj <= radius2 else \
                     max(1, min(math.ceil(math.sqrt(maj) - radius), GUARD_SHELLS))
                 sq = s0 + (x2 + cl * g_ll) * cl
-                t = complex(re_tau * sq, im_tau * maj) / two_r
-                yield head + (cl,), j, sq, _e(t if qx is None else t + (phase + cl * qx[l]))
-    return points()
+                points.append((head + (cl,), j, sq, pairs.setdefault((sq, maj), len(pairs))))
+        table = pivots[2].keep(key, (list(pairs), points), len(points))
+    pairs, points = table
+    ts = [complex(-tau.real * sq, tau.imag * maj) / (2 * r) for sq, maj in pairs]
+    if qx is None:
+        es = [_e(t) for t in ts]
+        return ((c, j, sq, es[k]) for c, j, sq, k in points)
+    # _dot(c, qx) continues the row's partial phase _dot(head, qx) bit for bit
+    return ((c, j, sq, _e(ts[k] + _dot(c, qx))) for c, j, sq, k in points)
 
 
 def _exp(t: float) -> float:
@@ -393,13 +424,15 @@ def _a_sum_bound(r: int, qabs: float) -> float:
 
     With h = <v^2>/2r the leading divisor contributes chi(Hilb^{r h + 1}) and
     the rest at most as much again, so 2 sum_n chi(Hilb^n) |q|^{(n-1)/r}
-    bounds any single a-sum.  Requires the summand ratio to contract.
+    bounds any single a-sum.  Requires the summand ratio to contract; a summand that
+    underflows to 0 ends the sum, since every later one does too.
     """
-    total = 0.0
-    prev = None
-    n = 0
+    total, prev, n, euler = 0.0, None, 0, _hilb_table(0)
     while True:
-        term = hilb_euler(n) * qabs ** ((n - 1) / r)
+        if n == len(euler):
+            _hilb_table(n)      # grows euler, the shared table, by one entry
+        if not (term := euler[n] * qabs ** ((n - 1) / r)):
+            break
         total += term
         if prev is not None and n > 4:
             rho = term / prev
@@ -411,6 +444,29 @@ def _a_sum_bound(r: int, qabs: float) -> float:
         prev = term
         n += 1
     return 2.0 * total
+
+
+def _direct_table(r: int, n_cut: int, n_top: int, ball, tables: _Tables, key):
+    """z_full_direct's tau-independent table, kept under key: the even n from -2r^2 (chi = 0
+    below) to n_top, each xi's class ((xi^2), gcd(r, xi)), on which its a-sum depends alone, and
+    per class the weights over a, as (n's index, chi/c^2), that land in an exponent bin (with the
+    bin first) and those of the main sum, each in ascending a, so a shell adding the binned ones
+    first adds them all in the order of a."""
+    two_r, ns = 2 * r, range(-2 * r * r, n_top + 1, 2)
+    euler = _hilb_table(n_top // 2 + 1)     # so chi / c^2 is below 0.91 of the largest double
+    weights = {(n, c): (i, chi / (c * c)) for i, n in enumerate(ns)
+               for c in range(1, r + 1) if r % c == 0 and (chi := _chi_scaled(n, c, euler))}
+    classes, of_point = {}, []
+    for xi, _, s_xi, _ in ball:
+        of_point.append(cls := (s_xi, math.gcd(r, *xi)))
+        if cls not in classes:
+            ws = [(n, w) for a in range(-((n_top - s_xi) // two_r), s_xi // two_r + r + 1)
+                  if (w := weights.get((n := s_xi - two_r * a, math.gcd(cls[1], a))))
+                  is not None]
+            classes[cls] = ([(min(-((n_cut - n) // two_r), EXP_BINS) - 1, *w)
+                             for n, w in ws if n > n_cut], [w for n, w in ws if n <= n_cut])
+    size = len(of_point) + sum(len(b) + len(m) for b, m in classes.values())
+    return tables.keep(key, (ns, classes, of_point), size)
 
 
 def z_full_direct(lat: EvenLattice, r: int, tau: complex, split: Splitting,
@@ -436,28 +492,17 @@ def z_full_direct(lat: EvenLattice, r: int, tau: complex, split: Splitting,
                  max(1, r + EXP_BINS + 2 + math.ceil(cutoff)), "z_full_direct")
     if n_top // 2 + 1 > CHI_FLOAT_TOP:      # the weight table would end past a double
         raise InputError("a term overflows double precision at this input")
-    euler = _hilb_table(n_top // 2 + 1)     # so chi / c^2 is below 0.91 of the largest double
-    weights = {(n, c): chi / (c * c) * e      # chi_virtual q^{n/2r}, one exp per n
-               for n in range(-2 * r * r, n_top + 1, 2) for e in [_e(tau * n / two_r)]
-               for c in range(1, r + 1) if r % c == 0 and (chi := _chi_scaled(n, c, euler))}
-
-    # xi's a-sum depends on ((xi^2), gcd(r, xi)) alone: per class, the weights that land in
-    # an exponent bin and those of the main sum, each in ascending a (descending n), so a
-    # shell adding the binned ones first adds them all in the order of a
-    classes = {}
+    if (table := pivots[2].get(key := (lat.gram, r, n_cut, radius))) is None:
+        table = _direct_table(r, n_cut, n_top, ball := list(ball), pivots[2], key)
+    ns, classes, of_point = table
+    es = [_e(tau * n / two_r) for n in ns]      # chi_virtual q^{n/2r}, one exp per n
+    classes = {cls: ([(b, f * es[i]) for b, i, f in binned], [f * es[i] for i, f in mains])
+               for cls, (binned, mains) in classes.items()}
     main = []
     hbins = [0.0] * EXP_BINS          # xi in the main ball, exponent beyond cutoff
     xshells = [0.0] * GUARD_SHELLS    # xi beyond the main ball, any exponent
-    for xi, j, s_xi, base in ball:
-        key = s_xi, math.gcd(r, *xi)
-        if key not in classes:
-            ws = [(n, w) for a in range(-((n_top - s_xi) // two_r), s_xi // two_r + r + 1)
-                  if (w := weights.get((n := s_xi - two_r * a, math.gcd(key[1], a))))
-                  is not None]
-            classes[key] = ([(min(-((n_cut - n) // two_r), EXP_BINS) - 1, w)
-                             for n, w in ws if n > n_cut],
-                            [w for n, w in ws if n <= n_cut])
-        binned, mains = classes[key]
+    for (_, j, _, base), cls in zip(ball, of_point, strict=True):
+        binned, mains = classes[cls]
         if j:
             xshells[j - 1] = reduce(add, [abs(w * base) for _, w in binned]
                                     + [abs(w * base) for w in mains], xshells[j - 1])
@@ -490,13 +535,20 @@ def z_full_factorized(lat: EvenLattice, r: int, tau: complex, split: Splitting,
     """Coset factorization sum_alpha Z_r^alpha(tau) Theta_{alpha,r}(tau, P, x)."""
     r = _toy_guard(lat, r)
     tau = _upper(tau)
-    value, tail, points = 0j, 0.0, 0
-    evs = {}            # Z_r^alpha(tau), which depends on ((alpha^2), gcd(r, alpha)) alone
+    order = _as_number(series_order, Fraction)      # z_psu_direct's first check
+    # per class ((alpha^2), gcd(r, alpha)), on which Z_r^alpha depends alone, z_psu_direct's
+    # work count and series, kept once the sum is done (a split that is no Splitting fails
+    # in _forms, after the series, as before)
+    kept = getattr(split, "_cache", {None: {}})[None].get(key := (lat.gram, r, order))
+    series, evs, value, tail, points = kept or {}, {}, 0j, 0.0, 0     # evs: Z_r^alpha(tau)
     formed = None       # the theta input (radius, splitting, x), read after the first series
     for alpha in itertools.product(range(r), repeat=lat.rank):
-        if (key := (lat.quad(alpha), math.gcd(r, *alpha))) not in evs:
-            evs[key] = qs_evaluate(z_psu_direct(r, alpha, series_order, lat), tau)
-        ev = evs[key]
+        if (cls := (lat.quad(alpha), math.gcd(r, *alpha))) not in evs:
+            if cls not in series:
+                series[cls] = len(_a_span(r, cls[0], order)), z_psu_direct(r, alpha, order, lat)
+            check_work(series[cls][0], "z_psu_direct")
+            evs[cls] = qs_evaluate(series[cls][1], tau)
+        ev = evs[cls]
         if formed is None:
             radius = _tau_radius(tau, radius)[1]
             formed = _forms(lat, split, x)
@@ -507,4 +559,6 @@ def z_full_factorized(lat: EvenLattice, r: int, tau: complex, split: Splitting,
         else:
             tail += abs(ev.value) * th.tail + ev.tail * (abs(th.value) + th.tail)
         points += th.points
+    if kept is None:
+        formed[1][2].keep(key, series, sum(len(s.coeffs) for _, s in series.values()))
     return ZFullSum(value, tail, points)

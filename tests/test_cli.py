@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import math
 import os
 import pathlib
 import re
@@ -583,6 +584,16 @@ def test_out_of_range_inputs_exit_2_quickly(argv):
     _assert_spawned_input_error(argv, timeout=5)
 
 
+def test_zfull_at_a_large_im_tau_exits_0_with_a_finite_value(tmp_path):
+    surface = tmp_path / "s.json"
+    surface.write_text(json.dumps({"rank": 1, "gram": [[-2]]}))
+    code, doc = _assert_contract(["zfull", "--surface", str(surface), "--rank", "1",
+                                  "--tau", "0", "50"])
+    assert code == 0 and doc["difference"] < 1e-12 * abs(doc["direct"]["value"][0])
+    assert all(math.isfinite(v) for part in ("direct", "factorized")
+               for v in (*doc[part]["value"], doc[part]["tail"]))
+
+
 def test_unbounded_factorized_tail_exits_2(tmp_path):
     surface = tmp_path / "s.json"
     surface.write_text(json.dumps({"rank": 1, "gram": [[-2]]}))
@@ -723,7 +734,7 @@ _BAD_NUMBER = st.sampled_from(["1e300", "-1e300", "1e-300", "1e308", str(10 ** 3
                                "NaN", "inf", "-inf", "Infinity", "1/0", "1.5", "abc", ""])
 _GOOD = {"int": ["0", "1", "2", "3", "-1", "5"], "float": ["0", "0.5", "2", "3.5", "-1.5e3"],
          "rational": ["3", "5/2", "-1", "0.5"], "re": ["0", "0.25", "-1e-05"],
-         "im": ["1", "0.8", "2", "-1"]}
+         "im": ["1", "0.8", "2", "-1", "50"]}
 _NUMBER = {kind: _mostly(st.sampled_from(good), _BAD_NUMBER) for kind, good in _GOOD.items()}
 _KIND = {"--radius": "float", "--cutoff": "float", "--N": "int", "--alpha": "int",
          "--x": "float"}

@@ -1,6 +1,7 @@
 """Source checks over the package: line length, unused top-level imports,
-unreferenced private helpers, one module per literal InputError message, and
-no validated Goettsche lookup inside the series and theta loops."""
+unreferenced private helpers, one module per literal InputError message, no
+validated Goettsche lookup inside the series and theta loops, and no module-level
+container in the series and theta modules."""
 
 import ast
 from pathlib import Path
@@ -76,3 +77,18 @@ def test_no_loop_in_partitions_or_theta_calls_hilb_euler():
                               if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
                               and node.func.id == "hilb_euler"]
     assert calls == []
+
+
+def test_partitions_and_theta_keep_no_module_level_container():
+    # what the sums keep lives on a Splitting and dies with it
+    containers = (ast.Dict, ast.List, ast.Set, ast.DictComp, ast.ListComp, ast.SetComp)
+    found = []
+    for path in SOURCES:
+        if path.name in ("partitions.py", "theta.py"):
+            for node in ast.parse(path.read_text()).body:
+                value = node.value if isinstance(node, (ast.Assign, ast.AnnAssign)) else None
+                if isinstance(value, containers) or (
+                        isinstance(value, ast.Call) and isinstance(value.func, ast.Name)
+                        and value.func.id in ("dict", "list", "set", "defaultdict")):
+                    found.append((path.name, node.lineno))
+    assert found == []

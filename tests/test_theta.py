@@ -291,6 +291,14 @@ def test_z_full_direct_within_tail_of_refinement(neg2, split1):
     assert abs(rough.value - fine.value) <= rough.tail
 
 
+def test_z_full_direct_at_a_large_im_tau_is_finite(neg2, split1):
+    # the a-sum bound's terms underflow to 0 at Im tau = 50; they end the sum
+    res = z_full_direct(neg2, 1, 50j, split1, None, 4.0, 4.0)
+    assert cmath.isfinite(res.value) and math.isfinite(res.tail) and res.terms > 0
+    assert res.value == pytest.approx(z_full_factorized(neg2, 1, 50j, split1, None, 12,
+                                                        4.0).value, rel=1e-12)
+
+
 def test_z_full_scale_guard(split1, neg2):
     with pytest.raises(InputError):
         z_full_direct(neg2, 4, 1j, split1)
@@ -447,6 +455,19 @@ def test_work_cap_refuses_before_enumerating(neg2, split1):
         z_full_direct(neg2, 2, 1j, split1, None, 8.0, 1e6)
 
 
+def test_work_cap_is_checked_on_kept_tables_too(monkeypatch, neg2, split1):
+    sums = {"theta_siegel_narain": lambda: theta_siegel_narain(neg2, (0,), 2, 1j, split1,
+                                                                None, 3.0),
+            "z_full_direct": lambda: z_full_direct(neg2, 2, 1j, split1, None, 4.0, 3.0),
+            "z_psu_direct": lambda: z_full_factorized(neg2, 2, 1j, split1, None, 12, 3.0)}
+    for call in sums.values():
+        call()
+    monkeypatch.setattr("k3tk.errors.MAX_WORK", 5)
+    for what, call in sums.items():
+        with pytest.raises(InputError, match=f"{what} would visit more than 5 candidates"):
+            call()
+
+
 def test_chi_float_top_is_the_last_double_in_the_table():
     # z_full_direct refuses a cutoff whose weight table would pass this index
     # before it builds the table
@@ -503,7 +524,7 @@ def test_e8_leaf_bound_fits_where_the_box_did_not():
 @st.composite
 def _ball_inputs(draw, with_split=False):
     """A rank <= 3 lattice with a valid splitting, a coset and a radius whose box stays
-    small; with_split appends the lattice and the splitting."""
+    small; with_split appends the lattice, the splitting and x (None or complex)."""
     n = draw(st.integers(1, 3))
     if draw(st.booleans()):         # definite: Q = B^T D B
         b = [[draw(st.integers(-3, 3)) for _ in range(n)] for _ in range(n)]
@@ -529,10 +550,12 @@ def _ball_inputs(draw, with_split=False):
     assume(oracles.box_count(n, step, lam_min, radius + theta.GUARD_SHELLS) <= 20000)
     alpha = tuple(draw(st.integers(-4, 4)) for _ in range(n))
     tau = complex(draw(st.floats(-0.5, 0.5)), draw(st.floats(0.3, 2.0)))
+    x = None
     if draw(st.booleans()):
         x = [complex(draw(st.floats(-1, 1)), draw(st.floats(-0.2, 0.2))) for _ in range(n)]
         forms = theta._forms(lat, split, x)[0]
-    return (alpha, step, tau, forms, pivots, lam_min, radius) + ((lat, split) if with_split else ())
+    return (alpha, step, tau, forms, pivots, lam_min, radius) \
+        + ((lat, split, x) if with_split else ())
 
 
 @settings(max_examples=150, deadline=None)
@@ -549,7 +572,7 @@ def test_fincke_pohst_yields_the_box_points_in_order(case, r):
 @given(_ball_inputs(with_split=True), st.integers(1, 3))
 def test_exponent_from_q_and_the_majorant_matches_the_projected_forms(case, r):
     # Q_L + Q_R = Q and Q_L - Q_R = M, so tau Q_L + taubar Q_R = Re tau Q + i Im tau M
-    alpha, step, tau, forms, pivots, _, radius, lat, split = case
+    alpha, step, tau, forms, pivots, _, radius, lat, split, _ = case
     qx = forms[2] or (0,) * len(alpha)
     for c, _, sq, term in theta._ball(alpha, step, r, tau, forms, pivots, radius, 1, "test"):
         assert sq == oracles.pairing_brute((0, c, 0), (0, c, 0), lat.gram)
@@ -572,6 +595,50 @@ def test_leaf_bound_never_exceeds_the_box_count(case):
                                                                        lam_min, outer)
 
 
+def _sums(lat, alpha, r, tau, split, x, radius):
+    """Reprs of the three theta-type sums at one tau, or of the error each raises."""
+    out = []
+    for call in (lambda: theta_siegel_narain(lat, alpha, r, tau, split, x, radius),
+                 lambda: z_full_direct(lat, r, tau, split, x, 3.0, min(radius, 2.0)),
+                 lambda: z_full_factorized(lat, r, tau, split, x, 6, radius)):
+        try:
+            out.append(repr(call()))
+        except InputError as exc:
+            out.append(repr(exc))
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(_ball_inputs(with_split=True), st.integers(1, 3),
+       st.lists(st.complex_numbers(max_magnitude=2).map(lambda t: complex(t.real, abs(t.imag)
+                                                                           + 0.2)),
+                min_size=1, max_size=3))
+def test_a_tau_sweep_through_one_splitting_equals_fresh_splittings(case, r, taus):
+    # the kept tables hold only what does not depend on tau: a sweep through one splitting
+    # gives every bit a fresh splitting per tau gives
+    alpha, _, tau, _, _, _, radius, lat, split, x = case
+    for t in [tau, *taus, tau]:
+        assert _sums(lat, alpha, r, t, split, x, radius) \
+            == _sums(lat, alpha, r, t, Splitting(split.pl, split.pr), x, radius)
+
+
+def test_a_sum_past_the_bound_is_used_but_not_kept(monkeypatch):
+    lat = EvenLattice(((-2, 0), (0, -2)))
+    radii = (1.0, 6.0, 2.5)             # balls of 25, 129 and 45 points, guard shells included
+    want = [theta_siegel_narain(lat, (0, 0), 1, 0.1 + 1j, Splitting.identity_positive(lat),
+                                None, radius) for radius in radii]
+    monkeypatch.setattr(theta, "KEEP_POINTS", 60)
+    split = Splitting.identity_positive(lat)
+    tables = split._cache[None]
+    got = []
+    for radius in radii:
+        got.append(theta_siegel_narain(lat, (0, 0), 1, 0.1 + 1j, split, None, radius))
+        assert 0 < tables.size <= 60 and tables.size == sum(len(t[1]) for t in tables.values())
+        assert [key[-1] for key in tables] == [2.5 if radius == 2.5 else 1.0]
+    # the 129 points are used and not kept; the 45 drop the 25 kept before them
+    assert got == want
+
+
 def _skewed(skew):
     """The diagonal form Q = diag(2, 4) written in the basis [[1, skew], [0, 1]]."""
     b = ((1, skew), (0, 1))
@@ -592,12 +659,13 @@ def _skewed(skew):
 ])
 def test_results_bit_identical_to_the_box_reference(monkeypatch, gram, spectral, x):
     lat = EvenLattice(gram)
-    split = Splitting.spectral(lat) if spectral else Splitting.identity_positive(lat)
-    lam_min = theta._forms(lat, split, None)[2]
+    make = Splitting.spectral if spectral else Splitting.identity_positive
+    lam_min = theta._forms(lat, make(lat), None)[2]
 
-    def results():
+    def results(split_of):
         out = []
-        for tau in (1j, 0.3 + 0.8j):
+        for tau in (1j, 0.3 + 0.8j, 1j):      # the second 1j reads what the first kept
+            split = split_of()
             for alpha, r, radius in (((0,) * lat.rank, 1, 4.0), ((1,) * lat.rank, 2, 6.0),
                                      ((1,) + (0,) * (lat.rank - 1), 3, 2.5)):
                 out.append(theta_siegel_narain(lat, alpha, r, tau, split, x, radius))
@@ -606,12 +674,18 @@ def test_results_bit_identical_to_the_box_reference(monkeypatch, gram, spectral,
                 out.append(z_full_factorized(lat, r, tau, split, x, 8, 3.0))
         return [repr(res) for res in out]
 
+    calls = []
+
     def box(alpha, step, r, tau, forms, pivots, radius, per_point, what):
+        calls.append(what)
         return oracles.box_ball(alpha, step, r, tau, forms, lam_min, radius, theta.GUARD_SHELLS)
 
-    new = results()
+    split = make(lat)
+    new = results(lambda: split)
     monkeypatch.setattr(theta, "_ball", box)
-    assert new == results()
+    # a fresh splitting per tau keeps no table of the first run: the oracle enumerates each ball
+    assert new == results(lambda: make(lat))
+    assert len(calls) == 3 * (3 + 2 + 1 + 2 ** lat.rank)
 
 
 def test_results_pinned_to_the_box_enumeration():
