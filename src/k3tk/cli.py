@@ -4,7 +4,8 @@ Every invocation except --help writes exactly one JSON document to stdout.
 Exit codes: 0 on success, 2 on input errors, usage errors and non-finite
 numbers included (a machine-readable {"error": ...} document; NaN and
 Infinity are never written), 1 on internal invariant failures and any other
-exception ({"error": ..., "internal": true}).  Rationals are serialized as
+exception ({"error": ..., "internal": true}), and 141 (128 + SIGPIPE), with
+nothing on stderr, when stdout's reader has gone.  Rationals are serialized as
 {"num": ..., "den": ...}, never as floats on exact paths; complex values as
 [re, im] pairs.  Output is deterministic for identical inputs.
 
@@ -24,6 +25,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import sys
 
@@ -300,7 +302,7 @@ class _Parser(argparse.ArgumentParser):
         self._negative_number_matcher = _NEGATIVE_NUMBER
 
     def error(self, message):
-        print(json.dumps({"error": f"{self.prog}: {message}"}))
+        print(json.dumps({"error": f"{self.prog}: {message}"}), flush=True)
         self.exit(2)
 
 
@@ -319,7 +321,16 @@ def _build_parser(argv=()) -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    argv = sys.argv[1:] if argv is None else argv
+    try:
+        code = _run(sys.argv[1:] if argv is None else argv)
+        sys.stdout.flush()      # a reader that is gone shows here, not at exit
+    except BrokenPipeError:     # nothing can reach stdout: end silently, as SIGPIPE would
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141      # 128 + SIGPIPE
+    return code
+
+
+def _run(argv) -> int:
     args = _build_parser(argv).parse_args(argv)
     try:
         args.lat = (EvenLattice.from_json(_load_json(args.surface))

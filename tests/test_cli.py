@@ -646,6 +646,25 @@ def test_huge_nonprimitive_invariants_finish_in_a_spawned_run(tmp_path):
     assert doc["exists_semistable"] is False and doc["primitive"] is False
 
 
+@pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("argv", [
+    ["gottsche", "--order", "5"], ["gottsche", "--order", "0"], ["gottsche", "--order", "x"],
+], ids=["result", "input-error", "usage-error"])
+def test_closed_stdout_exits_141_with_empty_stderr(argv, unbuffered):
+    # the reader of stdout is gone before the document is written: no "internal"
+    # document, no traceback, and the shell's code for a writer killed by SIGPIPE
+    src = os.path.dirname(os.path.dirname(os.path.abspath(k3tk.__file__)))
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "k3tk", *argv], stdout=write_end,
+                              stderr=subprocess.PIPE, text=True, timeout=10,
+                              env=dict(os.environ, PYTHONPATH=src, PYTHONUNBUFFERED=unbuffered))
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (141, "")
+
+
 @pytest.mark.parametrize("argv, plain", [
     (["zfull", "--rank", "2", "--tau", "0", "1", "--cutoff", "-1.5e3"],
      ["zfull", "--rank", "2", "--tau", "0", "1", "--cutoff=-1500"]),

@@ -261,6 +261,30 @@ def test_literal_deviation_raises(gram2, monkeypatch):
     assert str(exc.value) == "literal Hecke path: coefficient at q^2 deviates from exact value"
 
 
+@pytest.mark.parametrize("key, where, change", [(1, "1/3", 1), (9, "3", 1), (0, "0", None)],
+                         ids=["residue-key", "both-factorizations", "exact-dropped"])
+def test_literal_deviation_raises_where_the_check_may_be_skipped(gram2, monkeypatch,
+                                                                 key, where, change):
+    # r = 3, alpha = 0: key 1 only gets the tiny residues of 1 + e(1/3) + e(2/3) and its
+    # exact value is 0; key 9 (q^3) sums exact terms from a = 1 (n = 10) and a = 3 (n = 2);
+    # key 0 is exact, and dropping its numerator makes its exact value 0
+    numerators = partitions._hecke_numerators
+
+    def edited(factorizations, lat):
+        nums = numerators(factorizations, lat)
+        if change is None:
+            del nums[key]
+        else:
+            nums[key] = nums.get(key, 0) + change
+        return nums
+
+    monkeypatch.setattr(partitions, "_hecke_numerators", edited)
+    with pytest.raises(ConsistencyError) as exc:
+        z_psu_hecke_literal(3, (0,), 6, gram2)
+    assert str(exc.value) == (f"literal Hecke path: coefficient at q^{where} "
+                              "deviates from exact value")
+
+
 def test_literal_imaginary_residue_raises(gram2, monkeypatch):
     # every root turned by pi 1e-6: the first key, q^-2 (a = 2), gets im 1/4 sin(pi 1e-6)
     expjpi = mpmath.expjpi
@@ -269,6 +293,19 @@ def test_literal_imaginary_residue_raises(gram2, monkeypatch):
         z_psu_hecke_literal(2, (0,), 6, gram2)
     assert str(exc.value) == ("literal Hecke path: imaginary residue 0.0000007853981633961563"
                               "81420648990853574177108041290091236 at q^-2")
+
+
+@settings(max_examples=300, deadline=None)
+@given(r=st.integers(1, 12), alpha=st.lists(st.integers(-30, 30), min_size=1, max_size=2),
+       order=st.one_of(st.fractions(), st.builds(Fraction, st.integers(-10 ** 300, 10 ** 300),
+                                                 st.integers(1, 10 ** 6))))
+def test_hecke_top_is_the_rational_ceiling(r, alpha, order):
+    # the largest n with a (n - 1) / d < order, found on integers
+    got = partitions._hecke_factorizations(r, alpha, order)
+    want = [(a, r // a, tuple(x // a for x in alpha),
+             math.ceil(1 + Fraction(r // a, a) * order) - 1)
+            for a in range(1, r + 1) if r % a == 0 and all(x % a == 0 for x in alpha)]
+    assert got == want
 
 
 def test_series_work_cap(gram2):

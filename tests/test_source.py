@@ -1,7 +1,7 @@
 """Source checks over the package: line length, unused top-level imports,
 unreferenced private helpers, one module per literal InputError message, no
-validated Goettsche lookup inside the series and theta loops, and no module-level
-container in the series and theta modules."""
+validated Goettsche lookup inside the series and theta loops, no module-level
+container in the series and theta modules, and mpmath imported in one function."""
 
 import ast
 from pathlib import Path
@@ -92,3 +92,23 @@ def test_partitions_and_theta_keep_no_module_level_container():
                         and value.func.id in ("dict", "list", "set", "defaultdict")):
                     found.append((path.name, node.lineno))
     assert found == []
+
+
+def test_only_the_literal_hecke_path_imports_mpmath():
+    # every other spawn stays free of mpmath, and retiring that path leaves src/ without it
+    homes = set()
+
+    def scan(node, module, where):
+        for child in ast.iter_child_nodes(node):
+            names = ([alias.name for alias in child.names] if isinstance(child, ast.Import)
+                     else [child.module or ""] if isinstance(child, ast.ImportFrom) else [])
+            if any(name.split(".")[0] == "mpmath" for name in names):
+                homes.add((module, where))
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                scan(child, module, f"{where}.{child.name}" if where else child.name)
+            else:
+                scan(child, module, where)
+
+    for path in SOURCES:
+        scan(ast.parse(path.read_text()), path.name, "")
+    assert homes == {("partitions.py", "z_psu_hecke_literal")}
