@@ -305,6 +305,11 @@ class _Parser(argparse.ArgumentParser):
         print(json.dumps({"error": f"{self.prog}: {message}"}), flush=True)
         self.exit(2)
 
+    def print_help(self, file=None):
+        # flushed before parse_args exits, so a reader that is gone raises BrokenPipeError
+        # into main, as a document's does; argparse's own writer swallows it
+        print(self.format_help(), end="", file=file, flush=True)
+
 
 def _build_parser(argv=()) -> argparse.ArgumentParser:
     """The parser with the one subcommand argv[0] names, or with all when it names none."""

@@ -68,11 +68,8 @@ def moduli_dim(v: MukaiVector, lat: EvenLattice) -> int:
 
 
 class CaseInfo(Value):
+    # case "A" or "B"; v0 the (-2)-witness r + xi + b omega, case B only (else None)
     __slots__ = ("case", "v0")
-
-    def __init__(self, case: str, v0: MukaiVector | None):
-        _set(self, "case", case)    # "A" or "B"
-        _set(self, "v0", v0)        # the (-2)-witness r + xi + b omega, case B only
 
 
 def _case(v: MukaiVector, lat: EvenLattice) -> tuple[int, CaseInfo]:
@@ -121,10 +118,6 @@ def mu_stable_boundary_flag(v: MukaiVector, lat: EvenLattice) -> bool:
 
 class NonLocallyFree(Value):
     __slots__ = ("kind", "model")
-
-    def __init__(self, kind: str, model: str | None):
-        _set(self, "kind", kind)
-        _set(self, "model", model)
 
 
 def classify_non_locally_free(v: MukaiVector, lat: EvenLattice) -> NonLocallyFree:

@@ -30,15 +30,15 @@ with m = (n - 1) - (xi^2)/2 for the coefficient of q^{a(n-1)/d}.  Applying
 the projection analytically gives the exact rational path (z_psu_hecke);
 keeping the literal triple sum with floating-point phases e(b m / d), the d
 roots e(j / d) and the d sums over b computed once per factorization, gives
-the numeric validation path (z_psu_hecke_literal), where exact integer phases
-multiply exactly and a deviation check is skipped only where it is provably
-0.  Each path counts its terms first and refuses more than errors.MAX_WORK.
+the numeric path (z_psu_hecke_literal), where exact integer phases multiply
+exactly.  Each path counts its terms first and refuses more than
+errors.MAX_WORK.
 
 Every path keys its coefficients by integer index: the direct path by <v^2>
 over 2r, the Hecke paths by a^2 (n - 1) over r (a (n - 1)/d = a^2 (n - 1)/r),
-and the exact Hecke path and the literal check read one helper's integer
-numerators r^2 c_k.  The literal path runs in mpmath, imported only there,
-so the exact paths load no floating-point library.
+and the exact Hecke path sums integer numerators r^2 c_k.  The literal path
+runs in mpmath, imported only there, so the exact paths load no
+floating-point library.
 
 For the record (not verified numerically here): on an actual K3 surface the
 rank-r series is expected to satisfy
@@ -56,12 +56,10 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .errors import ConsistencyError, InputError, check_work
+from .errors import InputError, check_work
 from .lattice import (EvenLattice, MukaiVector, _as_ints, _as_number, _at_least,
                       _require_positive_rank, content, square)
 from .qseries import QSeries, _hilb_table
-
-LITERAL_TOL = 1e-9
 
 
 def _chi_scaled(sq: int, c: int, euler: list[int]) -> int:
@@ -131,51 +129,42 @@ def _hecke_factorizations(r: int, alpha, order: Fraction):
     return out
 
 
-def _hecke_numerators(factorizations, lat: EvenLattice) -> dict[int, int]:
-    """{a^2 (n - 1): r^2 times the coefficient of Z_r^alpha at q^(a^2 (n - 1)/r)};
-    the b-sum projection keeps the n with n - 1 = (xi^2)/2 mod d, each
-    weighing d^2 chi(Hilb^n)."""
+def z_psu_hecke(r: int, alpha, order, lat: EvenLattice) -> QSeries:
+    """Hecke-transform path with the b-sum projection applied analytically: r^2 times
+    the coefficient at q^(a^2 (n - 1)/r) sums d^2 chi(Hilb^n) over the n with
+    n - 1 = (xi^2)/2 mod d."""
+    r, alpha = _check_rank_alpha(r, alpha, lat)
+    order = _as_number(order, Fraction)
+    factorizations = _hecke_factorizations(r, alpha, order)
+    check_work(sum(top + 1 for *_, top in factorizations), "z_psu_hecke")
     euler, top = _hilb_table(0), max(t for *_, t in factorizations)
     while len(euler) <= top:    # an entry a call, as a term loop reading n upwards grows it,
         _hilb_table(len(euler))     # so no one call meets hilb_euler's cap on a cold table
-    nums: dict[int, int] = {}
+    nums: dict[int, int] = {}   # keyed by a^2 (n - 1)
     for a, d, xi, top in factorizations:
         m0 = (lat.quad(xi) // 2 + 1) % d    # n must be congruent to this mod d
         for n in range(m0, top + 1, d):
             k = a * a * (n - 1)
             nums[k] = nums.get(k, 0) + d * d * euler[n]
-    return nums
-
-
-def z_psu_hecke(r: int, alpha, order, lat: EvenLattice) -> QSeries:
-    """Hecke-transform path with the b-sum projection applied analytically."""
-    r, alpha = _check_rank_alpha(r, alpha, lat)
-    order = _as_number(order, Fraction)
-    factorizations = _hecke_factorizations(r, alpha, order)
-    check_work(sum(top + 1 for *_, top in factorizations), "z_psu_hecke")
     rr = r * r
-    return QSeries._of(r, {k: Fraction(v, rr) for k, v in
-                           _hecke_numerators(factorizations, lat).items()}, order)
+    return QSeries._of(r, {k: Fraction(v, rr) for k, v in nums.items()}, order)
 
 
 def z_psu_hecke_literal(r: int, alpha, order, lat: EvenLattice) -> QSeries:
     """Literal (a, b, d) triple sum with floating-point root-of-unity phases.
 
-    Cross-checked against the exact Hecke coefficients before returning:
-    imaginary parts and deviations of real parts from the exact rationals
-    beyond 1e-9 raise ConsistencyError (they would signal a formula bug, not
-    noise).  The series has mpmath complex coefficients and keeps every
-    exponent the triple sum visits, exact cancellations included.  Terms and
-    checks run on raw libmp tuples at the working precision, rounding to
-    nearest as the mpc/mpf operators do (an exact integer phase p as the
-    integer p d chi(Hilb^n), rounded once): the coefficients are bit-identical
-    to summing d chi(Hilb^n) e(b m / d) per term in mpc arithmetic.  Checks
-    that provably pass are skipped: an imaginary part of exactly 0, and the
-    deviation of a real part summed to exactly its integer numerator r^2 c_k.
+    The series has mpmath complex coefficients and keeps every exponent the
+    triple sum visits, exact cancellations included; its working precision is
+    40 digits plus those of the largest chi(Hilb^n) it reads.  Terms run on
+    raw libmp tuples at that precision, rounding to nearest as the mpc/mpf
+    operators do (an exact integer phase p as the integer p d chi(Hilb^n),
+    rounded once): the coefficients are bit-identical to summing
+    d chi(Hilb^n) e(b m / d) per term in mpc arithmetic.  The tests compare
+    them with the exact Hecke coefficients to 1e-9.
     """
     import mpmath
-    from mpmath.libmp import (fzero, from_float, from_int, mpc_add, mpc_div_mpf, mpc_mul_int,
-                              mpf_abs, mpf_div, mpf_ge, mpf_sub, round_nearest as rnd, to_int)
+    from mpmath.libmp import (fzero, from_int, mpc_add, mpc_div_mpf, mpc_mul_int,
+                              round_nearest as rnd, to_int)
 
     r, alpha = _check_rank_alpha(r, alpha, lat)
     if r > 12:
@@ -183,7 +172,6 @@ def z_psu_hecke_literal(r: int, alpha, order, lat: EvenLattice) -> QSeries:
     order = _as_number(order, Fraction)
     factorizations = _hecke_factorizations(r, alpha, order)
     check_work(sum(d * (top + 1) for _, d, _, top in factorizations), "z_psu_hecke_literal")
-    exact = _hecke_numerators(factorizations, lat)
     euler = _hilb_table(top := max(t for *_, t in factorizations))
     dps = 40 + len(str(euler[max(top, 0)]))    # chi(Hilb^n) grows with n from chi(Hilb^0) = 1
 
@@ -208,20 +196,7 @@ def z_psu_hecke_literal(r: int, alpha, order, lat: EvenLattice) -> QSeries:
                      else mpc_mul_int(phase[m], d * euler[n], prec, rnd))
                 acc[key] = mpc_add(acc[key], t, prec, rnd) if key in acc else t
 
-        rr = from_int(r * r)
-        tol = from_float(LITERAL_TOL)       # exact: compares as the float does
-        coeffs = []
-        for k, c in sorted(acc.items()):    # the exact exponents are among the visited ones
-            re, im = lit = mpc_div_mpf(c, rr, prec, rnd)
-            if im != fzero and mpf_ge(mpf_abs(im, prec, rnd), tol):
-                raise ConsistencyError(f"literal Hecke path: imaginary residue "
-                                       f"{mpmath.mp.make_mpf(im)} at q^{Fraction(k, r)}")
-            num = exact.get(k, 0)
-            if c[0][2] < 0 or to_int(c[0]) != num:  # else Re c is num, so re is want
-                want = mpf_div(from_int(num, prec, rnd), rr, prec, rnd) if num else fzero
-                if mpf_ge(mpf_abs(mpf_sub(re, want, prec, rnd), prec, rnd), tol):
-                    raise ConsistencyError(f"literal Hecke path: coefficient at "
-                                           f"q^{Fraction(k, r)} deviates from exact value")
-            coeffs.append((k, mpmath.mp.make_mpc(lit)))
+    rr = from_int(r * r)
     g = math.gcd(r, *acc)       # not QSeries._of: its exact zeros are visited terms
-    return QSeries(r // g, tuple((k // g, c) for k, c in coeffs), order)
+    return QSeries(r // g, tuple((k // g, mpmath.mp.make_mpc(mpc_div_mpf(c, rr, prec, rnd)))
+                                 for k, c in sorted(acc.items())), order)

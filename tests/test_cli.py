@@ -649,7 +649,8 @@ def test_huge_nonprimitive_invariants_finish_in_a_spawned_run(tmp_path):
 @pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
 @pytest.mark.parametrize("argv", [
     ["gottsche", "--order", "5"], ["gottsche", "--order", "0"], ["gottsche", "--order", "x"],
-], ids=["result", "input-error", "usage-error"])
+    ["--help"], ["theta", "--help"],
+], ids=["result", "input-error", "usage-error", "help", "subcommand-help"])
 def test_closed_stdout_exits_141_with_empty_stderr(argv, unbuffered):
     # the reader of stdout is gone before the document is written: no "internal"
     # document, no traceback, and the shell's code for a writer killed by SIGPIPE

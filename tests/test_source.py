@@ -1,7 +1,8 @@
 """Source checks over the package: line length, unused top-level imports,
-unreferenced private helpers, one module per literal InputError message, no
-validated Goettsche lookup inside the series and theta loops, no module-level
-container in the series and theta modules, and mpmath imported in one function."""
+unreferenced private helpers and module-level names, one module per literal
+InputError message, no validated Goettsche lookup inside the series and theta
+loops, no module-level container in the series and theta modules, and mpmath
+imported in one function."""
 
 import ast
 from pathlib import Path
@@ -32,17 +33,23 @@ def test_every_top_level_import_is_used():
     assert unused == []
 
 
-def test_every_private_top_level_helper_is_referenced():
-    trees = {path.name: ast.parse(path.read_text()) for path in SOURCES}
+def _names_read(trees) -> set[str]:
+    """Every name the package reads: loaded, taken as an attribute or imported."""
     used = set()
     for tree in trees.values():
         for node in ast.walk(tree):
-            if isinstance(node, ast.Name):
+            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
                 used.add(node.id)
             elif isinstance(node, ast.Attribute):
                 used.add(node.attr)
             elif isinstance(node, ast.alias):       # imported by another module
                 used.add(node.name)
+    return used
+
+
+def test_every_private_top_level_helper_is_referenced():
+    trees = {path.name: ast.parse(path.read_text()) for path in SOURCES}
+    used = _names_read(trees)
     # cli looks its _cmd_<name> handlers up by name from _COMMANDS
     dead = [(name, node.name) for name, tree in trees.items() for node in tree.body
             if isinstance(node, (ast.FunctionDef, ast.ClassDef))
@@ -50,6 +57,21 @@ def test_every_private_top_level_helper_is_referenced():
             and not (name == "cli.py" and node.name.startswith("_cmd_"))
             and node.name not in used]
     assert dead == []
+
+
+def test_every_module_level_name_is_read():
+    # a knob or table outlives its last reader otherwise
+    trees = {path.name: ast.parse(path.read_text()) for path in SOURCES}
+    assigned = []
+    for name, tree in trees.items():
+        for node in tree.body:
+            targets = (node.targets if isinstance(node, ast.Assign) else [node.target]
+                       if isinstance(node, (ast.AnnAssign, ast.AugAssign)) else [])
+            assigned += [(name, n.id) for target in targets for n in ast.walk(target)
+                         if isinstance(n, ast.Name) and not n.id.startswith("__")]
+    assert ("errors.py", "MAX_WORK") in assigned
+    used = _names_read(trees)
+    assert [pair for pair in assigned if pair[1] not in used] == []
 
 
 def test_each_input_error_message_has_one_home():
