@@ -137,13 +137,13 @@ def z_psu_hecke(r: int, alpha, order, lat: EvenLattice) -> QSeries:
     order = _as_number(order, Fraction)
     factorizations = _hecke_factorizations(r, alpha, order)
     check_work(sum(top + 1 for *_, top in factorizations), "z_psu_hecke")
-    euler, top = _hilb_table(0), max(t for *_, t in factorizations)
-    while len(euler) <= top:    # an entry a call, as a term loop reading n upwards grows it,
-        _hilb_table(len(euler))     # so no one call meets hilb_euler's cap on a cold table
+    # n = (xi^2)/2 + 1 mod d; the table grows once, through the last n read (z_psu_direct's)
+    reads = [(a, d, range((lat.quad(xi) // 2 + 1) % d, top + 1, d))
+             for a, d, xi, top in factorizations]
+    euler = _hilb_table(max(ns[-1] if ns else -1 for *_, ns in reads))
     nums: dict[int, int] = {}   # keyed by a^2 (n - 1)
-    for a, d, xi, top in factorizations:
-        m0 = (lat.quad(xi) // 2 + 1) % d    # n must be congruent to this mod d
-        for n in range(m0, top + 1, d):
+    for a, d, ns in reads:
+        for n in ns:
             k = a * a * (n - 1)
             nums[k] = nums.get(k, 0) + d * d * euler[n]
     rr = r * r

@@ -28,7 +28,7 @@ identity is nonzero only at the triangular numbers k.  J.C.P. Miller's recurrenc
 for a power of a series (Knuth, TAOCP vol. 2, 4.7) gives n c(n) = -sum_k (7k + n)
 h_k c(n - k): at most T(n) = (isqrt(8n + 1) - 1) // 2 big-integer products per
 exact integer c(n) (a nonzero remainder is a ConsistencyError), so the cached
-table grows one index at a time at O(n^1.5) cost, which errors.check_work bounds.
+table through n costs (n + 1) T(n), which errors.check_work bounds, cold or warm.
 The test suite checks it against the divisor-sum recurrence of the logarithmic
 derivative and an independent 24-colored-partition dynamic program.
 chi(Hilb^n) = 0 for n < 0 by convention; the virtual Euler characteristic
@@ -272,7 +272,7 @@ def hilb_euler(n: int) -> int:
     c = _hilb_euler
     if n >= len(c):
         top = (isqrt(8 * n + 1) - 1) // 2      # T(n): no entry up to n reads more h_k
-        check_work((n + 1 - len(c)) * top, "hilb_euler")
+        check_work((n + 1) * top, "hilb_euler")     # the whole table's cost, cold or warm
         tri = [(j * (j + 1) // 2, (-1) ** j * (2 * j + 1)) for j in range(1, top + 1)]
         for m in range(len(c), n + 1):
             s = 0

@@ -33,8 +33,8 @@ analytic bound.
 Kernels: points are tuples of ints.  The projectors sum to the identity and are
 Q-orthogonal, so Q(c_L^2) + Q(c_R^2) = Q(c) and each exponent is (Re tau Q(c) +
 i Im tau M(c))/2r, M the majorant: only the exact integer Q(c) = -(c^2) and the one
-float form M are evaluated.  M is built in plain Python once per splitting and Gram
-matrix and kept on the immutable splitting; eigenvalues come from cyclic Jacobi (_eigh),
+float form M are evaluated.  A splitting is validated once, for its lattice, when it is
+built, and M is built with it in plain Python; eigenvalues come from cyclic Jacobi (_eigh),
 so nothing here needs numpy.  Fincke-Pohst enumeration (Math. Comp. 44 (1985); Cohen,
 GTM 138, 2.7.3) over M's pivots hands over the points in lexicographic order a row (all
 coordinates but the last fixed) at a time: a row's partial sums are taken once, and a point
@@ -130,8 +130,8 @@ def _eigh(m):
 
 
 class _Tables(dict):
-    """A splitting's tau-independent tables, keyed by the Gram matrix and what built them;
-    size counts their entries, each table at least 1."""
+    """A splitting's tau-independent tables, keyed by what built them; size counts their
+    entries, each table at least 1."""
 
     size = 0
 
@@ -147,20 +147,41 @@ class _Tables(dict):
 
 
 class Splitting(Value):
-    """Projectors onto the Q-positive (P_L) and Q-negative (P_R) subspaces, stored as
-    tuples of float rows; the constructor takes any n x n nested sequence of finite
-    numbers.  Equal only to itself, since _cache keeps, per lattice it was validated for,
-    the majorant forms (_forms), and under None the sums' tau-independent _Tables: at most
+    """Projectors onto the Q-positive (P_L) and Q-negative (P_R) subspaces of one lattice's
+    form, stored as tuples of float rows; the constructor takes the lattice and any n x n
+    nested sequence of finite numbers for each projector, and validates them once, for that
+    lattice.  Outside the value it keeps the majorant MJ as float columns (_mj), MJ's _pivots
+    and least eigenvalue (_lam_min), and the sums' tau-independent _tables: at most
     KEEP_POINTS entries in all, dropped when a new table would pass that, freed with it."""
 
-    __slots__ = ("pl", "pr", "_cache")
-    __eq__ = object.__eq__
-    __hash__ = object.__hash__
+    __slots__ = ("lattice", "pl", "pr", "_mj", "_pivots", "_lam_min", "_tables")
 
-    def __init__(self, pl, pr):
-        _set(self, "pl", _as_numbers(pl))
-        _set(self, "pr", _as_numbers(pr))
-        _set(self, "_cache", {None: _Tables()})
+    def __init__(self, lattice: EvenLattice, pl, pr):
+        _set(self, "lattice", lattice)
+        _set(self, "pl", pl := _as_numbers(pl))
+        _set(self, "pr", pr := _as_numbers(pr))
+        n, q = lattice.rank, _q(lattice)
+        if any(len(m) != n or any(len(row) != n for row in m) for m in (pl, pr)):
+            raise InputError("splitting projectors do not match the lattice rank")
+        if any(abs(x + y - (i == j)) > 1e-12 for i, rows in enumerate(zip(pl, pr))
+               for j, (x, y) in enumerate(zip(*rows))):
+            raise InputError("splitting projectors must sum to the identity")
+        plt, prt = tuple(zip(*pl)), tuple(zip(*pr))
+        if any(abs(x) > 1e-10 for row in _mm(_mm(plt, q), pr) for x in row):
+            raise InputError("splitting subspaces must be Q-orthogonal")
+        for u, w in zip(plt, prt):
+            if math.hypot(*u) > 1e-8 and _quad(q, u) <= 0:
+                raise InputError("Q must be positive definite on range(P_L)")
+            if math.hypot(*w) > 1e-8 and _quad(q, w) >= 0:
+                raise InputError("Q must be negative definite on range(P_R)")
+        ql, qr = _mm(_mm(plt, q), pl), _mm(_mm(prt, q), pr)
+        mj = tuple(tuple(map(sub, x, y)) for x, y in zip(ql, qr))
+        if (lam_min := min(_eigh(mj)[0])) <= 1e-10:
+            raise InputError("majorant form is not positive definite; invalid splitting")
+        _set(self, "_mj", mj := tuple(zip(*mj)))
+        _set(self, "_pivots", _pivots(mj))
+        _set(self, "_lam_min", lam_min)
+        _set(self, "_tables", _Tables())
 
     @classmethod
     def spectral(cls, lat: EvenLattice) -> "Splitting":
@@ -173,32 +194,13 @@ class Splitting(Value):
             keep = [sign * lam > 0 for lam in vals]
             return [[(i == j) if all(keep) else sum(x * y for x, y, k in zip(vi, vj, keep) if k)
                      for j, vj in enumerate(vecs)] for i, vi in enumerate(vecs)]
-        return cls(projector(1), projector(-1))
+        return cls(lat, projector(1), projector(-1))
 
     @classmethod
     def identity_positive(cls, lat: EvenLattice) -> "Splitting":
         """P_L = id, P_R = 0: valid exactly when Q = -G is positive definite."""
         n = range(lat.rank)
-        split = cls([[i == j for j in n] for i in n], [[0 for _ in n] for _ in n])
-        _forms(lat, split, None)        # validates, checks the majorant, keeps the forms
-        return split
-
-    def validate(self, lat: EvenLattice) -> None:
-        n = lat.rank
-        q = _q(lat)
-        if any(len(m) != n or any(len(row) != n for row in m) for m in (self.pl, self.pr)):
-            raise InputError("splitting projectors do not match the lattice rank")
-        if any(abs(x + y - (i == j)) > 1e-12 for i, rows in enumerate(zip(self.pl, self.pr))
-               for j, (x, y) in enumerate(zip(*rows))):
-            raise InputError("splitting projectors must sum to the identity")
-        plt, prt = tuple(zip(*self.pl)), tuple(zip(*self.pr))
-        if any(abs(x) > 1e-10 for row in _mm(_mm(plt, q), self.pr) for x in row):
-            raise InputError("splitting subspaces must be Q-orthogonal")
-        for u, w in zip(plt, prt):
-            if math.hypot(*u) > 1e-8 and _quad(q, u) <= 0:
-                raise InputError("Q must be positive definite on range(P_L)")
-            if math.hypot(*w) > 1e-8 and _quad(q, w) >= 0:
-                raise InputError("Q must be negative definite on range(P_R)")
+        return cls(lat, [[i == j for j in n] for i in n], [[0 for _ in n] for _ in n])
 
 
 class ThetaSum(Value):
@@ -209,31 +211,19 @@ class ZFullSum(Value):
     __slots__ = ("value", "tail", "terms")       # complex, float, int
 
 
-def _forms(lat: EvenLattice, split: Splitting, x):
-    """((G, MJ, Qx), pivots, lam_min, xnorm): the integer Gram rows G, the majorant MJ as
-    float columns, Qx = Q x with Re Q x mod 1 (exact fmod; c is integral; None for x = None),
-    MJ's _pivots (and the splitting's _Tables) and least eigenvalue, kept, and |Im x|_MJ."""
-    cached = split._cache.get(lat.gram)
-    if cached is None:
-        split.validate(lat)
-        q = _q(lat)
-        ql, qr = (_mm(_mm(tuple(zip(*p)), q), p) for p in (split.pl, split.pr))
-        mj = tuple(tuple(map(sub, x, y)) for x, y in zip(ql, qr))
-        lam_min = min(_eigh(mj)[0])
-        if lam_min <= 1e-10:
-            raise InputError("majorant form is not positive definite; invalid splitting")
-        mj = tuple(zip(*mj))
-        cached = split._cache[lat.gram] = mj, (*_pivots(mj), split._cache[None]), lam_min
-    mj, pivots, lam_min = cached
+def _x_forms(lat: EvenLattice, split: Splitting, x):
+    """(Qx, |Im x|_MJ) for a splitting built for lat: Qx = Q x with Re Q x mod 1 (exact fmod;
+    c is integral), None for x = None, and MJ the splitting's majorant."""
+    if not (split.lattice is lat or split.lattice == lat):
+        raise InputError("the splitting was built for another lattice")
     if x is None:
-        return (lat.gram, mj, None), pivots, lam_min, 0.0
+        return None, 0.0
     xv = _as_numbers(x, complex)
     qx = tuple(-sum(map(mul, row, xv)) for row in lat.gram)
     if len(xv) != lat.rank or not all(map(cmath.isfinite, qx)):
         raise InputError("x must have one finite coordinate per lattice rank, and a finite Q x")
     qx = tuple(complex(math.fmod(v.real, 1.0), v.imag) for v in qx)
-    return (lat.gram, mj, qx), pivots, lam_min, \
-        math.sqrt(max(_quad(mj, [v.imag for v in xv]), 0.0))
+    return qx, math.sqrt(max(_quad(split._mj, [v.imag for v in xv]), 0.0))
 
 
 def _dot(a, b):
@@ -271,7 +261,7 @@ def _short_vectors(pivots, alpha, step: int, bound2: float):
     """Rows (c_0 .. c_{n-2}, the range of c_{n-1}) of the c in alpha + step Z^n with
     sum_k d_k (c_k - ctr_k)^2 <= bound2 (Fincke-Pohst): c_0 is the outer loop and each level
     scans its interval of alpha_k + step Z upwards, so points arrive in itertools.product order."""
-    d, mu, _ = pivots
+    d, mu = pivots
     last = len(alpha) - 1
     c = [0] * len(alpha)
 
@@ -301,7 +291,7 @@ def _e(t: complex) -> complex:
     return v
 
 
-def _ball(alpha, step: int, r: int, tau: complex, forms, pivots,
+def _ball(alpha, step: int, r: int, tau: complex, split: Splitting, qx,
           radius: float, per_point: int, what: str):
     """(c, j, (c^2), e((Re tau Q(c) + i Im tau M(c))/2r + Q(c, x))) over c in alpha + step Z^n
     with sqrt M(c) <= radius + GUARD_SHELLS, M the majorant and Q(c) = -(c^2) exact; j = 0 inside
@@ -309,11 +299,11 @@ def _ball(alpha, step: int, r: int, tau: complex, forms, pivots,
     MAX_WORK so a huge int never meets a float, is checked on every call; the enumeration runs at
     a slightly widened bound and M(c), summed in _quad's order a row at a time, decides.  The
     splitting's tables keep the points, each with j, (c^2) and the index of its pair ((c^2),
-    M(c)), so a call takes one e() per distinct pair, or one per point for an x."""
-    gram, mj, qx = forms
+    M(c)), so a call takes one e() per distinct pair, or one per point for an x (qx not None)."""
+    gram, mj, pivots = split.lattice.gram, split._mj, split._pivots
     outer = radius + GUARD_SHELLS
     check_work(_leaf_bound(pivots, step, outer) * min(per_point, MAX_WORK + 1), what)
-    if (table := pivots[2].get(key := (gram, alpha, step, radius))) is None:
+    if (table := split._tables.get(key := (alpha, step, radius))) is None:
         l = len(alpha) - 1
         last = [col[l] for col in mj]
         g_ll, outer2, radius2 = gram[l][l], outer * outer, radius * radius
@@ -333,7 +323,7 @@ def _ball(alpha, step: int, r: int, tau: complex, forms, pivots,
                     max(1, min(math.ceil(math.sqrt(maj) - radius), GUARD_SHELLS))
                 sq = s0 + (x2 + cl * g_ll) * cl
                 points.append((head + (cl,), j, sq, pairs.setdefault((sq, maj), len(pairs))))
-        table = pivots[2].keep(key, (list(pairs), points), len(points))
+        table = split._tables.keep(key, (list(pairs), points), len(points))
     pairs, points = table
     ts = [complex(-tau.real * sq, tau.imag * maj) / (2 * r) for sq, maj in pairs]
     if qx is None:
@@ -392,23 +382,22 @@ def theta_siegel_narain(lat: EvenLattice, alpha, r: int, tau: complex,
     _as_number(r, float)        # a step beyond the double range is refused here
     alpha = tuple(a % r for a in _as_ints(alpha))
     lat.check_vector(alpha)
-    return _theta(alpha, r, tau, radius, *_forms(lat, split, x))
+    return _theta(alpha, r, tau, radius, split, *_x_forms(lat, split, x))
 
 
-def _theta(alpha, r: int, tau: complex, radius: float, forms, pivots, lam_min: float,
+def _theta(alpha, r: int, tau: complex, radius: float, split: Splitting, qx,
            xnorm: float) -> ThetaSum:
-    """theta_siegel_narain on validated input and the _forms of its lattice and x."""
+    """theta_siegel_narain on validated input and the _x_forms of its splitting and x."""
     main = []
     shells = [0.0] * GUARD_SHELLS
-    for _, j, _, term in _ball(alpha, r, r, tau, forms, pivots, radius, 1,
-                            "theta_siegel_narain"):
+    for _, j, _, term in _ball(alpha, r, r, tau, split, qx, radius, 1, "theta_siegel_narain"):
         if j:
             shells[j - 1] += abs(term)
         else:
             main.append(term)
     value = complex(math.fsum(t.real for t in main), math.fsum(t.imag for t in main))
-    return ThetaSum(value, _shell_tail(shells, len(alpha), r, tau, radius, lam_min, xnorm),
-                    len(main))
+    return ThetaSum(value, _shell_tail(shells, len(alpha), r, tau, radius, split._lam_min,
+                                       xnorm), len(main))
 
 
 def _toy_guard(lat: EvenLattice, r) -> int:
@@ -480,7 +469,7 @@ def z_full_direct(lat: EvenLattice, r: int, tau: complex, split: Splitting,
     """
     r = _toy_guard(lat, r)
     tau, radius = _tau_radius(tau, radius)
-    forms, pivots, lam_min, xnorm = _forms(lat, split, x)
+    qx, xnorm = _x_forms(lat, split, x)
 
     # v = (r, xi, a): <v^2> = n = (xi^2) - 2ra, exponent n / 2r; the main sum keeps
     # n <= n_cut, bin j holds n_cut + 2r(j - 1) < n <= n_cut + 2rj; chi = 0 below -2r^2
@@ -488,12 +477,12 @@ def z_full_direct(lat: EvenLattice, r: int, tau: complex, split: Splitting,
     cutoff = _as_number(exponent_cutoff, Fraction)
     n_cut = math.floor(two_r * cutoff)
     n_top = n_cut + two_r * EXP_BINS
-    ball = _ball((0,) * lat.rank, 1, r, tau, forms, pivots, radius,
+    ball = _ball((0,) * lat.rank, 1, r, tau, split, qx, radius,
                  max(1, r + EXP_BINS + 2 + math.ceil(cutoff)), "z_full_direct")
     if n_top // 2 + 1 > CHI_FLOAT_TOP:      # the weight table would end past a double
         raise InputError("a term overflows double precision at this input")
-    if (table := pivots[2].get(key := (lat.gram, r, n_cut, radius))) is None:
-        table = _direct_table(r, n_cut, n_top, ball := list(ball), pivots[2], key)
+    if (table := split._tables.get(key := (r, n_cut, radius))) is None:
+        table = _direct_table(r, n_cut, n_top, ball := list(ball), split._tables, key)
     ns, classes, of_point = table
     es = [_e(tau * n / two_r) for n in ns]      # chi_virtual q^{n/2r}, one exp per n
     classes = {cls: ([(b, f * es[i]) for b, i, f in binned], [f * es[i] for i, f in mains])
@@ -525,7 +514,7 @@ def z_full_direct(lat: EvenLattice, r: int, tau: complex, split: Splitting,
 
     # a distant xi contributes at most its full a-sum (xi-independent bound)
     # times the Gaussian shell weight
-    tail_x = _shell_tail(xshells, lat.rank, r, tau, radius, lam_min, xnorm,
+    tail_x = _shell_tail(xshells, lat.rank, r, tau, radius, split._lam_min, xnorm,
                          _a_sum_bound(r, qabs)) * h_factor
     return ZFullSum(value, tail_h + tail_x, len(main))
 
@@ -534,14 +523,13 @@ def z_full_factorized(lat: EvenLattice, r: int, tau: complex, split: Splitting,
                       x=None, series_order=12, radius: float = 5.0) -> ZFullSum:
     """Coset factorization sum_alpha Z_r^alpha(tau) Theta_{alpha,r}(tau, P, x)."""
     r = _toy_guard(lat, r)
-    tau = _upper(tau)
+    tau, radius = _tau_radius(tau, radius)
     order = _as_number(series_order, Fraction)      # z_psu_direct's first check
+    qx, xnorm = _x_forms(lat, split, x)
     # per class ((alpha^2), gcd(r, alpha)), on which Z_r^alpha depends alone, z_psu_direct's
-    # work count and series, kept once the sum is done (a split that is no Splitting fails
-    # in _forms, after the series, as before)
-    kept = getattr(split, "_cache", {None: {}})[None].get(key := (lat.gram, r, order))
+    # work count and series, kept once the sum is done
+    kept = split._tables.get(key := (r, order))
     series, evs, value, tail, points = kept or {}, {}, 0j, 0.0, 0     # evs: Z_r^alpha(tau)
-    formed = None       # the theta input (radius, splitting, x), read after the first series
     for alpha in itertools.product(range(r), repeat=lat.rank):
         if (cls := (lat.quad(alpha), math.gcd(r, *alpha))) not in evs:
             if cls not in series:
@@ -549,10 +537,7 @@ def z_full_factorized(lat: EvenLattice, r: int, tau: complex, split: Splitting,
             check_work(series[cls][0], "z_psu_direct")
             evs[cls] = qs_evaluate(series[cls][1], tau)
         ev = evs[cls]
-        if formed is None:
-            radius = _tau_radius(tau, radius)[1]
-            formed = _forms(lat, split, x)
-        th = _theta(alpha, r, tau, radius, *formed)
+        th = _theta(alpha, r, tau, radius, split, qx, xnorm)
         value += ev.value * th.value
         if math.inf in (ev.tail, th.tail):      # not 0 * inf = nan for an empty series
             tail = math.inf
@@ -560,5 +545,5 @@ def z_full_factorized(lat: EvenLattice, r: int, tau: complex, split: Splitting,
             tail += abs(ev.value) * th.tail + ev.tail * (abs(th.value) + th.tail)
         points += th.points
     if kept is None:
-        formed[1][2].keep(key, series, sum(len(s.coeffs) for _, s in series.values()))
+        split._tables.keep(key, series, sum(len(s.coeffs) for _, s in series.values()))
     return ZFullSum(value, tail, points)

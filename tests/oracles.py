@@ -349,16 +349,17 @@ def box_count(rank, step, lam_min, outer) -> float:
     return math.prod([2 * bound / step + 1] * rank)
 
 
-def box_ball(alpha, step, r, tau, forms, lam_min, radius, guard):
+def box_ball(alpha, step, r, tau, split, qx, radius, guard):
     """(c, j, (c^2), term) as theta._ball yields them, from the box of box_count.
 
     Every candidate of alpha + step Z^n in the box is visited in
-    itertools.product order and kept when its majorant norm is at most
-    (radius + guard)^2; j = 0 inside radius, else its guard shell.
+    itertools.product order and kept when its majorant norm, in the
+    splitting's majorant, is at most (radius + guard)^2; j = 0 inside radius,
+    else its guard shell.
     """
-    gram, mj, qx = forms
+    gram, mj = split.lattice.gram, split._mj
     outer = radius + guard
-    bound = outer / math.sqrt(lam_min) + 1e-9
+    bound = outer / math.sqrt(split._lam_min) + 1e-9
     axes = [range(step * math.ceil((-bound - a) / step) + a,
                   step * math.floor((bound - a) / step) + a + 1, step) for a in alpha]
     for c in product(*axes):

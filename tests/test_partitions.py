@@ -131,16 +131,29 @@ def test_direct_series_depends_on_alpha_through_its_class_alone(case, r):
             assert z_psu_direct(r, beta, order, lat) == z_psu_direct(r, alpha, order, lat)
 
 
-def test_hecke_grows_a_cold_table_an_entry_at_a_time(gram2, monkeypatch):
-    # z_psu_hecke reads chi(Hilb^n) for n = 0, 1, .. and grows the table as it goes, so a
-    # cold table reaches an index that one hilb_euler call would refuse: 300 * T(300) > 2000
-    want = z_psu_hecke(1, (0,), 300, gram2)
+def test_direct_and_hecke_refuse_alike_on_a_cold_table(gram2, monkeypatch):
+    # both paths grow the table once, through the last index they read, and hilb_euler caps
+    # the whole table's cost (n + 1) T(n) however warm it is: r = 1, alpha = 0 reads index
+    # order, and 37501 * T(37500) = 37501 * 273 passes 10^7
+    for path in (z_psu_direct, z_psu_hecke):
+        monkeypatch.setattr(qseries, "_hilb_euler", [1])
+        with pytest.raises(InputError, match="hilb_euler would visit"):
+            path(1, (0,), 37500, gram2)
+    # under a cap of 2000 the last admitted index is 132: 133 * 15 = 1995
     monkeypatch.setattr(errors, "MAX_WORK", 2000)
-    monkeypatch.setattr(qseries, "_hilb_euler", [1])
-    with pytest.raises(InputError, match="hilb_euler would visit"):
-        hilb_euler(300)
-    assert z_psu_hecke(1, (0,), 300, gram2) == want
-    assert len(qseries._hilb_euler) == 301
+    seen = set()
+    for r, alpha in ((1, (0,)), (2, (1,)), (3, (1,)), (6, (2,))):
+        for order in (Fraction(k, 4) for k in range(4 * 120 // r, 4 * 140 // r)):
+            outcomes = []
+            for path in (z_psu_direct, z_psu_hecke):
+                monkeypatch.setattr(qseries, "_hilb_euler", [1])
+                try:
+                    outcomes.append(path(r, alpha, order, gram2))
+                except InputError as exc:
+                    outcomes.append(str(exc))
+            assert outcomes[0] == outcomes[1]
+            seen.add(type(outcomes[0]))
+    assert seen == {QSeries, str}
 
 
 def test_hecke_hand_evaluation(gram2):

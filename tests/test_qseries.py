@@ -132,16 +132,18 @@ def test_hilb_euler_matches_the_divisor_sum_recurrence(monkeypatch):
 
 
 def test_hilb_euler_work_cap_admits_its_boundary_index(monkeypatch):
-    # growing [1] to index n counts n * T(n) products, T(n) = (isqrt(8n + 1) - 1) // 2:
-    # 20 * 5 = 100 is admitted under a cap of 100, 21 * 6 = 126 is not
+    # a table through index n costs (n + 1) T(n) products, T(n) = (isqrt(8n + 1) - 1) // 2:
+    # 21 * 5 = 105 is admitted under a cap of 105, 22 * 6 = 132 is not, cold or warm
     oracle = colored_partition_counts(22)
-    monkeypatch.setattr(errors, "MAX_WORK", 100)
+    monkeypatch.setattr(errors, "MAX_WORK", 105)
     monkeypatch.setattr(qseries, "_hilb_euler", [1])
     with pytest.raises(InputError, match="hilb_euler would visit"):
         hilb_euler(21)
     assert qseries._hilb_euler == [1]
     assert hilb_euler(20) == oracle[20]
-    assert hilb_euler(21) == oracle[21]         # one new entry: 6 products
+    with pytest.raises(InputError, match="hilb_euler would visit"):
+        hilb_euler(21)          # one new entry on a warm table is not cheaper
+    assert qseries._hilb_euler == oracle[:21]
 
 
 @pytest.mark.parametrize("bad", [1.5, True, "3", 12.5])
@@ -211,7 +213,7 @@ def test_evaluate_tail_is_honest():
 
 
 def test_hilb_euler_work_cap_covers_every_entry_point():
-    # growing the table to n costs at most n * T(n) big-integer products, T(n) ~ sqrt(2n)
+    # a table through n costs at most (n + 1) T(n) big-integer products, T(n) ~ sqrt(2n)
     huge = MukaiVector(1, (0,), -10 ** 5)         # <v^2> / 2 + 1 = 10^5 + 1
     for call in (lambda: hilb_euler(10 ** 5), lambda: gottsche_series(10 ** 5),
                  lambda: z1_zero(10 ** 5),

@@ -2,12 +2,13 @@
 unreferenced private helpers and module-level names, one module per literal
 InputError message, no validated Goettsche lookup inside the series and theta
 loops, no module-level container in the series and theta modules, and mpmath
-imported in one function."""
+imported in one function; and the benchmark workloads read only public names."""
 
 import ast
 from pathlib import Path
 
-SOURCES = sorted((Path(__file__).resolve().parent.parent / "src" / "k3tk").glob("*.py"))
+ROOT = Path(__file__).resolve().parent.parent
+SOURCES = sorted((ROOT / "src" / "k3tk").glob("*.py"))
 
 
 def test_no_line_over_99_characters():
@@ -134,3 +135,22 @@ def test_only_the_literal_hecke_path_imports_mpmath():
     for path in SOURCES:
         scan(ast.parse(path.read_text()), path.name, "")
     assert homes == {("partitions.py", "z_psu_hecke_literal")}
+
+
+def test_benchmark_workloads_read_only_public_names():
+    # the workloads take the package as k3; a name they read that the package drops or
+    # renames fails here rather than in a benchmark run
+    import k3tk
+
+    read, built = set(), []
+    for path in sorted((ROOT / "k3bench").glob("wl_*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                    and node.value.id == "k3"):
+                read.add(node.attr)
+            elif isinstance(node, ast.Call) and "Splitting" in (getattr(node.func, "attr", 0),
+                                                                getattr(node.func, "id", 0)):
+                built.append((path.name, node.lineno))
+    assert {"Splitting", "theta_siegel_narain", "z_full_factorized"} <= read
+    assert sorted(read - set(k3tk.__all__)) == []
+    assert built == []          # a splitting comes from Splitting.spectral or identity_positive

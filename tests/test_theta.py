@@ -31,15 +31,14 @@ def split1(neg2):
 
 
 def test_splitting_invariants(neg2, split1):
-    split1.validate(neg2)
+    assert split1.lattice is neg2
     n = neg2.rank
     assert all(split1.pl[i][j] + split1.pr[i][j] == (i == j) for i in range(n) for j in range(n))
 
 
 def test_splitting_rejects_bad_projectors(neg2):
-    bad = Splitting(np.eye(1) * 0.5, np.eye(1) * 0.5)
     with pytest.raises(InputError):
-        bad.validate(neg2)
+        Splitting(neg2, np.eye(1) * 0.5, np.eye(1) * 0.5)
     with pytest.raises(InputError):
         Splitting.identity_positive(EvenLattice(((2,),)))   # Q negative definite
 
@@ -47,7 +46,6 @@ def test_splitting_rejects_bad_projectors(neg2):
 def test_spectral_splitting_indefinite():
     lat = EvenLattice(((-2, 0), (0, 2)))     # Q = diag(2, -2), signature (1, 1)
     split = Splitting.spectral(lat)
-    split.validate(lat)
     th = theta_siegel_narain(lat, (0, 0), 1, 1j, split, None, 3.0)
     # independent double sum: majorant 2a^2 + 2b^2 <= 9
     q = cmath.exp(2j * cmath.pi * 1j)
@@ -75,7 +73,7 @@ def test_spectral_rejects_degenerate():
     with pytest.raises(InputError):
         Splitting.spectral(rank0)
     with pytest.raises(InputError):
-        Splitting(np.eye(0), np.eye(0)).validate(rank0)
+        Splitting(rank0, np.eye(0), np.eye(0))
     for gram in (((2, 2), (2, 2)), ((-2, 1, 1), (1, -2, 1), (1, 1, -2))):   # Jacobi rotates
         with pytest.raises(InputError, match="degenerate"):
             Splitting.spectral(EvenLattice(gram))
@@ -110,7 +108,7 @@ def test_jacobi_splitting_matches_numpy_eigh(gram):
         assert np.max(np.abs(np.array(split.pl) - pl)) <= 1e-12
         assert np.max(np.abs(np.array(split.pr) - pr)) <= 1e-12
         ref = np.linalg.eigvalsh(pl.T @ q @ pl - pr.T @ q @ pr)
-        assert abs(theta._forms(lat, split, None)[2] - ref.min()) <= 1e-12 * ref.max()
+        assert abs(split._lam_min - ref.min()) <= 1e-12 * ref.max()
 
 
 def test_spectral_splitting_of_the_k3_lattice():
@@ -124,11 +122,10 @@ def test_spectral_splitting_of_the_k3_lattice():
         at += len(block)
     lat = EvenLattice(gram)
     split = Splitting.spectral(lat)
-    split.validate(lat)
     assert sum(split.pl[i][i] for i in range(22)) == pytest.approx(19, abs=1e-9)
     assert sum(split.pr[i][i] for i in range(22)) == pytest.approx(3, abs=1e-9)
     lam_min = np.abs(np.linalg.eigvalsh(-np.array(gram, dtype=float))).min()
-    assert theta._forms(lat, split, None)[2] == pytest.approx(lam_min, rel=1e-12)
+    assert split._lam_min == pytest.approx(lam_min, rel=1e-12)
 
 
 def test_splitting_is_immutable_and_validated_once_per_lattice(monkeypatch, neg2, split1):
@@ -139,19 +136,24 @@ def test_splitting_is_immutable_and_validated_once_per_lattice(monkeypatch, neg2
     with pytest.raises(TypeError):
         split1.pl[0][0] = 2.0
     calls = []
-    validate = Splitting.validate
-    monkeypatch.setattr(Splitting, "validate", lambda self, lat: calls.append(lat.gram)
-                        or validate(self, lat))
+    for name in ("_q", "_eigh"):        # the form and the majorant's least eigenvalue
+        monkeypatch.setattr(theta, name, functools.partial(
+            lambda f, *args: calls.append(f.__name__) or f(*args), getattr(theta, name)))
     split = Splitting.identity_positive(neg2)     # validated here, not again by the sums
     first = theta_siegel_narain(neg2, (0,), 1, 1j, split, None, 3.0)
-    assert theta_siegel_narain(neg2, (0,), 1, 1j, split, None, 3.0) == first
+    assert theta_siegel_narain(EvenLattice(((-2,),)), (0,), 1, 1j, split, None, 3.0) == first
     z_full_direct(neg2, 1, 1j, split, None, 2.0, 2.0)
-    theta_siegel_narain(EvenLattice(((-4,),)), (0,), 1, 1j, split, None, 3.0)
-    assert calls == [((-2,),), ((-4,),)]
-    with pytest.raises(InputError):         # a failed validation is not kept
-        theta_siegel_narain(EvenLattice(((2,),)), (0,), 1, 1j, split)
-    with pytest.raises(InputError):
-        theta_siegel_narain(EvenLattice(((2,),)), (0,), 1, 1j, split)
+    z_full_factorized(neg2, 1, 1j, split, None, 4, 2.0)
+    assert calls == ["_q", "_eigh"]
+    other = EvenLattice(((-4,),))       # Q positive definite too, but another lattice
+    for call in (lambda: theta_siegel_narain(other, (0,), 1, 1j, split, None, 3.0),
+                 lambda: z_full_direct(other, 1, 1j, split, None, 2.0, 2.0),
+                 lambda: z_full_factorized(other, 1, 1j, split, None, 4, 2.0)):
+        with pytest.raises(InputError, match="the splitting was built for another lattice"):
+            call()
+    assert calls == ["_q", "_eigh"]
+    with pytest.raises(InputError):         # these projectors do not split Q = [-2]
+        Splitting(EvenLattice(((2,),)), split.pl, split.pr)
 
 
 def test_identity_splitting_refuses_an_indefinite_form_at_construction():
@@ -388,13 +390,13 @@ _BAD_NUMBERS = {
     "x-none-entry": lambda neg2, split: theta_siegel_narain(neg2, (0,), 1, 1j, split, [None]),
     "x-not-a-list": lambda neg2, split: theta_siegel_narain(neg2, (0,), 1, 1j, split, 5),
     "x-text": lambda neg2, split: theta_siegel_narain(neg2, (0,), 1, 1j, split, ["a"]),
-    "splitting-text": lambda neg2, split: Splitting([["a"]], [[0]]),
-    "splitting-nan": lambda neg2, split: Splitting([[math.nan]], [[0]]),
+    "splitting-text": lambda neg2, split: Splitting(neg2, [["a"]], [[0]]),
+    "splitting-nan": lambda neg2, split: Splitting(neg2, [[math.nan]], [[0]]),
     # text iterates into one-character numbers, but is not a list
     "x-digit-text": lambda neg2, split: theta_siegel_narain(neg2, (0,), 1, 1j, split, "1"),
-    "splitting-digit-text": lambda neg2, split: Splitting("1", "0"),
-    "splitting-digit-text-rows": lambda neg2, split: Splitting(["1"], ["0"]),
-    "splitting-bytes-rows": lambda neg2, split: Splitting([b"\x01"], [b"\x00"]),
+    "splitting-digit-text": lambda neg2, split: Splitting(neg2, "1", "0"),
+    "splitting-digit-text-rows": lambda neg2, split: Splitting(neg2, ["1"], ["0"]),
+    "splitting-bytes-rows": lambda neg2, split: Splitting(neg2, [b"\x01"], [b"\x00"]),
     "coset-step-huge": lambda neg2, split: theta_siegel_narain(neg2, (0,), 10 ** 400, 1j, split),
     "cutoff-huge": lambda neg2, split: z_full_direct(neg2, 1, 1j, split, None, 10 ** 400, 2.0),
 }
@@ -435,7 +437,7 @@ def test_junk_numbers_give_a_result_or_an_input_error(which, pl, pr, x, alpha, r
     # each draw is a usable value or junk; limit is the direct path's exponent cutoff
     # or the factorized path's series order
     try:
-        split = Splitting(pl, pr)
+        split = Splitting(_NEG2, pl, pr)
         if which == "theta":
             theta_siegel_narain(_NEG2, alpha, r, 1j, split, x, radius)
         elif which == "direct":
@@ -504,7 +506,7 @@ ROOT_LATTICES = {
 @pytest.mark.parametrize("name", sorted(ROOT_LATTICES))
 def test_short_vector_counts_match_closed_forms(name):
     lat, count, top = ROOT_LATTICES[name]
-    _, pivots, _, _ = theta._forms(lat, Splitting.identity_positive(lat), None)
+    pivots = Splitting.identity_positive(lat)._pivots
     rows = theta._short_vectors(pivots, (0,) * lat.rank, 1, 2 * top * (1 + 1e-9))
     points = [(*head, c) for head, span in rows for c in span]
     assert len(set(points)) == len(points) and points == sorted(points)
@@ -515,16 +517,16 @@ def test_short_vector_counts_match_closed_forms(name):
 
 def test_e8_leaf_bound_fits_where_the_box_did_not():
     lat = ROOT_LATTICES["E8"][0]
-    _, pivots, lam_min, _ = theta._forms(lat, Splitting.identity_positive(lat), None)
+    split = Splitting.identity_positive(lat)
     outer = math.sqrt(8)
-    assert oracles.box_count(8, 1, lam_min, outer) > MAX_WORK
-    assert theta._leaf_bound(pivots, 1, outer) <= MAX_WORK
+    assert oracles.box_count(8, 1, split._lam_min, outer) > MAX_WORK
+    assert theta._leaf_bound(split._pivots, 1, outer) <= MAX_WORK
 
 
 @st.composite
-def _ball_inputs(draw, with_split=False):
-    """A rank <= 3 lattice with a valid splitting, a coset and a radius whose box stays
-    small; with_split appends the lattice, the splitting and x (None or complex)."""
+def _ball_inputs(draw):
+    """(alpha, step, tau, split, qx, radius, x): a valid splitting of a rank <= 3 lattice, a
+    coset and a radius whose box stays small, and x (None or complex) with its Q x mod 1."""
     n = draw(st.integers(1, 3))
     if draw(st.booleans()):         # definite: Q = B^T D B
         b = [[draw(st.integers(-3, 3)) for _ in range(n)] for _ in range(n)]
@@ -542,57 +544,53 @@ def _ball_inputs(draw, with_split=False):
     try:
         split = Splitting.identity_positive(lat) if draw(st.booleans()) \
             else Splitting.spectral(lat)
-        forms, pivots, lam_min, _ = theta._forms(lat, split, None)
     except InputError:
         assume(False)
     step = draw(st.integers(1, 3))
     radius = draw(st.sampled_from([0.0, 0.5, 1.0, 1.7, 2.0, 3.0, 4.5]))
-    assume(oracles.box_count(n, step, lam_min, radius + theta.GUARD_SHELLS) <= 20000)
+    assume(oracles.box_count(n, step, split._lam_min, radius + theta.GUARD_SHELLS) <= 20000)
     alpha = tuple(draw(st.integers(-4, 4)) for _ in range(n))
     tau = complex(draw(st.floats(-0.5, 0.5)), draw(st.floats(0.3, 2.0)))
     x = None
     if draw(st.booleans()):
         x = [complex(draw(st.floats(-1, 1)), draw(st.floats(-0.2, 0.2))) for _ in range(n)]
-        forms = theta._forms(lat, split, x)[0]
-    return (alpha, step, tau, forms, pivots, lam_min, radius) \
-        + ((lat, split, x) if with_split else ())
+    return alpha, step, tau, split, theta._x_forms(lat, split, x)[0], radius, x
 
 
 @settings(max_examples=150, deadline=None)
 @given(_ball_inputs(), st.integers(1, 3))
 def test_fincke_pohst_yields_the_box_points_in_order(case, r):
-    alpha, step, tau, forms, pivots, lam_min, radius = case
-    got = list(theta._ball(alpha, step, r, tau, forms, pivots, radius, 1, "test"))
-    want = list(oracles.box_ball(alpha, step, r, tau, forms, lam_min, radius,
-                                 theta.GUARD_SHELLS))
+    alpha, step, tau, split, qx, radius, _ = case
+    got = list(theta._ball(alpha, step, r, tau, split, qx, radius, 1, "test"))
+    want = list(oracles.box_ball(alpha, step, r, tau, split, qx, radius, theta.GUARD_SHELLS))
     assert got == want
 
 
 @settings(max_examples=150, deadline=None)
-@given(_ball_inputs(with_split=True), st.integers(1, 3))
+@given(_ball_inputs(), st.integers(1, 3))
 def test_exponent_from_q_and_the_majorant_matches_the_projected_forms(case, r):
     # Q_L + Q_R = Q and Q_L - Q_R = M, so tau Q_L + taubar Q_R = Re tau Q + i Im tau M
-    alpha, step, tau, forms, pivots, _, radius, lat, split, _ = case
-    qx = forms[2] or (0,) * len(alpha)
-    for c, _, sq, term in theta._ball(alpha, step, r, tau, forms, pivots, radius, 1, "test"):
+    alpha, step, tau, split, qx, radius, _ = case
+    lat = split.lattice
+    for c, _, sq, term in theta._ball(alpha, step, r, tau, split, qx, radius, 1, "test"):
         assert sq == oracles.pairing_brute((0, c, 0), (0, c, 0), lat.gram)
-        q, maj = -sq, oracles._quad(forms[1], c)
+        q, maj = -sq, oracles._quad(split._mj, c)
         ql, qr = oracles.definite_parts(lat.gram, split.pl, split.pr, c)
         hol = tau * ql + tau.conjugate() * qr
         tol = 1e-12 * (abs(q) + maj + 1) * abs(tau)
         assert abs(complex(tau.real * q, tau.imag * maj) - hol) <= tol
-        want = oracles._e(hol / (2 * r) + sum(ci * v for ci, v in zip(c, qx)))
+        want = oracles._e(hol / (2 * r) + sum(ci * v for ci, v in zip(c, qx or ())))
         assert abs(term - want) <= (2 * math.pi * tol + 1e-14) * abs(want)
 
 
 @settings(max_examples=150, deadline=None)
 @given(_ball_inputs())
 def test_leaf_bound_never_exceeds_the_box_count(case):
-    alpha, step, _, _, pivots, lam_min, radius = case
-    outer = radius + theta.GUARD_SHELLS
-    assert min(pivots[0]) >= lam_min * (1 - 1e-12)
-    assert theta._leaf_bound(pivots, step, outer) <= oracles.box_count(len(alpha), step,
-                                                                       lam_min, outer)
+    alpha, step, _, split, _, radius, _ = case
+    outer, lam_min = radius + theta.GUARD_SHELLS, split._lam_min
+    assert min(split._pivots[0]) >= lam_min * (1 - 1e-12)
+    assert theta._leaf_bound(split._pivots, step, outer) <= oracles.box_count(len(alpha), step,
+                                                                              lam_min, outer)
 
 
 def _sums(lat, alpha, r, tau, split, x, radius):
@@ -609,17 +607,18 @@ def _sums(lat, alpha, r, tau, split, x, radius):
 
 
 @settings(max_examples=60, deadline=None)
-@given(_ball_inputs(with_split=True), st.integers(1, 3),
+@given(_ball_inputs(), st.integers(1, 3),
        st.lists(st.complex_numbers(max_magnitude=2).map(lambda t: complex(t.real, abs(t.imag)
                                                                            + 0.2)),
                 min_size=1, max_size=3))
 def test_a_tau_sweep_through_one_splitting_equals_fresh_splittings(case, r, taus):
     # the kept tables hold only what does not depend on tau: a sweep through one splitting
     # gives every bit a fresh splitting per tau gives
-    alpha, _, tau, _, _, _, radius, lat, split, x = case
+    alpha, _, tau, split, _, radius, x = case
+    lat = split.lattice
     for t in [tau, *taus, tau]:
         assert _sums(lat, alpha, r, t, split, x, radius) \
-            == _sums(lat, alpha, r, t, Splitting(split.pl, split.pr), x, radius)
+            == _sums(lat, alpha, r, t, Splitting(lat, split.pl, split.pr), x, radius)
 
 
 def test_a_sum_past_the_bound_is_used_but_not_kept(monkeypatch):
@@ -629,7 +628,7 @@ def test_a_sum_past_the_bound_is_used_but_not_kept(monkeypatch):
                                 None, radius) for radius in radii]
     monkeypatch.setattr(theta, "KEEP_POINTS", 60)
     split = Splitting.identity_positive(lat)
-    tables = split._cache[None]
+    tables = split._tables
     got = []
     for radius in radii:
         got.append(theta_siegel_narain(lat, (0, 0), 1, 0.1 + 1j, split, None, radius))
@@ -660,7 +659,6 @@ def _skewed(skew):
 def test_results_bit_identical_to_the_box_reference(monkeypatch, gram, spectral, x):
     lat = EvenLattice(gram)
     make = Splitting.spectral if spectral else Splitting.identity_positive
-    lam_min = theta._forms(lat, make(lat), None)[2]
 
     def results(split_of):
         out = []
@@ -676,9 +674,9 @@ def test_results_bit_identical_to_the_box_reference(monkeypatch, gram, spectral,
 
     calls = []
 
-    def box(alpha, step, r, tau, forms, pivots, radius, per_point, what):
+    def box(alpha, step, r, tau, split, qx, radius, per_point, what):
         calls.append(what)
-        return oracles.box_ball(alpha, step, r, tau, forms, lam_min, radius, theta.GUARD_SHELLS)
+        return oracles.box_ball(alpha, step, r, tau, split, qx, radius, theta.GUARD_SHELLS)
 
     split = make(lat)
     new = results(lambda: split)
