@@ -17,18 +17,21 @@ canonical form is attempted, and no orbit enumeration is provided.
 Elements are plain immutable values: constructors coerce entries strictly to
 int and store nothing else.  The checks that need the lattice (a Translate has
 its rank, a Reflect carries a genuine (-2)-vector, an NSAuto is an invertible
-automorphism) are each element's validate, and raise InputError.  They run
-when a single element is applied (elem.apply, apply_translate, apply_reflect),
-in the factories reflect and ns_auto, and once per word: from_json validates
-every element against its lattice and records that lattice on the word, so
-applying the word there, or on an equal lattice, is plain arithmetic, while
-apply_word on any other lattice (any lattice, for a word built directly)
-validates every element once before the first is applied.
+automorphism) are each element's validate, and raise InputError; its
+_bind(lat) forms the lattice data once (G N and (N^2)/2, or G c1(u)) and
+returns a step on plain (r, c1, a) triples.  A single element (elem.apply,
+apply_translate, apply_reflect) is validated and bound per application; the
+factories reflect and ns_auto validate.  A word is checked and bound once:
+from_json validates every element against its lattice and the word keeps that
+lattice, and in the underscore slot _steps the bound steps in application
+order.  Applying the word there, or on an equal lattice, runs them; apply_word
+on any other lattice (any lattice, for a word built directly) validates and
+binds every element once first.  One MukaiVector is built, at the end.
 """
 
 from __future__ import annotations
 
-from operator import mul
+from operator import mul, neg
 
 from .errors import InputError
 from .lattice import (EvenLattice, MukaiVector, Value, _as_ints, _as_matrix, _mukai,
@@ -46,7 +49,7 @@ class _Generator(Value):
     def apply(self, v: MukaiVector, lat: EvenLattice) -> MukaiVector:
         lat.check_vector(v.c1)
         self.validate(lat)
-        return self._apply(v, lat)
+        return _mukai(*self._bind(lat)(v.r, v.c1, v.a))
 
 
 class Translate(_Generator):
@@ -58,16 +61,19 @@ class Translate(_Generator):
     def validate(self, lat: EvenLattice) -> None:
         lat.check_vector(self.shift)
 
-    def _apply(self, v: MukaiVector, lat: EvenLattice) -> MukaiVector:
-        """ch(N) x = (r, c1 + r N, a + (N.c1) + r (N^2)/2); G N is formed once.
+    def _bind(self, lat: EvenLattice):
+        """ch(N) x = (r, c1 + r N, a + (N.c1) + r (N^2)/2), with G N and (N^2)/2 formed here.
 
         (N^2) is even on an even lattice, so the result is integral.
         """
-        shift, r, c1 = self.shift, v.r, v.c1
+        shift = self.shift
         gn = _times(lat.gram, shift)
-        nn = sum(map(mul, shift, gn))
-        return _mukai(r, tuple([x + r * n for x, n in zip(c1, shift)]),
-                      v.a + sum(map(mul, c1, gn)) + r * (nn // 2))
+        half = sum(map(mul, shift, gn)) // 2
+
+        def step(r, c1, a):
+            return (r, tuple([x + r * n for x, n in zip(c1, shift)]),
+                    a + sum(map(mul, c1, gn)) + r * half)
+        return step
 
     def to_json(self) -> dict:
         return {"type": "translate", "N": list(self.shift)}
@@ -85,14 +91,17 @@ class Reflect(_Generator):
         if square(self.u, lat) != -2:
             raise InputError("reflection vector must have square -2")
 
-    def _apply(self, v: MukaiVector, lat: EvenLattice) -> MukaiVector:
-        """v + <v, u> u."""
-        u = self.u
-        k = lat._bilinear(v.c1, u.c1) - v.r * u.a - v.a * u.r
-        if not k:
-            return v
-        return _mukai(v.r + k * u.r, tuple([x + k * y for x, y in zip(v.c1, u.c1)]),
-                      v.a + k * u.a)
+    def _bind(self, lat: EvenLattice):
+        """v + <v, u> u, with G c1(u) formed here; v itself when <v, u> = 0."""
+        ur, uc, ua = self.u.r, self.u.c1, self.u.a
+        gu = _times(lat.gram, uc)
+
+        def step(r, c1, a):
+            k = sum(map(mul, c1, gu)) - r * ua - a * ur
+            if not k:
+                return r, c1, a
+            return r + k * ur, tuple([x + k * y for x, y in zip(c1, uc)]), a + k * ua
+        return step
 
     def to_json(self) -> dict:
         return {"type": "reflect", "u": self.u.to_json()}
@@ -116,8 +125,12 @@ class NSAuto(_Generator):
         if abs(_det(m)) != 1:
             raise InputError("automorphism matrix must have determinant +-1")
 
-    def _apply(self, v: MukaiVector, lat: EvenLattice) -> MukaiVector:
-        return _mukai(v.r, tuple(_times(self.matrix, v.c1)), v.a)
+    def _bind(self, lat: EvenLattice):
+        rows = self.matrix
+
+        def step(r, c1, a):
+            return r, tuple([sum(map(mul, row, c1)) for row in rows]), a
+        return step
 
     def to_json(self) -> dict:
         return {"type": "nsauto", "M": [list(row) for row in self.matrix]}
@@ -126,8 +139,8 @@ class NSAuto(_Generator):
 class Negate(_Generator):
     __slots__ = ()
 
-    def _apply(self, v: MukaiVector, lat: EvenLattice) -> MukaiVector:
-        return -v
+    def _bind(self, lat: EvenLattice):
+        return lambda r, c1, a: (-r, tuple(map(neg, c1)), -a)
 
     def to_json(self) -> dict:
         return {"type": "negate"}
@@ -136,8 +149,8 @@ class Negate(_Generator):
 class Dual(_Generator):
     __slots__ = ()
 
-    def _apply(self, v: MukaiVector, lat: EvenLattice) -> MukaiVector:
-        return dual(v)
+    def _bind(self, lat: EvenLattice):
+        return lambda r, c1, a: (r, tuple(map(neg, c1)), a)
 
     def to_json(self) -> dict:
         return {"type": "dual"}
@@ -172,15 +185,18 @@ class IsometryWord(Value):
     """Ordered list of generators; applies right-to-left.
 
     lattice is the lattice every element was validated against by from_json
-    (None for a word built directly); it is not part of the word's value.
+    (None for a word built directly), and _steps the elements bound to it, in
+    application order; neither is part of the word's value.  A lattice passed
+    here is trusted.
     """
 
-    __slots__ = ("elems", "lattice")
+    __slots__ = ("elems", "lattice", "_steps")
     _fields = ("elems",)
 
     def __init__(self, elems: tuple[_Generator, ...], lattice: EvenLattice | None = None):
         _set(self, "elems", elems)
         _set(self, "lattice", lattice)
+        _set(self, "_steps", None if lattice is None else _bind_all(elems, lattice))
 
     def apply(self, v: MukaiVector, lat: EvenLattice) -> MukaiVector:
         return apply_word(self, v, lat)
@@ -244,16 +260,23 @@ def apply_reflect(u: MukaiVector, v: MukaiVector, lat: EvenLattice) -> MukaiVect
     return Reflect(u).apply(v, lat)
 
 
+def _bind_all(elems, lat: EvenLattice) -> tuple:
+    """The elements' steps on lat, in application order (right to left)."""
+    return tuple([elem._bind(lat) for elem in reversed(elems)])
+
+
 def apply_word(word: IsometryWord, v: MukaiVector, lat: EvenLattice) -> MukaiVector:
-    """Apply right-to-left; off word.lattice, every element is validated once first."""
+    """Apply right-to-left; off word.lattice, every element is validated and bound first."""
     lat.check_vector(v.c1)
-    elems = word.elems
-    if lat is not word.lattice and lat != word.lattice:
-        for elem in elems:
+    steps = word._steps
+    if lat is not word.lattice and lat != word.lattice:     # always, for a direct word
+        for elem in word.elems:
             elem.validate(lat)
-    for elem in reversed(elems):
-        v = elem._apply(v, lat)
-    return v
+        steps = _bind_all(word.elems, lat)
+    r, c1, a = v.r, v.c1, v.a
+    for step in steps:
+        r, c1, a = step(r, c1, a)
+    return _mukai(r, c1, a)
 
 
 def reflection_target(v: MukaiVector, v1: MukaiVector,

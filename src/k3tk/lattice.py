@@ -98,12 +98,26 @@ _new = object.__new__
 _set = object.__setattr__
 
 
+def _positional_init(qualname: str, fields: tuple[str, ...]):
+    """__init__(self, *fields), setting each field once, written out as a hand-written one
+    would be: a loop over the names costs about twice as much per construction."""
+    body = "".join(f"\n    _set(self, {name!r}, {name})" for name in fields) or "\n    pass"
+    scope = {"_set": _set}
+    exec(f"def __init__(self{''.join(', ' + name for name in fields)}):{body}", scope)
+    init = scope["__init__"]
+    init.__qualname__ = f"{qualname}.__init__"
+    init.fields = fields
+    return init
+
+
 class Value:
     """Immutable record whose fields are the public names in its __slots__.
 
     Equality (same class only), hashing, repr and pickling go by the tuple of
-    fields; the default __init__ takes them positionally.  An underscore slot,
-    or a name left out of an explicit _fields, holds state outside the value.
+    fields.  A class that writes no __init__ of its own (nor inherits one) takes
+    its fields positionally, through an __init__ generated for them.  An
+    underscore slot, or a name left out of an explicit _fields, holds state
+    outside the value.
     """
 
     __slots__ = ()
@@ -112,12 +126,10 @@ class Value:
     def __init_subclass__(cls):
         if "_fields" not in cls.__dict__:
             cls._fields += tuple(n for n in cls.__dict__.get("__slots__", ()) if n[0] != "_")
+        if getattr(cls.__init__, "fields", cls._fields) != cls._fields:
+            cls.__init__ = _positional_init(cls.__qualname__, cls._fields)
 
-    def __init__(self, *args):
-        if len(args) != len(self._fields):
-            raise TypeError(f"{type(self).__name__} takes {len(self._fields)} arguments")
-        for name, x in zip(self._fields, args):
-            _set(self, name, x)
+    __init__ = _positional_init("Value", ())
 
     def _values(self) -> tuple:
         return tuple([getattr(self, name) for name in self._fields])

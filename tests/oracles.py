@@ -4,9 +4,11 @@ Each oracle deliberately uses a different algorithm than the production
 code: the Goettsche numbers come from a plain dynamic program and from the
 divisor-sum recurrence of the logarithmic derivative (the library uses
 Jacobi's triple product),
-the pairing is a hand-expanded double loop, the triangle count comes from
-Pick's theorem or from testing every point of the bounding box, instead of
-the column scan, and the partition and theta sums visit every candidate with
+the pairing is a hand-expanded double loop, an isometry word is applied
+generator by generator from each generator's definition (the library binds
+each generator to the lattice first), the triangle count comes from Pick's
+theorem or from testing every point of the bounding box, instead of the
+column scan, and the partition and theta sums visit every candidate with
 one exponential per term, instead of tables of weights and Hecke roots.
 Short-vector counts of A2, D4 and E8 come from divisor-sum closed forms, and
 the box enumeration that theta used before Fincke-Pohst is kept as the
@@ -66,6 +68,30 @@ def translate_brute(shift, v, gram):
     return (r,
             tuple(c + r * n for c, n in zip(c1, shift)),
             a + n_dot_c1 + r * (nn // 2))
+
+
+def apply_word_brute(word_doc, v, gram):
+    """A JSON isometry word applied right-to-left, each generator from its definition."""
+    for elem in reversed(word_doc):
+        r, c1, a = v
+        kind = elem["type"]
+        if kind == "translate":
+            v = translate_brute(tuple(elem["N"]), v, gram)
+        elif kind == "reflect":
+            u = (elem["u"]["r"], tuple(elem["u"]["c1"]), elem["u"]["a"])
+            k = pairing_brute(v, u, gram)
+            v = (r + k * u[0], tuple(c + k * x for c, x in zip(c1, u[1])), a + k * u[2])
+        elif kind == "nsauto":
+            m = elem["M"]
+            v = (r, tuple(sum(m[i][j] * c1[j] for j in range(len(c1)))
+                          for i in range(len(m))), a)
+        elif kind == "negate":
+            v = (-r, tuple(-c for c in c1), -a)
+        elif kind == "dual":
+            v = (r, tuple(-c for c in c1), a)
+        else:
+            raise ValueError(f"unknown isometry element {kind!r}")
+    return v
 
 
 def pick_interior(p1, p2, p3) -> Fraction:

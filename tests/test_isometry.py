@@ -12,7 +12,7 @@ from k3tk import (Dual, EvenLattice, InputError, IsometryWord, MukaiVector,
 from k3tk.isometry import _det
 
 from .conftest import random_lattice, random_vector
-from .oracles import det_brute, translate_brute
+from .oracles import apply_word_brute, det_brute, pairing_brute, translate_brute
 
 
 def rand_minus_two(rng, lat):
@@ -288,6 +288,31 @@ def test_word_validates_its_elements_once(monkeypatch):
         assert type(elem).__slots__ == fields[type(elem)] and not hasattr(elem, "__dict__")
 
 
+def test_word_binds_its_elements_once(monkeypatch):
+    skew = EvenLattice(((2, 1), (1, -2)))
+    doc = [{"type": "translate", "N": [1, -2]},
+           {"type": "reflect", "u": {"r": 1, "c1": [0, 0], "a": 1}},
+           {"type": "nsauto", "M": [[-1, 0], [0, -1]]}, {"type": "negate"}, {"type": "dual"}]
+    kinds = (Translate, Reflect, NSAuto, Negate, Dual)
+    calls = Counter()
+    for cls in kinds:
+        def counted(self, lat, _bind=cls._bind):
+            calls[type(self)] += 1
+            return _bind(self, lat)
+        monkeypatch.setattr(cls, "_bind", counted)
+    word = IsometryWord.from_json(doc, skew)
+    assert calls == {cls: 1 for cls in kinds}
+    calls.clear()
+    vectors = [MukaiVector(k, (k - 3, 2 * k), 1 - k) for k in range(10)]
+    for lat in (skew, EvenLattice(((2, 1), (1, -2)))):      # its own lattice, then an equal one
+        for v in vectors:
+            word.apply(v, lat)
+    assert calls == {}
+    for v in vectors:                                        # another lattice
+        word.apply(v, EvenLattice(((2, 0), (0, 4))))
+    assert calls == {cls: len(vectors) for cls in kinds}
+
+
 _small = st.integers(-4, 4)
 
 
@@ -329,3 +354,106 @@ def test_trusted_results_equal_public_construction(case, n):
         assert got == again and hash(got) == hash(again)
         assert type(got.c1) is tuple
         assert all(type(c) is int for c in (got.r, got.a, *got.c1))
+
+
+@st.composite
+def _word_case(draw):
+    """A lattice of rank 1-4 with Gram[0][0] = +-2, a vector, and a word of 0-6 raw elements
+    of every kind, ending (applied first) in a reflection orthogonal to the vector if asked."""
+    n = draw(st.integers(1, 4))
+    g = [[0] * n for _ in range(n)]
+    for i in range(n):
+        g[i][i] = 2 * draw(_small)
+        for j in range(i):
+            g[i][j] = g[j][i] = draw(_small)
+    g[0][0] = draw(st.sampled_from((-2, 2)))     # e_0 is a root: its reflection is an nsauto
+    vec = st.tuples(st.integers(-5, 5), st.tuples(*[st.integers(-5, 5)] * n), st.integers(-5, 5))
+
+    def root():
+        shift = draw(st.tuples(*[st.integers(-2, 2)] * n))
+        r, c1, a = translate_brute(shift, (1, (0,) * n, 1), g)          # square -2
+        sign, flip = draw(st.sampled_from((1, -1))), draw(st.sampled_from((1, -1)))
+        return sign * r, tuple(sign * flip * c for c in c1), sign * a
+
+    def element(kind):
+        if kind == "translate":
+            return kind, draw(st.tuples(*[_small] * n))
+        if kind == "reflect":
+            return kind, root()
+        if kind == "nsauto":
+            sign = draw(st.sampled_from((1, -1)))
+            m = [[int(i == j) for j in range(n)] for i in range(n)]
+            if draw(st.booleans()):                  # x -> x - 2 (e_0.x)/(e_0.e_0) e_0
+                for j in range(n):
+                    m[0][j] -= 2 // g[0][0] * g[0][j]
+            return kind, tuple(tuple(sign * x for x in row) for row in m)
+        return (kind,)
+
+    kinds = ("translate", "reflect", "nsauto", "negate", "dual")
+    raw = [element(kind) for kind in draw(st.lists(st.sampled_from(kinds), max_size=6))]
+    v = draw(vec)
+    if raw and draw(st.booleans()):
+        u = root()
+        k = pairing_brute(v, u, g)
+        v = (2 * v[0] + k * u[0], tuple(2 * x + k * y for x, y in zip(v[1], u[1])),
+             2 * v[2] + k * u[2])
+        assert pairing_brute(v, u, g) == 0
+        raw[-1] = ("reflect", u)
+    return g, v, raw
+
+
+def _doc(raw) -> list:
+    out = []
+    for kind, *data in raw:
+        item = {"type": kind}
+        if kind == "translate":
+            item["N"] = list(data[0])
+        elif kind == "reflect":
+            r, c1, a = data[0]
+            item["u"] = {"r": r, "c1": list(c1), "a": a}
+        elif kind == "nsauto":
+            item["M"] = [list(row) for row in data[0]]
+        out.append(item)
+    return out
+
+
+def _elem(kind, *data):
+    if kind == "translate":
+        return Translate(data[0])
+    if kind == "reflect":
+        return Reflect(MukaiVector(*data[0]))
+    if kind == "nsauto":
+        return NSAuto(data[0])
+    return Negate() if kind == "negate" else Dual()
+
+
+@settings(max_examples=300, deadline=None)
+@given(_word_case())
+def test_every_way_to_apply_a_word_equals_the_oracle(case):
+    g, raw_v, raw = case
+    lat, v, doc = EvenLattice(g), MukaiVector(*raw_v), _doc(raw)
+    want = apply_word_brute(doc, raw_v, g)
+    word = IsometryWord.from_json(doc, lat)
+    elems = tuple(_elem(*item) for item in raw)
+    stepwise = v
+    for elem in reversed(elems):
+        stepwise = elem.apply(stepwise, lat)
+    results = [word.apply(v, lat), word.apply(v, EvenLattice(g)),
+               apply_word(IsometryWord(elems), v, lat), stepwise]
+    for got in results:
+        assert (got.r, got.c1, got.a) == want
+        assert type(got.c1) is tuple and all(type(c) is int for c in (got.r, got.a, *got.c1))
+    # a reflection in u = ch(N)(1, 0, 1) with N_0 != 0 is no isometry once Gram[0][0] grows by 2
+    n = len(g)
+    shift = (1,) + (0,) * (n - 1)
+    u = translate_brute(shift, (1, (0,) * n, 1), g)
+    other = EvenLattice([[x + 2 * (i == j == 0) for j, x in enumerate(row)]
+                         for i, row in enumerate(g)])
+    assert pairing_brute(u, u, other.gram) != -2
+    bad = Reflect(MukaiVector(*u))
+    outsider = IsometryWord.from_json(doc + [{"type": "reflect", "u": bad.u.to_json()}], lat)
+    for attempt in (lambda: outsider.apply(v, other),
+                    lambda: apply_word(IsometryWord(elems + (bad,)), v, other),
+                    lambda: bad.apply(v, other)):
+        with pytest.raises(InputError):
+            attempt()
