@@ -10,8 +10,7 @@ _HOMES = {
                       "triangle_interior_count"),
     "errors": ("ConsistencyError", "InputError"),
     "isometry": ("Dual", "IsometryWord", "Negate", "NSAuto", "Reflect", "Translate",
-                 "apply_reflect", "apply_translate", "apply_word", "ns_auto", "reflect",
-                 "reflection_target", "translate"),
+                 "apply_reflect", "apply_translate", "apply_word", "reflection_target"),
     "lattice": ("EvenLattice", "MukaiVector", "content", "dual", "ell", "mukai_from_chern",
                 "mukai_pairing", "primitive", "square"),
     "moduli": ("CaseInfo", "NonLocallyFree", "classify_case", "classify_non_locally_free",

@@ -176,7 +176,7 @@ def _cmd_chivirtual(args) -> dict:
 def _cmd_zseries(args) -> dict:
     from . import partitions
 
-    alpha = _ints(args.alpha) if args.alpha else (0,) * args.lat.rank
+    alpha = _ints(args.alpha) if args.alpha is not None else (0,) * args.lat.rank
     fn, coeff = {"direct": (partitions.z_psu_direct, _frac_json),
                  "hecke": (partitions.z_psu_hecke, _frac_json),
                  "literal": (partitions.z_psu_hecke_literal, _complex_json)}[args.method]
@@ -192,16 +192,16 @@ def _tau_split_x(args):
     lat = args.lat
     split = (Splitting.identity_positive if args.splitting == "identity"
              else Splitting.spectral)(lat)
-    if args.x and len(args.x) != 2 * lat.rank:
+    if args.x is not None and len(args.x) != 2 * lat.rank:
         raise InputError("x must interleave re,im once per lattice coordinate")
-    x = [complex(*args.x[2 * i:2 * i + 2]) for i in range(lat.rank)] if args.x else None
+    x = None if args.x is None else [complex(*args.x[2 * i:2 * i + 2]) for i in range(lat.rank)]
     return complex(*args.tau), split, x
 
 
 def _cmd_theta(args) -> dict:
     from .theta import theta_siegel_narain
 
-    alpha = _ints(args.alpha) if args.alpha else (0,) * args.lat.rank
+    alpha = _ints(args.alpha) if args.alpha is not None else (0,) * args.lat.rank
     tau, split, x = _tau_split_x(args)
     return _sum_json(theta_siegel_narain(args.lat, alpha, args.rank, tau, split, x,
                                          args.radius), "points")

@@ -15,18 +15,17 @@ right-to-left; the empty word is the identity.  No word reduction or
 canonical form is attempted, and no orbit enumeration is provided.
 
 Elements are plain immutable values: constructors coerce entries strictly to
-int and store nothing else.  The checks that need the lattice (a Translate has
-its rank, a Reflect carries a genuine (-2)-vector, an NSAuto is an invertible
-automorphism) are each element's validate, and raise InputError; its
-_bind(lat) forms the lattice data once (G N and (N^2)/2, or G c1(u)) and
-returns a step on plain (r, c1, a) triples.  A single element (elem.apply,
-apply_translate, apply_reflect) is validated and bound per application; the
-factories reflect and ns_auto validate.  A word is checked and bound once:
-from_json validates every element against its lattice and the word keeps that
-lattice, and in the underscore slot _steps the bound steps in application
-order.  Applying the word there, or on an equal lattice, runs them; apply_word
-on any other lattice (any lattice, for a word built directly) validates and
-binds every element once first.  One MukaiVector is built, at the end.
+int and store nothing else.  Each element has one method that needs the
+lattice, _bind(lat): it checks that the element is an isometry of lat (a
+Translate has its rank, a Reflect carries a genuine (-2)-vector, an NSAuto is
+an invertible automorphism), raising InputError, then forms the lattice data
+once (G N and (N^2)/2, or G c1(u)) and returns a step on plain (r, c1, a)
+triples.  A single element (elem.apply, apply_translate, apply_reflect) is
+checked and bound per application.  A word is a value of one lattice:
+IsometryWord(elems, lattice) checks and binds every element once, left to
+right, and keeps the steps in application order; from_json parses a whole
+word, then builds it.  apply_word runs the steps on that lattice or an equal
+one and refuses any other.  One MukaiVector is built, at the end.
 """
 
 from __future__ import annotations
@@ -43,12 +42,8 @@ class _Generator(Value):
 
     __slots__ = ()
 
-    def validate(self, lat: EvenLattice) -> None:
-        pass
-
     def apply(self, v: MukaiVector, lat: EvenLattice) -> MukaiVector:
         lat.check_vector(v.c1)
-        self.validate(lat)
         return _mukai(*self._bind(lat)(v.r, v.c1, v.a))
 
 
@@ -58,15 +53,14 @@ class Translate(_Generator):
     def __init__(self, shift):
         _set(self, "shift", _as_ints(shift))
 
-    def validate(self, lat: EvenLattice) -> None:
-        lat.check_vector(self.shift)
-
     def _bind(self, lat: EvenLattice):
-        """ch(N) x = (r, c1 + r N, a + (N.c1) + r (N^2)/2), with G N and (N^2)/2 formed here.
+        """ch(N) x = (r, c1 + r N, a + (N.c1) + r (N^2)/2) for N of lat's rank, with G N and
+        (N^2)/2 formed here.
 
         (N^2) is even on an even lattice, so the result is integral.
         """
         shift = self.shift
+        lat.check_vector(shift)
         gn = _times(lat.gram, shift)
         half = sum(map(mul, shift, gn)) // 2
 
@@ -87,12 +81,11 @@ class Reflect(_Generator):
             raise InputError("reflection vector must be a Mukai vector")
         _set(self, "u", u)
 
-    def validate(self, lat: EvenLattice) -> None:
+    def _bind(self, lat: EvenLattice):
+        """v + <v, u> u for u of square -2 on lat, with G c1(u) formed here; v itself when
+        <v, u> = 0."""
         if square(self.u, lat) != -2:
             raise InputError("reflection vector must have square -2")
-
-    def _bind(self, lat: EvenLattice):
-        """v + <v, u> u, with G c1(u) formed here; v itself when <v, u> = 0."""
         ur, uc, ua = self.u.r, self.u.c1, self.u.a
         gu = _times(lat.gram, uc)
 
@@ -113,20 +106,18 @@ class NSAuto(_Generator):
     def __init__(self, matrix):
         _set(self, "matrix", _as_matrix(matrix))
 
-    def validate(self, lat: EvenLattice) -> None:
+    def _bind(self, lat: EvenLattice):
+        """M c1, for M an automorphism of lat with determinant +-1."""
         n = lat.rank
-        m = self.matrix
-        if len(m) != n or any(len(row) != n for row in m):
+        rows = self.matrix
+        if len(rows) != n or any(len(row) != n for row in rows):
             raise InputError("automorphism matrix does not match lattice rank")
-        cols = tuple(zip(*m))
+        cols = tuple(zip(*rows))
         g_cols = [_times(lat.gram, c) for c in cols]       # G M, by columns
         if tuple(tuple(_times(g_cols, c)) for c in cols) != lat.gram:   # M^T G M
             raise InputError("matrix is not an automorphism of the lattice")
-        if abs(_det(m)) != 1:
+        if abs(_det(rows)) != 1:
             raise InputError("automorphism matrix must have determinant +-1")
-
-    def _bind(self, lat: EvenLattice):
-        rows = self.matrix
 
         def step(r, c1, a):
             return r, tuple([sum(map(mul, row, c1)) for row in rows]), a
@@ -156,22 +147,6 @@ class Dual(_Generator):
         return {"type": "dual"}
 
 
-def translate(shift) -> Translate:
-    return Translate(shift)
-
-
-def reflect(u: MukaiVector, lat: EvenLattice) -> Reflect:
-    elem = Reflect(u)
-    elem.validate(lat)
-    return elem
-
-
-def ns_auto(matrix, lat: EvenLattice) -> NSAuto:
-    elem = NSAuto(matrix)
-    elem.validate(lat)
-    return elem
-
-
 _PARSERS = {
     "translate": ("N", Translate),
     "reflect": ("u", lambda doc: Reflect(MukaiVector.from_json(doc))),
@@ -182,21 +157,19 @@ _PARSERS = {
 
 
 class IsometryWord(Value):
-    """Ordered list of generators; applies right-to-left.
+    """Ordered list of generators of one lattice, kept as a tuple; applies right-to-left.
 
-    lattice is the lattice every element was validated against by from_json
-    (None for a word built directly), and _steps the elements bound to it, in
-    application order; neither is part of the word's value.  A lattice passed
-    here is trusted.
+    The constructor checks and binds every element against lattice, left to
+    right, so the first element that is no isometry of it is the one reported;
+    _steps keeps the bound steps in application order.
     """
 
     __slots__ = ("elems", "lattice", "_steps")
-    _fields = ("elems",)
 
-    def __init__(self, elems: tuple[_Generator, ...], lattice: EvenLattice | None = None):
-        _set(self, "elems", elems)
+    def __init__(self, elems: tuple[_Generator, ...], lattice: EvenLattice):
+        _set(self, "elems", elems := tuple(elems))
         _set(self, "lattice", lattice)
-        _set(self, "_steps", None if lattice is None else _bind_all(elems, lattice))
+        _set(self, "_steps", tuple([elem._bind(lattice) for elem in elems][::-1]))
 
     def apply(self, v: MukaiVector, lat: EvenLattice) -> MukaiVector:
         return apply_word(self, v, lat)
@@ -206,7 +179,7 @@ class IsometryWord(Value):
 
     @classmethod
     def from_json(cls, doc: list, lat: EvenLattice) -> "IsometryWord":
-        """Parse a word and validate every element against lat."""
+        """Parse a whole word, then build it on lat."""
         if not isinstance(doc, list):
             raise InputError("isometry word must be a JSON list")
         elems = []
@@ -216,14 +189,12 @@ class IsometryWord(Value):
             except (TypeError, KeyError) as exc:
                 raise InputError(f"isometry element needs a known 'type': {item!r}") from exc
             if key is None:
-                elem = make()
+                elems.append(make())
             elif key in item:
-                elem = make(item[key])
+                elems.append(make(item[key]))
             else:
                 raise InputError(f"isometry element {item['type']!r} needs {key!r}")
-            elem.validate(lat)
-            elems.append(elem)
-        return cls(tuple(elems), lat)
+        return cls(elems, lat)
 
 
 def _times(m, x) -> list[int]:
@@ -260,21 +231,13 @@ def apply_reflect(u: MukaiVector, v: MukaiVector, lat: EvenLattice) -> MukaiVect
     return Reflect(u).apply(v, lat)
 
 
-def _bind_all(elems, lat: EvenLattice) -> tuple:
-    """The elements' steps on lat, in application order (right to left)."""
-    return tuple([elem._bind(lat) for elem in reversed(elems)])
-
-
 def apply_word(word: IsometryWord, v: MukaiVector, lat: EvenLattice) -> MukaiVector:
-    """Apply right-to-left; off word.lattice, every element is validated and bound first."""
+    """Apply right-to-left, on the word's lattice or an equal one."""
     lat.check_vector(v.c1)
-    steps = word._steps
-    if lat is not word.lattice and lat != word.lattice:     # always, for a direct word
-        for elem in word.elems:
-            elem.validate(lat)
-        steps = _bind_all(word.elems, lat)
+    if lat is not word.lattice and lat != word.lattice:
+        raise InputError("the word was built for another lattice")
     r, c1, a = v.r, v.c1, v.a
-    for step in steps:
+    for step in word._steps:
         r, c1, a = step(r, c1, a)
     return _mukai(r, c1, a)
 

@@ -116,16 +116,14 @@ class Value:
     Equality (same class only), hashing, repr and pickling go by the tuple of
     fields.  A class that writes no __init__ of its own (nor inherits one) takes
     its fields positionally, through an __init__ generated for them.  An
-    underscore slot, or a name left out of an explicit _fields, holds state
-    outside the value.
+    underscore slot holds state outside the value.
     """
 
     __slots__ = ()
     _fields: tuple[str, ...] = ()
 
     def __init_subclass__(cls):
-        if "_fields" not in cls.__dict__:
-            cls._fields += tuple(n for n in cls.__dict__.get("__slots__", ()) if n[0] != "_")
+        cls._fields += tuple(n for n in cls.__dict__.get("__slots__", ()) if n[0] != "_")
         if getattr(cls.__init__, "fields", cls._fields) != cls._fields:
             cls.__init__ = _positional_init(cls.__qualname__, cls._fields)
 

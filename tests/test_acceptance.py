@@ -11,10 +11,10 @@ from math import gcd
 
 import mpmath
 
-from k3tk import (EvenLattice, MukaiVector, Splitting, apply_reflect,
+from k3tk import (EvenLattice, MukaiVector, NSAuto, Splitting, apply_reflect,
                   apply_translate, build_auxiliary, chi_virtual,
                   classify_non_locally_free, dual, ell, gottsche_series,
-                  hilb_euler, hilb_index, moduli_dim, mukai_pairing, ns_auto,
+                  hilb_euler, hilb_index, moduli_dim, mukai_pairing,
                   primitive, qs_evaluate, qseries, reflected_target, square,
                   sweep_farey, sweep_triangles, z1_zero, z_full_direct,
                   z_full_factorized, z_psu_direct, z_psu_hecke,
@@ -63,8 +63,8 @@ def test_c02_isometry_suite():
             assert apply_reflect(u, tx, lat) == x        # R^2 = id
         else:
             sign = rng.choice((1, -1))
-            auto = ns_auto([[sign if i == j else 0 for j in range(lat.rank)]
-                            for i in range(lat.rank)], lat)
+            auto = NSAuto([[sign if i == j else 0 for j in range(lat.rank)]
+                           for i in range(lat.rank)])
             tx, ty = auto.apply(x, lat), auto.apply(y, lat)
         assert mukai_pairing(tx, ty, lat) == before
         if i % 2 == 0:

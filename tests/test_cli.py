@@ -423,9 +423,14 @@ def test_unknown_subcommand_exits_2(capsys):
     ["zfull", "--rank", "1", "--tau", "1e300", "1e300", "--cutoff", "-1.5e3"],
     ["zfull", "--rank", "1", "--tau", "0", "1", "--radius", "-1500", "--method", "direct"],
     ["theta", "--tau", "0", "1", "--rank", str(10 ** 400)],      # past the double range
+    ["theta", "--tau", "0", "1", "--alpha", ""],                # empty is not alpha = 0
+    ["zseries", "--rank", "2", "--order", "3", "--alpha", ""],
+    ["theta", "--tau", "0", "1", "--x", ""],                    # empty is not "no x"
+    ["zfull", "--rank", "1", "--tau", "0", "1", "--x", ""],
 ], ids=["tau-nan", "radius-nan", "radius-inf", "cutoff-inf", "x-abc", "order-abc",
         "order-1/0", "tail-inf", "zfull-rank-0", "tau-phase-inf", "tail-bound-overflow",
-        "q-underflow", "zfull-radius-negative", "theta-rank-huge"])
+        "q-underflow", "zfull-radius-negative", "theta-rank-huge", "theta-alpha-empty",
+        "zseries-alpha-empty", "theta-x-empty", "zfull-x-empty"])
 def test_bad_numbers_exit_2_with_error_document(capsys, argv):
     try:
         code = main(argv)
@@ -539,10 +544,10 @@ PUBLIC_NAMES = [
     "euler_characteristic", "exists_mu_stable", "exists_semistable",
     "exists_stable_primitive", "farey_gap_holds", "gottsche_series", "hilb_euler",
     "hilb_index", "isometry", "lattice", "moduli", "moduli_dim", "mu_stable_boundary_flag",
-    "mukai_from_chern", "mukai_pairing", "ns_auto", "partitions", "primitive", "qs_add",
-    "qs_evaluate", "qs_mul", "qs_scale", "qs_substitute_power", "qseries", "reflect",
+    "mukai_from_chern", "mukai_pairing", "partitions", "primitive", "qs_add",
+    "qs_evaluate", "qs_mul", "qs_scale", "qs_substitute_power", "qseries",
     "reflected_target", "reflection_target", "square", "sweep_farey", "sweep_triangles",
-    "theta", "theta_siegel_narain", "translate", "triangle_interior_count", "z1_zero",
+    "theta", "theta_siegel_narain", "triangle_interior_count", "z1_zero",
     "z_full_direct", "z_full_factorized", "z_psu_direct", "z_psu_hecke", "z_psu_hecke_literal",
 ]
 

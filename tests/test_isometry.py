@@ -1,3 +1,5 @@
+import copy
+import pickle
 from collections import Counter
 
 import pytest
@@ -7,8 +9,7 @@ from hypothesis import strategies as st
 from k3tk import (Dual, EvenLattice, InputError, IsometryWord, MukaiVector,
                   Negate, NSAuto, Reflect, Translate, apply_reflect,
                   apply_translate, apply_word, classify_case, dual,
-                  mukai_pairing, ns_auto, reflect, reflection_target, square,
-                  translate)
+                  mukai_pairing, reflection_target, square)
 from k3tk.isometry import _det
 
 from .conftest import random_lattice, random_vector
@@ -76,7 +77,7 @@ def test_reflect_requires_minus_two(gram2):
     with pytest.raises(InputError):
         apply_reflect(MukaiVector(1, (0,), 0), MukaiVector(1, (0,), 1), gram2)
     with pytest.raises(InputError):
-        reflect(MukaiVector(1, (0,), 0), gram2)
+        IsometryWord((Reflect(MukaiVector(1, (0,), 0)),), gram2)
 
 
 def test_reflect_involution(rng):
@@ -105,7 +106,7 @@ def test_generators_preserve_pairing(rng):
             sign = rng.choice((1, -1))
             for i in range(lat.rank):
                 m[i][i] = sign
-            auto = ns_auto(m, lat)
+            auto = NSAuto(m)
             gx, gy = (auto.apply(w, lat) for w in (x, y))
         elif choice == 3:
             gx, gy = -x, -y
@@ -116,32 +117,32 @@ def test_generators_preserve_pairing(rng):
 
 def test_ns_auto_rejects_non_automorphism(gram2):
     with pytest.raises(InputError):
-        ns_auto(((2,),), gram2)
+        IsometryWord((NSAuto(((2,),)),), gram2)
 
 
 def test_word_empty_and_negate_pairs(rng, gram2):
     v = MukaiVector(3, (2,), -1)
-    assert apply_word(IsometryWord(()), v, gram2) == v
-    assert apply_word(IsometryWord((Negate(), Negate())), v, gram2) == v
+    assert apply_word(IsometryWord((), gram2), v, gram2) == v
+    assert apply_word(IsometryWord((Negate(), Negate()), gram2), v, gram2) == v
     u = MukaiVector(1, (0,), 1)
-    w = IsometryWord((reflect(u, gram2), reflect(u, gram2)))
+    w = IsometryWord((Reflect(u), Reflect(u)), gram2)
     assert apply_word(w, v, gram2) == v
 
 
 def test_word_applies_right_to_left(gram2):
     v = MukaiVector(1, (1,), 0)
-    t = translate((1,))
+    t = Translate((1,))
     # dual-then-translate differs from translate-then-dual on this vector
-    dual_first = apply_word(IsometryWord((t, Dual())), v, gram2)
-    translate_first = apply_word(IsometryWord((Dual(), t)), v, gram2)
+    dual_first = apply_word(IsometryWord((t, Dual()), gram2), v, gram2)
+    translate_first = apply_word(IsometryWord((Dual(), t), gram2), v, gram2)
     assert dual_first == apply_translate((1,), dual(v), gram2)
     assert translate_first == dual(apply_translate((1,), v, gram2))
     assert dual_first != translate_first
 
 
 def test_word_json_roundtrip(gram2):
-    word = IsometryWord((translate((2,)), reflect(MukaiVector(1, (0,), 1), gram2),
-                         Negate(), Dual(), ns_auto(((-1,),), gram2)))
+    word = IsometryWord((Translate((2,)), Reflect(MukaiVector(1, (0,), 1)),
+                         Negate(), Dual(), NSAuto(((-1,),))), gram2)
     doc = word.to_json()
     again = IsometryWord.from_json(doc, gram2)
     assert again == word
@@ -176,12 +177,12 @@ def test_reflection_target_preserves_square(rng):
 
 def test_ns_auto_requires_determinant_one():
     with pytest.raises(InputError):
-        ns_auto([[0]], EvenLattice(((0,),)))          # M^T G M = G, but singular
+        IsometryWord((NSAuto([[0]]),), EvenLattice(((0,),)))    # M^T G M = G, but singular
     with pytest.raises(InputError):
-        ns_auto([[3, 0], [0, 1]], EvenLattice(((0, 0), (0, 2))))
-    assert ns_auto([[-1]], EvenLattice(((0,),))).matrix == ((-1,),)
-    assert ns_auto([[1, 0], [5, 1]], EvenLattice(((2, 0), (0, 0)))).matrix == \
-        ((1, 0), (5, 1))
+        IsometryWord((NSAuto([[3, 0], [0, 1]]),), EvenLattice(((0, 0), (0, 2))))
+    assert IsometryWord((NSAuto([[-1]]),), EvenLattice(((0,),))).elems[0].matrix == ((-1,),)
+    assert IsometryWord((NSAuto([[1, 0], [5, 1]]),),
+                        EvenLattice(((2, 0), (0, 0)))).elems[0].matrix == ((1, 0), (5, 1))
 
 
 def test_det_matches_leibniz_oracle(rng):
@@ -197,14 +198,14 @@ def test_strict_integer_coercion(gram2):
     v = MukaiVector(1, (0,), 0)
     for bad in ((1.5,), (True,), ("1",), (None,), 3):
         with pytest.raises(InputError):
-            translate(bad)
+            Translate(bad)
         with pytest.raises(InputError):
             apply_translate(bad, v, gram2)
     with pytest.raises(InputError):
-        ns_auto([[1.5]], gram2)
+        NSAuto([[1.5]])
     with pytest.raises(InputError):
         NSAuto(((False,),))
-    assert translate((2.0,)).shift == (2,) and type(translate((2.0,)).shift[0]) is int
+    assert Translate((2.0,)).shift == (2,) and type(Translate((2.0,)).shift[0]) is int
 
 
 def test_from_json_rejects_bad_elements(gram2):
@@ -232,7 +233,7 @@ def test_direct_elements_are_checked_on_application():
     with pytest.raises(InputError):
         flip.apply(v, skew)
     with pytest.raises(InputError):
-        apply_word(IsometryWord((flip,)), v, skew)
+        IsometryWord((flip,), skew)
     diag = EvenLattice(((2, 0), (0, 2)))
     assert flip.apply(v, diag) == MukaiVector(1, (-1, 0), 0)
     with pytest.raises(InputError):
@@ -247,7 +248,7 @@ def test_bound_elements_are_checked_on_another_lattice(gram2):
     gram4 = EvenLattice(((4,),))
     u = MukaiVector(1, (1,), 2)                             # -2 on Gram [2], 0 on Gram [4]
     v = MukaiVector(2, (1,), 0)
-    elem = reflect(u, gram2)
+    elem = Reflect(u)
     assert elem.apply(v, EvenLattice(((2,),))) == apply_reflect(u, v, gram2)
     with pytest.raises(InputError):
         elem.apply(v, gram4)
@@ -257,32 +258,50 @@ def test_bound_elements_are_checked_on_another_lattice(gram2):
         word.apply(v, gram4)
     with pytest.raises(InputError):
         word.apply(MukaiVector(1, (0, 0), 0), gram2)       # vector of the wrong rank
-    # a word that does preserve the other lattice is accepted there
+    # a word that also preserves the other lattice is still refused there, until built on it
     neg = IsometryWord.from_json([{"type": "nsauto", "M": [[-1]]}], gram2)
-    assert neg.apply(v, gram4) == MukaiVector(2, (-1,), 0)
+    with pytest.raises(InputError, match="another lattice"):
+        neg.apply(v, gram4)
+    assert IsometryWord(neg.elems, gram4).apply(v, gram4) == MukaiVector(2, (-1,), 0)
+
+
+_KINDS = (Translate, Reflect, NSAuto, Negate, Dual)
+_DOC = [{"type": "translate", "N": [1, -2]},
+        {"type": "reflect", "u": {"r": 1, "c1": [0, 0], "a": 1}},
+        {"type": "nsauto", "M": [[-1, 0], [0, -1]]}, {"type": "negate"}, {"type": "dual"}]
+
+
+def _count_binds(monkeypatch) -> Counter:
+    """Counts of _bind calls per generator class, from now on."""
+    calls = Counter()
+    for cls in _KINDS:
+        def counted(self, lat, _bind=cls._bind):
+            calls[type(self)] += 1
+            return _bind(self, lat)
+        monkeypatch.setattr(cls, "_bind", counted)
+    return calls
 
 
 def test_word_validates_its_elements_once(monkeypatch):
     skew = EvenLattice(((2, 1), (1, -2)))
-    doc = [{"type": "translate", "N": [1, -2]},
-           {"type": "reflect", "u": {"r": 1, "c1": [0, 0], "a": 1}},
-           {"type": "nsauto", "M": [[-1, 0], [0, -1]]}, {"type": "negate"}, {"type": "dual"}]
-    word = IsometryWord.from_json(doc, skew)
-    kinds = (Translate, Reflect, NSAuto, Negate, Dual)
-    calls = Counter()
-    for cls in kinds:
-        def counted(self, lat, _validate=cls.validate):
-            calls[type(self)] += 1
-            return _validate(self, lat)
-        monkeypatch.setattr(cls, "validate", counted)
+    calls = _count_binds(monkeypatch)
+    bad = [_DOC[0], {"type": "reflect", "u": {"r": 1, "c1": [0, 0], "a": 0}},
+           {"type": "nsauto", "M": [[2, 0], [0, 1]]}]       # two faults: the first is reported
+    with pytest.raises(InputError, match="square -2"):
+        IsometryWord.from_json(bad, skew)
+    assert calls == {Translate: 1, Reflect: 1}
+    calls.clear()
+    word = IsometryWord.from_json(_DOC, skew)
+    assert calls == {cls: 1 for cls in _KINDS}
+    calls.clear()
     vectors = [MukaiVector(k, (k - 3, 2 * k), 1 - k) for k in range(10)]
     for lat in (skew, EvenLattice(((2, 1), (1, -2)))):      # its own lattice, then an equal one
         for v in vectors:
             word.apply(v, lat)
-    assert calls == {}
     for v in vectors:                                        # another lattice
-        word.apply(v, EvenLattice(((2, 0), (0, 4))))
-    assert calls == {cls: len(vectors) for cls in kinds}
+        with pytest.raises(InputError, match="another lattice"):
+            word.apply(v, EvenLattice(((2, 0), (0, 4))))
+    assert calls == {}
     fields = {Translate: ("shift",), Reflect: ("u",), NSAuto: ("matrix",), Negate: (), Dual: ()}
     for elem in word.elems:     # its fields only: no room for the lattice it was checked on
         assert type(elem).__slots__ == fields[type(elem)] and not hasattr(elem, "__dict__")
@@ -290,27 +309,52 @@ def test_word_validates_its_elements_once(monkeypatch):
 
 def test_word_binds_its_elements_once(monkeypatch):
     skew = EvenLattice(((2, 1), (1, -2)))
-    doc = [{"type": "translate", "N": [1, -2]},
-           {"type": "reflect", "u": {"r": 1, "c1": [0, 0], "a": 1}},
-           {"type": "nsauto", "M": [[-1, 0], [0, -1]]}, {"type": "negate"}, {"type": "dual"}]
-    kinds = (Translate, Reflect, NSAuto, Negate, Dual)
-    calls = Counter()
-    for cls in kinds:
-        def counted(self, lat, _bind=cls._bind):
-            calls[type(self)] += 1
-            return _bind(self, lat)
-        monkeypatch.setattr(cls, "_bind", counted)
-    word = IsometryWord.from_json(doc, skew)
-    assert calls == {cls: 1 for cls in kinds}
+    calls = _count_binds(monkeypatch)
+    word = IsometryWord.from_json(_DOC, skew)
+    assert calls == {cls: 1 for cls in _KINDS}
     calls.clear()
     vectors = [MukaiVector(k, (k - 3, 2 * k), 1 - k) for k in range(10)]
     for lat in (skew, EvenLattice(((2, 1), (1, -2)))):      # its own lattice, then an equal one
         for v in vectors:
             word.apply(v, lat)
     assert calls == {}
+    other = EvenLattice(((2, 0), (0, 4)))
     for v in vectors:                                        # another lattice
-        word.apply(v, EvenLattice(((2, 0), (0, 4))))
-    assert calls == {cls: len(vectors) for cls in kinds}
+        with pytest.raises(InputError):
+            word.apply(v, other)
+    assert calls == {}
+    again = IsometryWord(word.elems, other)                 # the same elements, built on it
+    assert calls == {cls: 1 for cls in _KINDS}
+    calls.clear()
+    for v in vectors:
+        again.apply(v, other)
+    assert calls == {}
+    fields = {Translate: ("shift",), Reflect: ("u",), NSAuto: ("matrix",), Negate: (), Dual: ()}
+    for elem in word.elems:     # its fields only: no room for the lattice it was checked on
+        assert type(elem).__slots__ == fields[type(elem)] and not hasattr(elem, "__dict__")
+
+
+def test_word_is_checked_when_it_is_built(gram2):
+    with pytest.raises(InputError, match="square -2"):      # (1, 0, 0) has square 0 on Gram [2]
+        IsometryWord((Reflect(MukaiVector(1, (0,), 0)),), gram2)
+    with pytest.raises(InputError, match="lattice rank 1"):
+        IsometryWord((Translate((1, 2)),), gram2)
+    with pytest.raises(TypeError):
+        IsometryWord((Dual(),))                              # no word without its lattice
+    listed = IsometryWord([Translate((1,)), Dual()], gram2)
+    assert listed == IsometryWord((Translate((1,)), Dual()), gram2) and hash(listed)
+
+
+def test_copies_keep_the_word_bound(monkeypatch):
+    skew = EvenLattice(((2, 1), (1, -2)))
+    word = IsometryWord.from_json(_DOC, skew)
+    copies = [copy.deepcopy(word), pickle.loads(pickle.dumps(word))]
+    calls = _count_binds(monkeypatch)
+    v = MukaiVector(3, (1, -1), 2)
+    for twin in copies:
+        assert twin == word and hash(twin) == hash(word) and twin.lattice == skew
+        assert twin.apply(v, skew) == word.apply(v, skew)
+    assert calls == {}
 
 
 _small = st.integers(-4, 4)
@@ -329,11 +373,11 @@ def _lattice_vectors_word(draw):
     root = apply_translate(draw(st.tuples(*[st.integers(-2, 2)] * n)),
                            MukaiVector(1, (0,) * n, 1), lat)
     sign = draw(st.sampled_from((1, -1)))
-    elems = [translate(draw(st.tuples(*[_small] * n))), reflect(root, lat),
-             ns_auto([[sign * (i == j) for j in range(n)] for i in range(n)], lat),
+    elems = [Translate(draw(st.tuples(*[_small] * n))), Reflect(root),
+             NSAuto([[sign * (i == j) for j in range(n)] for i in range(n)]),
              Negate(), Dual()]
     picks = draw(st.lists(st.sampled_from(range(5)), max_size=6))
-    return lat, draw(vec), draw(vec), root, IsometryWord(tuple(elems[k] for k in picks))
+    return lat, draw(vec), draw(vec), root, IsometryWord(tuple(elems[k] for k in picks), lat)
 
 
 @settings(max_examples=150, deadline=None)
@@ -439,7 +483,7 @@ def test_every_way_to_apply_a_word_equals_the_oracle(case):
     for elem in reversed(elems):
         stepwise = elem.apply(stepwise, lat)
     results = [word.apply(v, lat), word.apply(v, EvenLattice(g)),
-               apply_word(IsometryWord(elems), v, lat), stepwise]
+               apply_word(IsometryWord(elems, lat), v, lat), stepwise]
     for got in results:
         assert (got.r, got.c1, got.a) == want
         assert type(got.c1) is tuple and all(type(c) is int for c in (got.r, got.a, *got.c1))
@@ -453,7 +497,8 @@ def test_every_way_to_apply_a_word_equals_the_oracle(case):
     bad = Reflect(MukaiVector(*u))
     outsider = IsometryWord.from_json(doc + [{"type": "reflect", "u": bad.u.to_json()}], lat)
     for attempt in (lambda: outsider.apply(v, other),
-                    lambda: apply_word(IsometryWord(elems + (bad,)), v, other),
+                    lambda: IsometryWord(elems + (bad,), other),
+                    lambda: IsometryWord((bad,), other),
                     lambda: bad.apply(v, other)):
         with pytest.raises(InputError):
             attempt()

@@ -146,8 +146,9 @@ _VALUES = [     # (make, field names, repr) for every public value class
     (lambda: k3tk.NSAuto(((-1,),)), "matrix", "NSAuto(matrix=((-1,),))"),
     (lambda: k3tk.Negate(), "", "Negate()"),
     (lambda: k3tk.Dual(), "", "Dual()"),
-    (lambda: k3tk.IsometryWord((k3tk.Translate((1,)), k3tk.Dual())), "elems",
-     "IsometryWord(elems=(Translate(shift=(1,)), Dual()))"),
+    (lambda: k3tk.IsometryWord((k3tk.Translate((1,)), k3tk.Dual()), EvenLattice(((2,),))),
+     "elems lattice",
+     "IsometryWord(elems=(Translate(shift=(1,)), Dual()), lattice=EvenLattice(gram=((2,),)))"),
     (lambda: k3tk.CaseInfo("B", _M), "case v0",
      "CaseInfo(case='B', v0=MukaiVector(r=1, c1=(0,), a=1))"),
     (lambda: k3tk.NonLocallyFree("rank_one", "Hilb^2"), "kind model",
@@ -185,9 +186,11 @@ def test_public_classes_are_immutable_values(make, names, rep):
     assert hash(v) == hash(tuple(getattr(v, n) for n in names))
 
 
-def test_word_value_ignores_the_lattice_it_was_checked_on():
+def test_word_value_includes_its_lattice():
     lat = EvenLattice(((2,),))
     word = k3tk.IsometryWord.from_json([{"type": "translate", "N": [1]}], lat)
-    plain = k3tk.IsometryWord((k3tk.Translate((1,)),))
-    assert word.lattice is lat and plain.lattice is None
-    assert word == plain and hash(word) == hash(plain) and repr(word) == repr(plain)
+    same = k3tk.IsometryWord((k3tk.Translate((1,)),), EvenLattice(((2,),)))
+    other = k3tk.IsometryWord((k3tk.Translate((1,)),), EvenLattice(((4,),)))
+    assert word.lattice is lat and same.lattice == lat and same.lattice is not lat
+    assert word == same and hash(word) == hash(same) and repr(word) == repr(same)
+    assert word != other and word.elems == other.elems
