@@ -6,8 +6,7 @@ importing the package loads no submodule, and nothing in it loads numpy.
 
 _HOMES = {
     "constructions": ("AuxConstruction", "FareyCheck", "build_auxiliary", "farey_gap_holds",
-                      "reflected_target", "sweep_farey", "sweep_triangles",
-                      "triangle_interior_count"),
+                      "sweep_farey", "sweep_triangles", "triangle_interior_count"),
     "errors": ("ConsistencyError", "InputError"),
     "isometry": ("Dual", "IsometryWord", "Negate", "NSAuto", "Reflect", "Translate",
                  "apply_reflect", "apply_translate", "apply_word", "reflection_target"),

@@ -129,13 +129,13 @@ def _cmd_invariants(args) -> dict:
 
     lat = args.lat
     v = _vector(args.v)
-    is_prim = primitive(v, lat)
+    is_prim = primitive(v)
     sq = square(v, lat)
     info = moduli.classify_case(v, lat)
     doc = {
         "vector": v.to_json(),
         "square": sq,
-        "ell": ell(v, lat),
+        "ell": ell(v),
         "primitive": is_prim,
         "case": info.case,
         "v0": info.v0.to_json() if info.v0 else None,

@@ -16,19 +16,19 @@ and assembles on the rank-1 lattice with Gram [2k]:
   v' = (l r, [l d'], a'),  a' = l((1 + d' r1) d1 s + d'^2 q r1 - r d'^2) + a,
   v1 = (r1, [d1], a1),     a1 = r1(-d'^2 + d1^2 s) + d1^2 r q + 2 d'.
 
-Exact invariants certified before returning: <v1^2> = -2, <v1, v'> = -1,
-<v'^2> = 2l(ls - ra), a' = a (mod l), and k > 0.  The reflected target
-w = -dual(v' + <v', v1> v1) = (r1 - lr, [-(d1 - l d')], a1 - a') then has
-coprime rank and degree (its top gcd is 1).
+Each call certifies the paper's closed forms: k > 0, <v1^2> = -2,
+<v1, v'> = -1, <v'^2> = 2l(ls - ra), and w = -dual(v' + <v', v1> v1) =
+(r1 - lr, [-(d1 - l d')], a1 - a') with coprime rank and degree.  The other
+identities hold by the line computing them: the r1 scan visits only admissible
+candidates, d1 and q are exact quotients, a' = a (mod l) by its formula, and
+<w^2> = <v'^2> as isometry.Reflect takes only (-2)-vectors; the tests check all.
 
-triangle_interior_count checks, by an exact column scan, that the triangle
-(0,0), (r1 - lr, d1 - ld), (r1, d1) with d r1 - r d1 = 1 and lr < r1 has no
-interior lattice point: for each integer x strictly inside the triangle's
-x-range, the three edges bound y by integer floor/ceil divisions, and the
-integers strictly between those bounds are counted.  A brute-force box count
-and Pick's theorem serve as oracles in the tests.  farey_gap_holds
-checks the mediant-style gap x2 >= x1 + x3 for slopes y1/x1 > y2/x2 > y3/x3
-with y1 x3 - x1 y3 = 1.
+triangle_interior_count checks d r1 - r d1 = 1 and lr < r1, then counts by an
+exact column scan the lattice points strictly inside (0,0), (r1 - lr, d1 - ld),
+(r1, d1); sweep_triangles scans tuples it generates valid.  A brute-force box
+count and Pick's theorem are the test oracles.  farey_gap_holds checks the
+mediant-style gap x2 >= x1 + x3 for slopes y1/x1 > y2/x2 > y3/x3 with
+y1 x3 - x1 y3 = 1.
 
 The exceptional bundle realizing v1, and the birational map itself, are
 sheaf-level content and out of scope; only the lattice data is built.
@@ -39,8 +39,8 @@ from __future__ import annotations
 from math import gcd, inf
 
 from .errors import ConsistencyError, InputError, check_work
-from .isometry import apply_reflect
-from .lattice import (EvenLattice, MukaiVector, Value, _as_int, _as_ints, _at_least, dual, ell,
+from .isometry import reflection_target
+from .lattice import (EvenLattice, MukaiVector, Value, _as_int, _as_ints, _at_least, ell,
                       mukai_pairing, square)
 
 
@@ -50,15 +50,8 @@ class AuxConstruction(Value):
                  "lattice", "vprime", "v1", "w")
 
     def to_json(self) -> dict:
-        return {
-            "l": self.l, "r": self.r, "s": self.s, "a": self.a,
-            "r1": self.r1, "d1": self.d1, "dprime": self.dprime,
-            "q": self.q, "k": self.k,
-            "lattice": self.lattice.to_json(),
-            "vprime": self.vprime.to_json(),
-            "v1": self.v1.to_json(),
-            "w": self.w.to_json(),
-        }
+        return {name: value.to_json() if isinstance(value, Value) else value
+                for name, value in zip(self._fields, self._values())}
 
 
 def build_auxiliary(l: int, r: int, s: int, a: int) -> AuxConstruction:
@@ -99,41 +92,20 @@ def build_auxiliary(l: int, r: int, s: int, a: int) -> AuxConstruction:
     v1 = MukaiVector(r1, (d1,), a1)
 
     checks = [
-        ((a * r1 - 1) % l == 0, "a r1 = 1 (mod l)"),
-        (gcd(r1, r) == 1, "gcd(r1, r) = 1"),
-        (r1 - l * r >= 2, "r1 - l r >= 2"),
-        (dprime * r1 - d1 * r == 1, "d' r1 - d1 r = 1"),
-        (a * r1 + q * l == 1, "a r1 + q l = 1"),
         (square(v1, lat) == -2, "<v1^2> = -2"),
         (square(vprime, lat) == 2 * l * (l * s - r * a), "<v'^2> = 2l(ls - ra)"),
         (mukai_pairing(v1, vprime, lat) == -1, "<v1, v'> = -1"),
-        ((aprime - a) % l == 0, "a' = a (mod l)"),
     ]
     for ok, label in checks:
         if not ok:
             raise ConsistencyError(f"auxiliary construction invariant failed: {label}")
 
-    w = _reflected(v1, vprime, lat, l, r, r1, d1, dprime)
-    return AuxConstruction(l, r, s, a, r1, d1, dprime, q, k, lat, vprime, v1, w)
-
-
-def _reflected(v1: MukaiVector, vprime: MukaiVector, lat: EvenLattice,
-               l: int, r: int, r1: int, d1: int, dprime: int) -> MukaiVector:
-    w = -dual(apply_reflect(v1, vprime, lat))
-    expected = MukaiVector(r1 - l * r, (-(d1 - l * dprime),), v1.a - vprime.a)
-    if w != expected:
+    w = reflection_target(vprime, v1, lat)[1]
+    if w != MukaiVector(r1 - l * r, (-(d1 - l * dprime),), a1 - aprime):
         raise ConsistencyError("reflected target disagrees with its closed form")
     if ell(w) != 1:
         raise ConsistencyError("reflected target must have coprime rank and degree")
-    if square(w, lat) != square(vprime, lat):
-        raise ConsistencyError("reflection must preserve the square")
-    return w
-
-
-def reflected_target(aux: AuxConstruction) -> MukaiVector:
-    """w = -dual(reflection of v' by v1); verified to have coprime top part."""
-    return _reflected(aux.v1, aux.vprime, aux.lattice,
-                      aux.l, aux.r, aux.r1, aux.d1, aux.dprime)
+    return AuxConstruction(l, r, s, a, r1, d1, dprime, q, k, lat, vprime, v1, w)
 
 
 def triangle_interior_count(r1: int, d1: int, r: int, d: int, l: int) -> int:
@@ -222,11 +194,9 @@ def sweep_triangles(max_r1: int) -> tuple[int, list]:
             # unique r in (0, r1) with d r1 - r d1 = 1 for some integral d
             r = (-pow(d1, -1, r1)) % r1
             d = (1 + r * d1) // r1
-            if d * r1 - r * d1 != 1:
-                raise ConsistencyError("triangle sweep produced a bad determinant")
             for l in range(1, (r1 - 1) // r + 1):
                 checked += 1
-                if triangle_interior_count(r1, d1, r, d, l) != 0:
+                if _interior_points((0, 0), (r1 - l * r, d1 - l * d), (r1, d1)):
                     bad.append((r1, d1, r, d, l))
     return checked, bad
 

@@ -22,10 +22,11 @@ an invertible automorphism), raising InputError, then forms the lattice data
 once (G N and (N^2)/2, or G c1(u)) and returns a step on plain (r, c1, a)
 triples.  A single element (elem.apply, apply_translate, apply_reflect) is
 checked and bound per application.  A word is a value of one lattice:
-IsometryWord(elems, lattice) checks and binds every element once, left to
-right, and keeps the steps in application order; from_json parses a whole
-word, then builds it.  apply_word runs the steps on that lattice or an equal
-one and refuses any other.  One MukaiVector is built, at the end.
+IsometryWord(elems, lattice) takes only an EvenLattice and generators, checks
+and binds every element once, left to right, and keeps the steps in
+application order; from_json parses a whole word, then builds it.  apply_word
+runs the steps on that lattice or an equal one and refuses any other.  One
+MukaiVector is built, at the end.
 """
 
 from __future__ import annotations
@@ -159,15 +160,20 @@ _PARSERS = {
 class IsometryWord(Value):
     """Ordered list of generators of one lattice, kept as a tuple; applies right-to-left.
 
-    The constructor checks and binds every element against lattice, left to
-    right, so the first element that is no isometry of it is the one reported;
-    _steps keeps the bound steps in application order.
+    The constructor refuses a lattice that is no EvenLattice and an element
+    that is no generator, then checks and binds every element against lattice,
+    left to right, so the first element that is no isometry of it is the one
+    reported; _steps keeps the bound steps in application order.
     """
 
     __slots__ = ("elems", "lattice", "_steps")
 
     def __init__(self, elems: tuple[_Generator, ...], lattice: EvenLattice):
+        if not isinstance(lattice, EvenLattice):
+            raise InputError("an isometry word needs an EvenLattice")
         _set(self, "elems", elems := tuple(elems))
+        if not all(isinstance(elem, _Generator) for elem in elems):
+            raise InputError("an isometry word takes only generators")
         _set(self, "lattice", lattice)
         _set(self, "_steps", tuple([elem._bind(lattice) for elem in elems][::-1]))
 

@@ -298,14 +298,12 @@ def dual(v: MukaiVector) -> MukaiVector:
     return _mukai(v.r, tuple(map(neg, v.c1)), v.a)
 
 
-def ell(v: MukaiVector, lat: EvenLattice | None = None) -> int:
+def ell(v: MukaiVector) -> int:
     """gcd of the rank and the c1 coordinates (0 when both vanish).
 
     The c1 gcd is the content of the coordinate vector; for integral bases
     this is basis-independent.
     """
-    if lat is not None:
-        lat.check_vector(v.c1)
     return gcd(v.r, *v.c1)
 
 
@@ -314,10 +312,8 @@ def content(v: MukaiVector) -> int:
     return gcd(v.r, v.a, *v.c1)
 
 
-def primitive(v: MukaiVector, lat: EvenLattice | None = None) -> bool:
+def primitive(v: MukaiVector) -> bool:
     """True iff v is not a proper integer multiple of an integral vector."""
-    if lat is not None:
-        lat.check_vector(v.c1)
     return content(v) == 1
 
 

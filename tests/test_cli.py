@@ -546,7 +546,7 @@ PUBLIC_NAMES = [
     "hilb_index", "isometry", "lattice", "moduli", "moduli_dim", "mu_stable_boundary_flag",
     "mukai_from_chern", "mukai_pairing", "partitions", "primitive", "qs_add",
     "qs_evaluate", "qs_mul", "qs_scale", "qs_substitute_power", "qseries",
-    "reflected_target", "reflection_target", "square", "sweep_farey", "sweep_triangles",
+    "reflection_target", "square", "sweep_farey", "sweep_triangles",
     "theta", "theta_siegel_narain", "triangle_interior_count", "z1_zero",
     "z_full_direct", "z_full_factorized", "z_psu_direct", "z_psu_hecke", "z_psu_hecke_literal",
 ]

@@ -1,9 +1,11 @@
 from math import gcd, prod
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from k3tk import (InputError, build_auxiliary, ell,
-                  farey_gap_holds, reflected_target, square, sweep_farey,
+from k3tk import (InputError, build_auxiliary, constructions, ell,
+                  farey_gap_holds, square, sweep_farey,
                   sweep_triangles, triangle_interior_count)
 from k3tk.constructions import _interior_points
 
@@ -32,8 +34,7 @@ def test_build_auxiliary_instance_2321():
     assert (aux.r1, aux.q) == (11, -5)
     assert aux.k == 11 * (-15 + 22) - 9 == 68
     check_aux_with_oracle(aux)
-    w = reflected_target(aux)
-    assert w == aux.w
+    w = aux.w
     assert w.r == aux.r1 - aux.l * aux.r >= 2
     assert gcd(aux.r1 - 6, aux.d1 - 2 * aux.dprime) == 1
     assert ell(w) == 1
@@ -72,7 +73,26 @@ def test_build_auxiliary_grid():
                         continue
                     aux = build_auxiliary(l, r, s, a)
                     check_aux_with_oracle(aux)
-                    assert ell(reflected_target(aux)) == 1
+                    assert ell(aux.w) == 1
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.integers(1, 60), st.integers(1, 60),
+       st.integers(-10 ** 6, 10 ** 6), st.integers(-10 ** 6, 10 ** 6))
+def test_auxiliary_invariants_property(l, r, s, a):
+    # what build_auxiliary holds by construction, checked here with the hand-expanded pairing
+    assume(gcd(l, a) == 1 and l * s - r * a >= 0)
+    aux = build_auxiliary(l, r, s, a)
+    check_aux_with_oracle(aux)
+    gram = aux.lattice.gram
+    v1 = (aux.v1.r, aux.v1.c1, aux.v1.a)
+    vp = (aux.vprime.r, aux.vprime.c1, aux.vprime.a)
+    k = pairing_brute(vp, v1, gram)         # w = -dual(v' + <v', v1> v1), expanded by hand
+    w = (-(vp[0] + k * v1[0]), (vp[1][0] + k * v1[1][0],), -(vp[2] + k * v1[2]))
+    assert w == (aux.r1 - l * r, (-(aux.d1 - l * aux.dprime),), aux.v1.a - aux.vprime.a)
+    assert (aux.w.r, aux.w.c1, aux.w.a) == w
+    assert gcd(w[0], *w[1]) == 1
+    assert pairing_brute(w, w, gram) == pairing_brute(vp, vp, gram)
 
 
 def test_triangle_examples():
@@ -190,6 +210,15 @@ def test_farey_vacuous_flag():
     assert res.holds and res.vacuous
     res = farey_gap_holds(-1, 1, 2, 1, 1, 0)  # x1 <= 0
     assert res.vacuous
+
+
+def test_triangle_sweep_does_not_recheck_its_tuples(monkeypatch):
+    # the sweep generates tuples in range with determinant 1 and counts them directly
+    def refuse(*args):
+        raise AssertionError("sweep_triangles re-validated a generated tuple")
+    expected = sweep_triangles(12)
+    monkeypatch.setattr(constructions, "triangle_interior_count", refuse)
+    assert sweep_triangles(12) == expected
 
 
 def test_sweeps_small():

@@ -345,6 +345,17 @@ def test_word_is_checked_when_it_is_built(gram2):
     assert listed == IsometryWord((Translate((1,)), Dual()), gram2) and hash(listed)
 
 
+@pytest.mark.parametrize("elems, lattice, message", [
+    ((1,), EvenLattice(((2,),)), "takes only generators"),
+    ((Translate((1,)),), None, "needs an EvenLattice"),
+    ((Translate((1,)),), ((2,),), "needs an EvenLattice"),        # a Gram tuple, not a lattice
+    ((Dual(),), None, "needs an EvenLattice"),                    # Dual reads no lattice data
+])
+def test_word_refuses_what_is_not_a_generator_or_a_lattice(elems, lattice, message):
+    with pytest.raises(InputError, match=message):
+        IsometryWord(elems, lattice)
+
+
 def test_copies_keep_the_word_bound(monkeypatch):
     skew = EvenLattice(((2, 1), (1, -2)))
     word = IsometryWord.from_json(_DOC, skew)

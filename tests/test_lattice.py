@@ -86,9 +86,9 @@ def test_dual_involution(rng):
 
 
 def test_ell_primitive_square(gram2):
-    assert ell(MukaiVector(2, (2,), 3), gram2) == 2
-    assert primitive(MukaiVector(2, (2,), 3), gram2)
-    assert not primitive(MukaiVector(2, (2,), 4), gram2)
+    assert ell(MukaiVector(2, (2,), 3)) == 2
+    assert primitive(MukaiVector(2, (2,), 3))
+    assert not primitive(MukaiVector(2, (2,), 4))
     for n in range(-3, 6):
         v = MukaiVector(1, (0,), 1 - n)
         assert square(v, gram2) == 2 * n - 2
@@ -97,7 +97,7 @@ def test_ell_primitive_square(gram2):
 
 
 def test_ell_zero_top(gram2):
-    assert ell(MukaiVector(0, (0,), 5), gram2) == 0
+    assert ell(MukaiVector(0, (0,), 5)) == 0
     assert content(MukaiVector(0, (0,), 5)) == 5
 
 

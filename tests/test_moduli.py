@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from k3tk import (EvenLattice, InputError, MukaiVector, chi_virtual, classify_case,
-                  classify_non_locally_free, content, ell, euler_characteristic,
+                  classify_non_locally_free, content, euler_characteristic,
                   exists_mu_stable, exists_semistable, exists_stable_primitive,
                   hilb_index, moduli_dim, mu_stable_boundary_flag, mukai_pairing, primitive,
                   square)
@@ -47,7 +47,7 @@ def test_exists_semistable_closed_form(rng):
         w0 = v.divided(content(v))
         shortcut = sq >= 0 or square(w0, lat) == -2
         assert exists_semistable(v, lat) == shortcut
-        if primitive(v, lat) and exists_stable_primitive(v, lat):
+        if primitive(v) and exists_stable_primitive(v, lat):
             assert exists_semistable(v, lat)
 
 
@@ -128,7 +128,7 @@ def test_euler_deformation_invariance(rng):
     for _ in range(400):
         lat = random_lattice(rng, max_rank=2)
         v = random_vector(rng, lat.rank, spread=4)
-        if v.r <= 0 or not primitive(v, lat) or square(v, lat) < -2:
+        if v.r <= 0 or not primitive(v) or square(v, lat) < -2:
             continue
         idx = hilb_index(v, lat)
         chi = euler_characteristic(v, lat)
@@ -211,7 +211,7 @@ def _message(call) -> str:
 def test_one_message_per_fault(gram2):
     wrong_length = MukaiVector(2, (1, 0), 1)
     calls = [lambda f=f: f(wrong_length, gram2)
-             for f in (classify_case, square, moduli_dim, chi_virtual, ell, primitive)]
+             for f in (classify_case, square, moduli_dim, chi_virtual)]
     calls.append(lambda: mukai_pairing(wrong_length, wrong_length, gram2))
     assert {_message(call) for call in calls} == {
         "vector of length 2 does not match lattice rank 1"}

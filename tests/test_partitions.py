@@ -20,7 +20,7 @@ def test_chi_virtual_primitive(gram2, rng):
     while count < 60:
         lat = random_lattice(rng, max_rank=2)
         v = random_vector(rng, lat.rank, spread=4)
-        if v.r <= 0 or not primitive(v, lat):
+        if v.r <= 0 or not primitive(v):
             continue
         idx = square(v, lat) // 2 + 1
         assert chi_virtual(v, lat) == hilb_euler(idx)
