@@ -9,7 +9,7 @@ _HOMES = {
                       "sweep_farey", "sweep_triangles", "triangle_interior_count"),
     "errors": ("ConsistencyError", "InputError"),
     "isometry": ("Dual", "IsometryWord", "Negate", "NSAuto", "Reflect", "Translate",
-                 "apply_reflect", "apply_translate", "apply_word", "reflection_target"),
+                 "apply_reflect", "apply_translate"),
     "lattice": ("EvenLattice", "MukaiVector", "content", "dual", "ell", "mukai_from_chern",
                 "mukai_pairing", "primitive", "square"),
     "moduli": ("CaseInfo", "NonLocallyFree", "classify_case", "classify_non_locally_free",

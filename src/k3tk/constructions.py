@@ -17,11 +17,12 @@ and assembles on the rank-1 lattice with Gram [2k]:
   v1 = (r1, [d1], a1),     a1 = r1(-d'^2 + d1^2 s) + d1^2 r q + 2 d'.
 
 Each call certifies the paper's closed forms: k > 0, <v1^2> = -2,
-<v1, v'> = -1, <v'^2> = 2l(ls - ra), and w = -dual(v' + <v', v1> v1) =
-(r1 - lr, [-(d1 - l d')], a1 - a') with coprime rank and degree.  The other
-identities hold by the line computing them: the r1 scan visits only admissible
-candidates, d1 and q are exact quotients, a' = a (mod l) by its formula, and
-<w^2> = <v'^2> as isometry.Reflect takes only (-2)-vectors; the tests check all.
+<v1, v'> = -1, <v'^2> = 2l(ls - ra), and w = (r1 - lr, [-(d1 - l d')], a1 - a'),
+the image -dual(v' + <v', v1> v1) of v' under the word (Dual, Negate, Reflect(v1)),
+with coprime rank and degree.  The other identities hold by the line computing
+them: the r1 scan visits only admissible candidates, d1 and q are exact
+quotients, a' = a (mod l) by its formula, and <w^2> = <v'^2> as w is the image
+of v' under an isometry; the tests check all.
 
 triangle_interior_count checks d r1 - r d1 = 1 and lr < r1, then counts by an
 exact column scan the lattice points strictly inside (0,0), (r1 - lr, d1 - ld),
@@ -39,7 +40,7 @@ from __future__ import annotations
 from math import gcd, inf
 
 from .errors import ConsistencyError, InputError, check_work
-from .isometry import reflection_target
+from .isometry import Dual, IsometryWord, Negate, Reflect
 from .lattice import (EvenLattice, MukaiVector, Value, _as_int, _as_ints, _at_least, ell,
                       mukai_pairing, square)
 
@@ -100,7 +101,7 @@ def build_auxiliary(l: int, r: int, s: int, a: int) -> AuxConstruction:
         if not ok:
             raise ConsistencyError(f"auxiliary construction invariant failed: {label}")
 
-    w = reflection_target(vprime, v1, lat)[1]
+    w = IsometryWord((Dual(), Negate(), Reflect(v1)), lat).apply(vprime, lat)
     if w != MukaiVector(r1 - l * r, (-(d1 - l * dprime),), a1 - aprime):
         raise ConsistencyError("reflected target disagrees with its closed form")
     if ell(w) != 1:

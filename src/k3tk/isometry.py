@@ -20,32 +20,29 @@ lattice, _bind(lat): it checks that the element is an isometry of lat (a
 Translate has its rank, a Reflect carries a genuine (-2)-vector, an NSAuto is
 an invertible automorphism), raising InputError, then forms the lattice data
 once (G N and (N^2)/2, or G c1(u)) and returns a step on plain (r, c1, a)
-triples.  A single element (elem.apply, apply_translate, apply_reflect) is
-checked and bound per application.  A word is a value of one lattice:
-IsometryWord(elems, lattice) takes only an EvenLattice and generators, checks
-and binds every element once, left to right, and keeps the steps in
-application order; from_json parses a whole word, then builds it.  apply_word
-runs the steps on that lattice or an equal one and refuses any other.  One
-MukaiVector is built, at the end.
+triples.  A word is the one application path.  IsometryWord(elems, lattice)
+takes only an EvenLattice and an iterable of generators, checks and binds
+every element once, left to right, and keeps the steps in application order;
+from_json parses a whole word, then builds it.  IsometryWord.apply runs the
+steps on that lattice or an equal one, refuses any other, and builds one
+MukaiVector, at the end; apply_translate and apply_reflect are one-element
+words.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from operator import mul, neg
 
 from .errors import InputError
 from .lattice import (EvenLattice, MukaiVector, Value, _as_ints, _as_matrix, _mukai,
-                      _set, dual, square)
+                      _set, square)
 
 
 class _Generator(Value):
-    """Single-element application shared by the generator classes."""
+    """Base of the generator classes: an IsometryWord takes only its instances."""
 
     __slots__ = ()
-
-    def apply(self, v: MukaiVector, lat: EvenLattice) -> MukaiVector:
-        lat.check_vector(v.c1)
-        return _mukai(*self._bind(lat)(v.r, v.c1, v.a))
 
 
 class Translate(_Generator):
@@ -160,25 +157,33 @@ _PARSERS = {
 class IsometryWord(Value):
     """Ordered list of generators of one lattice, kept as a tuple; applies right-to-left.
 
-    The constructor refuses a lattice that is no EvenLattice and an element
-    that is no generator, then checks and binds every element against lattice,
-    left to right, so the first element that is no isometry of it is the one
-    reported; _steps keeps the bound steps in application order.
+    The constructor refuses a lattice that is no EvenLattice and elems that are
+    no iterable of generators, then checks and binds every element against
+    lattice, left to right, so the first element that is no isometry of it is
+    the one reported; _steps keeps the bound steps in application order.
     """
 
     __slots__ = ("elems", "lattice", "_steps")
 
-    def __init__(self, elems: tuple[_Generator, ...], lattice: EvenLattice):
+    def __init__(self, elems: Iterable[_Generator], lattice: EvenLattice):
         if not isinstance(lattice, EvenLattice):
             raise InputError("an isometry word needs an EvenLattice")
-        _set(self, "elems", elems := tuple(elems))
-        if not all(isinstance(elem, _Generator) for elem in elems):
-            raise InputError("an isometry word takes only generators")
+        elems = tuple(elems) if hasattr(elems, "__iter__") else None
+        if elems is None or not all(isinstance(elem, _Generator) for elem in elems):
+            raise InputError("an isometry word takes only generators, in an iterable")
+        _set(self, "elems", elems)
         _set(self, "lattice", lattice)
         _set(self, "_steps", tuple([elem._bind(lattice) for elem in elems][::-1]))
 
     def apply(self, v: MukaiVector, lat: EvenLattice) -> MukaiVector:
-        return apply_word(self, v, lat)
+        """Apply right-to-left, on the word's lattice or an equal one."""
+        lat.check_vector(v.c1)
+        if lat is not self.lattice and lat != self.lattice:
+            raise InputError("the word was built for another lattice")
+        r, c1, a = v.r, v.c1, v.a
+        for step in self._steps:
+            r, c1, a = step(r, c1, a)
+        return _mukai(r, c1, a)
 
     def to_json(self) -> list:
         return [e.to_json() for e in self.elems]
@@ -228,32 +233,10 @@ def _det(m) -> int:
 
 
 def apply_translate(shift, v: MukaiVector, lat: EvenLattice) -> MukaiVector:
-    """ch(N) x for a lattice vector N, checked for lat."""
-    return Translate(shift).apply(v, lat)
+    """ch(N) x for a lattice vector N, as a one-element word on lat."""
+    return IsometryWord((Translate(shift),), lat).apply(v, lat)
 
 
 def apply_reflect(u: MukaiVector, v: MukaiVector, lat: EvenLattice) -> MukaiVector:
-    """x -> x + <x, u> u for a (-2)-vector u, checked for lat."""
-    return Reflect(u).apply(v, lat)
-
-
-def apply_word(word: IsometryWord, v: MukaiVector, lat: EvenLattice) -> MukaiVector:
-    """Apply right-to-left, on the word's lattice or an equal one."""
-    lat.check_vector(v.c1)
-    if lat is not word.lattice and lat != word.lattice:
-        raise InputError("the word was built for another lattice")
-    r, c1, a = v.r, v.c1, v.a
-    for step in word._steps:
-        r, c1, a = step(r, c1, a)
-    return _mukai(r, c1, a)
-
-
-def reflection_target(v: MukaiVector, v1: MukaiVector,
-                      lat: EvenLattice) -> tuple[MukaiVector, MukaiVector]:
-    """Target vectors of the reflection construction for a (-2)-vector v1.
-
-    Returns (w_plain, w_dual) with w_plain = -(v + <v, v1> v1) and
-    w_dual = dual(w_plain); both have the same square as v.
-    """
-    w_plain = -apply_reflect(v1, v, lat)
-    return w_plain, dual(w_plain)
+    """x -> x + <x, u> u for a (-2)-vector u, as a one-element word on lat."""
+    return IsometryWord((Reflect(u),), lat).apply(v, lat)

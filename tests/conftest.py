@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from k3tk import EvenLattice, MukaiVector
+from k3tk import EvenLattice, MukaiVector, apply_translate, dual
 
 
 def random_lattice(rng: random.Random, max_rank: int = 4,
@@ -20,6 +20,19 @@ def random_vector(rng: random.Random, rank: int, spread: int = 9) -> MukaiVector
     return MukaiVector(rng.randint(-spread, spread),
                        tuple(rng.randint(-spread, spread) for _ in range(rank)),
                        rng.randint(-spread, spread))
+
+
+def rand_minus_two(rng, lat):
+    """Random (-2)-vector: isometries applied to (1, 0, 1) stay (-2)-vectors."""
+    u = MukaiVector(1, (0,) * lat.rank, 1)
+    for _ in range(rng.randint(0, 3)):
+        shift = tuple(rng.randint(-3, 3) for _ in range(lat.rank))
+        u = apply_translate(shift, u, lat)
+        if rng.random() < 0.3:
+            u = -u
+        if rng.random() < 0.3:
+            u = dual(u)
+    return u
 
 
 @pytest.fixture

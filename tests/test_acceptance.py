@@ -11,7 +11,7 @@ from math import gcd
 
 import mpmath
 
-from k3tk import (EvenLattice, MukaiVector, NSAuto, Splitting, apply_reflect,
+from k3tk import (EvenLattice, IsometryWord, MukaiVector, NSAuto, Splitting, apply_reflect,
                   apply_translate, build_auxiliary, chi_virtual,
                   classify_non_locally_free, dual, ell, gottsche_series,
                   hilb_euler, hilb_index, moduli_dim, mukai_pairing,
@@ -63,8 +63,8 @@ def test_c02_isometry_suite():
             assert apply_reflect(u, tx, lat) == x        # R^2 = id
         else:
             sign = rng.choice((1, -1))
-            auto = NSAuto([[sign if i == j else 0 for j in range(lat.rank)]
-                           for i in range(lat.rank)])
+            auto = IsometryWord((NSAuto([[sign if i == j else 0 for j in range(lat.rank)]
+                                         for i in range(lat.rank)]),), lat)
             tx, ty = auto.apply(x, lat), auto.apply(y, lat)
         assert mukai_pairing(tx, ty, lat) == before
         if i % 2 == 0:

@@ -539,15 +539,15 @@ PUBLIC_NAMES = [
     "AuxConstruction", "CaseInfo", "ConsistencyError", "Dual", "EvenLattice", "FareyCheck",
     "InputError", "IsometryWord", "MukaiVector", "NSAuto", "Negate", "NonLocallyFree",
     "QSeries", "Reflect", "Splitting", "ThetaSum", "Translate", "ZFullSum", "apply_reflect",
-    "apply_translate", "apply_word", "build_auxiliary", "chi_virtual", "classify_case",
+    "apply_translate", "build_auxiliary", "chi_virtual", "classify_case",
     "classify_non_locally_free", "constructions", "content", "dual", "ell", "errors",
     "euler_characteristic", "exists_mu_stable", "exists_semistable",
     "exists_stable_primitive", "farey_gap_holds", "gottsche_series", "hilb_euler",
     "hilb_index", "isometry", "lattice", "moduli", "moduli_dim", "mu_stable_boundary_flag",
     "mukai_from_chern", "mukai_pairing", "partitions", "primitive", "qs_add",
-    "qs_evaluate", "qs_mul", "qs_scale", "qs_substitute_power", "qseries",
-    "reflection_target", "square", "sweep_farey", "sweep_triangles",
-    "theta", "theta_siegel_narain", "triangle_interior_count", "z1_zero",
+    "qs_evaluate", "qs_mul", "qs_scale", "qs_substitute_power", "qseries", "square",
+    "sweep_farey", "sweep_triangles", "theta", "theta_siegel_narain",
+    "triangle_interior_count", "z1_zero",
     "z_full_direct", "z_full_factorized", "z_psu_direct", "z_psu_hecke", "z_psu_hecke_literal",
 ]
 

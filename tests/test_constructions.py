@@ -4,12 +4,19 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from k3tk import (InputError, build_auxiliary, constructions, ell,
-                  farey_gap_holds, square, sweep_farey,
+from k3tk import (Dual, InputError, IsometryWord, MukaiVector, Negate, Reflect,
+                  apply_reflect, build_auxiliary, constructions, dual, ell,
+                  farey_gap_holds, mukai_pairing, square, sweep_farey,
                   sweep_triangles, triangle_interior_count)
 from k3tk.constructions import _interior_points
 
+from .conftest import rand_minus_two, random_lattice, random_vector
 from .oracles import box_interior, pairing_brute, pick_interior
+
+
+def reduction_word(v1, lat) -> IsometryWord:
+    """The word build_auxiliary applies to v': v -> -dual(v + <v, v1> v1)."""
+    return IsometryWord((Dual(), Negate(), Reflect(v1)), lat)
 
 
 def check_aux_with_oracle(aux):
@@ -93,6 +100,37 @@ def test_auxiliary_invariants_property(l, r, s, a):
     assert (aux.w.r, aux.w.c1, aux.w.a) == w
     assert gcd(w[0], *w[1]) == 1
     assert pairing_brute(w, w, gram) == pairing_brute(vp, vp, gram)
+
+
+def test_reduction_word_examples(gram2):
+    v1 = MukaiVector(1, (0,), 1)
+    v = MukaiVector(1, (3,), 1)
+    assert mukai_pairing(v, v1, gram2) == -2
+    w_plain = -apply_reflect(v1, v, gram2)
+    assert w_plain == -(v + (-2) * v1)
+    assert reduction_word(v1, gram2).apply(v, gram2) == dual(w_plain)
+    assert square(w_plain, gram2) == square(v, gram2)
+    # orthogonal case: w_plain = -v
+    v_orth = MukaiVector(1, (2,), -1)
+    assert mukai_pairing(v_orth, v1, gram2) == 0
+    assert -apply_reflect(v1, v_orth, gram2) == -v_orth
+    assert reduction_word(v1, gram2).apply(v_orth, gram2) == dual(-v_orth)
+    # build_auxiliary's w is the same word applied to v'
+    aux = build_auxiliary(2, 3, 2, 1)
+    assert aux.w == reduction_word(aux.v1, aux.lattice).apply(aux.vprime, aux.lattice)
+    assert aux.w == dual(-apply_reflect(aux.v1, aux.vprime, aux.lattice))
+
+
+def test_reduction_word_preserves_square(rng):
+    for _ in range(300):
+        lat = random_lattice(rng)
+        v1 = rand_minus_two(rng, lat)
+        v = random_vector(rng, lat.rank)
+        w_plain = -apply_reflect(v1, v, lat)
+        w = reduction_word(v1, lat).apply(v, lat)
+        assert w == dual(w_plain)
+        assert square(w_plain, lat) == square(v, lat)
+        assert square(w, lat) == square(v, lat)
 
 
 def test_triangle_examples():

@@ -8,25 +8,11 @@ from hypothesis import strategies as st
 
 from k3tk import (Dual, EvenLattice, InputError, IsometryWord, MukaiVector,
                   Negate, NSAuto, Reflect, Translate, apply_reflect,
-                  apply_translate, apply_word, classify_case, dual,
-                  mukai_pairing, reflection_target, square)
+                  apply_translate, classify_case, dual, mukai_pairing)
 from k3tk.isometry import _det
 
-from .conftest import random_lattice, random_vector
+from .conftest import rand_minus_two, random_lattice, random_vector
 from .oracles import apply_word_brute, det_brute, pairing_brute, translate_brute
-
-
-def rand_minus_two(rng, lat):
-    """Random (-2)-vector: isometries applied to (1, 0, 1) stay (-2)-vectors."""
-    u = MukaiVector(1, (0,) * lat.rank, 1)
-    for _ in range(rng.randint(0, 3)):
-        shift = tuple(rng.randint(-3, 3) for _ in range(lat.rank))
-        u = apply_translate(shift, u, lat)
-        if rng.random() < 0.3:
-            u = -u
-        if rng.random() < 0.3:
-            u = dual(u)
-    return u
 
 
 def test_translate_zero_identity(rng):
@@ -106,7 +92,7 @@ def test_generators_preserve_pairing(rng):
             sign = rng.choice((1, -1))
             for i in range(lat.rank):
                 m[i][i] = sign
-            auto = NSAuto(m)
+            auto = IsometryWord((NSAuto(m),), lat)
             gx, gy = (auto.apply(w, lat) for w in (x, y))
         elif choice == 3:
             gx, gy = -x, -y
@@ -122,19 +108,18 @@ def test_ns_auto_rejects_non_automorphism(gram2):
 
 def test_word_empty_and_negate_pairs(rng, gram2):
     v = MukaiVector(3, (2,), -1)
-    assert apply_word(IsometryWord((), gram2), v, gram2) == v
-    assert apply_word(IsometryWord((Negate(), Negate()), gram2), v, gram2) == v
+    assert IsometryWord((), gram2).apply(v, gram2) == v
+    assert IsometryWord((Negate(), Negate()), gram2).apply(v, gram2) == v
     u = MukaiVector(1, (0,), 1)
-    w = IsometryWord((Reflect(u), Reflect(u)), gram2)
-    assert apply_word(w, v, gram2) == v
+    assert IsometryWord((Reflect(u), Reflect(u)), gram2).apply(v, gram2) == v
 
 
 def test_word_applies_right_to_left(gram2):
     v = MukaiVector(1, (1,), 0)
     t = Translate((1,))
     # dual-then-translate differs from translate-then-dual on this vector
-    dual_first = apply_word(IsometryWord((t, Dual()), gram2), v, gram2)
-    translate_first = apply_word(IsometryWord((Dual(), t), gram2), v, gram2)
+    dual_first = IsometryWord((t, Dual()), gram2).apply(v, gram2)
+    translate_first = IsometryWord((Dual(), t), gram2).apply(v, gram2)
     assert dual_first == apply_translate((1,), dual(v), gram2)
     assert translate_first == dual(apply_translate((1,), v, gram2))
     assert dual_first != translate_first
@@ -149,30 +134,6 @@ def test_word_json_roundtrip(gram2):
     assert again.to_json() == doc
     with pytest.raises(InputError):
         IsometryWord.from_json([{"type": "nonsense"}], gram2)
-
-
-def test_reflection_target_examples(gram2):
-    v1 = MukaiVector(1, (0,), 1)
-    v = MukaiVector(1, (3,), 1)
-    assert mukai_pairing(v, v1, gram2) == -2
-    w_plain, w_dual = reflection_target(v, v1, gram2)
-    assert w_plain == -(v + (-2) * v1)
-    assert w_dual == dual(w_plain)
-    assert square(w_plain, gram2) == square(v, gram2)
-    # orthogonal case: w = -v
-    v_orth = MukaiVector(1, (2,), -1)
-    assert mukai_pairing(v_orth, v1, gram2) == 0
-    assert reflection_target(v_orth, v1, gram2)[0] == -v_orth
-
-
-def test_reflection_target_preserves_square(rng):
-    for _ in range(300):
-        lat = random_lattice(rng)
-        v1 = rand_minus_two(rng, lat)
-        v = random_vector(rng, lat.rank)
-        w_plain, w_dual = reflection_target(v, v1, lat)
-        assert square(w_plain, lat) == square(v, lat)
-        assert square(w_dual, lat) == square(v, lat)
 
 
 def test_ns_auto_requires_determinant_one():
@@ -227,21 +188,20 @@ def test_from_json_rejects_bad_elements(gram2):
 
 
 def test_direct_elements_are_checked_on_application():
+    # apply_translate and apply_reflect build a one-element word on every call
     skew = EvenLattice(((2, 1), (1, 2)))
     flip = NSAuto(((-1, 0), (0, 1)))                    # not an isometry of skew
     v = MukaiVector(1, (1, 0), 0)
     with pytest.raises(InputError):
-        flip.apply(v, skew)
-    with pytest.raises(InputError):
         IsometryWord((flip,), skew)
     diag = EvenLattice(((2, 0), (0, 2)))
-    assert flip.apply(v, diag) == MukaiVector(1, (-1, 0), 0)
+    assert IsometryWord((flip,), diag).apply(v, diag) == MukaiVector(1, (-1, 0), 0)
     with pytest.raises(InputError):
-        Reflect(MukaiVector(1, (0, 0), 0)).apply(v, skew)   # square 0, not -2
+        apply_reflect(MukaiVector(1, (0, 0), 0), v, skew)   # square 0, not -2
     with pytest.raises(InputError):
-        Translate((1, 2, 3)).apply(v, skew)
+        apply_translate((1, 2, 3), v, skew)
     with pytest.raises(InputError):
-        Negate().apply(MukaiVector(1, (0,), 0), skew)      # vector of the wrong rank
+        IsometryWord((Negate(),), skew).apply(MukaiVector(1, (0,), 0), skew)   # wrong rank
 
 
 def test_bound_elements_are_checked_on_another_lattice(gram2):
@@ -249,9 +209,12 @@ def test_bound_elements_are_checked_on_another_lattice(gram2):
     u = MukaiVector(1, (1,), 2)                             # -2 on Gram [2], 0 on Gram [4]
     v = MukaiVector(2, (1,), 0)
     elem = Reflect(u)
-    assert elem.apply(v, EvenLattice(((2,),))) == apply_reflect(u, v, gram2)
+    assert IsometryWord((elem,), gram2).apply(v, EvenLattice(((2,),))) == \
+        apply_reflect(u, v, gram2)
     with pytest.raises(InputError):
-        elem.apply(v, gram4)
+        IsometryWord((elem,), gram4)
+    with pytest.raises(InputError):
+        apply_reflect(u, v, gram4)
     word = IsometryWord.from_json([{"type": "reflect", "u": u.to_json()}], gram2)
     assert word.apply(v, EvenLattice(((2,),))) == apply_reflect(u, v, gram2)
     with pytest.raises(InputError):
@@ -343,6 +306,8 @@ def test_word_is_checked_when_it_is_built(gram2):
         IsometryWord((Dual(),))                              # no word without its lattice
     listed = IsometryWord([Translate((1,)), Dual()], gram2)
     assert listed == IsometryWord((Translate((1,)), Dual()), gram2) and hash(listed)
+    for lazy in ((e for e in listed.elems), iter(listed.elems)):    # generators and iterators
+        assert IsometryWord(lazy, gram2) == listed
 
 
 @pytest.mark.parametrize("elems, lattice, message", [
@@ -350,6 +315,9 @@ def test_word_is_checked_when_it_is_built(gram2):
     ((Translate((1,)),), None, "needs an EvenLattice"),
     ((Translate((1,)),), ((2,),), "needs an EvenLattice"),        # a Gram tuple, not a lattice
     ((Dual(),), None, "needs an EvenLattice"),                    # Dual reads no lattice data
+    (Dual(), EvenLattice(((2,),)), "takes only generators"),      # one element, no iterable
+    (1, EvenLattice(((2,),)), "takes only generators"),
+    ("dual", EvenLattice(((2,),)), "takes only generators"),
 ])
 def test_word_refuses_what_is_not_a_generator_or_a_lattice(elems, lattice, message):
     with pytest.raises(InputError, match=message):
@@ -399,7 +367,7 @@ def test_trusted_results_equal_public_construction(case, n):
                word.apply(x, lat),
                IsometryWord.from_json(word.to_json(), lat).apply(x, lat),
                apply_translate(y.c1, x, lat), apply_reflect(root, x, lat),
-               *reflection_target(x, root, lat)]
+               IsometryWord((Dual(), Negate(), Reflect(root)), lat).apply(x, lat)]
     if x.r > 0:
         info = classify_case(x, lat)
         if info.v0 is not None:
@@ -490,11 +458,15 @@ def test_every_way_to_apply_a_word_equals_the_oracle(case):
     want = apply_word_brute(doc, raw_v, g)
     word = IsometryWord.from_json(doc, lat)
     elems = tuple(_elem(*item) for item in raw)
-    stepwise = v
+    stepwise = helpers = v            # one-element words, and the two public helpers
     for elem in reversed(elems):
-        stepwise = elem.apply(stepwise, lat)
+        stepwise = IsometryWord((elem,), lat).apply(stepwise, lat)
+        helpers = (apply_translate(elem.shift, helpers, lat) if isinstance(elem, Translate)
+                   else apply_reflect(elem.u, helpers, lat) if isinstance(elem, Reflect)
+                   else IsometryWord((elem,), lat).apply(helpers, lat))
     results = [word.apply(v, lat), word.apply(v, EvenLattice(g)),
-               apply_word(IsometryWord(elems, lat), v, lat), stepwise]
+               IsometryWord.from_json(word.to_json(), lat).apply(v, lat),
+               IsometryWord(elems, lat).apply(v, lat), stepwise, helpers]
     for got in results:
         assert (got.r, got.c1, got.a) == want
         assert type(got.c1) is tuple and all(type(c) is int for c in (got.r, got.a, *got.c1))
@@ -510,6 +482,6 @@ def test_every_way_to_apply_a_word_equals_the_oracle(case):
     for attempt in (lambda: outsider.apply(v, other),
                     lambda: IsometryWord(elems + (bad,), other),
                     lambda: IsometryWord((bad,), other),
-                    lambda: bad.apply(v, other)):
+                    lambda: apply_reflect(bad.u, v, other)):
         with pytest.raises(InputError):
             attempt()

@@ -1,8 +1,9 @@
 """Source checks over the package: line length, unused top-level imports,
 unreferenced private helpers and module-level names, one module per literal
 InputError message, no validated Goettsche lookup inside the series and theta
-loops, no module-level container in the series and theta modules, and mpmath
-imported in one function; and the benchmark workloads read only public names."""
+loops, no module-level container in the series and theta modules, mpmath
+imported in one function, and isometries bound and applied only inside
+IsometryWord; and the benchmark workloads read only public names."""
 
 import ast
 from pathlib import Path
@@ -117,24 +118,38 @@ def test_partitions_and_theta_keep_no_module_level_container():
     assert found == []
 
 
+def _scoped(node, where=""):
+    """Each node below node, with the dotted name of the class or function it sits in."""
+    for child in ast.iter_child_nodes(node):
+        yield where, child
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield from _scoped(child, f"{where}.{child.name}" if where else child.name)
+        else:
+            yield from _scoped(child, where)
+
+
 def test_only_the_literal_hecke_path_imports_mpmath():
     # every other spawn stays free of mpmath, and retiring that path leaves src/ without it
     homes = set()
-
-    def scan(node, module, where):
-        for child in ast.iter_child_nodes(node):
-            names = ([alias.name for alias in child.names] if isinstance(child, ast.Import)
-                     else [child.module or ""] if isinstance(child, ast.ImportFrom) else [])
-            if any(name.split(".")[0] == "mpmath" for name in names):
-                homes.add((module, where))
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                scan(child, module, f"{where}.{child.name}" if where else child.name)
-            else:
-                scan(child, module, where)
-
     for path in SOURCES:
-        scan(ast.parse(path.read_text()), path.name, "")
+        for where, node in _scoped(ast.parse(path.read_text())):
+            names = ([alias.name for alias in node.names] if isinstance(node, ast.Import)
+                     else [node.module or ""] if isinstance(node, ast.ImportFrom) else [])
+            if any(name.split(".")[0] == "mpmath" for name in names):
+                homes.add((path.name, where))
     assert homes == {("partitions.py", "z_psu_hecke_literal")}
+
+
+def test_isometries_apply_only_as_words():
+    # a generator is checked and bound only when a word is built, and a bound step runs
+    # only when a word is applied, so no second application path grows back unnoticed
+    homes = {}
+    for path in SOURCES:
+        for where, node in _scoped(ast.parse(path.read_text())):
+            if isinstance(node, ast.Attribute) and node.attr in ("_bind", "_steps"):
+                homes.setdefault(node.attr, set()).add((path.name, where))
+    assert homes == {"_bind": {("isometry.py", "IsometryWord.__init__")},
+                     "_steps": {("isometry.py", "IsometryWord.apply")}}
 
 
 def test_benchmark_workloads_read_only_public_names():
