@@ -218,9 +218,9 @@ def qs_evaluate(s: QSeries, tau: complex) -> QSeriesValue:
     observed growth of the retained coefficients (a heuristic, adequate for
     eta-quotient-type series well inside the upper half plane); math.inf is
     reported when the extrapolation does not contract or overflows, or when
-    no nonzero term is stored, since nothing then bounds the terms from trunc
-    on.  Every float exponent and step is one correctly rounded integer
-    quotient over denom.
+    fewer than three nonzero terms are stored: no growth ratio is then read,
+    so nothing bounds the terms from trunc on.  Every float exponent and step
+    is one correctly rounded integer quotient over denom.
     Coefficients may come from any ring complex() accepts (Fraction, mpc);
     each is read once, as complex(c), which is what Fraction * complex
     computes, and abs(complex(c)) == abs(c) for a Fraction.
@@ -236,7 +236,7 @@ def qs_evaluate(s: QSeries, tau: complex) -> QSeriesValue:
     value = complex(math.fsum(t.real for t in terms), math.fsum(t.imag for t in terms))
     qa = abs(q)
     entries = [(k, c) for k, c in entries if c]     # the literal path keeps exact zeros
-    if not entries:
+    if len(entries) < 3:
         return QSeriesValue(value, math.inf)
     # Growth per unit exponent, read off the top half of the expansion.
     growth = 1.0

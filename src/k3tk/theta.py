@@ -22,8 +22,8 @@ Tail reporting: each truncated sum also evaluates a few guard shells (in the
 majorant radius) and extension bins (in the holomorphic exponent) beyond its
 cutoff, then extrapolates geometrically with the observed decay ratio.  One
 function, _shell_tail, does this in the majorant direction for both sums; its
-remainder starts at an analytic Gaussian-times-count bound when the last
-guard shell is empty, and it is math.inf when the ratio is not < 1.  In the
+remainder starts at the Gaussian times the ball's leaf bound (below) when the
+last guard shell is empty, and it is math.inf when the ratio is not < 1.  In the
 exponent direction InputError is raised when the geometric regime cannot be
 certified at the given tau, rather than reporting an unsound bound.  For
 complex x the phase growth |e(Q(c, x))| <= exp(2 pi |c| |Im x|) in the
@@ -34,14 +34,14 @@ Kernels: points are tuples of ints.  The projectors sum to the identity and are
 Q-orthogonal, so Q(c_L^2) + Q(c_R^2) = Q(c) and each exponent is (Re tau Q(c) +
 i Im tau M(c))/2r, M the majorant: only the exact integer Q(c) = -(c^2) and the one
 float form M are evaluated.  A splitting is validated once, for its lattice, when it is
-built, and M is built with it in plain Python; eigenvalues come from cyclic Jacobi (_eigh),
+built, and M is built with it in plain Python; Jacobi (_eigh) gives the spectral projectors,
 so nothing here needs numpy.  Fincke-Pohst enumeration (Math. Comp. 44 (1985); Cohen,
 GTM 138, 2.7.3) over M's pivots hands over the points in lexicographic order a row (all
 coordinates but the last fixed) at a time: a row's partial sums are taken once, and a point
 adds only its last coordinate's share.  These sums run left to right from 0 (_dot), not by
 the builtin sum, so a row continues the whole sum bit for bit on every interpreter.
-Its leaf bound prod_k (2R / sqrt(d_k) / step + 1), never above the box of half-width
-R / sqrt(lambda_min), is checked against errors.MAX_WORK first.  Both full sums reuse what
+Its leaf bound prod_k (2R / sqrt(d_k) / step + 1), from the pivots d_k, which also decide
+that M is definite, is checked against errors.MAX_WORK first.  Both full sums reuse what
 depends on a class ((xi^2), gcd(r, xi)) alone: the direct sum's weights over a, and the
 factorized sum's Z_r^alpha.  A term that overflows double precision is an InputError.
 What does not depend on tau is kept on the splitting, in tables of at most KEEP_POINTS
@@ -150,11 +150,11 @@ class Splitting(Value):
     """Projectors onto the Q-positive (P_L) and Q-negative (P_R) subspaces of one lattice's
     form, stored as tuples of float rows; the constructor takes the lattice and any n x n
     nested sequence of finite numbers for each projector, and validates them once, for that
-    lattice.  Outside the value it keeps the majorant MJ as float columns (_mj), MJ's _pivots
-    and least eigenvalue (_lam_min), and the sums' tau-independent _tables: at most
-    KEEP_POINTS entries in all, dropped when a new table would pass that, freed with it."""
+    lattice.  Outside the value it keeps the majorant MJ as float columns (_mj), MJ's LDL^T
+    _pivots, which also decide that MJ is definite, and the sums' tau-independent _tables: at
+    most KEEP_POINTS entries in all, dropped when a new table would pass that, freed with it."""
 
-    __slots__ = ("lattice", "pl", "pr", "_mj", "_pivots", "_lam_min", "_tables")
+    __slots__ = ("lattice", "pl", "pr", "_mj", "_pivots", "_tables")
 
     def __init__(self, lattice: EvenLattice, pl, pr):
         _set(self, "lattice", lattice)
@@ -167,20 +167,18 @@ class Splitting(Value):
                for j, (x, y) in enumerate(zip(*rows))):
             raise InputError("splitting projectors must sum to the identity")
         plt, prt = tuple(zip(*pl)), tuple(zip(*pr))
-        if any(abs(x) > 1e-10 for row in _mm(_mm(plt, q), pr) for x in row):
+        pltq = _mm(plt, q)
+        if any(abs(x) > 1e-10 for row in _mm(pltq, pr) for x in row):
             raise InputError("splitting subspaces must be Q-orthogonal")
         for u, w in zip(plt, prt):
             if math.hypot(*u) > 1e-8 and _quad(q, u) <= 0:
                 raise InputError("Q must be positive definite on range(P_L)")
             if math.hypot(*w) > 1e-8 and _quad(q, w) >= 0:
                 raise InputError("Q must be negative definite on range(P_R)")
-        ql, qr = _mm(_mm(plt, q), pl), _mm(_mm(prt, q), pr)
+        ql, qr = _mm(pltq, pl), _mm(_mm(prt, q), pr)
         mj = tuple(tuple(map(sub, x, y)) for x, y in zip(ql, qr))
-        if (lam_min := min(_eigh(mj)[0])) <= 1e-10:
-            raise InputError("majorant form is not positive definite; invalid splitting")
         _set(self, "_mj", mj := tuple(zip(*mj)))
         _set(self, "_pivots", _pivots(mj))
-        _set(self, "_lam_min", lam_min)
         _set(self, "_tables", _Tables())
 
     @classmethod
@@ -239,11 +237,13 @@ def _quad(cols, c) -> float:
 
 def _pivots(mj):
     """(d, mu) with MJ(c) = sum_k d_k (c_k - ctr_k)^2, ctr_k = -sum_{j<k} mu_k[j] c_j:
-    squares completed from the last coordinate down, so each d_k is a Schur
-    complement pivot, at least the least eigenvalue of MJ."""
+    squares completed from the last coordinate down, so each d_k is a Schur complement
+    pivot, at least the least eigenvalue of MJ; InputError at one not above 1e-10."""
     a = [list(col) for col in mj]
     d, mu = [], []
     for k in reversed(range(len(a))):
+        if not a[k][k] > 1e-10:         # definite iff every pivot is positive; NaN too
+            raise InputError("majorant form is not positive definite; invalid splitting")
         mu.insert(0, [x / a[k][k] for x in a[k][:k]])
         d.insert(0, a[k][k])
         for i in range(k):
@@ -341,20 +341,21 @@ def _exp(t: float) -> float:
         return math.inf
 
 
-def _shell_tail(shells, rank: int, r: int, tau: complex, radius: float, lam_min: float,
+def _shell_tail(shells, pivots, step: int, r: int, tau: complex, radius: float,
                 xnorm: float, weight: float = 1.0) -> float:
     """The sum of the guard shells plus a geometric remainder past the last one.
 
     The remainder ratio is the larger of the analytic per-shell bound and the
     observed decay of the last two shells; math.inf when it does not contract.
     The remainder starts at the last shell times that ratio or, when the last
-    shell is empty, at the bound on the first shell past the guard: a point
-    count times the Gaussian at t0, times the weight that bounds each point.
+    shell is empty, at the bound on the first shell past the guard: the leaf
+    bound of the ball's step at t0 + 1, times the Gaussian at t0, times the
+    weight that bounds each point.
     """
     t0 = radius + GUARD_SHELLS
     decay = 2.0 * math.pi * tau.imag / (2 * r)
-    rho = (2.0 ** rank) * _exp(-decay * (2 * t0 + 1) + 2 * math.pi * xnorm)
-    first = (2.0 * t0 / (r * math.sqrt(lam_min)) + 2.0) ** rank \
+    rho = (2.0 ** len(pivots[0])) * _exp(-decay * (2 * t0 + 1) + 2 * math.pi * xnorm)
+    first = _leaf_bound(pivots, step, t0 + 1) \
         * _exp(-decay * t0 * t0 + 2 * math.pi * xnorm * t0) * weight
     if shells[-2] > 0 and shells[-1] > 0:
         rho = max(rho, shells[-1] / shells[-2])
@@ -396,8 +397,8 @@ def _theta(alpha, r: int, tau: complex, radius: float, split: Splitting, qx,
         else:
             main.append(term)
     value = complex(math.fsum(t.real for t in main), math.fsum(t.imag for t in main))
-    return ThetaSum(value, _shell_tail(shells, len(alpha), r, tau, radius, split._lam_min,
-                                       xnorm), len(main))
+    return ThetaSum(value, _shell_tail(shells, split._pivots, r, r, tau, radius, xnorm),
+                    len(main))
 
 
 def _toy_guard(lat: EvenLattice, r) -> int:
@@ -474,7 +475,8 @@ def z_full_direct(lat: EvenLattice, r: int, tau: complex, split: Splitting,
     # v = (r, xi, a): <v^2> = n = (xi^2) - 2ra, exponent n / 2r; the main sum keeps
     # n <= n_cut, bin j holds n_cut + 2r(j - 1) < n <= n_cut + 2rj; chi = 0 below -2r^2
     two_r = 2 * r
-    cutoff = _as_number(exponent_cutoff, Fraction)
+    if (cutoff := _as_number(exponent_cutoff, Fraction)) < -r:
+        raise InputError("exponent cutoff below -r: every exponent <v^2>/2r is at least -r")
     n_cut = math.floor(two_r * cutoff)
     n_top = n_cut + two_r * EXP_BINS
     ball = _ball((0,) * lat.rank, 1, r, tau, split, qx, radius,
@@ -503,9 +505,7 @@ def z_full_direct(lat: EvenLattice, r: int, tau: complex, split: Splitting,
 
     # exponent direction: coefficient growth is subexponential, so the bin
     # sums must already decay; refuse to certify otherwise.
-    qabs = abs(cmath.exp(2j * cmath.pi * tau))
-    if qabs == 0.0:         # the a-sum bound raises q to negative powers
-        raise InputError("q underflows to 0 at this tau")
+    qabs = abs(cmath.exp(2j * cmath.pi * tau))     # not 0: e(-r tau), at n = -2r^2, is finite
     rho_h = hbins[-1] / hbins[-2] if hbins[-1] > 0 and hbins[-2] > 0 else qabs * 25.0
     if rho_h >= 1.0:
         raise InputError("cannot certify the exponent-direction tail at this tau")
@@ -514,7 +514,7 @@ def z_full_direct(lat: EvenLattice, r: int, tau: complex, split: Splitting,
 
     # a distant xi contributes at most its full a-sum (xi-independent bound)
     # times the Gaussian shell weight
-    tail_x = _shell_tail(xshells, lat.rank, r, tau, radius, split._lam_min, xnorm,
+    tail_x = _shell_tail(xshells, split._pivots, 1, r, tau, radius, xnorm,
                          _a_sum_bound(r, qabs)) * h_factor
     return ZFullSum(value, tail_h + tail_x, len(main))
 

@@ -26,6 +26,8 @@ from itertools import permutations, product
 from math import gcd, lcm
 from typing import NamedTuple
 
+import numpy as np
+
 
 def colored_partition_counts(order: int, colors: int = 24) -> list[int]:
     """Coefficients of prod_m (1 - q^m)^(-colors) by unbounded-knapsack DP."""
@@ -311,7 +313,7 @@ def ref_evaluate(s: RefSeries, tau: complex) -> tuple[complex, float]:
     terms = [c * q ** float(e) for e, c in entries]
     value = complex(math.fsum(t.real for t in terms), math.fsum(t.imag for t in terms))
     qa = abs(q)
-    if not entries:         # no stored term: nothing bounds the omitted ones
+    if len(entries) < 3:    # no growth ratio is read: nothing bounds the omitted terms
         return value, math.inf
     growth = 1.0
     median = entries[len(entries) // 2][0]
@@ -368,6 +370,11 @@ def _e(t: complex, coeff=1) -> complex:
     return coeff * cmath.exp(2j * cmath.pi * t)
 
 
+def majorant_lam_min(split) -> float:
+    """The least eigenvalue of a splitting's majorant, by numpy's eigvalsh."""
+    return float(np.linalg.eigvalsh(np.array(split._mj)).min())
+
+
 def box_count(rank, step, lam_min, outer) -> float:
     """Candidates of the box the theta sums enumerated before Fincke-Pohst: every
     axis spans outer / sqrt(lam_min) (+1e-9) either side along its coset."""
@@ -385,7 +392,7 @@ def box_ball(alpha, step, r, tau, split, qx, radius, guard):
     """
     gram, mj = split.lattice.gram, split._mj
     outer = radius + guard
-    bound = outer / math.sqrt(split._lam_min) + 1e-9
+    bound = outer / math.sqrt(majorant_lam_min(split)) + 1e-9
     axes = [range(step * math.ceil((-bound - a) / step) + a,
                   step * math.floor((bound - a) / step) + a + 1, step) for a in alpha]
     for c in product(*axes):

@@ -266,7 +266,7 @@ _PINNED_OUTPUTS = [
      '2547447689037081600]}'),
     ("theta --surface s.json --rank 2 --alpha 1 --tau 0.1 1 --x 0.2,0.1 --radius 3 "
      "--splitting identity",
-     '{"points": 2, "tail": 2.2808420062559233e-11, '
+     '{"points": 2, "tail": 2.2808420062542508e-11, '
      '"value": [-0.10094397823264137, -0.11903711523675795]}'),
     ("zfull --surface s.json --rank 2 --tau 0 1 --splitting identity",
      '{"difference": 2.9103830456733704e-11, "direct": {"tail": 3.16541401599561e-11, '
@@ -420,17 +420,18 @@ def test_unknown_subcommand_exits_2(capsys):
     ["zfull", "--rank", "0", "--tau", "0", "1"],
     ["theta", "--tau", "1e308", "1"],           # an infinite phase
     ["theta", "--tau", "0", "1", "--rank", str(10 ** 30), "--x", "0,1e30"],
-    ["zfull", "--rank", "1", "--tau", "1e300", "1e300", "--cutoff", "-1.5e3"],
+    ["zfull", "--rank", "1", "--tau", "1e300", "1e300", "--cutoff", "-1"],  # e(-r tau) overflows
     ["zfull", "--rank", "1", "--tau", "0", "1", "--radius", "-1500", "--method", "direct"],
     ["theta", "--tau", "0", "1", "--rank", str(10 ** 400)],      # past the double range
     ["theta", "--tau", "0", "1", "--alpha", ""],                # empty is not alpha = 0
     ["zseries", "--rank", "2", "--order", "3", "--alpha", ""],
     ["theta", "--tau", "0", "1", "--x", ""],                    # empty is not "no x"
     ["zfull", "--rank", "1", "--tau", "0", "1", "--x", ""],
+    ["zfull", "--rank", "2", "--tau", "0", "1", "--cutoff", "-2.5"],     # every exponent >= -r
 ], ids=["tau-nan", "radius-nan", "radius-inf", "cutoff-inf", "x-abc", "order-abc",
         "order-1/0", "tail-inf", "zfull-rank-0", "tau-phase-inf", "tail-bound-overflow",
         "q-underflow", "zfull-radius-negative", "theta-rank-huge", "theta-alpha-empty",
-        "zseries-alpha-empty", "theta-x-empty", "zfull-x-empty"])
+        "zseries-alpha-empty", "theta-x-empty", "zfull-x-empty", "zfull-cutoff-below-rank"])
 def test_bad_numbers_exit_2_with_error_document(capsys, argv):
     try:
         code = main(argv)
@@ -672,8 +673,8 @@ def test_closed_stdout_exits_141_with_empty_stderr(argv, unbuffered):
 
 
 @pytest.mark.parametrize("argv, plain", [
-    (["zfull", "--rank", "2", "--tau", "0", "1", "--cutoff", "-1.5e3"],
-     ["zfull", "--rank", "2", "--tau", "0", "1", "--cutoff=-1500"]),
+    (["zfull", "--rank", "2", "--tau", "0", "1", "--cutoff", "-1.5e0"],
+     ["zfull", "--rank", "2", "--tau", "0", "1", "--cutoff=-1.5"]),
     (["theta", "--tau", "-1e-05", "1", "--radius", "3"],
      ["theta", "--tau", "-0.00001", "1", "--radius", "3"]),
     (["theta", "--tau", "-.5", "1", "--x", "-1E-1,0", "--radius", "2"],

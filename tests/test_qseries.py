@@ -212,6 +212,17 @@ def test_evaluate_tail_is_honest():
         assert abs(approx.value - better) <= approx.tail
 
 
+def test_a_series_of_fewer_than_three_terms_has_no_tail_bound():
+    # one or two stored terms give no growth ratio: the omitted part of z1_zero(0) at tau = i
+    # is 24.6 and of z1_zero(1) 0.62, far above the tail a growth of 1 gave (1.0 and 0.045)
+    long = qs_evaluate(z1_zero(60), 1j).value
+    for order in (0, 1):
+        short = qs_evaluate(z1_zero(order), 1j)
+        assert short.tail == math.inf and abs(short.value - long) > 0.5
+    three = qs_evaluate(z1_zero(2), 1j)
+    assert abs(three.value - long) <= three.tail < math.inf
+
+
 def test_hilb_euler_work_cap_covers_every_entry_point():
     # a table through n costs at most (n + 1) T(n) big-integer products, T(n) ~ sqrt(2n)
     huge = MukaiVector(1, (0,), -10 ** 5)         # <v^2> / 2 + 1 = 10^5 + 1

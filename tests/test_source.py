@@ -2,8 +2,9 @@
 unreferenced private helpers and module-level names, one module per literal
 InputError message, no validated Goettsche lookup inside the series and theta
 loops, no module-level container in the series and theta modules, mpmath
-imported in one function, and isometries bound and applied only inside
-IsometryWord; and the benchmark workloads read only public names."""
+imported in one function, isometries bound and applied only inside
+IsometryWord, and one Jacobi per splitting with no least eigenvalue kept; and
+the benchmark workloads read only public names."""
 
 import ast
 from pathlib import Path
@@ -150,6 +151,22 @@ def test_isometries_apply_only_as_words():
                 homes.setdefault(node.attr, set()).add((path.name, where))
     assert homes == {"_bind": {("isometry.py", "IsometryWord.__init__")},
                      "_steps": {("isometry.py", "IsometryWord.apply")}}
+
+
+def test_one_jacobi_per_splitting_and_no_least_eigenvalue():
+    # the majorant's pivots decide that it is definite and bound every count, so the form's
+    # Jacobi runs once, for the spectral projectors, and no least eigenvalue is kept
+    reads, lam_min = [], []
+    for path in SOURCES:
+        for where, node in _scoped(ast.parse(path.read_text())):
+            name = getattr(node, "id", None) or getattr(node, "attr", None) or \
+                getattr(node, "arg", None) or getattr(node, "value", None)
+            if name == "_eigh" and isinstance(getattr(node, "ctx", None), ast.Load):
+                reads.append((path.name, where))
+            elif name == "_lam_min":
+                lam_min.append((path.name, where))
+    assert reads == [("theta.py", "Splitting.spectral")]
+    assert lam_min == []
 
 
 def test_benchmark_workloads_read_only_public_names():

@@ -92,11 +92,18 @@ def _nondegenerate_forms(draw):
     return gram
 
 
+def _assert_pivots_match(pivots, m):
+    """The LDL^T pivots of a majorant against numpy on the matrix m: each at least its least
+    eigenvalue, and their product its determinant to 1e-12, or to cond(m) 1e-13 on an
+    ill-conditioned m, since the rounding of a float majorant grows with its condition."""
+    assert min(pivots) >= np.linalg.eigvalsh(m).min() * (1 - 1e-12)
+    rel = max(1e-12, 1e-13 * np.linalg.cond(m))
+    assert math.prod(pivots) == pytest.approx(np.linalg.det(m), rel=rel)
+
+
 @settings(max_examples=300, deadline=None)
 @given(_nondegenerate_forms())
 def test_jacobi_splitting_matches_numpy_eigh(gram):
-    # lambda_min is compared relative to the spectral radius: on ill-conditioned
-    # forms numpy's own smallest eigenvalue is off by more than 1e-12 of itself
     lat, q = EvenLattice(gram), -np.array(gram, dtype=float)
     vals, vecs = np.linalg.eigh(q)
     pos, neg = vecs[:, vals > 0], vecs[:, vals < 0]
@@ -107,8 +114,7 @@ def test_jacobi_splitting_matches_numpy_eigh(gram):
     for split, pl, pr in splits:
         assert np.max(np.abs(np.array(split.pl) - pl)) <= 1e-12
         assert np.max(np.abs(np.array(split.pr) - pr)) <= 1e-12
-        ref = np.linalg.eigvalsh(pl.T @ q @ pl - pr.T @ q @ pr)
-        assert abs(split._lam_min - ref.min()) <= 1e-12 * ref.max()
+        _assert_pivots_match(split._pivots[0], pl.T @ q @ pl - pr.T @ q @ pr)
 
 
 def test_spectral_splitting_of_the_k3_lattice():
@@ -124,8 +130,8 @@ def test_spectral_splitting_of_the_k3_lattice():
     split = Splitting.spectral(lat)
     assert sum(split.pl[i][i] for i in range(22)) == pytest.approx(19, abs=1e-9)
     assert sum(split.pr[i][i] for i in range(22)) == pytest.approx(3, abs=1e-9)
-    lam_min = np.abs(np.linalg.eigvalsh(-np.array(gram, dtype=float))).min()
-    assert split._lam_min == pytest.approx(lam_min, rel=1e-12)
+    vals, vecs = np.linalg.eigh(-np.array(gram, dtype=float))
+    _assert_pivots_match(split._pivots[0], vecs @ np.diag(np.abs(vals)) @ vecs.T)   # |Q|
 
 
 def test_splitting_is_immutable_and_validated_once_per_lattice(monkeypatch, neg2, split1):
@@ -136,7 +142,7 @@ def test_splitting_is_immutable_and_validated_once_per_lattice(monkeypatch, neg2
     with pytest.raises(TypeError):
         split1.pl[0][0] = 2.0
     calls = []
-    for name in ("_q", "_eigh"):        # the form and the majorant's least eigenvalue
+    for name in ("_q", "_pivots"):      # the form and the majorant's pivots
         monkeypatch.setattr(theta, name, functools.partial(
             lambda f, *args: calls.append(f.__name__) or f(*args), getattr(theta, name)))
     split = Splitting.identity_positive(neg2)     # validated here, not again by the sums
@@ -144,14 +150,14 @@ def test_splitting_is_immutable_and_validated_once_per_lattice(monkeypatch, neg2
     assert theta_siegel_narain(EvenLattice(((-2,),)), (0,), 1, 1j, split, None, 3.0) == first
     z_full_direct(neg2, 1, 1j, split, None, 2.0, 2.0)
     z_full_factorized(neg2, 1, 1j, split, None, 4, 2.0)
-    assert calls == ["_q", "_eigh"]
+    assert calls == ["_q", "_pivots"]
     other = EvenLattice(((-4,),))       # Q positive definite too, but another lattice
     for call in (lambda: theta_siegel_narain(other, (0,), 1, 1j, split, None, 3.0),
                  lambda: z_full_direct(other, 1, 1j, split, None, 2.0, 2.0),
                  lambda: z_full_factorized(other, 1, 1j, split, None, 4, 2.0)):
         with pytest.raises(InputError, match="the splitting was built for another lattice"):
             call()
-    assert calls == ["_q", "_eigh"]
+    assert calls == ["_q", "_pivots"]
     with pytest.raises(InputError):         # these projectors do not split Q = [-2]
         Splitting(EvenLattice(((2,),)), split.pl, split.pr)
 
@@ -160,6 +166,23 @@ def test_identity_splitting_refuses_an_indefinite_form_at_construction():
     # Q = -G = [[2, 3], [3, 2]] is positive on each axis but indefinite
     with pytest.raises(InputError, match="majorant"):
         Splitting.identity_positive(EvenLattice(((-2, -3), (-3, -2))))
+
+
+@pytest.mark.parametrize("gram, pl, pr, message", [
+    (((-2, 0), (0, -2)), [[1]], [[0]], "splitting projectors do not match the lattice rank"),
+    (((-2,),), [[1]], [[1]], "splitting projectors must sum to the identity"),
+    (((-2, 0), (0, 2)), [[1, 1], [0, 0]], [[0, -1], [0, 1]],
+     "splitting subspaces must be Q-orthogonal"),
+    (((0, 1), (1, 0)), [[1, 0], [0, 1]], [[0, 0], [0, 0]],
+     "Q must be positive definite on range(P_L)"),
+    (((-2,),), [[0]], [[1]], "Q must be negative definite on range(P_R)"),
+    (((-2, -2), (-2, -2)), [[1, 0], [0, 1]], [[0, 0], [0, 0]],      # a pivot of exactly 0
+     "majorant form is not positive definite; invalid splitting"),
+], ids=["rank", "sum", "orthogonal", "range-pl", "range-pr", "majorant"])
+def test_each_splitting_refusal_has_its_own_message(gram, pl, pr, message):
+    with pytest.raises(InputError) as err:
+        Splitting(EvenLattice(gram), pl, pr)
+    assert str(err.value) == message
 
 
 def test_theta_single_point(neg2, split1):
@@ -353,6 +376,26 @@ def test_out_of_range_input_is_an_input_error(neg2, split1):
         qs_evaluate(z1_zero(4), 1e300j)
 
 
+def test_a_cutoff_below_minus_r_is_refused(neg2, split1):
+    # every exponent <v^2>/2r is at least -r, so below it the direct sum is empty, and its
+    # empty exponent bins gave a tail near 0 (value 0 and tail 7.5e-84 against 562.2)
+    lat = EvenLattice(((-2, 0), (0, -2)))
+    for lattice, r, radius, cutoff in ((neg2, 1, 5.0, -9.5), (neg2, 1, 5.0, -100),
+                                       (lat, 2, 4.0, -17), (lat, 2, 4.0, -2.5)):
+        with pytest.raises(InputError, match="exponent cutoff below -r"):
+            z_full_direct(lattice, r, 1j, Splitting.identity_positive(lattice), None, cutoff,
+                          radius)
+    assert z_full_direct(neg2, 1, 1j, split1, None, -1, 5.0).terms > 0
+    assert z_full_direct(lat, 2, 1j, Splitting.identity_positive(lat), None, -2, 4.0).terms > 0
+
+
+def test_a_factorized_sum_over_a_short_series_has_no_tail_bound(neg2, split1):
+    # Z_1 to order 0 or 1 stores one or two terms, which bound nothing past them
+    for order in (0, 1):
+        assert z_full_factorized(neg2, 1, 1j, split1, None, order, 5.0).tail == math.inf
+    assert z_full_factorized(neg2, 1, 1j, split1, None, 2, 5.0).tail < math.inf
+
+
 _ENTRY_POINTS = {
     "theta": lambda lat, split, tau, x: theta_siegel_narain(lat, (0,), 1, tau, split, x, 2.0),
     "direct": lambda lat, split, tau, x: z_full_direct(lat, 1, tau, split, x),
@@ -519,7 +562,7 @@ def test_e8_leaf_bound_fits_where_the_box_did_not():
     lat = ROOT_LATTICES["E8"][0]
     split = Splitting.identity_positive(lat)
     outer = math.sqrt(8)
-    assert oracles.box_count(8, 1, split._lam_min, outer) > MAX_WORK
+    assert oracles.box_count(8, 1, oracles.majorant_lam_min(split), outer) > MAX_WORK
     assert theta._leaf_bound(split._pivots, 1, outer) <= MAX_WORK
 
 
@@ -548,7 +591,8 @@ def _ball_inputs(draw):
         assume(False)
     step = draw(st.integers(1, 3))
     radius = draw(st.sampled_from([0.0, 0.5, 1.0, 1.7, 2.0, 3.0, 4.5]))
-    assume(oracles.box_count(n, step, split._lam_min, radius + theta.GUARD_SHELLS) <= 20000)
+    lam_min = oracles.majorant_lam_min(split)
+    assume(oracles.box_count(n, step, lam_min, radius + theta.GUARD_SHELLS) <= 20000)
     alpha = tuple(draw(st.integers(-4, 4)) for _ in range(n))
     tau = complex(draw(st.floats(-0.5, 0.5)), draw(st.floats(0.3, 2.0)))
     x = None
@@ -587,7 +631,7 @@ def test_exponent_from_q_and_the_majorant_matches_the_projected_forms(case, r):
 @given(_ball_inputs())
 def test_leaf_bound_never_exceeds_the_box_count(case):
     alpha, step, _, split, _, radius, _ = case
-    outer, lam_min = radius + theta.GUARD_SHELLS, split._lam_min
+    outer, lam_min = radius + theta.GUARD_SHELLS, oracles.majorant_lam_min(split)
     assert min(split._pivots[0]) >= lam_min * (1 - 1e-12)
     assert theta._leaf_bound(split._pivots, step, outer) <= oracles.box_count(len(alpha), step,
                                                                               lam_min, outer)
