@@ -19,16 +19,14 @@ evaluated two ways: a direct truncated sum over Mukai vectors weighted by
 chi_virtual, and the coset factorization sum_alpha Z_r^alpha * Theta_{alpha,r}.
 
 Tail reporting: each truncated sum also evaluates a few guard shells (in the
-majorant radius) and extension bins (in the holomorphic exponent) beyond its
-cutoff, then extrapolates geometrically with the observed decay ratio.  One
-function, _shell_tail, does this in the majorant direction for both sums; its
-remainder starts at the Gaussian times the ball's leaf bound (below) when the
-last guard shell is empty, and it is math.inf when the ratio is not < 1.  In the
-exponent direction InputError is raised when the geometric regime cannot be
-certified at the given tau, rather than reporting an unsound bound.  For
-complex x the phase growth |e(Q(c, x))| <= exp(2 pi |c| |Im x|) in the
-majorant norm (Cauchy-Schwarz on each definite part) is folded into the
-analytic bound.
+majorant radius) and, for the direct sum, extension bins (in the holomorphic
+exponent) past its cutoff, and adds their moduli exactly; what lies past them is
+bounded, not extrapolated.  _shell_tail counts the points past the last guard
+shell with the ball's leaf bound (below), each at most its Gaussian times
+exp(2 pi |c| |Im x|) (Cauchy-Schwarz on each definite part), and is math.inf
+when that series does not contract.  _hilb_tail bounds every tail of Goettsche's
+series, and so each a-sum of the direct sum, by Cauchy's estimate on its
+product.  The pivots are still floats, and Z_r^alpha's tail is qs_evaluate's.
 
 Kernels: points are tuples of ints.  The projectors sum to the identity and are
 Q-orthogonal, so Q(c_L^2) + Q(c_R^2) = Q(c) and each exponent is (Re tau Q(c) +
@@ -343,27 +341,38 @@ def _exp(t: float) -> float:
 
 def _shell_tail(shells, pivots, step: int, r: int, tau: complex, radius: float,
                 xnorm: float, weight: float = 1.0) -> float:
-    """The sum of the guard shells plus a geometric remainder past the last one.
-
-    The remainder ratio is the larger of the analytic per-shell bound and the
-    observed decay of the last two shells; math.inf when it does not contract.
-    The remainder starts at the last shell times that ratio or, when the last
-    shell is empty, at the bound on the first shell past the guard: the leaf
-    bound of the ball's step at t0 + 1, times the Gaussian at t0, times the
-    weight that bounds each point.
-    """
+    """The guard shells' sum plus a bound on the points past them, each at most weight times
+    its modulus; math.inf when the bound does not contract.  Shell k >= 1 past t0 = radius +
+    GUARD_SHELLS holds at most _leaf_bound(t0 + k) points, of modulus at most exp(-decay (t0 +
+    k - 1)^2 + 2 pi |Im x|_M (t0 + k)) (|Im Q(c, x)| <= |c|_M |Im x|_M); from shell to shell
+    that grows by at most rho, the leaf bound by less than 2 per coordinate."""
     t0 = radius + GUARD_SHELLS
     decay = 2.0 * math.pi * tau.imag / (2 * r)
     rho = (2.0 ** len(pivots[0])) * _exp(-decay * (2 * t0 + 1) + 2 * math.pi * xnorm)
-    first = _leaf_bound(pivots, step, t0 + 1) \
-        * _exp(-decay * t0 * t0 + 2 * math.pi * xnorm * t0) * weight
-    if shells[-2] > 0 and shells[-1] > 0:
-        rho = max(rho, shells[-1] / shells[-2])
-    if rho >= 1.0:
+    if rho >= 1.0 or weight == math.inf:        # not inf * 0 = nan for an underflowing term
         return math.inf
-    if shells[-1] > 0:
-        first = shells[-1] * rho
+    first = _leaf_bound(pivots, step, t0 + 1) \
+        * _exp(-decay * t0 * t0 + 2 * math.pi * xnorm * (t0 + 1)) * weight
     return math.fsum(shells) + first / (1.0 - rho)
+
+
+def _hilb_tail(y: float, start: int) -> float:
+    """A bound, rounded up, on sum_{m >= start} chi(Hilb^m) y^m: Goettsche's product F(y) =
+    prod_m (1 - y^m)^-24 for start 0, else Cauchy's estimate F(rho) rho^start / (1 - rho) at
+    rho = sqrt y; math.inf when y is 0 or the bound is beyond a double.  log F(z) takes at most
+    60 factors, up to the first z^m <= 1e-17 (1 - z)^2, and the rest as 24 z^m / (1 - z)^2."""
+    z = math.sqrt(y) if start else y
+    if not 0.0 < z < 1.0:
+        return math.inf
+    log_f, small = 0.0, 1e-17 * (1.0 - z) ** 2
+    for m in range(1, 61):
+        if (zm := z ** m) <= small:
+            break
+        log_f -= math.log1p(-zm)
+    log_f = 24.0 * (log_f + zm / (1.0 - z) ** 2)
+    if start:
+        log_f += start * math.log(z) - math.log1p(-z)
+    return _exp(log_f) * (1.0 + 1e-12)
 
 
 def _tau_radius(tau, radius) -> tuple[complex, float]:
@@ -409,31 +418,12 @@ def _toy_guard(lat: EvenLattice, r) -> int:
     return r
 
 
-def _a_sum_bound(r: int, qabs: float) -> float:
-    """xi-independent bound on sum_a chi_virtual(r, xi, a) |q|^{<v^2>/2r}.
-
-    With h = <v^2>/2r the leading divisor contributes chi(Hilb^{r h + 1}) and
-    the rest at most as much again, so 2 sum_n chi(Hilb^n) |q|^{(n-1)/r}
-    bounds any single a-sum.  Requires the summand ratio to contract; a summand that
-    underflows to 0 ends the sum, since every later one does too.
-    """
-    total, prev, n, euler = 0.0, None, 0, _hilb_table(0)
-    while True:
-        if n == len(euler):
-            _hilb_table(n)      # grows euler, the shared table, by one entry
-        if not (term := euler[n] * qabs ** ((n - 1) / r)):
-            break
-        total += term
-        if prev is not None and n > 4:
-            rho = term / prev
-            if rho >= 1.0:
-                raise InputError("cannot bound the a-sum: |q| too large")
-            if term < 1e-300 or term / (1.0 - rho) < 1e-16 * total:
-                total += term * rho / (1.0 - rho)
-                break
-        prev = term
-        n += 1
-    return 2.0 * total
+def _a_sums(r: int, qabs: float, start: int) -> float:
+    """A bound on sum_a chi_virtual(r, xi, a) |q|^{n/2r}, n = <v^2>, for every xi, over every a
+    at start 0, else the a with n / 2 + 1 >= start: a content divisor d adds chi(Hilb^m) / d^2
+    at exponent d^2 (m - 1) / r, m = n / 2d^2 + 1 >= start // d^2, one m per a."""
+    return sum(_hilb_tail(y := qabs ** (d * d / r), start // (d * d)) / (d * d * y)
+               for d in range(1, r + 1) if r % d == 0)
 
 
 def _direct_table(r: int, n_cut: int, n_top: int, ball, tables: _Tables, key):
@@ -489,11 +479,12 @@ def z_full_direct(lat: EvenLattice, r: int, tau: complex, split: Splitting,
     es = [_e(tau * n / two_r) for n in ns]      # chi_virtual q^{n/2r}, one exp per n
     classes = {cls: ([(b, f * es[i]) for b, i, f in binned], [f * es[i] for i, f in mains])
                for cls, (binned, mains) in classes.items()}
-    main = []
+    main, far = [], 0.0
     hbins = [0.0] * EXP_BINS          # xi in the main ball, exponent beyond cutoff
     xshells = [0.0] * GUARD_SHELLS    # xi beyond the main ball, any exponent
     for (_, j, _, base), cls in zip(ball, of_point, strict=True):
         binned, mains = classes[cls]
+        far += abs(base)
         if j:
             xshells[j - 1] = reduce(add, [abs(w * base) for _, w in binned]
                                     + [abs(w * base) for w in mains], xshells[j - 1])
@@ -503,20 +494,12 @@ def z_full_direct(lat: EvenLattice, r: int, tau: complex, split: Splitting,
             main += [w * base for w in mains]
     value = complex(math.fsum(t.real for t in main), math.fsum(t.imag for t in main))
 
-    # exponent direction: coefficient growth is subexponential, so the bin
-    # sums must already decay; refuse to certify otherwise.
+    # the bins exactly, every xi of the ball past n_top (an even n: n / 2 + 1 >= n_top // 2 + 2)
+    # by its a-sum past n_top, and every xi past the ball by its whole a-sum
     qabs = abs(cmath.exp(2j * cmath.pi * tau))     # not 0: e(-r tau), at n = -2r^2, is finite
-    rho_h = hbins[-1] / hbins[-2] if hbins[-1] > 0 and hbins[-2] > 0 else qabs * 25.0
-    if rho_h >= 1.0:
-        raise InputError("cannot certify the exponent-direction tail at this tau")
-    tail_h = math.fsum(hbins) + hbins[-1] * rho_h / (1.0 - rho_h)
-    h_factor = 1.0 + rho_h / (1.0 - rho_h)
-
-    # a distant xi contributes at most its full a-sum (xi-independent bound)
-    # times the Gaussian shell weight
-    tail_x = _shell_tail(xshells, split._pivots, 1, r, tau, radius, xnorm,
-                         _a_sum_bound(r, qabs)) * h_factor
-    return ZFullSum(value, tail_h + tail_x, len(main))
+    return ZFullSum(value, math.fsum(hbins) + _a_sums(r, qabs, n_top // 2 + 2) * far
+                    + _shell_tail(xshells, split._pivots, 1, r, tau, radius, xnorm,
+                                  _a_sums(r, qabs, 0)), len(main))
 
 
 def z_full_factorized(lat: EvenLattice, r: int, tau: complex, split: Splitting,

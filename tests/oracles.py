@@ -152,7 +152,8 @@ def det_brute(m) -> int:
 
 
 def z_full_brute(gram, r, tau, cutoff, radius, euler):
-    """(value, terms) of the direct rank-r partition sum, Q = -G >= identity.
+    """(value, terms, sum of the terms' moduli) of the direct rank-r partition sum,
+    Q = -G >= identity.
 
     Visits every xi with |xi_i| <= radius and Q(xi) <= radius^2 (this box
     holds them all when Q(xi) >= sum xi_i^2) and every a with Mukai exponent
@@ -162,7 +163,7 @@ def z_full_brute(gram, r, tau, cutoff, radius, euler):
     """
     cutoff = Fraction(cutoff)
     bound = math.ceil(radius)
-    value, terms = 0j, 0
+    value, terms, size = 0j, 0, 0.0
     for xi in product(range(-bound, bound + 1), repeat=len(gram)):
         q_xi = -pairing_brute((0, xi, 0), (0, xi, 0), gram)
         if q_xi > radius * radius:
@@ -175,10 +176,50 @@ def z_full_brute(gram, r, tau, cutoff, radius, euler):
                 break
             chi = chi_virtual_brute(v, gram, euler.__getitem__)
             if chi:
-                value += float(chi) * cmath.exp(2j * cmath.pi * tau * (q_xi + sq) / (2 * r))
-                terms += 1
+                term = float(chi) * cmath.exp(2j * cmath.pi * tau * (q_xi + sq) / (2 * r))
+                value, terms, size = value + term, terms + 1, size + abs(term)
             a += 1
-    return value, terms
+    return value, terms, size
+
+
+def a_sum_brute(gram, r, xi, tau, start, euler):
+    """sum_a chi_virtual_brute(r, xi, a) |q|^{<v^2>/2r} over every a for start 0, else over the
+    a with <v^2>/2 + 1 >= start, from <v^2> = -2r^2 up to the end of the table euler."""
+    sq_xi = pairing_brute((0, xi, 0), (0, xi, 0), gram)
+    qabs = math.exp(-2 * math.pi * complex(tau).imag)
+    total = 0.0
+    for a in range((sq_xi - 2 * len(euler)) // (2 * r), sq_xi // (2 * r) + r + 1):
+        sq = sq_xi - 2 * r * a          # <v^2>; chi vanishes below -2r^2, at a past this range
+        if (not start or sq // 2 + 1 >= start) and sq // 2 + 1 < len(euler):
+            total += float(chi_virtual_brute((r, xi, a), gram, euler.__getitem__)) \
+                * qabs ** (sq / (2 * r))
+    return total
+
+
+def theta_omitted_brute(gram, alpha, r, tau, x, radius, outer):
+    """(sum over radius^2 < Q(c) <= outer^2, sum over Q(c) <= outer^2) of the moduli
+    |exp(2 pi i (tau Q(c) / 2r + Q(c, x)))|, c in alpha + r Z^n, Q = -G positive definite:
+    the terms of a coset theta sum with P_L = id, whose majorant is Q.
+
+    Every point of the box |c_i| <= outer sqrt((Q^-1)_ii) is tested, which holds the
+    ellipsoid Q(c) <= outer^2; Q(c) is the exact integer -(c^2).
+    """
+    n = len(gram)
+    q_inv = np.linalg.inv(-np.array(gram, dtype=float))
+    widths = [r * math.ceil(outer * math.sqrt(q_inv[i][i]) / r + 1) for i in range(n)]
+    axes = [range(a % r - w, w + 1, r) for a, w in zip(alpha, widths)]
+    im_x = [0.0] * n if x is None else [complex(v).imag for v in x]
+    omitted = total = 0.0
+    for c in product(*axes):
+        q = -pairing_brute((0, c, 0), (0, c, 0), gram)
+        if q > outer * outer:
+            continue
+        im_qx = -sum(c[i] * gram[i][j] * im_x[j] for i in range(n) for j in range(n))
+        term = math.exp(-2 * math.pi * (complex(tau).imag * q / (2 * r) + im_qx))
+        total += term
+        if q > radius * radius:
+            omitted += term
+    return omitted, total
 
 
 def skew_theta_brute(diag, skew, alpha, r, tau, radius):

@@ -266,10 +266,10 @@ _PINNED_OUTPUTS = [
      '2547447689037081600]}'),
     ("theta --surface s.json --rank 2 --alpha 1 --tau 0.1 1 --x 0.2,0.1 --radius 3 "
      "--splitting identity",
-     '{"points": 2, "tail": 2.2808420062542508e-11, '
+     '{"points": 2, "tail": 2.2808420063028903e-11, '
      '"value": [-0.10094397823264137, -0.11903711523675795]}'),
     ("zfull --surface s.json --rank 2 --tau 0 1 --splitting identity",
-     '{"difference": 2.9103830456733704e-11, "direct": {"tail": 3.16541401599561e-11, '
+     '{"difference": 2.9103830456733704e-11, "direct": {"tail": 3.165415217738581e-11, '
      '"terms": 66, "value": [71728.36348293131, 0.0]}, "factorized": '
      '{"tail": 1.9818646105048908e-16, "terms": 7, "value": [71728.36348293134, 0.0]}}'),
 ]

@@ -85,10 +85,12 @@ def test_build_auxiliary_grid():
 
 @settings(max_examples=400, deadline=None)
 @given(st.integers(1, 60), st.integers(1, 60),
-       st.integers(-10 ** 6, 10 ** 6), st.integers(-10 ** 6, 10 ** 6))
-def test_auxiliary_invariants_property(l, r, s, a):
-    # what build_auxiliary holds by construction, checked here with the hand-expanded pairing
-    assume(gcd(l, a) == 1 and l * s - r * a >= 0)
+       st.integers(0, 2 * 10 ** 6), st.integers(-10 ** 6, 10 ** 6))
+def test_auxiliary_invariants_property(l, r, t, a):
+    # what build_auxiliary holds by construction, checked here with the hand-expanded pairing;
+    # s = ceil(ra / l) + t makes ls - ra >= 0 by construction, so only the gcd is filtered
+    assume(gcd(l, a) == 1)
+    s = -(-r * a // l) + t
     aux = build_auxiliary(l, r, s, a)
     check_aux_with_oracle(aux)
     gram = aux.lattice.gram

@@ -317,7 +317,7 @@ def test_z_full_direct_within_tail_of_refinement(neg2, split1):
 
 
 def test_z_full_direct_at_a_large_im_tau_is_finite(neg2, split1):
-    # the a-sum bound's terms underflow to 0 at Im tau = 50; they end the sum
+    # |q|^-1 = e^(100 pi) at Im tau = 50 is still a double: a finite a-sum bound
     res = z_full_direct(neg2, 1, 50j, split1, None, 4.0, 4.0)
     assert cmath.isfinite(res.value) and math.isfinite(res.tail) and res.terms > 0
     assert res.value == pytest.approx(z_full_factorized(neg2, 1, 50j, split1, None, 12,
@@ -340,9 +340,100 @@ def test_z_full_direct_matches_brute_sum(gram, tau):
     euler = colored_partition_counts(40)
     for r, cutoff, radius in ((1, 8.0, 5.0), (2, 6.0, 4.0), (2, 2.5, 3.0), (3, 4.0, 3.0)):
         res = z_full_direct(lat, r, tau, split, None, cutoff, radius)
-        value, terms = z_full_brute(gram, r, tau, cutoff, radius, euler)
+        value, terms, _ = z_full_brute(gram, r, tau, cutoff, radius, euler)
         assert res.terms == terms
         assert abs(res.value - value) <= 1e-12 * abs(value)
+
+
+@functools.cache
+def _euler_table() -> list[int]:
+    """chi(Hilb^n) for n < 400 from the divisor-sum recurrence: past every index the tail
+    tests below reach, and far enough that the omitted terms are negligible."""
+    return oracles.sigma_recurrence_counts(400)
+
+
+@pytest.mark.parametrize("x", [math.exp(-2 * math.pi), math.exp(-math.pi),
+                               math.exp(-0.6 * math.pi)])
+@pytest.mark.parametrize("start", [0, 5, 12, 24])
+def test_hilb_tail_bounds_every_goettsche_tail(x, start):
+    exact = math.fsum(c * x ** n for n, c in enumerate(_euler_table()) if n >= start)
+    assert exact <= theta._hilb_tail(x, start) < math.inf
+    if not start:       # the whole sum is Goettsche's product itself
+        assert theta._hilb_tail(x, start) <= exact * (1 + 1e-9)
+
+
+def test_hilb_tail_is_unbounded_at_y_0_and_near_1():
+    # at most 60 factors near y = 1 (tau = 1e-5 i), where the product overflows
+    for y, start in ((0.0, 0), (0.0, 3), (math.exp(-2e-5 * math.pi), 0),
+                     (math.exp(-2e-5 * math.pi), 7)):
+        assert theta._hilb_tail(y, start) == math.inf
+
+
+@pytest.mark.parametrize("tau", [1j, 0.5j, 2j])
+@pytest.mark.parametrize("r", [1, 2, 3])
+def test_a_sum_bound_covers_every_class(r, tau):
+    # the class of xi is g = gcd(r, xi) and (xi^2) mod 2rg, which xi = (g, gk) realises on
+    # the hyperbolic plane for (xi^2) = 2g^2 k; at r = 2, tau = i the a-sum of g = 2 is 7.17e4
+    # (its d = 2 term, |q|^-2 / 4), which the bound once put at 140
+    gram, qabs = ((0, 1), (1, 0)), abs(cmath.exp(2j * cmath.pi * tau))
+    for g in (g for g in range(1, r + 1) if r % g == 0):
+        for k in range(r // g):
+            for start in (0, 3, 10, 25):
+                brute = oracles.a_sum_brute(gram, r, (g, g * k), tau, start, _euler_table())
+                assert brute <= theta._a_sums(r, qabs, start) * (1 + 1e-12)
+
+
+@pytest.mark.parametrize("r, tau", [(2, 0.5j), (2, 0.6j), (3, 0.8j)])
+def test_direct_sum_is_bounded_where_the_a_series_converges(neg2, split1, r, tau):
+    # the extrapolated a-sum refused these ("cannot bound the a-sum"), though |q| < 1
+    res = z_full_direct(neg2, r, tau, split1)
+    value, _, size = z_full_brute(((-2,),), r, tau, 8.0 + 40, 5.0 + 10, _euler_table())
+    assert abs(res.value - value) <= res.tail + 1e-12 * size and res.tail < math.inf
+
+
+@st.composite
+def _theta_tail_cases(draw):
+    """A negative definite Gram of rank <= 2, the coset step r, alpha, tau, x (none, or
+    complex in about half the cases) and the radius."""
+    if draw(st.booleans()):
+        gram = ((-2 * draw(st.integers(1, 4)),),)
+    else:
+        a, c = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+        b = draw(st.integers(-3, 3).filter(lambda b: b * b < 4 * a * c))
+        gram = ((-2 * a, b), (b, -2 * c))
+    r = draw(st.integers(1, 3))
+    alpha = tuple(draw(st.integers(0, r - 1)) for _ in gram)
+    tau = complex(draw(st.floats(-0.5, 0.5)), draw(st.floats(0.15, 1.0)))
+    part = st.floats(-0.25, 0.25)
+    x = draw(st.none() | st.lists(st.builds(complex, st.floats(-1, 1), part),
+                                  min_size=len(gram), max_size=len(gram)))
+    return gram, alpha, r, tau, x, draw(st.floats(0.5, 3.0))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_theta_tail_cases())
+def test_theta_tail_bounds_the_omitted_terms_property(case):
+    # the box enumeration out to radius + 12; the slack is the rounding of the terms
+    gram, alpha, r, tau, x, radius = case
+    lat = EvenLattice(gram)
+    th = theta_siegel_narain(lat, alpha, r, tau, Splitting.identity_positive(lat), x, radius)
+    omitted, total = oracles.theta_omitted_brute(gram, alpha, r, tau, x, radius, radius + 12)
+    assert th.tail >= omitted - 1e-12 * total
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.integers(1, 3), min_size=1, max_size=2), st.integers(1, 3),
+       st.floats(-0.5, 0.5), st.floats(0.3, 1.5), st.floats(1.0, 6.0), st.floats(1.0, 3.0))
+def test_direct_tail_bounds_the_brute_difference_property(diag, r, re_tau, im_tau, cutoff,
+                                                          radius):
+    # a diagonal Gram; the brute sum reaches 40 past the cutoff and 10 past the radius, and
+    # the slack is the rounding of the terms, which a tail does not cover
+    gram = tuple(tuple(-2 * d if i == j else 0 for j in range(len(diag)))
+                 for i, d in enumerate(diag))
+    lat, tau = EvenLattice(gram), complex(re_tau, im_tau)
+    res = z_full_direct(lat, r, tau, Splitting.identity_positive(lat), None, cutoff, radius)
+    value, _, size = z_full_brute(gram, r, tau, cutoff + 40, radius + 10, _euler_table())
+    assert abs(res.value - value) <= res.tail + 1e-12 * size
 
 
 @pytest.mark.parametrize("skew", [4, -4])
@@ -364,8 +455,10 @@ def test_theta_skewed_basis_matches_brute_count(skew):
 
 def test_out_of_range_input_is_an_input_error(neg2, split1):
     lat = EvenLattice(((-2, 0), (0, -2)))
-    with pytest.raises(InputError):          # the exponent tail cannot be certified
-        z_full_direct(lat, 2, 0.01j, Splitting.identity_positive(lat))
+    # Goettsche's product at |q|^(1/2) overflows: an unbounded tail, which the CLI refuses
+    assert z_full_direct(lat, 2, 0.01j, Splitting.identity_positive(lat)).tail == math.inf
+    # an unbounded a-sum times a Gaussian past the ball that underflows to 0: inf, not nan
+    assert z_full_direct(neg2, 1, 0.005j, split1, None, 8.0, 217.0).tail == math.inf
     with pytest.raises(InputError):          # q^-1 overflows
         z_full_direct(neg2, 1, 1e300j, split1)
     with pytest.raises(InputError):          # q underflows to 0 under a negative power
@@ -746,14 +839,14 @@ def test_results_pinned_to_the_box_enumeration():
            z_full_direct(neg2, 2, 1j, Splitting.identity_positive(neg2), None, 4.0, 4.0)]
     assert [repr(res) for res in got] == [
         "ThetaSum(value=(0.09522425760630887+0.13106494801718224j), "
-        "tail=1.0315800201566826e-27, points=12)",
+        "tail=1.031580020156683e-27, points=12)",
         "ThetaSum(value=(-0.0007265580394613061-0.0008052064362195986j), "
         "tail=5.354554130909906e-16, points=4)",
         "ZFullSum(value=(20.706061041337396+112367714.0222711j), "
-        "tail=0.22866310579762913, terms=26)",
+        "tail=0.225362575483759, terms=26)",
         "ZFullSum(value=(22194.984316239326-68173.09792064782j), "
-        "tail=9.690967612446596e-08, terms=184)",
+        "tail=9.690846640826933e-08, terms=184)",
         "ZFullSum(value=(22194.98431621098-68173.09792073988j), "
         "tail=8.294299865099132e-11, terms=25)",
-        "ZFullSum(value=(71728.36338967281+0j), tail=9.325852781065597e-05, terms=28)",
+        "ZFullSum(value=(71728.36338967281+0j), tail=9.325853068399212e-05, terms=28)",
     ]
