@@ -19,6 +19,10 @@ bound is min(a.trunc + b.min_exponent, b.trunc + a.min_exponent): a summand at
 exponent e = e_a + e_b below that bound forces one factor's exponent below its
 own truncation, where its coefficients are known.
 
+qs_evaluate sums the stored terms at a point of the upper half plane and claims
+nothing past trunc: a bound on the omitted terms needs what the series is, so the
+Goettsche-type sums bound theirs in k3tk.theta.
+
 The Goettsche series of a K3 surface,
 
     sum_n chi(Hilb^n) q^n = prod_{m>=1} (1 - q^m)^(-24) = h^(-8),
@@ -208,53 +212,24 @@ def qs_substitute_power(s: QSeries, m: int) -> QSeries:
 
 class QSeriesValue(NamedTuple):
     value: complex
-    tail: float
 
 
 def qs_evaluate(s: QSeries, tau: complex) -> QSeriesValue:
-    """Evaluate at q = exp(2*pi*i*tau), Im tau > 0, with a tail estimate.
+    """The stored terms' sum at q = exp(2*pi*i*tau), Im tau > 0; nothing past trunc is claimed.
 
-    The tail estimate extrapolates the omitted terms geometrically from the
-    observed growth of the retained coefficients (a heuristic, adequate for
-    eta-quotient-type series well inside the upper half plane); math.inf is
-    reported when the extrapolation does not contract or overflows, or when
-    fewer than three nonzero terms are stored: no growth ratio is then read,
-    so nothing bounds the terms from trunc on.  Every float exponent and step
-    is one correctly rounded integer quotient over denom.
-    Coefficients may come from any ring complex() accepts (Fraction, mpc);
-    each is read once, as complex(c), which is what Fraction * complex
-    computes, and abs(complex(c)) == abs(c) for a Fraction.
+    Every float exponent is one correctly rounded integer quotient over denom.  Coefficients
+    may come from any ring complex() accepts (Fraction, mpc); each is read once, as
+    complex(c), which is what Fraction * complex computes.
     """
     tau = _upper(tau)
     d = s.denom
     try:
         q = cmath.exp(2j * cmath.pi * tau)      # ValueError: an infinite phase
-        entries = [(k, complex(c)) for k, c in s.coeffs]    # Fraction * complex reads this
-        terms = [c * q ** (k / d) for k, c in entries]
+        terms = [complex(c) * q ** (k / d) for k, c in s.coeffs]
     except (OverflowError, ValueError, ZeroDivisionError):  # q under- or overflows at this tau
         raise InputError("q-series terms are not representable at this tau") from None
-    value = complex(math.fsum(t.real for t in terms), math.fsum(t.imag for t in terms))
-    qa = abs(q)
-    entries = [(k, c) for k, c in entries if c]     # the literal path keeps exact zeros
-    if len(entries) < 3:
-        return QSeriesValue(value, math.inf)
-    # Growth per unit exponent, read off the top half of the expansion.
-    growth = 1.0
-    median = entries[len(entries) // 2][0]
-    try:
-        for (k1, c1), (k2, c2) in zip(entries, entries[1:]):
-            if k1 >= median:
-                step = (k2 - k1) / d
-                growth = max(growth, (abs(c2) / abs(c1)) ** (1.0 / step))
-    except OverflowError:
-        return QSeriesValue(value, math.inf)
-    x = growth * qa
-    if x >= 1.0:
-        return QSeriesValue(value, math.inf)
-    k_last, c_last = entries[-1]
-    base = abs(c_last) * qa ** (k_last / d)
-    tail = base * x ** float(s.trunc - Fraction(k_last, d)) / (1.0 - x)
-    return QSeriesValue(value, tail)
+    return QSeriesValue(complex(math.fsum(t.real for t in terms),
+                                math.fsum(t.imag for t in terms)))
 
 
 _hilb_euler: list[int] = [1]

@@ -25,8 +25,8 @@ bounded, not extrapolated.  _shell_tail counts the points past the last guard
 shell with the ball's leaf bound (below), each at most its Gaussian times
 exp(2 pi |c| |Im x|) (Cauchy-Schwarz on each definite part), and is math.inf
 when that series does not contract.  _hilb_tail bounds every tail of Goettsche's
-series, and so each a-sum of the direct sum, by Cauchy's estimate on its
-product.  The pivots are still floats, and Z_r^alpha's tail is qs_evaluate's.
+series by Cauchy's estimate on its product, and _a_sums, its one caller, each a-sum
+that either full sum omits.  The pivots are still floats.
 
 Kernels: points are tuples of ints.  The projectors sum to the identity and are
 Q-orthogonal, so Q(c_L^2) + Q(c_R^2) = Q(c) and each exponent is (Re tau Q(c) +
@@ -356,23 +356,31 @@ def _shell_tail(shells, pivots, step: int, r: int, tau: complex, radius: float,
     return math.fsum(shells) + first / (1.0 - rho)
 
 
-def _hilb_tail(y: float, start: int) -> float:
-    """A bound, rounded up, on sum_{m >= start} chi(Hilb^m) y^m: Goettsche's product F(y) =
-    prod_m (1 - y^m)^-24 for start 0, else Cauchy's estimate F(rho) rho^start / (1 - rho) at
-    rho = sqrt y; math.inf when y is 0 or the bound is beyond a double.  log F(z) takes at most
-    60 factors, up to the first z^m <= 1e-17 (1 - z)^2, and the rest as 24 z^m / (1 - z)^2."""
-    z = math.sqrt(y) if start else y
-    if not 0.0 < z < 1.0:
-        return math.inf
+def _log_goettsche(z: float) -> float:
+    """An upper bound on log F(z), F(z) = prod_m (1 - z^m)^-24 for 0 < z < 1: at most 60
+    factors, up to the first z^m <= 1e-17 (1 - z)^2, and the rest as 24 z^m / (1 - z)^2."""
     log_f, small = 0.0, 1e-17 * (1.0 - z) ** 2
     for m in range(1, 61):
         if (zm := z ** m) <= small:
             break
         log_f -= math.log1p(-zm)
-    log_f = 24.0 * (log_f + zm / (1.0 - z) ** 2)
+    return 24.0 * (log_f + zm / (1.0 - z) ** 2)
+
+
+def _hilb_tail(y: float, start: int) -> float:
+    """A bound, rounded up, on sum_{m >= start} chi(Hilb^m) y^m, math.inf when y is 0 or it is
+    beyond a double: the least of F(y), the whole sum, and Cauchy's chi(Hilb^m) <= F(rho) rho^-m
+    summed from start, F(rho) (y/rho)^start / (1 - y/rho), at rho = sqrt y and at exp(-2 pi /
+    sqrt start), the saddle of log F(rho) ~ 4 pi^2 / -log rho, where these lie in (y, 1)."""
+    if not 0.0 < y < 1.0:
+        return math.inf
+    logs = [_log_goettsche(y)]
     if start:
-        log_f += start * math.log(z) - math.log1p(-z)
-    return _exp(log_f) * (1.0 + 1e-12)
+        for rho in (math.sqrt(y), math.exp(-2.0 * math.pi / math.sqrt(start))):
+            if y < rho < 1.0:
+                logs.append(_log_goettsche(rho) + start * math.log(y / rho)
+                            - math.log1p(-y / rho))
+    return _exp(min(logs)) * (1.0 + 1e-12)
 
 
 def _tau_radius(tau, radius) -> tuple[complex, float]:
@@ -422,8 +430,8 @@ def _a_sums(r: int, qabs: float, start: int) -> float:
     """A bound on sum_a chi_virtual(r, xi, a) |q|^{n/2r}, n = <v^2>, for every xi, over every a
     at start 0, else the a with n / 2 + 1 >= start: a content divisor d adds chi(Hilb^m) / d^2
     at exponent d^2 (m - 1) / r, m = n / 2d^2 + 1 >= start // d^2, one m per a."""
-    return sum(_hilb_tail(y := qabs ** (d * d / r), start // (d * d)) / (d * d * y)
-               for d in range(1, r + 1) if r % d == 0)
+    return sum(_hilb_tail(y, start // (d * d)) / (d * d * y) if (y := qabs ** (d * d / r))
+               else math.inf for d in range(1, r + 1) if r % d == 0)
 
 
 def _direct_table(r: int, n_cut: int, n_top: int, ball, tables: _Tables, key):
@@ -504,7 +512,9 @@ def z_full_direct(lat: EvenLattice, r: int, tau: complex, split: Splitting,
 
 def z_full_factorized(lat: EvenLattice, r: int, tau: complex, split: Splitting,
                       x=None, series_order=12, radius: float = 5.0) -> ZFullSum:
-    """Coset factorization sum_alpha Z_r^alpha(tau) Theta_{alpha,r}(tau, P, x)."""
+    """Coset factorization sum_alpha Z_r^alpha(tau) Theta_{alpha,r}(tau, P, x), each Z_r^alpha
+    below q^series_order; the tail adds |Z_r^alpha| times the theta tail and, times |Theta| plus
+    that tail, _a_sums' bound on the a omitted, those with n = <v^2> >= 2r series_order."""
     r = _toy_guard(lat, r)
     tau, radius = _tau_radius(tau, radius)
     order = _as_number(series_order, Fraction)      # z_psu_direct's first check
@@ -512,21 +522,23 @@ def z_full_factorized(lat: EvenLattice, r: int, tau: complex, split: Splitting,
     # per class ((alpha^2), gcd(r, alpha)), on which Z_r^alpha depends alone, z_psu_direct's
     # work count and series, kept once the sum is done
     kept = split._tables.get(key := (r, order))
-    series, evs, value, tail, points = kept or {}, {}, 0j, 0.0, 0     # evs: Z_r^alpha(tau)
+    series, zs, value, z_tail, weight, points = kept or {}, {}, 0j, 0.0, 0.0, 0  # zs: Z_r^alpha
     for alpha in itertools.product(range(r), repeat=lat.rank):
-        if (cls := (lat.quad(alpha), math.gcd(r, *alpha))) not in evs:
+        if (cls := (lat.quad(alpha), math.gcd(r, *alpha))) not in zs:
             if cls not in series:
                 series[cls] = len(_a_span(r, cls[0], order)), z_psu_direct(r, alpha, order, lat)
             check_work(series[cls][0], "z_psu_direct")
-            evs[cls] = qs_evaluate(series[cls][1], tau)
-        ev = evs[cls]
+            zs[cls] = qs_evaluate(series[cls][1], tau).value
         th = _theta(alpha, r, tau, radius, split, qx, xnorm)
-        value += ev.value * th.value
-        if math.inf in (ev.tail, th.tail):      # not 0 * inf = nan for an empty series
-            tail = math.inf
-        else:
-            tail += abs(ev.value) * th.tail + ev.tail * (abs(th.value) + th.tail)
+        value += zs[cls] * th.value
+        z_tail += abs(zs[cls]) * th.tail
+        weight += abs(th.value) + th.tail
         points += th.points
     if kept is None:
         split._tables.keep(key, series, sum(len(s.coeffs) for _, s in series.values()))
+    # every class omits the a with n >= 2r order, so n / 2 + 1 >= ceil(r order) + 1; bounded
+    # after the loop, whose work check refuses an order too large for a float, at |q| alone
+    bound = _a_sums(r, math.exp(-2 * math.pi * tau.imag), max(0, math.ceil(r * order) + 1))
+    # not 0 * inf = nan for a zero series or theta
+    tail = math.inf if math.inf in (bound, weight) else z_tail + bound * weight
     return ZFullSum(value, tail, points)

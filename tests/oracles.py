@@ -345,30 +345,11 @@ def ref_substitute_power(s: RefSeries, m: int) -> RefSeries:
     return ref_from_terms({e * m: c for e, c in s.items()}, s.trunc * m)
 
 
-def ref_evaluate(s: RefSeries, tau: complex) -> tuple[complex, float]:
-    """(value, tail) at q = exp(2 pi i tau): every float exponent is float(Fraction),
-    and the tail extrapolates the top half's coefficient growth geometrically."""
-    tau = complex(tau)
-    q = cmath.exp(2j * cmath.pi * tau)
-    entries = s.items()
-    terms = [c * q ** float(e) for e, c in entries]
-    value = complex(math.fsum(t.real for t in terms), math.fsum(t.imag for t in terms))
-    qa = abs(q)
-    if len(entries) < 3:    # no growth ratio is read: nothing bounds the omitted terms
-        return value, math.inf
-    growth = 1.0
-    median = entries[len(entries) // 2][0]
-    for (e1, c1), (e2, c2) in zip(entries, entries[1:]):
-        if e1 >= median and float(c1) != 0.0:
-            step = float(e2 - e1)
-            growth = max(growth, (abs(float(c2)) / abs(float(c1))) ** (1.0 / step))
-    x = growth * qa
-    if x >= 1.0:
-        return value, math.inf
-    e_last, c_last = entries[-1]
-    base = abs(float(c_last)) * qa ** float(e_last)
-    tail = base * x ** float(s.trunc - e_last) / (1.0 - x)
-    return value, tail
+def ref_evaluate(s: RefSeries, tau: complex) -> complex:
+    """The value at q = exp(2 pi i tau), every float exponent float(Fraction)."""
+    q = cmath.exp(2j * cmath.pi * complex(tau))
+    terms = [c * q ** float(e) for e, c in s.items()]
+    return complex(math.fsum(t.real for t in terms), math.fsum(t.imag for t in terms))
 
 
 def a2_count(n: int) -> int:

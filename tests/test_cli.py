@@ -269,9 +269,9 @@ _PINNED_OUTPUTS = [
      '{"points": 2, "tail": 2.2808420063028903e-11, '
      '"value": [-0.10094397823264137, -0.11903711523675795]}'),
     ("zfull --surface s.json --rank 2 --tau 0 1 --splitting identity",
-     '{"difference": 2.9103830456733704e-11, "direct": {"tail": 3.165415217738581e-11, '
+     '{"difference": 2.9103830456733704e-11, "direct": {"tail": 3.165413989930679e-11, '
      '"terms": 66, "value": [71728.36348293131, 0.0]}, "factorized": '
-     '{"tail": 1.9818646105048908e-16, "terms": 7, "value": [71728.36348293134, 0.0]}}'),
+     '{"tail": 5.228703380875687e-15, "terms": 7, "value": [71728.36348293134, 0.0]}}'),
 ]
 
 
@@ -583,11 +583,25 @@ def test_package_import_loads_no_submodule_and_resolves_every_name():
     ["zfull", "--rank", "2", "--tau", "0", "1", "--radius", "1e6"],
     ["theta", "--tau", "0", "1", "--radius", "1e7"],
     ["zseries", "--rank", "2", "--order", "1e300", "--method", "literal"],
-    ["zfull", "--rank", "2", "--tau", "0", "1", "--order", "-5"],
 ], ids=["tau-uncertified", "tau-overflow", "tau-underflow", "cutoff-1e9", "radius-1e6",
-        "theta-radius-1e7", "order-1e300", "zfull-empty-series"])
+        "theta-radius-1e7", "order-1e300"])
 def test_out_of_range_inputs_exit_2_quickly(argv):
     _assert_spawned_input_error(argv, timeout=5)
+
+
+@pytest.mark.parametrize("argv", [
+    ["--rank", "2", "--tau", "0", "1", "--order", "-5"],
+    ["--rank", "3", "--tau", "0", "0.5", "--surface", "s.json"],
+    ["--rank", "2", "--tau", "0", "0.3", "--surface", "s.json"],
+], ids=["empty-series", "rank-3-tau-0.5i", "rank-2-tau-0.3i"])
+def test_zfull_tails_cover_the_difference(tmp_path, argv):
+    # an empty series (order -5) has a finite tail, the whole a-sum's bound; at Im tau <= 0.5
+    # both tails are finite, if loose, on Gram [-2]
+    (tmp_path / "s.json").write_text(json.dumps({"rank": 1, "gram": [[-2]]}))
+    argv = [str(tmp_path / a) if a.endswith(".json") else a for a in argv]
+    code, doc = _assert_contract(["zfull", *argv])
+    assert code == 0 and 0 < doc["difference"]
+    assert doc["difference"] <= doc["direct"]["tail"] + doc["factorized"]["tail"] < math.inf
 
 
 def test_zfull_at_a_large_im_tau_exits_0_with_a_finite_value(tmp_path):

@@ -1,5 +1,4 @@
 import cmath
-import math
 from fractions import Fraction
 from functools import partial
 
@@ -10,7 +9,7 @@ from hypothesis import strategies as st
 
 from k3tk import (EvenLattice, InputError, QSeries, chi_virtual, MukaiVector, errors,
                   gottsche_series, hilb_euler, qs_add, qs_evaluate, qs_mul, qs_scale,
-                  qs_substitute_power, qseries, z1_zero, z_psu_direct,
+                  qs_substitute_power, qseries, theta, z1_zero, z_psu_direct,
                   z_psu_hecke, z_psu_hecke_literal)
 
 from . import oracles
@@ -204,23 +203,11 @@ def test_r1_modular_transformation():
 
 
 def test_evaluate_tail_is_honest():
-    short = z1_zero(20)
-    long = z1_zero(60)
+    # what z1_zero(20) omits, the exponents 20 on, is chi(Hilb^m) q^(m - 1) for m >= 21,
+    # which the one Goettsche tail kernel bounds
     for tau in (1j, 0.5j, 0.2 + 0.8j):
-        approx = qs_evaluate(short, tau)
-        better = qs_evaluate(long, tau).value
-        assert abs(approx.value - better) <= approx.tail
-
-
-def test_a_series_of_fewer_than_three_terms_has_no_tail_bound():
-    # one or two stored terms give no growth ratio: the omitted part of z1_zero(0) at tau = i
-    # is 24.6 and of z1_zero(1) 0.62, far above the tail a growth of 1 gave (1.0 and 0.045)
-    long = qs_evaluate(z1_zero(60), 1j).value
-    for order in (0, 1):
-        short = qs_evaluate(z1_zero(order), 1j)
-        assert short.tail == math.inf and abs(short.value - long) > 0.5
-    three = qs_evaluate(z1_zero(2), 1j)
-    assert abs(three.value - long) <= three.tail < math.inf
+        omitted = qs_evaluate(z1_zero(60), tau).value - qs_evaluate(z1_zero(20), tau).value
+        assert abs(omitted) <= theta._a_sums(1, abs(cmath.exp(2j * cmath.pi * tau)), 21)
 
 
 def test_hilb_euler_work_cap_covers_every_entry_point():
@@ -267,7 +254,7 @@ def test_index_arithmetic_matches_fraction_reference(x, y, scalar, m, tau):
     _matches(qs_substitute_power(b, m), oracles.ref_substitute_power(rb, m))
     for s, ref in ((qs_add(a, b), oracles.ref_add(ra, rb)),
                    (qs_mul(a, b), oracles.ref_mul(ra, rb))):
-        assert repr(tuple(qs_evaluate(s, tau))) == repr(oracles.ref_evaluate(ref, tau))
+        assert repr(qs_evaluate(s, tau).value) == repr(oracles.ref_evaluate(ref, tau))
 
 
 @settings(max_examples=150, deadline=None)
@@ -275,7 +262,7 @@ def test_index_arithmetic_matches_fraction_reference(x, y, scalar, m, tau):
 def test_evaluate_bit_identical_to_reference_property(x, tau):
     s, ref = QSeries.from_terms(*x), oracles.ref_from_terms(*x)
     for t in (tau, -1 / tau):
-        assert repr(tuple(qs_evaluate(s, t))) == repr(oracles.ref_evaluate(ref, t))
+        assert repr(qs_evaluate(s, t).value) == repr(oracles.ref_evaluate(ref, t))
 
 
 def test_evaluate_literal_series(gram2):
@@ -283,25 +270,18 @@ def test_evaluate_literal_series(gram2):
     lit = qs_evaluate(z_psu_hecke_literal(2, (0,), 12, gram2), 1j)
     exact = qs_evaluate(z_psu_hecke(2, (0,), 12, gram2), 1j)
     assert abs(lit.value - exact.value) <= 1e-9 * abs(exact.value)
-    # its last stored coefficient is an exact zero, which the tail base skips
-    assert 0.0 < lit.tail < math.inf
-    assert abs(lit.tail - exact.tail) <= 1e-9 * exact.tail
-    # a growth estimate that overflows is an unbounded tail, not an OverflowError
-    for s in (QSeries(100, ((0, 1), (1, 1), (2, 10**10)), 1),
-              z_psu_hecke_literal(5, (2,), 20, EvenLattice(((4,),)))):
-        assert qs_evaluate(s, 1j).tail == math.inf
 
 
 def test_evaluate_and_literal_bit_identical_to_reference(gram2):
-    # Z_3^1 has denominator 6, where the growth step (k2 - k1)/6 and the
-    # difference k2/6 - k1/6 round apart and move the tail
+    # Z_3^1 has denominator 6: each exponent k/6 is one correctly rounded quotient, as
+    # float(Fraction(k, 6)) is
     series = [z1_zero(42), z_psu_direct(3, (1,), Fraction(17, 3), gram2),
               qs_add(z_psu_direct(2, (1,), 9, gram2), z_psu_direct(3, (0,), 9, gram2))]
     for s in series:
         ref = oracles.ref_from_terms(dict(s.items()), s.trunc)
         for tau in (0.5j, 0.2 + 0.8j, 1j, 0.1 + 0.9j):
             for t in (tau, -1 / tau):
-                assert repr(tuple(qs_evaluate(s, t))) == repr(oracles.ref_evaluate(ref, t))
+                assert repr(qs_evaluate(s, t).value) == repr(oracles.ref_evaluate(ref, t))
     euler = colored_partition_counts(40)
     for r, alpha in ((2, (0,)), (3, (1,))):      # exact zeros at r = 2, residues at r = 3
         lit = z_psu_hecke_literal(r, alpha, 12, gram2)

@@ -3,7 +3,8 @@ unreferenced private helpers and module-level names, one module per literal
 InputError message, no validated Goettsche lookup inside the series and theta
 loops, no module-level container in the series and theta modules, mpmath
 imported in one function, isometries bound and applied only inside
-IsometryWord, and one Jacobi per splitting with no least eigenvalue kept; and
+IsometryWord, one Jacobi per splitting with no least eigenvalue kept, and no
+tail read off a qs_evaluate result, with _hilb_tail read only by _a_sums; and
 the benchmark workloads read only public names."""
 
 import ast
@@ -167,6 +168,38 @@ def test_one_jacobi_per_splitting_and_no_least_eigenvalue():
                 lam_min.append((path.name, where))
     assert reads == [("theta.py", "Splitting.spectral")]
     assert lam_min == []
+
+
+def _reads(node, names) -> bool:
+    """node reads one of names or calls qs_evaluate."""
+    return any(getattr(n, "id", None) in names
+               or getattr(getattr(n, "func", None), "id", None) == "qs_evaluate"
+               for n in ast.walk(node))
+
+
+def test_one_kernel_bounds_every_goettsche_tail():
+    # qs_evaluate extrapolates nothing, so no sum reads a tail off its result (or off a name
+    # assigned from it, directly or through another such name), and every tail of a
+    # Goettsche-type sum is _a_sums', the one reader of _hilb_tail
+    tail_reads, kernel = [], []
+    for path in SOURCES:
+        tree = ast.parse(path.read_text())
+        for func in ast.walk(tree):
+            if not isinstance(func, ast.FunctionDef):
+                continue
+            assigns = [node for node in ast.walk(func) if isinstance(node, ast.Assign)]
+            evaluated = set()
+            while more := {n.id for node in assigns if _reads(node.value, evaluated)
+                           for target in node.targets for n in ast.walk(target)
+                           if isinstance(n, ast.Name)} - evaluated:
+                evaluated |= more
+            tail_reads += [(path.name, func.name) for node in ast.walk(func)
+                           if isinstance(node, ast.Attribute) and node.attr == "tail"
+                           and _reads(node.value, evaluated)]
+        kernel += [(path.name, where) for where, node in _scoped(tree)
+                   if isinstance(node, ast.Name) and node.id == "_hilb_tail"]
+    assert tail_reads == []
+    assert kernel == [("theta.py", "_a_sums")]
 
 
 def test_benchmark_workloads_read_only_public_names():

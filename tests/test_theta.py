@@ -293,14 +293,20 @@ def test_z_full_two_paths_agree(neg2, split1):
         assert abs(direct.value - fact.value) < 1e-6
 
 
-def test_empty_series_has_an_unbounded_tail(neg2, split1):
-    # at order -5 no coefficient is stored, so nothing bounds the terms from -5 on
+def test_empty_series_has_a_finite_tail_over_the_whole_series(neg2, split1):
+    # at order -5 no coefficient is stored: the tail bounds every class's whole a-sum
     empty = z_psu_direct(2, (0,), -5, neg2)
     assert not empty.coeffs
-    assert qs_evaluate(empty, 1j) == (0j, math.inf)
+    assert qs_evaluate(empty, 1j) == (0j,)
     fact = z_full_factorized(neg2, 2, 1j, split1, None, -5)
-    assert fact.value == 0 and fact.tail == math.inf
-    assert z_full_direct(neg2, 2, 1j, split1).value != 0
+    full = z_full_direct(neg2, 2, 1j, split1).value
+    assert fact.value == 0 and full != 0 and abs(full) <= fact.tail < math.inf
+
+
+def test_an_empty_series_where_q_underflows_has_an_unbounded_tail(neg2, split1):
+    # |q| = e^(-400 pi) is 0 as a double: the whole a-sum, from |q|^-r on, is bounded by inf,
+    # not a ZeroDivisionError
+    assert z_full_factorized(neg2, 2, 200j, split1, None, -5).tail == math.inf
 
 
 def test_empty_series_times_an_unbounded_theta_tail_is_unbounded(neg2, split1):
@@ -389,6 +395,41 @@ def test_direct_sum_is_bounded_where_the_a_series_converges(neg2, split1, r, tau
     res = z_full_direct(neg2, r, tau, split1)
     value, _, size = z_full_brute(((-2,),), r, tau, 8.0 + 40, 5.0 + 10, _euler_table())
     assert abs(res.value - value) <= res.tail + 1e-12 * size and res.tail < math.inf
+
+
+def test_direct_tail_is_within_ten_times_its_error(neg2, split1):
+    # Cauchy's estimate at rho = sqrt y alone put this tail at 1.91e9, 690 times the error
+    res = z_full_direct(neg2, 3, 0.5j, split1)
+    value, _, _ = z_full_brute(((-2,),), 3, 0.5j, 8.0 + 40, 5.0 + 10, _euler_table())
+    assert res.tail <= 10 * abs(res.value - value)
+
+
+@st.composite
+def _factorized_cases(draw):
+    """A nondegenerate even Gram of rank <= 2 (diagonal +-2 or +-4, off-diagonal -1 to 1), r,
+    the series order as a Fraction in [-3r, 14r], tau and the radius."""
+    diag = draw(st.lists(st.sampled_from([-4, -2, 2, 4]), min_size=1, max_size=2))
+    off = draw(st.integers(-1, 1))
+    gram = tuple(tuple(d if i == j else off for j in range(len(diag)))
+                 for i, d in enumerate(diag))
+    r = draw(st.integers(1, 3))
+    order = draw(st.fractions(-3 * r, 14 * r, max_denominator=6))
+    tau = complex(draw(st.floats(-0.5, 0.5)), draw(st.floats(0.3, 1.5)))
+    return gram, r, order, tau, draw(st.floats(3.0, 5.0))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_factorized_cases())
+def test_factorized_tail_bounds_the_omitted_terms_property(case):
+    # the same sum 40 further in q; the slack is the rounding of the terms, whose moduli the
+    # sum at Re tau = 0 adds up: with x absent every term there is positive
+    gram, r, order, tau, radius = case
+    lat = EvenLattice(gram)
+    split = Splitting.spectral(lat)
+    res = z_full_factorized(lat, r, tau, split, None, order, radius)
+    longer = z_full_factorized(lat, r, tau, split, None, order + 40, radius).value
+    size = z_full_factorized(lat, r, 1j * tau.imag, split, None, order + 40, radius).value
+    assert abs(res.value - longer) <= res.tail + 1e-12 * abs(size) and res.tail < math.inf
 
 
 @st.composite
@@ -482,11 +523,12 @@ def test_a_cutoff_below_minus_r_is_refused(neg2, split1):
     assert z_full_direct(lat, 2, 1j, Splitting.identity_positive(lat), None, -2, 4.0).terms > 0
 
 
-def test_a_factorized_sum_over_a_short_series_has_no_tail_bound(neg2, split1):
-    # Z_1 to order 0 or 1 stores one or two terms, which bound nothing past them
-    for order in (0, 1):
-        assert z_full_factorized(neg2, 1, 1j, split1, None, order, 5.0).tail == math.inf
-    assert z_full_factorized(neg2, 1, 1j, split1, None, 2, 5.0).tail < math.inf
+def test_a_factorized_sum_over_a_short_series_bounds_what_it_omits(neg2, split1):
+    # Z_1 to order 0 or 1 stores one or two terms; the a-sum bound covers the rest
+    long = z_full_factorized(neg2, 1, 1j, split1, None, 40, 5.0).value
+    for order in (0, 1, 2):
+        short = z_full_factorized(neg2, 1, 1j, split1, None, order, 5.0)
+        assert abs(short.value - long) <= short.tail < math.inf
 
 
 _ENTRY_POINTS = {
@@ -843,10 +885,10 @@ def test_results_pinned_to_the_box_enumeration():
         "ThetaSum(value=(-0.0007265580394613061-0.0008052064362195986j), "
         "tail=5.354554130909906e-16, points=4)",
         "ZFullSum(value=(20.706061041337396+112367714.0222711j), "
-        "tail=0.225362575483759, terms=26)",
+        "tail=0.22536257535130336, terms=26)",
         "ZFullSum(value=(22194.984316239326-68173.09792064782j), "
-        "tail=9.690846640826933e-08, terms=184)",
+        "tail=9.690845926528388e-08, terms=184)",
         "ZFullSum(value=(22194.98431621098-68173.09792073988j), "
-        "tail=8.294299865099132e-11, terms=25)",
-        "ZFullSum(value=(71728.36338967281+0j), tail=9.325853068399212e-05, terms=28)",
+        "tail=1.0434874318865816e-10, terms=25)",
+        "ZFullSum(value=(71728.36338967281+0j), tail=9.325852716386167e-05, terms=28)",
     ]
