@@ -17,8 +17,9 @@ Only the subcommands that read a lattice accept --surface; main loads it
 once, and without it the rank-1 lattice with Gram [2] is used.  Only verify
 takes --bound: the r1 scan of construct always ends, so it needs none.  Each
 subcommand imports only the modules it uses, so a spawn loads little beyond
-the interpreter: nothing loads numpy, and only zseries --method literal
-loads mpmath.
+the interpreter: nothing loads numpy, only zseries --method literal loads
+mpmath, and the integer subcommands load no fractions, decimal or cmath
+(gottsche and chivirtual read moduli's integer kernels, not a Fraction).
 """
 
 from __future__ import annotations
@@ -161,16 +162,20 @@ def _cmd_invariants(args) -> dict:
 
 
 def _cmd_gottsche(args) -> dict:
-    from .qseries import _hilb_table
+    from .moduli import _hilb_table
 
     order = _at_least(args.order, 1, "order")
     return {"coeffs": _hilb_table(order - 1)[:order]}
 
 
 def _cmd_chivirtual(args) -> dict:
-    from .partitions import chi_virtual
+    from math import gcd
 
-    return {"chi_virtual": _frac_json(chi_virtual(_vector(args.v), args.lat))}
+    from .moduli import _chi_virtual_scaled
+
+    num, den = _chi_virtual_scaled(_vector(args.v), args.lat)     # den = content^2 > 0
+    g = gcd(num, den)
+    return {"chi_virtual": {"num": num // g, "den": den // g}}      # _frac_json's form
 
 
 def _cmd_zseries(args) -> dict:

@@ -26,7 +26,8 @@ of v' under an isometry; the tests check all.
 
 triangle_interior_count checks d r1 - r d1 = 1 and lr < r1, then counts by an
 exact column scan the lattice points strictly inside (0,0), (r1 - lr, d1 - ld),
-(r1, d1); sweep_triangles scans tuples it generates valid.  A brute-force box
+(r1, d1), each column two floor divisions against the two edges that bound it;
+sweep_triangles scans tuples it generates valid.  A brute-force box
 count and Pick's theorem are the test oracles.  farey_gap_holds checks the
 mediant-style gap x2 >= x1 + x3 for slopes y1/x1 > y2/x2 > y3/x3 with
 y1 x3 - x1 y3 = 1.
@@ -37,7 +38,7 @@ sheaf-level content and out of scope; only the lattice data is built.
 
 from __future__ import annotations
 
-from math import gcd, inf
+from math import gcd
 
 from .errors import ConsistencyError, InputError, check_work
 from .isometry import Dual, IsometryWord, Negate, Reflect
@@ -127,29 +128,32 @@ def triangle_interior_count(r1: int, d1: int, r: int, d: int, l: int) -> int:
 def _interior_points(p1, p2, p3) -> int:
     """Lattice points strictly inside an integer triangle; 0 when it is degenerate.
 
-    A point is inside when it lies strictly on the inner side of all three
-    edges.  In column x, edge P -> Q asks a y > b with a = sgn (Qx - Px) and
-    b = sgn ((Qx - Px) Py + (Qy - Py)(x - Px)); this bounds y from below when
-    a > 0 and from above when a < 0.  A vertical edge (a = 0) sits at the
-    smallest or largest x, outside the columns scanned, so it bounds nothing.
+    With the vertices A, B, C sorted by x, each column x strictly between Ax and
+    Cx meets the long edge AC and one short edge, AB for x <= Bx and BC beyond
+    (a vertical short edge sits at Ax or Cx, outside the columns).  An edge
+    P -> Q with Px < Qx meets column x at y = n / w, with w = Qx - Px and
+    n = Py w + (Qy - Py)(x - Px), so n grows by Qy - Py per column; the points
+    strictly between the upper edge (AC when B lies below it) and the lower one
+    number ceil(n_top / w_top) - floor(n_bot / w_bot) - 1 when positive.
     """
-    (x1, y1), (x2, y2), (x3, y3) = p1, p2, p3
-    orient = (x2 - x1) * (y3 - y1) - (y2 - y1) * (x3 - x1)
+    a, b, c = sorted((p1, p2, p3))
+    (ax, ay), (bx, by), (cx, cy) = a, b, c
+    orient = (bx - ax) * (cy - ay) - (by - ay) * (cx - ax)
     if orient == 0:
         return 0
-    sgn = 1 if orient > 0 else -1
-    edges = [(sgn * (qx - px), px, py, sgn * (qy - py))
-             for (px, py), (qx, qy) in ((p1, p2), (p2, p3), (p3, p1)) if qx != px]
     count = 0
-    for x in range(min(x1, x2, x3) + 1, max(x1, x2, x3)):
-        lo, hi = -inf, inf
-        for a, px, py, dy in edges:
-            b = a * py + dy * (x - px)
-            if a > 0:
-                lo = max(lo, b // a + 1)        # least y with a y > b
-            else:
-                hi = min(hi, -(b // -a) - 1)    # greatest y with a y > b
-        count += max(0, hi - lo + 1)
+    for (px, py), (qx, qy), xs in ((a, b, range(ax + 1, min(bx + 1, cx))),
+                                   (b, c, range(bx + 1, cx))):
+        short = (py * (qx - px) + (qy - py) * (xs.start - px), qx - px, qy - py)
+        long = (ay * (cx - ax) + (cy - ay) * (xs.start - ax), cx - ax, cy - ay)
+        (n_top, w_top, d_top), (n_bot, w_bot, d_bot) = ((long, short) if orient > 0
+                                                        else (short, long))
+        for _ in xs:
+            inside = -(-n_top // w_top) - n_bot // w_bot - 1
+            if inside > 0:
+                count += inside
+            n_top += d_top
+            n_bot += d_bot
     return count
 
 
@@ -207,8 +211,10 @@ def sweep_farey(max_x: int) -> tuple[int, list]:
 
     The data is invariant under the shear y_i -> y_i + t x_i, so y3 is
     normalized to [0, x3); every valid tuple is a shear of an enumerated one.
-    Every enumerated tuple meets the preconditions of farey_gap_holds by
-    construction, so the sweep tests x2 < x1 + x3 directly.
+    y1 x3 - x1 y3 = 1 asks gcd(x3, y3) = 1 and x1 = -1/y3 (mod x3), so x1 steps
+    by x3.  Every enumerated tuple meets the preconditions of farey_gap_holds by
+    construction, and the gap x2 >= x1 + x3 does not read y2, so the sweep
+    counts each (x1, x2, x3, y3)'s y2 at once and lists them only when it fails.
     Returns (number of tuples checked, list of counterexamples).
     """
     max_x = _at_least(max_x, 0, "bound")
@@ -217,17 +223,16 @@ def sweep_farey(max_x: int) -> tuple[int, list]:
     bad = []
     for x3 in range(1, max_x + 1):
         for y3 in range(x3):
-            for x1 in range(1, max_x + 1):
-                num = 1 + x1 * y3
-                if num % x3:
-                    continue
-                y1 = num // x3
+            if gcd(x3, y3) != 1:
+                continue
+            for x1 in range(-pow(y3, -1, x3) % x3 or x3, max_x + 1, x3):
+                y1 = (1 + x1 * y3) // x3
                 for x2 in range(1, max_x + 1):
-                    # integers y2 with y3/x3 < y2/x2 < y1/x1
+                    # integers y2 with y3/x3 < y2/x2 < y1/x1; the gap does not read y2
                     lo = y3 * x2 // x3 + 1
                     hi = -((-y1 * x2) // x1) - 1    # floor/ceil tricks, exact
-                    for y2 in range(lo, hi + 1):
-                        checked += 1
+                    if hi >= lo:
+                        checked += hi - lo + 1
                         if x2 < x1 + x3:
-                            bad.append((x1, y1, x2, y2, x3, y3))
+                            bad += [(x1, y1, x2, y2, x3, y3) for y2 in range(lo, hi + 1)]
     return checked, bad

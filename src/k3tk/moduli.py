@@ -19,14 +19,29 @@ marks that corner.
 Every predicate reads one record per vector and lattice: <v^2> and the case
 split (l, CaseInfo) are computed once and kept in the vector's _memo slot (see
 k3tk.lattice), so asking all of them about one v costs one Mukai pairing.
+
+The integer invariants live here, so that reading them needs no Fraction.
+chi(Hilb^n) is the coefficient of q^n in prod_{m>=1} (1 - q^m)^(-24) = h^(-8),
+where h = prod_m (1 - q^m)^3 = sum_{j>=0} (-1)^j (2j+1) q^(j(j+1)/2) by Jacobi's
+identity is nonzero only at the triangular numbers k.  J.C.P. Miller's recurrence
+for a power of a series (Knuth, TAOCP vol. 2, 4.7) gives n c(n) = -sum_k (7k + n)
+h_k c(n - k): at most T(n) = (isqrt(8n + 1) - 1) // 2 big-integer products per
+exact integer c(n) (a nonzero remainder is a ConsistencyError), so the cached
+table through n, _hilb_table, costs (n + 1) T(n), which errors.check_work bounds,
+cold or warm.  The test suite checks it against the divisor-sum recurrence of the
+logarithmic derivative and an independent 24-colored-partition dynamic program.
+chi(Hilb^n) = 0 for n < 0 by convention; the virtual Euler characteristic
+(k3tk.partitions) relies on this, and its integer kernel, _chi_virtual_scaled,
+is here too.
 """
 
 from __future__ import annotations
 
-from .errors import InputError
+from math import isqrt
+
+from .errors import ConsistencyError, InputError, check_work
 from .lattice import (EvenLattice, MukaiVector, Value, _mukai, _require_positive_rank, _set,
                       content, ell, square)
-from .qseries import hilb_euler
 
 RANK_ONE = "rank_one"
 REFL_POINT = "refl_point"
@@ -148,4 +163,47 @@ def hilb_index(v: MukaiVector, lat: EvenLattice) -> int:
 
 def euler_characteristic(v: MukaiVector, lat: EvenLattice) -> int:
     """chi of the moduli space: the Goettsche coefficient at <v^2>/2 + 1."""
-    return hilb_euler(hilb_index(v, lat))
+    n = hilb_index(v, lat)
+    return _hilb_table(n)[n]
+
+
+_hilb_euler: list[int] = [1]
+
+
+def _hilb_table(n: int) -> list[int]:
+    """The table of chi(Hilb^m), grown through m = n by Miller's recurrence (module
+    docstring); loops read it after one call, and read m < 0 as 0."""
+    c = _hilb_euler
+    if n >= len(c):
+        top = (isqrt(8 * n + 1) - 1) // 2      # T(n): no entry up to n reads more h_k
+        check_work((n + 1) * top, "hilb_euler")     # the whole table's cost, cold or warm
+        tri = [(j * (j + 1) // 2, (-1) ** j * (2 * j + 1)) for j in range(1, top + 1)]
+        for m in range(len(c), n + 1):
+            s = 0
+            for k, h in tri:
+                if k > m:
+                    break
+                s -= (7 * k + m) * h * c[m - k]
+            entry, rest = divmod(s, m)
+            if rest:
+                raise ConsistencyError(f"chi(Hilb^{m}) is not an integer")
+            c.append(entry)
+    return c
+
+
+def _chi_scaled(sq: int, c: int, euler: list[int]) -> int:
+    """c^2 chi_virtual(v), an exact integer, from <v^2> = sq, c = content(v) and the
+    chi(Hilb^m) table euler, grown through m = sq // 2 + 1 (_hilb_table)."""
+    if c == 1:
+        return euler[m] if (m := sq // 2 + 1) >= 0 else 0
+    return sum(euler[m] * (c // a) ** 2 for a in range(1, c + 1)
+               if c % a == 0 and (m := sq // (2 * a * a) + 1) >= 0)
+
+
+def _chi_virtual_scaled(v: MukaiVector, lat: EvenLattice) -> tuple[int, int]:
+    """(c^2 chi_virtual(v), c^2) for c = content(v), after the positive-rank check."""
+    _require_positive_rank(v)
+    c = content(v)
+    check_work(c, "chi_virtual")        # the divisor scan tries every a <= c
+    sq = square(v, lat)
+    return _chi_scaled(sq, c, _hilb_table(sq // 2 + 1)), c * c

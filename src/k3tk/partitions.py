@@ -9,7 +9,8 @@ Euler characteristic of the moduli space; for non-primitive v the formula is
 implemented as stated with no claim that it equals a geometric Euler
 characteristic of any compactification.  It depends on v only through the
 integers <v^2> and content(v), and every path reads it from one integer
-helper keyed by that pair.
+helper keyed by that pair, k3tk.moduli._chi_scaled; chi_virtual is the
+Fraction of moduli's checked kernel, which the CLI reduces without one.
 
 The fixed-determinant partition function for rank r and c1 = alpha is
 
@@ -57,26 +58,14 @@ import math
 from fractions import Fraction
 
 from .errors import InputError, check_work
-from .lattice import (EvenLattice, MukaiVector, _as_ints, _as_number, _at_least,
-                      _require_positive_rank, content, square)
-from .qseries import QSeries, _hilb_table
-
-
-def _chi_scaled(sq: int, c: int, euler: list[int]) -> int:
-    """c^2 chi_virtual(v), an exact integer, from <v^2> = sq, c = content(v) and the
-    chi(Hilb^m) table euler, grown through m = sq // 2 + 1 (qseries._hilb_table)."""
-    if c == 1:
-        return euler[m] if (m := sq // 2 + 1) >= 0 else 0
-    return sum(euler[m] * (c // a) ** 2 for a in range(1, c + 1)
-               if c % a == 0 and (m := sq // (2 * a * a) + 1) >= 0)
+from .lattice import EvenLattice, MukaiVector, _as_ints, _as_number, _at_least
+from .moduli import _chi_scaled, _chi_virtual_scaled, _hilb_table
+from .qseries import QSeries
 
 
 def chi_virtual(v: MukaiVector, lat: EvenLattice) -> Fraction:
     """Divisor-sum virtual Euler characteristic; denominator divides content^2."""
-    _require_positive_rank(v)
-    c = content(v)
-    check_work(c, "chi_virtual")        # the divisor scan tries every a <= c
-    return Fraction(_chi_scaled(sq := square(v, lat), c, _hilb_table(sq // 2 + 1)), c * c)
+    return Fraction(*_chi_virtual_scaled(v, lat))
 
 
 def _check_rank_alpha(r: int, alpha, lat: EvenLattice) -> tuple[int, tuple[int, ...]]:

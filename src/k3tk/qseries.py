@@ -23,20 +23,10 @@ qs_evaluate sums the stored terms at a point of the upper half plane and claims
 nothing past trunc: a bound on the omitted terms needs what the series is, so the
 Goettsche-type sums bound theirs in k3tk.theta.
 
-The Goettsche series of a K3 surface,
-
-    sum_n chi(Hilb^n) q^n = prod_{m>=1} (1 - q^m)^(-24) = h^(-8),
-
-where h = prod_m (1 - q^m)^3 = sum_{j>=0} (-1)^j (2j+1) q^(j(j+1)/2) by Jacobi's
-identity is nonzero only at the triangular numbers k.  J.C.P. Miller's recurrence
-for a power of a series (Knuth, TAOCP vol. 2, 4.7) gives n c(n) = -sum_k (7k + n)
-h_k c(n - k): at most T(n) = (isqrt(8n + 1) - 1) // 2 big-integer products per
-exact integer c(n) (a nonzero remainder is a ConsistencyError), so the cached
-table through n costs (n + 1) T(n), which errors.check_work bounds, cold or warm.
-The test suite checks it against the divisor-sum recurrence of the logarithmic
-derivative and an independent 24-colored-partition dynamic program.
-chi(Hilb^n) = 0 for n < 0 by convention; the virtual Euler characteristic
-formula relies on this.
+The Goettsche series sum_n chi(Hilb^n) q^n = prod_{m>=1} (1 - q^m)^(-24) of a K3
+surface reads its integer coefficients from the table in k3tk.moduli (Miller's
+recurrence and its work cap are described there), so the integer invariants load no
+Fraction; hilb_euler is the validated reader of that table, 0 for n < 0.
 """
 
 from __future__ import annotations
@@ -45,11 +35,12 @@ import cmath
 import math
 from fractions import Fraction
 from functools import cached_property
-from math import gcd, isqrt, lcm
+from math import gcd, lcm
 from typing import NamedTuple
 
-from .errors import ConsistencyError, InputError, check_work
+from .errors import InputError
 from .lattice import Value, _as_int, _as_number, _at_least, _new, _set
+from .moduli import _hilb_table
 
 
 def _upper(tau) -> complex:
@@ -232,40 +223,10 @@ def qs_evaluate(s: QSeries, tau: complex) -> QSeriesValue:
                                 math.fsum(t.imag for t in terms)))
 
 
-_hilb_euler: list[int] = [1]
-
-
 def hilb_euler(n: int) -> int:
-    """Euler characteristic of the Hilbert scheme of n points on a K3.
-
-    Coefficient of q^n in prod_{m>=1} (1 - q^m)^(-24) = h^(-8), from Miller's
-    recurrence over h's triangular exponents (module docstring); 0 for n < 0.
-    """
+    """Euler characteristic of the Hilbert scheme of n points on a K3; 0 for n < 0."""
     n = _as_int(n)
-    if n < 0:
-        return 0
-    c = _hilb_euler
-    if n >= len(c):
-        top = (isqrt(8 * n + 1) - 1) // 2      # T(n): no entry up to n reads more h_k
-        check_work((n + 1) * top, "hilb_euler")     # the whole table's cost, cold or warm
-        tri = [(j * (j + 1) // 2, (-1) ** j * (2 * j + 1)) for j in range(1, top + 1)]
-        for m in range(len(c), n + 1):
-            s = 0
-            for k, h in tri:
-                if k > m:
-                    break
-                s -= (7 * k + m) * h * c[m - k]
-            entry, rest = divmod(s, m)
-            if rest:
-                raise ConsistencyError(f"chi(Hilb^{m}) is not an integer")
-            c.append(entry)
-    return c[n]
-
-
-def _hilb_table(n: int) -> list[int]:
-    """hilb_euler's table, grown through n by one call, for loops; they read m < 0 as 0."""
-    hilb_euler(n)
-    return _hilb_euler
+    return 0 if n < 0 else _hilb_table(n)[n]
 
 
 def gottsche_series(order: int) -> QSeries:

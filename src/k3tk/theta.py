@@ -64,8 +64,9 @@ from operator import add, mul, sub
 
 from .errors import MAX_WORK, InputError, check_work
 from .lattice import EvenLattice, Value, _as_ints, _as_number, _at_least, _set
-from .partitions import _a_span, _chi_scaled, z_psu_direct
-from .qseries import _hilb_table, _upper, qs_evaluate
+from .moduli import _chi_scaled, _hilb_table
+from .partitions import _a_span, z_psu_direct
+from .qseries import _upper, qs_evaluate
 
 GUARD_SHELLS = 3
 EXP_BINS = 8

@@ -4,7 +4,8 @@ Each oracle deliberately uses a different algorithm than the production
 code: the Goettsche numbers come from a plain dynamic program and from the
 divisor-sum recurrence of the logarithmic derivative (the library uses
 Jacobi's triple product),
-the pairing is a hand-expanded double loop, an isometry word is applied
+the pairing is a hand-expanded double loop, the sweeps' tuples are listed from
+their definitions, an isometry word is applied
 generator by generator from each generator's definition (the library binds
 each generator to the lattice first), the triangle count comes from Pick's
 theorem or from testing every point of the bounding box, instead of the
@@ -121,6 +122,26 @@ def box_interior(p1, p2, p3) -> int:
             if all(t > 0 for t in sides) or all(t < 0 for t in sides):
                 count += 1
     return count
+
+
+def triangle_tuples_brute(bound: int) -> list:
+    """Every (r1, d1, r, d, l) with 1 <= r1 <= bound, |d1| <= bound, r, l >= 1,
+    d r1 - r d1 = 1 and l r < r1, from the definition (l r < r1 caps r and l)."""
+    return [(r1, d1, r, (1 + r * d1) // r1, l)
+            for r1 in range(1, bound + 1) for d1 in range(-bound, bound + 1)
+            for r in range(1, r1) if (1 + r * d1) % r1 == 0
+            for l in range(1, r1) if l * r < r1]
+
+
+def farey_tuples_brute(bound: int) -> list:
+    """Every (x1, y1, x2, y2, x3, y3) with 1 <= x_i <= bound and 0 <= y3 < x3 meeting
+    y1 x3 - x1 y3 = 1 and y1/x1 > y2/x2 > y3/x3; these force 0 < y1 <= x1 and
+    0 < y2 < x2, which bound the scan."""
+    xs = range(1, bound + 1)
+    return [(x1, y1, x2, y2, x3, y3)
+            for x1 in xs for x2 in xs for x3 in xs for y3 in range(x3)
+            for y1 in range(x1 + 1) if y1 * x3 - x1 * y3 == 1
+            for y2 in range(x2) if y1 * x2 > y2 * x1 and y2 * x3 > y3 * x2]
 
 
 def chi_virtual_brute(v, gram, euler) -> Fraction:

@@ -14,8 +14,8 @@ import mpmath
 from k3tk import (EvenLattice, IsometryWord, MukaiVector, NSAuto, Splitting, apply_reflect,
                   apply_translate, build_auxiliary, chi_virtual,
                   classify_non_locally_free, dual, ell, gottsche_series,
-                  hilb_euler, hilb_index, moduli_dim, mukai_pairing,
-                  primitive, qs_evaluate, qseries, square,
+                  hilb_euler, hilb_index, moduli, moduli_dim, mukai_pairing,
+                  primitive, qs_evaluate, square,
                   sweep_farey, sweep_triangles, z1_zero, z_full_direct,
                   z_full_factorized, z_psu_direct, z_psu_hecke,
                   z_psu_hecke_literal)
@@ -89,7 +89,7 @@ def test_c03_gottsche_vs_partition_oracle(monkeypatch):
     assert counts[:4] == [1, 24, 324, 3200]
     report(3, "Goettsche series to order 25 matches the colored-partition DP",
            time.time() - start, 1.0)
-    monkeypatch.setattr(qseries, "_hilb_euler", [1])
+    monkeypatch.setattr(moduli, "_hilb_euler", [1])
     start = time.time()             # O(n^1.5) products: a return to n^2 takes over 1 s
     hilb_euler(4000)
     report(3, "Euler-number table grown from empty to index 4000",

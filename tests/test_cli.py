@@ -9,13 +9,13 @@ import subprocess
 import sys
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import k3tk
 
 from k3tk import (EvenLattice, IsometryWord, MukaiVector, apply_reflect,
-                  apply_translate, build_auxiliary)
+                  apply_translate, build_auxiliary, chi_virtual)
 from k3tk.cli import main
 
 from .test_constructions import check_aux_with_oracle
@@ -137,6 +137,40 @@ def test_chivirtual(tmp_path, capsys):
     v = write_vec(tmp_path, "v.json", 2, (0,), 2)
     doc = run_json(capsys, "chivirtual", "--v", v)
     assert doc == {"chi_virtual": {"num": 1, "den": 4}}
+
+
+@st.composite
+def _scaled_vector(draw):
+    """(Gram rows, c w): a lattice of rank <= 3 and c in 1..6 times a primitive w of
+    positive rank whose square lies on either side of -2."""
+    rank = draw(st.integers(1, 3))
+    gram = [[0] * rank for _ in range(rank)]
+    for i in range(rank):
+        gram[i][i] = 2 * draw(st.integers(-3, 3))
+        for j in range(i):
+            gram[i][j] = gram[j][i] = draw(st.integers(-3, 3))
+    r = draw(st.integers(1, 4))
+    c1 = draw(st.lists(st.integers(-3, 3), min_size=rank, max_size=rank))
+    half = sum(x * g * y for row, x in zip(gram, c1) for g, y in zip(row, c1)) // 2
+    a = (half - draw(st.integers(-7, 5))) // r       # <w^2> = 2 (half - r a), at least -14
+    assume(math.gcd(r, a, *c1) == 1)
+    c = draw(st.integers(1, 6))
+    return gram, MukaiVector(c * r, tuple(c * x for x in c1), c * a)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_scaled_vector())
+def test_chivirtual_document_is_chi_virtual_as_a_fraction(tmp_path_factory, case):
+    # the handler reduces moduli's (c^2 chi_virtual, c^2) itself, without a Fraction
+    gram, v = case
+    lat = EvenLattice(tuple(map(tuple, gram)))
+    folder = tmp_path_factory.mktemp("chivirtual")
+    (folder / "s.json").write_text(json.dumps({"rank": len(gram), "gram": gram}))
+    (folder / "v.json").write_text(json.dumps(v.to_json()))
+    code, doc = _assert_contract(["chivirtual", "--surface", str(folder / "s.json"),
+                                  "--v", str(folder / "v.json")])
+    assert code == 0
+    assert doc == {"chi_virtual": k3tk.cli._frac_json(chi_virtual(v, lat))}
 
 
 def test_zseries_rational_order(capsys):
@@ -472,13 +506,14 @@ except SystemExit as exc:
     assert exc.code == 0, exc.code
 print(json.dumps([sorted({"numpy", "mpmath"} & set(sys.modules)),
                   sorted(m for m in sys.modules if m.split(".")[0] == "k3tk"),
-                  sorted({"dataclasses", "inspect"} & set(sys.modules))]))
+                  sorted({"dataclasses", "inspect"} & set(sys.modules)),
+                  sorted({"fractions", "decimal", "cmath"} & set(sys.modules))]))
 """
 
 
 def _loaded_by(tmp_path, command):
-    """(float libraries, k3tk modules, dataclasses and inspect) loaded by one spawned
-    subcommand."""
+    """(float libraries, k3tk modules, dataclasses and inspect, fractions, decimal and
+    cmath) loaded by one spawned subcommand."""
     v = write_vec(tmp_path, "v.json", 2, (1,), -1)
     word = tmp_path / "w.json"
     word.write_text(json.dumps([{"type": "translate", "N": [1]}, {"type": "dual"}]))
@@ -490,6 +525,7 @@ def _loaded_by(tmp_path, command):
             "construct": ["construct", "--l", "2", "--r", "3", "--s", "2", "--a", "1"],
             "invariants": ["invariants", "--v", v],
             "gottsche": ["gottsche", "--order", "40"],
+            "chivirtual": ["chivirtual", "--v", v],
             "verify": ["verify", "triangle", "--bound", "8"],
             "theta": ["theta", "--surface", str(surface), "--tau", "0", "1"],
             "zfull": ["zfull", "--surface", str(surface), "--rank", "2", "--tau", "0", "1"],
@@ -534,6 +570,20 @@ def test_lattice_import_loads_no_dataclasses():
 def test_pair_loads_only_the_lattice_layer(tmp_path):
     assert set(_loaded_by(tmp_path, ["pair"])[1]) <= {
         "k3tk", "k3tk.__main__", "k3tk.cli", "k3tk.errors", "k3tk.lattice"}
+
+
+@pytest.mark.parametrize("command", ["pair", "translate", "word", "construct", "invariants",
+                                     "gottsche", "chivirtual", "verify"])
+def test_integer_subcommands_load_no_fractions(tmp_path, command):
+    # an integer answer needs no Fraction, and fractions would bring decimal along
+    assert _loaded_by(tmp_path, [command])[3] == []
+
+
+@pytest.mark.parametrize("command", ["invariants", "gottsche", "chivirtual"])
+def test_euler_subcommands_load_only_the_moduli_layer(tmp_path, command):
+    # the Goettsche table and chi_virtual's integer kernel live in moduli
+    assert set(_loaded_by(tmp_path, [command])[1]) <= {
+        "k3tk", "k3tk.__main__", "k3tk.cli", "k3tk.errors", "k3tk.lattice", "k3tk.moduli"}
 
 
 PUBLIC_NAMES = [

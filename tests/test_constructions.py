@@ -11,7 +11,8 @@ from k3tk import (Dual, InputError, IsometryWord, MukaiVector, Negate, Reflect,
 from k3tk.constructions import _interior_points
 
 from .conftest import rand_minus_two, random_lattice, random_vector
-from .oracles import box_interior, pairing_brute, pick_interior
+from .oracles import (box_interior, farey_tuples_brute, pairing_brute, pick_interior,
+                      triangle_tuples_brute)
 
 
 def reduction_word(v1, lat) -> IsometryWord:
@@ -266,3 +267,19 @@ def test_sweeps_small():
     assert checked > 100 and bad == []
     checked, bad = sweep_farey(15)
     assert checked > 100 and bad == []
+
+
+def test_sweeps_count_every_tuple_of_their_definition():
+    # each sweep checks exactly the tuples of its statement within the bound; the oracles
+    # list them from the definitions, with no modular inverse
+    triangles, farey = triangle_tuples_brute(12), farey_tuples_brute(12)
+    for bound in range(13):
+        assert sweep_triangles(bound)[0] == sum(
+            t[0] <= bound and abs(t[1]) <= bound for t in triangles)
+        assert sweep_farey(bound)[0] == sum(max(t[0], t[2], t[4]) <= bound for t in farey)
+    assert all(farey_gap_holds(*t) and not farey_gap_holds(*t).vacuous for t in farey)
+
+
+def test_sweep_counts_at_the_benchmark_bounds():
+    assert sweep_triangles(24) == (2060, [])
+    assert sweep_farey(40) == (7028, [])

@@ -7,8 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from k3tk import (EvenLattice, InputError, MukaiVector, QSeries, chi_virtual, content, errors,
-                  hilb_euler, partitions, primitive, qs_add, qs_scale, qs_substitute_power,
-                  qseries, square, z1_zero, z_psu_direct, z_psu_hecke, z_psu_hecke_literal)
+                  hilb_euler, moduli, partitions, primitive, qs_add, qs_scale,
+                  qs_substitute_power, square, z1_zero, z_psu_direct, z_psu_hecke, z_psu_hecke_literal)
 
 from .conftest import random_lattice, random_vector
 from .oracles import (chi_virtual_brute, colored_partition_counts,
@@ -136,7 +136,7 @@ def test_direct_and_hecke_refuse_alike_on_a_cold_table(gram2, monkeypatch):
     # the whole table's cost (n + 1) T(n) however warm it is: r = 1, alpha = 0 reads index
     # order, and 37501 * T(37500) = 37501 * 273 passes 10^7
     for path in (z_psu_direct, z_psu_hecke):
-        monkeypatch.setattr(qseries, "_hilb_euler", [1])
+        monkeypatch.setattr(moduli, "_hilb_euler", [1])
         with pytest.raises(InputError, match="hilb_euler would visit"):
             path(1, (0,), 37500, gram2)
     # under a cap of 2000 the last admitted index is 132: 133 * 15 = 1995
@@ -146,7 +146,7 @@ def test_direct_and_hecke_refuse_alike_on_a_cold_table(gram2, monkeypatch):
         for order in (Fraction(k, 4) for k in range(4 * 120 // r, 4 * 140 // r)):
             outcomes = []
             for path in (z_psu_direct, z_psu_hecke):
-                monkeypatch.setattr(qseries, "_hilb_euler", [1])
+                monkeypatch.setattr(moduli, "_hilb_euler", [1])
                 try:
                     outcomes.append(path(r, alpha, order, gram2))
                 except InputError as exc:

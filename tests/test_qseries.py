@@ -8,8 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from k3tk import (EvenLattice, InputError, QSeries, chi_virtual, MukaiVector, errors,
-                  gottsche_series, hilb_euler, qs_add, qs_evaluate, qs_mul, qs_scale,
-                  qs_substitute_power, qseries, theta, z1_zero, z_psu_direct,
+                  gottsche_series, hilb_euler, moduli, qs_add, qs_evaluate, qs_mul,
+                  qs_scale, qs_substitute_power, theta, z1_zero, z_psu_direct,
                   z_psu_hecke, z_psu_hecke_literal)
 
 from . import oracles
@@ -117,17 +117,17 @@ def test_gottsche_matches_partition_dp_oracle():
 
 def test_hilb_euler_grows_in_uneven_steps(monkeypatch):
     oracle = colored_partition_counts(701)
-    monkeypatch.setattr(qseries, "_hilb_euler", [1])
+    monkeypatch.setattr(moduli, "_hilb_euler", [1])
     for top in (10, 11, 700):
         assert hilb_euler(top) == oracle[top]
-        assert qseries._hilb_euler == oracle[:top + 1]
+        assert moduli._hilb_euler == oracle[:top + 1]
 
 
 def test_hilb_euler_matches_the_divisor_sum_recurrence(monkeypatch):
     oracle = sigma_recurrence_counts(2001)
-    monkeypatch.setattr(qseries, "_hilb_euler", [1])
+    monkeypatch.setattr(moduli, "_hilb_euler", [1])
     assert hilb_euler(2000) == oracle[2000]
-    assert qseries._hilb_euler == oracle
+    assert moduli._hilb_euler == oracle
 
 
 def test_hilb_euler_work_cap_admits_its_boundary_index(monkeypatch):
@@ -135,14 +135,14 @@ def test_hilb_euler_work_cap_admits_its_boundary_index(monkeypatch):
     # 21 * 5 = 105 is admitted under a cap of 105, 22 * 6 = 132 is not, cold or warm
     oracle = colored_partition_counts(22)
     monkeypatch.setattr(errors, "MAX_WORK", 105)
-    monkeypatch.setattr(qseries, "_hilb_euler", [1])
+    monkeypatch.setattr(moduli, "_hilb_euler", [1])
     with pytest.raises(InputError, match="hilb_euler would visit"):
         hilb_euler(21)
-    assert qseries._hilb_euler == [1]
+    assert moduli._hilb_euler == [1]
     assert hilb_euler(20) == oracle[20]
     with pytest.raises(InputError, match="hilb_euler would visit"):
         hilb_euler(21)          # one new entry on a warm table is not cheaper
-    assert qseries._hilb_euler == oracle[:21]
+    assert moduli._hilb_euler == oracle[:21]
 
 
 @pytest.mark.parametrize("bad", [1.5, True, "3", 12.5])

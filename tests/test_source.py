@@ -4,10 +4,13 @@ InputError message, no validated Goettsche lookup inside the series and theta
 loops, no module-level container in the series and theta modules, mpmath
 imported in one function, isometries bound and applied only inside
 IsometryWord, one Jacobi per splitting with no least eigenvalue kept, and no
-tail read off a qs_evaluate result, with _hilb_tail read only by _a_sums; and
-the benchmark workloads read only public names."""
+tail read off a qs_evaluate result, with _hilb_tail read only by _a_sums; the
+benchmark workloads read only public names, and every name the benchmark's
+fresh-process probes import exists."""
 
 import ast
+import importlib
+import re
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -219,3 +222,17 @@ def test_benchmark_workloads_read_only_public_names():
     assert {"Splitting", "theta_siegel_narain", "z_full_factorized"} <= read
     assert sorted(read - set(k3tk.__all__)) == []
     assert built == []          # a splitting comes from Splitting.spectral or identity_positive
+
+
+def test_benchmark_probe_imports_resolve():
+    # the traced run's probes are code strings run in fresh interpreters, which no import
+    # check sees; a module move would otherwise break them only at --trace 1
+    found = set()
+    for node in ast.walk(ast.parse((ROOT / "k3bench" / "run.py").read_text())):
+        if isinstance(node, ast.Constant) and isinstance(node.value, str):
+            for module, names in re.findall(r"\bfrom (k3tk[\w.]*) import (\w+(?:, \w+)*)",
+                                            node.value):
+                found |= {(module, name) for name in names.split(", ")}
+    assert {("k3tk.qseries", "hilb_euler"), ("k3tk.cli", "main")} <= found
+    assert sorted((module, name) for module, name in found
+                  if not hasattr(importlib.import_module(module), name)) == []
