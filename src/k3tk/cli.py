@@ -10,9 +10,13 @@ nothing on stderr, when stdout's reader has gone.  Rationals are serialized as
 [re, im] pairs.  Output is deterministic for identical inputs.
 
 One table, _COMMANDS, declares each subcommand once: its help text and its
-options.  A spawn builds the subparser of the subcommand it names and no
-other (all of them, for --help and the invalid-choice message, when it names
-none).  The handler _cmd_<name> returns the document that main writes.
+options, as add_argument keywords.  _parse reads argv against that table by the
+standard library's option rules (a unique prefix names its option, --opt=value,
+the last of a repeated option counts, after -- every token is a value) and
+_help writes each help page from it, 80 columns wide whatever the terminal, so
+a spawn loads no option-parsing, gettext or locale modules.  A token that
+starts like a negative number is a value.  The handler _cmd_<name> returns the
+document that main writes.
 Only the subcommands that read a lattice accept --surface; main loads it
 once, and without it the rank-1 lattice with Gram [2] is used.  Only verify
 takes --bound: the r1 scan of construct always ends, so it needs none.  Each
@@ -24,11 +28,11 @@ mpmath, and the integer subcommands load no fractions, decimal or cmath
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import re
 import sys
+from types import SimpleNamespace
 
 from .errors import InputError
 from .lattice import (EvenLattice, MukaiVector, _as_number, _at_least, dual, ell, mukai_pairing,
@@ -62,15 +66,12 @@ def _ints(text: str) -> tuple[int, ...]:
 
 
 def _finite_float(text: str) -> float:
-    """argparse type: lattice._as_number's finite float, its InputError a usage error."""
-    try:
-        return _as_number(text, float)
-    except InputError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
+    """Option type: lattice._as_number's finite float, its InputError a usage error."""
+    return _as_number(text, float)
 
 
 def _finite_floats(text: str) -> list[float]:
-    """argparse type: comma-separated finite floats (empty text: none)."""
+    """Option type: comma-separated finite floats (empty text: none)."""
     return [_finite_float(part) for part in text.split(",")] if text.strip() else []
 
 
@@ -290,44 +291,144 @@ _COMMANDS = {       # name: (help, {option: add_argument keywords}), in --help o
                {"what": {"choices": ["triangle", "farey"]}, "--bound": _INT}),
 }
 
+_DESCRIPTION = "Exact computations with Mukai vectors on a K3 surface"
+_HELP = ("-h", "--help")
+_TOP = {"command": {"choices": _COMMANDS}}      # k3tk's own table: its one positional
+# a token that starts like a negative number (-1,1 or -1.5e3 or -.5 or -inf) is a value
 _NEGATIVE_NUMBER = re.compile(r"-(\.?\d|inf|nan)", re.IGNORECASE)
 
 
-class _Parser(argparse.ArgumentParser):
-    """argparse that reports a usage error as an {"error"} document on stdout.
-
-    A token that starts like a negative number (-1,1 or -1.5e3 or -.5 or
-    -inf) is a value, never an option: argparse's own rule exempts only
-    plain decimals such as -1 and -1.5, and no option here starts with a
-    single dash and a digit.
-    """
-
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        self._negative_number_matcher = _NEGATIVE_NUMBER
-
-    def error(self, message):
-        print(json.dumps({"error": f"{self.prog}: {message}"}), flush=True)
-        self.exit(2)
-
-    def print_help(self, file=None):
-        # flushed before parse_args exits, so a reader that is gone raises BrokenPipeError
-        # into main, as a document's does; argparse's own writer swallows it
-        print(self.format_help(), end="", file=file, flush=True)
+def _usage_error(prog: str, message: str):
+    # flushed, so a reader that is gone raises BrokenPipeError into main, as a document's does
+    print(json.dumps({"error": f"{prog}: {message}"}), flush=True)
+    raise SystemExit(2)
 
 
-def _build_parser(argv=()) -> argparse.ArgumentParser:
-    """The parser with the one subcommand argv[0] names, or with all when it names none."""
-    parser = _Parser(
-        prog="k3tk",
-        description="Exact computations with Mukai vectors on a K3 surface")
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in [argv[0]] if argv and argv[0] in _COMMANDS else _COMMANDS:
-        help_text, options = _COMMANDS[name]
-        p = sub.add_parser(name, help=help_text)
-        for option, keywords in options.items():
-            p.add_argument(option, **keywords)
-    return parser
+def _help_exit(prog: str, option: str, value, name=None):
+    """Write the help page and exit 0, unless a value is attached (-hh is -h twice)."""
+    if value is not None and not (option == "-h" and value and not value.strip("h")):
+        _usage_error(prog, f"argument -h/--help: ignored explicit argument {value!r}")
+    print(_help(name), end="", flush=True)
+    raise SystemExit(0)
+
+
+def _option(prog: str, token: str, options):
+    """(option, attached value or None) for a token that names one of options exactly, by
+    a unique prefix or as option=value; (None, None) for another option; None for a value."""
+    if not token.startswith("-") or token == "-":
+        return None
+    name, eq, value = token.partition("=")
+    if name in options:
+        return name, value if eq else None
+    long = token[1] == "-"
+    found = [o for o in options if o.startswith(name)] if long else ["-h"] * (token[1] == "h")
+    if len(found) > 1:
+        _usage_error(prog, f"ambiguous option: {token} could match {', '.join(found)}")
+    if found:
+        return found[0], (value if eq else None) if long else token[2:]
+    return None if _NEGATIVE_NUMBER.match(token) or " " in token else (None, None)
+
+
+def _value(prog: str, option: str, keywords: dict, text: str):
+    """text read by the option's type, and one of its choices if it has them."""
+    kind, choices = keywords.get("type", str), keywords.get("choices", ())
+    try:
+        value = kind(text)
+    except InputError as exc:
+        _usage_error(prog, f"argument {option}: {exc}")
+    except ValueError:
+        _usage_error(prog, f"argument {option}: invalid {kind.__name__} value: {text!r}")
+    if choices and value not in choices:
+        _usage_error(prog, f"argument {option}: invalid choice: {value!r} "
+                           f"(choose from {', '.join(map(repr, choices))})")
+    return value
+
+
+def _parse(argv, name=None, extras=()) -> SimpleNamespace:
+    """The namespace of a subcommand's arguments, or of k3tk's own (name None), whose first
+    value names the subcommand that reads the rest; extras are the unknown options before
+    it.  Tokens are read in order; after a subcommand's first --, each is a value, and its
+    positional may take the -- beside it."""
+    prog, table = (f"k3tk {name}", _COMMANDS[name][1]) if name else ("k3tk", _TOP)
+    cut = argv.index("--") if name and "--" in argv else len(argv)
+    options = (*_HELP, *(o for o in table if o[0] == "-"))
+    kinds = [None if t == "--" else _option(prog, t, options) for t in argv[:cut]]
+    kinds += ["--"] + [None] * len(argv)
+    values = {o.lstrip("-"): keywords.get("default") for o, keywords in table.items()}
+    positional, extras, i = [o for o in table if o[0] != "-"], list(extras), 0
+    while i < len(argv):
+        kind, i = kinds[i], i + 1
+        if positional and (kind is None or kind == "--" and i < len(argv)):
+            i += kind == "--"
+            option = positional.pop(0)
+            values[option] = _value(prog, option, table[option], argv[i - 1])
+            if not name:
+                return _parse(argv[i:], values[option], extras)
+            i += kinds[i] == "--"
+        elif kind is None or kind == "--" or kind[0] is None:
+            extras.append(argv[i - 1])
+        elif kind[0] in _HELP:
+            _help_exit(prog, *kind, name)
+        else:       # an option's values are the tokens after it, none an option or --
+            (option, value), keywords = kind, table[kind[0]]
+            nargs = keywords.get("nargs", 1)
+            if value is None and all(k is None for k in kinds[i:i + nargs]):
+                texts, i = argv[i:i + nargs], i + nargs
+            elif value is None or nargs != 1:
+                _usage_error(prog, f"argument {option}: expected "
+                                   + ("one argument" if nargs == 1 else f"{nargs} arguments"))
+            else:
+                texts = [value]
+            texts = [_value(prog, option, keywords, text) for text in texts]
+            values[option[2:]] = texts if "nargs" in keywords else texts[0]
+    missing = [o for o, keywords in table.items()       # no value read is None
+               if (keywords.get("required") or o[0] != "-") and values[o.lstrip("-")] is None]
+    if missing:
+        _usage_error(prog, "the following arguments are required: " + ", ".join(missing))
+    if extras:
+        _usage_error("k3tk", "unrecognized arguments: " + " ".join(extras))
+    return SimpleNamespace(command=name, **values)
+
+
+def _help(name=None) -> str:
+    """The help page of k3tk (name None) or of a subcommand, 80 columns wide whatever the
+    terminal: the usage wrapped greedily, optionals after prog and positionals on lines of
+    their own, and each help text at the longest invocation + 4, or at column 24."""
+    import textwrap
+
+    prog, table = (f"k3tk {name}", _COMMANDS[name][1]) if name else ("k3tk", _TOP)
+    usage = [["[-h]"], []]      # optionals, positionals
+    rows = [[], [(2, "-h, --help", "show this help message and exit")]]
+    for option, keywords in table.items():
+        metavar = keywords.get("metavar", "{%s}" % ",".join(keywords["choices"])
+                               if "choices" in keywords else option.lstrip("-").upper())
+        metavar = " ".join([metavar] if isinstance(metavar, str) else metavar)
+        dashed = option[0] == "-"
+        part = f"{option} {metavar}" if dashed else metavar
+        usage[not dashed] += [f"[{part}]"] if dashed and not keywords.get("required") \
+            else part.split()
+        rows[dashed].append((2, part, keywords.get("help")))
+    if not name:        # each subcommand, and then its own arguments
+        rows[0] += [(4, command, text) for command, (text, _) in _COMMANDS.items()]
+        usage[1].append("...")
+    lines, parts = [f"usage: {prog}"], usage[0] + usage[1]
+    wrap = len(" ".join(lines + parts)) > 78
+    for k, part in enumerate(parts):
+        if wrap and (k == len(usage[0]) or len(lines[-1]) + 1 + len(part) > 78):
+            lines.append(" " * (len(prog) + 8) + part)
+        else:
+            lines[-1] += " " + part
+    lines += ["", *([] if name else textwrap.wrap(_DESCRIPTION, 78) + [""])]
+    column = min(max(len(row[1]) for section in rows for row in section) + 4, 24)
+    for title, section in zip(("positional arguments", "options"), rows):
+        lines += [f"{title}:"] * bool(section)
+        for indent, invocation, text in section:
+            wrapped, head = textwrap.wrap(text or "", 78 - column), " " * indent + invocation
+            if wrapped and len(invocation) <= column - indent - 2:
+                head = head.ljust(column) + wrapped.pop(0)
+            lines += [head, *(" " * column + line for line in wrapped)]
+        lines += [""] * bool(section)
+    return "\n".join(lines)
 
 
 def main(argv=None) -> int:
@@ -341,7 +442,7 @@ def main(argv=None) -> int:
 
 
 def _run(argv) -> int:
-    args = _build_parser(argv).parse_args(argv)
+    args = _parse(argv)
     try:
         args.lat = (EvenLattice.from_json(_load_json(args.surface))
                     if getattr(args, "surface", None) else DEFAULT_SURFACE)

@@ -16,11 +16,14 @@ the box enumeration that theta used before Fincke-Pohst is kept as the
 reference for the points, their order and their terms.
 The q-series reference keys every coefficient by its Fraction exponent and
 normalises through ref_from_terms after each operation, where the library
-works on integer indices over one denominator.
+works on integer indices over one denominator.  The command line's parser is
+rebuilt with argparse from the CLI's own command table.
 None of them imports k3tk.
 """
 
+import argparse
 import cmath
+import json
 import math
 from fractions import Fraction
 from itertools import permutations, product
@@ -456,3 +459,38 @@ def definite_parts(gram, pl, pr, c) -> tuple[float, float]:
         u = [sum(x * ck for x, ck in zip(row, c)) for row in p]
         return -sum(ui * g * uj for ui, row in zip(u, gram) for g, uj in zip(row, u))
     return q(pl), q(pr)
+
+
+def cli_reference(cli) -> argparse.ArgumentParser:
+    """argparse's parser for the command table of the CLI module cli (cli._COMMANDS holds
+    add_argument keywords): a usage error is one {"error"} document and exit 2, a token
+    that starts like a negative number (cli._NEGATIVE_NUMBER) is a value, and an option
+    type's cli.InputError is that option's usage error, with its message."""
+    class Parser(argparse.ArgumentParser):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            self._negative_number_matcher = cli._NEGATIVE_NUMBER
+
+        def error(self, message):
+            print(json.dumps({"error": f"{self.prog}: {message}"}), flush=True)
+            self.exit(2)
+
+    def typed(kind):
+        def convert(text):
+            try:
+                return kind(text)
+            except cli.InputError as exc:
+                raise argparse.ArgumentTypeError(str(exc)) from None
+
+        convert.__name__ = kind.__name__        # argparse's "invalid <type> value"
+        return convert
+
+    parser = Parser(prog="k3tk", description=cli._DESCRIPTION)
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_text, options) in cli._COMMANDS.items():
+        command = sub.add_parser(name, help=help_text)
+        for option, keywords in options.items():
+            if "type" in keywords:
+                keywords = {**keywords, "type": typed(keywords["type"])}
+            command.add_argument(option, **keywords)
+    return parser

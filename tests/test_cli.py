@@ -1,4 +1,5 @@
 import contextlib
+import functools
 import io
 import json
 import math
@@ -7,6 +8,7 @@ import pathlib
 import re
 import subprocess
 import sys
+import unittest.mock
 
 import pytest
 from hypothesis import assume, given, settings
@@ -18,6 +20,7 @@ from k3tk import (EvenLattice, IsometryWord, MukaiVector, apply_reflect,
                   apply_translate, build_auxiliary, chi_virtual)
 from k3tk.cli import main
 
+from . import oracles
 from .test_constructions import check_aux_with_oracle
 
 
@@ -395,11 +398,118 @@ options:
 
 @pytest.mark.parametrize("command", sorted(_PINNED_HELP), ids=["k3tk", "theta"])
 def test_help_pinned_byte_for_byte(monkeypatch, capsys, command):
+    # the page is the package's own text at 80 columns, whatever the terminal's width
+    for columns in (None, "80", "200"):
+        if columns is None:
+            monkeypatch.delenv("COLUMNS", raising=False)
+        else:
+            monkeypatch.setenv("COLUMNS", columns)
+        with pytest.raises(SystemExit) as exc:
+            main([*command.split(), "--help"])
+        captured = capsys.readouterr()
+        assert (exc.value.code, captured.out, captured.err) == (0, _PINNED_HELP[command], ""), \
+            columns
+
+
+def _parsed(parse, argv):
+    """(exit code or None, the namespace's attributes or None, stdout) of one parse."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code, args = None, vars(parse(argv))
+        except SystemExit as exc:
+            code, args = exc.code, None
+    assert err.getvalue() == ""
+    return code, args, out.getvalue()
+
+
+@functools.cache
+def _reference():
+    return oracles.cli_reference(k3tk.cli)
+
+
+_OLD_HELP = pytest.mark.skipif(
+    sys.version_info >= (3, 13), reason="Python 3.13's argparse wraps usage lines otherwise "
+    "(--tau RE IM stays on one line, the subcommand choices and ... share one), and the "
+    "package's pages keep the layout of 3.10 to 3.12")
+
+
+@_OLD_HELP
+@pytest.mark.parametrize("name", ["", *k3tk.cli._COMMANDS], ids=["k3tk", *k3tk.cli._COMMANDS])
+def test_every_help_page_is_the_argparse_reference_page(monkeypatch, name):
+    argv = [*name.split(), "--help"]
     monkeypatch.setenv("COLUMNS", "80")
-    with pytest.raises(SystemExit) as exc:
-        main([*command.split(), "--help"])
-    captured = capsys.readouterr()
-    assert (exc.value.code, captured.out, captured.err) == (0, _PINNED_HELP[command], "")
+    want = _parsed(_reference().parse_args, argv)
+    monkeypatch.setenv("COLUMNS", "200")
+    assert _parsed(k3tk.cli._parse, argv) == want
+    assert want[:2] == (0, None) and want[2].startswith(f"usage: k3tk {name}".strip())
+
+
+@_OLD_HELP
+def test_long_help_wraps_as_the_argparse_reference_does(monkeypatch):
+    # no help text in the table is long enough to wrap yet; the help column is 24 on the
+    # top page and 17 on gottsche's
+    long = "a long-winded, hyphen-rich explanation of what this option does " * 3
+    monkeypatch.setitem(k3tk.cli._COMMANDS, "gottsche",
+                        (long, {"--order": {"type": int, "required": True, "help": long}}))
+    monkeypatch.setenv("COLUMNS", "80")
+    reference = oracles.cli_reference(k3tk.cli)
+    for argv in (["--help"], ["gottsche", "--help"]):
+        want = _parsed(reference.parse_args, argv)
+        assert _parsed(k3tk.cli._parse, argv) == want
+        wrapped = [line for line in want[2].splitlines() if "winded" in line]
+        assert len(wrapped) >= 3 and max(map(len, wrapped)) <= 78
+
+
+@_OLD_HELP
+def test_usage_wraps_at_78_columns_as_the_argparse_reference_does(monkeypatch):
+    # metavars of every length put the usage's end, and each wrapped line's, on both sides
+    # of column 78
+    monkeypatch.setenv("COLUMNS", "80")
+    for k in range(1, 61):
+        for options in ({"--order": {"required": True, "metavar": "X" * k},
+                         "what": {"choices": ["a", "b"]}},
+                        {"--order": {"required": True, "metavar": "X" * k},
+                         "--lines": {"metavar": "Y" * (61 - k)}, "--more": {"metavar": "Z" * k},
+                         "what": {"choices": ["a" * k, "b"]}}):
+            monkeypatch.setitem(k3tk.cli._COMMANDS, "gottsche", ("", options))
+            want = _parsed(oracles.cli_reference(k3tk.cli).parse_args, ["gottsche", "-h"])
+            assert _parsed(k3tk.cli._parse, ["gottsche", "-h"]) == want, k
+
+
+_EDGE_ARGV = [      # read alike by argparse from Python 3.10 to 3.13.0
+    "-- pair --x a --y b", "pair --x a --y b --", "pair --x a -- --y b", "pair -- --x a --y b",
+    "verify triangle --bound 3 --", "verify --bound 3 triangle --",
+    "verify --bound 3 -- triangle", "verify -- triangle --bound 3",
+    "verify triangle -- --bound 3", "verify --bound 3 -- -- triangle", "verify --bound 3 -",
+    "verify --bound 3 -- -1", "verify -- --bound 3", "theta --tau 0 -- 1", "--",
+    "pair --x - --y b", "pair --x -x --y b", "pair --x a -hh --y b", "pair --help=1",
+    "pair --he", "--bogus -h", "--he", "-h frob", "frob -h", "", "--bogus pair --x a --y b",
+    "theta --ra 1 --tau 0 1", "theta --rad=2 --t -1 -.5", "theta --tau=0 1", "theta --tau=0",
+    "theta --tau 0 1 --x -inf", "gottsche --order x -h", "gottsche -h --order x",
+    "theta -h --ra", "pair --x=-a --y=--z", "pair --x= --y b --s=c", "pair --x a --y b --su",
+    "zseries --r 2 --o 3 --m hecke", "zseries --rank 2 --order 3 --alpha --method",
+    "verify farey triangle --bound 3", "verify -1 --bound 3",
+]
+
+
+def _assert_parses_as_the_reference(argv):
+    """What the reference accepts is read alike, what it refuses is a usage error, and
+    help is the reference's page (before Python 3.13); usage errors may differ in wording."""
+    with unittest.mock.patch.dict(os.environ, {"COLUMNS": "80"}):
+        want = _parsed(_reference().parse_args, argv)
+    got = _parsed(k3tk.cli._parse, argv)
+    assert got[:2] == want[:2], (argv, got, want)
+    if want[0] == 2:
+        assert set(json.loads(want[2])) == set(json.loads(got[2])) == {"error"}
+    elif want[0] is None or sys.version_info < (3, 13):     # accepted: nothing written
+        assert got[2] == want[2]
+
+
+@pytest.mark.parametrize("line", _EDGE_ARGV)
+def test_edge_cases_parse_as_the_argparse_reference(line):
+    _assert_parses_as_the_reference(
+        line.split() + (["a b", "-a b"] if line.startswith("pair --x=") else []))
 
 
 def test_input_errors_exit_2(tmp_path, capsys):
@@ -499,27 +609,32 @@ def test_unusable_surfaces_exit_2(tmp_path, capsys, gram, command):
 
 _IMPORT_PROBE = """
 import json, runpy, sys
-sys.argv = ["k3tk", *json.loads(sys.argv[1])]
+code, sys.argv = int(sys.argv[2]), ["k3tk", *json.loads(sys.argv[1])]
 try:
     runpy.run_module("k3tk", run_name="__main__")
 except SystemExit as exc:
-    assert exc.code == 0, exc.code
+    assert exc.code == code, exc.code
 print(json.dumps([sorted({"numpy", "mpmath"} & set(sys.modules)),
                   sorted(m for m in sys.modules if m.split(".")[0] == "k3tk"),
                   sorted({"dataclasses", "inspect"} & set(sys.modules)),
-                  sorted({"fractions", "decimal", "cmath"} & set(sys.modules))]))
+                  sorted({"fractions", "decimal", "cmath"} & set(sys.modules)),
+                  sorted({"argparse", "gettext", "locale"} & set(sys.modules))]))
 """
 
 
-def _loaded_by(tmp_path, command):
+def _loaded_by(tmp_path, command, code=0):
     """(float libraries, k3tk modules, dataclasses and inspect, fractions, decimal and
-    cmath) loaded by one spawned subcommand."""
+    cmath, argparse, gettext and locale) loaded by one spawned subcommand that exits
+    with code."""
     v = write_vec(tmp_path, "v.json", 2, (1,), -1)
+    u = write_vec(tmp_path, "u.json", 1, (0,), 1)
     word = tmp_path / "w.json"
     word.write_text(json.dumps([{"type": "translate", "N": [1]}, {"type": "dual"}]))
     surface = tmp_path / "s.json"
     surface.write_text(json.dumps({"rank": 1, "gram": [[-2]]}))
     argv = {"pair": ["pair", "--x", v, "--y", v],
+            "dualize": ["dualize", "--v", v],
+            "reflect": ["reflect", "--u", u, "--v", v],
             "translate": ["translate", "--N", "-1", "--v", v],
             "word": ["word", "--word", str(word), "--v", v],
             "construct": ["construct", "--l", "2", "--r", "3", "--s", "2", "--a", "1"],
@@ -532,7 +647,7 @@ def _loaded_by(tmp_path, command):
             "zseries": ["zseries", "--rank", "2", "--order", "3"],
             }[command[0]] + list(command[1:])
     src = os.path.dirname(os.path.dirname(os.path.abspath(k3tk.__file__)))
-    out = subprocess.run([sys.executable, "-c", _IMPORT_PROBE, json.dumps(argv)],
+    out = subprocess.run([sys.executable, "-c", _IMPORT_PROBE, json.dumps(argv), str(code)],
                          env=dict(os.environ, PYTHONPATH=src), capture_output=True,
                          text=True, timeout=60, check=True).stdout
     return json.loads(out.splitlines()[-1])
@@ -584,6 +699,14 @@ def test_euler_subcommands_load_only_the_moduli_layer(tmp_path, command):
     # the Goettsche table and chi_virtual's integer kernel live in moduli
     assert set(_loaded_by(tmp_path, [command])[1]) <= {
         "k3tk", "k3tk.__main__", "k3tk.cli", "k3tk.errors", "k3tk.lattice", "k3tk.moduli"}
+
+
+@pytest.mark.parametrize("command, code", [
+    *(([name], 0) for name in k3tk.cli._COMMANDS), (["gottsche", "--order", "x"], 2)],
+    ids=[*k3tk.cli._COMMANDS, "usage-error"])
+def test_no_spawn_loads_argparse_gettext_or_locale(tmp_path, command, code):
+    # the command table is parsed and its help written by the package itself
+    assert _loaded_by(tmp_path, command, code)[4] == []
 
 
 PUBLIC_NAMES = [
@@ -853,52 +976,55 @@ def test_generated_options_are_the_command_table():
         assert set(_OPTIONS[name]) == {o for o in options if o.startswith("--")}, name
 
 
-def _registered(argv):
-    """The subcommands k3tk.cli._build_parser(argv) registers, in order."""
-    return [*k3tk.cli._build_parser(argv)._subparsers._group_actions[0].choices]
-
-
-@pytest.mark.parametrize("argv", [[], ["-h"], ["frobnicate"], ["--surface", "s.json"]],
-                         ids=["empty", "help", "unknown", "option-first"])
-def test_a_parser_without_a_subcommand_registers_all_in_table_order(argv):
-    assert _registered(argv) == list(k3tk.cli._COMMANDS) and len(k3tk.cli._COMMANDS) == 13
-
-
-def test_a_parser_registers_only_the_subcommand_it_parses():
-    assert _registered(["pair", "--x", "v.json", "--y", "y.json"]) == ["pair"]
+_STRAY = ["--bogus", "extra", "-1", "-x", "--radius", "--", "--s", "--ra"]
 
 
 @st.composite
-def _invocation(draw):
-    """(argv, {file name: document}): a subcommand with some of its options; a file
-    option names a generated JSON document of its kind (or of any shape), or a
-    missing file."""
+def _invocation(draw, with_help=False):
+    """(argv, {file name: document}): a subcommand with some of its options in any order,
+    each maybe abbreviated, repeated or written --opt=value, and verify's positional on
+    either side of --bound; a file option names a generated JSON document of its kind (or
+    of any shape), or a missing file.  One draw in ten adds a stray token, -- among them
+    (and -h, when with_help), anywhere in argv, before the subcommand too."""
     command = draw(st.sampled_from(sorted(_OPTIONS)))
-    argv = [command]
     files = {}
-    if command == "verify":
-        argv.append(draw(st.sampled_from(["triangle", "farey", "triangle", "sphere"])))
-    for i, opt in enumerate(_OPTIONS[command]):
-        if not draw(st.integers(0, 9 if i < _REQUIRED[command] else 1)):
-            continue
+
+    def value(opt):
         if opt in _FILES and not (command in ("theta", "zfull") and opt == "--x"):
             name = f"{len(files)}.json"
             files[name] = draw(_mostly(_FILES[opt], _JUNK))
-            value = [draw(st.sampled_from([name] * 9 + ["missing.json"]))]
-        elif opt in ("--N", "--alpha", "--x"):
-            value = [",".join(draw(st.lists(_NUMBER[_KIND[opt]], min_size=1, max_size=4)))]
-        elif opt == "--tau":
-            value = [draw(_NUMBER["re"]), draw(_NUMBER["im"])]
-        elif opt in ("--method", "--splitting"):
+            # a token with a space is a value, even when it starts with a dash
+            return [draw(st.sampled_from([name] * 8 + ["missing.json", "-a missing.json"]))]
+        if opt in ("--N", "--alpha", "--x"):
+            return [",".join(draw(st.lists(_NUMBER[_KIND[opt]], min_size=1, max_size=4)))]
+        if opt == "--tau":
+            return [draw(_NUMBER["re"]), draw(_NUMBER["im"])]
+        if opt in ("--method", "--splitting"):
             valid = _CHOICES[opt if opt == "--splitting" else command]
-            value = [draw(_mostly(st.sampled_from(valid), st.sampled_from(["other", "hecke"])))]
-        else:
-            kind = "rational" if command == "zseries" and opt == "--order" else "int"
-            value = [draw(_NUMBER[_KIND.get(opt, kind)])]
-        argv += [opt + "=" + value[0]] if len(value) == 1 and draw(st.booleans()) \
-            else [opt, *value]
+            return [draw(_mostly(st.sampled_from(valid), st.sampled_from(["other", "hecke"])))]
+        kind = "rational" if command == "zseries" and opt == "--order" else "int"
+        return [draw(_NUMBER[_KIND.get(opt, kind)])]
+
+    groups = []
+    for i, opt in enumerate(_OPTIONS[command]):
+        if not draw(st.integers(0, 9 if i < _REQUIRED[command] else 1)):
+            continue
+        for _ in range(2 if not draw(st.integers(0, 9)) else 1):    # the last one counts
+            # a prefix may name one option or several (--s: --surface or --splitting)
+            name = opt if len(opt) == 3 or draw(st.integers(0, 3)) else \
+                opt[:draw(st.integers(3, len(opt) - 1))]
+            values = value(opt)
+            groups.append([name + "=" + values[0], *values[1:]] if draw(st.booleans())
+                          else [name, *values])
+    groups = draw(st.permutations(groups))
+    if command == "verify":     # -- before or after the positional, too
+        what = draw(st.sampled_from(["triangle", "farey", "triangle", "sphere"]))
+        groups.insert(draw(st.integers(0, len(groups))),
+                      draw(st.sampled_from([[what], [what], ["--", what], [what, "--"]])))
+    argv = [command, *(token for group in groups for token in group)]
     if not draw(st.integers(0, 9)):
-        argv.append(draw(st.sampled_from(["--bogus", "extra", "-1", "--radius"])))
+        argv.insert(draw(st.integers(0, len(argv))),
+                    draw(st.sampled_from(_STRAY + ["-h"] * with_help)))
     return argv, files
 
 
@@ -913,6 +1039,12 @@ def test_cli_contract_holds_for_generated_input(tmp_path_factory, case):
     _assert_contract([re.sub(r"^(--\w+=)?(\d+|missing)\.json$",
                              lambda m: (m[1] or "") + str(folder / f"{m[2]}.json"), a)
                       for a in argv])
+
+
+@settings(max_examples=500, deadline=None)
+@given(_invocation(with_help=True))
+def test_parser_agrees_with_the_argparse_reference(case):
+    _assert_parses_as_the_reference(case[0])
 
 
 _README_FIXTURES = {

@@ -4,9 +4,9 @@ InputError message, no validated Goettsche lookup inside the series and theta
 loops, no module-level container in the series and theta modules, mpmath
 imported in one function, isometries bound and applied only inside
 IsometryWord, one Jacobi per splitting with no least eigenvalue kept, and no
-tail read off a qs_evaluate result, with _hilb_tail read only by _a_sums; the
-benchmark workloads read only public names, and every name the benchmark's
-fresh-process probes import exists."""
+tail read off a qs_evaluate result, with _hilb_tail read only by _a_sums, and
+no argparse; the benchmark workloads read only public names, and every name
+the benchmark's fresh-process probes import exists."""
 
 import ast
 import importlib
@@ -203,6 +203,13 @@ def test_one_kernel_bounds_every_goettsche_tail():
                    if isinstance(node, ast.Name) and node.id == "_hilb_tail"]
     assert tail_reads == []
     assert kernel == [("theta.py", "_a_sums")]
+
+
+def test_no_source_names_argparse():
+    # the CLI parses its command table and writes its help itself: argparse and the
+    # gettext and locale it loads would cost every spawn a few ms
+    assert "cli.py" in [path.name for path in SOURCES]
+    assert [path.name for path in SOURCES if "argparse" in path.read_text()] == []
 
 
 def test_benchmark_workloads_read_only_public_names():
