@@ -99,7 +99,8 @@ def z_psu_direct(r: int, alpha, order, lat: EvenLattice) -> QSeries:
 def _a_span(r: int, s_alpha: int, order: Fraction) -> range:
     """The a of z_psu_direct's terms for (alpha^2) = s_alpha, after the work check."""
     a_max = (s_alpha + 2 * r * r) // (2 * r)
-    a_min = math.floor((Fraction(s_alpha) - 2 * r * order) / (2 * r)) + 1
+    p, q = order.numerator, order.denominator       # a_min = floor((s_alpha - 2r order) / 2r) + 1
+    a_min = (s_alpha * q - 2 * r * p) // (2 * r * q) + 1
     check_work(a_max - a_min + 1, "z_psu_direct")
     return range(a_min, a_max + 1)
 
@@ -187,5 +188,6 @@ def z_psu_hecke_literal(r: int, alpha, order, lat: EvenLattice) -> QSeries:
 
     rr = from_int(r * r)
     g = math.gcd(r, *acc)       # not QSeries._of: its exact zeros are visited terms
-    return QSeries(r // g, tuple((k // g, mpmath.mp.make_mpc(mpc_div_mpf(c, rr, prec, rnd)))
-                                 for k, c in sorted(acc.items())), order)
+    coeffs = tuple((k // g, mpmath.mp.make_mpc(mpc_div_mpf(c, rr, prec, rnd)))
+                   for k, c in sorted(acc.items()))
+    return QSeries._trusted(r // g, coeffs, order)

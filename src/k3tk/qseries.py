@@ -12,7 +12,8 @@ Producers and arithmetic work on the indices alone, rescaling operands to the
 lcm of their denominators and comparing against the integer index
 ceil(trunc * denom).  The trusted constructor QSeries._of drops zeros and
 reduces by gcd(denom, k, ...); the public constructor and from_terms are the
-checked boundary, and the constructor accepts only that canonical form.
+checked boundary, and the constructor accepts only that canonical form, with
+each coefficient an int, a finite mpc or what reads as a Fraction.
 
 Truncation propagates pessimistically through arithmetic.  For a product the
 bound is min(a.trunc + b.min_exponent, b.trunc + a.min_exponent): a summand at
@@ -21,7 +22,8 @@ own truncation, where its coefficients are known.
 
 qs_evaluate sums the stored terms at a point of the upper half plane and claims
 nothing past trunc: a bound on the omitted terms needs what the series is, so the
-Goettsche-type sums bound theirs in k3tk.theta.
+Goettsche-type sums bound theirs in k3tk.theta.  It reads a float view of the terms, built
+on the first evaluation and kept on the series, so one evaluated at many tau converts once.
 
 The Goettsche series sum_n chi(Hilb^n) q^n = prod_{m>=1} (1 - q^m)^(-24) of a K3
 surface reads its integer coefficients from the table in k3tk.moduli (Miller's
@@ -59,13 +61,13 @@ class QSeries(Value):
     Zero coefficients may stay, as terms that were visited and cancelled.
     """
 
-    __slots__ = ("denom", "coeffs", "trunc", "__dict__")     # __dict__ for _index
+    __slots__ = ("denom", "coeffs", "trunc", "__dict__")     # __dict__ for _index, _floats
 
     def __init__(self, denom: int, coeffs, trunc):
         denom = _at_least(denom, 1, "denominator")
         trunc = _as_number(trunc, Fraction)
         try:
-            coeffs = tuple((_as_int(k), c) for k, c in coeffs)
+            coeffs = tuple((_as_int(k), _coefficient(c)) for k, c in coeffs)
         except (TypeError, ValueError) as exc:
             raise InputError(f"malformed q-series: {exc}") from None
         keys = [k for k, _ in coeffs]
@@ -80,6 +82,15 @@ class QSeries(Value):
         _set(self, "trunc", trunc)
 
     @classmethod
+    def _trusted(cls, denom: int, coeffs: tuple, trunc: Fraction) -> "QSeries":
+        """The series of the canonical (denom, coeffs, trunc), which the caller guarantees."""
+        s = _new(cls)
+        _set(s, "denom", denom)
+        _set(s, "coeffs", coeffs)
+        _set(s, "trunc", trunc)
+        return s
+
+    @classmethod
     def _of(cls, denom: int, terms: dict, trunc: Fraction) -> "QSeries":
         """Trusted constructor from {k: c} at exponents k/denom, each below trunc.
 
@@ -91,11 +102,7 @@ class QSeries(Value):
         if g > 1:
             denom //= g
             terms = {k // g: c for k, c in terms.items()}
-        s = _new(cls)
-        _set(s, "denom", denom)
-        _set(s, "coeffs", tuple(sorted(terms.items())))
-        _set(s, "trunc", trunc)
-        return s
+        return cls._trusted(denom, tuple(sorted(terms.items())), trunc)
 
     @classmethod
     def from_terms(cls, terms, trunc) -> "QSeries":
@@ -145,6 +152,14 @@ class QSeries(Value):
         """coeffs as a dict, built on the first lookup; the series is immutable."""
         return dict(self.coeffs)
 
+    @cached_property
+    def _floats(self) -> list:
+        """(k / denom, c as complex) per stored term, built on the first evaluation.  A Fraction
+        converts by the integer quotient numbers.Rational.__float__ takes, without its detour."""
+        d = self.denom
+        return [(k / d, complex(c.numerator / c.denominator if type(c) is Fraction else c))
+                for k, c in self.coeffs]
+
     def __add__(self, other):
         return qs_add(self, other)
 
@@ -154,6 +169,15 @@ class QSeries(Value):
         return qs_scale(self, other)
 
     __rmul__ = __mul__
+
+
+def _coefficient(c):
+    """A constructor coefficient: an int, or a finite mpmath complex (the literal Hecke path's,
+    which pickling rebuilds through the constructor), as given; anything else as a Fraction."""
+    if hasattr(c, "_mpc_"):
+        _as_number(c, complex)      # InputError unless finite
+        return c
+    return c if type(c) is int else _as_number(c, Fraction)
 
 
 def _common(a: QSeries, b: QSeries, trunc: Fraction) -> tuple[int, int, int, int]:
@@ -208,15 +232,14 @@ class QSeriesValue(NamedTuple):
 def qs_evaluate(s: QSeries, tau: complex) -> QSeriesValue:
     """The stored terms' sum at q = exp(2*pi*i*tau), Im tau > 0; nothing past trunc is claimed.
 
-    Every float exponent is one correctly rounded integer quotient over denom.  Coefficients
-    may come from any ring complex() accepts (Fraction, mpc); each is read once, as
-    complex(c), which is what Fraction * complex computes.
+    The terms come from the series' float view, built once and kept on it: every exponent is
+    one correctly rounded integer quotient over denom, and every coefficient (Fraction or mpc)
+    the complex(c) that Fraction * complex computes.  A view that overflows is not kept.
     """
     tau = _upper(tau)
-    d = s.denom
     try:
         q = cmath.exp(2j * cmath.pi * tau)      # ValueError: an infinite phase
-        terms = [complex(c) * q ** (k / d) for k, c in s.coeffs]
+        terms = [c * q ** e for e, c in s._floats]
     except (OverflowError, ValueError, ZeroDivisionError):  # q under- or overflows at this tau
         raise InputError("q-series terms are not representable at this tau") from None
     return QSeriesValue(complex(math.fsum(t.real for t in terms),

@@ -46,7 +46,8 @@ What does not depend on tau is kept on the splitting, in tables of at most KEEP_
 entries in all: a ball's points with their j, (c^2) and distinct pairs ((c^2), M(c)); the
 direct sum's chi/c^2 per (n, c) and class lists; the factorized sum's series per class.  A
 call then takes one exp per pair (per point for an x) and per n, and evaluates each series
-at tau.  The work cap and every InputError are checked on every call, kept table or not.
+at tau from the float view the kept series carries, converted on its first evaluation.
+The work cap and every InputError are checked on every call, kept table or not.
 
 Modular transformation laws of the theta sum are not implemented: the
 familiar constants are specific to the rank-22 K3 lattice and no

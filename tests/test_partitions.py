@@ -120,6 +120,18 @@ def test_hecke_equals_direct_property(case):
     assert z_psu_hecke(r, alpha, order, lat) == z_psu_direct(r, alpha, order, lat)
 
 
+@settings(max_examples=500, deadline=None)
+@given(st.integers(1, 40), st.integers(-500, 500), st.integers(-10 ** 6, 10 ** 6),
+       st.integers(1, 10 ** 4))
+def test_a_span_starts_at_the_fraction_floor(r, half_square, p, q):
+    # the integer floor division equals floor(((alpha^2) - 2r order) / 2r) + 1 in Fractions
+    s_alpha, order = 2 * half_square, Fraction(p, q)
+    a_min = math.floor((Fraction(s_alpha) - 2 * r * order) / (2 * r)) + 1
+    a_max = (s_alpha + 2 * r * r) // (2 * r)
+    if a_max - a_min + 1 <= errors.MAX_WORK:
+        assert partitions._a_span(r, s_alpha, order) == range(a_min, a_max + 1)
+
+
 @settings(max_examples=150, deadline=None)
 @given(_rank_alpha_order(), st.integers(1, 3))
 def test_direct_series_depends_on_alpha_through_its_class_alone(case, r):

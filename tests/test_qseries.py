@@ -1,4 +1,7 @@
 import cmath
+import copy
+import math
+import pickle
 from fractions import Fraction
 from functools import partial
 
@@ -89,6 +92,29 @@ def test_denominator_reduction():
 def test_constructor_accepts_only_canonical_form(args):
     with pytest.raises(InputError):
         QSeries(*args)
+
+
+@pytest.mark.parametrize("coeff", [None, math.nan, math.inf, "abc", 1j,
+                                   mpmath.mpc(math.nan, 0), mpmath.mpc(0, math.inf)],
+                         ids=["none", "nan", "inf", "text", "complex", "mpc-nan", "mpc-inf"])
+def test_constructor_refuses_what_is_not_a_coefficient(coeff):
+    # before, these constructed: None then failed in qs_evaluate with a raw TypeError, nan
+    # evaluated to nan+nanj and "abc" was "not representable at this tau"
+    with pytest.raises(InputError):
+        QSeries(1, [(0, coeff)], 5)
+
+
+def test_constructor_reads_coefficients_as_from_terms_does(gram2):
+    s = QSeries(2, ((1, 1.5), (3, Fraction(1, 3)), (5, 4)), 3)
+    assert [type(c) for _, c in s.coeffs] == [Fraction, Fraction, int]
+    assert s == series({Fraction(1, 2): Fraction(3, 2), Fraction(3, 2): Fraction(1, 3),
+                        Fraction(5, 2): 4}, 3)
+    # the literal path's mpc series is built trusted, and rebuilt through the constructor
+    lit = z_psu_hecke_literal(2, (0,), 12, gram2)
+    for twin in (QSeries(lit.denom, lit.coeffs, lit.trunc), pickle.loads(pickle.dumps(lit)),
+                 copy.deepcopy(lit)):
+        assert twin == lit
+        assert repr(qs_evaluate(twin, 1j).value) == repr(qs_evaluate(lit, 1j).value)
 
 
 def test_constructor_equals_from_terms():
@@ -263,6 +289,36 @@ def test_evaluate_bit_identical_to_reference_property(x, tau):
     s, ref = QSeries.from_terms(*x), oracles.ref_from_terms(*x)
     for t in (tau, -1 / tau):
         assert repr(qs_evaluate(s, t).value) == repr(oracles.ref_evaluate(ref, t))
+
+
+def test_one_series_evaluates_bit_identically_at_a_sequence_of_tau(gram2):
+    # the float view is built on the first evaluation and read by every later one
+    taus = (0.5j, 0.2 + 0.8j, -1 / (0.2 + 0.8j), 1j, 0.1 + 0.9j, -1 / (0.1 + 0.9j), 0.5j)
+    # the last: numerator and denominator past 2^53, where only the integer quotient rounds once
+    generated = [z1_zero(42), z_psu_direct(3, (1,), Fraction(17, 3), gram2),
+                 qs_add(z_psu_direct(2, (1,), 9, gram2), z_psu_direct(3, (0,), 9, gram2)),
+                 series({0: Fraction(10 ** 30 + 1, 3 ** 41), Fraction(1, 2): Fraction(-7, 3)}, 2)]
+    for s in generated:
+        ref = oracles.ref_from_terms(dict(s.items()), s.trunc)
+        for t in taus:
+            assert repr(qs_evaluate(s, t).value) == repr(oracles.ref_evaluate(ref, t))
+    for r, alpha in ((2, (0,)), (3, (1,))):
+        lit = z_psu_hecke_literal(r, alpha, 12, gram2)
+        ref = oracles.RefSeries(lit.denom, tuple((k, complex(c)) for k, c in lit.coeffs),
+                                lit.trunc)
+        for t in taus:
+            assert repr(qs_evaluate(lit, t).value) == repr(oracles.ref_evaluate(ref, t))
+
+
+@pytest.mark.parametrize("terms, trunc", [({0: 10 ** 400}, 1), ({0: Fraction(10 ** 400, 3)}, 1),
+                                          ({10 ** 400: 1}, 10 ** 401)],
+                         ids=["int-coefficient", "fraction-coefficient", "exponent"])
+def test_an_overflowing_series_is_refused_on_every_evaluation(terms, trunc):
+    # a view that fails to convert is not kept, so the second call converts and fails again
+    s = series(terms, trunc)
+    for _ in range(2):
+        with pytest.raises(InputError, match="not representable at this tau"):
+            qs_evaluate(s, 1j)
 
 
 def test_evaluate_literal_series(gram2):

@@ -3,6 +3,7 @@ import functools
 import math
 import sys
 from collections import Counter
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -798,6 +799,21 @@ def test_a_tau_sweep_through_one_splitting_equals_fresh_splittings(case, r, taus
     for t in [tau, *taus, tau]:
         assert _sums(lat, alpha, r, t, split, x, radius) \
             == _sums(lat, alpha, r, t, Splitting(lat, split.pl, split.pr), x, radius)
+
+
+@pytest.mark.parametrize("gram, r, order, radius", [(((-2,),), 2, 12, 5.0),
+                                                  (((-2, 0), (0, -2)), 2, 10, 4.0)])
+def test_a_kept_series_evaluates_as_a_fresh_one(gram, r, order, radius):
+    # the series kept on the splitting carry the float view built at tau1 into tau2
+    lat = EvenLattice(gram)
+    tau1, tau2 = 0.1 + 0.95j, -0.3 + 1.05j
+    split = Splitting.identity_positive(lat)
+    z_full_factorized(lat, r, tau1, split, None, order, radius)
+    kept = split._tables[(r, Fraction(order))]
+    assert all("_floats" in s.__dict__ for _, s in kept.values())
+    got = z_full_factorized(lat, r, tau2, split, None, order, radius)
+    want = z_full_factorized(lat, r, tau2, Splitting.identity_positive(lat), None, order, radius)
+    assert repr(got) == repr(want)
 
 
 def test_a_sum_past_the_bound_is_used_but_not_kept(monkeypatch):
