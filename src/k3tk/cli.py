@@ -1,13 +1,14 @@
 """Command-line front end: every operation behind JSON-emitting subcommands.
 
 Every invocation except --help writes exactly one JSON document to stdout.
-Exit codes: 0 on success, 2 on input errors, usage errors and non-finite
-numbers included (a machine-readable {"error": ...} document; NaN and
-Infinity are never written), 1 on internal invariant failures and any other
-exception ({"error": ..., "internal": true}), and 141 (128 + SIGPIPE), with
-nothing on stderr, when stdout's reader has gone.  Rationals are serialized as
-{"num": ..., "den": ...}, never as floats on exact paths; complex values as
-[re, im] pairs.  Output is deterministic for identical inputs.
+Exit codes: 0 on success, 2 on input errors, usage errors, non-finite numbers
+and integers past the interpreter's digit limit included (a machine-readable
+{"error": ...} document; NaN and Infinity are never written), 1 on internal
+invariant failures and any other exception ({"error": ..., "internal": true}),
+and 141 (128 + SIGPIPE), with nothing on stderr, when stdout's reader has gone.
+Rationals are serialized as {"num": ..., "den": ...}, never as floats on exact
+paths; complex values as [re, im] pairs.  Output is deterministic for identical
+inputs.
 
 One table, _COMMANDS, declares each subcommand once: its help text and its
 options, as add_argument keywords.  _parse reads argv against that table by the
@@ -24,6 +25,15 @@ subcommand imports only the modules it uses, so a spawn loads little beyond
 the interpreter: nothing loads numpy, only zseries --method literal loads
 mpmath, and the integer subcommands load no fractions, decimal or cmath
 (gottsche and chivirtual read moduli's integer kernels, not a Fraction).
+
+A spawn's time goes to the interpreter's start with site, the imports, the work
+and the shutdown, whose full collections scan every object still alive; for an
+integer subcommand the work is the least.  So main, as the process's entry point
+(argv None: python -m k3tk and the k3tk script), calls gc.freeze() on every way
+out, once the document is flushed.  Nothing is lost: the process frees those
+objects at exit anyway, none needs a finalizer (k3tk closes each file in a with
+block), and atexit handlers, the std streams' flush and module teardown still
+run.  An in-process main(argv) never freezes, so a caller's heap stays collectable.
 """
 
 from __future__ import annotations
@@ -93,7 +103,11 @@ def _sum_json(res, count: str = "terms") -> dict:
 def _emit(doc) -> int:
     try:
         text = json.dumps(doc, sort_keys=True, allow_nan=False)
-    except ValueError as exc:
+    except ValueError as exc:       # a NaN or infinity, or an int past the digit limit
+        if "integer string conversion" in str(exc):
+            raise InputError(f"the result is exact, but an integer in it has more than "
+                             f"{sys.get_int_max_str_digits()} digits, this interpreter's "
+                             f"limit for writing one (PYTHONINTMAXSTRDIGITS)") from exc
         raise InputError("the result is not finite at this input") from exc
     print(text)
     return 0
@@ -438,6 +452,11 @@ def main(argv=None) -> int:
     except BrokenPipeError:     # nothing can reach stdout: end silently, as SIGPIPE would
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 141      # 128 + SIGPIPE
+    finally:
+        if argv is None:    # the process's entry point: what is alive now lives to exit,
+            import gc       # so the shutdown collections need not scan it
+
+            gc.freeze()
     return code
 
 

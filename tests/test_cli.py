@@ -1,5 +1,6 @@
 import contextlib
 import functools
+import gc
 import io
 import json
 import math
@@ -587,6 +588,33 @@ def test_bad_numbers_exit_2_with_error_document(capsys, argv):
     assert captured.err == ""
 
 
+def test_an_integer_past_the_digit_limit_is_not_called_not_finite(tmp_path, capsys):
+    # json reads the 4,000-digit entry, but the pairing has about 8,000 digits, more than
+    # the interpreter writes; the value is exact, only too long to print
+    surface = tmp_path / "s.json"
+    surface.write_text(json.dumps({"rank": 2, "gram": [[2, 1], [1, -2]]}))
+    x = 10 ** 3999
+    v = write_vec(tmp_path, "v.json", 1, (x, 0), 0)
+    argv = ["pair", "--surface", str(surface), "--x", v, "--y", v]
+    limit = sys.get_int_max_str_digits()
+    assert run(capsys, *argv) == (2, json.dumps({"error": (
+        f"the result is exact, but an integer in it has more than {limit} digits, "
+        f"this interpreter's limit for writing one (PYTHONINTMAXSTRDIGITS)")}) + "\n")
+    sys.set_int_max_str_digits(0)       # lifted, as the message says, the value is written
+    try:
+        assert run_json(capsys, *argv) == {"pairing": 2 * x * x}
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, [0.0, -math.inf]],
+                         ids=["nan", "inf", "nested-minus-inf"])
+def test_a_result_that_is_not_finite_keeps_its_message(monkeypatch, capsys, value):
+    monkeypatch.setattr(k3tk.cli, "_cmd_gottsche", lambda args: {"value": value})
+    assert run(capsys, "gottsche", "--order", "3") == (
+        2, '{"error": "the result is not finite at this input"}\n')
+
+
 def test_theta_reads_alpha_modulo_the_coset_step(capsys):
     # an alpha past the double range names the same coset as its residue mod r
     for rank, alpha in (("1", 0), ("2", 1)):
@@ -608,9 +636,12 @@ def test_unusable_surfaces_exit_2(tmp_path, capsys, gram, command):
 
 
 _IMPORT_PROBE = """
-import json, runpy, sys
-code, sys.argv = int(sys.argv[2]), ["k3tk", *json.loads(sys.argv[1])]
+import gc, json, runpy, sys
+code, entry, sys.argv = int(sys.argv[2]), sys.argv[3], ["k3tk", *json.loads(sys.argv[1])]
 try:
+    if entry == "script":       # what the installed k3tk script runs
+        from k3tk.cli import main
+        sys.exit(main())
     runpy.run_module("k3tk", run_name="__main__")
 except SystemExit as exc:
     assert exc.code == code, exc.code
@@ -618,14 +649,16 @@ print(json.dumps([sorted({"numpy", "mpmath"} & set(sys.modules)),
                   sorted(m for m in sys.modules if m.split(".")[0] == "k3tk"),
                   sorted({"dataclasses", "inspect"} & set(sys.modules)),
                   sorted({"fractions", "decimal", "cmath"} & set(sys.modules)),
-                  sorted({"argparse", "gettext", "locale"} & set(sys.modules))]))
+                  sorted({"argparse", "gettext", "locale"} & set(sys.modules)),
+                  gc.get_freeze_count()]))
 """
 
 
-def _loaded_by(tmp_path, command, code=0):
+def _loaded_by(tmp_path, command, code=0, entry="runpy"):
     """(float libraries, k3tk modules, dataclasses and inspect, fractions, decimal and
-    cmath, argparse, gettext and locale) loaded by one spawned subcommand that exits
-    with code."""
+    cmath, argparse, gettext and locale, objects frozen at exit) of one spawned
+    subcommand that exits with code, run as python -m k3tk (entry "runpy") or as the
+    k3tk script (entry "script").  A command that names no subcommand runs as given."""
     v = write_vec(tmp_path, "v.json", 2, (1,), -1)
     u = write_vec(tmp_path, "u.json", 1, (0,), 1)
     word = tmp_path / "w.json"
@@ -645,9 +678,10 @@ def _loaded_by(tmp_path, command, code=0):
             "theta": ["theta", "--surface", str(surface), "--tau", "0", "1"],
             "zfull": ["zfull", "--surface", str(surface), "--rank", "2", "--tau", "0", "1"],
             "zseries": ["zseries", "--rank", "2", "--order", "3"],
-            }[command[0]] + list(command[1:])
+            }.get(command[0], command[:1]) + list(command[1:])
     src = os.path.dirname(os.path.dirname(os.path.abspath(k3tk.__file__)))
-    out = subprocess.run([sys.executable, "-c", _IMPORT_PROBE, json.dumps(argv), str(code)],
+    out = subprocess.run([sys.executable, "-c", _IMPORT_PROBE, json.dumps(argv), str(code),
+                          entry],
                          env=dict(os.environ, PYTHONPATH=src), capture_output=True,
                          text=True, timeout=60, check=True).stdout
     return json.loads(out.splitlines()[-1])
@@ -707,6 +741,42 @@ def test_euler_subcommands_load_only_the_moduli_layer(tmp_path, command):
 def test_no_spawn_loads_argparse_gettext_or_locale(tmp_path, command, code):
     # the command table is parsed and its help written by the package itself
     assert _loaded_by(tmp_path, command, code)[4] == []
+
+
+# one spawn of each way out of main: a document, an input error, a usage error and --help
+_EXITS = {"document": (["gottsche", "--order", "3"], 0),
+          "input-error": (["gottsche", "--order", "0"], 2),
+          "usage-error": (["gottsche", "--order", "x"], 2),
+          "help": (["--help"], 0)}
+
+
+@pytest.mark.parametrize("entry", ["runpy", "script"])
+@pytest.mark.parametrize("exit_kind", _EXITS)
+def test_every_spawn_freezes_its_heap_before_exit(tmp_path, exit_kind, entry):
+    # the shutdown collections then skip every object alive when the document is out
+    command, code = _EXITS[exit_kind]
+    assert _loaded_by(tmp_path, command, code, entry)[5] > 0
+
+
+@pytest.mark.parametrize("exit_kind", _EXITS)
+def test_in_process_main_never_freezes(capsys, exit_kind):
+    argv, code = _EXITS[exit_kind]
+    before = gc.get_freeze_count()
+    try:
+        assert main(argv) == code
+    except SystemExit as exc:
+        assert exc.code == code
+    assert gc.get_freeze_count() == before
+
+
+@pytest.mark.parametrize("exit_kind", _EXITS)
+def test_spawns_in_dev_mode_with_warnings_as_errors_exit_cleanly(exit_kind):
+    # -X dev shows a ResourceWarning or a finalizer's error at shutdown; -W error fails on it
+    argv, code = _EXITS[exit_kind]
+    proc = _spawn(argv, timeout=60, flags=("-X", "dev", "-W", "error"))
+    assert (proc.returncode, proc.stderr) == (code, "")
+    assert proc.stdout.startswith("usage: k3tk") if exit_kind == "help" \
+        else len(json.loads(proc.stdout)) == 1
 
 
 PUBLIC_NAMES = [
@@ -804,9 +874,9 @@ def test_goettsche_index_refused_within_2_s(argv):
     _assert_spawned_input_error(argv, timeout=2)
 
 
-def _spawn(argv, timeout):
+def _spawn(argv, timeout, flags=()):
     src = os.path.dirname(os.path.dirname(os.path.abspath(k3tk.__file__)))
-    return subprocess.run([sys.executable, "-m", "k3tk", *argv],
+    return subprocess.run([sys.executable, *flags, "-m", "k3tk", *argv],
                           env=dict(os.environ, PYTHONPATH=src),
                           capture_output=True, text=True, timeout=timeout)
 
