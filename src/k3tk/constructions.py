@@ -24,13 +24,13 @@ them: the r1 scan visits only admissible candidates, d1 and q are exact
 quotients, a' = a (mod l) by its formula, and <w^2> = <v'^2> as w is the image
 of v' under an isometry; the tests check all.
 
-triangle_interior_count checks d r1 - r d1 = 1 and lr < r1, then counts by an
-exact column scan the lattice points strictly inside (0,0), (r1 - lr, d1 - ld),
-(r1, d1), each column two floor divisions against the two edges that bound it;
-sweep_triangles scans tuples it generates valid.  A brute-force box
-count and Pick's theorem are the test oracles.  farey_gap_holds checks the
-mediant-style gap x2 >= x1 + x3 for slopes y1/x1 > y2/x2 > y3/x3 with
-y1 x3 - x1 y3 = 1.
+triangle_interior_count checks d r1 - r d1 = 1 and lr < r1, then counts the
+lattice points strictly inside (0,0), (r1 - lr, d1 - ld), (r1, d1) by Pick's
+theorem: a valid tuple gives area l/2 and l + 2 boundary points (gcd l on the
+edge along (r, d), 1 on the other two by unimodularity), so none.
+sweep_triangles scans tuples it generates valid; a brute-force box count is
+the test oracle.  farey_gap_holds checks the mediant-style gap x2 >= x1 + x3
+for slopes y1/x1 > y2/x2 > y3/x3 with y1 x3 - x1 y3 = 1.
 
 The exceptional bundle realizing v1, and the birational map itself, are
 sheaf-level content and out of scope; only the lattice data is built.
@@ -113,8 +113,9 @@ def build_auxiliary(l: int, r: int, s: int, a: int) -> AuxConstruction:
 def triangle_interior_count(r1: int, d1: int, r: int, d: int, l: int) -> int:
     """Number of lattice points strictly inside (0,0), (r1-lr, d1-ld), (r1, d1).
 
-    Preconditions: r1, r > 0, l r < r1 and d r1 - r d1 = 1 (unimodularity);
-    the count is expected to vanish for every valid tuple.
+    Preconditions: r1, r > 0, l r < r1 and d r1 - r d1 = 1 (unimodularity).
+    The count is Pick's, which vanishes on every valid tuple: area l/2 and
+    l + 2 boundary points.
     """
     r1, r, d1, d, l = _at_least(r1, 1, "r1"), _at_least(r, 1, "r"), *_as_ints((d1, d, l))
     if l * r >= r1:
@@ -126,35 +127,14 @@ def triangle_interior_count(r1: int, d1: int, r: int, d: int, l: int) -> int:
 
 
 def _interior_points(p1, p2, p3) -> int:
-    """Lattice points strictly inside an integer triangle; 0 when it is degenerate.
-
-    With the vertices A, B, C sorted by x, each column x strictly between Ax and
-    Cx meets the long edge AC and one short edge, AB for x <= Bx and BC beyond
-    (a vertical short edge sits at Ax or Cx, outside the columns).  An edge
-    P -> Q with Px < Qx meets column x at y = n / w, with w = Qx - Px and
-    n = Py w + (Qy - Py)(x - Px), so n grows by Qy - Py per column; the points
-    strictly between the upper edge (AC when B lies below it) and the lower one
-    number ceil(n_top / w_top) - floor(n_bot / w_bot) - 1 when positive.
-    """
-    a, b, c = sorted((p1, p2, p3))
-    (ax, ay), (bx, by), (cx, cy) = a, b, c
-    orient = (bx - ax) * (cy - ay) - (by - ay) * (cx - ax)
-    if orient == 0:
+    """Lattice points strictly inside an integer triangle by Pick's theorem, 2A = 2I + B - 2,
+    with B = sum of gcd(|dx|, |dy|) over the edges; 0 when it is degenerate."""
+    (x1, y1), (x2, y2), (x3, y3) = p1, p2, p3
+    area2 = abs((x2 - x1) * (y3 - y1) - (y2 - y1) * (x3 - x1))
+    if area2 == 0:
         return 0
-    count = 0
-    for (px, py), (qx, qy), xs in ((a, b, range(ax + 1, min(bx + 1, cx))),
-                                   (b, c, range(bx + 1, cx))):
-        short = (py * (qx - px) + (qy - py) * (xs.start - px), qx - px, qy - py)
-        long = (ay * (cx - ax) + (cy - ay) * (xs.start - ax), cx - ax, cy - ay)
-        (n_top, w_top, d_top), (n_bot, w_bot, d_bot) = ((long, short) if orient > 0
-                                                        else (short, long))
-        for _ in xs:
-            inside = -(-n_top // w_top) - n_bot // w_bot - 1
-            if inside > 0:
-                count += inside
-            n_top += d_top
-            n_bot += d_bot
-    return count
+    boundary = gcd(x2 - x1, y2 - y1) + gcd(x3 - x2, y3 - y2) + gcd(x1 - x3, y1 - y3)
+    return (area2 - boundary) // 2 + 1
 
 
 class FareyCheck(Value):

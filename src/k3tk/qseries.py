@@ -207,7 +207,7 @@ def qs_scale(a: QSeries, scalar) -> QSeries:
 def qs_mul(a: QSeries, b: QSeries) -> QSeries:
     trunc = min(a.trunc + b.min_exponent, b.trunc + a.min_exponent)
     d, ma, mb, top = _common(a, b, trunc)
-    bk = sorted((k * mb, c) for k, c in b.coeffs)
+    bk = [(k * mb, c) for k, c in b.coeffs]
     terms = {}
     for ka, ca in a.coeffs:
         ka *= ma

@@ -7,10 +7,11 @@ Jacobi's triple product),
 the pairing is a hand-expanded double loop, the sweeps' tuples are listed from
 their definitions, an isometry word is applied
 generator by generator from each generator's definition (the library binds
-each generator to the lattice first), the triangle count comes from Pick's
-theorem or from testing every point of the bounding box, instead of the
-column scan, and the partition and theta sums visit every candidate with
-one exponential per term, instead of tables of weights and Hecke roots.
+each generator to the lattice first), the triangle count comes from testing
+every point of the bounding box, where the library uses Pick's theorem (kept
+here too, as a second check), and the partition and theta sums visit every
+candidate with one exponential per term, instead of tables of weights and
+Hecke roots.
 Short-vector counts of A2, D4 and E8 come from divisor-sum closed forms, and
 the box enumeration that theta used before Fincke-Pohst is kept as the
 reference for the points, their order and their terms.

@@ -130,6 +130,17 @@ def test_invariants_nonprimitive(tmp_path, capsys):
     assert "dim" not in doc
 
 
+def test_invariants_of_a_primitive_vector_below_minus_two(tmp_path, capsys):
+    # <v^2> = -4 on Gram [2]: no stable sheaf, so every invariant of one is null
+    v = write_vec(tmp_path, "v.json", 1, (0,), 2)
+    doc = run_json(capsys, "invariants", "--v", v)
+    assert doc == {"vector": {"r": 1, "c1": [0], "a": 2}, "square": -4, "ell": 1,
+                   "primitive": True, "case": "B", "v0": {"r": 1, "c1": [0], "a": 1},
+                   "exists_semistable": False, "mu_stable_boundary_flag": False,
+                   "exists": False, "dim": None, "hilb_index": None, "euler": None,
+                   "mu_stable": None, "non_locally_free": None}
+
+
 def test_gottsche(capsys):
     doc = run_json(capsys, "gottsche", "--order", "4")
     assert doc == {"coeffs": [1, 24, 324, 3200]}

@@ -148,7 +148,7 @@ def test_triangle_examples():
 
 
 def test_triangle_matches_pick(rng):
-    # enumeration path vs Pick's theorem on valid and perturbed triangles
+    # the library's count vs Pick's theorem and the box count on valid triangles
     cases = 0
     while cases < 200:
         r1 = rng.randint(2, 25)
@@ -164,12 +164,12 @@ def test_triangle_matches_pick(rng):
             continue
         l = rng.randint(1, lmax)
         count = triangle_interior_count(r1, d1, r, d, l)
-        pick = pick_interior((0, 0), (r1 - l * r, d1 - l * d), (r1, d1))
-        assert count == pick == 0
+        triangle = ((0, 0), (r1 - l * r, d1 - l * d), (r1, d1))
+        assert count == pick_interior(*triangle) == box_interior(*triangle) == 0
         cases += 1
 
 
-def test_column_scan_matches_box_count_and_pick(rng):
+def test_interior_count_matches_box_count_and_pick(rng):
     # arbitrary integer triangles, either orientation, a share of them collinear
     collinear = 0
     for _ in range(400):
@@ -283,3 +283,5 @@ def test_sweeps_count_every_tuple_of_their_definition():
 def test_sweep_counts_at_the_benchmark_bounds():
     assert sweep_triangles(24) == (2060, [])
     assert sweep_farey(40) == (7028, [])
+    assert sweep_triangles(40) == (6718, [])      # the README's examples
+    assert sweep_farey(60) == (19362, [])

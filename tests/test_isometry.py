@@ -64,6 +64,8 @@ def test_reflect_requires_minus_two(gram2):
         apply_reflect(MukaiVector(1, (0,), 0), MukaiVector(1, (0,), 1), gram2)
     with pytest.raises(InputError):
         IsometryWord((Reflect(MukaiVector(1, (0,), 0)),), gram2)
+    with pytest.raises(InputError, match="must be a Mukai vector"):
+        Reflect((1, (0,), 1))
 
 
 def test_reflect_involution(rng):
@@ -318,6 +320,7 @@ def test_word_is_checked_when_it_is_built(gram2):
     (Dual(), EvenLattice(((2,),)), "takes only generators"),      # one element, no iterable
     (1, EvenLattice(((2,),)), "takes only generators"),
     ("dual", EvenLattice(((2,),)), "takes only generators"),
+    ((NSAuto(((1, 0), (0, 1))),), EvenLattice(((2,),)), "does not match lattice rank"),
 ])
 def test_word_refuses_what_is_not_a_generator_or_a_lattice(elems, lattice, message):
     with pytest.raises(InputError, match=message):

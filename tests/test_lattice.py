@@ -52,6 +52,23 @@ def test_pairing_dimension_mismatch(gram2):
         mukai_pairing(MukaiVector(1, (0, 0), 1), MukaiVector(1, (0, 0), 1), gram2)
 
 
+_V, _W = MukaiVector(2, (4,), 6), MukaiVector(1, (0, 0), 0)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: EvenLattice.from_json({}), "must contain a 'gram' matrix"),
+    (lambda: _V + _W, "different c1 length"),
+    (lambda: _V.divided(0), "0 does not divide every component"),
+    (lambda: _V.divided(4), "4 does not divide every component"),
+    (lambda: mukai_pairing(_V, _W, EvenLattice(((2,),))),
+     "length 2 does not match lattice rank 1"),
+], ids=["lattice-json-without-gram", "add-other-length", "divided-by-0", "divided-by-non-divisor",
+        "pairing-y-wrong-length"])
+def test_input_checks_refuse_with_their_message(call, message):
+    with pytest.raises(InputError, match=message):
+        call()
+
+
 def test_from_chern_structure_sheaf(gram2):
     assert mukai_from_chern(1, (0,), 0, gram2) == MukaiVector(1, (0,), 1)
 

@@ -69,6 +69,8 @@ def test_coeff_beyond_trunc_is_error():
         s.coeff(2)
     with pytest.raises(InputError):
         s.coeff(100)
+    with pytest.raises(InputError, match="at or beyond the truncation bound"):
+        series({2: 1}, 2)
 
 
 def test_denominator_reduction():
@@ -115,6 +117,13 @@ def test_constructor_reads_coefficients_as_from_terms_does(gram2):
                  copy.deepcopy(lit)):
         assert twin == lit
         assert repr(qs_evaluate(twin, 1j).value) == repr(qs_evaluate(lit, 1j).value)
+
+
+def test_operators_are_qs_add_and_qs_mul():
+    s = series({Fraction(-1, 2): 3, 0: 1, Fraction(3, 2): -2}, 4)
+    t = series({Fraction(1, 3): Fraction(1, 5), 2: 7}, Fraction(7, 3))
+    assert s + t == qs_add(s, t) and t + s == qs_add(t, s)
+    assert s * t == qs_mul(s, t) and t * s == qs_mul(t, s)
 
 
 def test_constructor_equals_from_terms():
