@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import cmath
 import math
+from bisect import bisect_left
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
@@ -61,7 +62,7 @@ class QSeries(Value):
     Zero coefficients may stay, as terms that were visited and cancelled.
     """
 
-    __slots__ = ("denom", "coeffs", "trunc", "__dict__")     # __dict__ for _index, _floats
+    __slots__ = ("denom", "coeffs", "trunc", "__dict__")     # __dict__ for _floats
 
     def __init__(self, denom: int, coeffs, trunc):
         denom = _at_least(denom, 1, "denominator")
@@ -145,12 +146,8 @@ class QSeries(Value):
         k = e * self.denom
         if k.denominator != 1:
             return zero
-        return self._index.get(int(k), zero)
-
-    @cached_property
-    def _index(self) -> dict:
-        """coeffs as a dict, built on the first lookup; the series is immutable."""
-        return dict(self.coeffs)
+        i = bisect_left(self.coeffs, (k.numerator,))     # (k,) never compares a coefficient
+        return self.coeffs[i][1] if i < len(self.coeffs) and self.coeffs[i][0] == k else zero
 
     @cached_property
     def _floats(self) -> list:

@@ -35,9 +35,8 @@ float form M are evaluated.  A splitting is validated once, for its lattice, whe
 built, and M is built with it in plain Python; Jacobi (_eigh) gives the spectral projectors,
 so nothing here needs numpy.  Fincke-Pohst enumeration (Math. Comp. 44 (1985); Cohen,
 GTM 138, 2.7.3) over M's pivots hands over the points in lexicographic order a row (all
-coordinates but the last fixed) at a time: a row's partial sums are taken once, and a point
-adds only its last coordinate's share.  These sums run left to right from 0 (_dot), not by
-the builtin sum, so a row continues the whole sum bit for bit on every interpreter.
+coordinates but the last fixed) at a time, and each kept point's M(c) is _quad's, summed left
+to right from 0 (_dot), not by the builtin sum, so it keeps its bits on every interpreter.
 Its leaf bound prod_k (2R / sqrt(d_k) / step + 1), from the pivots d_k, which also decide
 that M is definite, is checked against errors.MAX_WORK first.  Both full sums reuse what
 depends on a class ((xi^2), gcd(r, xi)) alone: the direct sum's weights over a, and the
@@ -225,8 +224,8 @@ def _x_forms(lat: EvenLattice, split: Splitting, x):
 
 
 def _dot(a, b):
-    """sum a_k b_k added left to right from 0 on every interpreter: the builtin sum
-    compensates float rounding from Python 3.12 on, which a row's partial sum cannot continue."""
+    """sum a_k b_k added left to right from 0: the builtin sum compensates float rounding from
+    Python 3.12 on, so M(c) and each phase would not keep their bits on every interpreter."""
     return reduce(add, map(mul, a, b), 0)
 
 
@@ -297,39 +296,30 @@ def _ball(alpha, step: int, r: int, tau: complex, split: Splitting, qx,
     with sqrt M(c) <= radius + GUARD_SHELLS, M the majorant and Q(c) = -(c^2) exact; j = 0 inside
     radius, else the guard shell.  The leaf bound (at least 1) times per_point, saturated past
     MAX_WORK so a huge int never meets a float, is checked on every call; the enumeration runs at
-    a slightly widened bound and M(c), summed in _quad's order a row at a time, decides.  The
-    splitting's tables keep the points, each with j, (c^2) and the index of its pair ((c^2),
-    M(c)), so a call takes one e() per distinct pair, or one per point for an x (qx not None)."""
-    gram, mj, pivots = split.lattice.gram, split._mj, split._pivots
+    a slightly widened bound and M(c), taken by _quad point by point, decides.  The splitting's
+    tables keep the points, each with j, (c^2) and the index of its pair ((c^2), M(c)), so a call
+    takes one e() per distinct pair, or one per point for an x (qx not None)."""
+    lat, mj, pivots = split.lattice, split._mj, split._pivots
     outer = radius + GUARD_SHELLS
     check_work(_leaf_bound(pivots, step, outer) * min(per_point, MAX_WORK + 1), what)
     if (table := split._tables.get(key := (alpha, step, radius))) is None:
-        l = len(alpha) - 1
-        last = [col[l] for col in mj]
-        g_ll, outer2, radius2 = gram[l][l], outer * outer, radius * radius
+        outer2, radius2 = outer * outer, radius * radius
         pairs, points = {}, []
         for head, span in _short_vectors(pivots, alpha, step, outer2 * (1 + 1e-9)):
-            if not span:
-                continue
-            part = [_dot(head, col) for col in mj]      # a row's partial sums, taken once
-            gh = [sum(map(mul, row, head)) for row in gram]
-            s0, x2 = sum(map(mul, head, gh)), 2 * gh[l]
             for cl in span:
-                cols = [p + cl * m for p, m in zip(part, last)]
-                maj = _dot(cols, head) + cols[l] * cl
-                if maj > outer2:
+                c = head + (cl,)
+                if (maj := _quad(mj, c)) > outer2:
                     continue
                 j = 0 if maj <= radius2 else \
                     max(1, min(math.ceil(math.sqrt(maj) - radius), GUARD_SHELLS))
-                sq = s0 + (x2 + cl * g_ll) * cl
-                points.append((head + (cl,), j, sq, pairs.setdefault((sq, maj), len(pairs))))
+                sq = lat._bilinear(c, c)
+                points.append((c, j, sq, pairs.setdefault((sq, maj), len(pairs))))
         table = split._tables.keep(key, (list(pairs), points), len(points))
     pairs, points = table
     ts = [complex(-tau.real * sq, tau.imag * maj) / (2 * r) for sq, maj in pairs]
     if qx is None:
         es = [_e(t) for t in ts]
         return ((c, j, sq, es[k]) for c, j, sq, k in points)
-    # _dot(c, qx) continues the row's partial phase _dot(head, qx) bit for bit
     return ((c, j, sq, _e(ts[k] + _dot(c, qx))) for c, j, sq, k in points)
 
 

@@ -288,7 +288,7 @@ def test_output_deterministic(tmp_path, capsys):
 
 _PINNED_INPUTS = {
     "v.json": {"r": 2, "c1": [1], "a": -1}, "y.json": {"r": 1, "c1": [1], "a": 0},
-    "s.json": {"rank": 1, "gram": [[-2]]},
+    "s.json": {"rank": 1, "gram": [[-2]]}, "u.json": {"rank": 2, "gram": [[0, 1], [1, 0]]},
     "w.json": [{"type": "translate", "N": [1]},
                {"type": "reflect", "u": {"r": 1, "c1": [0], "a": 1}}, {"type": "dual"}],
 }
@@ -317,6 +317,11 @@ _PINNED_OUTPUTS = [
      "--splitting identity",
      '{"points": 2, "tail": 2.2808420063028903e-11, '
      '"value": [-0.10094397823264137, -0.11903711523675795]}'),
+    # the spectral splitting: Jacobi's projectors and _mm, whose builtin sum compensates from
+    # Python 3.12 on, print this on 3.10 to 3.13
+    ("theta --surface u.json --rank 2 --alpha 1,0 --tau 0.1 1 --x 0.2,0.1,0,0 --radius 3",
+     '{"points": 8, "tail": 1.0346805064032045e-08, '
+     '"value": [0.41383049430133345, -0.0011921482589977693]}'),
     ("zfull --surface s.json --rank 2 --tau 0 1 --splitting identity",
      '{"difference": 2.9103830456733704e-11, "direct": {"tail": 3.165413989930679e-11, '
      '"terms": 66, "value": [71728.36348293131, 0.0]}, "factorized": '
@@ -325,7 +330,8 @@ _PINNED_OUTPUTS = [
 
 
 @pytest.mark.parametrize("line, expected", _PINNED_OUTPUTS,
-                         ids=[line.split()[0] for line, _ in _PINNED_OUTPUTS])
+                         ids=[line.split()[0] + "-spectral" * ("u.json" in line)
+                              for line, _ in _PINNED_OUTPUTS])
 def test_output_pinned_byte_for_byte(tmp_path, monkeypatch, capsys, line, expected):
     for name, doc in _PINNED_INPUTS.items():
         (tmp_path / name).write_text(json.dumps(doc))
@@ -962,6 +968,28 @@ def test_unexpected_exception_is_an_internal_error_document(monkeypatch, capsys)
     assert code == 1
     assert json.loads(captured.out) == {"error": "ZeroDivisionError: boom", "internal": True}
     assert captured.err == ""
+
+
+@pytest.mark.parametrize("target, wrong, line, error", [
+    ("k3tk.moduli._hilb_euler", [1, 24, 325], "gottsche --order 6",
+     "chi(Hilb^4) is not an integer"),
+    ("k3tk.constructions.square", lambda v, lat: k3tk.square(v, lat) + 2,
+     "construct --l 2 --r 3 --s 2 --a 1", "auxiliary construction invariant failed: <v1^2> = -2"),
+    ("k3tk.constructions.ell", lambda w: 2, "construct --l 2 --r 3 --s 2 --a 1",
+     "reflected target must have coprime rank and degree"),
+], ids=["gottsche", "construct-square", "construct-ell"])
+def test_a_wrong_formula_exits_1_with_the_internal_document(monkeypatch, capsys, target, wrong,
+                                                            line, error):
+    monkeypatch.setattr(target, wrong)
+    doc = {"error": f"ConsistencyError: {error}", "internal": True}
+    assert run(capsys, *line.split()) == (1, json.dumps(doc) + "\n")
+
+
+def test_a_sweep_lists_its_first_ten_counterexamples(monkeypatch, capsys):
+    monkeypatch.setattr("k3tk.constructions._interior_points", lambda *corners: 1)
+    tuples = oracles.triangle_tuples_brute(6)
+    assert run_json(capsys, "verify", "triangle", "--bound", "6") == {
+        "checked": 63, "counterexamples": 63, "examples": [list(t) for t in tuples[:10]]}
 
 
 def _no_constant(name):

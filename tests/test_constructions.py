@@ -4,7 +4,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from k3tk import (Dual, InputError, IsometryWord, MukaiVector, Negate, Reflect,
+from k3tk import (ConsistencyError, Dual, InputError, IsometryWord, MukaiVector, Negate, Reflect,
                   apply_reflect, build_auxiliary, constructions, dual, ell,
                   farey_gap_holds, mukai_pairing, square, sweep_farey,
                   sweep_triangles, triangle_interior_count)
@@ -260,6 +260,25 @@ def test_triangle_sweep_does_not_recheck_its_tuples(monkeypatch):
     expected = sweep_triangles(12)
     monkeypatch.setattr(constructions, "triangle_interior_count", refuse)
     assert sweep_triangles(12) == expected
+
+
+@pytest.mark.parametrize("name, wrong, message", [
+    ("square", lambda v, lat: square(v, lat) + 2,
+     "auxiliary construction invariant failed: <v1^2> = -2"),
+    ("ell", lambda w: 2, "reflected target must have coprime rank and degree"),
+], ids=["square", "ell"])
+def test_a_wrong_formula_fails_the_construction_invariants(monkeypatch, name, wrong, message):
+    monkeypatch.setattr(constructions, name, wrong)
+    with pytest.raises(ConsistencyError) as exc:
+        build_auxiliary(2, 3, 2, 1)
+    assert str(exc.value) == message
+
+
+def test_a_triangle_with_an_interior_point_is_a_counterexample(monkeypatch):
+    monkeypatch.setattr(constructions, "_interior_points", lambda *corners: 1)
+    tuples = triangle_tuples_brute(4)
+    assert len(tuples) == 21
+    assert sweep_triangles(4) == (21, tuples)
 
 
 def test_sweeps_small():

@@ -4,11 +4,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from k3tk import (EvenLattice, InputError, MukaiVector, chi_virtual, classify_case,
-                  classify_non_locally_free, content, euler_characteristic,
+from k3tk import (ConsistencyError, EvenLattice, InputError, MukaiVector, chi_virtual,
+                  classify_case, classify_non_locally_free, content, euler_characteristic,
                   exists_mu_stable, exists_semistable, exists_stable_primitive,
-                  hilb_index, moduli_dim, mu_stable_boundary_flag, mukai_pairing, primitive,
-                  square)
+                  hilb_index, moduli, moduli_dim, mu_stable_boundary_flag, mukai_pairing,
+                  primitive, square)
 from k3tk.moduli import HAS_LOCALLY_FREE, RANK_ONE, REFL_POINT, UNIV_EXT
 
 from .conftest import random_lattice, random_vector
@@ -218,3 +218,11 @@ def test_one_message_per_fault(gram2):
     rank_zero = MukaiVector(0, (1,), 1)
     assert {_message(lambda f=f: f(rank_zero, gram2))
             for f in _QUESTIONS if f is not square} == {"rank must be at least 1"}
+
+
+def test_a_fractional_euler_number_is_a_consistency_error(monkeypatch):
+    # chi(Hilb^2) is 324; from 325 Miller's recurrence divides chi(Hilb^4) with a remainder
+    monkeypatch.setattr(moduli, "_hilb_euler", [1, 24, 325])
+    with pytest.raises(ConsistencyError) as exc:
+        moduli._hilb_table(5)
+    assert str(exc.value) == "chi(Hilb^4) is not an integer"

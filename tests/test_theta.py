@@ -746,6 +746,16 @@ def test_fincke_pohst_yields_the_box_points_in_order(case, r):
     assert got == want
 
 
+def test_a_point_the_widened_bound_admits_past_the_outer_shell_is_dropped(neg2, split1):
+    # c = +-5 has M(c) = 50: inside the enumeration's widened bound, past (radius + guard)^2
+    radius = math.sqrt(50 / (1 + 5e-10)) - theta.GUARD_SHELLS
+    outer2 = (radius + theta.GUARD_SHELLS) ** 2
+    assert outer2 < 50 <= outer2 * (1 + 1e-9)
+    got = list(theta._ball((0,), 1, 1, 1j, split1, None, radius, 1, "test"))
+    assert got == list(oracles.box_ball((0,), 1, 1, 1j, split1, None, radius, theta.GUARD_SHELLS))
+    assert [c for c, *_ in got] == [(k,) for k in range(-4, 5)]
+
+
 @settings(max_examples=150, deadline=None)
 @given(_ball_inputs(), st.integers(1, 3))
 def test_exponent_from_q_and_the_majorant_matches_the_projected_forms(case, r):
