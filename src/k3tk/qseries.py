@@ -39,7 +39,6 @@ from bisect import bisect_left
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
-from typing import NamedTuple
 
 from .errors import InputError
 from .lattice import Value, _as_int, _as_number, _at_least, _new, _set
@@ -222,8 +221,8 @@ def qs_substitute_power(s: QSeries, m: int) -> QSeries:
     return QSeries._of(s.denom, {k * m: c for k, c in s.coeffs}, s.trunc * m)
 
 
-class QSeriesValue(NamedTuple):
-    value: complex
+class QSeriesValue(Value):
+    __slots__ = ("value",)      # complex
 
 
 def qs_evaluate(s: QSeries, tau: complex) -> QSeriesValue:

@@ -33,10 +33,10 @@ Q-orthogonal, so Q(c_L^2) + Q(c_R^2) = Q(c) and each exponent is (Re tau Q(c) +
 i Im tau M(c))/2r, M the majorant: only the exact integer Q(c) = -(c^2) and the one
 float form M are evaluated.  A splitting is validated once, for its lattice, when it is
 built, and M is built with it in plain Python; Jacobi (_eigh) gives the spectral projectors,
-so nothing here needs numpy.  Fincke-Pohst enumeration (Math. Comp. 44 (1985); Cohen,
-GTM 138, 2.7.3) over M's pivots hands over the points in lexicographic order a row (all
-coordinates but the last fixed) at a time, and each kept point's M(c) is _quad's, summed left
-to right from 0 (_dot), not by the builtin sum, so it keeps its bits on every interpreter.
+so nothing here needs numpy.  Every float sum but math.fsum's is added left to right from 0
+(_dot, or reduce itself), never by the builtin sum, so each result keeps its bits on every
+interpreter.  Fincke-Pohst enumeration (Math. Comp. 44 (1985); Cohen, GTM 138, 2.7.3) over
+M's pivots lists the points in lexicographic order, and each kept point's M(c) is _quad's.
 Its leaf bound prod_k (2R / sqrt(d_k) / step + 1), from the pivots d_k, which also decide
 that M is definite, is checked against errors.MAX_WORK first.  Both full sums reuse what
 depends on a class ((xi^2), gcd(r, xi)) alone: the direct sum's weights over a, and the
@@ -56,10 +56,10 @@ general-signature statement is assumed.
 from __future__ import annotations
 
 import cmath
-import itertools
 import math
 from fractions import Fraction
 from functools import reduce
+from itertools import compress, product
 from operator import add, mul, sub
 
 from .errors import MAX_WORK, InputError, check_work
@@ -98,7 +98,7 @@ def _as_numbers(xs, kind=None) -> tuple:
 def _mm(a, b):
     """The product of two matrices stored as rows."""
     cols = tuple(zip(*b))
-    return tuple(tuple(sum(map(mul, row, col)) for col in cols) for row in a)
+    return tuple(tuple(_dot(row, col) for col in cols) for row in a)
 
 
 def _eigh(m):
@@ -189,7 +189,7 @@ class Splitting(Value):
 
         def projector(sign):        # exactly 0 or the identity on a definite form
             keep = [sign * lam > 0 for lam in vals]
-            return [[(i == j) if all(keep) else sum(x * y for x, y, k in zip(vi, vj, keep) if k)
+            return [[(i == j) if all(keep) else _dot(compress(vi, keep), compress(vj, keep))
                      for j, vj in enumerate(vecs)] for i, vi in enumerate(vecs)]
         return cls(lat, projector(1), projector(-1))
 
@@ -216,7 +216,7 @@ def _x_forms(lat: EvenLattice, split: Splitting, x):
     if x is None:
         return None, 0.0
     xv = _as_numbers(x, complex)
-    qx = tuple(-sum(map(mul, row, xv)) for row in lat.gram)
+    qx = tuple(-_dot(row, xv) for row in lat.gram)
     if len(xv) != lat.rank or not all(map(cmath.isfinite, qx)):
         raise InputError("x must have one finite coordinate per lattice rank, and a finite Q x")
     qx = tuple(complex(math.fmod(v.real, 1.0), v.imag) for v in qx)
@@ -224,8 +224,8 @@ def _x_forms(lat: EvenLattice, split: Splitting, x):
 
 
 def _dot(a, b):
-    """sum a_k b_k added left to right from 0: the builtin sum compensates float rounding from
-    Python 3.12 on, so M(c) and each phase would not keep their bits on every interpreter."""
+    """sum a_k b_k added left to right from 0, the order of every float sum here but fsum's: the
+    builtin sum compensates from Python 3.12 on, so the bits would depend on the interpreter."""
     return reduce(add, map(mul, a, b), 0)
 
 
@@ -256,27 +256,27 @@ def _leaf_bound(pivots, step: int, outer: float) -> float:
     return math.prod([2 * (outer / math.sqrt(dk)) / step + 1 for dk in pivots[0]])
 
 
-def _short_vectors(pivots, alpha, step: int, bound2: float):
-    """Rows (c_0 .. c_{n-2}, the range of c_{n-1}) of the c in alpha + step Z^n with
-    sum_k d_k (c_k - ctr_k)^2 <= bound2 (Fincke-Pohst): c_0 is the outer loop and each level
-    scans its interval of alpha_k + step Z upwards, so points arrive in itertools.product order."""
+def _short_vectors(pivots, alpha, step: int, bound2: float) -> list:
+    """The c in alpha + step Z^n with sum_k d_k (c_k - ctr_k)^2 <= bound2 (Fincke-Pohst), a list
+    of tuples in itertools.product order: level k scans its interval of alpha_k + step Z upwards
+    under each head (c_0 .. c_{k-1}), about the centre ctr_k that _dot takes."""
     d, mu = pivots
     last = len(alpha) - 1
-    c = [0] * len(alpha)
+    points = []
 
-    def level(k, budget):
-        ctr = -sum(map(mul, mu[k], c))
+    def level(k, head, budget):
+        ctr = -_dot(mu[k], head)
         half = math.sqrt(max(budget, 0.0) / d[k])
         a = alpha[k]
         span = range(step * math.ceil((ctr - half - a) / step) + a,
                      step * math.floor((ctr + half - a) / step) + a + 1, step)
         if k == last:
-            yield tuple(c[:last]), span
+            points.extend([head + (cl,) for cl in span])
             return
         for ck in span:
-            c[k] = ck
-            yield from level(k + 1, budget - d[k] * (ck - ctr) ** 2)
-    return level(0, bound2)
+            level(k + 1, head + (ck,), budget - d[k] * (ck - ctr) ** 2)
+    level(0, (), bound2)
+    return points
 
 
 def _e(t: complex) -> complex:
@@ -305,15 +305,13 @@ def _ball(alpha, step: int, r: int, tau: complex, split: Splitting, qx,
     if (table := split._tables.get(key := (alpha, step, radius))) is None:
         outer2, radius2 = outer * outer, radius * radius
         pairs, points = {}, []
-        for head, span in _short_vectors(pivots, alpha, step, outer2 * (1 + 1e-9)):
-            for cl in span:
-                c = head + (cl,)
-                if (maj := _quad(mj, c)) > outer2:
-                    continue
-                j = 0 if maj <= radius2 else \
-                    max(1, min(math.ceil(math.sqrt(maj) - radius), GUARD_SHELLS))
-                sq = lat._bilinear(c, c)
-                points.append((c, j, sq, pairs.setdefault((sq, maj), len(pairs))))
+        for c in _short_vectors(pivots, alpha, step, outer2 * (1 + 1e-9)):
+            if (maj := _quad(mj, c)) > outer2:
+                continue
+            j = 0 if maj <= radius2 else \
+                max(1, min(math.ceil(math.sqrt(maj) - radius), GUARD_SHELLS))
+            sq = lat._bilinear(c, c)
+            points.append((c, j, sq, pairs.setdefault((sq, maj), len(pairs))))
         table = split._tables.keep(key, (list(pairs), points), len(points))
     pairs, points = table
     ts = [complex(-tau.real * sq, tau.imag * maj) / (2 * r) for sq, maj in pairs]
@@ -422,8 +420,9 @@ def _a_sums(r: int, qabs: float, start: int) -> float:
     """A bound on sum_a chi_virtual(r, xi, a) |q|^{n/2r}, n = <v^2>, for every xi, over every a
     at start 0, else the a with n / 2 + 1 >= start: a content divisor d adds chi(Hilb^m) / d^2
     at exponent d^2 (m - 1) / r, m = n / 2d^2 + 1 >= start // d^2, one m per a."""
-    return sum(_hilb_tail(y, start // (d * d)) / (d * d * y) if (y := qabs ** (d * d / r))
-               else math.inf for d in range(1, r + 1) if r % d == 0)
+    return reduce(add, [_hilb_tail(y, start // (d * d)) / (d * d * y)
+                        if (y := qabs ** (d * d / r)) else math.inf
+                        for d in range(1, r + 1) if r % d == 0], 0)
 
 
 def _direct_table(r: int, n_cut: int, n_top: int, ball, tables: _Tables, key):
@@ -515,7 +514,7 @@ def z_full_factorized(lat: EvenLattice, r: int, tau: complex, split: Splitting,
     # work count and series, kept once the sum is done
     kept = split._tables.get(key := (r, order))
     series, zs, value, z_tail, weight, points = kept or {}, {}, 0j, 0.0, 0.0, 0  # zs: Z_r^alpha
-    for alpha in itertools.product(range(r), repeat=lat.rank):
+    for alpha in product(range(r), repeat=lat.rank):
         if (cls := (lat.quad(alpha), math.gcd(r, *alpha))) not in zs:
             if cls not in series:
                 series[cls] = len(_a_span(r, cls[0], order)), z_psu_direct(r, alpha, order, lat)

@@ -317,8 +317,7 @@ _PINNED_OUTPUTS = [
      "--splitting identity",
      '{"points": 2, "tail": 2.2808420063028903e-11, '
      '"value": [-0.10094397823264137, -0.11903711523675795]}'),
-    # the spectral splitting: Jacobi's projectors and _mm, whose builtin sum compensates from
-    # Python 3.12 on, print this on 3.10 to 3.13
+    # the spectral splitting: Jacobi's projectors and the majorant print this on 3.10 to 3.13
     ("theta --surface u.json --rank 2 --alpha 1,0 --tau 0.1 1 --x 0.2,0.1,0,0 --radius 3",
      '{"points": 8, "tail": 1.0346805064032045e-08, '
      '"value": [0.41383049430133345, -0.0011921482589977693]}'),
@@ -667,15 +666,16 @@ print(json.dumps([sorted({"numpy", "mpmath"} & set(sys.modules)),
                   sorted({"dataclasses", "inspect"} & set(sys.modules)),
                   sorted({"fractions", "decimal", "cmath"} & set(sys.modules)),
                   sorted({"argparse", "gettext", "locale"} & set(sys.modules)),
-                  gc.get_freeze_count()]))
+                  gc.get_freeze_count(), "typing" in sys.modules]))
 """
 
 
-def _loaded_by(tmp_path, command, code=0, entry="runpy"):
+def _loaded_by(tmp_path, command, code=0, entry="runpy", flags=()):
     """(float libraries, k3tk modules, dataclasses and inspect, fractions, decimal and
-    cmath, argparse, gettext and locale, objects frozen at exit) of one spawned
-    subcommand that exits with code, run as python -m k3tk (entry "runpy") or as the
-    k3tk script (entry "script").  A command that names no subcommand runs as given."""
+    cmath, argparse, gettext and locale, objects frozen at exit, whether typing is loaded)
+    of one spawned subcommand that exits with code, run as python -m k3tk (entry "runpy") or
+    as the k3tk script (entry "script"), with the interpreter's flags.  A command that names
+    no subcommand runs as given."""
     v = write_vec(tmp_path, "v.json", 2, (1,), -1)
     u = write_vec(tmp_path, "u.json", 1, (0,), 1)
     word = tmp_path / "w.json"
@@ -697,8 +697,8 @@ def _loaded_by(tmp_path, command, code=0, entry="runpy"):
             "zseries": ["zseries", "--rank", "2", "--order", "3"],
             }.get(command[0], command[:1]) + list(command[1:])
     src = os.path.dirname(os.path.dirname(os.path.abspath(k3tk.__file__)))
-    out = subprocess.run([sys.executable, "-c", _IMPORT_PROBE, json.dumps(argv), str(code),
-                          entry],
+    out = subprocess.run([sys.executable, *flags, "-c", _IMPORT_PROBE, json.dumps(argv),
+                          str(code), entry],
                          env=dict(os.environ, PYTHONPATH=src), capture_output=True,
                          text=True, timeout=60, check=True).stdout
     return json.loads(out.splitlines()[-1])
@@ -722,6 +722,14 @@ def test_theta_subcommands_load_no_float_libraries(tmp_path, command, splitting)
     ["zseries", "--method", "literal"]], ids=lambda c: "-".join(c))
 def test_no_subcommand_loads_dataclasses_or_inspect(tmp_path, command):
     assert _loaded_by(tmp_path, command)[2] == []
+
+
+@pytest.mark.parametrize("command", [["zseries", "--method", "hecke"], ["theta"], ["zfull"]],
+                         ids=lambda c: c[0])
+def test_float_subcommands_load_no_typing(tmp_path, command):
+    # -S, so that no site module preloads typing (none does on 3.12 and 3.13): an import of
+    # it for one record type would cost each of these spawns 3-5 ms
+    assert _loaded_by(tmp_path, command, flags=("-S",))[6] is False
 
 
 def test_lattice_import_loads_no_dataclasses():
@@ -977,12 +985,22 @@ def test_unexpected_exception_is_an_internal_error_document(monkeypatch, capsys)
      "construct --l 2 --r 3 --s 2 --a 1", "auxiliary construction invariant failed: <v1^2> = -2"),
     ("k3tk.constructions.ell", lambda w: 2, "construct --l 2 --r 3 --s 2 --a 1",
      "reflected target must have coprime rank and degree"),
-], ids=["gottsche", "construct-square", "construct-ell"])
+    ("k3tk.constructions.Negate", k3tk.Dual, "construct --l 2 --r 3 --s 2 --a 1",
+     "reflected target disagrees with its closed form"),
+], ids=["gottsche", "construct-square", "construct-ell", "construct-negate"])
 def test_a_wrong_formula_exits_1_with_the_internal_document(monkeypatch, capsys, target, wrong,
                                                             line, error):
     monkeypatch.setattr(target, wrong)
     doc = {"error": f"ConsistencyError: {error}", "internal": True}
     assert run(capsys, *line.split()) == (1, json.dumps(doc) + "\n")
+
+
+def test_a_wrong_inverse_exits_1_with_the_internal_document(monkeypatch, capsys):
+    # pow(b, -1, 3) one more than the inverse, mod 3, leaves no positive polarization square
+    monkeypatch.setattr("k3tk.constructions.pow", lambda b, e, m: (pow(b, e, m) + 1) % m,
+                        raising=False)
+    doc = {"error": "ConsistencyError: polarization square k must be positive", "internal": True}
+    assert run(capsys, *"construct --l 3 --r 3 --s 1 --a 1".split()) == (1, json.dumps(doc) + "\n")
 
 
 def test_a_sweep_lists_its_first_ten_counterexamples(monkeypatch, capsys):

@@ -266,12 +266,23 @@ def test_triangle_sweep_does_not_recheck_its_tuples(monkeypatch):
     ("square", lambda v, lat: square(v, lat) + 2,
      "auxiliary construction invariant failed: <v1^2> = -2"),
     ("ell", lambda w: 2, "reflected target must have coprime rank and degree"),
-], ids=["square", "ell"])
+    ("Negate", Dual, "reflected target disagrees with its closed form"),
+], ids=["square", "ell", "negate"])
 def test_a_wrong_formula_fails_the_construction_invariants(monkeypatch, name, wrong, message):
     monkeypatch.setattr(constructions, name, wrong)
     with pytest.raises(ConsistencyError) as exc:
         build_auxiliary(2, 3, 2, 1)
     assert str(exc.value) == message
+
+
+def test_a_wrong_inverse_fails_the_polarization_check(monkeypatch):
+    # pow(b, -1, 3) one more than the inverse, mod 3: r1 = 11 leaves the class of 1/a mod l,
+    # and k = -20
+    monkeypatch.setattr(constructions, "pow", lambda b, e, m: (pow(b, e, m) + 1) % m,
+                        raising=False)
+    with pytest.raises(ConsistencyError) as exc:
+        build_auxiliary(3, 3, 1, 1)
+    assert str(exc.value) == "polarization square k must be positive"
 
 
 def test_a_triangle_with_an_interior_point_is_a_counterexample(monkeypatch):

@@ -3,10 +3,11 @@ unreferenced private helpers and module-level names, one module per literal
 InputError message, no validated Goettsche lookup inside the series and theta
 loops, no module-level container in the series and theta modules, mpmath
 imported in one function, isometries bound and applied only inside
-IsometryWord, one Jacobi per splitting with no least eigenvalue kept, and no
-tail read off a qs_evaluate result, with _hilb_tail read only by _a_sums, and
-no argparse; the benchmark workloads read only public names, and every name
-the benchmark's fresh-process probes import exists."""
+IsometryWord, one Jacobi per splitting with no least eigenvalue kept, no float
+added by the builtin sum in theta, no tail read off a qs_evaluate result, with
+_hilb_tail read only by _a_sums, and no argparse; the benchmark workloads read
+only public names, and every name the benchmark's fresh-process probes import
+exists."""
 
 import ast
 import importlib
@@ -171,6 +172,26 @@ def test_one_jacobi_per_splitting_and_no_least_eigenvalue():
                 lam_min.append((path.name, where))
     assert reads == [("theta.py", "Splitting.spectral")]
     assert lam_min == []
+
+
+def _lengths(node) -> bool:
+    """node is len(...) or a sum of such."""
+    if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Add):
+        return _lengths(node.left) and _lengths(node.right)
+    return isinstance(node, ast.Call) and getattr(node.func, "id", None) == "len"
+
+
+def test_theta_adds_no_float_with_the_builtin_sum():
+    # the builtin sum compensates float rounding from Python 3.12 on, so a float sum taken by
+    # it would not keep its bits on every interpreter; the left fold from 0 (_dot, reduce)
+    # takes them, and only the two table sizes, whose every term is a len(...), keep sum
+    tree = ast.parse((ROOT / "src" / "k3tk" / "theta.py").read_text())
+    named = [node for node in ast.walk(tree) if isinstance(node, ast.Name) and node.id == "sum"]
+    sizes = [node.func for node in ast.walk(tree)
+             if isinstance(node, ast.Call) and node.func in named and len(node.args) == 1
+             and isinstance(node.args[0], ast.GeneratorExp) and _lengths(node.args[0].elt)]
+    assert len(sizes) == 2
+    assert [node.lineno for node in named if node not in sizes] == []
 
 
 def _reads(node, names) -> bool:
