@@ -15,16 +15,12 @@ input is checked at the boundary, once, by the helpers here, each fault with
 one message for the whole package: _as_int, _as_ints and _as_matrix read
 strict integers, _as_number reads any number as a finite Fraction, float or
 complex, _at_least refuses one below 0 or 1 (a rank, order, bound or power),
-_require_positive_rank is that check for a Mukai vector, and
-EvenLattice.check_vector reports a vector of the wrong length.  The
+and EvenLattice.check_vector reports a vector of the wrong length.  The
 package's value classes derive from Value, defined here: an immutable record
 whose fields are its __slots__, which its own __init__ assigns once with _set.
-MukaiVector._memo is the one underscore slot: it keeps (gram, <v^2>, case) for
-the last lattice v was read against, keyed by the identity of that lattice's
-Gram tuple (held, so the identity cannot be reused), and lives as long as v.
-square fills <v^2> and k3tk.moduli the case; an equal but distinct lattice, or
-a new vector from the same components, simply recomputes.  The record is read
-and replaced whole, so two threads sharing a vector at worst recompute.
+MukaiVector._memo is the one underscore slot: the two constructors start it
+empty, and k3tk.moduli alone reads and writes it, keeping there the record of
+the last lattice v was read against (see that module); it lives as long as v.
 """
 
 from __future__ import annotations
@@ -66,12 +62,6 @@ def _at_least(x, lo: int, what: str) -> int:
         raise InputError(f"{what} must be nonnegative" if lo == 0
                          else f"{what} must be at least {lo}")
     return x
-
-
-def _require_positive_rank(v: "MukaiVector") -> None:
-    """_at_least(v.r, 1, "rank") for a Mukai vector, whose rank is an int already."""
-    if v.r < 1:
-        _at_least(v.r, 1, "rank")
 
 
 _INT = frozenset((int,))
@@ -176,8 +166,10 @@ class EvenLattice(Value):
         return len(self.gram)
 
     def bilinear(self, x, y) -> int:
-        """x^T G y for integer coordinate vectors."""
+        """x^T G y for integer coordinate vectors, each read strictly (_as_ints)."""
+        x = _as_ints(x)
         self.check_vector(x)
+        y = _as_ints(y)
         self.check_vector(y)
         return self._bilinear(x, y)
 
@@ -227,13 +219,15 @@ class MukaiVector(Value):
         _set(self, "_memo", None)
 
     def __add__(self, other: "MukaiVector") -> "MukaiVector":
+        if not isinstance(other, MukaiVector):
+            return NotImplemented
         if len(self.c1) != len(other.c1):
             raise InputError("cannot add Mukai vectors of different c1 length")
         return _mukai(self.r + other.r, tuple(map(add, self.c1, other.c1)),
                       self.a + other.a)
 
     def __sub__(self, other: "MukaiVector") -> "MukaiVector":
-        return self + (-other)
+        return self + (-other) if isinstance(other, MukaiVector) else NotImplemented
 
     def __neg__(self) -> "MukaiVector":
         return _mukai(-self.r, tuple(map(neg, self.c1)), -self.a)
@@ -263,8 +257,8 @@ class MukaiVector(Value):
 
     @classmethod
     def omega(cls, rank: int) -> "MukaiVector":
-        """The point class (0, 0, 1)."""
-        return cls(0, (0,) * rank, 1)
+        """The point class (0, 0, 1) of a lattice of the given rank."""
+        return cls(0, (0,) * _at_least(rank, 0, "rank"), 1)
 
 
 def _mukai(r: int, c1: tuple[int, ...], a: int) -> MukaiVector:
@@ -318,10 +312,5 @@ def primitive(v: MukaiVector) -> bool:
 
 
 def square(v: MukaiVector, lat: EvenLattice) -> int:
-    """<v, v>; even for an even lattice.  Read from, or kept in, v._memo."""
-    memo = v._memo
-    if memo is not None and memo[0] is lat.gram:
-        return memo[1]
-    sq = mukai_pairing(v, v, lat)
-    _set(v, "_memo", (lat.gram, sq, None))
-    return sq
+    """<v, v>; even for an even lattice."""
+    return mukai_pairing(v, v, lat)

@@ -16,9 +16,13 @@ applied verbatim even at the corner l = 1, <v^2> = -2, where rigid mu-stable
 bundles (the structure sheaf) sit on the boundary; mu_stable_boundary_flag
 marks that corner.
 
-Every predicate reads one record per vector and lattice: <v^2> and the case
-split (l, CaseInfo) are computed once and kept in the vector's _memo slot (see
-k3tk.lattice), so asking all of them about one v costs one Mukai pairing.
+Every predicate reads one record per vector and lattice, (<v^2>, content(v), l,
+CaseInfo), which _record computes once and keeps in the vector's _memo slot,
+keyed by the identity of the lattice's Gram tuple (held, so the identity cannot
+be reused); an equal but distinct lattice, or a new vector from the same
+components, simply recomputes.  _record is the only code that reads or writes
+_memo, so asking all of them about one v costs one Mukai pairing.  The record is
+read and replaced whole, so two threads sharing a vector at worst recompute.
 
 The integer invariants live here, so that reading them needs no Fraction.
 chi(Hilb^n) is the coefficient of q^n in prod_{m>=1} (1 - q^m)^(-24) = h^(-8),
@@ -40,8 +44,8 @@ from __future__ import annotations
 from math import isqrt
 
 from .errors import ConsistencyError, InputError, check_work
-from .lattice import (EvenLattice, MukaiVector, Value, _mukai, _require_positive_rank, _set,
-                      content, ell, square)
+from .lattice import (EvenLattice, MukaiVector, Value, _at_least, _mukai, _set, content, ell,
+                      mukai_pairing)
 
 RANK_ONE = "rank_one"
 REFL_POINT = "refl_point"
@@ -49,21 +53,51 @@ UNIV_EXT = "univ_ext"
 HAS_LOCALLY_FREE = "has_locally_free"
 
 
-def _square(v: MukaiVector, lat: EvenLattice, nonempty: bool = True) -> int:
-    """<v^2> of v after the checks, in this order: positive rank, c1 length,
+class CaseInfo(Value):
+    # case "A" or "B"; v0 the (-2)-witness r + xi + b omega, case B only (else None)
+    __slots__ = ("case", "v0")
+
+
+def _record(v: MukaiVector, lat: EvenLattice) -> tuple[int, int, int, CaseInfo]:
+    """(<v^2>, content(v), l, case) of v against lat, after the checks, in this order:
+    positive rank, c1 length; computed once and kept in v._memo (module docstring).
+
+    l = gcd(rank, c1) and v = l(r + xi) + a omega with r + xi primitive, so
+    (xi^2) = (<v^2> + 2 rank(v) a) / l^2 exactly.
+    """
+    memo = v._memo
+    if memo is not None and memo[0] is lat.gram:
+        return memo[1]
+    _at_least(v.r, 1, "rank")
+    sq = mukai_pairing(v, v, lat)
+    l = ell(v)
+    r = v.r // l
+    xi_sq = (sq + 2 * v.r * v.a) // (l * l)
+    if (xi_sq + 2) % (2 * r) == 0:
+        xi = tuple([x // l for x in v.c1])
+        info = CaseInfo("B", _mukai(r, xi, (xi_sq + 2) // (2 * r)))
+    else:
+        info = CaseInfo("A", None)
+    record = sq, content(v), l, info
+    _set(v, "_memo", (lat.gram, record))
+    return record
+
+
+def _primitive_record(v: MukaiVector, lat: EvenLattice,
+                      nonempty: bool = True) -> tuple[int, int, int, CaseInfo]:
+    """_record(v, lat) after the checks, in this order: positive rank, c1 length,
     primitive and, when nonempty, <v^2> >= -2 (a non-empty moduli space)."""
-    _require_positive_rank(v)
-    sq = square(v, lat)
-    if content(v) != 1:
+    record = _record(v, lat)
+    if record[1] != 1:
         raise InputError("Mukai vector must be primitive")
-    if nonempty and sq < -2:
+    if nonempty and record[0] < -2:
         raise InputError("moduli space is empty: <v^2> < -2")
-    return sq
+    return record
 
 
 def exists_stable_primitive(v: MukaiVector, lat: EvenLattice) -> bool:
     """Non-emptiness of the stable moduli space: <v^2> >= -2."""
-    return _square(v, lat, nonempty=False) >= -2
+    return _primitive_record(v, lat, nonempty=False)[0] >= -2
 
 
 def exists_semistable(v: MukaiVector, lat: EvenLattice) -> bool:
@@ -72,52 +106,22 @@ def exists_semistable(v: MukaiVector, lat: EvenLattice) -> bool:
     True iff v = n w for some integer n >= 1 with <w^2> >= -2.  As
     <w^2> = <v^2>/n^2 only moves toward 0 as n grows, n = content(v) decides.
     """
-    _require_positive_rank(v)
-    c = content(v)
-    return square(v, lat) // (c * c) >= -2
+    sq, c, _, _ = _record(v, lat)
+    return sq // (c * c) >= -2
 
 
 def moduli_dim(v: MukaiVector, lat: EvenLattice) -> int:
     """dim M(v) = <v^2> + 2 for primitive v with <v^2> >= -2."""
-    return _square(v, lat) + 2
-
-
-class CaseInfo(Value):
-    # case "A" or "B"; v0 the (-2)-witness r + xi + b omega, case B only (else None)
-    __slots__ = ("case", "v0")
-
-
-def _case(v: MukaiVector, lat: EvenLattice) -> tuple[int, CaseInfo]:
-    """(l, case) for a positive-rank v, kept beside <v^2> in v._memo.
-
-    l = gcd(rank, c1) and v = l(r + xi) + a omega with r + xi primitive, so
-    (xi^2) = (<v^2> + 2 rank(v) a) / l^2 exactly.
-    """
-    sq = square(v, lat)
-    memo = v._memo
-    if memo[0] is lat.gram and memo[2] is not None:
-        return memo[2]
-    l = ell(v)
-    r = v.r // l
-    xi_sq = (sq + 2 * v.r * v.a) // (l * l)
-    if (xi_sq + 2) % (2 * r) == 0:
-        xi = tuple([x // l for x in v.c1])
-        case = l, CaseInfo("B", _mukai(r, xi, (xi_sq + 2) // (2 * r)))
-    else:
-        case = l, CaseInfo("A", None)
-    _set(v, "_memo", (lat.gram, sq, case))
-    return case
+    return _primitive_record(v, lat)[0] + 2
 
 
 def classify_case(v: MukaiVector, lat: EvenLattice) -> CaseInfo:
-    _require_positive_rank(v)
-    return _case(v, lat)[1]
+    return _record(v, lat)[3]
 
 
 def exists_mu_stable(v: MukaiVector, lat: EvenLattice) -> bool:
     """Existence of mu-stable members: <v^2> >= 0 (case A) or >= 2 l^2 (case B)."""
-    sq = _square(v, lat)
-    l, info = _case(v, lat)
+    sq, _, l, info = _primitive_record(v, lat)
     if info.case == "A":
         return sq >= 0
     return sq >= 2 * l ** 2
@@ -125,9 +129,7 @@ def exists_mu_stable(v: MukaiVector, lat: EvenLattice) -> bool:
 
 def mu_stable_boundary_flag(v: MukaiVector, lat: EvenLattice) -> bool:
     """Flags the case-B corner l = 1, <v^2> = -2 (rigid bundles on the boundary)."""
-    _require_positive_rank(v)
-    sq = square(v, lat)
-    l, info = _case(v, lat)
+    sq, _, l, info = _record(v, lat)
     return info.case == "B" and l == 1 and sq == -2
 
 
@@ -143,10 +145,9 @@ def classify_non_locally_free(v: MukaiVector, lat: EvenLattice) -> NonLocallyFre
     and v = l v0 - (l+1) omega, moduli the Hilbert scheme of l+1 points.
     Everything else contains locally free members.
     """
-    sq = _square(v, lat)
+    sq, _, l, info = _primitive_record(v, lat)
     if v.r == 1:
         return NonLocallyFree(RANK_ONE, f"Hilb^{sq // 2 + 1}")
-    l, info = _case(v, lat)
     if info.case == "B":
         v0 = info.v0
         if l == v0.r and v.a == v0.r * v0.a - 1:
@@ -158,7 +159,7 @@ def classify_non_locally_free(v: MukaiVector, lat: EvenLattice) -> NonLocallyFre
 
 def hilb_index(v: MukaiVector, lat: EvenLattice) -> int:
     """<v^2>/2 + 1, the number of points of the reference Hilbert scheme."""
-    return _square(v, lat) // 2 + 1
+    return _primitive_record(v, lat)[0] // 2 + 1
 
 
 def euler_characteristic(v: MukaiVector, lat: EvenLattice) -> int:
@@ -201,9 +202,9 @@ def _chi_scaled(sq: int, c: int, euler: list[int]) -> int:
 
 
 def _chi_virtual_scaled(v: MukaiVector, lat: EvenLattice) -> tuple[int, int]:
-    """(c^2 chi_virtual(v), c^2) for c = content(v), after the positive-rank check."""
-    _require_positive_rank(v)
-    c = content(v)
-    check_work(c, "chi_virtual")        # the divisor scan tries every a <= c
-    sq = square(v, lat)
+    """(c^2 chi_virtual(v), c^2) for c = content(v), from v's record; the work check on c
+    runs between the positive-rank and c1 length checks."""
+    if v.r > 0:
+        check_work(content(v), "chi_virtual")       # the divisor scan tries every a <= c
+    sq, c, _, _ = _record(v, lat)
     return _chi_scaled(sq, c, _hilb_table(sq // 2 + 1)), c * c

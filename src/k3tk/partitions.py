@@ -84,7 +84,7 @@ def z_psu_direct(r: int, alpha, order, lat: EvenLattice) -> QSeries:
     """
     r, alpha = _check_rank_alpha(r, alpha, lat)
     order = _as_number(order, Fraction)
-    s_alpha = lat.quad(alpha)
+    s_alpha = lat._bilinear(alpha, alpha)
     span = _a_span(r, s_alpha, order)
     g = math.gcd(r, *alpha)
     euler = _hilb_table((s_alpha - 2 * r * span.start) // 2 + 1)
@@ -128,7 +128,7 @@ def z_psu_hecke(r: int, alpha, order, lat: EvenLattice) -> QSeries:
     factorizations = _hecke_factorizations(r, alpha, order)
     check_work(sum(top + 1 for *_, top in factorizations), "z_psu_hecke")
     # n = (xi^2)/2 + 1 mod d; the table grows once, through the last n read (z_psu_direct's)
-    reads = [(a, d, range((lat.quad(xi) // 2 + 1) % d, top + 1, d))
+    reads = [(a, d, range((lat._bilinear(xi, xi) // 2 + 1) % d, top + 1, d))
              for a, d, xi, top in factorizations]
     euler = _hilb_table(max(ns[-1] if ns else -1 for *_, ns in reads))
     nums: dict[int, int] = {}   # keyed by a^2 (n - 1)
@@ -169,7 +169,7 @@ def z_psu_hecke_literal(r: int, alpha, order, lat: EvenLattice) -> QSeries:
         prec = mpmath.mp.prec
         acc = {}        # keyed by r e = a^2 (n - 1) for e = a (n - 1) / d; raw _mpc_ tuples
         for a, d, xi, top in factorizations:
-            s_xi = lat.quad(xi)
+            s_xi = lat._bilinear(xi, xi)
             roots = [mpmath.expjpi(mpmath.mpf(2 * j) / d)._mpc_ for j in range(d)]
             phase = []      # the d sums over b, added in order from 0 as mpc's + does
             for m in range(d):

@@ -108,6 +108,8 @@ class QSeries(Value):
     def from_terms(cls, terms, trunc) -> "QSeries":
         """Build from a mapping {exponent: coefficient}; exponents rational."""
         trunc = _as_number(trunc, Fraction)
+        if not hasattr(terms, "items"):
+            raise InputError(f"expected a mapping {{exponent: coefficient}}, got {terms!r}")
         cleaned = {}
         for e, c in terms.items():
             e = _as_number(e, Fraction)
@@ -157,7 +159,7 @@ class QSeries(Value):
                 for k, c in self.coeffs]
 
     def __add__(self, other):
-        return qs_add(self, other)
+        return qs_add(self, other) if isinstance(other, QSeries) else NotImplemented
 
     def __mul__(self, other):
         if isinstance(other, QSeries):

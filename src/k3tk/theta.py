@@ -26,7 +26,9 @@ shell with the ball's leaf bound (below), each at most its Gaussian times
 exp(2 pi |c| |Im x|) (Cauchy-Schwarz on each definite part), and is math.inf
 when that series does not contract.  _hilb_tail bounds every tail of Goettsche's
 series by Cauchy's estimate on its product, and _a_sums, its one caller, each a-sum
-that either full sum omits.  The pivots are still floats.
+that either full sum omits.  _shell_tail and _hilb_tail take their exponentials
+through _exp, which rounds an underflow up to the least positive float, so a bound on
+omitted terms is never 0.  The pivots are still floats.
 
 Kernels: points are tuples of ints.  The projectors sum to the identity and are
 Q-orthogonal, so Q(c_L^2) + Q(c_R^2) = Q(c) and each exponent is (Re tau Q(c) +
@@ -322,9 +324,10 @@ def _ball(alpha, step: int, r: int, tau: complex, split: Splitting, qx,
 
 
 def _exp(t: float) -> float:
-    """math.exp, saturating to inf: an overflowing tail bound is an unbounded tail."""
+    """math.exp, saturating to inf and rounding an underflow up to the least positive float:
+    an overflowing tail bound is an unbounded tail, and a bound on omitted terms is never 0."""
     try:
-        return math.exp(t)
+        return math.exp(t) or math.ulp(0.0)
     except OverflowError:
         return math.inf
 
@@ -515,7 +518,7 @@ def z_full_factorized(lat: EvenLattice, r: int, tau: complex, split: Splitting,
     kept = split._tables.get(key := (r, order))
     series, zs, value, z_tail, weight, points = kept or {}, {}, 0j, 0.0, 0.0, 0  # zs: Z_r^alpha
     for alpha in product(range(r), repeat=lat.rank):
-        if (cls := (lat.quad(alpha), math.gcd(r, *alpha))) not in zs:
+        if (cls := (lat._bilinear(alpha, alpha), math.gcd(r, *alpha))) not in zs:
             if cls not in series:
                 series[cls] = len(_a_span(r, cls[0], order)), z_psu_direct(r, alpha, order, lat)
             check_work(series[cls][0], "z_psu_direct")

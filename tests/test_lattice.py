@@ -69,6 +69,36 @@ def test_input_checks_refuse_with_their_message(call, message):
         call()
 
 
+def test_bilinear_and_quad_read_vectors_strictly(gram2):
+    for x in ((1.5,), (True,), ("1",), (None,), 5):
+        with pytest.raises(InputError):
+            gram2.quad(x)
+        with pytest.raises(InputError):
+            gram2.bilinear(x, (1,))
+        with pytest.raises(InputError):
+            gram2.bilinear((1,), x)
+    assert gram2.quad((2.0,)) == 8 and type(gram2.quad((2.0,))) is int
+    assert gram2.bilinear([3], (2.0,)) == 12 and type(gram2.bilinear([3], (2.0,))) is int
+    with pytest.raises(InputError, match="length 2 does not match lattice rank 1"):
+        gram2.quad((1, 0))
+
+
+def test_omega_reads_its_rank_strictly():
+    with pytest.raises(InputError, match="rank must be nonnegative"):
+        MukaiVector.omega(-1)
+    with pytest.raises(InputError, match="expected an integer, got True"):
+        MukaiVector.omega(True)
+    assert MukaiVector.omega(2.0) == MukaiVector(0, (0, 0), 1)
+    assert MukaiVector.omega(0) == MukaiVector(0, (), 1)
+
+
+def test_a_foreign_operand_is_a_type_error():
+    for call in (lambda: _V + 1, lambda: _V - 1, lambda: 1 + _V, lambda: 1 - _V,
+                 lambda: _V + "a", lambda: _V - (2,)):
+        with pytest.raises(TypeError, match="unsupported operand"):
+            call()
+
+
 def test_from_chern_structure_sheaf(gram2):
     assert mukai_from_chern(1, (0,), 0, gram2) == MukaiVector(1, (0,), 1)
 

@@ -9,6 +9,7 @@ from k3tk import (ConsistencyError, EvenLattice, InputError, MukaiVector, chi_vi
                   exists_mu_stable, exists_semistable, exists_stable_primitive,
                   hilb_index, moduli, moduli_dim, mu_stable_boundary_flag, mukai_pairing,
                   primitive, square)
+from k3tk.errors import MAX_WORK
 from k3tk.moduli import HAS_LOCALLY_FREE, RANK_ONE, REFL_POINT, UNIV_EXT
 
 from .conftest import random_lattice, random_vector
@@ -218,6 +219,16 @@ def test_one_message_per_fault(gram2):
     rank_zero = MukaiVector(0, (1,), 1)
     assert {_message(lambda f=f: f(rank_zero, gram2))
             for f in _QUESTIONS if f is not square} == {"rank must be at least 1"}
+
+
+def test_chi_virtual_checks_its_work_between_rank_and_length(gram2):
+    # the divisor scan's cap on content(v) is read before the c1 length, after the rank
+    huge = (MAX_WORK + 1) * MukaiVector(1, (0, 0), 1)
+    assert _message(lambda: chi_virtual(huge, gram2)) == \
+        f"chi_virtual would visit more than {MAX_WORK} candidates"
+    assert _message(lambda: chi_virtual(-huge, gram2)) == "rank must be at least 1"
+    assert {_message(lambda f=f: f(huge, gram2)) for f in _QUESTIONS if f is not chi_virtual} \
+        == {"vector of length 2 does not match lattice rank 1"}
 
 
 def test_a_fractional_euler_number_is_a_consistency_error(monkeypatch):

@@ -62,6 +62,16 @@ def test_trunc_propagation_rules():
         prod.coeff(2)
 
 
+def test_a_foreign_operand_is_a_type_error_and_terms_a_mapping():
+    a = series({0: 1}, 3)
+    for call in (lambda: a + 1, lambda: 1 + a, lambda: a + Fraction(1, 2)):
+        with pytest.raises(TypeError, match="unsupported operand"):
+            call()
+    for terms in ([(1, 2)], ((0, 1),), 5, None):
+        with pytest.raises(InputError, match="expected a mapping"):
+            QSeries.from_terms(terms, 3)
+
+
 def test_coeff_beyond_trunc_is_error():
     s = series({0: 1}, 2)
     assert s.coeff(1) == 0                 # inside the certified window

@@ -3,11 +3,11 @@ unreferenced private helpers and module-level names, one module per literal
 InputError message, no validated Goettsche lookup inside the series and theta
 loops, no module-level container in the series and theta modules, mpmath
 imported in one function, isometries bound and applied only inside
-IsometryWord, one Jacobi per splitting with no least eigenvalue kept, no float
-added by the builtin sum in theta, no tail read off a qs_evaluate result, with
-_hilb_tail read only by _a_sums, and no argparse; the benchmark workloads read
-only public names, and every name the benchmark's fresh-process probes import
-exists."""
+IsometryWord, a Mukai vector's memo read and written only by moduli._record,
+one Jacobi per splitting with no least eigenvalue kept, no float added by the
+builtin sum in theta, no tail read off a qs_evaluate result, with _hilb_tail
+read only by _a_sums, and no argparse; the benchmark workloads read only public
+names, and every name the benchmark's fresh-process probes import exists."""
 
 import ast
 import importlib
@@ -156,6 +156,18 @@ def test_isometries_apply_only_as_words():
                 homes.setdefault(node.attr, set()).add((path.name, where))
     assert homes == {"_bind": {("isometry.py", "IsometryWord.__init__")},
                      "_steps": {("isometry.py", "IsometryWord.apply")}}
+
+
+def test_only_the_moduli_record_reads_the_memo():
+    # a vector's memo slot is declared and started empty in lattice and read and written by
+    # moduli._record alone, so its layout is known to one function
+    homes = set()
+    for path in SOURCES:
+        for where, node in _scoped(ast.parse(path.read_text())):
+            if getattr(node, "attr", None) == "_memo" or getattr(node, "value", None) == "_memo":
+                homes.add((path.name, where))
+    assert homes == {("lattice.py", "MukaiVector"), ("lattice.py", "MukaiVector.__init__"),
+                     ("lattice.py", "_mukai"), ("moduli.py", "_record")}
 
 
 def test_one_jacobi_per_splitting_and_no_least_eigenvalue():

@@ -191,6 +191,20 @@ def test_theta_single_point(neg2, split1):
     assert th.points == 1 and th.value == pytest.approx(1.0)
 
 
+def test_an_omitted_term_leaves_a_positive_tail(neg2, split1):
+    # at tau = 100i every omitted term underflows a double, and its bound is still not 0
+    sums = [theta_siegel_narain(neg2, (0,), 1, 100j, split1, None, 3.0),
+            theta_siegel_narain(neg2, (1,), 2, 100j, split1, (0.5j,), 3.0),
+            z_full_direct(neg2, 1, 100j, split1, None, 2.0, 2.0),
+            z_full_factorized(neg2, 1, 100j, split1, None, 4, 2.0)]
+    gram2 = EvenLattice(((2,),))
+    spectral = Splitting.spectral(gram2)
+    sums += [theta_siegel_narain(gram2, (0,), 1, 100j, spectral, None, 3.0),
+             z_full_direct(gram2, 1, 100j, spectral, None, 2.0, 2.0),
+             z_full_factorized(gram2, 1, 100j, spectral, None, 4, 2.0)]
+    assert all(0.0 < s.tail < 1e-40 for s in sums), sums
+
+
 def test_theta_classical_jacobi(neg2, split1):
     for tau in (1j, 0.3 + 0.7j):
         th = theta_siegel_narain(neg2, (0,), 1, tau, split1, None, 6.0)
