@@ -15,9 +15,10 @@ input is checked at the boundary, once, by the helpers here, each fault with
 one message for the whole package: _as_int, _as_ints and _as_matrix read
 strict integers, _as_number reads any number as a finite Fraction, float or
 complex, _at_least refuses one below 0 or 1 (a rank, order, bound or power),
-and EvenLattice.check_vector reports a vector of the wrong length.  The
-package's value classes derive from Value, defined here: an immutable record
-whose fields are its __slots__, which its own __init__ assigns once with _set.
+and EvenLattice.check_vector reports a vector of the wrong length; _expect raises
+the TypeError of an operand of another type, naming the one expected.  The package's
+value classes derive from Value, defined here: an immutable record whose fields are its
+__slots__, which its own __init__ assigns once with _set.
 MukaiVector._memo is the one underscore slot: the two constructors start it
 empty, and k3tk.moduli alone reads and writes it, keeping there the record of
 the last lattice v was read against (see that module); it lives as long as v.
@@ -82,6 +83,13 @@ def _as_matrix(rows) -> tuple[tuple[int, ...], ...]:
         return tuple(map(_as_ints, rows))
     except TypeError as exc:
         raise InputError(f"expected a matrix of integers, got {rows!r}") from exc
+
+
+def _expect(kind: type, *xs) -> None:
+    """TypeError, naming kind, unless every x is one: the check of a foreign operand."""
+    for x in xs:
+        if not isinstance(x, kind):
+            raise TypeError(f"expected {kind.__name__}, got {type(x).__name__}")
 
 
 _new = object.__new__
@@ -233,6 +241,8 @@ class MukaiVector(Value):
         return _mukai(-self.r, tuple(map(neg, self.c1)), -self.a)
 
     def __rmul__(self, n: int) -> "MukaiVector":
+        if isinstance(n, MukaiVector):
+            return NotImplemented
         n = _as_int(n)
         return _mukai(n * self.r, tuple([n * x for x in self.c1]), n * self.a)
 
@@ -273,10 +283,14 @@ def _mukai(r: int, c1: tuple[int, ...], a: int) -> MukaiVector:
 
 def mukai_pairing(x: MukaiVector, y: MukaiVector, lat: EvenLattice) -> int:
     """<x, y> = (c1(x).c1(y)) - r(x) a(y) - a(x) r(y)."""
-    n = len(lat.gram)
-    if len(x.c1) != n or len(y.c1) != n:
-        lat.check_vector(x.c1)
-        lat.check_vector(y.c1)
+    try:
+        n = len(lat.gram)
+        if len(x.c1) != n or len(y.c1) != n:
+            lat.check_vector(x.c1)
+            lat.check_vector(y.c1)
+    except AttributeError:      # a foreign operand; the check costs the valid call nothing
+        _expect(MukaiVector, x, y)
+        raise
     return lat._bilinear(x.c1, y.c1) - x.r * y.a - x.a * y.r
 
 
@@ -289,6 +303,7 @@ def mukai_from_chern(r: int, c1, ch2: int, lat: EvenLattice) -> MukaiVector:
 
 def dual(v: MukaiVector) -> MukaiVector:
     """(r, c1, a) -> (r, -c1, a); an involution preserving the pairing."""
+    _expect(MukaiVector, v)
     return _mukai(v.r, tuple(map(neg, v.c1)), v.a)
 
 
@@ -298,12 +313,13 @@ def ell(v: MukaiVector) -> int:
     The c1 gcd is the content of the coordinate vector; for integral bases
     this is basis-independent.
     """
+    _expect(MukaiVector, v)
     return gcd(v.r, *v.c1)
 
 
 def content(v: MukaiVector) -> int:
     """gcd of all components of v."""
-    return gcd(v.r, v.a, *v.c1)
+    return gcd(ell(v), v.a)
 
 
 def primitive(v: MukaiVector) -> bool:

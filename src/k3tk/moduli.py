@@ -41,10 +41,10 @@ is here too.
 
 from __future__ import annotations
 
-from math import isqrt
+from math import gcd, isqrt
 
 from .errors import ConsistencyError, InputError, check_work
-from .lattice import (EvenLattice, MukaiVector, Value, _at_least, _mukai, _set, content, ell,
+from .lattice import (EvenLattice, MukaiVector, Value, _at_least, _expect, _mukai, _set, content,
                       mukai_pairing)
 
 RANK_ONE = "rank_one"
@@ -65,12 +65,16 @@ def _record(v: MukaiVector, lat: EvenLattice) -> tuple[int, int, int, CaseInfo]:
     l = gcd(rank, c1) and v = l(r + xi) + a omega with r + xi primitive, so
     (xi^2) = (<v^2> + 2 rank(v) a) / l^2 exactly.
     """
-    memo = v._memo
+    try:
+        memo = v._memo
+    except AttributeError:      # a foreign operand; the check costs the valid call nothing
+        _expect(MukaiVector, v)
+        raise
     if memo is not None and memo[0] is lat.gram:
         return memo[1]
     _at_least(v.r, 1, "rank")
     sq = mukai_pairing(v, v, lat)
-    l = ell(v)
+    l = gcd(v.r, *v.c1)     # ell(v), and content(v) = gcd(l, a) below
     r = v.r // l
     xi_sq = (sq + 2 * v.r * v.a) // (l * l)
     if (xi_sq + 2) % (2 * r) == 0:
@@ -78,7 +82,7 @@ def _record(v: MukaiVector, lat: EvenLattice) -> tuple[int, int, int, CaseInfo]:
         info = CaseInfo("B", _mukai(r, xi, (xi_sq + 2) // (2 * r)))
     else:
         info = CaseInfo("A", None)
-    record = sq, content(v), l, info
+    record = sq, gcd(l, v.a), l, info
     _set(v, "_memo", (lat.gram, record))
     return record
 

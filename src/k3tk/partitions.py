@@ -9,8 +9,8 @@ Euler characteristic of the moduli space; for non-primitive v the formula is
 implemented as stated with no claim that it equals a geometric Euler
 characteristic of any compactification.  It depends on v only through the
 integers <v^2> and content(v), and every path reads it from one integer
-helper keyed by that pair, k3tk.moduli._chi_scaled; chi_virtual is the
-Fraction of moduli's checked kernel, which the CLI reduces without one.
+helper keyed by that pair, k3tk.moduli._chi_scaled.  chi_virtual, like every
+exact coefficient here, is an int when integral and a Fraction otherwise (_exact).
 
 The fixed-determinant partition function for rank r and c1 = alpha is
 
@@ -58,14 +58,20 @@ import math
 from fractions import Fraction
 
 from .errors import InputError, check_work
-from .lattice import EvenLattice, MukaiVector, _as_ints, _as_number, _at_least
+from .lattice import EvenLattice, MukaiVector, _as_ints, _as_number, _at_least, _expect
 from .moduli import _chi_scaled, _chi_virtual_scaled, _hilb_table
 from .qseries import QSeries
 
 
-def chi_virtual(v: MukaiVector, lat: EvenLattice) -> Fraction:
-    """Divisor-sum virtual Euler characteristic; denominator divides content^2."""
-    return Fraction(*_chi_virtual_scaled(v, lat))
+def _exact(num: int, den: int) -> int | Fraction:
+    """num / den (den > 0) as an exact value: the int when den divides num, else a Fraction."""
+    return Fraction(num, den) if num % den else num // den
+
+
+def chi_virtual(v: MukaiVector, lat: EvenLattice) -> int | Fraction:
+    """Divisor-sum virtual Euler characteristic (_exact); denominator divides content^2."""
+    _expect(MukaiVector, v)
+    return _exact(*_chi_virtual_scaled(v, lat))
 
 
 def _check_rank_alpha(r: int, alpha, lat: EvenLattice) -> tuple[int, tuple[int, ...]]:
@@ -92,7 +98,7 @@ def z_psu_direct(r: int, alpha, order, lat: EvenLattice) -> QSeries:
     for a in span:
         c = math.gcd(g, a)
         if coeff := _chi_scaled(s_alpha - 2 * r * a, c, euler):
-            terms[s_alpha - 2 * r * a] = Fraction(coeff, c * c)
+            terms[s_alpha - 2 * r * a] = _exact(coeff, c * c)
     return QSeries._of(2 * r, terms, order)
 
 
@@ -137,7 +143,7 @@ def z_psu_hecke(r: int, alpha, order, lat: EvenLattice) -> QSeries:
             k = a * a * (n - 1)
             nums[k] = nums.get(k, 0) + d * d * euler[n]
     rr = r * r
-    return QSeries._of(r, {k: Fraction(v, rr) for k, v in nums.items()}, order)
+    return QSeries._of(r, {k: _exact(v, rr) for k, v in nums.items()}, order)
 
 
 def z_psu_hecke_literal(r: int, alpha, order, lat: EvenLattice) -> QSeries:

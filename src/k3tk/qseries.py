@@ -4,9 +4,9 @@ A QSeries stores finitely many coefficients c_k at exponents k/denom, keyed
 by the integer index k over one denominator, together with a truncation
 bound trunc: every exponent strictly below trunc is complete (absent means
 zero there); at or beyond trunc nothing is claimed, and asking for such a
-coefficient raises an error instead of silently returning 0.  The type is
-generic in its coefficient ring (Fraction on the exact paths, mpmath mpc on
-the literal Hecke path); coeff answers with the zero of that ring.
+coefficient raises an error instead of silently returning 0.  The type is generic in its
+coefficient ring (an int where an exact coefficient is integral, else a Fraction; mpmath
+mpc on the literal Hecke path); coeff answers with the zero of the first coefficient's type.
 
 Producers and arithmetic work on the indices alone, rescaling operands to the
 lcm of their denominators and comparing against the integer index
@@ -26,9 +26,9 @@ Goettsche-type sums bound theirs in k3tk.theta.  It reads a float view of the te
 on the first evaluation and kept on the series, so one evaluated at many tau converts once.
 
 The Goettsche series sum_n chi(Hilb^n) q^n = prod_{m>=1} (1 - q^m)^(-24) of a K3
-surface reads its integer coefficients from the table in k3tk.moduli (Miller's
-recurrence and its work cap are described there), so the integer invariants load no
-Fraction; hilb_euler is the validated reader of that table, 0 for n < 0.
+surface stores the ints of the table in k3tk.moduli as they are (Miller's recurrence
+and its work cap are described there); hilb_euler is the validated reader of that
+table, 0 for n < 0.
 """
 
 from __future__ import annotations
@@ -39,9 +39,10 @@ from bisect import bisect_left
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
+from operator import attrgetter
 
 from .errors import InputError
-from .lattice import Value, _as_int, _as_number, _at_least, _new, _set
+from .lattice import Value, _as_int, _as_number, _at_least, _expect, _new, _set
 from .moduli import _hilb_table
 
 
@@ -152,11 +153,9 @@ class QSeries(Value):
 
     @cached_property
     def _floats(self) -> list:
-        """(k / denom, c as complex) per stored term, built on the first evaluation.  A Fraction
-        converts by the integer quotient numbers.Rational.__float__ takes, without its detour."""
+        """(k / denom, complex(c)) per stored term, built on the first evaluation."""
         d = self.denom
-        return [(k / d, complex(c.numerator / c.denominator if type(c) is Fraction else c))
-                for k, c in self.coeffs]
+        return [(k / d, complex(c)) for k, c in self.coeffs]
 
     def __add__(self, other):
         return qs_add(self, other) if isinstance(other, QSeries) else NotImplemented
@@ -186,6 +185,7 @@ def _common(a: QSeries, b: QSeries, trunc: Fraction) -> tuple[int, int, int, int
 
 
 def qs_add(a: QSeries, b: QSeries) -> QSeries:
+    _expect(QSeries, a, b)
     trunc = min(a.trunc, b.trunc)
     d, ma, mb, top = _common(a, b, trunc)
     terms = {}
@@ -198,11 +198,13 @@ def qs_add(a: QSeries, b: QSeries) -> QSeries:
 
 
 def qs_scale(a: QSeries, scalar) -> QSeries:
+    _expect(QSeries, a)
     scalar = _as_number(scalar, Fraction)
     return QSeries._of(a.denom, {k: scalar * c for k, c in a.coeffs}, a.trunc)
 
 
 def qs_mul(a: QSeries, b: QSeries) -> QSeries:
+    _expect(QSeries, a, b)
     trunc = min(a.trunc + b.min_exponent, b.trunc + a.min_exponent)
     d, ma, mb, top = _common(a, b, trunc)
     bk = [(k * mb, c) for k, c in b.coeffs]
@@ -219,6 +221,7 @@ def qs_mul(a: QSeries, b: QSeries) -> QSeries:
 
 def qs_substitute_power(s: QSeries, m: int) -> QSeries:
     """Substitute q -> q^m (m >= 1); exponents and truncation scale exactly."""
+    _expect(QSeries, s)
     m = _at_least(m, 1, "substitution power")
     return QSeries._of(s.denom, {k * m: c for k, c in s.coeffs}, s.trunc * m)
 
@@ -227,21 +230,27 @@ class QSeriesValue(Value):
     __slots__ = ("value",)      # complex
 
 
+def _fsum(terms: list) -> complex:
+    """The sum of complex terms, its real and imaginary parts each correctly rounded (fsum)."""
+    return complex(math.fsum(map(attrgetter("real"), terms)),
+                   math.fsum(map(attrgetter("imag"), terms)))
+
+
 def qs_evaluate(s: QSeries, tau: complex) -> QSeriesValue:
     """The stored terms' sum at q = exp(2*pi*i*tau), Im tau > 0; nothing past trunc is claimed.
 
     The terms come from the series' float view, built once and kept on it: every exponent is
-    one correctly rounded integer quotient over denom, and every coefficient (Fraction or mpc)
-    the complex(c) that Fraction * complex computes.  A view that overflows is not kept.
+    one correctly rounded integer quotient over denom, and every coefficient (int, Fraction or
+    mpc) the complex(c) that c * complex computes.  A view that overflows is not kept.
     """
+    _expect(QSeries, s)
     tau = _upper(tau)
     try:
         q = cmath.exp(2j * cmath.pi * tau)      # ValueError: an infinite phase
         terms = [c * q ** e for e, c in s._floats]
     except (OverflowError, ValueError, ZeroDivisionError):  # q under- or overflows at this tau
         raise InputError("q-series terms are not representable at this tau") from None
-    return QSeriesValue(complex(math.fsum(t.real for t in terms),
-                                math.fsum(t.imag for t in terms)))
+    return QSeriesValue(_fsum(terms))
 
 
 def hilb_euler(n: int) -> int:
@@ -253,13 +262,10 @@ def hilb_euler(n: int) -> int:
 def gottsche_series(order: int) -> QSeries:
     """sum_{n=0}^{order-1} chi(Hilb^n) q^n, truncated below q^order."""
     order = _at_least(order, 1, "order")
-    return QSeries._of(1, {n: Fraction(c) for n, c in enumerate(_hilb_table(order - 1)[:order])},
-                       Fraction(order))
+    return QSeries._of(1, dict(enumerate(_hilb_table(order - 1)[:order])), Fraction(order))
 
 
 def z1_zero(order: int) -> QSeries:
     """q^(-1) * Goettsche series: sum_{n>=0} chi(Hilb^n) q^(n-1), complete below q^order."""
     order = _at_least(order, 0, "order")
-    chi = _hilb_table(order)
-    return QSeries._of(1, {n - 1: Fraction(c) for n, c in enumerate(chi[:order + 1])},
-                       Fraction(order))
+    return QSeries._of(1, dict(enumerate(_hilb_table(order)[:order + 1], -1)), Fraction(order))

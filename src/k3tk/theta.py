@@ -68,7 +68,7 @@ from .errors import MAX_WORK, InputError, check_work
 from .lattice import EvenLattice, Value, _as_ints, _as_number, _at_least, _set
 from .moduli import _chi_scaled, _hilb_table
 from .partitions import _a_span, z_psu_direct
-from .qseries import _upper, qs_evaluate
+from .qseries import _fsum, _upper, qs_evaluate
 
 GUARD_SHELLS = 3
 EXP_BINS = 8
@@ -406,8 +406,7 @@ def _theta(alpha, r: int, tau: complex, radius: float, split: Splitting, qx,
             shells[j - 1] += abs(term)
         else:
             main.append(term)
-    value = complex(math.fsum(t.real for t in main), math.fsum(t.imag for t in main))
-    return ThetaSum(value, _shell_tail(shells, split._pivots, r, r, tau, radius, xnorm),
+    return ThetaSum(_fsum(main), _shell_tail(shells, split._pivots, r, r, tau, radius, xnorm),
                     len(main))
 
 
@@ -494,7 +493,7 @@ def z_full_direct(lat: EvenLattice, r: int, tau: complex, split: Splitting,
             for b, w in binned:
                 hbins[b] += abs(w * base)
             main += [w * base for w in mains]
-    value = complex(math.fsum(t.real for t in main), math.fsum(t.imag for t in main))
+    value = _fsum(main)
 
     # the bins exactly, every xi of the ball past n_top (an even n: n / 2 + 1 >= n_top // 2 + 2)
     # by its a-sum past n_top, and every xi past the ball by its whole a-sum

@@ -212,6 +212,14 @@ def test_zseries_methods(capsys):
         assert abs(re - exact.get(key, 0.0)) < 1e-9
 
 
+def test_zseries_writes_an_integral_coefficient_over_den_1(capsys):
+    # the series stores 30 as an int and 1/4 as a Fraction; both are written as num and den
+    doc = run_json(capsys, "zseries", "--rank", "2", "--order", "3", "--method", "hecke")
+    assert [(t["exp"], t["coeff"]) for t in doc["terms"]] == [
+        ({"num": e, "den": 1}, {"num": n, "den": d})
+        for e, n, d in ((-2, 1, 4), (0, 30, 1), (1, 3200, 1), (2, 176337, 1))]
+
+
 def test_theta_and_zfull(tmp_path, capsys):
     surf = tmp_path / "s.json"
     surf.write_text(json.dumps({"rank": 1, "gram": [[-2]]}))

@@ -94,9 +94,21 @@ def test_omega_reads_its_rank_strictly():
 
 def test_a_foreign_operand_is_a_type_error():
     for call in (lambda: _V + 1, lambda: _V - 1, lambda: 1 + _V, lambda: 1 - _V,
-                 lambda: _V + "a", lambda: _V - (2,)):
+                 lambda: _V + "a", lambda: _V - (2,), lambda: _V * _V):
         with pytest.raises(TypeError, match="unsupported operand"):
             call()
+
+
+_G2 = EvenLattice(((2,),))
+
+
+@pytest.mark.parametrize("call", [lambda: mukai_pairing(_V, 1, _G2),
+                                  lambda: mukai_pairing(1, _V, _G2), lambda: square(1, _G2),
+                                  lambda: dual(1), lambda: ell(1), lambda: content(1)],
+                         ids=["pairing-right", "pairing-left", "square", "dual", "ell", "content"])
+def test_a_foreign_vector_is_a_type_error_naming_mukai_vector(call):
+    with pytest.raises(TypeError, match="^expected MukaiVector, got int$"):
+        call()
 
 
 def test_from_chern_structure_sheaf(gram2):

@@ -61,6 +61,12 @@ def test_moduli_dim(gram2):
         moduli_dim(MukaiVector(2, (0,), 3), gram2)   # square -12, empty
 
 
+@pytest.mark.parametrize("fn", [classify_case, chi_virtual], ids=["classify_case", "chi_virtual"])
+def test_a_foreign_vector_is_a_type_error_naming_mukai_vector(fn, gram2):
+    with pytest.raises(TypeError, match="^expected MukaiVector, got int$"):
+        fn(1, gram2)
+
+
 def test_classify_case(gram2):
     for l in (1, 2, 3):
         info = classify_case(MukaiVector(l, (0,), -1), gram2)

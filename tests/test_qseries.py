@@ -72,6 +72,20 @@ def test_a_foreign_operand_is_a_type_error_and_terms_a_mapping():
             QSeries.from_terms(terms, 3)
 
 
+_S = QSeries.from_terms({0: 1}, 3)
+
+
+@pytest.mark.parametrize("call", [lambda: qs_add(_S, 1), lambda: qs_add(1, _S),
+                                  lambda: qs_mul(_S, 1), lambda: qs_mul(1, _S),
+                                  lambda: qs_scale(1, 2), lambda: qs_substitute_power(1, 2),
+                                  lambda: qs_evaluate(1, 1j)],
+                         ids=["add-right", "add-left", "mul-right", "mul-left", "scale", "substitute",
+                              "evaluate"])
+def test_a_foreign_series_is_a_type_error_naming_qseries(call):
+    with pytest.raises(TypeError, match="^expected QSeries, got int$"):
+        call()
+
+
 def test_coeff_beyond_trunc_is_error():
     s = series({0: 1}, 2)
     assert s.coeff(1) == 0                 # inside the certified window
@@ -222,11 +236,48 @@ def test_substitute_power():
         qs_substitute_power(s, 0)
 
 
-def test_all_coefficients_exact():
-    g = gottsche_series(10)
-    assert all(isinstance(c, Fraction) for _, c in g.items())
+def _canonical(c) -> bool:
+    """c is an exact coefficient of the canonical type: an int when integral, else a Fraction
+    (a float or an mpc is neither)."""
+    return type(c) is int or type(c) is Fraction and c.denominator != 1
+
+
+def test_all_coefficients_exact(gram2):
+    produced = [gottsche_series(10), z1_zero(10), z_psu_direct(2, (1,), 6, gram2),
+                z_psu_hecke(2, (0,), Fraction(17, 3), gram2)]
+    for s in produced:
+        assert s.coeffs and all(_canonical(c) for _, c in s.coeffs)
+    assert {type(c) for _, c in produced[3].coeffs} == {int, Fraction}
+    g = produced[0]
+    # arithmetic stays exact: ints multiply to ints, and a Fraction operand gives Fractions
+    assert {type(c) for _, c in qs_mul(g, g).coeffs} == {int}
     prod = qs_mul(g, qs_scale(g, Fraction(1, 3)))
-    assert all(isinstance(c, Fraction) for _, c in prod.items())
+    assert {type(c) for _, c in prod.coeffs} == {Fraction}
+
+
+_TAUS = [0.3 + 0.9j, -0.2 + 0.6j, 1j, 0.45 + 1.3j, 0.1 + 0.9j]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 4), st.integers(-3, 3), st.sampled_from([2, 4, -2]),
+       st.builds(Fraction, st.integers(1, 40), st.sampled_from([1, 2, 3])),
+       st.integers(1, 4), st.integers(-6, 6), st.sampled_from(_TAUS))
+def test_exact_producers_store_canonical_coefficients_property(r, alpha, g, order, scale, a,
+                                                               tau):
+    # an int where a coefficient is integral, a Fraction otherwise, with the Fraction's bits
+    lat = EvenLattice(((g,),))
+    direct, hecke = z_psu_direct(r, (alpha,), order, lat), z_psu_hecke(r, (alpha,), order, lat)
+    assert repr(direct) == repr(hecke)
+    n = math.ceil(order)
+    for s in (gottsche_series(n), z1_zero(n), direct):
+        assert all(_canonical(c) for _, c in s.coeffs)
+        as_fractions = QSeries(s.denom, [(k, Fraction(c)) for k, c in s.coeffs], s.trunc)
+        for t in (tau, -1 / tau):
+            assert repr(qs_evaluate(s, t)) == repr(qs_evaluate(as_fractions, t))
+    v = scale * MukaiVector(r, (alpha,), a)
+    chi = chi_virtual(v, lat)
+    assert _canonical(chi) and chi == oracles.chi_virtual_brute((v.r, v.c1, v.a), lat.gram,
+                                                                 hilb_euler)
 
 
 def test_evaluate_constants_and_q():
