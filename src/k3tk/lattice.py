@@ -16,7 +16,8 @@ one message for the whole package: _as_int, _as_ints and _as_matrix read
 strict integers, _as_number reads any number as a finite Fraction, float or
 complex, _at_least refuses one below 0 or 1 (a rank, order, bound or power),
 and EvenLattice.check_vector reports a vector of the wrong length; _expect raises
-the TypeError of an operand of another type, naming the one expected.  The package's
+the TypeError of an operand of another type, naming the one expected, and _rank, the first
+read of a lattice argument at an entry point, raises it for a foreign lattice.  The package's
 value classes derive from Value, defined here: an immutable record whose fields are its
 __slots__, which its own __init__ assigns once with _set.
 MukaiVector._memo is the one underscore slot: the two constructors start it
@@ -90,6 +91,15 @@ def _expect(kind: type, *xs) -> None:
     for x in xs:
         if not isinstance(x, kind):
             raise TypeError(f"expected {kind.__name__}, got {type(x).__name__}")
+
+
+def _rank(lat: EvenLattice) -> int:
+    """The rank of a lattice argument, read first: _expect's TypeError if lat is foreign."""
+    try:
+        return len(lat.gram)
+    except AttributeError:      # the check costs a valid lattice nothing
+        _expect(EvenLattice, lat)
+        raise
 
 
 _new = object.__new__
@@ -169,9 +179,7 @@ class EvenLattice(Value):
                 if rows[i][j] != rows[j][i]:
                     raise InputError("gram matrix must be symmetric")
 
-    @property
-    def rank(self) -> int:
-        return len(self.gram)
+    rank = property(_rank)
 
     def bilinear(self, x, y) -> int:
         """x^T G y for integer coordinate vectors, each read strictly (_as_ints)."""
@@ -290,6 +298,7 @@ def mukai_pairing(x: MukaiVector, y: MukaiVector, lat: EvenLattice) -> int:
             lat.check_vector(y.c1)
     except AttributeError:      # a foreign operand; the check costs the valid call nothing
         _expect(MukaiVector, x, y)
+        _expect(EvenLattice, lat)
         raise
     return lat._bilinear(x.c1, y.c1) - x.r * y.a - x.a * y.r
 

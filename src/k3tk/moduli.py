@@ -67,11 +67,12 @@ def _record(v: MukaiVector, lat: EvenLattice) -> tuple[int, int, int, CaseInfo]:
     """
     try:
         memo = v._memo
+        if memo is not None and memo[0] is lat.gram:
+            return memo[1]
     except AttributeError:      # a foreign operand; the check costs the valid call nothing
         _expect(MukaiVector, v)
+        _expect(EvenLattice, lat)
         raise
-    if memo is not None and memo[0] is lat.gram:
-        return memo[1]
     _at_least(v.r, 1, "rank")
     sq = mukai_pairing(v, v, lat)
     l = gcd(v.r, *v.c1)     # ell(v), and content(v) = gcd(l, a) below

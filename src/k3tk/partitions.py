@@ -31,9 +31,16 @@ with m = (n - 1) - (xi^2)/2 for the coefficient of q^{a(n-1)/d}.  Applying
 the projection analytically gives the exact rational path (z_psu_hecke);
 keeping the literal triple sum with floating-point phases e(b m / d), the d
 roots e(j / d) and the d sums over b computed once per factorization, gives
-the numeric path (z_psu_hecke_literal), where exact integer phases multiply
-exactly.  Each path counts its terms first and refuses more than
-errors.MAX_WORK.
+the numeric path (z_psu_hecke_literal).  It rounds only where the mpc result
+does, so its bits are those of the per-term sum: (1) the roots e(0) = 1 and
+e(1/2) = -1, which mpmath returns exactly, take no call, and a sum over b of
+them alone is d or 0; (2) terms with an exact integer phase add per key as
+ints until a residue term joins the key: every partial sum stays below
+2^prec, so each mpc addition would have been exact; (3) an int sum that r^2
+divides is divided with //, exact too, and a zero imaginary part is not
+divided; (4) where |Im| = |Re|, a product or quotient is rounded once and the
+other part takes it or its negative, round-to-nearest being odd.  Each path
+counts its terms first and refuses more than errors.MAX_WORK.
 
 Every path keys its coefficients by integer index: the direct path by <v^2>
 over 2r, the Hecke paths by a^2 (n - 1) over r (a (n - 1)/d = a^2 (n - 1)/r),
@@ -58,7 +65,7 @@ import math
 from fractions import Fraction
 
 from .errors import InputError, check_work
-from .lattice import EvenLattice, MukaiVector, _as_ints, _as_number, _at_least, _expect
+from .lattice import EvenLattice, MukaiVector, _as_ints, _as_number, _at_least, _expect, _rank
 from .moduli import _chi_scaled, _chi_virtual_scaled, _hilb_table
 from .qseries import QSeries
 
@@ -77,7 +84,8 @@ def chi_virtual(v: MukaiVector, lat: EvenLattice) -> int | Fraction:
 def _check_rank_alpha(r: int, alpha, lat: EvenLattice) -> tuple[int, tuple[int, ...]]:
     r = _at_least(r, 1, "rank")
     alpha = _as_ints(alpha)
-    lat.check_vector(alpha)
+    if len(alpha) != _rank(lat):
+        lat.check_vector(alpha)
     return r, alpha
 
 
@@ -151,16 +159,17 @@ def z_psu_hecke_literal(r: int, alpha, order, lat: EvenLattice) -> QSeries:
 
     The series has mpmath complex coefficients and keeps every exponent the
     triple sum visits, exact cancellations included; its working precision is
-    40 digits plus those of the largest chi(Hilb^n) it reads.  Terms run on
-    raw libmp tuples at that precision, rounding to nearest as the mpc/mpf
-    operators do (an exact integer phase p as the integer p d chi(Hilb^n),
-    rounded once): the coefficients are bit-identical to summing
-    d chi(Hilb^n) e(b m / d) per term in mpc arithmetic.  The tests compare
-    them with the exact Hecke coefficients to 1e-9.
+    40 digits plus those of the largest chi(Hilb^n) it reads.  On raw libmp
+    tuples at that precision, each coefficient is bit-identical to summing
+    d chi(Hilb^n) e(b m / d) per term in mpc arithmetic, rounding to nearest,
+    and dividing by r^2, with only the roundings that change a bit (module
+    docstring): (1) no call for the exact roots 1 and -1; (2) int sums below
+    2^prec; (3) // where r^2 divides; (4) one rounding where |Im| = |Re|, as
+    rounding is odd.  The tests compare them with the exact Hecke ones to 1e-9.
     """
     import mpmath
-    from mpmath.libmp import (fzero, from_int, mpc_add, mpc_div_mpf, mpc_mul_int,
-                              round_nearest as rnd, to_int)
+    from mpmath.libmp import (fnone, fone, fzero, from_int, mpc_add, mpf_div, mpf_mul_int,
+                              mpf_neg, round_nearest as rnd, to_int)
 
     r, alpha = _check_rank_alpha(r, alpha, lat)
     if r > 12:
@@ -171,29 +180,42 @@ def z_psu_hecke_literal(r: int, alpha, order, lat: EvenLattice) -> QSeries:
     euler = _hilb_table(top := max(t for *_, t in factorizations))
     dps = 40 + len(str(euler[max(top, 0)]))    # chi(Hilb^n) grows with n from chi(Hilb^0) = 1
 
+    def mpc(x):     # an int term or sum as a raw _mpc_, exactly
+        return (from_int(x), fzero) if type(x) is int else x
+
+    def pair(f, z, k):      # (f(Re z, k), f(Im z, k)), f(0, k) = 0 and f(-x, k) = -f(x, k)
+        (re, im), x = z, f(z[0], k, prec, rnd)
+        return x, (fzero if im == fzero else x if im == re else mpf_neg(x) if im[1:] == re[1:]
+                   else f(im, k, prec, rnd))
+
     with mpmath.workdps(dps):
         prec = mpmath.mp.prec
-        acc = {}        # keyed by r e = a^2 (n - 1) for e = a (n - 1) / d; raw _mpc_ tuples
+        acc = {}        # keyed by r e = a^2 (n - 1) for e = a (n - 1) / d; an int or a raw _mpc_
         for a, d, xi, top in factorizations:
             s_xi = lat._bilinear(xi, xi)
-            roots = [mpmath.expjpi(mpmath.mpf(2 * j) / d)._mpc_ for j in range(d)]
-            phase = []      # the d sums over b, added in order from 0 as mpc's + does
+            roots = [mpmath.expjpi(mpmath.mpf(2 * j) / d)._mpc_ if 2 * j % d
+                     else (fnone if j else fone, fzero) for j in range(d)]
+            phase = []      # each sum over b as mpc's + adds it from 0, or d times it as an int
             for m in range(d):
+                if not 2 * m % d:       # every e(b m / d) is 1 or -1: the sum is d or 0
+                    phase.append(0 if m else d * d)
+                    continue
                 z = (fzero, fzero)
                 for b in range(d):
                     z = mpc_add(z, roots[b * m % d], prec, rnd)
-                phase.append(z)
-            # a raw mpf (sign, man, exp, bc) is an integer iff exp >= 0: mantissas are odd
-            whole = [to_int(re) * d if im == fzero and re[2] >= 0 else None for re, im in phase]
+                re, im = z      # a raw mpf is an integer iff exp >= 0: mantissas are odd
+                phase.append(to_int(re) * d if im == fzero and re[2] >= 0 else z)
             for n in range(top + 1):
                 key = a * a * (n - 1)
-                m = (n - 1 - s_xi // 2) % d     # p d chi(Hilb^n) rounded once is mpc_mul_int's
-                t = ((from_int(whole[m] * euler[n], prec, rnd), fzero) if whole[m] is not None
-                     else mpc_mul_int(phase[m], d * euler[n], prec, rnd))
-                acc[key] = mpc_add(acc[key], t, prec, rnd) if key in acc else t
+                p = phase[(n - 1 - s_xi // 2) % d]
+                t = p * euler[n] if type(p) is int else pair(mpf_mul_int, p, d * euler[n])
+                s = acc.get(key)    # ints add exactly, below 2^prec, as mpc's + would
+                acc[key] = (t if s is None else s + t if type(s) is type(t) is int
+                            else mpc_add(mpc(s), mpc(t), prec, rnd))
 
-    rr = from_int(r * r)
+    rr, f_rr = r * r, from_int(r * r)
     g = math.gcd(r, *acc)       # not QSeries._of: its exact zeros are visited terms
-    coeffs = tuple((k // g, mpmath.mp.make_mpc(mpc_div_mpf(c, rr, prec, rnd)))
-                   for k, c in sorted(acc.items()))
+    coeffs = tuple((k // g, mpmath.mp.make_mpc(
+        mpc(c // rr) if type(c) is int and c % rr == 0 else pair(mpf_div, mpc(c), f_rr)))
+        for k, c in sorted(acc.items()))
     return QSeries._trusted(r // g, coeffs, order)

@@ -5,8 +5,9 @@ by the integer index k over one denominator, together with a truncation
 bound trunc: every exponent strictly below trunc is complete (absent means
 zero there); at or beyond trunc nothing is claimed, and asking for such a
 coefficient raises an error instead of silently returning 0.  The type is generic in its
-coefficient ring (an int where an exact coefficient is integral, else a Fraction; mpmath
-mpc on the literal Hecke path); coeff answers with the zero of the first coefficient's type.
+coefficient ring: mpmath mpc on the literal Hecke path, else exact, and every producer,
+constructor and operation stores an exact value as an int when it is integral, else as a
+Fraction (_canonical).  coeff answers an absent exponent with 0 (an mpc zero on a literal series).
 
 Producers and arithmetic work on the indices alone, rescaling operands to the
 lcm of their denominators and comparing against the integer index
@@ -121,7 +122,7 @@ class QSeries(Value):
                 raise InputError("coefficient at or beyond the truncation bound")
             cleaned[e] = cleaned.get(e, Fraction(0)) + c
         denom = lcm(*(e.denominator for e in cleaned))
-        return cls._of(denom, {int(e * denom): c for e, c in cleaned.items()}, trunc)
+        return cls._of(denom, {int(e * denom): _canonical(c) for e, c in cleaned.items()}, trunc)
 
     @property
     def min_exponent(self) -> Fraction:
@@ -139,12 +140,12 @@ class QSeries(Value):
         return [(Fraction(k, self.denom), c) for k, c in self.coeffs]
 
     def coeff(self, e):
-        """Coefficient at exponent e, the ring's zero if absent; error at or beyond trunc."""
+        """Coefficient at exponent e, 0 if absent (module docstring); error at or beyond trunc."""
         e = _as_number(e, Fraction)
         if e >= self.trunc:
             raise InputError(
                 f"coefficient at exponent {e} requested beyond truncation {self.trunc}")
-        zero = type(self.coeffs[0][1])() if self.coeffs else Fraction(0)
+        zero = next((type(c)() for _, c in self.coeffs[:1] if hasattr(c, "_mpc_")), 0)
         k = e * self.denom
         if k.denominator != 1:
             return zero
@@ -174,7 +175,12 @@ def _coefficient(c):
     if hasattr(c, "_mpc_"):
         _as_number(c, complex)      # InputError unless finite
         return c
-    return c if type(c) is int else _as_number(c, Fraction)
+    return c if type(c) is int else _canonical(_as_number(c, Fraction))
+
+
+def _canonical(x):
+    """An exact value as the producers store it: the int when integral, else as it is."""
+    return x.numerator if type(x) is Fraction and x.denominator == 1 else x
 
 
 def _common(a: QSeries, b: QSeries, trunc: Fraction) -> tuple[int, int, int, int]:
@@ -194,13 +200,13 @@ def qs_add(a: QSeries, b: QSeries) -> QSeries:
             k *= m
             if k < top:
                 terms[k] = terms[k] + c if k in terms else c
-    return QSeries._of(d, terms, trunc)
+    return QSeries._of(d, {k: _canonical(c) for k, c in terms.items()}, trunc)
 
 
 def qs_scale(a: QSeries, scalar) -> QSeries:
     _expect(QSeries, a)
     scalar = _as_number(scalar, Fraction)
-    return QSeries._of(a.denom, {k: scalar * c for k, c in a.coeffs}, a.trunc)
+    return QSeries._of(a.denom, {k: _canonical(scalar * c) for k, c in a.coeffs}, a.trunc)
 
 
 def qs_mul(a: QSeries, b: QSeries) -> QSeries:
@@ -216,7 +222,7 @@ def qs_mul(a: QSeries, b: QSeries) -> QSeries:
             if k >= top:        # b's indices ascend
                 break
             terms[k] = terms[k] + ca * cb if k in terms else ca * cb
-    return QSeries._of(d, terms, trunc)
+    return QSeries._of(d, {k: _canonical(c) for k, c in terms.items()}, trunc)
 
 
 def qs_substitute_power(s: QSeries, m: int) -> QSeries:

@@ -65,7 +65,7 @@ from itertools import compress, product
 from operator import add, mul, sub
 
 from .errors import MAX_WORK, InputError, check_work
-from .lattice import EvenLattice, Value, _as_ints, _as_number, _at_least, _set
+from .lattice import EvenLattice, Value, _as_ints, _as_number, _at_least, _rank, _set
 from .moduli import _chi_scaled, _hilb_table
 from .partitions import _a_span, z_psu_direct
 from .qseries import _fsum, _upper, qs_evaluate
@@ -78,7 +78,7 @@ KEEP_POINTS = 2 ** 16   # most entries the tau-independent tables of one splitti
 
 def _q(lat: EvenLattice):
     """Q = -G as float rows; InputError for rank 0 or an entry beyond a double."""
-    if not lat.rank:
+    if not _rank(lat):
         raise InputError("a splitting needs a lattice of positive rank")
     try:
         return tuple(tuple(-float(g) for g in row) for row in lat.gram)
@@ -161,7 +161,7 @@ class Splitting(Value):
         _set(self, "lattice", lattice)
         _set(self, "pl", pl := _as_numbers(pl))
         _set(self, "pr", pr := _as_numbers(pr))
-        n, q = lattice.rank, _q(lattice)
+        n, q = _rank(lattice), _q(lattice)
         if any(len(m) != n or any(len(row) != n for row in m) for m in (pl, pr)):
             raise InputError("splitting projectors do not match the lattice rank")
         if any(abs(x + y - (i == j)) > 1e-12 for i, rows in enumerate(zip(pl, pr))
@@ -198,7 +198,7 @@ class Splitting(Value):
     @classmethod
     def identity_positive(cls, lat: EvenLattice) -> "Splitting":
         """P_L = id, P_R = 0: valid exactly when Q = -G is positive definite."""
-        n = range(lat.rank)
+        n = range(_rank(lat))
         return cls(lat, [[i == j for j in n] for i in n], [[0 for _ in n] for _ in n])
 
 
@@ -392,7 +392,8 @@ def theta_siegel_narain(lat: EvenLattice, alpha, r: int, tau: complex,
     r = _at_least(r, 1, "coset step r")
     _as_number(r, float)        # a step beyond the double range is refused here
     alpha = tuple(a % r for a in _as_ints(alpha))
-    lat.check_vector(alpha)
+    if len(alpha) != _rank(lat):
+        lat.check_vector(alpha)
     return _theta(alpha, r, tau, radius, split, *_x_forms(lat, split, x))
 
 
@@ -413,7 +414,7 @@ def _theta(alpha, r: int, tau: complex, radius: float, split: Splitting, qx,
 def _toy_guard(lat: EvenLattice, r) -> int:
     """r as a positive integer, within the sizes the full partition sums accept."""
     r = _at_least(r, 1, "rank")
-    if lat.rank > 2 or r > 3:
+    if _rank(lat) > 2 or r > 3:
         raise InputError("full partition sums are limited to rank <= 2 and r <= 3")
     return r
 

@@ -321,6 +321,16 @@ _PINNED_OUTPUTS = [
      '659641645039360, 1971466420726656, 5776331152550400, 16610409114771900, '
      '46925988716146176, 130362155499200220, 356418628326241024, 959788304511313500, '
      '2547447689037081600]}'),
+    # the literal Hecke path: residues with |Im| = 2 |Re|, each part rounded on its own
+    ("zseries --rank 3 --alpha 1 --order 2 --method literal",
+     '{"method": "literal", "terms": [{"coeff": [-4.561518438557347e-49, 9.123036877114694e-49], '
+     '"exp": {"den": 3, "num": -1}}, {"coeff": [-1.0947644252537633e-47, '
+     '2.1895288505075267e-47], "exp": {"den": 1, "num": 0}}, {"coeff": [324.0, 0.0], '
+     '"exp": {"den": 3, "num": 1}}, {"coeff": [-1.4596859003383512e-45, '
+     '2.9193718006767024e-45], "exp": {"den": 3, "num": 2}}, {"coeff": '
+     '[-1.1700294794899596e-44, 2.340058958979919e-44], "exp": {"den": 1, "num": 1}}, '
+     '{"coeff": [176256.0, 0.0], "exp": {"den": 3, "num": 4}}, {"coeff": '
+     '[-4.897793577847795e-43, 9.79558715569559e-43], "exp": {"den": 3, "num": 5}}]}'),
     ("theta --surface s.json --rank 2 --alpha 1 --tau 0.1 1 --x 0.2,0.1 --radius 3 "
      "--splitting identity",
      '{"points": 2, "tail": 2.2808420063028903e-11, '

@@ -111,6 +111,13 @@ def test_a_foreign_vector_is_a_type_error_naming_mukai_vector(call):
         call()
 
 
+@pytest.mark.parametrize("call", [lambda: mukai_pairing(_V, _V, ((2,),)),
+                                  lambda: square(_V, ((2,),))], ids=["pairing", "square"])
+def test_a_foreign_lattice_is_a_type_error_naming_even_lattice(call):
+    with pytest.raises(TypeError, match="^expected EvenLattice, got tuple$"):
+        call()
+
+
 def test_from_chern_structure_sheaf(gram2):
     assert mukai_from_chern(1, (0,), 0, gram2) == MukaiVector(1, (0,), 1)
 

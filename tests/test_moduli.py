@@ -67,6 +67,15 @@ def test_a_foreign_vector_is_a_type_error_naming_mukai_vector(fn, gram2):
         fn(1, gram2)
 
 
+@pytest.mark.parametrize("fn", [classify_case, chi_virtual], ids=["classify_case", "chi_virtual"])
+def test_a_foreign_lattice_is_a_type_error_naming_even_lattice(fn, gram2):
+    v = MukaiVector(2, (1,), 1)
+    for _ in range(2):      # read first by the pairing, then, once v keeps a record, by _record
+        with pytest.raises(TypeError, match="^expected EvenLattice, got tuple$"):
+            fn(v, ((2,),))
+        fn(v, gram2)
+
+
 def test_classify_case(gram2):
     for l in (1, 2, 3):
         info = classify_case(MukaiVector(l, (0,), -1), gram2)

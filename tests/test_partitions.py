@@ -227,6 +227,13 @@ def test_rank_and_alpha_must_be_integral(gram2):
             path(1.5, (0,), 4, gram2)
 
 
+@pytest.mark.parametrize("path", [z_psu_direct, z_psu_hecke, z_psu_hecke_literal],
+                         ids=["direct", "hecke", "literal"])
+def test_a_foreign_lattice_is_a_type_error_naming_even_lattice(path):
+    with pytest.raises(TypeError, match="^expected EvenLattice, got tuple$"):
+        path(2, (1,), 3, ((2,),))
+
+
 def test_literal_rank_guard(gram2):
     with pytest.raises(InputError):
         z_psu_hecke_literal(13, (0,), 4, gram2)
@@ -277,6 +284,38 @@ def test_literal_bit_identical_property(euler_to_360, case):
             x = exact.coeff(e)
             assert abs(c.real - mpmath.mpf(x.numerator) / x.denominator) < 1e-9
             assert abs(c.imag) < 1e-9
+
+
+_HIGH_RANK_CASES = [
+    (r, alpha, gram, order)
+    for r in range(7, 13)
+    for alpha, gram, order in (((0,), ((2,),), 5), ((0,), ((4,),), Fraction(7, 2)),
+                               ((r // 2,), ((-2,),), Fraction(9, 4)), ((3,), ((6,),), 4),
+                               ((0, r), ((2, 1), (1, -4)), Fraction(5, 3)),
+                               ((r, -2 * r), ((2, 1), (1, -4)), Fraction(8, 3)))]
+
+
+def test_literal_bit_identical_to_reference_at_high_rank(euler_to_360):
+    # the property stops at r <= 6; here every d | r of r = 7..12, with their roots
+    from mpmath.libmp import fzero
+    reached, shared, pm, general = set(), 0, 0, 0
+    for r, alpha, gram, order in _HIGH_RANK_CASES:
+        lat = EvenLattice(gram)
+        lit = z_psu_hecke_literal(r, alpha, order, lat)
+        want = hecke_literal_reference(r, alpha, gram, order, euler_to_360)
+        assert dict(lit.items()) == want
+        assert all(c._mpc_ == want[e]._mpc_ for e, c in lit.items())
+        facts = partitions._hecke_factorizations(r, alpha, Fraction(order))
+        # every residue class m mod d is read, so an even d reads its half-turn root -1
+        reached |= {(r, d) for _, d, _, top in facts if top + 1 >= d}
+        keys = [a * a * (n - 1) for a, _, _, top in facts for n in range(top + 1)]
+        shared += len(keys) - len(set(keys))        # keys hit by more than one factorization
+        for re, im in (c._mpc_ for _, c in lit.coeffs):
+            if im != fzero:     # a residue: |Im| = |Re| is rounded once, else each part
+                pm += re[1:] == im[1:]
+                general += re[1:] != im[1:]
+    assert reached == {(r, d) for r in range(7, 13) for d in range(1, r + 1) if r % d == 0}
+    assert shared and pm and general
 
 
 @settings(max_examples=300, deadline=None)

@@ -249,10 +249,32 @@ def test_all_coefficients_exact(gram2):
         assert s.coeffs and all(_canonical(c) for _, c in s.coeffs)
     assert {type(c) for _, c in produced[3].coeffs} == {int, Fraction}
     g = produced[0]
-    # arithmetic stays exact: ints multiply to ints, and a Fraction operand gives Fractions
+    # arithmetic stays exact and canonical: ints multiply to ints, and a Fraction operand
+    # gives a Fraction unless the value is integral (1 * 24/3 + 24 * 1/3 = 16)
     assert {type(c) for _, c in qs_mul(g, g).coeffs} == {int}
     prod = qs_mul(g, qs_scale(g, Fraction(1, 3)))
-    assert {type(c) for _, c in prod.coeffs} == {Fraction}
+    assert all(_canonical(c) for _, c in prod.coeffs) and prod.coeff(1) == 16
+    assert {type(c) for _, c in prod.coeffs} == {int, Fraction}
+
+
+def test_every_constructor_stores_an_integral_value_as_an_int():
+    made = [QSeries(1, [(0, Fraction(4, 2)), (1, Fraction(1, 2)), (2, 3)], 3),
+            QSeries.from_terms({0: 1, Fraction(1, 2): Fraction(6, 3), 1: Fraction(1, 3)}, 3),
+            qs_scale(gottsche_series(3), 2), qs_scale(gottsche_series(3), Fraction(1, 2))]
+    for s in made:
+        assert all(_canonical(c) for _, c in s.coeffs)
+    assert [type(c) for _, c in made[0].coeffs] == [int, Fraction, int]
+    assert [c for _, c in made[2].coeffs] == [2, 48, 648]
+    assert [type(c) for _, c in made[3].coeffs] == [Fraction, int, int]
+
+
+def test_an_absent_exponent_is_an_int_zero_unless_the_series_is_literal(gram2):
+    hecke = z_psu_hecke(2, (0,), 3, gram2)      # its first coefficient is 1/4
+    for s in (hecke, z1_zero(3), QSeries(1, [], 3), QSeries.from_terms({0: Fraction(1, 3)}, 3)):
+        assert type(s.coeff(Fraction(1, 7))) is int and s.coeff(Fraction(1, 7)) == 0
+    assert type(hecke.coeffs[0][1]) is Fraction
+    literal = z_psu_hecke_literal(2, (1,), 3, gram2)
+    assert literal.coeff(Fraction(1, 7))._mpc_ == mpmath.mpc(0)._mpc_
 
 
 _TAUS = [0.3 + 0.9j, -0.2 + 0.6j, 1j, 0.45 + 1.3j, 0.1 + 0.9j]
@@ -331,7 +353,7 @@ def _terms(draw):
 def _matches(s, ref):
     """s is the reference field for field, canonical, and stores only exponents below trunc."""
     assert (s.denom, s.coeffs, s.trunc) == tuple(ref)
-    assert type(s.trunc) is Fraction and all(type(c) is Fraction for _, c in s.coeffs)
+    assert type(s.trunc) is Fraction and all(_canonical(c) for _, c in s.coeffs)
     canonical = QSeries.from_terms(dict(s.items()), s.trunc)
     assert s == canonical and hash(s) == hash(canonical)
     assert all(Fraction(k, s.denom) < s.trunc for k, _ in s.coeffs)

@@ -31,6 +31,22 @@ def split1(neg2):
     return Splitting.identity_positive(neg2)
 
 
+_FOREIGN = ((-2,),)
+
+
+@pytest.mark.parametrize("call", [
+    lambda split: Splitting(_FOREIGN, [[1]], [[0]]), lambda split: Splitting.spectral(_FOREIGN),
+    lambda split: Splitting.identity_positive(_FOREIGN),
+    lambda split: theta_siegel_narain(_FOREIGN, (0,), 1, 1j, split),
+    lambda split: z_full_direct(_FOREIGN, 2, 1j, split),
+    lambda split: z_full_factorized(_FOREIGN, 2, 1j, split)],
+    ids=["splitting", "spectral", "identity_positive", "theta", "z_full_direct",
+         "z_full_factorized"])
+def test_a_foreign_lattice_is_a_type_error_naming_even_lattice(call, split1):
+    with pytest.raises(TypeError, match="^expected EvenLattice, got tuple$"):
+        call(split1)
+
+
 def test_splitting_invariants(neg2, split1):
     assert split1.lattice is neg2
     n = neg2.rank
