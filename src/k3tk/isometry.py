@@ -35,7 +35,7 @@ from collections.abc import Iterable
 from operator import mul, neg
 
 from .errors import InputError
-from .lattice import (EvenLattice, MukaiVector, Value, _as_ints, _as_matrix, _mukai,
+from .lattice import (EvenLattice, MukaiVector, Value, _as_ints, _as_matrix, _expect, _mukai,
                       _set, square)
 
 
@@ -74,9 +74,8 @@ class Translate(_Generator):
 class Reflect(_Generator):
     __slots__ = ("u",)
 
-    def __init__(self, u):
-        if not isinstance(u, MukaiVector):
-            raise InputError("reflection vector must be a Mukai vector")
+    def __init__(self, u: MukaiVector):
+        _expect(MukaiVector, u)
         _set(self, "u", u)
 
     def _bind(self, lat: EvenLattice):
@@ -157,8 +156,8 @@ _PARSERS = {
 class IsometryWord(Value):
     """Ordered list of generators of one lattice, kept as a tuple; applies right-to-left.
 
-    The constructor refuses a lattice that is no EvenLattice and elems that are
-    no iterable of generators, then checks and binds every element against
+    The constructor refuses a lattice that is no EvenLattice (a TypeError) and elems
+    that are no iterable of generators, then checks and binds every element against
     lattice, left to right, so the first element that is no isometry of it is
     the one reported; _steps keeps the bound steps in application order.
     """
@@ -166,8 +165,7 @@ class IsometryWord(Value):
     __slots__ = ("elems", "lattice", "_steps")
 
     def __init__(self, elems: Iterable[_Generator], lattice: EvenLattice):
-        if not isinstance(lattice, EvenLattice):
-            raise InputError("an isometry word needs an EvenLattice")
+        _expect(EvenLattice, lattice)
         elems = tuple(elems) if hasattr(elems, "__iter__") else None
         if elems is None or not all(isinstance(elem, _Generator) for elem in elems):
             raise InputError("an isometry word takes only generators, in an iterable")
@@ -177,7 +175,12 @@ class IsometryWord(Value):
 
     def apply(self, v: MukaiVector, lat: EvenLattice) -> MukaiVector:
         """Apply right-to-left, on the word's lattice or an equal one."""
-        lat.check_vector(v.c1)
+        try:
+            lat.check_vector(v.c1)
+        except AttributeError:      # a foreign operand; the check costs the valid call nothing
+            _expect(MukaiVector, v)
+            _expect(EvenLattice, lat)
+            raise
         if lat is not self.lattice and lat != self.lattice:
             raise InputError("the word was built for another lattice")
         r, c1, a = v.r, v.c1, v.a

@@ -306,7 +306,8 @@ def mukai_pairing(x: MukaiVector, y: MukaiVector, lat: EvenLattice) -> int:
 def mukai_from_chern(r: int, c1, ch2: int, lat: EvenLattice) -> MukaiVector:
     """Mukai vector of Chern data (r, c1, ch2): the H^4 part is r + ch2."""
     v = MukaiVector(r, c1, _as_int(r) + _as_int(ch2))
-    lat.check_vector(v.c1)
+    if len(v.c1) != _rank(lat):
+        lat.check_vector(v.c1)
     return v
 
 

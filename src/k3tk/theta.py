@@ -39,16 +39,16 @@ so nothing here needs numpy.  Every float sum but math.fsum's is added left to r
 (_dot, or reduce itself), never by the builtin sum, so each result keeps its bits on every
 interpreter.  Fincke-Pohst enumeration (Math. Comp. 44 (1985); Cohen, GTM 138, 2.7.3) over
 M's pivots lists the points in lexicographic order, and each kept point's M(c) is _quad's.
-Its leaf bound prod_k (2R / sqrt(d_k) / step + 1), from the pivots d_k, which also decide
-that M is definite, is checked against errors.MAX_WORK first.  Both full sums reuse what
-depends on a class ((xi^2), gcd(r, xi)) alone: the direct sum's weights over a, and the
-factorized sum's Z_r^alpha.  A term that overflows double precision is an InputError.
-What does not depend on tau is kept on the splitting, in tables of at most KEEP_POINTS
-entries in all: a ball's points with their j, (c^2) and distinct pairs ((c^2), M(c)); the
-direct sum's chi/c^2 per (n, c) and class lists; the factorized sum's series per class.  A
-call then takes one exp per pair (per point for an x) and per n, and evaluates each series
-at tau from the float view the kept series carries, converted on its first evaluation.
-The work cap and every InputError are checked on every call, kept table or not.
+Its leaf bound prod_k (2R / sqrt(d_k) / step + 1), from the pivots d_k, which also decide that
+M is definite, is checked against errors.MAX_WORK first.  Both full sums read what depends on a
+class ((xi^2), gcd(r, xi)) alone from partitions.z_psu_direct: the direct sum its coefficients
+as doubles, the factorized sum Z_r^alpha.  A term that overflows double precision is an
+InputError.  What does not depend on tau is kept on the splitting, in tables of at most
+KEEP_POINTS entries in all: a ball's points with their j, (c^2) and distinct pairs ((c^2),
+M(c)); the direct sum's z_psu_direct coefficients per class and class lists; the factorized
+sum's series per class.  A call then takes one exp per pair (per point for an x) and per n, and
+evaluates each series at tau from the float view its kept series builds on the first
+evaluation.  The work cap and every InputError are checked on every call, kept table or not.
 
 Modular transformation laws of the theta sum are not implemented: the
 familiar constants are specific to the rank-22 K3 lattice and no
@@ -65,14 +65,12 @@ from itertools import compress, product
 from operator import add, mul, sub
 
 from .errors import MAX_WORK, InputError, check_work
-from .lattice import EvenLattice, Value, _as_ints, _as_number, _at_least, _rank, _set
-from .moduli import _chi_scaled, _hilb_table
+from .lattice import EvenLattice, Value, _as_ints, _as_number, _at_least, _expect, _rank, _set
 from .partitions import _a_span, z_psu_direct
 from .qseries import _fsum, _upper, qs_evaluate
 
 GUARD_SHELLS = 3
 EXP_BINS = 8
-CHI_FLOAT_TOP = 3713    # largest n with chi(Hilb^n) below the largest double
 KEEP_POINTS = 2 ** 16   # most entries the tau-independent tables of one splitting hold
 
 
@@ -213,6 +211,7 @@ class ZFullSum(Value):
 def _x_forms(lat: EvenLattice, split: Splitting, x):
     """(Qx, |Im x|_MJ) for a splitting built for lat: Qx = Q x with Re Q x mod 1 (exact fmod;
     c is integral), None for x = None, and MJ the splitting's majorant."""
+    _expect(Splitting, split)
     if not (split.lattice is lat or split.lattice == lat):
         raise InputError("the splitting was built for another lattice")
     if x is None:
@@ -428,23 +427,22 @@ def _a_sums(r: int, qabs: float, start: int) -> float:
                         for d in range(1, r + 1) if r % d == 0], 0)
 
 
-def _direct_table(r: int, n_cut: int, n_top: int, ball, tables: _Tables, key):
+def _direct_table(r: int, n_cut: int, n_top: int, ball, lat: EvenLattice, tables: _Tables, key):
     """z_full_direct's tau-independent table, kept under key: the even n from -2r^2 (chi = 0
-    below) to n_top, each xi's class ((xi^2), gcd(r, xi)), on which its a-sum depends alone, and
-    per class the weights over a, as (n's index, chi/c^2), that land in an exponent bin (with the
-    bin first) and those of the main sum, each in ascending a, so a shell adding the binned ones
-    first adds them all in the order of a."""
+    below) to n_top, each xi's class ((xi^2), gcd(r, xi)), and per class z_psu_direct's terms
+    through n_top as (n's index, float), in an exponent bin (bin first) or in the main sum, each
+    in ascending a, so a shell adding the binned ones first adds them all in the order of a."""
     two_r, ns = 2 * r, range(-2 * r * r, n_top + 1, 2)
-    euler = _hilb_table(n_top // 2 + 1)     # so chi / c^2 is below 0.91 of the largest double
-    weights = {(n, c): (i, chi / (c * c)) for i, n in enumerate(ns)
-               for c in range(1, r + 1) if r % c == 0 and (chi := _chi_scaled(n, c, euler))}
     classes, of_point = {}, []
     for xi, _, s_xi, _ in ball:
         of_point.append(cls := (s_xi, math.gcd(r, *xi)))
         if cls not in classes:
-            ws = [(n, w) for a in range(-((n_top - s_xi) // two_r), s_xi // two_r + r + 1)
-                  if (w := weights.get((n := s_xi - two_r * a, math.gcd(cls[1], a))))
-                  is not None]
+            series = z_psu_direct(r, xi, Fraction(n_top + 1, two_r), lat)
+            try:        # index k over denom is n / (2r / denom); reversed, a ascends
+                ws = [(n := k * (two_r // series.denom), ((n - ns.start) // 2, float(c)))
+                      for k, c in reversed(series.coeffs)]
+            except OverflowError:
+                raise InputError("a term overflows double precision at this input") from None
             classes[cls] = ([(min(-((n_cut - n) // two_r), EXP_BINS) - 1, *w)
                              for n, w in ws if n > n_cut], [w for n, w in ws if n <= n_cut])
     size = len(of_point) + sum(len(b) + len(m) for b, m in classes.values())
@@ -473,10 +471,8 @@ def z_full_direct(lat: EvenLattice, r: int, tau: complex, split: Splitting,
     n_top = n_cut + two_r * EXP_BINS
     ball = _ball((0,) * lat.rank, 1, r, tau, split, qx, radius,
                  max(1, r + EXP_BINS + 2 + math.ceil(cutoff)), "z_full_direct")
-    if n_top // 2 + 1 > CHI_FLOAT_TOP:      # the weight table would end past a double
-        raise InputError("a term overflows double precision at this input")
     if (table := split._tables.get(key := (r, n_cut, radius))) is None:
-        table = _direct_table(r, n_cut, n_top, ball := list(ball), split._tables, key)
+        table = _direct_table(r, n_cut, n_top, ball := list(ball), lat, split._tables, key)
     ns, classes, of_point = table
     es = [_e(tau * n / two_r) for n in ns]      # chi_virtual q^{n/2r}, one exp per n
     classes = {cls: ([(b, f * es[i]) for b, i, f in binned], [f * es[i] for i, f in mains])

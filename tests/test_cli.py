@@ -912,8 +912,8 @@ def test_unbounded_factorized_tail_exits_2(tmp_path):
     ["zfull", "--rank", "1", "--tau", "0", "1", "--cutoff", "4000"],
 ], ids=["gottsche-order-1e5", "zfull-cutoff-4000"])
 def test_goettsche_index_refused_within_2_s(argv):
-    # refused before the Euler-number table grows: O(n^1.5) products, and past
-    # n = 3713 chi(Hilb^n) is not a double
+    # gottsche is refused before the Euler-number table grows (O(n^1.5) products); zfull grows
+    # it to n = 4009 and is refused at its first weight past a double, chi(Hilb^3714)
     _assert_spawned_input_error(argv, timeout=2)
 
 

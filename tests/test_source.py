@@ -5,9 +5,10 @@ loops, no module-level container in the series and theta modules, mpmath
 imported in one function, isometries bound and applied only inside
 IsometryWord, a Mukai vector's memo read and written only by moduli._record,
 one Jacobi per splitting with no least eigenvalue kept, no float added by the
-builtin sum in theta, no tail read off a qs_evaluate result, with _hilb_tail
-read only by _a_sums, and no argparse; the benchmark workloads read only public
-names, and every name the benchmark's fresh-process probes import exists."""
+builtin sum in theta and no moduli import there, no tail read off a qs_evaluate
+result, with _hilb_tail read only by _a_sums, and no argparse; the benchmark
+workloads read only public names, and every name the benchmark's fresh-process
+probes import exists."""
 
 import ast
 import importlib
@@ -107,6 +108,18 @@ def test_no_loop_in_partitions_or_theta_calls_hilb_euler():
                               if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
                               and node.func.id in ("hilb_euler", "_hilb_table")]
     assert calls == []
+
+
+def test_theta_imports_nothing_from_moduli():
+    # each class's chi_virtual coefficients have one producer, partitions.z_psu_direct, which
+    # both full sums read, so theta grows no Goettsche table and divides no Euler number itself
+    tree = ast.parse((ROOT / "src" / "k3tk" / "theta.py").read_text())
+    found = [node.lineno for node in ast.walk(tree)
+             if isinstance(node, ast.ImportFrom) and "moduli" in (
+                 (node.module or "").split(".")[-1], *[alias.name for alias in node.names])
+             or isinstance(node, ast.Import)
+             and any(alias.name.split(".")[-1] == "moduli" for alias in node.names)]
+    assert found == []
 
 
 def test_partitions_and_theta_keep_no_module_level_container():

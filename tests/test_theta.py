@@ -10,8 +10,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from k3tk import (EvenLattice, InputError, QSeries, Splitting, hilb_euler, partitions,
-                  qs_evaluate, qseries, theta,
+from k3tk import (EvenLattice, InputError, MukaiVector, QSeries, Splitting, chi_virtual,
+                  hilb_euler, partitions, qs_evaluate, qseries, theta,
                   theta_siegel_narain, z1_zero, z_full_direct,
                   z_full_factorized, z_psu_direct, z_psu_hecke, z_psu_hecke_literal)
 from k3tk.errors import MAX_WORK
@@ -679,21 +679,50 @@ def test_work_cap_is_checked_on_kept_tables_too(monkeypatch, neg2, split1):
             call()
 
 
-def test_chi_float_top_is_the_last_double_in_the_table():
-    # z_full_direct refuses a cutoff whose weight table would pass this index
-    # before it builds the table
-    assert math.isfinite(float(hilb_euler(theta.CHI_FLOAT_TOP)))
-    with pytest.raises(OverflowError):
-        float(hilb_euler(theta.CHI_FLOAT_TOP + 1))
+def test_direct_sum_is_refused_where_a_weight_passes_the_largest_double(neg2):
+    # on Gram [-2] every even n <= n_top = floor(2r cutoff) + 16r has a weight: the first cutoff
+    # of each pair keeps n_top // 2 + 1 at 3713, the second takes it to chi(Hilb^3714), which
+    # is past a double
+    for r, last, refused in ((1, 3704.5, 3705), (2, 1848.25, 1848.5), (3, 1229.5, 1229.6667)):
+        split = Splitting.identity_positive(neg2)
+        assert cmath.isfinite(z_full_direct(neg2, r, 1j, split, None, last, 5.0).value)
+        with pytest.raises(InputError, match="^a term overflows double precision at this input$"):
+            z_full_direct(neg2, r, 1j, split, None, refused, 5.0)
+
+
+def _is_double(n: int) -> bool:
+    try:
+        return math.isfinite(float(n))
+    except OverflowError:
+        return False
 
 
 def test_weights_up_to_the_chi_float_top_are_doubles():
-    # z_full_direct divides chi by c^2 unguarded; chi_virtual grows with n, and the even
-    # n below the table's top reach 2 CHI_FLOAT_TOP - 2 for the contents c | r <= 3
-    n = 2 * theta.CHI_FLOAT_TOP - 2
+    # top, the last m whose chi(Hilb^m) is a double, bounds the direct sum's weights; chi_virtual
+    # grows with n, and the even n below top reach 2 top - 2 for the contents c | r <= 3, whose
+    # weights keep headroom for the products that follow
+    top = next(m for m in range(1, 10 ** 5) if not _is_double(hilb_euler(m + 1)))
+    n = 2 * top - 2
     euler = qseries._hilb_table(n // 2 + 1)
     for c in (1, 2, 3):
         assert partitions._chi_scaled(n, c, euler) / (c * c) < 0.91 * sys.float_info.max
+
+
+def test_direct_weights_are_chi_virtual_doubles_in_ascending_a(neg2):
+    # per class, the kept weights (binned, then main) are float(chi_virtual(v)) for v = (r, xi, a)
+    # with -2r^2 <= <v^2> <= n_top, in ascending a: the order every float sum over them keeps
+    r, cutoff = 2, 3.0
+    split = Splitting.identity_positive(neg2)
+    z_full_direct(neg2, r, 1j, split, None, cutoff, 2.0)     # the ball holds |xi| <= 3
+    ns, classes, _ = next(t for key, t in split._tables.items() if isinstance(key[0], int))
+    n_top = math.floor(2 * r * cutoff) + 2 * r * theta.EXP_BINS
+    for x in range(-3, 4):
+        binned, mains = classes[(-2 * x * x, math.gcd(r, x))]
+        got = [(ns[i], w) for _, i, w in binned] + [(ns[i], w) for i, w in mains]
+        want = [(n, float(chi)) for a in range(-20, 20)
+                if -2 * r * r <= (n := -2 * x * x - 2 * r * a) <= n_top
+                and (chi := chi_virtual(MukaiVector(r, (x,), a), neg2))]
+        assert got == want and len(want) > 5
 
 
 def _root_lattice(rank, edges):
