@@ -23,8 +23,9 @@ once, and without it the rank-1 lattice with Gram [2] is used.  Only verify
 takes --bound: the r1 scan of construct always ends, so it needs none.  Each
 subcommand imports only the modules it uses, so a spawn loads little beyond
 the interpreter: nothing loads numpy, only zseries --method literal loads
-mpmath, and the integer subcommands load no fractions, decimal or cmath
-(gottsche and chivirtual read moduli's integer kernels, not a Fraction).
+mpmath, and the integer subcommands (pair, translate, word, construct, invariants, gottsche,
+chivirtual and verify) load no fractions, decimal or cmath (gottsche and chivirtual read
+moduli's integer kernels, not a Fraction).
 
 A spawn's time goes to the interpreter's start with site, the imports, the work
 and the shutdown, whose full collections scan every object still alive; for an

@@ -21,12 +21,13 @@ Translate has its rank, a Reflect carries a genuine (-2)-vector, an NSAuto is
 an invertible automorphism), raising InputError, then forms the lattice data
 once (G N and (N^2)/2, or G c1(u)) and returns a step on plain (r, c1, a)
 triples.  A word is the one application path.  IsometryWord(elems, lattice)
-takes only an EvenLattice and an iterable of generators, checks and binds
-every element once, left to right, and keeps the steps in application order;
-from_json parses a whole word, then builds it.  IsometryWord.apply runs the
-steps on that lattice or an equal one, refuses any other, and builds one
-MukaiVector, at the end; apply_translate and apply_reflect are one-element
-words.
+takes only an EvenLattice (else a TypeError) and an iterable of generators (else an
+InputError), checks and binds every element once, left to right, and keeps the steps in
+application order; from_json parses a whole word, then builds it.  IsometryWord.apply runs
+the steps on that lattice or an equal one, refuses any other with an InputError and a
+foreign vector or lattice with a TypeError, at no cost to a valid call, and builds one
+MukaiVector, at the end; apply_translate and apply_reflect are one-element words.  Reflect
+takes only a MukaiVector (else a TypeError).
 """
 
 from __future__ import annotations

@@ -13,11 +13,13 @@ every theta exponent references Q explicitly so the sign cannot drift.
 Everything in this module is plain integer arithmetic, hence exact.  User
 input is checked at the boundary, once, by the helpers here, each fault with
 one message for the whole package: _as_int, _as_ints and _as_matrix read
-strict integers, _as_number reads any number as a finite Fraction, float or
+strict integers (EvenLattice.bilinear and quad read their vectors so, and MukaiVector.omega
+its rank), _as_number reads any number as a finite Fraction, float or
 complex, _at_least refuses one below 0 or 1 (a rank, order, bound or power),
 and EvenLattice.check_vector reports a vector of the wrong length; _expect raises
 the TypeError of an operand of another type, naming the one expected, and _rank, the first
-read of a lattice argument at an entry point, raises it for a foreign lattice.  The package's
+read of a lattice argument at an entry point (mukai_from_chern's too), raises it for a foreign
+lattice.  Neither check costs a valid call anything.  The package's
 value classes derive from Value, defined here: an immutable record whose fields are its
 __slots__, which its own __init__ assigns once with _set.
 MukaiVector._memo is the one underscore slot: the two constructors start it

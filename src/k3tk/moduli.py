@@ -32,7 +32,8 @@ for a power of a series (Knuth, TAOCP vol. 2, 4.7) gives n c(n) = -sum_k (7k + n
 h_k c(n - k): at most T(n) = (isqrt(8n + 1) - 1) // 2 big-integer products per
 exact integer c(n) (a nonzero remainder is a ConsistencyError), so the cached
 table through n, _hilb_table, costs (n + 1) T(n), which errors.check_work bounds,
-cold or warm.  The test suite checks it against the divisor-sum recurrence of the
+cold or warm, so every path that needs the same entries is refused at the same index.
+The test suite checks it against the divisor-sum recurrence of the
 logarithmic derivative and an independent 24-colored-partition dynamic program.
 chi(Hilb^n) = 0 for n < 0 by convention; the virtual Euler characteristic
 (k3tk.partitions) relies on this, and its integer kernel, _chi_virtual_scaled,

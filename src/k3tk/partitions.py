@@ -165,7 +165,9 @@ def z_psu_hecke_literal(r: int, alpha, order, lat: EvenLattice) -> QSeries:
     and dividing by r^2, with only the roundings that change a bit (module
     docstring): (1) no call for the exact roots 1 and -1; (2) int sums below
     2^prec; (3) // where r^2 divides; (4) one rounding where |Im| = |Re|, as
-    rounding is odd.  The tests compare them with the exact Hecke ones to 1e-9.
+    rounding is odd.  The path runs no check of its own: the tests pin it bit for bit to a
+    per-term reference (by a property at r <= 6, on fixed cases at r = 7 to 12) and compare
+    it with the exact Hecke path to 1e-9.
     """
     import mpmath
     from mpmath.libmp import (fnone, fone, fzero, from_int, mpc_add, mpf_div, mpf_mul_int,

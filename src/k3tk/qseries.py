@@ -14,7 +14,9 @@ lcm of their denominators and comparing against the integer index
 ceil(trunc * denom).  The trusted constructor QSeries._of drops zeros and
 reduces by gcd(denom, k, ...); the public constructor and from_terms are the
 checked boundary, and the constructor accepts only that canonical form, with
-each coefficient an int, a finite mpc or what reads as a Fraction.
+each coefficient an int, a finite mpc or what reads as a Fraction; from_terms takes only a
+mapping.  + with another type is a TypeError, and so is a foreign operand of qs_add, qs_mul,
+qs_scale, qs_substitute_power or qs_evaluate.
 
 Truncation propagates pessimistically through arithmetic.  For a product the
 bound is min(a.trunc + b.min_exponent, b.trunc + a.min_exponent): a summand at
@@ -24,7 +26,8 @@ own truncation, where its coefficients are known.
 qs_evaluate sums the stored terms at a point of the upper half plane and claims
 nothing past trunc: a bound on the omitted terms needs what the series is, so the
 Goettsche-type sums bound theirs in k3tk.theta.  It reads a float view of the terms, built
-on the first evaluation and kept on the series, so one evaluated at many tau converts once.
+on the first evaluation and kept on the series, so one evaluated at many tau converts once,
+and returns a QSeriesValue, a Value record, so the module imports no typing.
 
 The Goettsche series sum_n chi(Hilb^n) q^n = prod_{m>=1} (1 - q^m)^(-24) of a K3
 surface stores the ints of the table in k3tk.moduli as they are (Miller's recurrence

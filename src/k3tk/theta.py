@@ -16,7 +16,14 @@ desk-scale.  The theta sum over a coset alpha + r Lambda is
 
 restricted to majorant norm <= R^2.  The full rank-r partition function is
 evaluated two ways: a direct truncated sum over Mukai vectors weighted by
-chi_virtual, and the coset factorization sum_alpha Z_r^alpha * Theta_{alpha,r}.
+chi_virtual, and the coset factorization sum_alpha Z_r^alpha * Theta_{alpha,r}, which
+reads x once for all its cosets.  The function they approximate obeys the Hecke law of
+Minahan, Nemeschansky, Vafa and Warner (hep-th/9802203), the physical computation the
+paper's Euler characteristics agree with:
+
+    Z_r(tau) = r^(-2) sum_{ad = r} sum_{0 <= b < d} d * Z_1((a tau + b)/d),
+
+with tau and taubar both transformed; the acceptance tests check it on small fixed lattices.
 
 Tail reporting: each truncated sum also evaluates a few guard shells (in the
 majorant radius) and, for the direct sum, extension bins (in the holomorphic
@@ -30,25 +37,26 @@ that either full sum omits.  _shell_tail and _hilb_tail take their exponentials
 through _exp, which rounds an underflow up to the least positive float, so a bound on
 omitted terms is never 0.  The pivots are still floats.
 
-Kernels: points are tuples of ints.  The projectors sum to the identity and are
-Q-orthogonal, so Q(c_L^2) + Q(c_R^2) = Q(c) and each exponent is (Re tau Q(c) +
-i Im tau M(c))/2r, M the majorant: only the exact integer Q(c) = -(c^2) and the one
-float form M are evaluated.  A splitting is validated once, for its lattice, when it is
-built, and M is built with it in plain Python; Jacobi (_eigh) gives the spectral projectors,
-so nothing here needs numpy.  Every float sum but math.fsum's is added left to right from 0
-(_dot, or reduce itself), never by the builtin sum, so each result keeps its bits on every
-interpreter.  Fincke-Pohst enumeration (Math. Comp. 44 (1985); Cohen, GTM 138, 2.7.3) over
-M's pivots lists the points in lexicographic order, and each kept point's M(c) is _quad's.
-Its leaf bound prod_k (2R / sqrt(d_k) / step + 1), from the pivots d_k, which also decide that
-M is definite, is checked against errors.MAX_WORK first.  Both full sums read what depends on a
-class ((xi^2), gcd(r, xi)) alone from partitions.z_psu_direct: the direct sum its coefficients
-as doubles, the factorized sum Z_r^alpha.  A term that overflows double precision is an
-InputError.  What does not depend on tau is kept on the splitting, in tables of at most
-KEEP_POINTS entries in all: a ball's points with their j, (c^2) and distinct pairs ((c^2),
-M(c)); the direct sum's z_psu_direct coefficients per class and class lists; the factorized
-sum's series per class.  A call then takes one exp per pair (per point for an x) and per n, and
-evaluates each series at tau from the float view its kept series builds on the first
-evaluation.  The work cap and every InputError are checked on every call, kept table or not.
+Kernels: points are tuples of ints.  The projectors sum to the identity and are Q-orthogonal,
+so Q(c_L^2) + Q(c_R^2) = Q(c) and each exponent is (Re tau Q(c) + i Im tau M(c))/2r, M the
+majorant: only the exact integer Q(c) = -(c^2) and the one float form M are evaluated.  A
+splitting is validated once, for its lattice, when it is built (using it with another lattice
+is an InputError), and M is built with it in plain Python; Jacobi (_eigh) gives the spectral
+projectors, so nothing here needs numpy.  Every float sum but math.fsum's is added left to
+right from 0 (_dot, or reduce itself), never by the builtin sum, so each result keeps its bits
+on every interpreter (tests/test_theta_bits.py pins them on Python 3.10 to 3.13).  Fincke-Pohst
+enumeration (Math. Comp. 44 (1985); Cohen, GTM 138, 2.7.3) over M's pivots lists the points
+in lexicographic order, and each kept point's M(c) is _quad's.  Its leaf bound prod_k (2R /
+sqrt(d_k) / step + 1), from the pivots d_k, which also decide that M is definite, is checked
+against errors.MAX_WORK first.  Both full sums read what depends on a class ((xi^2), gcd(r,
+xi)) alone from partitions.z_psu_direct: the direct sum its coefficients as doubles, the
+factorized sum Z_r^alpha.  A term that overflows double precision is an InputError.  What does
+not depend on tau is kept on the splitting, in tables of at most KEEP_POINTS entries in all: a
+ball's points with their j, (c^2) and distinct pairs ((c^2), M(c)); the direct sum's
+z_psu_direct coefficients per class and class lists; the factorized sum's series per class.  A
+call then takes one exp per pair (per point for an x) and per n, and evaluates each series at
+tau from the float view its kept series builds on the first evaluation.  The work cap and every
+InputError are checked on every call, kept table or not.
 
 Modular transformation laws of the theta sum are not implemented: the
 familiar constants are specific to the rank-22 K3 lattice and no

@@ -229,3 +229,31 @@ def test_c10_classification_consistency():
     report(10, f"classification: refl_point => square 0, dim 2 ({refl_seen} cases); "
                f"univ_ext => hilb index l+1 ({univ_seen} cases)",
            time.time() - start, 5.0)
+
+
+def test_c11_hecke_law_of_minahan_et_al():
+    # Minahan, Nemeschansky, Vafa and Warner (hep-th/9802203): the rank-r partition function
+    # is the Hecke transform of the rank-1 one, Z_r(tau) = r^-2 sum_{ad=r} sum_{0<=b<d}
+    # d Z_1((a tau + b)/d); the 1e-12 relative term is rounding, which no tail counts yet
+    start = time.time()
+    worst = 0.0
+    for gram in (((0, 1), (1, 0)), ((2, 0), (0, -2)), ((2, 1), (1, -4)), ((-2,),)):
+        lat = EvenLattice(gram)
+        split = Splitting.spectral(lat)
+        for r in (2, 3):
+            for tau in (1.6j, 0.2 + 1.8j):
+                z_r = z_full_factorized(lat, r, tau, split, None, 30, 9.0)
+                value, tail = 0j, 0.0
+                for d in (d for d in range(1, r + 1) if r % d == 0):
+                    for b in range(d):
+                        z_1 = z_full_factorized(lat, 1, (r // d * tau + b) / d, split,
+                                                None, 30, 9.0)
+                        value += d * z_1.value
+                        tail += d * z_1.tail
+                error = abs(z_r.value - value / r ** 2)
+                assert error <= z_r.tail + tail / r ** 2 + 1e-12 * abs(z_r.value), \
+                    (gram, r, tau, error)
+                worst = max(worst, error / abs(z_r.value))
+    report(11, f"Z_r = T_r Z_1 (Minahan et al.) within the tails plus 1e-12 relative "
+               f"(4 lattices, r in {{2,3}}, 2 tau; worst {worst:.1e})",
+           time.time() - start, 1.0)

@@ -90,6 +90,14 @@ def test_translate_negative_first_coordinate(tmp_path, capsys):
         assert doc["vector"] == want
 
 
+def test_translate_refuses_a_non_integer_coordinate(tmp_path, capsys):
+    v = write_vec(tmp_path, "v.json", 1, (0,), 1)
+    code = main(["translate", "--N", "1,x", "--v", v])
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == \
+        (2, json.dumps({"error": "expected comma-separated integers, got '1,x'"}) + "\n", "")
+
+
 def test_bad_word_elements_exit_2(tmp_path, capsys):
     v = write_vec(tmp_path, "v.json", 1, (0,), 1)
     for name, doc in (("frac.json", [{"type": "translate", "N": [1.5]}]),

@@ -62,8 +62,10 @@ _V, _W = MukaiVector(2, (4,), 6), MukaiVector(1, (0, 0), 0)
     (lambda: _V.divided(4), "4 does not divide every component"),
     (lambda: mukai_pairing(_V, _W, EvenLattice(((2,),))),
      "length 2 does not match lattice rank 1"),
+    (lambda: mukai_from_chern(1, (0, 0), 0, EvenLattice(((2,),))),
+     "^vector of length 2 does not match lattice rank 1$"),
 ], ids=["lattice-json-without-gram", "add-other-length", "divided-by-0", "divided-by-non-divisor",
-        "pairing-y-wrong-length"])
+        "pairing-y-wrong-length", "from-chern-wrong-length"])
 def test_input_checks_refuse_with_their_message(call, message):
     with pytest.raises(InputError, match=message):
         call()

@@ -7,8 +7,8 @@ IsometryWord, a Mukai vector's memo read and written only by moduli._record,
 one Jacobi per splitting with no least eigenvalue kept, no float added by the
 builtin sum in theta and no moduli import there, no tail read off a qs_evaluate
 result, with _hilb_tail read only by _a_sums, and no argparse; the benchmark
-workloads read only public names, and every name the benchmark's fresh-process
-probes import exists."""
+workloads read only public names, every name the benchmark's fresh-process
+probes import exists, and README's layout table has one row per module."""
 
 import ast
 import importlib
@@ -289,3 +289,12 @@ def test_benchmark_probe_imports_resolve():
     assert {("k3tk.qseries", "hilb_euler"), ("k3tk.cli", "main")} <= found
     assert sorted((module, name) for module, name in found
                   if not hasattr(importlib.import_module(module), name)) == []
+
+
+def test_readme_layout_has_one_row_per_module():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    table = re.search(r"^## Layout$.*?^(\|.*?)^$", readme, re.S | re.M)[1]
+    rows = [re.match(r"\| `k3tk\.(\w+)` +\|", line) for line in table.splitlines()[2:]]
+    assert all(rows), table
+    modules = sorted(path.stem for path in SOURCES if not path.stem.startswith("__"))
+    assert sorted(row[1] for row in rows) == modules
