@@ -21,7 +21,8 @@ the TypeError of an operand of another type, naming the one expected, and _rank,
 read of a lattice argument at an entry point (mukai_from_chern's too), raises it for a foreign
 lattice.  Neither check costs a valid call anything.  The package's
 value classes derive from Value, defined here: an immutable record whose fields are its
-__slots__, which its own __init__ assigns once with _set.
+__slots__, which its own __init__ assigns once with _set, so a record whose fields are
+constants may be built once and shared.
 MukaiVector._memo is the one underscore slot: the two constructors start it
 empty, and k3tk.moduli alone reads and writes it, keeping there the record of
 the last lattice v was read against (see that module); it lives as long as v.

@@ -23,6 +23,9 @@ be reused); an equal but distinct lattice, or a new vector from the same
 components, simply recomputes.  _record is the only code that reads or writes
 _memo, so asking all of them about one v costs one Mukai pairing.  The record is
 read and replaced whole, so two threads sharing a vector at worst recompute.
+An answer whose fields are constants (case A, a copy of the surface, locally
+free members) is one shared record, built at import: a Value is immutable and
+compares by its fields, so sharing it is indistinguishable from a fresh one.
 
 The integer invariants live here, so that reading them needs no Fraction.
 chi(Hilb^n) is the coefficient of q^n in prod_{m>=1} (1 - q^m)^(-24) = h^(-8),
@@ -45,7 +48,7 @@ from __future__ import annotations
 from math import gcd, isqrt
 
 from .errors import ConsistencyError, InputError, check_work
-from .lattice import (EvenLattice, MukaiVector, Value, _at_least, _expect, _mukai, _set, content,
+from .lattice import (EvenLattice, MukaiVector, Value, _at_least, _expect, _mukai, _set,
                       mukai_pairing)
 
 RANK_ONE = "rank_one"
@@ -59,9 +62,14 @@ class CaseInfo(Value):
     __slots__ = ("case", "v0")
 
 
+_CASE_A = CaseInfo("A", None)
+
+
 def _record(v: MukaiVector, lat: EvenLattice) -> tuple[int, int, int, CaseInfo]:
     """(<v^2>, content(v), l, case) of v against lat, after the checks, in this order:
     positive rank, c1 length; computed once and kept in v._memo (module docstring).
+    v.r is the int the MukaiVector constructors guarantee, so the rank is compared as it
+    is, and _at_least runs only to raise its message.
 
     l = gcd(rank, c1) and v = l(r + xi) + a omega with r + xi primitive, so
     (xi^2) = (<v^2> + 2 rank(v) a) / l^2 exactly.
@@ -74,7 +82,8 @@ def _record(v: MukaiVector, lat: EvenLattice) -> tuple[int, int, int, CaseInfo]:
         _expect(MukaiVector, v)
         _expect(EvenLattice, lat)
         raise
-    _at_least(v.r, 1, "rank")
+    if v.r < 1:
+        _at_least(v.r, 1, "rank")
     sq = mukai_pairing(v, v, lat)
     l = gcd(v.r, *v.c1)     # ell(v), and content(v) = gcd(l, a) below
     r = v.r // l
@@ -83,7 +92,7 @@ def _record(v: MukaiVector, lat: EvenLattice) -> tuple[int, int, int, CaseInfo]:
         xi = tuple([x // l for x in v.c1])
         info = CaseInfo("B", _mukai(r, xi, (xi_sq + 2) // (2 * r)))
     else:
-        info = CaseInfo("A", None)
+        info = _CASE_A
     record = sq, gcd(l, v.a), l, info
     _set(v, "_memo", (lat.gram, record))
     return record
@@ -143,6 +152,10 @@ class NonLocallyFree(Value):
     __slots__ = ("kind", "model")
 
 
+_LOCALLY_FREE = NonLocallyFree(HAS_LOCALLY_FREE, None)
+_SURFACE = NonLocallyFree(REFL_POINT, "X")
+
+
 def classify_non_locally_free(v: MukaiVector, lat: EvenLattice) -> NonLocallyFree:
     """Detect the vectors whose moduli consist of non-locally-free sheaves.
 
@@ -157,10 +170,10 @@ def classify_non_locally_free(v: MukaiVector, lat: EvenLattice) -> NonLocallyFre
     if info.case == "B":
         v0 = info.v0
         if l == v0.r and v.a == v0.r * v0.a - 1:
-            return NonLocallyFree(REFL_POINT, "X")
+            return _SURFACE
         if v0.r == 1 and v.a == l * v0.a - (l + 1):
             return NonLocallyFree(UNIV_EXT, f"Hilb^{l + 1}")
-    return NonLocallyFree(HAS_LOCALLY_FREE, None)
+    return _LOCALLY_FREE
 
 
 def hilb_index(v: MukaiVector, lat: EvenLattice) -> int:
@@ -209,8 +222,9 @@ def _chi_scaled(sq: int, c: int, euler: list[int]) -> int:
 
 def _chi_virtual_scaled(v: MukaiVector, lat: EvenLattice) -> tuple[int, int]:
     """(c^2 chi_virtual(v), c^2) for c = content(v), from v's record; the work check on c
-    runs between the positive-rank and c1 length checks."""
+    runs between the positive-rank and c1 length checks.  Both callers (partitions.chi_virtual
+    and the CLI) pass a checked MukaiVector, so c is read without content's second check."""
     if v.r > 0:
-        check_work(content(v), "chi_virtual")       # the divisor scan tries every a <= c
+        check_work(gcd(v.r, *v.c1, v.a), "chi_virtual")     # content(v): a scan of each a <= c
     sq, c, _, _ = _record(v, lat)
     return _chi_scaled(sq, c, _hilb_table(sq // 2 + 1)), c * c

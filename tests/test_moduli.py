@@ -4,11 +4,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from k3tk import (ConsistencyError, EvenLattice, InputError, MukaiVector, chi_virtual,
-                  classify_case, classify_non_locally_free, content, euler_characteristic,
-                  exists_mu_stable, exists_semistable, exists_stable_primitive,
-                  hilb_index, moduli, moduli_dim, mu_stable_boundary_flag, mukai_pairing,
-                  primitive, square)
+from k3tk import (CaseInfo, ConsistencyError, EvenLattice, InputError, MukaiVector,
+                  NonLocallyFree, chi_virtual, classify_case, classify_non_locally_free, content,
+                  euler_characteristic, exists_mu_stable, exists_semistable,
+                  exists_stable_primitive, hilb_index, moduli, moduli_dim,
+                  mu_stable_boundary_flag, mukai_pairing, primitive, square)
 from k3tk.errors import MAX_WORK
 from k3tk.moduli import HAS_LOCALLY_FREE, RANK_ONE, REFL_POINT, UNIV_EXT
 
@@ -216,6 +216,29 @@ def test_one_vector_costs_at_most_two_pairings(monkeypatch):
     answers = [question(v, lat) for question in _QUESTIONS]
     assert answers[1].case == "B" and answers[8].kind == REFL_POINT
     assert len(calls) <= 2                  # one for <v^2>, at most one for (xi^2)
+
+
+# vectors with the same constant answer, two on one lattice and two on another
+_CASE_A = (((3, (1,), 0), ((2,),)), ((3, (2,), 1), ((2,),)),
+           ((3, (1, 0), 0), ((2, 1), (1, -4))), ((2, (1, 1), 0), ((2, 1), (1, -4))))
+_SURFACE = (((4, (2,), 1), ((2,),)), ((4, (2, 0), 1), ((2, 1), (1, -4))))   # (rk v0) v0 - omega
+
+
+@pytest.mark.parametrize("question, asks, fresh", [
+    (classify_case, _CASE_A, CaseInfo("A", None)),
+    (classify_non_locally_free, _CASE_A, NonLocallyFree(HAS_LOCALLY_FREE, None)),
+    (classify_non_locally_free, _SURFACE, NonLocallyFree(REFL_POINT, "X"))],
+    ids=["case_a", "has_locally_free", "refl_point"])
+def test_a_constant_answer_is_one_shared_immutable_record(question, asks, fresh):
+    # every vector with the same constant answer gets the one record built at import; this is
+    # safe because a Value cannot change and compares by its fields
+    answers = [question(MukaiVector(*v), EvenLattice(gram)) for v, gram in asks]
+    assert all(answer is answers[0] for answer in answers)
+    assert answers[0] == fresh and hash(answers[0]) == hash(fresh)
+    with pytest.raises(AttributeError):
+        setattr(answers[0], fresh._fields[0], "B")
+    assert answers[0] == fresh
+    assert pickle.loads(pickle.dumps(answers[0])) == fresh
 
 
 def _message(call) -> str:

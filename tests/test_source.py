@@ -4,11 +4,12 @@ InputError message, no validated Goettsche lookup inside the series and theta
 loops, no module-level container in the series and theta modules, mpmath
 imported in one function, isometries bound and applied only inside
 IsometryWord, a Mukai vector's memo read and written only by moduli._record,
-one Jacobi per splitting with no least eigenvalue kept, no float added by the
-builtin sum in theta and no moduli import there, no tail read off a qs_evaluate
-result, with _hilb_tail read only by _a_sums, and no argparse; the benchmark
-workloads read only public names, every name the benchmark's fresh-process
-probes import exists, and README's layout table has one row per module."""
+each constant moduli answer built once, at import, one Jacobi per splitting
+with no least eigenvalue kept, no float added by the builtin sum in theta and
+no moduli import there, no tail read off a qs_evaluate result, with _hilb_tail
+read only by _a_sums, and no argparse; the benchmark workloads read only public
+names, every name the benchmark's fresh-process probes import exists, and
+README's layout table has one row per module."""
 
 import ast
 import importlib
@@ -181,6 +182,24 @@ def test_only_the_moduli_record_reads_the_memo():
                 homes.add((path.name, where))
     assert homes == {("lattice.py", "MukaiVector"), ("lattice.py", "MukaiVector.__init__"),
                      ("lattice.py", "_mukai"), ("moduli.py", "_record")}
+
+
+def test_moduli_builds_each_constant_answer_once():
+    # a record whose every field is a literal or a module-level name is the same value on every
+    # call, so it is built once at import and shared (Values are immutable)
+    tree = ast.parse((ROOT / "src" / "k3tk" / "moduli.py").read_text())
+    top = {n.id for node in tree.body if isinstance(node, ast.Assign)
+           for target in node.targets for n in ast.walk(target) if isinstance(n, ast.Name)}
+    built, rebuilt = [], []
+    for where, node in _scoped(tree):
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) in (
+                "CaseInfo", "NonLocallyFree"):
+            args = node.args + [keyword.value for keyword in node.keywords]
+            constant = all(isinstance(arg, ast.Constant)
+                           or isinstance(arg, ast.Name) and arg.id in top for arg in args)
+            (rebuilt if where and constant else built).append((where, node.lineno))
+    assert len(built) >= 3
+    assert rebuilt == []
 
 
 def test_one_jacobi_per_splitting_and_no_least_eigenvalue():

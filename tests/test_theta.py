@@ -464,6 +464,46 @@ def test_factorized_tail_bounds_the_omitted_terms_property(case):
 
 
 @st.composite
+def _hecke_law_cases(draw):
+    """A nondegenerate even Gram of rank <= 2 (diagonal -6 to 6, off-diagonal -3 to 3), its
+    splitting (identity_positive only on a negative definite Gram, else spectral), r and tau
+    with Im tau >= 1.2."""
+    n = draw(st.integers(1, 2))
+    gram = [[0] * n for _ in range(n)]
+    for i in range(n):
+        gram[i][i] = 2 * draw(st.integers(-3, 3))
+        for j in range(i):
+            gram[i][j] = gram[j][i] = draw(st.integers(-3, 3))
+    det = gram[0][0] if n == 1 else gram[0][0] * gram[1][1] - gram[0][1] ** 2
+    assume(det != 0)
+    negative_definite = gram[0][0] < 0 and (n == 1 or det > 0)
+    factory = draw(st.sampled_from((Splitting.identity_positive, Splitting.spectral))
+                   if negative_definite else st.just(Splitting.spectral))
+    tau = complex(draw(st.floats(-0.5, 0.5)), draw(st.floats(1.2, 3.0)))
+    return gram, factory, draw(st.integers(1, 3)), tau
+
+
+@settings(max_examples=100, deadline=None)
+@given(_hecke_law_cases())
+def test_hecke_law_of_minahan_et_al_property(case):
+    # acceptance c11's law, Z_r(tau) = r^-2 sum_{ad=r} sum_{0<=b<d} d Z_1((a tau + b)/d), over
+    # generated lattices; the 1e-12 relative term is the rounding, which no tail counts yet
+    gram, factory, r, tau = case
+    lat = EvenLattice(gram)
+    split = factory(lat)
+    z_r = z_full_factorized(lat, r, tau, split, None, 30, 9.0)
+    value, tail, tails = 0j, 0.0, [z_r.tail]
+    for d in (d for d in range(1, r + 1) if r % d == 0):
+        for b in range(d):
+            z_1 = z_full_factorized(lat, 1, (r // d * tau + b) / d, split, None, 30, 9.0)
+            value += d * z_1.value
+            tail += d * z_1.tail
+            tails.append(z_1.tail)
+    assert all(map(math.isfinite, tails))       # no example passes on an unbounded tail
+    assert abs(z_r.value - value / r ** 2) <= z_r.tail + tail / r ** 2 + 1e-12 * abs(z_r.value)
+
+
+@st.composite
 def _theta_tail_cases(draw):
     """A negative definite Gram of rank <= 2, the coset step r, alpha, tau, x (none, or
     complex in about half the cases) and the radius."""
