@@ -31,16 +31,9 @@ with m = (n - 1) - (xi^2)/2 for the coefficient of q^{a(n-1)/d}.  Applying
 the projection analytically gives the exact rational path (z_psu_hecke);
 keeping the literal triple sum with floating-point phases e(b m / d), the d
 roots e(j / d) and the d sums over b computed once per factorization, gives
-the numeric path (z_psu_hecke_literal).  It rounds only where the mpc result
-does, so its bits are those of the per-term sum: (1) the roots e(0) = 1 and
-e(1/2) = -1, which mpmath returns exactly, take no call, and a sum over b of
-them alone is d or 0; (2) terms with an exact integer phase add per key as
-ints until a residue term joins the key: every partial sum stays below
-2^prec, so each mpc addition would have been exact; (3) an int sum that r^2
-divides is divided with //, exact too, and a zero imaginary part is not
-divided; (4) where |Im| = |Re|, a product or quotient is rounded once and the
-other part takes it or its negative, round-to-nearest being odd.  Each path
-counts its terms first and refuses more than errors.MAX_WORK.
+the numeric path (z_psu_hecke_literal), whose bits are those of the per-term
+sum (its docstring says where it rounds).  Each path counts its terms first and
+refuses more than errors.MAX_WORK.
 
 Every path keys its coefficients by integer index: the direct path by <v^2>
 over 2r, the Hecke paths by a^2 (n - 1) over r (a (n - 1)/d = a^2 (n - 1)/r),
@@ -162,12 +155,17 @@ def z_psu_hecke_literal(r: int, alpha, order, lat: EvenLattice) -> QSeries:
     40 digits plus those of the largest chi(Hilb^n) it reads.  On raw libmp
     tuples at that precision, each coefficient is bit-identical to summing
     d chi(Hilb^n) e(b m / d) per term in mpc arithmetic, rounding to nearest,
-    and dividing by r^2, with only the roundings that change a bit (module
-    docstring): (1) no call for the exact roots 1 and -1; (2) int sums below
-    2^prec; (3) // where r^2 divides; (4) one rounding where |Im| = |Re|, as
-    rounding is odd.  The path runs no check of its own: the tests pin it bit for bit to a
-    per-term reference (by a property at r <= 6, on fixed cases at r = 7 to 12) and compare
-    it with the exact Hecke path to 1e-9.
+    and dividing by r^2, as it rounds only where that result does: (1) the roots
+    e(0) = 1 and e(1/2) = -1, which mpmath returns exactly, take no call, and a
+    sum over b of them alone is d or 0; (2) terms with an exact integer phase add
+    per key as ints until a residue term joins the key: every partial sum stays
+    below 2^prec, so each mpc addition would have been exact; (3) an int sum that
+    r^2 divides is divided with //, exact too, and a zero imaginary part is not
+    divided; (4) where |Im| = |Re|, a product or quotient is rounded once and the
+    other part takes it or its negative, round-to-nearest being odd.  The path
+    runs no check of its own: the tests pin it bit for bit to a per-term
+    reference (by a property at r <= 6, on fixed cases at r = 7 to 12) and
+    compare it with the exact Hecke path to 1e-9.
     """
     import mpmath
     from mpmath.libmp import (fnone, fone, fzero, from_int, mpc_add, mpf_div, mpf_mul_int,

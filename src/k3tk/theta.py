@@ -23,7 +23,10 @@ paper's Euler characteristics agree with:
 
     Z_r(tau) = r^(-2) sum_{ad = r} sum_{0 <= b < d} d * Z_1((a tau + b)/d),
 
-with tau and taubar both transformed; the acceptance tests check it on small fixed lattices.
+with tau and taubar both transformed.  The tests check it in floats, within the tails, on
+small fixed lattices (acceptance) and on generated lattices of rank <= 2 (a property); on
+definite lattices, where the series is exact, a property checks it coefficient by
+coefficient, beside the exact coset factorization.
 
 Tail reporting: each truncated sum also evaluates a few guard shells (in the
 majorant radius) and, for the direct sum, extension bins (in the holomorphic

@@ -14,7 +14,8 @@ candidate with one exponential per term, instead of tables of weights and
 Hecke roots.
 Short-vector counts of A2, D4 and E8 come from divisor-sum closed forms, and
 the box enumeration that theta used before Fincke-Pohst is kept as the
-reference for the points, their order and their terms.
+reference for the points, their order and their terms.  On a definite lattice
+the full partition function is an exact q-series, summed over a box of points.
 The q-series reference keys every coefficient by its Fraction exponent and
 normalises through ref_from_terms after each operation, where the library
 works on integer indices over one denominator.  The command line's parser is
@@ -24,6 +25,7 @@ None of them imports k3tk.
 
 import argparse
 import cmath
+import functools
 import json
 import math
 from fractions import Fraction
@@ -161,6 +163,30 @@ def chi_virtual_brute(v, gram, euler) -> Fraction:
         if idx >= 0:
             total += Fraction(euler(idx), m * m)
     return total
+
+
+def definite_box(gram, top) -> int:
+    """A b with |xi_i| <= b for every xi with Q(xi) <= top, Q = -G positive definite, from
+    Q's least eigenvalue by numpy's eigvalsh: Q(xi) >= lam_min xi_i^2."""
+    lam_min = float(np.linalg.eigvalsh(-np.array(gram, dtype=float)).min())
+    return math.isqrt(int(top / lam_min)) + 1
+
+
+def z_full_exact(gram, r, m_top, euler) -> dict:
+    """{m: z_r[m]} for -r <= m < m_top: the exact coefficients of the rank-r partition
+    function on a negative definite Gram, P_L = id and x = 0.
+
+    The direct term of v = (r, xi, a) has exponent (<v^2> + Q(xi))/2r = -a, so z_r[m] sums
+    chi_virtual_brute(r, xi, -m) over the xi with Q(xi) <= 2rm + 2r^2, past which
+    <v^2> < -2r^2 makes chi vanish; euler is a table of chi(Hilb^n) through r (m_top - 1) + 1.
+    """
+    z = {m: Fraction(0) for m in range(-r, m_top)}
+    bound = definite_box(gram, 2 * r * (m_top - 1) + 2 * r * r)
+    for xi in product(range(-bound, bound + 1), repeat=len(gram)):
+        q_xi = -pairing_brute((0, xi, 0), (0, xi, 0), gram)
+        for m in range(-((2 * r * r - q_xi) // (2 * r)), m_top):  # ceil((Q - 2r^2) / 2r)
+            z[m] += chi_virtual_brute((r, xi, -m), gram, euler.__getitem__)
+    return z
 
 
 def det_brute(m) -> int:
@@ -465,11 +491,13 @@ def definite_parts(gram, pl, pr, c) -> tuple[float, float]:
 def cli_reference(cli) -> argparse.ArgumentParser:
     """argparse's parser for the command table of the CLI module cli (cli._COMMANDS holds
     add_argument keywords): a usage error is one {"error"} document and exit 2, a token
-    that starts like a negative number (cli._NEGATIVE_NUMBER) is a value, and an option
-    type's cli.InputError is that option's usage error, with its message."""
+    that starts like a negative number (cli._NEGATIVE_NUMBER) is a value, an option
+    type's cli.InputError is that option's usage error, with its message, and help is
+    written as at COLUMNS=80, whatever the terminal's width."""
     class Parser(argparse.ArgumentParser):
         def __init__(self, *args, **kwargs):
-            super().__init__(*args, **kwargs)
+            super().__init__(*args, formatter_class=functools.partial(
+                argparse.HelpFormatter, width=78), **kwargs)
             self._negative_number_matcher = cli._NEGATIVE_NUMBER
 
         def error(self, message):

@@ -9,7 +9,7 @@ import pathlib
 import re
 import subprocess
 import sys
-import unittest.mock
+import tempfile
 
 import pytest
 from hypothesis import assume, given, settings
@@ -305,6 +305,7 @@ def test_output_deterministic(tmp_path, capsys):
 _PINNED_INPUTS = {
     "v.json": {"r": 2, "c1": [1], "a": -1}, "y.json": {"r": 1, "c1": [1], "a": 0},
     "s.json": {"rank": 1, "gram": [[-2]]}, "u.json": {"rank": 2, "gram": [[0, 1], [1, 0]]},
+    "o.json": {"r": 1, "c1": [0], "a": 1},
     "w.json": [{"type": "translate", "N": [1]},
                {"type": "reflect", "u": {"r": 1, "c1": [0], "a": 1}}, {"type": "dual"}],
 }
@@ -481,9 +482,8 @@ _OLD_HELP = pytest.mark.skipif(
 @pytest.mark.parametrize("name", ["", *k3tk.cli._COMMANDS], ids=["k3tk", *k3tk.cli._COMMANDS])
 def test_every_help_page_is_the_argparse_reference_page(monkeypatch, name):
     argv = [*name.split(), "--help"]
-    monkeypatch.setenv("COLUMNS", "80")
-    want = _parsed(_reference().parse_args, argv)
     monkeypatch.setenv("COLUMNS", "200")
+    want = _parsed(_reference().parse_args, argv)
     assert _parsed(k3tk.cli._parse, argv) == want
     assert want[:2] == (0, None) and want[2].startswith(f"usage: k3tk {name}".strip())
 
@@ -495,7 +495,6 @@ def test_long_help_wraps_as_the_argparse_reference_does(monkeypatch):
     long = "a long-winded, hyphen-rich explanation of what this option does " * 3
     monkeypatch.setitem(k3tk.cli._COMMANDS, "gottsche",
                         (long, {"--order": {"type": int, "required": True, "help": long}}))
-    monkeypatch.setenv("COLUMNS", "80")
     reference = oracles.cli_reference(k3tk.cli)
     for argv in (["--help"], ["gottsche", "--help"]):
         want = _parsed(reference.parse_args, argv)
@@ -508,7 +507,6 @@ def test_long_help_wraps_as_the_argparse_reference_does(monkeypatch):
 def test_usage_wraps_at_78_columns_as_the_argparse_reference_does(monkeypatch):
     # metavars of every length put the usage's end, and each wrapped line's, on both sides
     # of column 78
-    monkeypatch.setenv("COLUMNS", "80")
     for k in range(1, 61):
         for options in ({"--order": {"required": True, "metavar": "X" * k},
                          "what": {"choices": ["a", "b"]}},
@@ -539,8 +537,7 @@ _EDGE_ARGV = [      # read alike by argparse from Python 3.10 to 3.13.0
 def _assert_parses_as_the_reference(argv):
     """What the reference accepts is read alike, what it refuses is a usage error, and
     help is the reference's page (before Python 3.13); usage errors may differ in wording."""
-    with unittest.mock.patch.dict(os.environ, {"COLUMNS": "80"}):
-        want = _parsed(_reference().parse_args, argv)
+    want = _parsed(_reference().parse_args, argv)
     got = _parsed(k3tk.cli._parse, argv)
     assert got[:2] == want[:2], (argv, got, want)
     if want[0] == 2:
@@ -592,7 +589,6 @@ def test_unknown_subcommand_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
     assert exc.value.code == 2
-
 
 
 @pytest.mark.parametrize("argv", [
@@ -677,6 +673,55 @@ def test_unusable_surfaces_exit_2(tmp_path, capsys, gram, command):
         assert code == 2 and set(json.loads(out)) == {"error"}
 
 
+# one spawn of each way out of main: a document, an input error, a usage error and --help
+_EXITS = {"document": (["gottsche", "--order", "3"], 0),
+          "input-error": (["gottsche", "--order", "0"], 2),
+          "usage-error": (["gottsche", "--order", "x"], 2),
+          "help": (["--help"], 0)}
+_BASE = {"k3tk", "k3tk.cli", "k3tk.errors", "k3tk.lattice"}
+_LAYERS = {     # the k3tk modules a spawn may load: its subcommand's module and what it imports
+    "lattice": _BASE, "isometry": _BASE | {"k3tk.isometry"}, "moduli": _BASE | {"k3tk.moduli"},
+    "constructions": _BASE | {"k3tk.isometry", "k3tk.constructions"},
+    "partitions": _BASE | {"k3tk.moduli", "k3tk.qseries", "k3tk.partitions"},
+    "theta": _BASE | {"k3tk.moduli", "k3tk.qseries", "k3tk.partitions", "k3tk.theta"}}
+_NUMBERS = {"fractions", "decimal", "cmath"}        # a Fraction brings decimal along
+_ZSERIES = ["zseries", "--rank", "2", "--order", "3"]
+_THETA = ["theta", "--surface", "s.json", "--tau", "0", "1"]
+_ZFULL = ["zfull", "--surface", "s.json", "--rank", "2", "--tau", "0", "1"]
+
+
+def _row(argv, layer, may=frozenset(), code=0, entry="runpy", flags=()):
+    return argv, code, entry, flags, _LAYERS[layer], may
+
+
+_SPAWNS = {     # name: a spawn, its layer and the watched modules besides k3tk's it may load
+    "pair": _row(["pair", "--x", "v.json", "--y", "v.json"], "lattice"),
+    "dualize": _row(["dualize", "--v", "v.json"], "lattice"),
+    "translate": _row(["translate", "--N", "-1", "--v", "v.json"], "isometry"),
+    "reflect": _row(["reflect", "--u", "o.json", "--v", "v.json"], "isometry"),
+    "word": _row(["word", "--word", "w.json", "--v", "v.json"], "isometry"),
+    "invariants": _row(["invariants", "--v", "v.json"], "moduli"),
+    "gottsche": _row(["gottsche", "--order", "40"], "moduli"),
+    "chivirtual": _row(["chivirtual", "--v", "v.json"], "moduli"),
+    "zseries": _row(_ZSERIES, "partitions", _NUMBERS),
+    "theta": _row(_THETA, "theta", _NUMBERS),
+    "zfull": _row(_ZFULL, "theta", _NUMBERS),
+    "construct": _row(["construct", "--l", "2", "--r", "3", "--s", "2", "--a", "1"],
+                      "constructions"),
+    "verify": _row(["verify", "triangle", "--bound", "8"], "constructions"),
+    "theta-identity": _row([*_THETA, "--splitting", "identity"], "theta", _NUMBERS),
+    "zfull-identity": _row([*_ZFULL, "--splitting", "identity"], "theta", _NUMBERS),
+    "zseries-literal": _row([*_ZSERIES, "--method", "literal"], "partitions",
+                            _NUMBERS | {"mpmath"}),
+    **{f"{kind}-{entry}": _row(argv, "lattice" if kind in ("usage-error", "help") else "moduli",
+                               code=code, entry=entry)
+       for kind, (argv, code) in _EXITS.items() for entry in ("runpy", "script")},
+    # -S, so that no site module preloads typing (none does on 3.10, 3.12 and 3.13)
+    "zseries-hecke-S": _row([*_ZSERIES, "--method", "hecke"], "partitions", _NUMBERS,
+                            flags=("-S",)),
+    "theta-S": _row(_THETA, "theta", _NUMBERS, flags=("-S",)),
+    "zfull-S": _row(_ZFULL, "theta", _NUMBERS, flags=("-S",)),
+}
 _IMPORT_PROBE = """
 import gc, json, runpy, sys
 code, entry, sys.argv = int(sys.argv[2]), sys.argv[3], ["k3tk", *json.loads(sys.argv[1])]
@@ -687,126 +732,81 @@ try:
     runpy.run_module("k3tk", run_name="__main__")
 except SystemExit as exc:
     assert exc.code == code, exc.code
-print(json.dumps([sorted({"numpy", "mpmath"} & set(sys.modules)),
-                  sorted(m for m in sys.modules if m.split(".")[0] == "k3tk"),
-                  sorted({"dataclasses", "inspect"} & set(sys.modules)),
-                  sorted({"fractions", "decimal", "cmath"} & set(sys.modules)),
-                  sorted({"argparse", "gettext", "locale"} & set(sys.modules)),
-                  gc.get_freeze_count(), "typing" in sys.modules]))
+loaded = set(sys.modules)
+print(json.dumps({"floats": sorted({"numpy", "mpmath"} & loaded),
+                  "k3tk": sorted(m for m in loaded if m.split(".")[0] == "k3tk"),
+                  "records": sorted({"dataclasses", "inspect"} & loaded),
+                  "numbers": sorted({"fractions", "decimal", "cmath"} & loaded),
+                  "parsing": sorted({"argparse", "gettext", "locale"} & loaded),
+                  "frozen": gc.get_freeze_count(), "typing": "typing" in loaded}))
 """
 
 
-def _loaded_by(tmp_path, command, code=0, entry="runpy", flags=()):
-    """(float libraries, k3tk modules, dataclasses and inspect, fractions, decimal and
-    cmath, argparse, gettext and locale, objects frozen at exit, whether typing is loaded)
-    of one spawned subcommand that exits with code, run as python -m k3tk (entry "runpy") or
-    as the k3tk script (entry "script"), with the interpreter's flags.  A command that names
-    no subcommand runs as given."""
-    v = write_vec(tmp_path, "v.json", 2, (1,), -1)
-    u = write_vec(tmp_path, "u.json", 1, (0,), 1)
-    word = tmp_path / "w.json"
-    word.write_text(json.dumps([{"type": "translate", "N": [1]}, {"type": "dual"}]))
-    surface = tmp_path / "s.json"
-    surface.write_text(json.dumps({"rank": 1, "gram": [[-2]]}))
-    argv = {"pair": ["pair", "--x", v, "--y", v],
-            "dualize": ["dualize", "--v", v],
-            "reflect": ["reflect", "--u", u, "--v", v],
-            "translate": ["translate", "--N", "-1", "--v", v],
-            "word": ["word", "--word", str(word), "--v", v],
-            "construct": ["construct", "--l", "2", "--r", "3", "--s", "2", "--a", "1"],
-            "invariants": ["invariants", "--v", v],
-            "gottsche": ["gottsche", "--order", "40"],
-            "chivirtual": ["chivirtual", "--v", v],
-            "verify": ["verify", "triangle", "--bound", "8"],
-            "theta": ["theta", "--surface", str(surface), "--tau", "0", "1"],
-            "zfull": ["zfull", "--surface", str(surface), "--rank", "2", "--tau", "0", "1"],
-            "zseries": ["zseries", "--rank", "2", "--order", "3"],
-            }.get(command[0], command[:1]) + list(command[1:])
-    src = os.path.dirname(os.path.dirname(os.path.abspath(k3tk.__file__)))
-    out = subprocess.run([sys.executable, *flags, "-c", _IMPORT_PROBE, json.dumps(argv),
-                          str(code), entry],
-                         env=dict(os.environ, PYTHONPATH=src), capture_output=True,
-                         text=True, timeout=60, check=True).stdout
-    return json.loads(out.splitlines()[-1])
+@functools.cache
+def _loaded_by(name):
+    """The probe's facts, by name, about row name of _SPAWNS, spawned once per session on
+    _PINNED_INPUTS: python -m k3tk (entry "runpy") or the k3tk script (entry "script")."""
+    argv, code, entry, flags, *_ = _SPAWNS[name]
+    with tempfile.TemporaryDirectory() as folder:
+        for file, doc in _PINNED_INPUTS.items():
+            (pathlib.Path(folder) / file).write_text(json.dumps(doc))
+        argv = [os.path.join(folder, a) if a.endswith(".json") else a for a in argv]
+        proc = _spawn([json.dumps(argv), str(code), entry], timeout=60, flags=flags,
+                      probe=_IMPORT_PROBE)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
 
 
-@pytest.mark.parametrize("command", ["pair", "translate", "word", "construct",
-                                     "invariants", "gottsche", "verify"])
-def test_integer_subcommands_load_no_float_libraries(tmp_path, command):
-    assert _loaded_by(tmp_path, [command])[0] == []
+@pytest.mark.parametrize("name", _SPAWNS)
+def test_each_spawn_loads_only_what_its_row_allows(name):
+    # a float library, Fraction, record type or (on the -S rows) typing costs a spawn
+    # milliseconds; the package parses argv and writes help without argparse, gettext or
+    # locale; and every way out freezes the heap, so shutdown's collections skip its objects
+    *_, flags, layer, may = _SPAWNS[name]
+    facts = _loaded_by(name)
+    assert set(facts["k3tk"]) <= layer
+    for watched in ("floats", "records", "numbers", "parsing"):
+        assert set(facts[watched]) <= may, watched
+    assert facts["frozen"] > 0
+    assert not (flags and facts["typing"])
 
 
-@pytest.mark.parametrize("command", ["theta", "zfull"])
-@pytest.mark.parametrize("splitting", ["spectral", "identity"])
-def test_theta_subcommands_load_no_float_libraries(tmp_path, command, splitting):
-    assert _loaded_by(tmp_path, [command, "--splitting", splitting])[0] == []
+def _folded(*names, **renamed):
+    """The table test under the ids of a per-fact test it replaced: each row of names under
+    its own name, each row of renamed under its key; the rows spawn no second time."""
+    @pytest.mark.parametrize("name", [*names, *renamed.values()], ids=[*names, *renamed])
+    def test(name):
+        test_each_spawn_loads_only_what_its_row_allows(name)
+    return test
 
 
-@pytest.mark.parametrize("command", [
-    ["pair"], ["translate"], ["word"], ["construct"], ["invariants"], ["gottsche"], ["verify"],
-    ["theta", "--splitting", "spectral"], ["zfull", "--splitting", "identity"],
-    ["zseries", "--method", "literal"]], ids=lambda c: "-".join(c))
-def test_no_subcommand_loads_dataclasses_or_inspect(tmp_path, command):
-    assert _loaded_by(tmp_path, command)[2] == []
+_INTEGER = ("pair", "translate", "word", "construct", "invariants", "gottsche", "verify")
+test_integer_subcommands_load_no_float_libraries = _folded(*_INTEGER)
+test_integer_subcommands_load_no_fractions = _folded(*_INTEGER, "chivirtual")
+test_theta_subcommands_load_no_float_libraries = _folded(**{
+    "spectral-theta": "theta", "spectral-zfull": "zfull", "identity-theta": "theta-identity",
+    "identity-zfull": "zfull-identity"})
+test_no_subcommand_loads_dataclasses_or_inspect = _folded(*_INTEGER, **{
+    "theta---splitting-spectral": "theta", "zfull---splitting-identity": "zfull-identity",
+    "zseries---method-literal": "zseries-literal"})
+test_float_subcommands_load_no_typing = _folded(
+    zseries="zseries-hecke-S", theta="theta-S", zfull="zfull-S")
+test_euler_subcommands_load_only_the_moduli_layer = _folded("invariants", "gottsche",
+                                                            "chivirtual")
+test_no_spawn_loads_argparse_gettext_or_locale = _folded(
+    *k3tk.cli._COMMANDS, **{"usage-error": "usage-error-runpy"})
+test_every_spawn_freezes_its_heap_before_exit = _folded(
+    *(f"{kind}-{entry}" for kind in _EXITS for entry in ("runpy", "script")))
 
 
-@pytest.mark.parametrize("command", [["zseries", "--method", "hecke"], ["theta"], ["zfull"]],
-                         ids=lambda c: c[0])
-def test_float_subcommands_load_no_typing(tmp_path, command):
-    # -S, so that no site module preloads typing (none does on 3.12 and 3.13): an import of
-    # it for one record type would cost each of these spawns 3-5 ms
-    assert _loaded_by(tmp_path, command, flags=("-S",))[6] is False
+def test_pair_loads_only_the_lattice_layer():
+    test_each_spawn_loads_only_what_its_row_allows("pair")
 
 
 def test_lattice_import_loads_no_dataclasses():
-    src = os.path.dirname(os.path.dirname(os.path.abspath(k3tk.__file__)))
-    out = subprocess.run([sys.executable, "-c", "import sys, k3tk.lattice; "
-                          "print('dataclasses' in sys.modules, 'inspect' in sys.modules)"],
-                         env=dict(os.environ, PYTHONPATH=src), capture_output=True,
-                         text=True, timeout=60, check=True).stdout
-    assert out.split() == ["False", "False"]
-
-
-def test_pair_loads_only_the_lattice_layer(tmp_path):
-    assert set(_loaded_by(tmp_path, ["pair"])[1]) <= {
-        "k3tk", "k3tk.__main__", "k3tk.cli", "k3tk.errors", "k3tk.lattice"}
-
-
-@pytest.mark.parametrize("command", ["pair", "translate", "word", "construct", "invariants",
-                                     "gottsche", "chivirtual", "verify"])
-def test_integer_subcommands_load_no_fractions(tmp_path, command):
-    # an integer answer needs no Fraction, and fractions would bring decimal along
-    assert _loaded_by(tmp_path, [command])[3] == []
-
-
-@pytest.mark.parametrize("command", ["invariants", "gottsche", "chivirtual"])
-def test_euler_subcommands_load_only_the_moduli_layer(tmp_path, command):
-    # the Goettsche table and chi_virtual's integer kernel live in moduli
-    assert set(_loaded_by(tmp_path, [command])[1]) <= {
-        "k3tk", "k3tk.__main__", "k3tk.cli", "k3tk.errors", "k3tk.lattice", "k3tk.moduli"}
-
-
-@pytest.mark.parametrize("command, code", [
-    *(([name], 0) for name in k3tk.cli._COMMANDS), (["gottsche", "--order", "x"], 2)],
-    ids=[*k3tk.cli._COMMANDS, "usage-error"])
-def test_no_spawn_loads_argparse_gettext_or_locale(tmp_path, command, code):
-    # the command table is parsed and its help written by the package itself
-    assert _loaded_by(tmp_path, command, code)[4] == []
-
-
-# one spawn of each way out of main: a document, an input error, a usage error and --help
-_EXITS = {"document": (["gottsche", "--order", "3"], 0),
-          "input-error": (["gottsche", "--order", "0"], 2),
-          "usage-error": (["gottsche", "--order", "x"], 2),
-          "help": (["--help"], 0)}
-
-
-@pytest.mark.parametrize("entry", ["runpy", "script"])
-@pytest.mark.parametrize("exit_kind", _EXITS)
-def test_every_spawn_freezes_its_heap_before_exit(tmp_path, exit_kind, entry):
-    # the shutdown collections then skip every object alive when the document is out
-    command, code = _EXITS[exit_kind]
-    assert _loaded_by(tmp_path, command, code, entry)[5] > 0
+    proc = _spawn([], timeout=60, probe="import sys, k3tk.lattice; "
+                  "print('dataclasses' in sys.modules, 'inspect' in sys.modules)")
+    assert proc.stdout.split() == ["False", "False"]
 
 
 @pytest.mark.parametrize("exit_kind", _EXITS)
@@ -858,11 +858,7 @@ print(json.dumps([loaded, k3tk.__all__, sorted(n for n in names if not n.startsw
 
 
 def test_package_import_loads_no_submodule_and_resolves_every_name():
-    src = os.path.dirname(os.path.dirname(os.path.abspath(k3tk.__file__)))
-    out = subprocess.run([sys.executable, "-c", _PACKAGE_PROBE],
-                         env=dict(os.environ, PYTHONPATH=src), capture_output=True,
-                         text=True, timeout=60, check=True).stdout
-    loaded, public, star, same = json.loads(out)
+    loaded, public, star, same = json.loads(_spawn([], timeout=60, probe=_PACKAGE_PROBE).stdout)
     assert loaded == []
     assert public == PUBLIC_NAMES and star == PUBLIC_NAMES and same
     with pytest.raises(AttributeError):
@@ -925,10 +921,14 @@ def test_goettsche_index_refused_within_2_s(argv):
     _assert_spawned_input_error(argv, timeout=2)
 
 
-def _spawn(argv, timeout, flags=()):
-    src = os.path.dirname(os.path.dirname(os.path.abspath(k3tk.__file__)))
-    return subprocess.run([sys.executable, *flags, "-m", "k3tk", *argv],
-                          env=dict(os.environ, PYTHONPATH=src),
+_SRC = os.path.dirname(os.path.dirname(os.path.abspath(k3tk.__file__)))
+
+
+def _spawn(argv, timeout, flags=(), probe=None):
+    """python flags -m k3tk argv, or python flags -c probe argv, with the package on its path."""
+    return subprocess.run([sys.executable, *flags, *(("-m", "k3tk") if probe is None
+                                                      else ("-c", probe)), *argv],
+                          env=dict(os.environ, PYTHONPATH=_SRC),
                           capture_output=True, text=True, timeout=timeout)
 
 
@@ -968,13 +968,12 @@ def test_huge_nonprimitive_invariants_finish_in_a_spawned_run(tmp_path):
 def test_closed_stdout_exits_141_with_empty_stderr(argv, unbuffered):
     # the reader of stdout is gone before the document is written: no "internal"
     # document, no traceback, and the shell's code for a writer killed by SIGPIPE
-    src = os.path.dirname(os.path.dirname(os.path.abspath(k3tk.__file__)))
     read_end, write_end = os.pipe()
     os.close(read_end)
     try:
         proc = subprocess.run([sys.executable, "-m", "k3tk", *argv], stdout=write_end,
                               stderr=subprocess.PIPE, text=True, timeout=10,
-                              env=dict(os.environ, PYTHONPATH=src, PYTHONUNBUFFERED=unbuffered))
+                              env=dict(os.environ, PYTHONPATH=_SRC, PYTHONUNBUFFERED=unbuffered))
     finally:
         os.close(write_end)
     assert (proc.returncode, proc.stderr) == (141, "")

@@ -4,6 +4,7 @@ import math
 import sys
 from collections import Counter
 from fractions import Fraction
+from itertools import product
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from k3tk import (EvenLattice, InputError, MukaiVector, QSeries, Splitting, chi_virtual,
-                  hilb_euler, partitions, qs_evaluate, qseries, theta,
+                  hilb_euler, partitions, qs_evaluate, qs_mul, qseries, theta,
                   theta_siegel_narain, z1_zero, z_full_direct,
                   z_full_factorized, z_psu_direct, z_psu_hecke, z_psu_hecke_literal)
 from k3tk.errors import MAX_WORK
@@ -504,15 +505,62 @@ def test_hecke_law_of_minahan_et_al_property(case):
 
 
 @st.composite
+def _negative_definite_gram(draw):
+    """A negative definite Gram of rank 1 or 2: diagonal -2 to -8, off-diagonal -3 to 3."""
+    if draw(st.booleans()):
+        return ((-2 * draw(st.integers(1, 4)),),)
+    a, c = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    b = draw(st.integers(-3, 3).filter(lambda b: b * b < 4 * a * c))
+    return ((-2 * a, b), (b, -2 * c))
+
+
+def _factorized_exact(gram, r, m_top):
+    """{m: its nonzero coefficient} below q^m_top of the coset factorization sum over alpha in
+    [0, r)^n of z_psu_direct(r, alpha) Theta_alpha, Theta_alpha = sum_{c = alpha mod r}
+    q^(Q(c)/2r) an integer series built here."""
+    lat, trunc = EvenLattice(gram), m_top + r       # z_psu_direct starts at q^-r
+    thetas = {alpha: Counter() for alpha in product(range(r), repeat=len(gram))}
+    bound = oracles.definite_box(gram, 2 * r * trunc)
+    for c in product(range(-bound, bound + 1), repeat=len(gram)):
+        q_c = -oracles.pairing_brute((0, c, 0), (0, c, 0), gram)
+        if q_c < 2 * r * trunc:
+            thetas[tuple(x % r for x in c)][Fraction(q_c, 2 * r)] += 1
+    total = Counter()
+    for alpha, terms in thetas.items():
+        for e, coeff in qs_mul(z_psu_direct(r, alpha, m_top, lat),
+                               QSeries.from_terms(terms, trunc)).items():
+            if e < m_top:
+                total[e] += coeff
+    return {e: coeff for e, coeff in total.items() if coeff}
+
+
+def test_full_sum_on_gram_minus_2_at_rank_2_is_exact():
+    euler = oracles.sigma_recurrence_counts(10)
+    want = {-2: Fraction(1, 4), -1: 0, 0: Fraction(65, 2), 1: 3848}
+    assert oracles.z_full_exact(((-2,),), 2, 2, euler) == want
+    assert _factorized_exact(((-2,),), 2, 2) == {m: z for m, z in want.items() if z}
+
+
+@settings(max_examples=30, deadline=None)
+@given(_negative_definite_gram(), st.integers(1, 3))
+def test_full_sum_factorizes_and_obeys_the_hecke_law_exactly_property(gram, r):
+    # the exact series is the coset factorization, coefficient by coefficient, and obeys
+    # Minahan et al.'s Hecke law exactly: z_r[m] = sum_{d | gcd(r, m)} z_1[r m / d^2] / d^2
+    m_top = 5
+    euler = oracles.sigma_recurrence_counts(r * m_top + 2)
+    z_r = oracles.z_full_exact(gram, r, m_top, euler)
+    assert _factorized_exact(gram, r, m_top) == {m: z for m, z in z_r.items() if z}
+    z_1 = oracles.z_full_exact(gram, 1, r * (m_top - 1) + 1, euler)
+    for m, z in z_r.items():
+        assert z == sum(Fraction(z_1.get(r * m // (d * d), 0), d * d)
+                        for d in range(1, r + 1) if r % d == 0 and m % d == 0), m
+
+
+@st.composite
 def _theta_tail_cases(draw):
     """A negative definite Gram of rank <= 2, the coset step r, alpha, tau, x (none, or
     complex in about half the cases) and the radius."""
-    if draw(st.booleans()):
-        gram = ((-2 * draw(st.integers(1, 4)),),)
-    else:
-        a, c = draw(st.integers(1, 4)), draw(st.integers(1, 4))
-        b = draw(st.integers(-3, 3).filter(lambda b: b * b < 4 * a * c))
-        gram = ((-2 * a, b), (b, -2 * c))
+    gram = draw(_negative_definite_gram())
     r = draw(st.integers(1, 3))
     alpha = tuple(draw(st.integers(0, r - 1)) for _ in gram)
     tau = complex(draw(st.floats(-0.5, 0.5)), draw(st.floats(0.15, 1.0)))
